@@ -45,26 +45,37 @@ def fit_cusum_config(
     )
 
 
+def _cusum_scan(series: np.ndarray, config: CusumConfig, reset: bool) -> np.ndarray:
+    """max(S+, S-) per step, taken before any reset; with ``reset``, both
+    accumulators return to zero whenever that value exceeds the threshold."""
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("series must be univariate")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input")
+    mean, slack, two_sided = config.target_mean, config.slack, config.two_sided
+    stat = []
+    s_hi = 0.0
+    s_lo = 0.0
+    for value in x.tolist():  # Python floats: same IEEE arithmetic, faster loop
+        s_hi = max(0.0, s_hi + (value - mean - slack))
+        if two_sided:
+            s_lo = max(0.0, s_lo + (mean - value - slack))
+        peak = max(s_hi, s_lo)
+        stat.append(peak)
+        if reset and peak > config.threshold:
+            s_hi = 0.0
+            s_lo = 0.0
+    return np.array(stat, dtype=np.float64)
+
+
 def cusum_statistic(series: np.ndarray, config: CusumConfig) -> np.ndarray:
     """Accumulator trajectory max(S+, S-) without alarm resets.
 
     Used for threshold calibration: the alarm rule ``stat > h`` applied to
     this trajectory matches the first alarm of :func:`cusum_detect`.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be univariate")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    stat = np.empty_like(x)
-    s_hi = 0.0
-    s_lo = 0.0
-    for t in range(x.shape[0]):
-        s_hi = max(0.0, s_hi + (x[t] - config.target_mean - config.slack))
-        if config.two_sided:
-            s_lo = max(0.0, s_lo + (config.target_mean - x[t] - config.slack))
-        stat[t] = max(s_hi, s_lo)
-    return stat
+    return _cusum_scan(series, config, reset=False)
 
 
 def cusum_detect(series: np.ndarray, config: CusumConfig) -> np.ndarray:
@@ -73,23 +84,7 @@ def cusum_detect(series: np.ndarray, config: CusumConfig) -> np.ndarray:
     Both accumulators reset to zero after an alarm, so alarms mark events
     rather than latching for the rest of the series.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be univariate")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    flags = np.zeros(x.shape[0], dtype=np.int64)
-    s_hi = 0.0
-    s_lo = 0.0
-    for t in range(x.shape[0]):
-        s_hi = max(0.0, s_hi + (x[t] - config.target_mean - config.slack))
-        if config.two_sided:
-            s_lo = max(0.0, s_lo + (config.target_mean - x[t] - config.slack))
-        if s_hi > config.threshold or (config.two_sided and s_lo > config.threshold):
-            flags[t] = 1
-            s_hi = 0.0
-            s_lo = 0.0
-    return flags
+    return (_cusum_scan(series, config, reset=True) > config.threshold).astype(np.int64)
 
 
 def spe_detect(model: PcaModel, data: np.ndarray, threshold: float) -> np.ndarray:

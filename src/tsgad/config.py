@@ -256,44 +256,22 @@ def load_config(path: str | Path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """Stable 12-hex digest identifying a validated configuration."""
-    canonical = json.dumps(_strip_lines(cfg), sort_keys=True)
+    """Stable 12-hex digest of the configuration keys that change results.
+
+    ``paths`` and ``workers`` are left out: where files live and how many
+    processes share the inversion do not change any output.
+    """
+    relevant = {k: v for k, v in cfg.items() if k not in ("paths", "workers")}
+    canonical = json.dumps(_strip_lines(relevant), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def training_config(cfg: dict, sequence_length: int) -> TrainingConfig:
-    g = cfg["gan"]
-    return TrainingConfig(
-        epochs=g["epochs"],
-        batch_size=g["batch_size"],
-        d_steps=g["d_steps"],
-        g_steps=g["g_steps"],
-        optimizer=g["optimizer"],
-        d_learning_rate=g["d_learning_rate"],
-        g_learning_rate=g["g_learning_rate"],
-        latent_dim=g["latent_dim"],
-        sequence_length=sequence_length,
-        gen_depth=g["gen_depth"],
-        gen_hidden=g["gen_hidden"],
-        disc_depth=g["disc_depth"],
-        disc_hidden=g["disc_hidden"],
-        grad_clip=g["grad_clip"],
-        seed=cfg["seed"],
-        mmd_every=g["mmd_every"],
-        mmd_samples=g["mmd_samples"],
-        checkpoint_interval=g["checkpoint_interval"],
-    )
+    return TrainingConfig(**cfg["gan"], sequence_length=sequence_length, seed=cfg["seed"])
 
 
 def inversion_config(cfg: dict) -> InversionConfig:
-    inv = cfg["inversion"]
-    return InversionConfig(
-        max_iterations=inv["max_iterations"],
-        learning_rate=inv["learning_rate"],
-        restarts=inv["restarts"],
-        tolerance=inv["tolerance"],
-        seed=cfg["seed"],
-    )
+    return InversionConfig(**cfg["inversion"], seed=cfg["seed"])
 
 
 _VARIABLE_KINDS = {

@@ -96,8 +96,6 @@ class GanModel:
     loss_history: list[tuple[float, float]] = field(default_factory=list)
     mmd_history: list[float] = field(default_factory=list)
     epochs_completed: int = 0
-    gen_optimizer: lstm.OptimizerState | None = None
-    disc_optimizer: lstm.OptimizerState | None = None
 
 
 def build_generator(
@@ -249,7 +247,7 @@ def train(config: TrainingConfig, data) -> GanModel:
     disc = build_discriminator(feature_dim, config.disc_depth, config.disc_hidden, rng)
     g_opt = lstm.OptimizerState(rule=config.optimizer, learning_rate=config.g_learning_rate)
     d_opt = lstm.OptimizerState(rule=config.optimizer, learning_rate=config.d_learning_rate)
-    model = GanModel(gen, disc, config, gen_optimizer=g_opt, disc_optimizer=d_opt)
+    model = GanModel(gen, disc, config)
 
     if config.mmd_every > 0:
         ref_idx = rng.choice(n_windows, size=min(config.mmd_samples, n_windows), replace=False)
@@ -308,26 +306,18 @@ def train(config: TrainingConfig, data) -> GanModel:
 
 
 def save_checkpoint(model: GanModel, path: str | Path) -> None:
-    """Persist both networks, optimizer moments, config and histories."""
+    """Persist both networks, the config and the histories (no optimizer state)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {}
     arrays.update(model.generator.net.to_arrays("gen_"))
     arrays.update(model.discriminator.net.to_arrays("disc_"))
-    if model.gen_optimizer is not None:
-        arrays.update(model.gen_optimizer.to_arrays("gopt_"))
-    if model.disc_optimizer is not None:
-        arrays.update(model.disc_optimizer.to_arrays("dopt_"))
     meta = {
         "format_version": 1,
         "config": asdict(model.config),
         "epochs_completed": model.epochs_completed,
         "loss_history": model.loss_history,
         "mmd_history": model.mmd_history,
-        "optimizer_steps": {
-            "gen": model.gen_optimizer.step if model.gen_optimizer else 0,
-            "disc": model.disc_optimizer.step if model.disc_optimizer else 0,
-        },
     }
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
@@ -344,32 +334,11 @@ def load_checkpoint(path: str | Path) -> GanModel:
     disc = Discriminator(
         lstm.StackedLstm.from_arrays(data, config.disc_depth, "sigmoid", "disc_")
     )
-
-    def load_opt(prefix: str, params: list[np.ndarray], lr: float, steps: int):
-        state = lstm.OptimizerState(rule=config.optimizer, learning_rate=lr, step=steps)
-        if f"{prefix}m0" in data.files:
-            state.first_moment = [
-                np.asarray(data[f"{prefix}m{i}"]) for i in range(len(params))
-            ]
-            state.second_moment = [
-                np.asarray(data[f"{prefix}v{i}"]) for i in range(len(params))
-            ]
-        return state
-
-    model = GanModel(
+    return GanModel(
         generator=gen,
         discriminator=disc,
         config=config,
         loss_history=[tuple(pair) for pair in meta["loss_history"]],
         mmd_history=list(meta["mmd_history"]),
         epochs_completed=meta["epochs_completed"],
-        gen_optimizer=load_opt(
-            "gopt_", gen.net.parameters(), config.g_learning_rate,
-            meta["optimizer_steps"]["gen"],
-        ),
-        disc_optimizer=load_opt(
-            "dopt_", disc.net.parameters(), config.d_learning_rate,
-            meta["optimizer_steps"]["disc"],
-        ),
     )
-    return model

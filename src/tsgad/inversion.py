@@ -9,7 +9,7 @@ correlation averaged over columns, so it is bounded and scale invariant.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,14 +160,7 @@ def invert(gen: Generator, window: np.ndarray, config: InversionConfig) -> Inver
 
 def _invert_indexed(args):
     gen, window, config, index = args
-    cfg = InversionConfig(
-        max_iterations=config.max_iterations,
-        learning_rate=config.learning_rate,
-        restarts=config.restarts,
-        tolerance=config.tolerance,
-        seed=config.seed + index,
-    )
-    return invert(gen, window, cfg)
+    return invert(gen, window, replace(config, seed=config.seed + index))
 
 
 def invert_many(

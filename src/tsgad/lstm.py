@@ -432,14 +432,6 @@ class OptimizerState:
         if self.rule not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer rule {self.rule!r}")
 
-    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        arrays = {}
-        if self.first_moment is not None:
-            for i, (m, v) in enumerate(zip(self.first_moment, self.second_moment)):
-                arrays[f"{prefix}m{i}"] = m
-                arrays[f"{prefix}v{i}"] = v
-        return arrays
-
 
 def optimizer_step(
     params: list[np.ndarray],

@@ -1,7 +1,8 @@
 """Principal component fitting, projection and SPE residual distances.
 
-The eigensolver is a self-contained cyclic Jacobi sweep over the (small)
-covariance matrix, so results are deterministic across platforms.
+The covariance eigendecomposition is LAPACK's symmetric solver
+(``np.linalg.eigh``); a sign convention on each component makes the loadings
+unique.
 """
 
 from __future__ import annotations
@@ -77,48 +78,6 @@ class PcaModel:
         return cls.from_json(Path(path).read_text())
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    eigenvectors as columns.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    m = a.shape[0]
-    v = np.eye(m)
-    scale = np.abs(a).max() or 1.0
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                # classic stable rotation angle computation
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], v[:, order]
-
-
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each component row positive."""
     out = components.copy()
@@ -147,9 +106,10 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (n_rows - 1)
-    eigenvalues, eigenvectors = jacobi_eigh(cov)
-    eigenvalues = np.maximum(eigenvalues, 0.0)
-    loadings = _fix_signs(eigenvectors[:, :n_components].T)
+    # eigh sorts ascending; PCA keeps the largest components first
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    eigenvalues = np.maximum(eigenvalues[::-1], 0.0)
+    loadings = _fix_signs(eigenvectors.T[::-1][:n_components])
     return PcaModel(
         mean=mean,
         loadings=loadings,

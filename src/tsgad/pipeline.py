@@ -7,6 +7,7 @@ configs and seeds reproduce byte-identical outputs.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +50,23 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _csv_paths(cfg: dict) -> tuple[Path, Path | None]:
+    """Training and test CSVs; with synth enabled an unset path falls back to
+    the file ``run_synth`` writes under ``out_dir``."""
+    train, test = cfg["paths"]["input_csv"], cfg["paths"]["test_csv"]
+    if cfg["synth"]["enabled"]:
+        train = train or _out_dir(cfg) / "train.csv"
+        test = test or _out_dir(cfg) / "test.csv"
+    elif not train:
+        raise ConfigError("paths.input_csv is required for ingest")
+    return Path(train), Path(test) if test else None
+
+
 def run_synth(cfg: dict) -> tuple[Path, Path]:
     """Generate the normal training stream and the attacked test stream."""
     if not cfg["synth"]["enabled"]:
         raise ConfigError("synth.enabled is false; nothing to generate")
-    train_csv = Path(cfg["paths"]["input_csv"] or _out_dir(cfg) / "train.csv")
-    test_csv = Path(cfg["paths"]["test_csv"] or _out_dir(cfg) / "test.csv")
+    train_csv, test_csv = _csv_paths(cfg)
     save_scenario_csv(generate_scenario(scenario_spec(cfg, "train")), train_csv)
     save_scenario_csv(generate_scenario(scenario_spec(cfg, "test")), test_csv)
     return train_csv, test_csv
@@ -87,9 +99,8 @@ def _window_down(series: ingest.RawSeries, length: int, shift: int, factor: int)
 def run_ingest(cfg: dict) -> Path:
     """CSV -> normalized, PCA-projected, windowed dataset bundle."""
     ing = cfg["ingest"]
-    if not cfg["paths"]["input_csv"]:
-        raise ConfigError("paths.input_csv is required for ingest")
-    train_full = _load_series(cfg, cfg["paths"]["input_csv"])
+    train_csv, test_csv = _csv_paths(cfg)
+    train_full = _load_series(cfg, train_csv)
     if ing["trim_rows"]:
         train_full = ingest.trim_startup(train_full, ing["trim_rows"])
 
@@ -137,8 +148,8 @@ def run_ingest(cfg: dict) -> Path:
             _project_series(holdout_norm, model), window_len, ing["test_shift"], factor
         )
         sets["holdout_raw"] = _window_down(holdout_norm, window_len, ing["test_shift"], factor)
-    if cfg["paths"]["test_csv"]:
-        test_series = ingest.apply_normalizer(_load_series(cfg, cfg["paths"]["test_csv"]), stats)
+    if test_csv:
+        test_series = ingest.apply_normalizer(_load_series(cfg, test_csv), stats)
         sets["test"] = _window_down(
             _project_series(test_series, model), window_len, ing["test_shift"], factor
         )
@@ -268,13 +279,7 @@ def run_detect(cfg: dict) -> Path:
     tau = cfg["scoring"]["tau"]
     res_min = res_max = None
     if "holdout" in sets:
-        hold_cfg = inversion.InversionConfig(
-            max_iterations=inv_cfg.max_iterations,
-            learning_rate=inv_cfg.learning_rate,
-            restarts=inv_cfg.restarts,
-            tolerance=inv_cfg.tolerance,
-            seed=inv_cfg.seed + 1_000_000,
-        )
+        hold_cfg = replace(inv_cfg, seed=inv_cfg.seed + 1_000_000)
         _, _, hold_res, hold_disc = _score_windows(
             model, sets["holdout"].windows, hold_cfg, workers
         )
@@ -393,12 +398,7 @@ def run_evaluate(cfg: dict) -> Path:
             )
             stat = bl.cusum_statistic(holdout_rows[:, j], base)
             threshold = max(scoring.threshold_for_fpr(stat, fpr), 1e-9)
-            calibrated = bl.CusumConfig(
-                target_mean=base.target_mean,
-                slack=base.slack,
-                threshold=threshold,
-                two_sided=base.two_sided,
-            )
+            calibrated = replace(base, threshold=threshold)
             var_report = scoring.metrics(
                 bl.cusum_detect(test_rows[:, j], calibrated), truth
             )
@@ -428,11 +428,7 @@ def run_evaluate(cfg: dict) -> Path:
 def run_all(cfg: dict) -> Path:
     """synth (when enabled) -> ingest -> train -> detect -> evaluate."""
     if cfg["synth"]["enabled"]:
-        train_csv, test_csv = run_synth(cfg)
-        cfg = dict(cfg)
-        cfg["paths"] = dict(cfg["paths"])
-        cfg["paths"]["input_csv"] = str(train_csv)
-        cfg["paths"]["test_csv"] = str(test_csv)
+        run_synth(cfg)
     run_ingest(cfg)
     run_train(cfg)
     run_detect(cfg)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -264,10 +265,34 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.mmd_history == model.mmd_history
     assert loaded.epochs_completed == 2
     assert loaded.config == model.config
+
+
+def test_checkpoint_with_optimizer_state_loads(tmp_path):
+    """Checkpoints written when Adam moments were still saved carry
+    gopt_*/dopt_* arrays and optimizer_steps meta; the loader ignores them."""
+    windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
+    model = train(tiny_config(epochs=1), windows)
+    save_checkpoint(model, tmp_path / "current.npz")
+    with np.load(tmp_path / "current.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode())
+    meta["optimizer_steps"] = {"gen": 1, "disc": 1}
+    for prefix, net in (("gopt_", model.generator.net), ("dopt_", model.discriminator.net)):
+        for i, p in enumerate(net.parameters()):
+            arrays[f"{prefix}m{i}"] = np.full_like(p, 0.1)
+            arrays[f"{prefix}v{i}"] = np.full_like(p, 0.01)
+    old = tmp_path / "with_optimizer.npz"
+    np.savez(old, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+    loaded = load_checkpoint(old)
+    for a, b in zip(model.generator.net.parameters(), loaded.generator.net.parameters()):
+        npt.assert_array_equal(a, b)
     for a, b in zip(
-        model.gen_optimizer.first_moment, loaded.gen_optimizer.first_moment
+        model.discriminator.net.parameters(), loaded.discriminator.net.parameters()
     ):
         npt.assert_array_equal(a, b)
+    assert loaded.config == model.config
+    assert loaded.loss_history == model.loss_history
 
 
 def test_checkpoint_interval_writes_files(tmp_path):

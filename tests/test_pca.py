@@ -5,7 +5,6 @@ import pytest
 from tsgad.pca import (
     PcaModel,
     fit_pca,
-    jacobi_eigh,
     project,
     reconstruct,
     spe,
@@ -65,22 +64,18 @@ class TestFitPca:
         with pytest.raises(ValueError):
             fit_pca(np.zeros((5, 2)), 3)
 
-
-class TestJacobi:
-    def test_against_numpy_eigh(self):
+    def test_eigendecomposition_of_covariance(self):
         rng = np.random.default_rng(4)
         for size in (2, 3, 6, 10):
-            a = rng.normal(size=(size, size))
-            sym = (a + a.T) / 2
-            values, vectors = jacobi_eigh(sym)
-            ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
-            npt.assert_allclose(values, ref, atol=1e-10)
-            npt.assert_allclose(vectors.T @ vectors, np.eye(size), atol=1e-10)
-            npt.assert_allclose(sym @ vectors, vectors @ np.diag(values), atol=1e-9)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            data = rng.normal(size=(3 * size, size)) @ rng.normal(size=(size, size))
+            model = fit_pca(data, size)
+            centered = data - data.mean(axis=0)
+            cov = centered.T @ centered / (data.shape[0] - 1)
+            loadings, values = model.loadings, model.eigenvalues
+            npt.assert_allclose(loadings @ loadings.T, np.eye(size), atol=1e-10)
+            npt.assert_allclose(cov @ loadings.T, loadings.T @ np.diag(values), atol=1e-9)
+            assert np.all(np.diff(values) <= 0.0)
+            npt.assert_allclose(values, np.linalg.eigvalsh(cov)[::-1], atol=1e-10)
 
 
 class TestProject:
