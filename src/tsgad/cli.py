@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS), help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for window inversion (0 = auto)")
     parser.add_argument("--out", default=None, help="override paths.out_dir")
     return parser
 
@@ -50,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.workers is not None:
-        if args.workers < 0:
-            raise ConfigError("--workers must be >= 0")
-        cfg["workers"] = args.workers
     if args.out is not None:
         cfg["paths"]["out_dir"] = args.out
     for env, (key,) in ENV_OVERRIDES.items():

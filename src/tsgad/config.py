@@ -90,7 +90,6 @@ def _unit_closed(x):
 
 SCHEMA: dict = {
     "seed": Field(int, 7, _non_negative, "non-negative integer"),
-    "workers": Field(int, 1, _non_negative, "non-negative integer (0 = auto)"),
     "paths": {
         "input_csv": Field((str, type(None)), None),
         "test_csv": Field((str, type(None)), None),
@@ -258,10 +257,9 @@ def load_config(path: str | Path) -> dict:
 def config_hash(cfg: dict) -> str:
     """Stable 12-hex digest of the configuration keys that change results.
 
-    ``paths`` and ``workers`` are left out: where files live and how many
-    processes share the inversion do not change any output.
+    ``paths`` is left out: where files live does not change any output.
     """
-    relevant = {k: v for k, v in cfg.items() if k not in ("paths", "workers")}
+    relevant = {k: v for k, v in cfg.items() if k != "paths"}
     canonical = json.dumps(_strip_lines(relevant), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

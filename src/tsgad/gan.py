@@ -21,7 +21,7 @@ SCORE_EPS = 1e-12
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss turns non-finite; carries the last good model."""
+    """Raised when a loss or gradient norm turns non-finite; carries the last good model."""
 
     def __init__(self, message: str, model: "GanModel"):
         super().__init__(message)
@@ -230,8 +230,9 @@ def train(config: TrainingConfig, data) -> GanModel:
 
     Each epoch shuffles the window set and walks it in minibatches; every
     minibatch takes ``d_steps`` discriminator updates followed by ``g_steps``
-    generator updates on fresh latent draws.  A non-finite loss aborts with
-    the last epoch's parameters attached to the raised error.
+    generator updates on fresh latent draws.  A non-finite loss or gradient
+    norm raises :class:`TrainingDiverged` with the last epoch's parameters
+    attached; non-finite windows are rejected before the first epoch.
     """
     windows = _training_data(data)
     n_windows, seq_len, feature_dim = windows.shape
@@ -239,6 +240,8 @@ def train(config: TrainingConfig, data) -> GanModel:
         raise ValueError(
             f"windows have length {seq_len}, config expects {config.sequence_length}"
         )
+    if not np.all(np.isfinite(windows)):
+        raise ValueError("training windows contain non-finite values")
 
     rng = np.random.default_rng(config.seed)
     gen = build_generator(
@@ -269,23 +272,24 @@ def train(config: TrainingConfig, data) -> GanModel:
                     z = sample_latent(m, seq_len, config.latent_dim, rng)
                     fake = generate(gen, z)
                     loss, grads = discriminator_grads(disc, real, fake)
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"d_loss diverged at epoch {epoch + 1}", model)
-                    lstm.clip_gradients(grads, config.grad_clip)
+                    norm = lstm.clip_gradients(grads, config.grad_clip)
+                    if not np.isfinite(loss + norm):
+                        msg = f"d_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
+                        raise TrainingDiverged(msg, model)
                     lstm.optimizer_step(disc.net.parameters(), grads, d_opt)
                     d_losses.append(loss)
                 for _ in range(config.g_steps):
                     z = sample_latent(m, seq_len, config.latent_dim, rng)
                     loss, grads = generator_grads(gen, disc, z)
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"g_loss diverged at epoch {epoch + 1}", model)
-                    lstm.clip_gradients(grads, config.grad_clip)
+                    norm = lstm.clip_gradients(grads, config.grad_clip)
+                    if not np.isfinite(loss + norm):
+                        msg = f"g_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
+                        raise TrainingDiverged(msg, model)
                     lstm.optimizer_step(gen.net.parameters(), grads, g_opt)
                     g_losses.append(loss)
-        except (TrainingDiverged, ValueError) as exc:
+        except TrainingDiverged:
             gen.net, disc.net = last_good
-            model.generator, model.discriminator = gen, disc
-            raise TrainingDiverged(str(exc), model) from None
+            raise
 
         model.loss_history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
         model.epochs_completed = epoch + 1

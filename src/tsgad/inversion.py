@@ -8,7 +8,6 @@ correlation averaged over columns, so it is bounded and scale invariant.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,26 +157,11 @@ def invert(gen: Generator, window: np.ndarray, config: InversionConfig) -> Inver
     return best
 
 
-def _invert_indexed(args):
-    gen, window, config, index = args
-    return invert(gen, window, replace(config, seed=config.seed + index))
-
-
 def invert_many(
-    gen: Generator,
-    windows: np.ndarray,
-    config: InversionConfig,
-    workers: int = 1,
+    gen: Generator, windows: np.ndarray, config: InversionConfig
 ) -> list[InversionResult]:
-    """Invert a batch of windows; windows are independent, so this is
-    embarrassingly parallel.  Window i uses seed config.seed + i regardless of
-    worker count, keeping results deterministic."""
+    """Invert a batch of windows; window i uses seed config.seed + i."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError("windows must be (count, timesteps, columns)")
-    tasks = [(gen, windows[i], config, i) for i in range(windows.shape[0])]
-    if workers == 1 or len(tasks) <= 1:
-        return [_invert_indexed(t) for t in tasks]
-    max_workers = workers if workers > 0 else None
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_invert_indexed, tasks, chunksize=8))
+    return [invert(gen, w, replace(config, seed=config.seed + i)) for i, w in enumerate(windows)]

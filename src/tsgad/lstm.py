@@ -302,9 +302,7 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
         lc = cache.layer_caches[idx]
         h_size = layer.hidden_size
 
-        d_w_in = np.zeros_like(layer.input_weights)
-        d_w_rec = np.zeros_like(layer.recurrent_weights)
-        d_bias = np.zeros_like(layer.biases)
+        d_gates = np.empty((batch, steps, 4 * h_size))
         d_inputs = np.empty_like(lc.inputs)
 
         d_h_rec = np.zeros((batch, h_size))
@@ -316,7 +314,6 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
             g = lc.gate_g[:, t]
             ct = lc.cell_tanh[:, t]
             c_prev = lc.cell[:, t - 1] if t > 0 else np.zeros((batch, h_size))
-            h_prev = lc.hidden[:, t - 1] if t > 0 else np.zeros((batch, h_size))
 
             d_h = d_hidden_seq[:, t] + d_h_rec
             d_o = d_h * ct
@@ -337,14 +334,19 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
             )
             d_a *= lc.clamp_mask[:, t]
 
-            d_w_in += d_a.T @ lc.inputs[:, t]
-            d_w_rec += d_a.T @ h_prev
-            d_bias += d_a.sum(axis=0)
+            d_gates[:, t] = d_a
             d_inputs[:, t] = d_a @ layer.input_weights
             d_h_rec = d_a @ layer.recurrent_weights
             d_c = d_c_prev
 
-        layer_grads[idx] = (d_w_in, d_w_rec, d_bias)
+        # one product per weight array sums over batch and time; h_prev is the
+        # hidden state entering each step, zero before t = 0
+        flat = d_gates.reshape(-1, 4 * h_size)
+        d_w_in = flat.T @ lc.inputs.reshape(batch * steps, -1)
+        h_prev = np.zeros_like(lc.hidden)
+        h_prev[:, 1:] = lc.hidden[:, :-1]
+        d_w_rec = flat.T @ h_prev.reshape(-1, h_size)
+        layer_grads[idx] = (d_w_in, d_w_rec, flat.sum(axis=0))
         d_hidden_seq = d_inputs
 
     return GradientSet(

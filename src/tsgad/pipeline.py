@@ -7,13 +7,14 @@ configs and seeds reproduce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines as bl
-from . import gan, ingest, inversion, pca, scoring, svgplot
+from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
 from .config import (
     ConfigError,
     config_hash,
@@ -22,6 +23,9 @@ from .config import (
     training_config,
 )
 from .synthetic import generate_scenario, save_scenario_csv
+
+# below this many holdout windows, one window can set the residual scale and tau
+MIN_HOLDOUT_WINDOWS = 8
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -252,11 +256,9 @@ def _flatten_windows(windows: np.ndarray) -> np.ndarray:
     return windows.reshape(-1, windows.shape[2])
 
 
-def _score_windows(model: gan.GanModel, windows: np.ndarray, inv_cfg, workers: int):
+def _score_windows(model: gan.GanModel, windows: np.ndarray, inv_cfg):
     """Invert every window and collect per-timestep residuals and D scores."""
-    from . import lstm
-
-    results = inversion.invert_many(model.generator, windows, inv_cfg, workers=workers)
+    results = inversion.invert_many(model.generator, windows, inv_cfg)
     recon = np.stack([r.reconstruction for r in results])
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
@@ -273,16 +275,16 @@ def run_detect(cfg: dict) -> Path:
     model = gan.load_checkpoint(_checkpoint_path(cfg))
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
     inv_cfg = inversion_config(cfg)
-    workers = cfg["workers"]
     lam = cfg["scoring"]["lambda"]
 
     tau = cfg["scoring"]["tau"]
     res_min = res_max = None
+    holdout_windows = int(sets["holdout"].n_windows) if "holdout" in sets else 0
+    if 0 < holdout_windows < MIN_HOLDOUT_WINDOWS:
+        warnings.warn(f"only {holdout_windows} holdout windows set the residual scale and tau")
     if "holdout" in sets:
         hold_cfg = replace(inv_cfg, seed=inv_cfg.seed + 1_000_000)
-        _, _, hold_res, hold_disc = _score_windows(
-            model, sets["holdout"].windows, hold_cfg, workers
-        )
+        _, _, hold_res, hold_disc = _score_windows(model, sets["holdout"].windows, hold_cfg)
         res_min, res_max = float(hold_res.min()), float(hold_res.max())
         hold_scores = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
         if tau is None:
@@ -292,9 +294,7 @@ def run_detect(cfg: dict) -> Path:
             "scoring.tau is unset and the bundle has no holdout windows to calibrate on"
         )
 
-    results, comp_res, test_res, test_disc = _score_windows(
-        model, sets["test"].windows, inv_cfg, workers
-    )
+    results, comp_res, test_res, test_disc = _score_windows(model, sets["test"].windows, inv_cfg)
     test_scores = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     flags = scoring.flag_anomalies(test_scores, tau)
 
@@ -334,6 +334,7 @@ def run_detect(cfg: dict) -> Path:
         json.dumps(
             {
                 "config_hash": config_hash(cfg),
+                "holdout_windows": holdout_windows,
                 "tau": tau,
                 "lambda": lam,
                 "residual_min": res_min,

@@ -72,8 +72,7 @@ def test_hash_stable_and_sensitive():
     c = validate_config({"seed": 2})
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
-    # where files go and how many processes invert do not change results
-    assert config_hash(validate_config({"seed": 1, "workers": 2})) == config_hash(a)
+    # where files go does not change results
     moved = validate_config({"seed": 1, "paths": {"out_dir": "elsewhere"}})
     assert config_hash(moved) == config_hash(a)
 

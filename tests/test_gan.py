@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -175,12 +176,41 @@ class TestTrain:
         assert len(model.loss_history) == 4
         assert len(model.mmd_history) == 2
 
-    def test_non_finite_data_aborts_with_last_good_model(self):
+    def test_non_finite_window_rejected(self):
         windows = np.zeros((8, 4, 1))
         windows[3, 2, 0] = np.nan
-        with pytest.raises(TrainingDiverged) as exc_info:
+        with pytest.raises(ValueError, match="non-finite"):
             train(tiny_config(), windows)
-        assert exc_info.value.model.epochs_completed == 0
+
+    def test_non_finite_gradients_abort_with_last_good_model(self, monkeypatch):
+        windows = np.random.default_rng(11).uniform(-0.5, 0.5, (8, 4, 1))
+        cfg = tiny_config(epochs=2, batch_size=4)
+        reference = train(replace(cfg, epochs=1), windows)
+        real_grads = gan.discriminator_grads
+        calls = []
+
+        def nan_in_epoch_two(disc, real, fake):
+            loss, grads = real_grads(disc, real, fake)
+            calls.append(None)
+            if len(calls) > 2:  # two minibatches per epoch
+                grads[0][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(gan, "discriminator_grads", nan_in_epoch_two)
+        with pytest.raises(TrainingDiverged, match="gradient norm nan") as exc_info:
+            train(cfg, windows)
+        model = exc_info.value.model
+        assert model.epochs_completed == 1
+        for net, ref in ((model.generator.net, reference.generator.net),
+                         (model.discriminator.net, reference.discriminator.net)):
+            for a, b in zip(net.parameters(), ref.parameters()):
+                npt.assert_array_equal(a, b)
+
+    def test_shape_bug_is_not_reported_as_divergence(self, monkeypatch):
+        # a generator emitting the wrong width fails inside the epoch
+        monkeypatch.setattr(gan, "generate", lambda gen, z: np.zeros(z.shape[:2] + (2,)))
+        with pytest.raises(ValueError, match="feature dim"):
+            train(tiny_config(), np.zeros((8, 4, 1)))
 
     def test_sequence_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

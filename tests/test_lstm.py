@@ -187,6 +187,22 @@ class TestBackward:
                 numeric = (lp - lm) / (2 * eps)
                 assert abs(analytic[t, j] - numeric) < 1e-7
 
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_batch_gradients_sum_per_sequence_gradients(self, steps):
+        # weight gradients sum over batch and time; at steps = 1 the
+        # recurrent weights get no term from a previous hidden state
+        net = init_lstm(2, 3, 4, 2, "tanh", rng=27, weight_scale=0.4)
+        rng = np.random.default_rng(28)
+        seqs = rng.normal(size=(3, steps, 3))
+        d_out = rng.normal(size=(3, steps, 2))
+        _, cache = forward_batch(net, seqs)
+        batched = lstm.backward_batch(net, cache, d_out)
+        rows = [backward(net, forward(net, seqs[k])[1], d_out[k]) for k in range(3)]
+        for p_idx, grad in enumerate(batched.arrays()):
+            npt.assert_allclose(grad, sum(r.arrays()[p_idx] for r in rows), rtol=1e-12)
+        for k in range(3):
+            npt.assert_allclose(batched.inputs[k], rows[k].inputs, rtol=1e-12)
+
     def test_cache_mismatch(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
         _, cache = forward(net, np.zeros((4, 2)))
