@@ -242,6 +242,11 @@ def train(config: TrainingConfig, data) -> GanModel:
         )
     if not np.all(np.isfinite(windows)):
         raise ValueError("training windows contain non-finite values")
+    if 0 < config.mmd_every <= config.epochs and n_windows < 2:
+        raise ValueError(
+            f"the per-epoch MMD needs at least 2 training windows, got {n_windows}; "
+            "add training data or set gan.mmd_every: 0"
+        )
 
     rng = np.random.default_rng(config.seed)
     gen = build_generator(

@@ -2,14 +2,15 @@
 
 Gate layout is the standard (input, forget, output, candidate) quadruple with
 sigmoid gates and tanh candidate/cell output; the four gate blocks are stacked
-row-wise inside each weight matrix.  Pre-activations are clamped to +/-50 to
-keep exp() finite; the clamp is treated as a hard saturation in the backward
-pass so gradients stay exact.
+row-wise inside each weight matrix.  ``sigmoid`` clips its argument to +/-50 to
+keep exp() finite.  The backward pass needs no clamp mask: tanh(+/-50) and
+sigmoid(+50) are exactly +/-1 and 1 in float64, so their slopes are 0, and
+below -50 the sigmoid slope is sigmoid(-50) * (1 - sigmoid(-50)) ~ 1.9e-22.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +19,8 @@ CLAMP = 50.0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    """Logistic function of ``z`` clipped to +/-CLAMP, so exp() never overflows."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -CLAMP, CLAMP)))
 
 
 @dataclass
@@ -166,23 +168,16 @@ def init_lstm(
 
 @dataclass
 class LayerCache:
-    inputs: np.ndarray      # (B, L, d)
-    gate_i: np.ndarray      # (B, L, h)
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    gate_g: np.ndarray
-    cell: np.ndarray        # (B, L, h)
-    cell_tanh: np.ndarray
-    hidden: np.ndarray
-    clamp_mask: np.ndarray  # (B, L, 4h) 1 where pre-activation not clamped
+    inputs: np.ndarray  # (B, L, d)
+    gates: np.ndarray   # (B, L, 4h) activated i, f, o, g
+    cell: np.ndarray    # (B, L, h)
+    hidden: np.ndarray  # (B, L, h)
 
 
 @dataclass
 class ForwardCache:
     layer_caches: list[LayerCache]
-    out_pre: np.ndarray        # (B, L, o) clamped pre-activation
-    out_clamp_mask: np.ndarray
-    outputs: np.ndarray        # (B, L, o)
+    outputs: np.ndarray  # (B, L, o)
 
 
 @dataclass
@@ -231,14 +226,9 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
     layer_caches = []
     for layer in net.layers:
         h_size = layer.hidden_size
-        gate_i = np.empty((batch, steps, h_size))
-        gate_f = np.empty((batch, steps, h_size))
-        gate_o = np.empty((batch, steps, h_size))
-        gate_g = np.empty((batch, steps, h_size))
+        gates = np.empty((batch, steps, 4 * h_size))
         cell = np.empty((batch, steps, h_size))
-        cell_tanh = np.empty((batch, steps, h_size))
         hidden = np.empty((batch, steps, h_size))
-        clamp_mask = np.empty((batch, steps, 4 * h_size))
 
         h_prev = np.zeros((batch, h_size))
         c_prev = np.zeros((batch, h_size))
@@ -246,30 +236,19 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
         w_rec_t = layer.recurrent_weights.T
         for t in range(steps):
             pre = x[:, t] @ w_in_t + h_prev @ w_rec_t + layer.biases
-            mask = (np.abs(pre) < CLAMP).astype(np.float64)
-            pre = np.clip(pre, -CLAMP, CLAMP)
-            i = sigmoid(pre[:, :h_size])
-            f = sigmoid(pre[:, h_size : 2 * h_size])
-            o = sigmoid(pre[:, 2 * h_size : 3 * h_size])
+            ifo = sigmoid(pre[:, : 3 * h_size])
             g = np.tanh(pre[:, 3 * h_size :])
+            gates[:, t, : 3 * h_size], gates[:, t, 3 * h_size :] = ifo, g
+            i, f, o = ifo[:, :h_size], ifo[:, h_size : 2 * h_size], ifo[:, 2 * h_size :]
             c = f * c_prev + i * g
-            ct = np.tanh(c)
-            h = o * ct
-            gate_i[:, t], gate_f[:, t], gate_o[:, t], gate_g[:, t] = i, f, o, g
-            cell[:, t], cell_tanh[:, t], hidden[:, t] = c, ct, h
-            clamp_mask[:, t] = mask
+            h = o * np.tanh(c)
+            cell[:, t], hidden[:, t] = c, h
             h_prev, c_prev = h, c
-        layer_caches.append(
-            LayerCache(x, gate_i, gate_f, gate_o, gate_g, cell, cell_tanh, hidden, clamp_mask)
-        )
+        layer_caches.append(LayerCache(x, gates, cell, hidden))
         x = hidden
 
-    out_pre = x @ net.out_weights.T + net.out_bias
-    out_mask = (np.abs(out_pre) < CLAMP).astype(np.float64)
-    out_pre = np.clip(out_pre, -CLAMP, CLAMP)
-    outputs = _activate(out_pre, net.output_activation)
-    cache = ForwardCache(layer_caches, out_pre, out_mask, outputs)
-    return outputs, cache
+    outputs = _activate(x @ net.out_weights.T + net.out_bias, net.output_activation)
+    return outputs, ForwardCache(layer_caches, outputs)
 
 
 def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarray) -> GradientSet:
@@ -288,8 +267,7 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
     elif net.output_activation == "sigmoid":
         d_pre = d_out * cache.outputs * (1.0 - cache.outputs)
     else:
-        d_pre = d_out.copy()
-    d_pre = d_pre * cache.out_clamp_mask
+        d_pre = d_out
 
     top_hidden = cache.layer_caches[-1].hidden
     d_out_w = np.einsum("blo,blh->oh", d_pre, top_hidden)
@@ -305,14 +283,16 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
         d_gates = np.empty((batch, steps, 4 * h_size))
         d_inputs = np.empty_like(lc.inputs)
 
+        cell_tanh = np.tanh(lc.cell)
         d_h_rec = np.zeros((batch, h_size))
         d_c = np.zeros((batch, h_size))
         for t in range(steps - 1, -1, -1):
-            i = lc.gate_i[:, t]
-            f = lc.gate_f[:, t]
-            o = lc.gate_o[:, t]
-            g = lc.gate_g[:, t]
-            ct = lc.cell_tanh[:, t]
+            act = lc.gates[:, t]
+            i = act[:, :h_size]
+            f = act[:, h_size : 2 * h_size]
+            o = act[:, 2 * h_size : 3 * h_size]
+            g = act[:, 3 * h_size :]
+            ct = cell_tanh[:, t]
             c_prev = lc.cell[:, t - 1] if t > 0 else np.zeros((batch, h_size))
 
             d_h = d_hidden_seq[:, t] + d_h_rec
@@ -332,7 +312,6 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
                 ],
                 axis=1,
             )
-            d_a *= lc.clamp_mask[:, t]
 
             d_gates[:, t] = d_a
             d_inputs[:, t] = d_a @ layer.input_weights

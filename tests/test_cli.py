@@ -103,6 +103,19 @@ def test_stage_by_stage_matches_all(config, all_out, tmp_path):
         assert (tmp_path / name).read_bytes() == (all_out / name).read_bytes(), name
 
 
+def test_generate_writes_bounded_samples_reproducibly(config, all_out):
+    assert _run(config, all_out, "generate") == 0
+    lines = (all_out / "generated.csv").read_text().splitlines()
+    assert lines[0] == "sample,step,f0,f1"
+    assert len(lines) == 1 + 8 * 5  # generate.count samples of 5 downsampled steps
+    values = [float(v) for line in lines[1:] for v in line.split(",")[2:]]
+    assert all(-1.0 < v < 1.0 for v in values)
+    assert (all_out / "generated_vs_real.svg").is_file()
+    first = (all_out / "generated.csv").read_bytes()
+    assert _run(config, all_out, "generate") == 0
+    assert (all_out / "generated.csv").read_bytes() == first
+
+
 @pytest.mark.parametrize("key", ["no_such_key", "workers"])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"

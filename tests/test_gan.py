@@ -216,6 +216,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="length"):
             train(tiny_config(sequence_length=5), np.zeros((4, 4, 1)))
 
+    def test_one_window_with_mmd_names_the_cause(self):
+        with pytest.raises(ValueError, match=r"2 training windows, got 1; .*gan\.mmd_every: 0"):
+            train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)))
+        assert train(tiny_config(epochs=1), np.zeros((1, 4, 1))).epochs_completed == 1
+
 
 class TestUpdateDirections:
     def test_discriminator_update_decreases_d_loss(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -208,6 +209,33 @@ class TestBackward:
         _, cache = forward(net, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="output_grads shape"):
             backward(net, cache, np.zeros((5, 2)))
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("activation", ["identity", "tanh", "sigmoid"])
+    def test_saturated_net_is_finite_and_silent(self, activation):
+        net = init_lstm(2, 3, 8, 2, activation, rng=50, weight_scale=40.0)
+        rng = np.random.default_rng(51)
+        seqs = rng.normal(size=(4, 10, 3)) * 30.0
+        # most first-step pre-activations lie beyond +/-CLAMP, so the clip acts
+        first = seqs[:, 0] @ net.layers[0].input_weights.T + net.layers[0].biases
+        assert np.mean(np.abs(first) >= lstm.CLAMP) > 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, cache = forward_batch(net, seqs)
+            grads = lstm.backward_batch(net, cache, rng.normal(size=out.shape))
+        low, high = {"tanh": (-1.0, 1.0), "sigmoid": (0.0, 1.0)}.get(
+            activation, (-np.inf, np.inf)
+        )
+        assert np.all(np.isfinite(out)) and np.all((out >= low) & (out <= high))
+        for grad in grads.arrays() + [grads.inputs]:
+            assert np.all(np.isfinite(grad))
+
+    def test_identity_head_is_not_clamped(self):
+        net = zero_net(activation="identity")
+        net.out_bias[:] = 100.0
+        out, _ = forward(net, np.zeros((3, 2)))
+        npt.assert_array_equal(out, 100.0)
 
 
 class TestGradCheck:
