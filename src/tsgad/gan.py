@@ -86,6 +86,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.mmd_samples < 2:
+            raise ValueError(f"mmd_samples must be >= 2, got {self.mmd_samples}")
 
 
 @dataclass
@@ -171,8 +173,11 @@ def generate(gen: Generator, latent: np.ndarray) -> np.ndarray:
 
 
 def _clipped_seq_scores(raw_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(per-timestep, per-sequence) scores nudged off the exact 0/1 endpoints."""
-    pt = np.clip(raw_scores[..., 0], SCORE_EPS, 1.0 - SCORE_EPS)
+    """(per-timestep, per-sequence) scores nudged off the exact 0/1 endpoints.
+
+    The clip runs in float64: in float32, 1 - SCORE_EPS rounds to exactly 1.
+    """
+    pt = np.clip(raw_scores[..., 0].astype(np.float64), SCORE_EPS, 1.0 - SCORE_EPS)
     return pt, pt.mean(axis=1)
 
 
@@ -315,7 +320,11 @@ def train(config: TrainingConfig, data) -> GanModel:
 
 
 def save_checkpoint(model: GanModel, path: str | Path) -> None:
-    """Persist both networks, the config and the histories (no optimizer state)."""
+    """Persist both networks, the config and the histories (no optimizer state).
+
+    Parameters are stored in their training dtype, and ``load_checkpoint``
+    keeps it, so a float64 checkpoint still runs in float64.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {}

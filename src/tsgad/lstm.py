@@ -2,20 +2,27 @@
 
 Gate layout is the standard (input, forget, output, candidate) quadruple with
 sigmoid gates and tanh candidate/cell output; the four gate blocks are stacked
-row-wise inside each weight matrix.  ``sigmoid`` clips its argument to +/-50 to
-keep exp() finite.  The backward pass needs no clamp mask: tanh(+/-50) and
-sigmoid(+50) are exactly +/-1 and 1 in float64, so their slopes are 0, and
-below -50 the sigmoid slope is sigmoid(-50) * (1 - sigmoid(-50)) ~ 1.9e-22.
+row-wise inside each weight matrix.
+
+All parameter arrays of a net share one floating dtype.  ``init_lstm`` stores
+``PARAM_DTYPE`` (float32); a checkpoint keeps the dtype it was saved in.  The
+forward pass, the backward pass and the optimizer work in the parameters'
+dtype, so inputs and upstream gradients are cast to it.
+
+``sigmoid`` clips its argument to +/-50 to keep exp() finite.  The backward
+pass needs no clamp mask: tanh(+/-50) and sigmoid(+50) are exactly +/-1 and 1
+in float32 and float64, so their slopes are 0, and below -50 the sigmoid slope
+is sigmoid(-50) * (1 - sigmoid(-50)) ~ 1.9e-22, a normal number in both dtypes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 CLAMP = 50.0
+PARAM_DTYPE = np.float32
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -71,6 +78,13 @@ class StackedLstm:
             raise ValueError("output bias shape mismatch")
         if self.output_activation not in ("tanh", "sigmoid", "identity"):
             raise ValueError(f"unknown output activation {self.output_activation!r}")
+        dtype = self.out_weights.dtype
+        for name, array in self.to_arrays().items():
+            if array.dtype != dtype or not np.issubdtype(dtype, np.floating):
+                raise ValueError(
+                    f"parameter {name} has dtype {array.dtype}; "
+                    "all parameters need one floating dtype"
+                )
 
     @property
     def input_size(self) -> int:
@@ -117,16 +131,16 @@ class StackedLstm:
     ) -> "StackedLstm":
         layers = [
             LstmLayerParams(
-                np.asarray(arrays[f"{prefix}l{i}_w_in"], dtype=np.float64),
-                np.asarray(arrays[f"{prefix}l{i}_w_rec"], dtype=np.float64),
-                np.asarray(arrays[f"{prefix}l{i}_bias"], dtype=np.float64),
+                np.asarray(arrays[f"{prefix}l{i}_w_in"]),
+                np.asarray(arrays[f"{prefix}l{i}_w_rec"]),
+                np.asarray(arrays[f"{prefix}l{i}_bias"]),
             )
             for i in range(depth)
         ]
         return cls(
             layers=layers,
-            out_weights=np.asarray(arrays[f"{prefix}out_w"], dtype=np.float64),
-            out_bias=np.asarray(arrays[f"{prefix}out_b"], dtype=np.float64),
+            out_weights=np.asarray(arrays[f"{prefix}out_w"]),
+            out_bias=np.asarray(arrays[f"{prefix}out_b"]),
             output_activation=output_activation,
         )
 
@@ -140,28 +154,34 @@ def init_lstm(
     rng: np.random.Generator | int | None = None,
     weight_scale: float = 0.08,
 ) -> StackedLstm:
-    """Seeded initialization: uniform weights, +1 forget-gate bias, zero elsewhere."""
+    """Seeded initialization: uniform weights, +1 forget-gate bias, zero elsewhere.
+
+    Weights are drawn in float64 and stored as ``PARAM_DTYPE``, so the rng
+    stream does not depend on the storage dtype.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+
+    def uniform(shape):
+        return rng.uniform(-weight_scale, weight_scale, shape).astype(PARAM_DTYPE)
+
     layers = []
     d = input_size
     for _ in range(depth):
-        biases = np.zeros(4 * hidden_size)
+        biases = np.zeros(4 * hidden_size, PARAM_DTYPE)
         biases[hidden_size : 2 * hidden_size] = 1.0  # forget gate opens early training
         layers.append(
             LstmLayerParams(
-                input_weights=rng.uniform(-weight_scale, weight_scale, (4 * hidden_size, d)),
-                recurrent_weights=rng.uniform(
-                    -weight_scale, weight_scale, (4 * hidden_size, hidden_size)
-                ),
+                input_weights=uniform((4 * hidden_size, d)),
+                recurrent_weights=uniform((4 * hidden_size, hidden_size)),
                 biases=biases,
             )
         )
         d = hidden_size
     return StackedLstm(
         layers=layers,
-        out_weights=rng.uniform(-weight_scale, weight_scale, (output_size, hidden_size)),
-        out_bias=np.zeros(output_size),
+        out_weights=uniform((output_size, hidden_size)),
+        out_bias=np.zeros(output_size, PARAM_DTYPE),
         output_activation=output_activation,
     )
 
@@ -210,9 +230,11 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
     """Run a (batch, time, features) tensor through the stack.
 
     Initial hidden and cell states are zero.  The cache holds every
-    intermediate needed for an exact backward pass.
+    intermediate needed for an exact backward pass.  The sequences are cast to
+    the parameters' dtype, and every array in the result has that dtype.
     """
-    x = np.asarray(sequences, dtype=np.float64)
+    dtype = net.out_weights.dtype
+    x = np.asarray(sequences, dtype=dtype)
     if x.ndim != 3:
         raise ValueError(f"sequences must be (batch, time, features), got {x.shape}")
     if x.shape[2] != net.input_size:
@@ -226,12 +248,12 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
     layer_caches = []
     for layer in net.layers:
         h_size = layer.hidden_size
-        gates = np.empty((batch, steps, 4 * h_size))
-        cell = np.empty((batch, steps, h_size))
-        hidden = np.empty((batch, steps, h_size))
+        gates = np.empty((batch, steps, 4 * h_size), dtype)
+        cell = np.empty((batch, steps, h_size), dtype)
+        hidden = np.empty((batch, steps, h_size), dtype)
 
-        h_prev = np.zeros((batch, h_size))
-        c_prev = np.zeros((batch, h_size))
+        h_prev = np.zeros((batch, h_size), dtype)
+        c_prev = np.zeros((batch, h_size), dtype)
         w_in_t = layer.input_weights.T
         w_rec_t = layer.recurrent_weights.T
         for t in range(steps):
@@ -252,8 +274,12 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
 
 
 def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarray) -> GradientSet:
-    """Exact BPTT for the scalar loss whose per-output partials are given."""
-    d_out = np.asarray(output_grads, dtype=np.float64)
+    """Exact BPTT for the scalar loss whose per-output partials are given.
+
+    The partials are cast to the parameters' dtype, and every gradient has it.
+    """
+    dtype = net.out_weights.dtype
+    d_out = np.asarray(output_grads, dtype=dtype)
     if d_out.shape != cache.outputs.shape:
         raise ValueError(
             f"output_grads shape {d_out.shape} does not match outputs {cache.outputs.shape}"
@@ -280,12 +306,12 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
         lc = cache.layer_caches[idx]
         h_size = layer.hidden_size
 
-        d_gates = np.empty((batch, steps, 4 * h_size))
+        d_gates = np.empty((batch, steps, 4 * h_size), dtype)
         d_inputs = np.empty_like(lc.inputs)
 
         cell_tanh = np.tanh(lc.cell)
-        d_h_rec = np.zeros((batch, h_size))
-        d_c = np.zeros((batch, h_size))
+        d_h_rec = np.zeros((batch, h_size), dtype)
+        d_c = np.zeros((batch, h_size), dtype)
         for t in range(steps - 1, -1, -1):
             act = lc.gates[:, t]
             i = act[:, :h_size]
@@ -293,7 +319,7 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
             o = act[:, 2 * h_size : 3 * h_size]
             g = act[:, 3 * h_size :]
             ct = cell_tanh[:, t]
-            c_prev = lc.cell[:, t - 1] if t > 0 else np.zeros((batch, h_size))
+            c_prev = lc.cell[:, t - 1] if t > 0 else np.zeros((batch, h_size), dtype)
 
             d_h = d_hidden_seq[:, t] + d_h_rec
             d_o = d_h * ct
@@ -334,66 +360,6 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
         out_bias=d_out_b,
         inputs=d_hidden_seq,
     )
-
-
-def forward(net: StackedLstm, sequence: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Single-sequence (time, features) convenience wrapper."""
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError(f"sequence must be (time, features), got {seq.shape}")
-    outputs, cache = forward_batch(net, seq[None])
-    return outputs[0], cache
-
-
-def backward(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarray) -> GradientSet:
-    """Single-sequence counterpart of :func:`backward_batch`."""
-    grads_in = np.asarray(output_grads, dtype=np.float64)
-    if grads_in.ndim == 2:
-        grads_in = grads_in[None]
-    grad_set = backward_batch(net, cache, grads_in)
-    if grad_set.inputs.shape[0] == 1:
-        grad_set.inputs = grad_set.inputs[0]
-    return grad_set
-
-
-LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-def grad_check(
-    net: StackedLstm,
-    sequence: np.ndarray,
-    loss_fn: LossFn,
-    eps: float = 1e-5,
-) -> float:
-    """Compare BPTT gradients against central finite differences.
-
-    ``loss_fn`` maps the (time, output) matrix to (loss, dloss/doutputs).
-    Returns the worst relative error over all parameter entries.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    outputs, cache = forward(net, sequence)
-    _, d_outputs = loss_fn(outputs)
-    analytic = backward(net, cache, d_outputs).arrays()
-    params = net.parameters()
-
-    worst = 0.0
-    for p_idx, param in enumerate(params):
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            original = param[idx]
-            param[idx] = original + eps
-            loss_plus, _ = loss_fn(forward(net, sequence)[0])
-            param[idx] = original - eps
-            loss_minus, _ = loss_fn(forward(net, sequence)[0])
-            param[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            a = analytic[p_idx][idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-            it.iternext()
-    return worst
 
 
 @dataclass

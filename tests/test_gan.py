@@ -22,6 +22,7 @@ from tsgad.gan import (
     save_checkpoint,
     train,
 )
+from test_lstm import float64_twin
 
 
 def tiny_config(**overrides):
@@ -221,6 +222,10 @@ class TestTrain:
             train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)))
         assert train(tiny_config(epochs=1), np.zeros((1, 4, 1))).epochs_completed == 1
 
+    def test_mmd_samples_below_two_rejected(self):
+        with pytest.raises(ValueError, match="mmd_samples must be >= 2, got 1"):
+            tiny_config(mmd_every=1, mmd_samples=1)
+
 
 class TestUpdateDirections:
     def test_discriminator_update_decreases_d_loss(self):
@@ -268,6 +273,8 @@ class TestUpdateDirections:
         rng = np.random.default_rng(14)
         gen = build_generator(1, latent_dim=2, depth=1, hidden=4, rng=rng)
         disc = build_discriminator(1, depth=1, hidden=3, rng=rng)
+        gen = gan.Generator(float64_twin(gen.net))
+        disc = gan.Discriminator(float64_twin(disc.net))
         z = sample_latent(2, 3, 2, rng=15)
         _, analytic = generator_grads(gen, disc, z)
         params = gen.net.parameters()
@@ -284,6 +291,24 @@ class TestUpdateDirections:
             assert abs(analytic[p_idx][flat_idx] - numeric) < 1e-6
 
 
+class TestSaturatedDiscriminator:
+    def test_losses_stay_finite_at_a_score_of_exactly_one(self):
+        # sigmoid(50) is exactly 1 in float32; the loss clip must not run in float32,
+        # where 1 - SCORE_EPS is also exactly 1 and log(1 - score) is log(0)
+        rng = np.random.default_rng(19)
+        gen = build_generator(2, latent_dim=2, depth=1, hidden=4, rng=rng)
+        disc = build_discriminator(2, depth=1, hidden=4, rng=rng)
+        disc.net.out_bias[:] = 100.0
+        z = sample_latent(3, 5, 2, rng=rng)
+        fake = generate(gen, z)
+        assert np.all(lstm.forward_batch(disc.net, fake)[0] == 1.0)
+        d_value, d_grads = discriminator_grads(disc, rng.uniform(-1, 1, (3, 5, 2)), fake)
+        g_value, g_grads = generator_grads(gen, disc, z)
+        assert np.isfinite(d_value) and np.isfinite(g_value)
+        for grad in d_grads + g_grads:
+            assert np.all(np.isfinite(grad))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     windows = np.random.default_rng(16).uniform(-0.5, 0.5, (16, 4, 2))
     model = train(tiny_config(epochs=2, mmd_every=1), windows)
@@ -292,10 +317,12 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     for a, b in zip(model.generator.net.parameters(), loaded.generator.net.parameters()):
         npt.assert_array_equal(a, b)
+        assert b.dtype == np.float32
     for a, b in zip(
         model.discriminator.net.parameters(), loaded.discriminator.net.parameters()
     ):
         npt.assert_array_equal(a, b)
+        assert b.dtype == np.float32
     assert loaded.loss_history == model.loss_history
     assert loaded.mmd_history == model.mmd_history
     assert loaded.epochs_completed == 2
@@ -328,6 +355,26 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
         npt.assert_array_equal(a, b)
     assert loaded.config == model.config
     assert loaded.loss_history == model.loss_history
+
+
+def test_float64_checkpoint_runs_in_float64(tmp_path):
+    """Checkpoints written before the nets were stored in float32 hold float64
+    arrays; they load, and compute, in float64."""
+    windows = np.random.default_rng(20).uniform(-0.5, 0.5, (16, 4, 2))
+    model = train(tiny_config(epochs=1), windows)
+    model.generator.net = float64_twin(model.generator.net)
+    model.discriminator.net = float64_twin(model.discriminator.net)
+    save_checkpoint(model, tmp_path / "float64.npz")
+    loaded = load_checkpoint(tmp_path / "float64.npz")
+    z = sample_latent(3, 4, 2, rng=21)
+    for net, ref, inputs in (
+        (loaded.generator.net, model.generator.net, z),
+        (loaded.discriminator.net, model.discriminator.net, windows[:3]),
+    ):
+        assert all(p.dtype == np.float64 for p in net.parameters())
+        out = lstm.forward_batch(net, inputs)[0]
+        assert out.dtype == np.float64
+        npt.assert_array_equal(out, lstm.forward_batch(ref, inputs)[0])
 
 
 def test_checkpoint_interval_writes_files(tmp_path):

@@ -11,14 +11,52 @@ from tsgad.lstm import (
     LstmLayerParams,
     OptimizerState,
     StackedLstm,
-    backward,
+    backward_batch,
     clip_gradients,
-    forward,
     forward_batch,
-    grad_check,
     init_lstm,
     optimizer_step,
 )
+
+
+def float64_twin(net):
+    """The same net with every parameter array cast to float64.
+
+    Finite-difference and bitwise-consistency checks run on the twin: their
+    tolerances are set for float64, not for the float32 nets ``init_lstm`` makes.
+    """
+    arrays = {k: v.astype(np.float64) for k, v in net.to_arrays().items()}
+    return StackedLstm.from_arrays(arrays, len(net.layers), net.output_activation)
+
+
+def grad_check(net, sequences, loss_fn, eps=1e-5):
+    """Compare BPTT gradients against central finite differences.
+
+    ``loss_fn`` maps the (batch, time, output) outputs to (loss, dloss/doutputs).
+    Returns the worst relative error over all parameter entries.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    outputs, cache = forward_batch(net, sequences)
+    _, d_outputs = loss_fn(outputs)
+    analytic = backward_batch(net, cache, d_outputs).arrays()
+
+    worst = 0.0
+    for param, grad in zip(net.parameters(), analytic):
+        it = np.nditer(param, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            original = param[idx]
+            param[idx] = original + eps
+            loss_plus, _ = loss_fn(forward_batch(net, sequences)[0])
+            param[idx] = original - eps
+            loss_minus, _ = loss_fn(forward_batch(net, sequences)[0])
+            param[idx] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            rel = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric), 1e-8)
+            worst = max(worst, rel)
+            it.iternext()
+    return worst
 
 
 def zero_net(depth=1, d=2, h=3, o=2, activation="identity"):
@@ -55,8 +93,8 @@ def scaled_linear_loss(shape, seed=0, scale=1e-2):
 class TestForward:
     def test_zero_parameters_fixed_point(self):
         net = zero_net()
-        out, _ = forward(net, np.random.default_rng(0).normal(size=(6, 2)))
-        npt.assert_array_equal(out, np.zeros((6, 2)))
+        out, _ = forward_batch(net, np.random.default_rng(0).normal(size=(1, 6, 2)))
+        npt.assert_array_equal(out, np.zeros((1, 6, 2)))
 
     def test_single_timestep_hand_computation(self):
         # one unit, one input, one step: check every gate by hand
@@ -82,67 +120,67 @@ class TestForward:
         g = math.tanh(wg * x + bg)
         cell = i * g  # forget gate sees a zero initial cell
         expected = w_out * (o * math.tanh(cell)) + b_out
-        out, _ = forward(net, np.array([[x]]))
-        assert out[0, 0] == pytest.approx(expected, abs=1e-14)
+        out, _ = forward_batch(net, np.array([[[x]]]))
+        assert out[0, 0, 0] == pytest.approx(expected, abs=1e-14)
 
     def test_causality_zero_padded_tail(self):
         net = init_lstm(2, 3, 5, 2, "tanh", rng=1, weight_scale=0.3)
-        seq = np.random.default_rng(2).normal(size=(4, 3))
-        padded = np.vstack([seq, np.zeros((4, 3))])
-        short, _ = forward(net, seq)
-        long, _ = forward(net, padded)
-        npt.assert_allclose(long[:4], short, atol=1e-14)
+        seq = np.random.default_rng(2).normal(size=(1, 4, 3))
+        padded = np.concatenate([seq, np.zeros((1, 4, 3))], axis=1)
+        short, _ = forward_batch(net, seq)
+        long, _ = forward_batch(net, padded)
+        npt.assert_allclose(long[:, :4], short, atol=1e-14)
 
     def test_causality_perturbed_future(self):
         net = init_lstm(1, 2, 4, 1, "identity", rng=3, weight_scale=0.3)
         rng = np.random.default_rng(4)
-        seq = rng.normal(size=(6, 2))
+        seq = rng.normal(size=(1, 6, 2))
         other = seq.copy()
-        other[4:] += rng.normal(size=(2, 2))
-        a, _ = forward(net, seq)
-        b, _ = forward(net, other)
-        npt.assert_array_equal(a[:4], b[:4])
-        assert not np.allclose(a[4:], b[4:])
+        other[:, 4:] += rng.normal(size=(1, 2, 2))
+        a, _ = forward_batch(net, seq)
+        b, _ = forward_batch(net, other)
+        npt.assert_array_equal(a[:, :4], b[:, :4])
+        assert not np.allclose(a[:, 4:], b[:, 4:])
 
     def test_sigmoid_outputs_strictly_inside_unit_interval(self):
         net = init_lstm(1, 2, 4, 1, "sigmoid", rng=5, weight_scale=0.3)
-        out, _ = forward(net, np.random.default_rng(6).normal(size=(50, 2)) * 100)
+        out, _ = forward_batch(net, np.random.default_rng(6).normal(size=(1, 50, 2)) * 100)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch(self):
         net = zero_net(d=3)
         with pytest.raises(ValueError, match="feature dim"):
-            forward(net, np.zeros((4, 2)))
+            forward_batch(net, np.zeros((1, 4, 2)))
 
     def test_non_finite_input(self):
         net = zero_net()
-        bad = np.zeros((3, 2))
-        bad[1, 0] = np.nan
+        bad = np.zeros((1, 3, 2))
+        bad[0, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            forward(net, bad)
+            forward_batch(net, bad)
 
     def test_deterministic(self):
         net = init_lstm(2, 2, 6, 2, "tanh", rng=7)
-        seq = np.random.default_rng(8).normal(size=(5, 2))
-        a, _ = forward(net, seq)
-        b, _ = forward(net, seq)
+        seq = np.random.default_rng(8).normal(size=(1, 5, 2))
+        a, _ = forward_batch(net, seq)
+        b, _ = forward_batch(net, seq)
         npt.assert_array_equal(a, b)
 
     def test_batch_consistent_with_single(self):
-        net = init_lstm(2, 3, 4, 2, "tanh", rng=9, weight_scale=0.3)
+        net = float64_twin(init_lstm(2, 3, 4, 2, "tanh", rng=9, weight_scale=0.3))
         batch = np.random.default_rng(10).normal(size=(4, 5, 3))
         batched, _ = forward_batch(net, batch)
         for k in range(4):
-            single, _ = forward(net, batch[k])
-            npt.assert_allclose(batched[k], single, atol=1e-14)
+            single, _ = forward_batch(net, batch[k : k + 1])
+            npt.assert_allclose(batched[k], single[0], atol=1e-14)
 
 
 class TestBackward:
     def test_zero_output_grads(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=11)
-        seq = np.random.default_rng(12).normal(size=(4, 2))
-        _, cache = forward(net, seq)
-        grads = backward(net, cache, np.zeros((4, 2)))
+        seq = np.random.default_rng(12).normal(size=(1, 4, 2))
+        _, cache = forward_batch(net, seq)
+        grads = backward_batch(net, cache, np.zeros((1, 4, 2)))
         for g in grads.arrays():
             npt.assert_array_equal(g, 0.0)
         npt.assert_array_equal(grads.inputs, 0.0)
@@ -152,63 +190,66 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         depth = 1 + seed % 2
         act = ("identity", "tanh", "sigmoid")[seed % 3]
-        net = init_lstm(depth, 2, 4 + seed, 3, act, rng=rng, weight_scale=0.4)
-        seq = rng.normal(size=(5, 2))
-        loss_fn = scaled_linear_loss((5, 3), seed=seed)
+        net = float64_twin(init_lstm(depth, 2, 4 + seed, 3, act, rng=rng, weight_scale=0.4))
+        seq = rng.normal(size=(1, 5, 2))
+        loss_fn = scaled_linear_loss((1, 5, 3), seed=seed)
         assert grad_check(net, seq, loss_fn, 1e-5) < 1e-4
 
     def test_final_timestep_only_loss(self):
-        net = init_lstm(1, 2, 5, 2, "tanh", rng=20, weight_scale=0.4)
-        seq = np.random.default_rng(21).normal(size=(5, 2))
+        net = float64_twin(init_lstm(1, 2, 5, 2, "tanh", rng=20, weight_scale=0.4))
+        seq = np.random.default_rng(21).normal(size=(1, 5, 2))
         w = np.random.default_rng(22).uniform(-1, 1, 2) * 1e-2
 
         def loss_fn(outputs):
             grad = np.zeros_like(outputs)
-            grad[-1] = w
-            return float(outputs[-1] @ w), grad
+            grad[0, -1] = w
+            return float(outputs[0, -1] @ w), grad
 
         assert grad_check(net, seq, loss_fn, 1e-5) < 1e-4
 
     def test_input_gradients_match_finite_differences(self):
-        net = init_lstm(2, 3, 4, 2, "tanh", rng=23, weight_scale=0.4)
+        net = float64_twin(init_lstm(2, 3, 4, 2, "tanh", rng=23, weight_scale=0.4))
         rng = np.random.default_rng(24)
-        seq = rng.normal(size=(4, 3))
-        loss_fn = scaled_linear_loss((4, 2), seed=25)
-        out, cache = forward(net, seq)
+        seq = rng.normal(size=(1, 4, 3))
+        loss_fn = scaled_linear_loss((1, 4, 2), seed=25)
+        out, cache = forward_batch(net, seq)
         _, d_out = loss_fn(out)
-        analytic = backward(net, cache, d_out).inputs
+        analytic = backward_batch(net, cache, d_out).inputs
         eps = 1e-6
         for t in range(4):
             for j in range(3):
                 bumped = seq.copy()
-                bumped[t, j] += eps
-                lp, _ = loss_fn(forward(net, bumped)[0])
-                bumped[t, j] -= 2 * eps
-                lm, _ = loss_fn(forward(net, bumped)[0])
+                bumped[0, t, j] += eps
+                lp, _ = loss_fn(forward_batch(net, bumped)[0])
+                bumped[0, t, j] -= 2 * eps
+                lm, _ = loss_fn(forward_batch(net, bumped)[0])
                 numeric = (lp - lm) / (2 * eps)
-                assert abs(analytic[t, j] - numeric) < 1e-7
+                assert abs(analytic[0, t, j] - numeric) < 1e-7
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_batch_gradients_sum_per_sequence_gradients(self, steps):
         # weight gradients sum over batch and time; at steps = 1 the
         # recurrent weights get no term from a previous hidden state
-        net = init_lstm(2, 3, 4, 2, "tanh", rng=27, weight_scale=0.4)
+        net = float64_twin(init_lstm(2, 3, 4, 2, "tanh", rng=27, weight_scale=0.4))
         rng = np.random.default_rng(28)
         seqs = rng.normal(size=(3, steps, 3))
         d_out = rng.normal(size=(3, steps, 2))
         _, cache = forward_batch(net, seqs)
-        batched = lstm.backward_batch(net, cache, d_out)
-        rows = [backward(net, forward(net, seqs[k])[1], d_out[k]) for k in range(3)]
+        batched = backward_batch(net, cache, d_out)
+        rows = [
+            backward_batch(net, forward_batch(net, seqs[k : k + 1])[1], d_out[k : k + 1])
+            for k in range(3)
+        ]
         for p_idx, grad in enumerate(batched.arrays()):
             npt.assert_allclose(grad, sum(r.arrays()[p_idx] for r in rows), rtol=1e-12)
         for k in range(3):
-            npt.assert_allclose(batched.inputs[k], rows[k].inputs, rtol=1e-12)
+            npt.assert_allclose(batched.inputs[k], rows[k].inputs[0], rtol=1e-12)
 
     def test_cache_mismatch(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
-        _, cache = forward(net, np.zeros((4, 2)))
+        _, cache = forward_batch(net, np.zeros((1, 4, 2)))
         with pytest.raises(ValueError, match="output_grads shape"):
-            backward(net, cache, np.zeros((5, 2)))
+            backward_batch(net, cache, np.zeros((1, 5, 2)))
 
 
 class TestSaturation:
@@ -223,7 +264,7 @@ class TestSaturation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, cache = forward_batch(net, seqs)
-            grads = lstm.backward_batch(net, cache, rng.normal(size=out.shape))
+            grads = backward_batch(net, cache, rng.normal(size=out.shape))
         low, high = {"tanh": (-1.0, 1.0), "sigmoid": (0.0, 1.0)}.get(
             activation, (-np.inf, np.inf)
         )
@@ -234,7 +275,7 @@ class TestSaturation:
     def test_identity_head_is_not_clamped(self):
         net = zero_net(activation="identity")
         net.out_bias[:] = 100.0
-        out, _ = forward(net, np.zeros((3, 2)))
+        out, _ = forward_batch(net, np.zeros((1, 3, 2)))
         npt.assert_array_equal(out, 100.0)
 
 
@@ -243,12 +284,12 @@ class TestGradCheck:
         # identity output, loss linear in outputs: the projection parameters
         # see a purely linear map, so FD error collapses to float noise
         rng = np.random.default_rng(30)
-        net = init_lstm(1, 2, 4, 3, "identity", rng=rng, weight_scale=0.5)
-        seq = rng.normal(size=(4, 2))
-        loss_fn = scaled_linear_loss((4, 3), seed=31)
-        out, cache = forward(net, seq)
+        net = float64_twin(init_lstm(1, 2, 4, 3, "identity", rng=rng, weight_scale=0.5))
+        seq = rng.normal(size=(1, 4, 2))
+        loss_fn = scaled_linear_loss((1, 4, 3), seed=31)
+        out, cache = forward_batch(net, seq)
         _, d_out = loss_fn(out)
-        grads = backward(net, cache, d_out)
+        grads = backward_batch(net, cache, d_out)
         eps = 1e-5
         for param, grad in (
             (net.out_weights, grads.out_weights),
@@ -259,9 +300,9 @@ class TestGradCheck:
                 idx = it.multi_index
                 orig = param[idx]
                 param[idx] = orig + eps
-                lp, _ = loss_fn(forward(net, seq)[0])
+                lp, _ = loss_fn(forward_batch(net, seq)[0])
                 param[idx] = orig - eps
-                lm, _ = loss_fn(forward(net, seq)[0])
+                lm, _ = loss_fn(forward_batch(net, seq)[0])
                 param[idx] = orig
                 numeric = (lp - lm) / (2 * eps)
                 rel = abs(grad[idx] - numeric) / max(abs(grad[idx]), abs(numeric), 1e-8)
@@ -270,14 +311,14 @@ class TestGradCheck:
 
     def test_seeded_small_net(self):
         rng = np.random.default_rng(33)
-        net = init_lstm(1, 2, 4, 2, "tanh", rng=rng, weight_scale=0.4)
-        seq = rng.normal(size=(3, 2))
-        assert grad_check(net, seq, scaled_linear_loss((3, 2), seed=34), 1e-5) < 1e-4
+        net = float64_twin(init_lstm(1, 2, 4, 2, "tanh", rng=rng, weight_scale=0.4))
+        seq = rng.normal(size=(1, 3, 2))
+        assert grad_check(net, seq, scaled_linear_loss((1, 3, 2), seed=34), 1e-5) < 1e-4
 
     def test_zero_eps_rejected(self):
         net = init_lstm(1, 2, 3, 1, "tanh", rng=35)
         with pytest.raises(ValueError, match="eps"):
-            grad_check(net, np.zeros((3, 2)), scaled_linear_loss((3, 1)), 0.0)
+            grad_check(net, np.zeros((1, 3, 2)), scaled_linear_loss((1, 3, 1)), 0.0)
 
 
 class TestOptimizer:
@@ -336,8 +377,8 @@ class TestClipGradients:
 
 def test_gradient_set_array_order_matches_parameters():
     net = init_lstm(2, 3, 4, 2, "tanh", rng=40)
-    _, cache = forward(net, np.zeros((3, 3)))
-    grads = backward(net, cache, np.zeros((3, 2)))
+    _, cache = forward_batch(net, np.zeros((1, 3, 3)))
+    grads = backward_batch(net, cache, np.zeros((1, 3, 2)))
     params = net.parameters()
     arrays = grads.arrays()
     assert len(params) == len(arrays)
@@ -350,3 +391,44 @@ def test_checkpoint_array_roundtrip():
     rebuilt = StackedLstm.from_arrays(net.to_arrays(), 2, "sigmoid")
     for a, b in zip(net.parameters(), rebuilt.parameters()):
         npt.assert_array_equal(a, b)
+        assert a.dtype == b.dtype == lstm.PARAM_DTYPE
+
+
+class TestDtype:
+    def test_float32_generator_computes_in_float32(self):
+        net = init_lstm(3, 15, 100, 7, "tanh", rng=60)
+        rng = np.random.default_rng(61)
+        out, cache = forward_batch(net, rng.normal(size=(4, 12, 15)))
+        grads = backward_batch(net, cache, rng.normal(size=out.shape))
+        state = OptimizerState(rule="adam")
+        optimizer_step(net.parameters(), grads.arrays(), state)
+        arrays = [cache.outputs]
+        for lc in cache.layer_caches:
+            arrays += [lc.inputs, lc.gates, lc.cell, lc.hidden]
+        arrays += grads.arrays() + [grads.inputs]
+        arrays += net.parameters() + state.first_moment + state.second_moment
+        assert all(a.dtype == np.float32 for a in arrays)
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_float32_generator_matches_float64_twin(self, batch):
+        net = init_lstm(3, 15, 100, 7, "tanh", rng=62)
+        twin = float64_twin(net)
+        rng = np.random.default_rng(63)
+        z = rng.normal(size=(batch, 12, 15))
+        d_out = rng.normal(size=(batch, 12, 7))
+        out, cache = forward_batch(net, z)
+        out64, cache64 = forward_batch(twin, z)
+        npt.assert_allclose(out, out64, rtol=0, atol=1e-6)
+        grads = backward_batch(net, cache, d_out)
+        grads64 = backward_batch(twin, cache64, d_out)
+        for g, g64 in zip(grads.arrays() + [grads.inputs], grads64.arrays() + [grads64.inputs]):
+            npt.assert_allclose(g, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        arrays = init_lstm(2, 3, 4, 2, "tanh", rng=64).to_arrays()
+        arrays["l1_bias"] = arrays["l1_bias"].astype(np.float64)
+        with pytest.raises(ValueError, match="l1_bias has dtype float64"):
+            StackedLstm.from_arrays(arrays, 2, "tanh")
+        ints = {k: v.astype(np.int64) for k, v in arrays.items()}
+        with pytest.raises(ValueError, match="l0_w_in has dtype int64"):
+            StackedLstm.from_arrays(ints, 2, "tanh")
