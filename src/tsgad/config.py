@@ -116,7 +116,6 @@ SCHEMA: dict = {
         "batch_size": Field(int, 32, _positive, "positive integer"),
         "d_steps": Field(int, 1, _positive, "positive integer"),
         "g_steps": Field(int, 3, _positive, "positive integer"),
-        "optimizer": Field(str, "adam", lambda v: v in ("adam", "sgd"), "adam or sgd"),
         "d_learning_rate": Field(float, 1e-3, _positive, "positive number"),
         "g_learning_rate": Field(float, 1e-3, _positive, "positive number"),
         "latent_dim": Field(int, 15, _positive, "positive integer"),

@@ -1,8 +1,10 @@
 """Adversarial training of an LSTM generator/discriminator pair.
 
-The discriminator scores every timestep; sequence-level losses average those
-scores within each sequence first.  The generator is trained with the
-non-saturating objective (maximize log D on fakes).
+Both networks are plain ``lstm.StackedLstm`` stacks: the generator maps
+latent sequences to feature sequences through a tanh head, the discriminator
+maps feature sequences to one sigmoid score per timestep.  Sequence-level
+losses average those scores within each sequence first.  The generator is
+trained with the non-saturating objective (maximize log D on fakes).
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import lstm
-from .ingest import WindowSet
-from .mmd import KernelConfig, mmd_unbiased
+from .mmd import median_heuristic, mmd_unbiased
 
 SCORE_EPS = 1e-12
+# fields older checkpoints carry in their config that TrainingConfig no longer has
+RETIRED_CONFIG_KEYS = ("optimizer", "checkpoint_dir")
 
 
 class TrainingDiverged(RuntimeError):
@@ -29,38 +32,11 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class Generator:
-    """Latent-to-sequence network; tanh output keeps samples in (-1, 1)."""
-
-    net: lstm.StackedLstm
-
-    @property
-    def latent_dim(self) -> int:
-        return self.net.input_size
-
-    @property
-    def feature_dim(self) -> int:
-        return self.net.output_size
-
-
-@dataclass
-class Discriminator:
-    """Sequence-to-score network emitting one sigmoid score per timestep."""
-
-    net: lstm.StackedLstm
-
-    @property
-    def feature_dim(self) -> int:
-        return self.net.input_size
-
-
-@dataclass
 class TrainingConfig:
     epochs: int
     batch_size: int = 32
     d_steps: int = 1
     g_steps: int = 3
-    optimizer: str = "adam"
     d_learning_rate: float = 1e-3
     g_learning_rate: float = 1e-3
     latent_dim: int = 15
@@ -74,7 +50,6 @@ class TrainingConfig:
     mmd_every: int = 0          # 0 disables the per-epoch MMD diagnostic
     mmd_samples: int = 128
     checkpoint_interval: int = 0
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -84,16 +59,14 @@ class TrainingConfig:
                      "disc_depth", "disc_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.mmd_samples < 2:
             raise ValueError(f"mmd_samples must be >= 2, got {self.mmd_samples}")
 
 
 @dataclass
 class GanModel:
-    generator: Generator
-    discriminator: Discriminator
+    generator: lstm.StackedLstm
+    discriminator: lstm.StackedLstm
     config: TrainingConfig
     loss_history: list[tuple[float, float]] = field(default_factory=list)
     mmd_history: list[float] = field(default_factory=list)
@@ -106,9 +79,9 @@ def build_generator(
     depth: int = 3,
     hidden: int = 100,
     rng: np.random.Generator | int | None = None,
-) -> Generator:
-    net = lstm.init_lstm(depth, latent_dim, hidden, feature_dim, "tanh", rng)
-    return Generator(net=net)
+) -> lstm.StackedLstm:
+    """Latent-to-sequence network; the tanh head keeps samples in (-1, 1)."""
+    return lstm.init_lstm(depth, latent_dim, hidden, feature_dim, "tanh", rng)
 
 
 def build_discriminator(
@@ -116,9 +89,9 @@ def build_discriminator(
     depth: int = 1,
     hidden: int = 100,
     rng: np.random.Generator | int | None = None,
-) -> Discriminator:
-    net = lstm.init_lstm(depth, feature_dim, hidden, 1, "sigmoid", rng)
-    return Discriminator(net=net)
+) -> lstm.StackedLstm:
+    """Sequence-to-score network emitting one sigmoid score per timestep."""
+    return lstm.init_lstm(depth, feature_dim, hidden, 1, "sigmoid", rng)
 
 
 def sample_latent(
@@ -162,84 +135,85 @@ def g_loss(d_fake: np.ndarray) -> float:
     return float(np.mean(-np.log(fake)))
 
 
-def generate(gen: Generator, latent: np.ndarray) -> np.ndarray:
+def generate(gen: lstm.StackedLstm, latent: np.ndarray) -> np.ndarray:
     """Deterministic forward pass of a latent batch (count, length, dim)."""
     z = np.asarray(latent, dtype=np.float64)
-    if z.ndim != 3 or z.shape[2] != gen.latent_dim:
+    if z.ndim != 3 or z.shape[2] != gen.input_size:
         raise ValueError(
-            f"latent batch must be (count, length, {gen.latent_dim}), got {z.shape}"
+            f"latent batch must be (count, length, {gen.input_size}), got {z.shape}"
         )
-    return lstm.forward_batch(gen.net, z)[0]
+    return lstm.forward_batch(gen, z)[0]
 
 
-def _clipped_seq_scores(raw_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(per-timestep, per-sequence) scores nudged off the exact 0/1 endpoints.
+def _clipped_seq_scores(raw_scores: np.ndarray) -> np.ndarray:
+    """Per-sequence mean of per-timestep scores nudged off the exact 0/1 endpoints.
 
     The clip runs in float64: in float32, 1 - SCORE_EPS rounds to exactly 1.
     """
     pt = np.clip(raw_scores[..., 0].astype(np.float64), SCORE_EPS, 1.0 - SCORE_EPS)
-    return pt, pt.mean(axis=1)
+    return pt.mean(axis=1)
 
 
 def discriminator_grads(
-    disc: Discriminator,
+    disc: lstm.StackedLstm,
     real: np.ndarray,
     fake: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and parameter gradients of d_loss on one real/fake batch pair."""
     m = real.shape[0]
     steps = real.shape[1]
-    real_out, real_cache = lstm.forward_batch(disc.net, real)
-    fake_out, fake_cache = lstm.forward_batch(disc.net, fake)
-    real_pt, real_seq = _clipped_seq_scores(real_out)
-    fake_pt, fake_seq = _clipped_seq_scores(fake_out)
-    loss = float(np.mean(-np.log(real_seq) - np.log(1.0 - fake_seq)))
+    real_out, real_cache = lstm.forward_batch(disc, real)
+    fake_out, fake_cache = lstm.forward_batch(disc, fake)
+    real_seq = _clipped_seq_scores(real_out)
+    fake_seq = _clipped_seq_scores(fake_out)
+    loss = d_loss(real_seq, fake_seq)
 
     d_real = (-1.0 / (m * steps * real_seq))[:, None, None] * np.ones_like(real_out)
     d_fake = (1.0 / (m * steps * (1.0 - fake_seq)))[:, None, None] * np.ones_like(fake_out)
-    g_real = lstm.backward_batch(disc.net, real_cache, d_real)
-    g_fake = lstm.backward_batch(disc.net, fake_cache, d_fake)
+    g_real = lstm.backward_batch(disc, real_cache, d_real)
+    g_fake = lstm.backward_batch(disc, fake_cache, d_fake)
     total = [a + b for a, b in zip(g_real.arrays(), g_fake.arrays())]
     return loss, total
 
 
 def generator_grads(
-    gen: Generator,
-    disc: Discriminator,
+    gen: lstm.StackedLstm,
+    disc: lstm.StackedLstm,
     latent: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and generator gradients of g_loss; discriminator stays frozen."""
     m, steps = latent.shape[0], latent.shape[1]
-    fake, gen_cache = lstm.forward_batch(gen.net, latent)
-    scores, disc_cache = lstm.forward_batch(disc.net, fake)
-    _, fake_seq = _clipped_seq_scores(scores)
-    loss = float(np.mean(-np.log(fake_seq)))
+    fake, gen_cache = lstm.forward_batch(gen, latent)
+    scores, disc_cache = lstm.forward_batch(disc, fake)
+    fake_seq = _clipped_seq_scores(scores)
+    loss = g_loss(fake_seq)
 
     d_scores = (-1.0 / (m * steps * fake_seq))[:, None, None] * np.ones_like(scores)
-    disc_grads = lstm.backward_batch(disc.net, disc_cache, d_scores)
-    gen_grads = lstm.backward_batch(gen.net, gen_cache, disc_grads.inputs)
+    disc_grads = lstm.backward_batch(disc, disc_cache, d_scores)
+    gen_grads = lstm.backward_batch(gen, gen_cache, disc_grads.inputs)
     return loss, gen_grads.arrays()
 
 
-def _training_data(data) -> np.ndarray:
-    if isinstance(data, WindowSet):
-        return data.windows
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("training data must be (windows, length, features)")
-    return arr
-
-
-def train(config: TrainingConfig, data) -> GanModel:
+def train(
+    config: TrainingConfig,
+    windows: np.ndarray,
+    checkpoint_dir: str | Path | None = None,
+) -> GanModel:
     """Run the adversarial loop and return the trained pair with histories.
 
     Each epoch shuffles the window set and walks it in minibatches; every
     minibatch takes ``d_steps`` discriminator updates followed by ``g_steps``
     generator updates on fresh latent draws.  A non-finite loss or gradient
     norm raises :class:`TrainingDiverged` with the last epoch's parameters
-    attached; non-finite windows are rejected before the first epoch.
+    attached; non-finite windows are rejected before the first epoch.  The
+    per-epoch MMD uses one bandwidth for the whole run, the median heuristic
+    of its reference windows, so its values can be compared across epochs.
+    With ``checkpoint_interval > 0`` a checkpoint goes to ``checkpoint_dir``
+    every that many epochs.
     """
-    windows = _training_data(data)
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError("training data must be (windows, length, features)")
     n_windows, seq_len, feature_dim = windows.shape
     if seq_len != config.sequence_length:
         raise ValueError(
@@ -258,15 +232,16 @@ def train(config: TrainingConfig, data) -> GanModel:
         feature_dim, config.latent_dim, config.gen_depth, config.gen_hidden, rng
     )
     disc = build_discriminator(feature_dim, config.disc_depth, config.disc_hidden, rng)
-    g_opt = lstm.OptimizerState(rule=config.optimizer, learning_rate=config.g_learning_rate)
-    d_opt = lstm.OptimizerState(rule=config.optimizer, learning_rate=config.d_learning_rate)
+    g_opt = lstm.OptimizerState(learning_rate=config.g_learning_rate)
+    d_opt = lstm.OptimizerState(learning_rate=config.d_learning_rate)
     model = GanModel(gen, disc, config)
 
     if config.mmd_every > 0:
         ref_idx = rng.choice(n_windows, size=min(config.mmd_samples, n_windows), replace=False)
         mmd_ref = windows[ref_idx]
+        bandwidth = median_heuristic(mmd_ref)
 
-    last_good = (gen.net.copy(), disc.net.copy())
+    last_good = (gen.copy(), disc.copy())
     batch = min(config.batch_size, n_windows)
 
     for epoch in range(config.epochs):
@@ -286,7 +261,7 @@ def train(config: TrainingConfig, data) -> GanModel:
                     if not np.isfinite(loss + norm):
                         msg = f"d_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
-                    lstm.optimizer_step(disc.net.parameters(), grads, d_opt)
+                    lstm.optimizer_step(disc.parameters(), grads, d_opt)
                     d_losses.append(loss)
                 for _ in range(config.g_steps):
                     z = sample_latent(m, seq_len, config.latent_dim, rng)
@@ -295,26 +270,26 @@ def train(config: TrainingConfig, data) -> GanModel:
                     if not np.isfinite(loss + norm):
                         msg = f"g_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
-                    lstm.optimizer_step(gen.net.parameters(), grads, g_opt)
+                    lstm.optimizer_step(gen.parameters(), grads, g_opt)
                     g_losses.append(loss)
         except TrainingDiverged:
-            gen.net, disc.net = last_good
+            model.generator, model.discriminator = last_good
             raise
 
         model.loss_history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
         model.epochs_completed = epoch + 1
-        last_good = (gen.net.copy(), disc.net.copy())
+        last_good = (gen.copy(), disc.copy())
 
         if config.mmd_every > 0 and (epoch + 1) % config.mmd_every == 0:
             z = sample_latent(mmd_ref.shape[0], seq_len, config.latent_dim, rng)
-            model.mmd_history.append(mmd_unbiased(generate(gen, z), mmd_ref, KernelConfig()))
+            model.mmd_history.append(mmd_unbiased(generate(gen, z), mmd_ref, bandwidth))
 
         if (
             config.checkpoint_interval > 0
-            and config.checkpoint_dir is not None
+            and checkpoint_dir is not None
             and (epoch + 1) % config.checkpoint_interval == 0
         ):
-            save_checkpoint(model, Path(config.checkpoint_dir) / f"epoch_{epoch + 1:05d}.npz")
+            save_checkpoint(model, Path(checkpoint_dir) / f"epoch_{epoch + 1:05d}.npz")
 
     return model
 
@@ -328,8 +303,8 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {}
-    arrays.update(model.generator.net.to_arrays("gen_"))
-    arrays.update(model.discriminator.net.to_arrays("disc_"))
+    arrays.update(model.generator.to_arrays("gen_"))
+    arrays.update(model.discriminator.to_arrays("disc_"))
     meta = {
         "format_version": 1,
         "config": asdict(model.config),
@@ -345,16 +320,14 @@ def load_checkpoint(path: str | Path) -> GanModel:
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version in {path}")
-    config = TrainingConfig(**meta["config"])
-    gen = Generator(
-        lstm.StackedLstm.from_arrays(data, config.gen_depth, "tanh", "gen_")
-    )
-    disc = Discriminator(
-        lstm.StackedLstm.from_arrays(data, config.disc_depth, "sigmoid", "disc_")
+    config = TrainingConfig(
+        **{k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
     )
     return GanModel(
-        generator=gen,
-        discriminator=disc,
+        generator=lstm.StackedLstm.from_arrays(data, config.gen_depth, "tanh", "gen_"),
+        discriminator=lstm.StackedLstm.from_arrays(
+            data, config.disc_depth, "sigmoid", "disc_"
+        ),
         config=config,
         loss_history=[tuple(pair) for pair in meta["loss_history"]],
         mmd_history=list(meta["mmd_history"]),

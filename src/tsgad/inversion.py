@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lstm
-from .gan import Generator
 
 MAX_HALVINGS = 10
 
@@ -95,10 +94,10 @@ def _error_and_grad(window: np.ndarray, recon: np.ndarray):
     return 1.0 - sim, None if grad is None else -grad
 
 
-def _descend(gen: Generator, window: np.ndarray, z0: np.ndarray, config: InversionConfig):
+def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, config: InversionConfig):
     """One gradient-descent run; returns None if the error turns non-finite."""
     z = z0.copy()
-    recon, cache = lstm.forward_batch(gen.net, z[None])
+    recon, cache = lstm.forward_batch(gen, z[None])
     recon = recon[0]
     err, err_grad = _error_and_grad(window, recon)
     if not np.isfinite(err):
@@ -108,7 +107,7 @@ def _descend(gen: Generator, window: np.ndarray, z0: np.ndarray, config: Inversi
     for _ in range(config.max_iterations):
         if err <= config.tolerance:
             break
-        grads = lstm.backward_batch(gen.net, cache, err_grad[None])
+        grads = lstm.backward_batch(gen, cache, err_grad[None])
         z_grad = grads.inputs[0]
         if not np.all(np.isfinite(z_grad)):
             return None
@@ -116,7 +115,7 @@ def _descend(gen: Generator, window: np.ndarray, z0: np.ndarray, config: Inversi
         halvings = 0
         for halvings in range(MAX_HALVINGS + 1):
             z_try = z - step * z_grad
-            recon_try, cache_try = lstm.forward_batch(gen.net, z_try[None])
+            recon_try, cache_try = lstm.forward_batch(gen, z_try[None])
             recon_try = recon_try[0]
             err_try, grad_try = _error_and_grad(window, recon_try)
             if np.isfinite(err_try) and err_try < err:
@@ -134,19 +133,21 @@ def _descend(gen: Generator, window: np.ndarray, z0: np.ndarray, config: Inversi
     return InversionResult(latent=z, error=err, iterations=iterations, reconstruction=recon)
 
 
-def invert(gen: Generator, window: np.ndarray, config: InversionConfig) -> InversionResult:
+def invert(
+    gen: lstm.StackedLstm, window: np.ndarray, config: InversionConfig
+) -> InversionResult:
     """Best-of-restarts latent recovery for one test window."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ValueError("window must be (timesteps, columns)")
-    if window.shape[1] != gen.feature_dim:
+    if window.shape[1] != gen.output_size:
         raise ValueError(
-            f"window has {window.shape[1]} columns, generator emits {gen.feature_dim}"
+            f"window has {window.shape[1]} columns, generator emits {gen.output_size}"
         )
     rng = np.random.default_rng(config.seed)
     best: InversionResult | None = None
     for _ in range(config.restarts):
-        z0 = rng.standard_normal((window.shape[0], gen.latent_dim))
+        z0 = rng.standard_normal((window.shape[0], gen.input_size))
         result = _descend(gen, window, z0, config)
         if result is None:
             continue
@@ -158,7 +159,7 @@ def invert(gen: Generator, window: np.ndarray, config: InversionConfig) -> Inver
 
 
 def invert_many(
-    gen: Generator, windows: np.ndarray, config: InversionConfig
+    gen: lstm.StackedLstm, windows: np.ndarray, config: InversionConfig
 ) -> list[InversionResult]:
     """Invert a batch of windows; window i uses seed config.seed + i."""
     windows = np.asarray(windows, dtype=np.float64)

@@ -364,9 +364,8 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or Adam with bias-corrected moments."""
+    """Adam with bias-corrected moments."""
 
-    rule: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -375,17 +374,13 @@ class OptimizerState:
     first_moment: list[np.ndarray] | None = None
     second_moment: list[np.ndarray] | None = None
 
-    def __post_init__(self):
-        if self.rule not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer rule {self.rule!r}")
-
 
 def optimizer_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
     state: OptimizerState,
-) -> tuple[list[np.ndarray], OptimizerState]:
-    """Update parameters in place by one optimizer step."""
+) -> None:
+    """Update parameters in place by one Adam step."""
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     for p, g in zip(params, grads):
@@ -393,12 +388,6 @@ def optimizer_step(
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("diverged: non-finite gradients")
-
-    if state.rule == "sgd":
-        for p, g in zip(params, grads):
-            p -= state.learning_rate * g
-        state.step += 1
-        return params, state
 
     if state.first_moment is None:
         state.first_moment = [np.zeros_like(p) for p in params]
@@ -413,7 +402,6 @@ def optimizer_step(
         v *= b2
         v += (1.0 - b2) * g * g
         p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
-    return params, state
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:

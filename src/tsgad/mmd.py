@@ -1,28 +1,13 @@
-"""Unbiased maximum mean discrepancy between generated and reference samples."""
+"""Unbiased maximum mean discrepancy between generated and reference samples.
+
+The kernel is the RBF kernel exp(-||a-b||^2 / (2 sigma^2)).  Its bandwidth
+sigma is an argument, so a caller that fixes it once (for example with
+``median_heuristic`` on the reference set) gets values comparable across calls.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class KernelConfig:
-    """RBF kernel exp(-||a-b||^2 / (2 sigma^2)); bandwidth may be a positive
-    number or the string "median" for the median pairwise-distance heuristic."""
-
-    kind: str = "rbf"
-    bandwidth: float | str = "median"
-
-    def __post_init__(self):
-        if self.kind != "rbf":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
-        if not isinstance(self.bandwidth, str):
-            if self.bandwidth <= 0:
-                raise ValueError("bandwidth must be positive")
-        elif self.bandwidth != "median":
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
 
 
 def _flatten(samples: np.ndarray) -> np.ndarray:
@@ -43,7 +28,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def median_heuristic(samples: np.ndarray) -> float:
-    """Median pairwise Euclidean distance of the combined sample set.
+    """Median pairwise Euclidean distance within a sample set.
 
     Zero distances are excluded; if every pair coincides the fallback is 1.0.
     """
@@ -61,7 +46,7 @@ def median_heuristic(samples: np.ndarray) -> float:
 def mmd_unbiased(
     gen_set: np.ndarray,
     ref_set: np.ndarray,
-    kernel: KernelConfig | None = None,
+    bandwidth: float,
 ) -> float:
     """Three-term unbiased MMD^2 estimate between two sample sets.
 
@@ -69,7 +54,8 @@ def mmd_unbiased(
     evaluation.  The estimate may be slightly negative for same-distribution
     sets.
     """
-    kernel = kernel or KernelConfig()
+    if not bandwidth > 0.0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     g = _flatten(gen_set)
     r = _flatten(ref_set)
     n, m = g.shape[0], r.shape[0]
@@ -80,14 +66,10 @@ def mmd_unbiased(
             f"sample length mismatch: {g.shape[1]} vs {r.shape[1]}"
         )
 
-    if isinstance(kernel.bandwidth, str):
-        sigma = median_heuristic(np.concatenate([g, r], axis=0))
-    else:
-        sigma = float(kernel.bandwidth)
-
-    k_gg = np.exp(-_sq_dists(g, g) / (2.0 * sigma**2))
-    k_rr = np.exp(-_sq_dists(r, r) / (2.0 * sigma**2))
-    k_gr = np.exp(-_sq_dists(g, r) / (2.0 * sigma**2))
+    two_sigma_sq = 2.0 * float(bandwidth) ** 2
+    k_gg = np.exp(-_sq_dists(g, g) / two_sigma_sq)
+    k_rr = np.exp(-_sq_dists(r, r) / two_sigma_sq)
+    k_gr = np.exp(-_sq_dists(g, r) / two_sigma_sq)
 
     term_gg = (k_gg.sum() - np.trace(k_gg)) / (n * (n - 1))
     term_rr = (k_rr.sum() - np.trace(k_rr)) / (m * (m - 1))

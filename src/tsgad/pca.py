@@ -128,16 +128,6 @@ def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
     return (data - model.mean) @ model.loadings.T
 
 
-def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Map projected scores back to the original variable space."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != model.n_components:
-        raise ValueError(
-            f"scores must be (rows x {model.n_components}), got {scores.shape}"
-        )
-    return scores @ model.loadings + model.mean
-
-
 def variance_ratios(model: PcaModel) -> np.ndarray:
     """Fraction of total training variance captured by each component."""
     if model.total_variance <= 0.0:

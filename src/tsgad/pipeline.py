@@ -1,7 +1,8 @@
 """End-to-end orchestration behind the CLI commands.
 
-Every artifact except the bundle manifest is timestamp-free, so identical
-configs and seeds reproduce byte-identical outputs.
+Every artifact, the bundle manifest and both ``.npz`` files included, is
+timestamp-free and path-free, so identical configs and seeds reproduce
+byte-identical outputs in any output directory.
 """
 
 from __future__ import annotations
@@ -185,9 +186,7 @@ def run_train(cfg: dict) -> Path:
     train_windows = sets["train"]
     tc = training_config(cfg, sequence_length=train_windows.window_length)
     checkpoint = _checkpoint_path(cfg)
-    if tc.checkpoint_interval > 0:
-        tc.checkpoint_dir = str(checkpoint.parent)
-    model = gan.train(tc, train_windows)
+    model = gan.train(tc, train_windows.windows, checkpoint_dir=checkpoint.parent)
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
@@ -262,7 +261,7 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, inv_cfg):
     recon = np.stack([r.reconstruction for r in results])
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
-    disc_out = lstm.forward_batch(model.discriminator.net, windows)[0]
+    disc_out = lstm.forward_batch(model.discriminator, windows)[0]
     disc_flat = disc_out[..., 0].reshape(-1)
     return results, component_residuals, summed, disc_flat
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the CLI on a tiny synthetic plant (a few seconds each)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -40,7 +41,6 @@ synth:
     - {kind: mean_shift, target: 0, start: 60, duration: 40, magnitude: 5.0}
 """
 
-DETERMINISTIC = ("scores.csv", "metrics.json", "inversion_diagnostics.csv")
 # the tiny plant holds out 4 windows, below the floor detect warns about
 FEW_HOLDOUT = "only 4 holdout windows"
 
@@ -51,6 +51,14 @@ def _header(path):
 
 def _run(config, out, *extra):
     return main([*extra, "--config", str(config), "--out", str(out)])
+
+
+def _assert_same_tree(got, want):
+    """Both directories hold the same files with the same bytes."""
+    names = sorted(str(p.relative_to(want)) for p in want.rglob("*") if p.is_file())
+    assert sorted(str(p.relative_to(got)) for p in got.rglob("*") if p.is_file()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +97,7 @@ def test_all_writes_documented_artifacts(all_out):
 def test_rerun_is_byte_identical(config, all_out, tmp_path):
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
         assert _run(config, tmp_path, "all") == 0
-    for name in DETERMINISTIC:
-        assert (tmp_path / name).read_bytes() == (all_out / name).read_bytes(), name
+    _assert_same_tree(tmp_path, all_out)
 
 
 def test_stage_by_stage_matches_all(config, all_out, tmp_path):
@@ -99,27 +106,44 @@ def test_stage_by_stage_matches_all(config, all_out, tmp_path):
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
         assert _run(config, tmp_path, "detect") == 0
     assert _run(config, tmp_path, "evaluate") == 0
-    for name in DETERMINISTIC:
-        assert (tmp_path / name).read_bytes() == (all_out / name).read_bytes(), name
+    _assert_same_tree(tmp_path, all_out)
 
 
-def test_generate_writes_bounded_samples_reproducibly(config, all_out):
-    assert _run(config, all_out, "generate") == 0
-    lines = (all_out / "generated.csv").read_text().splitlines()
+def test_periodic_checkpoints_do_not_depend_on_out_dir(tmp_path):
+    config = tmp_path / "interval.yaml"
+    config.write_text(TINY_CONFIG.replace("gan:\n", "gan:\n  checkpoint_interval: 1\n"))
+    for out in (tmp_path / "a", tmp_path / "b"):
+        for stage in ("synth", "ingest", "train"):
+            assert _run(config, out, stage) == 0, stage
+    for name in ("final.npz", "epoch_00001.npz"):
+        first = (tmp_path / "a" / "checkpoints" / name).read_bytes()
+        assert (tmp_path / "b" / "checkpoints" / name).read_bytes() == first, name
+
+
+def test_generate_writes_bounded_samples_reproducibly(config, all_out, tmp_path):
+    # on a copy, so the other tests see the out dir exactly as `all` left it
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    assert _run(config, out, "generate") == 0
+    lines = (out / "generated.csv").read_text().splitlines()
     assert lines[0] == "sample,step,f0,f1"
     assert len(lines) == 1 + 8 * 5  # generate.count samples of 5 downsampled steps
     values = [float(v) for line in lines[1:] for v in line.split(",")[2:]]
     assert all(-1.0 < v < 1.0 for v in values)
-    assert (all_out / "generated_vs_real.svg").is_file()
-    first = (all_out / "generated.csv").read_bytes()
-    assert _run(config, all_out, "generate") == 0
-    assert (all_out / "generated.csv").read_bytes() == first
+    assert (out / "generated_vs_real.svg").is_file()
+    first = (out / "generated.csv").read_bytes()
+    assert _run(config, out, "generate") == 0
+    assert (out / "generated.csv").read_bytes() == first
 
 
-@pytest.mark.parametrize("key", ["no_such_key", "workers"])
+@pytest.mark.parametrize("key", ["no_such_key", "workers", "gan.optimizer"])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
-    config.write_text(TINY_CONFIG + f"{key}: 1\n")
+    if "." in key:
+        section, name = key.split(".")
+        config.write_text(TINY_CONFIG.replace(f"{section}:\n", f"{section}:\n  {name}: 1\n"))
+    else:
+        config.write_text(TINY_CONFIG + f"{key}: 1\n")
     assert _run(config, tmp_path, "all") == 1
     assert f"unknown key {key}" in capsys.readouterr().err
 

@@ -22,6 +22,7 @@ from tsgad.gan import (
     save_checkpoint,
     train,
 )
+from tsgad.mmd import median_heuristic, mmd_unbiased
 from test_lstm import float64_twin
 
 
@@ -122,9 +123,9 @@ class TestGenerate:
 
     def test_zero_parameter_generator_emits_zeros(self):
         gen = build_generator(2, latent_dim=2, depth=1, hidden=4, rng=3)
-        for p in gen.net.parameters():
+        for p in gen.parameters():
             p[...] = 0.0
-        gen.net.output_activation = "identity"
+        gen.output_activation = "identity"
         out = generate(gen, sample_latent(2, 5, 2, rng=4))
         npt.assert_array_equal(out, np.zeros((2, 5, 2)))
 
@@ -148,7 +149,7 @@ class TestTrain:
         assert model.epochs_completed == 0
         ref = build_generator(1, latent_dim=2, depth=1, hidden=6,
                               rng=np.random.default_rng(0))
-        for a, b in zip(model.generator.net.parameters(), ref.net.parameters()):
+        for a, b in zip(model.generator.parameters(), ref.parameters()):
             npt.assert_array_equal(a, b)
 
     def test_constant_data_convergence(self):
@@ -165,9 +166,9 @@ class TestTrain:
         windows = np.random.default_rng(9).uniform(0.2, 0.8, (16, 4, 2))
         a = train(tiny_config(), windows)
         b = train(tiny_config(), windows)
-        for pa, pb in zip(a.generator.net.parameters(), b.generator.net.parameters()):
+        for pa, pb in zip(a.generator.parameters(), b.generator.parameters()):
             npt.assert_array_equal(pa, pb)
-        for pa, pb in zip(a.discriminator.net.parameters(), b.discriminator.net.parameters()):
+        for pa, pb in zip(a.discriminator.parameters(), b.discriminator.parameters()):
             npt.assert_array_equal(pa, pb)
         assert a.loss_history == b.loss_history
 
@@ -176,6 +177,21 @@ class TestTrain:
         model = train(tiny_config(epochs=4, mmd_every=2), windows)
         assert len(model.loss_history) == 4
         assert len(model.mmd_history) == 2
+
+    def test_every_epoch_mmd_uses_one_bandwidth(self, monkeypatch):
+        # 16 windows and mmd_samples 128: the reference set is every window
+        windows = np.random.default_rng(22).uniform(-0.5, 0.5, (16, 4, 2))
+        bandwidths = []
+
+        def recording_mmd(gen_set, ref_set, bandwidth):
+            bandwidths.append(bandwidth)
+            return mmd_unbiased(gen_set, ref_set, bandwidth)
+
+        monkeypatch.setattr(gan, "mmd_unbiased", recording_mmd)
+        model = train(tiny_config(epochs=4, mmd_every=1), windows)
+        assert len(bandwidths) == len(model.mmd_history) == 4
+        assert len(set(bandwidths)) == 1
+        assert bandwidths[0] == pytest.approx(median_heuristic(windows), rel=1e-12)
 
     def test_non_finite_window_rejected(self):
         windows = np.zeros((8, 4, 1))
@@ -202,8 +218,8 @@ class TestTrain:
             train(cfg, windows)
         model = exc_info.value.model
         assert model.epochs_completed == 1
-        for net, ref in ((model.generator.net, reference.generator.net),
-                         (model.discriminator.net, reference.discriminator.net)):
+        for net, ref in ((model.generator, reference.generator),
+                         (model.discriminator, reference.discriminator)):
             for a, b in zip(net.parameters(), ref.parameters()):
                 npt.assert_array_equal(a, b)
 
@@ -227,7 +243,27 @@ class TestTrain:
             tiny_config(mmd_every=1, mmd_samples=1)
 
 
+def descent_step(net, grads, lr):
+    """A copy of ``net`` after one plain gradient step p -= lr * g."""
+    stepped = net.copy()
+    for p, g in zip(stepped.parameters(), grads):
+        p -= lr * g
+    return stepped
+
+
 class TestUpdateDirections:
+    def test_grads_report_the_tested_losses(self):
+        rng = np.random.default_rng(23)
+        gen = build_generator(2, latent_dim=2, depth=1, hidden=6, rng=rng)
+        disc = build_discriminator(2, depth=1, hidden=6, rng=rng)
+        real = rng.uniform(-0.8, 0.8, (8, 5, 2))
+        z = sample_latent(8, 5, 2, rng=24)
+        fake = generate(gen, z)
+        real_scores = lstm.forward_batch(disc, real)[0][..., 0]
+        fake_scores = lstm.forward_batch(disc, fake)[0][..., 0]
+        assert discriminator_grads(disc, real, fake)[0] == d_loss(real_scores, fake_scores)
+        assert generator_grads(gen, disc, z)[0] == g_loss(fake_scores)
+
     def test_discriminator_update_decreases_d_loss(self):
         rng = np.random.default_rng(11)
         disc = build_discriminator(2, depth=1, hidden=6, rng=rng)
@@ -236,12 +272,7 @@ class TestUpdateDirections:
         loss_before, grads = discriminator_grads(disc, real, fake)
         lr = 0.5
         for _ in range(10):
-            candidate = gan.Discriminator(disc.net.copy())
-            lstm.optimizer_step(
-                candidate.net.parameters(),
-                grads,
-                lstm.OptimizerState(rule="sgd", learning_rate=lr),
-            )
+            candidate = descent_step(disc, grads, lr)
             loss_after, _ = discriminator_grads(candidate, real, fake)
             if loss_after < loss_before:
                 break
@@ -256,12 +287,7 @@ class TestUpdateDirections:
         loss_before, grads = generator_grads(gen, disc, z)
         lr = 0.5
         for _ in range(10):
-            candidate = gan.Generator(gen.net.copy())
-            lstm.optimizer_step(
-                candidate.net.parameters(),
-                grads,
-                lstm.OptimizerState(rule="sgd", learning_rate=lr),
-            )
+            candidate = descent_step(gen, grads, lr)
             loss_after, _ = generator_grads(candidate, disc, z)
             if loss_after < loss_before:
                 break
@@ -273,11 +299,11 @@ class TestUpdateDirections:
         rng = np.random.default_rng(14)
         gen = build_generator(1, latent_dim=2, depth=1, hidden=4, rng=rng)
         disc = build_discriminator(1, depth=1, hidden=3, rng=rng)
-        gen = gan.Generator(float64_twin(gen.net))
-        disc = gan.Discriminator(float64_twin(disc.net))
+        gen = float64_twin(gen)
+        disc = float64_twin(disc)
         z = sample_latent(2, 3, 2, rng=15)
         _, analytic = generator_grads(gen, disc, z)
-        params = gen.net.parameters()
+        params = gen.parameters()
         eps = 1e-6
         for p_idx in range(len(params)):
             flat_idx = np.unravel_index(0, params[p_idx].shape)
@@ -298,10 +324,10 @@ class TestSaturatedDiscriminator:
         rng = np.random.default_rng(19)
         gen = build_generator(2, latent_dim=2, depth=1, hidden=4, rng=rng)
         disc = build_discriminator(2, depth=1, hidden=4, rng=rng)
-        disc.net.out_bias[:] = 100.0
+        disc.out_bias[:] = 100.0
         z = sample_latent(3, 5, 2, rng=rng)
         fake = generate(gen, z)
-        assert np.all(lstm.forward_batch(disc.net, fake)[0] == 1.0)
+        assert np.all(lstm.forward_batch(disc, fake)[0] == 1.0)
         d_value, d_grads = discriminator_grads(disc, rng.uniform(-1, 1, (3, 5, 2)), fake)
         g_value, g_grads = generator_grads(gen, disc, z)
         assert np.isfinite(d_value) and np.isfinite(g_value)
@@ -315,11 +341,11 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    for a, b in zip(model.generator.net.parameters(), loaded.generator.net.parameters()):
+    for a, b in zip(model.generator.parameters(), loaded.generator.parameters()):
         npt.assert_array_equal(a, b)
         assert b.dtype == np.float32
     for a, b in zip(
-        model.discriminator.net.parameters(), loaded.discriminator.net.parameters()
+        model.discriminator.parameters(), loaded.discriminator.parameters()
     ):
         npt.assert_array_equal(a, b)
         assert b.dtype == np.float32
@@ -331,7 +357,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_with_optimizer_state_loads(tmp_path):
     """Checkpoints written when Adam moments were still saved carry
-    gopt_*/dopt_* arrays and optimizer_steps meta; the loader ignores them."""
+    gopt_*/dopt_* arrays and optimizer_steps meta, and older configs carry
+    optimizer and checkpoint_dir fields; the loader ignores them all."""
     windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
     model = train(tiny_config(epochs=1), windows)
     save_checkpoint(model, tmp_path / "current.npz")
@@ -339,7 +366,8 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays.pop("meta")).decode())
     meta["optimizer_steps"] = {"gen": 1, "disc": 1}
-    for prefix, net in (("gopt_", model.generator.net), ("dopt_", model.discriminator.net)):
+    meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path))
+    for prefix, net in (("gopt_", model.generator), ("dopt_", model.discriminator)):
         for i, p in enumerate(net.parameters()):
             arrays[f"{prefix}m{i}"] = np.full_like(p, 0.1)
             arrays[f"{prefix}v{i}"] = np.full_like(p, 0.01)
@@ -347,10 +375,10 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
     np.savez(old, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
     loaded = load_checkpoint(old)
-    for a, b in zip(model.generator.net.parameters(), loaded.generator.net.parameters()):
+    for a, b in zip(model.generator.parameters(), loaded.generator.parameters()):
         npt.assert_array_equal(a, b)
     for a, b in zip(
-        model.discriminator.net.parameters(), loaded.discriminator.net.parameters()
+        model.discriminator.parameters(), loaded.discriminator.parameters()
     ):
         npt.assert_array_equal(a, b)
     assert loaded.config == model.config
@@ -362,14 +390,14 @@ def test_float64_checkpoint_runs_in_float64(tmp_path):
     arrays; they load, and compute, in float64."""
     windows = np.random.default_rng(20).uniform(-0.5, 0.5, (16, 4, 2))
     model = train(tiny_config(epochs=1), windows)
-    model.generator.net = float64_twin(model.generator.net)
-    model.discriminator.net = float64_twin(model.discriminator.net)
+    model.generator = float64_twin(model.generator)
+    model.discriminator = float64_twin(model.discriminator)
     save_checkpoint(model, tmp_path / "float64.npz")
     loaded = load_checkpoint(tmp_path / "float64.npz")
     z = sample_latent(3, 4, 2, rng=21)
     for net, ref, inputs in (
-        (loaded.generator.net, model.generator.net, z),
-        (loaded.discriminator.net, model.discriminator.net, windows[:3]),
+        (loaded.generator, model.generator, z),
+        (loaded.discriminator, model.discriminator, windows[:3]),
     ):
         assert all(p.dtype == np.float64 for p in net.parameters())
         out = lstm.forward_batch(net, inputs)[0]
@@ -379,7 +407,6 @@ def test_float64_checkpoint_runs_in_float64(tmp_path):
 
 def test_checkpoint_interval_writes_files(tmp_path):
     windows = np.random.default_rng(17).uniform(-0.5, 0.5, (16, 4, 1))
-    cfg = tiny_config(epochs=4, checkpoint_interval=2, checkpoint_dir=str(tmp_path))
-    train(cfg, windows)
+    train(tiny_config(epochs=4, checkpoint_interval=2), windows, checkpoint_dir=tmp_path)
     assert (tmp_path / "epoch_00002.npz").exists()
     assert (tmp_path / "epoch_00004.npz").exists()

@@ -322,19 +322,13 @@ class TestGradCheck:
 
 
 class TestOptimizer:
-    def test_sgd_arithmetic(self):
-        params = [np.array([1.0])]
-        grads = [np.array([2.0])]
-        optimizer_step(params, grads, OptimizerState(rule="sgd", learning_rate=0.1))
-        assert params[0][0] == pytest.approx(0.8)
-
     def test_adam_against_hand_recurrence(self):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         g = 0.37
         p_hand = 1.5
         m = v = 0.0
         params = [np.array([1.5])]
-        state = OptimizerState(rule="adam", learning_rate=lr)
+        state = OptimizerState(learning_rate=lr)
         for t in range(1, 4):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -347,15 +341,14 @@ class TestOptimizer:
         assert abs(1.5 - (1.5 - lr * g / (abs(g) + eps))) == pytest.approx(lr, rel=1e-6)
 
     def test_zero_gradient_keeps_parameters(self):
-        for rule in ("sgd", "adam"):
-            params = [np.array([2.0, -1.0])]
-            optimizer_step(params, [np.zeros(2)], OptimizerState(rule=rule))
-            npt.assert_array_equal(params[0], [2.0, -1.0])
+        params = [np.array([2.0, -1.0])]
+        optimizer_step(params, [np.zeros(2)], OptimizerState())
+        npt.assert_array_equal(params[0], [2.0, -1.0])
 
     def test_non_finite_gradients_diverge(self):
         params = [np.array([1.0])]
         with pytest.raises(ValueError, match="diverged"):
-            optimizer_step(params, [np.array([np.nan])], OptimizerState(rule="sgd"))
+            optimizer_step(params, [np.array([np.nan])], OptimizerState())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -400,7 +393,7 @@ class TestDtype:
         rng = np.random.default_rng(61)
         out, cache = forward_batch(net, rng.normal(size=(4, 12, 15)))
         grads = backward_batch(net, cache, rng.normal(size=out.shape))
-        state = OptimizerState(rule="adam")
+        state = OptimizerState()
         optimizer_step(net.parameters(), grads.arrays(), state)
         arrays = [cache.outputs]
         for lc in cache.layer_caches:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsgad.mmd import KernelConfig, median_heuristic, mmd_unbiased
+from tsgad.mmd import median_heuristic, mmd_unbiased
 
 
 def mmd_direct(gen_set, ref_set, sigma):
@@ -22,12 +22,12 @@ class TestMmdUnbiased:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(9, 3)) + 5.0
-        value = mmd_unbiased(a, b, KernelConfig(bandwidth=1e9))
+        value = mmd_unbiased(a, b, 1e9)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_two_identical_points_match_direct_sum(self):
         point = np.array([[1.0, 2.0], [1.0, 2.0]])
-        value = mmd_unbiased(point, point, KernelConfig(bandwidth=1.5))
+        value = mmd_unbiased(point, point, 1.5)
         assert value == pytest.approx(mmd_direct(point, point, 1.5), abs=1e-14)
         assert value == pytest.approx(0.0, abs=1e-14)
 
@@ -35,7 +35,7 @@ class TestMmdUnbiased:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(7, 4))
         b = rng.normal(size=(5, 4))
-        value = mmd_unbiased(a, b, KernelConfig(bandwidth=2.0))
+        value = mmd_unbiased(a, b, 2.0)
         assert value == pytest.approx(mmd_direct(a, b, 2.0), abs=1e-12)
 
     def test_separated_clouds_dominate_same_cloud(self):
@@ -44,8 +44,8 @@ class TestMmdUnbiased:
         near2 = rng.normal(0.0, 1.0, (50, 1))
         far = rng.normal(10.0, 1.0, (50, 1))
         sigma = median_heuristic(np.concatenate([near, far]))
-        separated = mmd_unbiased(near, far, KernelConfig(bandwidth=sigma))
-        same = abs(mmd_unbiased(near, near2, KernelConfig(bandwidth=sigma)))
+        separated = mmd_unbiased(near, far, sigma)
+        same = abs(mmd_unbiased(near, near2, sigma))
         assert separated == pytest.approx(mmd_direct(near, far, sigma), abs=1e-12)
         assert separated > 10.0 * same
 
@@ -53,39 +53,37 @@ class TestMmdUnbiased:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 4, 2))
         b = rng.normal(size=(6, 4, 2))
-        flat = mmd_unbiased(a.reshape(6, 8), b.reshape(6, 8), KernelConfig(bandwidth=1.0))
-        seq = mmd_unbiased(a, b, KernelConfig(bandwidth=1.0))
+        flat = mmd_unbiased(a.reshape(6, 8), b.reshape(6, 8), 1.0)
+        seq = mmd_unbiased(a, b, 1.0)
         assert seq == pytest.approx(flat, abs=1e-15)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(8, 3))
         b = rng.normal(size=(11, 3))
-        cfg = KernelConfig(bandwidth=1.0)
-        assert mmd_unbiased(a, b, cfg) == pytest.approx(mmd_unbiased(b, a, cfg), abs=1e-12)
+        assert mmd_unbiased(a, b, 1.0) == pytest.approx(mmd_unbiased(b, a, 1.0), abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(9, 2))
         b = rng.normal(size=(7, 2))
-        cfg = KernelConfig(bandwidth=0.7)
-        base = mmd_unbiased(a, b, cfg)
-        assert mmd_unbiased(a[::-1], b, cfg) == pytest.approx(base, abs=1e-12)
-        assert mmd_unbiased(a, rng.permutation(b), cfg) == pytest.approx(base, abs=1e-12)
+        base = mmd_unbiased(a, b, 0.7)
+        assert mmd_unbiased(a[::-1], b, 0.7) == pytest.approx(base, abs=1e-12)
+        assert mmd_unbiased(a, rng.permutation(b), 0.7) == pytest.approx(base, abs=1e-12)
 
     def test_same_distribution_concentrates_near_zero(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(200, 1))
         b = rng.normal(size=(200, 1))
-        assert abs(mmd_unbiased(a, b)) < 0.05
+        assert abs(mmd_unbiased(a, b, median_heuristic(b))) < 0.05
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
-            mmd_unbiased(np.zeros((1, 2)), np.zeros((5, 2)))
+            mmd_unbiased(np.zeros((1, 2)), np.zeros((5, 2)), 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            mmd_unbiased(np.zeros((3, 2)), np.zeros((3, 4)))
+            mmd_unbiased(np.zeros((3, 2)), np.zeros((3, 4)), 1.0)
 
 
 class TestMedianHeuristic:
@@ -104,10 +102,7 @@ class TestMedianHeuristic:
             median_heuristic(np.zeros((1, 2)))
 
 
-def test_kernel_config_validation():
-    with pytest.raises(ValueError):
-        KernelConfig(kind="linear")
-    with pytest.raises(ValueError):
-        KernelConfig(bandwidth=-1.0)
-    with pytest.raises(ValueError):
-        KernelConfig(bandwidth="mean")
+def test_non_positive_bandwidth_rejected():
+    for bandwidth in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            mmd_unbiased(np.zeros((3, 2)), np.ones((3, 2)), bandwidth)
