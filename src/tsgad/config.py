@@ -60,12 +60,11 @@ def _strip_lines(obj):
 
 
 class Field:
-    def __init__(self, kind, default=None, check=None, expect="", required=False):
+    def __init__(self, kind, default=None, check=None, expect=""):
         self.kind = kind
         self.default = default
         self.check = check
         self.expect = expect
-        self.required = required
 
 
 def _positive(x):
@@ -88,6 +87,10 @@ def _unit_closed(x):
     return 0.0 <= x <= 1.0
 
 
+def _binary_labels(mapping):
+    return all(type(v) is int and v in (0, 1) for v in mapping.values())
+
+
 SCHEMA: dict = {
     "seed": Field(int, 7, _non_negative, "non-negative integer"),
     "paths": {
@@ -100,7 +103,9 @@ SCHEMA: dict = {
         "timestamp_column": Field(str, "timestamp"),
         "label_column": Field((str, type(None)), "label"),
         "timestamp_format": Field((str, type(None)), None),
-        "label_mapping": Field(dict, {"Normal": 0, "Attack": 1}),
+        "label_mapping": Field(
+            dict, {"Normal": 0, "Attack": 1}, _binary_labels, "label values 0 or 1"
+        ),
         "trim_rows": Field(int, 0, _non_negative, "non-negative integer"),
         "window_length": Field(int, 120, _positive, "positive integer"),
         "train_shift": Field(int, 10, _positive, "positive integer"),
@@ -161,21 +166,6 @@ SCHEMA: dict = {
 }
 
 
-def default_config() -> dict:
-    """A fully populated configuration with every default filled in."""
-
-    def build(schema):
-        out = {}
-        for key, spec in schema.items():
-            if isinstance(spec, dict):
-                out[key] = build(spec)
-            else:
-                out[key] = copy.deepcopy(spec.default)
-        return out
-
-    return build(SCHEMA)
-
-
 def _type_name(kind) -> str:
     if isinstance(kind, tuple):
         return " or ".join(_type_name(k) for k in kind)
@@ -221,8 +211,6 @@ def _validate(raw: dict, schema: dict, path: str, source: str) -> dict:
         elif key in raw:
             value = _strip_lines(raw[key])
             out[key] = _check_value(value, spec, dotted, where(key))
-        elif spec.required:
-            raise ConfigError(f"{source}: missing required key {dotted}")
         else:
             out[key] = copy.deepcopy(spec.default)
     return out

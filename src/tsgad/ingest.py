@@ -76,34 +76,22 @@ class NormalizationStats:
     def to_dict(self) -> dict:
         return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(np.asarray(d["col_min"]), np.asarray(d["col_max"]))
-
 
 @dataclass
 class WindowSet:
     """Fixed-length subsequences cut from a RawSeries.
 
-    ``windows`` is (count, rows, columns).  ``raw_window_length`` is the number
-    of source rows each window covers (unchanged by downsampling), while the
-    current per-window row count is ``window_length``.  ``labels``, when
-    present, is a per-window per-row binary flag array of shape (count, rows).
+    ``windows`` is (count, rows, columns).  ``labels``, when present, is a
+    per-window per-row binary flag array of shape (count, rows).
     """
 
     windows: np.ndarray
-    raw_window_length: int
-    shift: int
-    source_offsets: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
         if self.windows.ndim != 3:
             raise ValueError(f"windows must be 3-D, got shape {self.windows.shape}")
-        self.source_offsets = np.asarray(self.source_offsets, dtype=np.int64)
-        if self.source_offsets.shape != (self.windows.shape[0],):
-            raise ValueError("source_offsets length does not match window count")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != self.windows.shape[:2]:
@@ -117,25 +105,20 @@ class WindowSet:
     def window_length(self) -> int:
         return self.windows.shape[1]
 
-    @property
-    def n_columns(self) -> int:
-        return self.windows.shape[2]
-
 
 @dataclass
 class CsvSchema:
     """Column roles for :func:`load_csv`.
 
     ``label_mapping`` translates raw label strings (e.g. ``Normal``/``Attack``)
-    to 0/1.  ``feature_columns=None`` takes every column that is neither the
-    timestamp nor the label, in file order.  ``timestamp_format`` is an
-    optional ``strptime`` pattern for non-numeric timestamp columns.
+    to 0/1.  Every column that is neither the timestamp nor the label is a
+    feature, in file order.  ``timestamp_format`` is an optional ``strptime``
+    pattern for non-numeric timestamp columns.
     """
 
     timestamp_column: str
     label_column: str | None = None
     label_mapping: dict = field(default_factory=lambda: {"Normal": 0, "Attack": 1})
-    feature_columns: list[str] | None = None
     timestamp_format: str | None = None
 
 
@@ -176,14 +159,8 @@ def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
         for name in [schema.timestamp_column] + ([schema.label_column] if schema.label_column else []):
             if name not in col_index:
                 raise ValueError(f"{path}: schema column {name!r} not in header {header}")
-        if schema.feature_columns is not None:
-            missing = [c for c in schema.feature_columns if c not in col_index]
-            if missing:
-                raise ValueError(f"{path}: schema columns {missing} not in header")
-            feature_names = list(schema.feature_columns)
-        else:
-            skip = {schema.timestamp_column, schema.label_column}
-            feature_names = [h for h in header if h not in skip]
+        skip = {schema.timestamp_column, schema.label_column}
+        feature_names = [h for h in header if h not in skip]
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
         feature_idx = [col_index[c] for c in feature_names]
@@ -301,19 +278,12 @@ def window(series: RawSeries, length: int, shift: int) -> WindowSet:
         raise ValueError(
             f"window length {length} exceeds series length {series.n_rows}"
         )
-    count = (series.n_rows - length) // shift + 1
-    offsets = np.arange(count, dtype=np.int64) * shift
+    offsets = range(0, series.n_rows - length + 1, shift)
     windows = np.stack([series.values[o : o + length] for o in offsets])
     labels = None
     if series.labels is not None:
         labels = np.stack([series.labels[o : o + length] for o in offsets])
-    return WindowSet(
-        windows=windows,
-        raw_window_length=length,
-        shift=shift,
-        source_offsets=offsets,
-        labels=labels,
-    )
+    return WindowSet(windows=windows, labels=labels)
 
 
 def downsample_median(window_set: WindowSet, factor: int) -> WindowSet:
@@ -336,13 +306,7 @@ def downsample_median(window_set: WindowSet, factor: int) -> WindowSet:
     labels = None
     if window_set.labels is not None:
         labels = window_set.labels.reshape(n, out_rows, factor).max(axis=2)
-    return WindowSet(
-        windows=down,
-        raw_window_length=window_set.raw_window_length,
-        shift=window_set.shift,
-        source_offsets=window_set.source_offsets,
-        labels=labels,
-    )
+    return WindowSet(windows=down, labels=labels)
 
 
 def save_window_bundle(
@@ -352,8 +316,13 @@ def save_window_bundle(
 ) -> Path:
     """Write named WindowSets plus a JSON manifest to ``directory``.
 
-    Arrays land in one ``windows.npz``; shape/parameter metadata goes into
-    ``manifest.json``.  Returns the manifest path.
+    Arrays land in one ``windows.npz`` as ``<name>_windows`` and, when the set
+    has labels, ``<name>_labels``.  ``manifest.json`` holds
+    ``manifest_extra`` at its top level and, under ``window_sets``, one entry
+    per set with the keys ``count``, ``window_length``, ``columns`` and
+    ``has_labels``.  Besides this module, ``bench/stages.py`` and
+    ``bench/checks.py`` read the manifest: the per-set ``count`` and the
+    top-level ``sequence_length`` and ``columns``.  Returns the manifest path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -361,15 +330,13 @@ def save_window_bundle(
     manifest: dict = {"window_sets": {}}
     for name, ws in window_sets.items():
         arrays[f"{name}_windows"] = ws.windows
-        arrays[f"{name}_offsets"] = ws.source_offsets
         if ws.labels is not None:
             arrays[f"{name}_labels"] = ws.labels
+        count, length, columns = ws.windows.shape
         manifest["window_sets"][name] = {
-            "count": ws.n_windows,
-            "raw_window_length": ws.raw_window_length,
-            "window_length": ws.window_length,
-            "shift": ws.shift,
-            "columns": ws.n_columns,
+            "count": count,
+            "window_length": length,
+            "columns": columns,
             "has_labels": ws.labels is not None,
         }
     if manifest_extra:
@@ -381,7 +348,12 @@ def save_window_bundle(
 
 
 def load_window_bundle(directory: str | Path) -> tuple[dict[str, WindowSet], dict]:
-    """Inverse of :func:`save_window_bundle`."""
+    """Inverse of :func:`save_window_bundle`.
+
+    Arrays and per-set keys the current writer no longer produces, such as the
+    ``<name>_offsets`` arrays and the ``raw_window_length``/``shift`` keys of
+    older bundles, are ignored.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     data = np.load(directory / "windows.npz")
@@ -389,9 +361,6 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, WindowSet], dic
     for name, meta in manifest["window_sets"].items():
         out[name] = WindowSet(
             windows=data[f"{name}_windows"],
-            raw_window_length=meta["raw_window_length"],
-            shift=meta["shift"],
-            source_offsets=data[f"{name}_offsets"],
             labels=data[f"{name}_labels"] if meta["has_labels"] else None,
         )
     return out, manifest

@@ -80,15 +80,6 @@ def _similarity_and_grad(x, y, want_grad=True):
     return sim, grad
 
 
-def residual(window: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
-    """Per-timestep sum of absolute differences across variables."""
-    w = np.asarray(window, dtype=np.float64)
-    r = np.asarray(reconstruction, dtype=np.float64)
-    if w.shape != r.shape:
-        raise ValueError(f"shape mismatch: {w.shape} vs {r.shape}")
-    return np.sum(np.abs(w - r), axis=1)
-
-
 def _error_and_grad(window: np.ndarray, recon: np.ndarray):
     sim, grad = _similarity_and_grad(window, recon)
     return 1.0 - sim, None if grad is None else -grad

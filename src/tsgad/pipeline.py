@@ -111,21 +111,27 @@ def run_ingest(cfg: dict) -> Path:
 
     holdout_rows = int(round(train_full.n_rows * ing["holdout_fraction"]))
     window_len = ing["window_length"]
-    if train_full.n_rows - holdout_rows < window_len:
+    if 0 < holdout_rows < window_len:
+        raise ConfigError(
+            f"ingest.holdout_fraction {ing['holdout_fraction']} holds out {holdout_rows} "
+            f"rows, fewer than one window of ingest.window_length {window_len}"
+        )
+    split = train_full.n_rows - holdout_rows
+    if split < window_len:
         raise ConfigError(
             "training split too short for the configured window length"
         )
     train_part = ingest.RawSeries(
-        train_full.timestamps[: train_full.n_rows - holdout_rows],
-        train_full.values[: train_full.n_rows - holdout_rows],
+        train_full.timestamps[:split],
+        train_full.values[:split],
         list(train_full.column_names),
-        None if train_full.labels is None else train_full.labels[: train_full.n_rows - holdout_rows],
+        None if train_full.labels is None else train_full.labels[:split],
     )
     holdout_part = None
-    if holdout_rows >= window_len:
+    if holdout_rows:
         holdout_part = ingest.RawSeries(
-            train_full.timestamps[train_full.n_rows - holdout_rows :],
-            train_full.values[train_full.n_rows - holdout_rows :],
+            train_full.timestamps[split:],
+            train_full.values[split:],
             list(train_full.column_names),
             None,
         )
@@ -285,17 +291,17 @@ def run_detect(cfg: dict) -> Path:
         hold_cfg = replace(inv_cfg, seed=inv_cfg.seed + 1_000_000)
         _, _, hold_res, hold_disc = _score_windows(model, sets["holdout"].windows, hold_cfg)
         res_min, res_max = float(hold_res.min()), float(hold_res.max())
-        hold_scores = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
+        _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
         if tau is None:
-            tau = scoring.calibrate_tau(hold_scores, cfg["scoring"]["target_fpr"])
+            tau = scoring.calibrate_tau(hold_combined, cfg["scoring"]["target_fpr"])
     elif tau is None:
         raise ConfigError(
             "scoring.tau is unset and the bundle has no holdout windows to calibrate on"
         )
 
     results, comp_res, test_res, test_disc = _score_windows(model, sets["test"].windows, inv_cfg)
-    test_scores = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
-    flags = scoring.flag_anomalies(test_scores, tau)
+    res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
+    flags = scoring.flag_anomalies(combined, tau)
 
     truth = sets["test"].labels.reshape(-1) if sets["test"].labels is not None else None
     out = _out_dir(cfg)
@@ -304,9 +310,9 @@ def run_detect(cfg: dict) -> Path:
         row = [
             t,
             test_res[t],
-            test_scores.residual_norm[t],
+            res_norm[t],
             test_disc[t],
-            test_scores.combined[t],
+            combined[t],
             int(flags[t]),
         ]
         row.append(int(truth[t]) if truth is not None else "")
@@ -347,7 +353,7 @@ def run_detect(cfg: dict) -> Path:
     )
     svgplot.write_line_chart(
         out / "scores.svg",
-        {"combined": test_scores.combined, "flag": flags.astype(float)},
+        {"combined": combined, "flag": flags.astype(float)},
         title="combined anomaly score and flags",
     )
     return scores_path
@@ -380,7 +386,7 @@ def run_evaluate(cfg: dict) -> Path:
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
-    report["methods"]["gan_ad"] = scoring.metrics(flags, truth).to_dict()
+    report["methods"]["gan_ad"] = scoring.metrics(flags, truth)
 
     fpr = cfg["scoring"]["target_fpr"]
     columns = manifest["columns"]
@@ -402,13 +408,13 @@ def run_evaluate(cfg: dict) -> Path:
             var_report = scoring.metrics(
                 bl.cusum_detect(test_rows[:, j], calibrated), truth
             )
-            per_variable[name] = {**var_report.to_dict(), "threshold": threshold}
-            if best is None or var_report.f1 > best.f1:
+            per_variable[name] = {**var_report, "threshold": threshold}
+            if best is None or var_report["f1"] > best["f1"]:
                 best_name, best = name, var_report
         report["methods"]["cusum"] = {
             "per_variable": per_variable,
             "best_variable": best_name,
-            "best": best.to_dict(),
+            "best": best,
         }
 
     if cfg["baselines"]["spe"] and "holdout_raw" in sets:
@@ -417,7 +423,7 @@ def run_evaluate(cfg: dict) -> Path:
         test_rows = _flatten_windows(sets["test_raw"].windows)
         threshold = scoring.threshold_for_fpr(pca.spe(pca_model, holdout_rows), fpr)
         spe_report = scoring.metrics(bl.spe_detect(pca_model, test_rows, threshold), truth)
-        report["methods"]["spe"] = {**spe_report.to_dict(), "threshold": threshold}
+        report["methods"]["spe"] = {**spe_report, "threshold": threshold}
         report["variance_ratios"] = pca.variance_ratios(pca_model).tolist()
 
     metrics_path = out / "metrics.json"

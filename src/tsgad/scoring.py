@@ -1,15 +1,13 @@
-"""Anomaly-score combination, thresholded label assignment and metrics.
+"""Anomaly-score combination, thresholded flags and metrics.
 
-The combined score is a convex mix of the min-max-normalized reconstruction
-residual and the probability-of-fake (1 - D).  High combined score means more
-anomalous.  Label assignment follows the cross-entropy rule -log(p) > tau; the
-pipeline applies it to the probability of being normal (1 - combined score),
-see :func:`flag_anomalies`.
+The combined score S is a convex mix of the min-max-normalized reconstruction
+residual and the probability-of-fake (1 - D); high S means more anomalous.
+The flag rule is the cross-entropy test on the probability of being normal:
+with p = 1 - S clipped into (eps, 1 - eps), timestep t is flagged iff
+-log(p_t) > tau.  :func:`flag_anomalies` is its one implementation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,31 +16,20 @@ from .pca import PcaModel
 CLAMP_EPS = 1e-7
 
 
-@dataclass
-class AnomalyScoreSeries:
-    residual: np.ndarray        # raw per-timestep residuals, >= 0
-    residual_norm: np.ndarray   # residuals after min-max normalization
-    discrimination: np.ndarray  # 1 - D(x), in [0, 1]
-    combined: np.ndarray        # lam * residual_norm + (1 - lam) * discrimination
-    lam: float
-
-    def __len__(self) -> int:
-        return self.combined.shape[0]
-
-
 def anomaly_score(
     residuals: np.ndarray,
     disc_scores: np.ndarray,
     lam: float,
     res_min: float | None = None,
     res_max: float | None = None,
-) -> AnomalyScoreSeries:
+) -> tuple[np.ndarray, np.ndarray]:
     """Combine residual and discrimination evidence per timestep.
 
     ``disc_scores`` are raw discriminator outputs D(x) in (0, 1); the
     discrimination term becomes 1 - D(x).  Residuals are min-max normalized
     over this evaluation set unless explicit ``res_min``/``res_max`` (e.g.
-    fitted on a calibration slice) are supplied.
+    fitted on a calibration slice) are supplied.  Returns the normalized
+    residuals and the combined score lam * residual_norm + (1 - lam) * (1 - D).
     """
     res = np.asarray(residuals, dtype=np.float64)
     disc = np.asarray(disc_scores, dtype=np.float64)
@@ -54,45 +41,21 @@ def anomaly_score(
     hi = float(res.max()) if res_max is None else float(res_max)
     span = hi - lo if hi > lo else 1.0
     res_norm = (res - lo) / span
-    combined = lam * res_norm + (1.0 - lam) * (1.0 - disc)
-    return AnomalyScoreSeries(
-        residual=res,
-        residual_norm=res_norm,
-        discrimination=1.0 - disc,
-        combined=combined,
-        lam=lam,
-    )
-
-
-def _as_score_vector(scores) -> np.ndarray:
-    if isinstance(scores, AnomalyScoreSeries):
-        return scores.combined
-    return np.asarray(scores, dtype=np.float64)
-
-
-def assign_labels(scores, tau: float) -> np.ndarray:
-    """Flag entries whose cross entropy against label 1 exceeds tau.
-
-    With s clamped into (eps, 1 - eps), entry t is flagged iff
-    -log(s_t) > tau, i.e. iff s_t < exp(-tau).
-    """
-    s = np.clip(_as_score_vector(scores), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return (-np.log(s) > tau).astype(np.int64)
+    return res_norm, lam * res_norm + (1.0 - lam) * (1.0 - disc)
 
 
 def flag_anomalies(scores, tau: float) -> np.ndarray:
-    """Flag high combined scores by applying the cross-entropy rule to the
-    probability of being normal, 1 - S."""
-    s = _as_score_vector(scores)
-    return assign_labels(1.0 - s, tau)
+    """0/1 flags, of the same shape as ``scores``, from the flag rule."""
+    p = np.clip(1.0 - np.asarray(scores, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return (-np.log(p) > tau).astype(np.int64)
 
 
-def calibrate_tau(normal_scores, target_fpr: float) -> float:
+def calibrate_tau(normal_scores: np.ndarray, target_fpr: float) -> float:
     """Pick tau so that roughly ``target_fpr`` of the given normal combined
     scores get flagged by :func:`flag_anomalies`."""
     if not 0.0 < target_fpr < 1.0:
         raise ValueError("target_fpr must lie strictly between 0 and 1")
-    normality = 1.0 - _as_score_vector(normal_scores)
+    normality = 1.0 - np.asarray(normal_scores, dtype=np.float64)
     cut = float(np.quantile(normality, target_fpr))
     return float(-np.log(np.clip(cut, CLAMP_EPS, 1.0 - CLAMP_EPS)))
 
@@ -104,45 +67,18 @@ def threshold_for_fpr(normal_statistic, target_fpr: float) -> float:
     return float(np.quantile(np.asarray(normal_statistic, dtype=np.float64), 1.0 - target_fpr))
 
 
-@dataclass
-class DetectionReport:
-    predicted: np.ndarray
-    truth: np.ndarray
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    fpr: float
-    undefined: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "undefined": list(self.undefined),
-        }
-
-
-def metrics(predicted, truth) -> DetectionReport:
-    """Confusion counts and the derived rates; zero-denominator rates are
-    reported as 0 and listed in ``undefined``."""
+def metrics(predicted, truth) -> dict:
+    """Confusion counts and the derived rates, as ``metrics.json`` holds them;
+    zero-denominator rates are reported as 0 and listed in ``undefined``."""
     pred = np.asarray(predicted, dtype=np.int64)
     true = np.asarray(truth, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1:
         raise ValueError("predicted and truth must be equal-length vectors")
     if pred.size == 0:
         raise ValueError("empty label vectors")
+    for name, labels in (("predicted", pred), ("truth", true)):
+        if np.any((labels != 0) & (labels != 1)):
+            raise ValueError(f"{name} labels must be 0 or 1, got {np.unique(labels).tolist()}")
     tp = int(np.sum((pred == 1) & (true == 1)))
     fp = int(np.sum((pred == 1) & (true == 0)))
     tn = int(np.sum((pred == 0) & (true == 0)))
@@ -156,7 +92,6 @@ def metrics(predicted, truth) -> DetectionReport:
             return 0.0
         return num / den
 
-    accuracy = (tp + tn) / pred.size
     precision = ratio(tp, tp + fp, "precision")
     recall = ratio(tp, tp + fn, "recall")
     if precision + recall == 0.0:
@@ -165,20 +100,18 @@ def metrics(predicted, truth) -> DetectionReport:
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
     fpr = ratio(fp, fp + tn, "fpr")
-    return DetectionReport(
-        predicted=pred,
-        truth=true,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        fpr=fpr,
-        undefined=undefined,
-    )
+    return {
+        "tp": tp,
+        "fp": fp,
+        "tn": tn,
+        "fn": fn,
+        "accuracy": (tp + tn) / pred.size,
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "fpr": fpr,
+        "undefined": undefined,
+    }
 
 
 def per_variable_labels(
@@ -189,8 +122,8 @@ def per_variable_labels(
     """Attribute PC-space residuals back to original variables and flag them.
 
     The contribution of variable j at time t is sum_k |P[k, j]| * res[t, k].
-    Contributions share one min-max scale across the whole matrix, then each
-    entry is flagged like :func:`flag_anomalies` at the same tau.
+    Contributions share one min-max scale across the whole matrix, then every
+    entry goes through the flag rule at the same tau.
     """
     res = np.asarray(component_residuals, dtype=np.float64)
     if res.ndim != 2 or res.shape[1] != model.n_components:
@@ -200,8 +133,4 @@ def per_variable_labels(
     contrib = np.abs(res) @ np.abs(model.loadings)
     lo, hi = float(contrib.min()), float(contrib.max())
     span = hi - lo if hi > lo else 1.0
-    scaled = (contrib - lo) / span
-    flags = np.empty_like(scaled, dtype=np.int64)
-    for j in range(scaled.shape[1]):
-        flags[:, j] = flag_anomalies(scaled[:, j], tau)
-    return flags
+    return flag_anomalies((contrib - lo) / span, tau)

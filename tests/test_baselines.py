@@ -137,4 +137,4 @@ class TestSpeDetect:
 
         threshold = threshold_for_fpr(spe(model, holdout), 0.01)
         report = metrics(spe_detect(model, test, threshold), truth)
-        assert report.f1 > 0.0
+        assert report["f1"] > 0.0

@@ -161,3 +161,27 @@ def test_detect_without_checkpoint_exits_2(config, tmp_path, capsys):
     capsys.readouterr()
     assert _run(config, tmp_path, "detect") == 2
     assert "final.npz" in capsys.readouterr().err
+
+
+def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):
+    # a truth label of 2 would reach scores.csv, and the confusion counts in
+    # metrics.json would skip its timesteps
+    config = tmp_path / "labels.yaml"
+    config.write_text(TINY_CONFIG.replace(
+        "ingest:\n", "ingest:\n  label_mapping: {Normal: 0, Attack: 2}\n"))
+    assert _run(config, tmp_path, "all") == 1
+    assert f"{config}:3: ingest.label_mapping: expected label values 0 or 1" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "scores.csv").exists()
+
+
+def test_holdout_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):
+    # 5% of the 300 training rows is 15, fewer than the 20-row window
+    config = tmp_path / "short_holdout.yaml"
+    config.write_text(TINY_CONFIG.replace("holdout_fraction: 0.3", "holdout_fraction: 0.05"))
+    assert _run(config, tmp_path, "synth") == 0
+    assert _run(config, tmp_path, "ingest") == 1
+    err = capsys.readouterr().err
+    assert "ingest.holdout_fraction 0.05 holds out 15 rows" in err
+    assert "ingest.window_length 20" in err
+    assert not (tmp_path / "bundle").exists()

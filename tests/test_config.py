@@ -3,7 +3,6 @@ import pytest
 from tsgad.config import (
     ConfigError,
     config_hash,
-    default_config,
     inversion_config,
     load_config,
     scenario_spec,
@@ -14,7 +13,7 @@ from tsgad.synthetic import CoupledSensor, SineSensor
 
 
 def test_defaults_carry_paper_scale_preprocessing():
-    cfg = default_config()
+    cfg = validate_config({})
     assert cfg["ingest"]["window_length"] == 120
     assert cfg["ingest"]["train_shift"] == 10
     assert cfg["ingest"]["test_shift"] == 120
@@ -51,6 +50,14 @@ def test_range_violation_reported(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("scoring:\n  lambda: 1.5\n")
     with pytest.raises(ConfigError, match=r"scoring.lambda"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["2", "-1", "true", "'1'"])
+def test_label_mapping_values_must_be_0_or_1(value, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"ingest:\n  label_mapping: {{Normal: 0, Attack: {value}}}\n")
+    with pytest.raises(ConfigError, match=r"bad.yaml:2: ingest.label_mapping: expected label"):
         load_config(path)
 
 

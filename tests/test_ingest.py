@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -72,7 +74,7 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not in header"):
             load_csv(p, CsvSchema(timestamp_column="time"))
         with pytest.raises(ValueError, match="not in header"):
-            load_csv(p, CsvSchema(timestamp_column="ts", feature_columns=["z"]))
+            load_csv(p, CsvSchema(timestamp_column="ts", label_column="state"))
 
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -157,7 +159,7 @@ class TestWindow:
         s = make_series(np.arange(100).reshape(100, 1))
         ws = window(s, 12, 10)
         assert ws.n_windows == 9
-        npt.assert_array_equal(ws.source_offsets, np.arange(0, 90, 10))
+        npt.assert_array_equal(ws.windows[:, 0, 0], np.arange(0, 90, 10))
         npt.assert_array_equal(ws.windows[3][:, 0], np.arange(30, 42))
 
     def test_single_window_boundary(self):
@@ -196,8 +198,7 @@ class TestDownsampleMedian:
     def test_swat_shape(self):
         s = make_series(np.zeros((240, 2)))
         ws = downsample_median(window(s, 120, 120), 10)
-        assert ws.window_length == 12
-        assert ws.raw_window_length == 120
+        assert ws.windows.shape == (2, 12, 2)
 
     def test_constant_block(self):
         s = make_series(np.full((8, 1), 3.25))
@@ -240,6 +241,37 @@ def test_window_bundle_roundtrip(tmp_path):
     loaded, manifest = load_window_bundle(tmp_path / "bundle")
     npt.assert_array_equal(loaded["test"].windows, ws.windows)
     npt.assert_array_equal(loaded["test"].labels, ws.labels)
-    assert loaded["test"].raw_window_length == 8
     assert manifest["note"] == "x"
-    assert manifest["window_sets"]["test"]["window_length"] == 4
+    assert manifest["window_sets"]["test"] == {
+        "count": 5, "window_length": 4, "columns": 2, "has_labels": True,
+    }
+    assert sorted(np.load(tmp_path / "bundle" / "windows.npz").files) == [
+        "test_labels", "test_windows",
+    ]
+
+
+def test_bundle_with_offsets_and_shift_keys_still_loads(tmp_path):
+    # the older layout also stored each set's window start rows and the
+    # per-set raw_window_length/shift keys
+    rng = np.random.default_rng(6)
+    windows = rng.normal(size=(3, 4, 2))
+    labels = (rng.random((3, 4)) < 0.3).astype(np.int64)
+    np.savez_compressed(
+        tmp_path / "windows.npz",
+        test_windows=windows, test_offsets=np.arange(0, 24, 8), test_labels=labels,
+        train_windows=windows[:2], train_offsets=np.arange(0, 16, 8),
+    )
+    meta = {"count": 3, "raw_window_length": 8, "window_length": 4, "shift": 8, "columns": 2}
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "window_sets": {
+            "test": {**meta, "has_labels": True},
+            "train": {**meta, "count": 2, "has_labels": False},
+        },
+        "sequence_length": 4,
+    }))
+    loaded, manifest = load_window_bundle(tmp_path)
+    npt.assert_array_equal(loaded["test"].windows, windows)
+    npt.assert_array_equal(loaded["test"].labels, labels)
+    npt.assert_array_equal(loaded["train"].windows, windows[:2])
+    assert loaded["train"].labels is None
+    assert manifest["sequence_length"] == 4

@@ -1,14 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tsgad import gan
+from tsgad import gan, pipeline
 from tsgad.inversion import (
     InversionConfig,
     _similarity_and_grad,
     invert,
     invert_many,
-    residual,
     similarity,
 )
 
@@ -69,27 +70,64 @@ class TestSimilarity:
 
 
 class TestResidual:
+    """The per-timestep residual ``scores.csv`` holds, from
+    ``pipeline._score_windows``: |window - reconstruction| summed over
+    variables.  With no descent steps and one restart, window i's
+    reconstruction is G(z0) for z0 drawn from seed + i, so a test can plant
+    windows at a known offset from their reconstructions."""
+
+    STEPS, SEED = 6, 7
+    NO_DESCENT = InversionConfig(max_iterations=0, restarts=1, seed=SEED)
+
+    @staticmethod
+    def _model(columns):
+        return SimpleNamespace(
+            generator=gan.build_generator(columns, latent_dim=4, depth=1, hidden=12, rng=0),
+            discriminator=gan.build_discriminator(columns, hidden=4, rng=1),
+        )
+
+    def _reconstructions(self, model, count):
+        # one window per call: inversion runs the generator at batch 1, and a
+        # larger float32 batch may round differently
+        z0 = [np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
+              for i in range(count)]
+        return np.concatenate([gan.generate(model.generator, z) for z in z0])
+
     def test_identity_reconstruction(self):
-        x = np.random.default_rng(4).normal(size=(5, 3))
-        npt.assert_array_equal(residual(x, x), np.zeros(5))
+        model = self._model(3)
+        windows = self._reconstructions(model, 2)
+        _, comp_res, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        npt.assert_array_equal(comp_res, np.zeros((2 * self.STEPS, 3)))
+        npt.assert_array_equal(summed, np.zeros(2 * self.STEPS))
 
     def test_single_column_arithmetic(self):
-        out = residual(np.array([[1.0], [2.0]]), np.zeros((2, 1)))
-        npt.assert_allclose(out, [1.0, 2.0])
+        model = self._model(1)
+        offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
+        windows = self._reconstructions(model, 1) + offsets
+        _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        npt.assert_allclose(summed, offsets.reshape(-1), rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
-        x = np.array([[1.0, 1.0], [2.0, 2.0]])
-        recon = np.array([[0.0, 1.0], [1.0, 1.0]])
-        npt.assert_allclose(residual(x, recon), [1.0, 2.0])
+        model = self._model(2)
+        deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
+        windows = self._reconstructions(model, 1) + deltas
+        _, comp_res, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        npt.assert_allclose(comp_res, np.abs(deltas), rtol=0, atol=1e-15)
+        npt.assert_allclose(summed, [1.0, 2.0] * (self.STEPS // 2), rtol=0, atol=1e-15)
 
     def test_nonnegative(self):
-        rng = np.random.default_rng(5)
-        out = residual(rng.normal(size=(7, 4)), rng.normal(size=(7, 4)))
-        assert np.all(out >= 0.0)
+        model = self._model(4)
+        windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
+        cfg = InversionConfig(max_iterations=3, restarts=2, seed=self.SEED)
+        results, comp_res, summed, disc = pipeline._score_windows(model, windows, cfg)
+        assert len(results) == 3
+        assert np.all(comp_res >= 0.0)
+        npt.assert_array_equal(summed, comp_res.sum(axis=1))
+        assert disc.shape == summed.shape == (3 * self.STEPS,)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            residual(np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="columns"):
+            pipeline._score_windows(self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT)
 
 
 class TestInvert:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tsgad.pca import PcaModel
 from tsgad.scoring import (
     anomaly_score,
-    assign_labels,
     calibrate_tau,
     flag_anomalies,
     metrics,
@@ -22,27 +21,29 @@ class TestAnomalyScore:
     def test_lambda_one_is_normalized_residual(self):
         res = np.array([1.0, 3.0, 2.0])
         disc = np.array([0.5, 0.5, 0.5])
-        series = anomaly_score(res, disc, 1.0)
-        npt.assert_allclose(series.combined, [0.0, 1.0, 0.5])
+        res_norm, combined = anomaly_score(res, disc, 1.0)
+        npt.assert_allclose(combined, [0.0, 1.0, 0.5])
+        npt.assert_array_equal(res_norm, combined)
 
     def test_lambda_zero_is_probability_of_fake(self):
         disc = np.array([0.9, 0.1, 0.4])
-        series = anomaly_score(np.zeros(3), disc, 0.0)
-        npt.assert_allclose(series.combined, 1.0 - disc)
+        _, combined = anomaly_score(np.zeros(3), disc, 0.0)
+        npt.assert_allclose(combined, 1.0 - disc)
 
     def test_hand_case(self):
-        series = anomaly_score(np.array([0.0, 2.0]), np.array([0.9, 0.1]), 0.5)
-        npt.assert_allclose(series.combined, [0.05, 0.95])
+        res_norm, combined = anomaly_score(np.array([0.0, 2.0]), np.array([0.9, 0.1]), 0.5)
+        npt.assert_allclose(res_norm, [0.0, 1.0])
+        npt.assert_allclose(combined, [0.05, 0.95])
 
     def test_combined_within_unit_interval(self):
         rng = np.random.default_rng(0)
-        series = anomaly_score(rng.exponential(size=50), rng.uniform(0.01, 0.99, 50), 0.7)
-        assert np.all(series.combined >= 0.0) and np.all(series.combined <= 1.0)
+        _, combined = anomaly_score(rng.exponential(size=50), rng.uniform(0.01, 0.99, 50), 0.7)
+        assert np.all(combined >= 0.0) and np.all(combined <= 1.0)
 
     def test_external_normalization_stats(self):
-        series = anomaly_score(np.array([5.0, 15.0]), np.full(2, 0.5), 1.0,
-                               res_min=0.0, res_max=10.0)
-        npt.assert_allclose(series.combined, [0.5, 1.5])
+        _, combined = anomaly_score(np.array([5.0, 15.0]), np.full(2, 0.5), 1.0,
+                                    res_min=0.0, res_max=10.0)
+        npt.assert_allclose(combined, [0.5, 1.5])
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError, match="lambda"):
@@ -54,18 +55,21 @@ class TestAnomalyScore:
 
 
 class TestAssignLabels:
+    """Label assignment by the cross-entropy rule -log(p) > tau, applied by
+    :func:`flag_anomalies` to the probability of being normal p = 1 - S."""
+
     def test_zero_threshold_flags_everything_below_one(self):
-        flags = assign_labels(np.array([0.3, 0.999, 0.5]), 0.0)
-        npt.assert_array_equal(flags, [1, 1, 1])
+        p = np.array([0.3, 0.999, 0.5])
+        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.0), [1, 1, 1])
 
     def test_confident_normal_not_flagged(self):
-        flags = assign_labels(np.array([1.0 - 1e-7]), 0.5)
-        npt.assert_array_equal(flags, [0])
+        p = np.array([1.0 - 1e-7])
+        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.5), [0])
 
     def test_log_threshold_hand_case(self):
         # -ln 0.9 = 0.105, -ln 0.2 = 1.609: only the second exceeds 0.5
-        flags = assign_labels(np.array([0.9, 0.2]), 0.5)
-        npt.assert_array_equal(flags, [0, 1])
+        p = np.array([0.9, 0.2])
+        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.5), [0, 1])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
@@ -74,9 +78,9 @@ class TestAssignLabels:
     )
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_tau(self, values, tau_low, extra):
-        scores = np.asarray(values)
-        low = assign_labels(scores, tau_low)
-        high = assign_labels(scores, tau_low + extra)
+        scores = 1.0 - np.asarray(values)
+        low = flag_anomalies(scores, tau_low)
+        high = flag_anomalies(scores, tau_low + extra)
         assert np.all(high <= low)
 
 
@@ -105,34 +109,34 @@ class TestMetrics:
         truth = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
         pred = np.array([1, 1, 0, 1, 0, 0, 0, 0, 0, 0])
         report = metrics(pred, truth)
-        assert (report.tp, report.fp, report.tn, report.fn) == (2, 1, 6, 1)
-        assert report.accuracy == pytest.approx(0.8)
-        assert report.precision == pytest.approx(2 / 3)
-        assert report.recall == pytest.approx(2 / 3)
-        assert report.f1 == pytest.approx(2 / 3)
-        assert report.fpr == pytest.approx(1 / 7)
-        assert report.undefined == []
+        assert (report["tp"], report["fp"], report["tn"], report["fn"]) == (2, 1, 6, 1)
+        assert report["accuracy"] == pytest.approx(0.8)
+        assert report["precision"] == pytest.approx(2 / 3)
+        assert report["recall"] == pytest.approx(2 / 3)
+        assert report["f1"] == pytest.approx(2 / 3)
+        assert report["fpr"] == pytest.approx(1 / 7)
+        assert report["undefined"] == []
 
     def test_perfect_detector(self):
         truth = np.array([0, 1, 0, 1])
         report = metrics(truth, truth)
-        assert report.accuracy == 1.0
-        assert report.fpr == 0.0
+        assert report["accuracy"] == 1.0
+        assert report["fpr"] == 0.0
 
     def test_all_positive_predictor_pathology(self):
         # a detector that alarms everywhere scores perfect recall and a 100%
         # false positive rate
         truth = (np.random.default_rng(2).random(200) < 0.13).astype(int)
         report = metrics(np.ones(200, dtype=int), truth)
-        assert report.recall == 1.0
-        assert report.fpr == 1.0
+        assert report["recall"] == 1.0
+        assert report["fpr"] == 1.0
 
     def test_undefined_ratios_reported_as_zero_with_flag(self):
         report = metrics(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
-        assert report.precision == 0.0
-        assert report.recall == 0.0
-        assert report.f1 == 0.0
-        assert set(report.undefined) == {"precision", "recall", "f1"}
+        assert report["precision"] == 0.0
+        assert report["recall"] == 0.0
+        assert report["f1"] == 0.0
+        assert set(report["undefined"]) == {"precision", "recall", "f1"}
 
     def test_matches_brute_force_counting(self):
         rng = np.random.default_rng(3)
@@ -150,26 +154,38 @@ class TestMetrics:
                     tn += 1
                 else:
                     fn += 1
-            assert (report.tp, report.fp, report.tn, report.fn) == (tp, fp, tn, fn)
+            assert (report["tp"], report["fp"], report["tn"], report["fn"]) == (tp, fp, tn, fn)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
+    def test_labels_outside_0_1_rejected(self):
+        with pytest.raises(ValueError, match=r"truth labels must be 0 or 1, got \[0, 2\]"):
+            metrics(np.zeros(4, dtype=int), np.array([0, 2, 0, 2]))
+        with pytest.raises(ValueError, match="predicted labels"):
+            metrics(np.array([0, -1]), np.zeros(2, dtype=int))
+
 
 class TestPerVariableLabels:
-    def test_single_variable_reduces_to_scalar_flagging(self):
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_single_variable_reduces_to_scalar_flagging(self, columns):
+        # with identity loadings each variable is flagged exactly as its own
+        # column would be on the shared min-max scale
         model = PcaModel(
-            mean=np.zeros(1),
-            loadings=np.array([[1.0]]),
-            eigenvalues=np.array([1.0]),
-            total_variance=1.0,
+            mean=np.zeros(columns),
+            loadings=np.eye(columns),
+            eigenvalues=np.ones(columns),
+            total_variance=float(columns),
         )
-        res = np.array([[0.1], [5.0], [0.2], [4.0]])
+        res = np.random.default_rng(8).exponential(size=(40, columns))
+        res[5] = 6.0
         flags = per_variable_labels(res, model, tau=1.0)
-        scaled = (res[:, 0] - res.min()) / (res.max() - res.min())
-        expected = flag_anomalies(scaled, 1.0)
-        npt.assert_array_equal(flags[:, 0], expected)
+        scaled = (res - res.min()) / (res.max() - res.min())
+        for j in range(columns):
+            npt.assert_array_equal(flags[:, j], flag_anomalies(scaled[:, j], 1.0))
+        assert flags.dtype == np.int64
+        assert 0 < flags.sum() < flags.size
 
     def test_identity_loadings_pass_residuals_through(self):
         model = PcaModel(
