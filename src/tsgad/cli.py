@@ -21,10 +21,10 @@ COMMANDS = {
 
 # path overrides only; everything else must come from the config file
 ENV_OVERRIDES = {
-    "TSGAD_INPUT_CSV": ("input_csv",),
-    "TSGAD_TEST_CSV": ("test_csv",),
-    "TSGAD_OUT_DIR": ("out_dir",),
-    "TSGAD_CHECKPOINT": ("checkpoint",),
+    "TSGAD_INPUT_CSV": "input_csv",
+    "TSGAD_TEST_CSV": "test_csv",
+    "TSGAD_OUT_DIR": "out_dir",
+    "TSGAD_CHECKPOINT": "checkpoint",
 }
 
 
@@ -50,7 +50,7 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["paths"]["out_dir"] = args.out
-    for env, (key,) in ENV_OVERRIDES.items():
+    for env, key in ENV_OVERRIDES.items():
         value = os.environ.get(env)
         if value:
             cfg["paths"][key] = value

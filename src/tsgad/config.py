@@ -247,7 +247,7 @@ def config_hash(cfg: dict) -> str:
     ``paths`` is left out: where files live does not change any output.
     """
     relevant = {k: v for k, v in cfg.items() if k != "paths"}
-    canonical = json.dumps(_strip_lines(relevant), sort_keys=True)
+    canonical = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -300,14 +300,12 @@ def scenario_spec(cfg: dict, which: str) -> ScenarioSpec:
     s = cfg["synth"]
     if not s["variables"]:
         raise ConfigError("synth.variables: at least one variable is required")
-    variables = [
-        _parse_variable(_strip_lines(v), i) for i, v in enumerate(s["variables"])
-    ]
+    variables = [_parse_variable(v, i) for i, v in enumerate(s["variables"])]
     if which == "train":
         duration, attacks, seed = s["train_duration"], [], cfg["seed"]
     else:
         duration = s["test_duration"]
-        attacks = [_parse_attack(_strip_lines(a), i) for i, a in enumerate(s["attacks"])]
+        attacks = [_parse_attack(a, i) for i, a in enumerate(s["attacks"])]
         seed = cfg["seed"] + 1  # fresh noise realization for the test stream
     try:
         return ScenarioSpec(

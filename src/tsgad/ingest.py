@@ -1,132 +1,33 @@
-"""Loading, normalizing, trimming, downsampling and windowing of raw telemetry.
+"""Loading, normalizing, downsampling and windowing of raw telemetry.
 
-Everything here is a pure transformation from one in-memory dataset to
-another; file I/O happens only in :func:`load_csv` and the bundle helpers.
+Every function takes and returns plain numpy arrays:
+
+- a series is ``values``, float64 of shape (rows, columns), one row per
+  timestamp and one column per variable (real-valued sensor readings or 0/1
+  actuator states), with ``labels`` either ``None`` or an int64 array of
+  shape (rows,) holding a 0/1 attack flag per row;
+- a window set is ``windows``, float64 of shape (count, length, columns),
+  with ``labels`` either ``None`` or int64 of shape (count, length) holding
+  a 0/1 flag per window row.
+
+File I/O happens only in :func:`load_csv` and the bundle helpers.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 
-@dataclass
-class RawSeries:
-    """A timestamped multivariate measurement matrix with optional labels.
-
-    ``values`` has one row per timestamp and one column per variable
-    (real-valued sensor readings or 0/1 actuator states).  ``labels``, when
-    present, is a per-row binary attack flag.
-    """
-
-    timestamps: np.ndarray
-    values: np.ndarray
-    column_names: list[str]
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
-        n_rows, n_cols = self.values.shape
-        if n_cols < 1:
-            raise ValueError("series needs at least one variable column")
-        if self.timestamps.shape != (n_rows,):
-            raise ValueError(
-                f"timestamp count {self.timestamps.shape} does not match "
-                f"{n_rows} value rows"
-            )
-        if len(self.column_names) != n_cols:
-            raise ValueError("column_names length does not match value columns")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n_rows,):
-                raise ValueError("labels length does not match value rows")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class NormalizationStats:
-    """Per-column min/max fitted on training data."""
-
-    col_min: np.ndarray
-    col_max: np.ndarray
-
-    def __post_init__(self):
-        self.col_min = np.asarray(self.col_min, dtype=np.float64)
-        self.col_max = np.asarray(self.col_max, dtype=np.float64)
-        if self.col_min.shape != self.col_max.shape or self.col_min.ndim != 1:
-            raise ValueError("col_min/col_max must be 1-D and the same length")
-        if np.any(self.col_min > self.col_max):
-            raise ValueError("col_min may not exceed col_max")
-
-    def to_dict(self) -> dict:
-        return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}
-
-
-@dataclass
-class WindowSet:
-    """Fixed-length subsequences cut from a RawSeries.
-
-    ``windows`` is (count, rows, columns).  ``labels``, when present, is a
-    per-window per-row binary flag array of shape (count, rows).
-    """
-
-    windows: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=np.float64)
-        if self.windows.ndim != 3:
-            raise ValueError(f"windows must be 3-D, got shape {self.windows.shape}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != self.windows.shape[:2]:
-                raise ValueError("labels shape does not match windows")
-
-    @property
-    def n_windows(self) -> int:
-        return self.windows.shape[0]
-
-    @property
-    def window_length(self) -> int:
-        return self.windows.shape[1]
-
-
-@dataclass
-class CsvSchema:
-    """Column roles for :func:`load_csv`.
-
-    ``label_mapping`` translates raw label strings (e.g. ``Normal``/``Attack``)
-    to 0/1.  Every column that is neither the timestamp nor the label is a
-    feature, in file order.  ``timestamp_format`` is an optional ``strptime``
-    pattern for non-numeric timestamp columns.
-    """
-
-    timestamp_column: str
-    label_column: str | None = None
-    label_mapping: dict = field(default_factory=lambda: {"Normal": 0, "Attack": 1})
-    timestamp_format: str | None = None
-
-
-def _parse_timestamp(raw: str, schema: CsvSchema, row_num: int) -> float:
+def _parse_timestamp(raw: str, timestamp_format: str | None, row_num: int) -> float:
     text = raw.strip()
-    if schema.timestamp_format is not None:
+    if timestamp_format is not None:
         try:
-            return datetime.strptime(text, schema.timestamp_format).timestamp()
+            return datetime.strptime(text, timestamp_format).timestamp()
         except ValueError as exc:
             raise ValueError(f"row {row_num}: bad timestamp {raw!r}: {exc}") from None
     try:
@@ -138,15 +39,27 @@ def _parse_timestamp(raw: str, schema: CsvSchema, row_num: int) -> float:
         ) from None
 
 
-def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
-    """Parse a headered CSV file into a RawSeries.
+def load_csv(
+    path: str | Path,
+    timestamp_column: str,
+    label_column: str | None = None,
+    label_mapping: dict | None = None,
+    timestamp_format: str | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Parse a headered CSV file into ``(values, labels, feature_names)``.
+
+    Every column that is neither the timestamp nor the label is a feature, in
+    file order.  ``label_mapping`` translates raw label cells (e.g.
+    ``Normal``/``Attack``) to 0/1; its keys are compared as strings, so the
+    YAML mapping ``{0: 0, 1: 1}`` matches a 0/1 label column.
+    ``timestamp_format`` is an optional ``strptime`` pattern for non-numeric
+    timestamps.  The timestamps are checked, not returned.
 
     Rejects ragged rows, non-numeric feature cells, unmapped label strings and
     timestamps that are not strictly increasing.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
+    mapping = {str(k): v for k, v in (label_mapping or {}).items()}
 
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -156,16 +69,16 @@ def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
             raise ValueError(f"{path}: empty file") from None
 
         col_index = {name: i for i, name in enumerate(header)}
-        for name in [schema.timestamp_column] + ([schema.label_column] if schema.label_column else []):
+        for name in [timestamp_column] + ([label_column] if label_column else []):
             if name not in col_index:
                 raise ValueError(f"{path}: schema column {name!r} not in header {header}")
-        skip = {schema.timestamp_column, schema.label_column}
+        skip = {timestamp_column, label_column}
         feature_names = [h for h in header if h not in skip]
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
         feature_idx = [col_index[c] for c in feature_names]
-        ts_idx = col_index[schema.timestamp_column]
-        label_idx = col_index[schema.label_column] if schema.label_column else None
+        ts_idx = col_index[timestamp_column]
+        label_idx = col_index[label_column] if label_column else None
 
         timestamps: list[float] = []
         rows: list[list[float]] = []
@@ -177,7 +90,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
                 raise ValueError(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            timestamps.append(_parse_timestamp(row[ts_idx], schema, row_num))
+            timestamps.append(_parse_timestamp(row[ts_idx], timestamp_format, row_num))
             try:
                 rows.append([float(row[i]) for i in feature_idx])
             except ValueError:
@@ -188,11 +101,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
                 ) from None
             if label_idx is not None:
                 raw_label = row[label_idx].strip()
-                if raw_label not in schema.label_mapping:
+                if raw_label not in mapping:
                     raise ValueError(
                         f"{path}: row {row_num}: label {raw_label!r} not in label_mapping"
                     )
-                labels.append(schema.label_mapping[raw_label])
+                labels.append(mapping[raw_label])
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -203,11 +116,10 @@ def load_csv(path: str | Path, schema: CsvSchema) -> RawSeries:
             f"{path}: non-monotone timestamps at data row {bad + 2} "
             f"({ts[bad]} -> {ts[bad + 1]})"
         )
-    return RawSeries(
-        timestamps=ts,
-        values=np.asarray(rows, dtype=np.float64),
-        column_names=feature_names,
-        labels=np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
+    return (
+        np.asarray(rows, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
+        feature_names,
     )
 
 
@@ -219,53 +131,27 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def trim_startup(series: RawSeries, n_rows: int) -> RawSeries:
-    """Drop the first ``n_rows`` rows (plant warm-up / stabilization period)."""
-    if n_rows < 0:
-        raise ValueError("n_rows must be >= 0")
-    if n_rows >= series.n_rows:
-        raise ValueError(f"cannot trim {n_rows} rows from a {series.n_rows}-row series")
-    return RawSeries(
-        timestamps=series.timestamps[n_rows:],
-        values=series.values[n_rows:],
-        column_names=list(series.column_names),
-        labels=None if series.labels is None else series.labels[n_rows:],
-    )
+def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:
+    """Map values through the min-max transform with the given column bounds.
 
-
-def fit_normalizer(series: RawSeries) -> NormalizationStats:
-    """Fit per-column min/max on (normal) training data."""
-    return NormalizationStats(
-        col_min=series.values.min(axis=0),
-        col_max=series.values.max(axis=0),
-    )
-
-
-def apply_normalizer(series: RawSeries, stats: NormalizationStats) -> RawSeries:
-    """Map values through the fitted min-max transform.
-
-    Data the stats were fitted on lands in [0, 1]; unseen data may fall
+    Data the bounds were taken from lands in [0, 1]; unseen data may fall
     outside and is deliberately not clipped.  Constant columns map to 0.
     """
-    if stats.col_min.shape[0] != series.n_columns:
+    if col_min.shape[0] != values.shape[1]:
         raise ValueError(
-            f"stats fitted on {stats.col_min.shape[0]} columns, "
-            f"series has {series.n_columns}"
+            f"bounds fitted on {col_min.shape[0]} columns, values have {values.shape[1]}"
         )
-    span = stats.col_max - stats.col_min
+    span = col_max - col_min
     safe_span = np.where(span == 0.0, 1.0, span)
-    scaled = (series.values - stats.col_min) / safe_span
+    scaled = (values - col_min) / safe_span
     scaled[:, span == 0.0] = 0.0
-    return RawSeries(
-        timestamps=series.timestamps,
-        values=scaled,
-        column_names=list(series.column_names),
-        labels=series.labels,
-    )
+    return scaled
 
 
-def window(series: RawSeries, length: int, shift: int) -> WindowSet:
-    """Cut fixed-length windows with the given shift.
+def window(
+    values: np.ndarray, labels: np.ndarray | None, length: int, shift: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cut a series into fixed-length windows with the given shift.
 
     Produces floor((rows - length) / shift) + 1 windows; a trailing remainder
     that does not fill a whole window is dropped.
@@ -274,70 +160,67 @@ def window(series: RawSeries, length: int, shift: int) -> WindowSet:
         raise ValueError("window length must be >= 1")
     if shift < 1:
         raise ValueError("shift must be >= 1")
-    if length > series.n_rows:
-        raise ValueError(
-            f"window length {length} exceeds series length {series.n_rows}"
-        )
-    offsets = range(0, series.n_rows - length + 1, shift)
-    windows = np.stack([series.values[o : o + length] for o in offsets])
-    labels = None
-    if series.labels is not None:
-        labels = np.stack([series.labels[o : o + length] for o in offsets])
-    return WindowSet(windows=windows, labels=labels)
+    if length > len(values):
+        raise ValueError(f"window length {length} exceeds series length {len(values)}")
+    offsets = range(0, len(values) - length + 1, shift)
+    windows = np.stack([values[o : o + length] for o in offsets])
+    if labels is not None:
+        labels = np.stack([labels[o : o + length] for o in offsets])
+    return windows, labels
 
 
-def downsample_median(window_set: WindowSet, factor: int) -> WindowSet:
-    """Replace each ``factor``-row block with its per-column median.
+def downsample_median(
+    windows: np.ndarray, labels: np.ndarray | None, factor: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Replace each ``factor``-row block of every window with its per-column median.
 
     An even block count uses the arithmetic mean of the two middle values.  A
     downsampled row is labeled anomalous if any row of its block is.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    rows = window_set.window_length
+    n, rows, m = windows.shape
     if rows % factor != 0:
         raise ValueError(f"window length {rows} not divisible by factor {factor}")
     if factor == 1:
-        return window_set
-    n, _, m = window_set.windows.shape
+        return windows, labels
     out_rows = rows // factor
-    blocks = window_set.windows.reshape(n, out_rows, factor, m)
-    down = np.median(blocks, axis=2)
-    labels = None
-    if window_set.labels is not None:
-        labels = window_set.labels.reshape(n, out_rows, factor).max(axis=2)
-    return WindowSet(windows=down, labels=labels)
+    down = np.median(windows.reshape(n, out_rows, factor, m), axis=2)
+    if labels is not None:
+        labels = labels.reshape(n, out_rows, factor).max(axis=2)
+    return down, labels
 
 
 def save_window_bundle(
     directory: str | Path,
-    window_sets: dict[str, WindowSet],
+    window_sets: dict[str, tuple[np.ndarray, np.ndarray | None]],
     manifest_extra: dict | None = None,
 ) -> Path:
-    """Write named WindowSets plus a JSON manifest to ``directory``.
+    """Write named ``(windows, labels)`` pairs plus a JSON manifest to ``directory``.
 
-    Arrays land in one ``windows.npz`` as ``<name>_windows`` and, when the set
-    has labels, ``<name>_labels``.  ``manifest.json`` holds
-    ``manifest_extra`` at its top level and, under ``window_sets``, one entry
-    per set with the keys ``count``, ``window_length``, ``columns`` and
-    ``has_labels``.  Besides this module, ``bench/stages.py`` and
-    ``bench/checks.py`` read the manifest: the per-set ``count`` and the
-    top-level ``sequence_length`` and ``columns``.  Returns the manifest path.
+    Arrays land in one ``windows.npz`` as ``<set>_windows`` and, when the set
+    has labels, ``<set>_labels``; :func:`load_window_bundle` returns them
+    under the same names.  ``manifest.json`` holds ``manifest_extra`` at its
+    top level and, under ``window_sets``, one entry per set with the keys
+    ``count``, ``window_length``, ``columns`` and ``has_labels``.  Besides
+    this module, ``bench/stages.py`` and ``bench/checks.py`` read the
+    manifest: the per-set ``count`` and the top-level ``sequence_length`` and
+    ``columns``.  Returns the manifest path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     manifest: dict = {"window_sets": {}}
-    for name, ws in window_sets.items():
-        arrays[f"{name}_windows"] = ws.windows
-        if ws.labels is not None:
-            arrays[f"{name}_labels"] = ws.labels
-        count, length, columns = ws.windows.shape
+    for name, (windows, labels) in window_sets.items():
+        arrays[f"{name}_windows"] = windows
+        if labels is not None:
+            arrays[f"{name}_labels"] = labels
+        count, length, columns = windows.shape
         manifest["window_sets"][name] = {
             "count": count,
             "window_length": length,
             "columns": columns,
-            "has_labels": ws.labels is not None,
+            "has_labels": labels is not None,
         }
     if manifest_extra:
         manifest.update(manifest_extra)
@@ -347,20 +230,16 @@ def save_window_bundle(
     return manifest_path
 
 
-def load_window_bundle(directory: str | Path) -> tuple[dict[str, WindowSet], dict]:
-    """Inverse of :func:`save_window_bundle`.
+def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of :func:`save_window_bundle`: ``(arrays, manifest)``.
 
-    Arrays and per-set keys the current writer no longer produces, such as the
-    ``<name>_offsets`` arrays and the ``raw_window_length``/``shift`` keys of
-    older bundles, are ignored.
+    ``arrays`` maps the names ``windows.npz`` stores, ``<set>_windows`` and,
+    for a set with labels, ``<set>_labels``, to their arrays.  The
+    ``<set>_offsets`` arrays and the per-set ``raw_window_length``/``shift``
+    manifest keys of older bundles are ignored.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    data = np.load(directory / "windows.npz")
-    out = {}
-    for name, meta in manifest["window_sets"].items():
-        out[name] = WindowSet(
-            windows=data[f"{name}_windows"],
-            labels=data[f"{name}_labels"] if meta["has_labels"] else None,
-        )
-    return out, manifest
+    with np.load(directory / "windows.npz") as data:
+        arrays = {k: data[k] for k in data.files if k.endswith(("_windows", "_labels"))}
+    return arrays, manifest

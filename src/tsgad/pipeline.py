@@ -72,99 +72,68 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
     if not cfg["synth"]["enabled"]:
         raise ConfigError("synth.enabled is false; nothing to generate")
     train_csv, test_csv = _csv_paths(cfg)
-    save_scenario_csv(generate_scenario(scenario_spec(cfg, "train")), train_csv)
-    save_scenario_csv(generate_scenario(scenario_spec(cfg, "test")), test_csv)
+    save_scenario_csv(*generate_scenario(scenario_spec(cfg, "train")), train_csv)
+    save_scenario_csv(*generate_scenario(scenario_spec(cfg, "test")), test_csv)
     return train_csv, test_csv
-
-
-def _load_series(cfg: dict, path: str | Path) -> ingest.RawSeries:
-    ing = cfg["ingest"]
-    schema = ingest.CsvSchema(
-        timestamp_column=ing["timestamp_column"],
-        label_column=ing["label_column"],
-        label_mapping=ing["label_mapping"],
-        timestamp_format=ing["timestamp_format"],
-    )
-    return ingest.load_csv(path, schema)
-
-
-def _project_series(series: ingest.RawSeries, model: pca.PcaModel) -> ingest.RawSeries:
-    return ingest.RawSeries(
-        timestamps=series.timestamps,
-        values=pca.project(model, series.values),
-        column_names=[f"pc_{i}" for i in range(model.n_components)],
-        labels=series.labels,
-    )
-
-
-def _window_down(series: ingest.RawSeries, length: int, shift: int, factor: int):
-    return ingest.downsample_median(ingest.window(series, length, shift), factor)
 
 
 def run_ingest(cfg: dict) -> Path:
     """CSV -> normalized, PCA-projected, windowed dataset bundle."""
     ing = cfg["ingest"]
     train_csv, test_csv = _csv_paths(cfg)
-    train_full = _load_series(cfg, train_csv)
-    if ing["trim_rows"]:
-        train_full = ingest.trim_startup(train_full, ing["trim_rows"])
+    schema = [ing[k] for k in ("timestamp_column", "label_column", "label_mapping",
+                               "timestamp_format")]
+    values, labels, columns = ingest.load_csv(train_csv, *schema)
+    trim = ing["trim_rows"]
+    if trim >= len(values):
+        raise ConfigError(
+            f"ingest.trim_rows {trim} leaves none of the {len(values)} rows of {train_csv}"
+        )
+    values = values[trim:]
 
-    holdout_rows = int(round(train_full.n_rows * ing["holdout_fraction"]))
+    holdout_rows = int(round(len(values) * ing["holdout_fraction"]))
     window_len = ing["window_length"]
     if 0 < holdout_rows < window_len:
         raise ConfigError(
             f"ingest.holdout_fraction {ing['holdout_fraction']} holds out {holdout_rows} "
             f"rows, fewer than one window of ingest.window_length {window_len}"
         )
-    split = train_full.n_rows - holdout_rows
+    split = len(values) - holdout_rows
     if split < window_len:
         raise ConfigError(
             "training split too short for the configured window length"
         )
-    train_part = ingest.RawSeries(
-        train_full.timestamps[:split],
-        train_full.values[:split],
-        list(train_full.column_names),
-        None if train_full.labels is None else train_full.labels[:split],
-    )
-    holdout_part = None
-    if holdout_rows:
-        holdout_part = ingest.RawSeries(
-            train_full.timestamps[split:],
-            train_full.values[split:],
-            list(train_full.column_names),
-            None,
-        )
-
-    stats = ingest.fit_normalizer(train_part)
-    train_norm = ingest.apply_normalizer(train_part, stats)
+    col_min, col_max = values[:split].min(axis=0), values[:split].max(axis=0)
+    train_norm = ingest.normalize(values[:split], col_min, col_max)
     n_components = cfg["pca"]["n_components"]
-    if n_components > train_norm.n_columns:
+    if n_components > len(columns):
         raise ConfigError(
             f"pca.n_components ({n_components}) exceeds the "
-            f"{train_norm.n_columns} data columns"
+            f"{len(columns)} data columns"
         )
-    model = pca.fit_pca(train_norm.values, n_components)
+    model = pca.fit_pca(train_norm, n_components)
 
     factor = ing["downsample_factor"]
-    sets: dict[str, ingest.WindowSet] = {
-        "train": _window_down(
-            _project_series(train_norm, model), window_len, ing["train_shift"], factor
-        ),
-        "train_raw": _window_down(train_norm, window_len, window_len, factor),
+
+    def cut(rows: np.ndarray, labels: np.ndarray | None, shift: int):
+        return ingest.downsample_median(
+            *ingest.window(rows, labels, window_len, shift), factor
+        )
+
+    train_labels = None if labels is None else labels[trim : trim + split]
+    sets = {
+        "train": cut(pca.project(model, train_norm), train_labels, ing["train_shift"]),
+        "train_raw": cut(train_norm, train_labels, window_len),
     }
-    if holdout_part is not None:
-        holdout_norm = ingest.apply_normalizer(holdout_part, stats)
-        sets["holdout"] = _window_down(
-            _project_series(holdout_norm, model), window_len, ing["test_shift"], factor
-        )
-        sets["holdout_raw"] = _window_down(holdout_norm, window_len, ing["test_shift"], factor)
+    if holdout_rows:
+        holdout_norm = ingest.normalize(values[split:], col_min, col_max)
+        sets["holdout"] = cut(pca.project(model, holdout_norm), None, ing["test_shift"])
+        sets["holdout_raw"] = cut(holdout_norm, None, ing["test_shift"])
     if test_csv:
-        test_series = ingest.apply_normalizer(_load_series(cfg, test_csv), stats)
-        sets["test"] = _window_down(
-            _project_series(test_series, model), window_len, ing["test_shift"], factor
-        )
-        sets["test_raw"] = _window_down(test_series, window_len, ing["test_shift"], factor)
+        test_values, test_labels, _ = ingest.load_csv(test_csv, *schema)
+        test_norm = ingest.normalize(test_values, col_min, col_max)
+        sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
+        sets["test_raw"] = cut(test_norm, test_labels, ing["test_shift"])
 
     bundle = _bundle_dir(cfg)
     ingest.save_window_bundle(
@@ -178,8 +147,8 @@ def run_ingest(cfg: dict) -> Path:
             "test_shift": ing["test_shift"],
             "downsample_factor": factor,
             "downsample_order": "window-then-downsample",
-            "columns": list(train_part.column_names),
-            "normalization": stats.to_dict(),
+            "columns": columns,
+            "normalization": {"col_min": col_min.tolist(), "col_max": col_max.tolist()},
         },
     )
     model.save(bundle / "pca.json")
@@ -188,11 +157,10 @@ def run_ingest(cfg: dict) -> Path:
 
 def run_train(cfg: dict) -> Path:
     """Train the adversarial pair on the bundled training windows."""
-    sets, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
-    train_windows = sets["train"]
-    tc = training_config(cfg, sequence_length=train_windows.window_length)
+    train_windows = ingest.load_window_bundle(_bundle_dir(cfg))[0]["train_windows"]
+    tc = training_config(cfg, sequence_length=train_windows.shape[1])
     checkpoint = _checkpoint_path(cfg)
-    model = gan.train(tc, train_windows.windows, checkpoint_dir=checkpoint.parent)
+    model = gan.train(tc, train_windows, checkpoint_dir=checkpoint.parent)
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
@@ -243,8 +211,7 @@ def run_generate(cfg: dict) -> Path:
 
     bundle = _bundle_dir(cfg)
     if (bundle / "manifest.json").exists():
-        sets, _ = ingest.load_window_bundle(bundle)
-        real = sets["train"].windows
+        real = ingest.load_window_bundle(bundle)[0]["train_windows"]
         series = {}
         for i in range(min(3, count)):
             series[f"generated_{i}"] = samples[i, :, 0]
@@ -274,8 +241,8 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, inv_cfg):
 
 def run_detect(cfg: dict) -> Path:
     """Invert, score and flag the bundled test windows."""
-    sets, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
-    if "test" not in sets:
+    arrays, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
+    if "test_windows" not in arrays:
         raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     model = gan.load_checkpoint(_checkpoint_path(cfg))
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
@@ -284,12 +251,12 @@ def run_detect(cfg: dict) -> Path:
 
     tau = cfg["scoring"]["tau"]
     res_min = res_max = None
-    holdout_windows = int(sets["holdout"].n_windows) if "holdout" in sets else 0
+    holdout_windows = len(arrays["holdout_windows"]) if "holdout_windows" in arrays else 0
     if 0 < holdout_windows < MIN_HOLDOUT_WINDOWS:
         warnings.warn(f"only {holdout_windows} holdout windows set the residual scale and tau")
-    if "holdout" in sets:
+    if holdout_windows:
         hold_cfg = replace(inv_cfg, seed=inv_cfg.seed + 1_000_000)
-        _, _, hold_res, hold_disc = _score_windows(model, sets["holdout"].windows, hold_cfg)
+        _, _, hold_res, hold_disc = _score_windows(model, arrays["holdout_windows"], hold_cfg)
         res_min, res_max = float(hold_res.min()), float(hold_res.max())
         _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
         if tau is None:
@@ -299,11 +266,11 @@ def run_detect(cfg: dict) -> Path:
             "scoring.tau is unset and the bundle has no holdout windows to calibrate on"
         )
 
-    results, comp_res, test_res, test_disc = _score_windows(model, sets["test"].windows, inv_cfg)
+    results, comp_res, test_res, test_disc = _score_windows(model, arrays["test_windows"], inv_cfg)
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     flags = scoring.flag_anomalies(combined, tau)
 
-    truth = sets["test"].labels.reshape(-1) if sets["test"].labels is not None else None
+    truth = arrays["test_labels"].reshape(-1) if "test_labels" in arrays else None
     out = _out_dir(cfg)
     rows = []
     for t in range(len(flags)):
@@ -344,7 +311,7 @@ def run_detect(cfg: dict) -> Path:
                 "lambda": lam,
                 "residual_min": res_min,
                 "residual_max": res_max,
-                "test_windows": int(sets["test"].n_windows),
+                "test_windows": len(arrays["test_windows"]),
                 "timesteps": int(len(flags)),
             },
             indent=2,
@@ -376,7 +343,7 @@ def _read_scores_csv(path: Path):
 def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines."""
     bundle = _bundle_dir(cfg)
-    sets, manifest = ingest.load_window_bundle(bundle)
+    arrays, manifest = ingest.load_window_bundle(bundle)
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
     if not scores_path.exists():
@@ -384,16 +351,22 @@ def run_evaluate(cfg: dict) -> Path:
     flags, truth = _read_scores_csv(scores_path)
     if truth is None:
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
+    enabled = [f"baselines.{name}" for name in ("cusum", "spe") if cfg["baselines"][name]]
+    if enabled and "holdout_raw_windows" not in arrays:
+        raise ConfigError(
+            f"{' and '.join(enabled)}: the bundle has no holdout windows to set a threshold "
+            "on; set ingest.holdout_fraction above 0 and re-ingest, or turn the baseline off"
+        )
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
     report["methods"]["gan_ad"] = scoring.metrics(flags, truth)
 
     fpr = cfg["scoring"]["target_fpr"]
     columns = manifest["columns"]
-    if cfg["baselines"]["cusum"] and "holdout_raw" in sets:
-        train_rows = _flatten_windows(sets["train_raw"].windows)
-        holdout_rows = _flatten_windows(sets["holdout_raw"].windows)
-        test_rows = _flatten_windows(sets["test_raw"].windows)
+    if cfg["baselines"]["cusum"]:
+        train_rows = _flatten_windows(arrays["train_raw_windows"])
+        holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
+        test_rows = _flatten_windows(arrays["test_raw_windows"])
         per_variable = {}
         best_name, best = None, None
         for j, name in enumerate(columns):
@@ -417,10 +390,10 @@ def run_evaluate(cfg: dict) -> Path:
             "best": best,
         }
 
-    if cfg["baselines"]["spe"] and "holdout_raw" in sets:
+    if cfg["baselines"]["spe"]:
         pca_model = pca.PcaModel.load(bundle / "pca.json")
-        holdout_rows = _flatten_windows(sets["holdout_raw"].windows)
-        test_rows = _flatten_windows(sets["test_raw"].windows)
+        holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
+        test_rows = _flatten_windows(arrays["test_raw_windows"])
         threshold = scoring.threshold_for_fpr(pca.spe(pca_model, holdout_rows), fpr)
         spe_report = scoring.metrics(bl.spe_detect(pca_model, test_rows, threshold), truth)
         report["methods"]["spe"] = {**spe_report, "threshold": threshold}

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import RawSeries
-
 ATTACK_KINDS = ("mean_shift", "stuck_value", "spike")
 
 
@@ -140,8 +138,12 @@ def _apply_attacks(matrix: np.ndarray, clean: np.ndarray, attacks, targets) -> N
             matrix[sl, j] = clean[attack.start, j]
 
 
-def generate_scenario(spec: ScenarioSpec) -> RawSeries:
-    """Deterministically synthesize the scenario described by ``spec``."""
+def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Deterministically synthesize the scenario described by ``spec``.
+
+    Returns ``(values, labels, column_names)``: the (duration, variables)
+    readings, the int64 0/1 attack flag of each row and one name per variable.
+    """
     t = np.arange(spec.duration, dtype=np.float64)
     base_fns = []
     for var in spec.variables:
@@ -185,12 +187,7 @@ def generate_scenario(spec: ScenarioSpec) -> RawSeries:
             observed[sl, attack.target] = observed[attack.start, attack.target]
 
     labels = attack_mask(spec).any(axis=1).astype(np.int64)
-    return RawSeries(
-        timestamps=t,
-        values=observed,
-        column_names=[_column_name(j, v) for j, v in enumerate(spec.variables)],
-        labels=labels,
-    )
+    return observed, labels, [_column_name(j, v) for j, v in enumerate(spec.variables)]
 
 
 def attack_mask(spec: ScenarioSpec) -> np.ndarray:
@@ -215,16 +212,19 @@ def attack_mask(spec: ScenarioSpec) -> np.ndarray:
     return mask
 
 
-def save_scenario_csv(series: RawSeries, path: str | Path) -> None:
-    """Write the scenario in the CSV schema the ingest loader consumes."""
+def save_scenario_csv(
+    values: np.ndarray, labels: np.ndarray, column_names: list[str], path: str | Path
+) -> None:
+    """Write a scenario in the CSV schema the ingest loader consumes.
+
+    The ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
+    ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = ["timestamp"] + list(series.column_names) + ["label"]
-    lines = [",".join(header)]
-    labels = series.labels if series.labels is not None else np.zeros(series.n_rows, dtype=int)
-    for i in range(series.n_rows):
-        cells = [repr(float(series.timestamps[i]))]
-        cells += [repr(float(v)) for v in series.values[i]]
-        cells.append("Attack" if labels[i] else "Normal")
+    lines = [",".join(["timestamp", *column_names, "label"])]
+    for i, (row, label) in enumerate(zip(values, labels)):
+        cells = [repr(float(i))] + [repr(float(v)) for v in row]
+        cells.append("Attack" if label else "Normal")
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")

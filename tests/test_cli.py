@@ -185,3 +185,56 @@ def test_holdout_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):
     assert "ingest.holdout_fraction 0.05 holds out 15 rows" in err
     assert "ingest.window_length 20" in err
     assert not (tmp_path / "bundle").exists()
+
+
+def test_integer_label_mapping_keys_match_0_1_label_cells(all_out, tmp_path):
+    # YAML reads the keys of {0: 0, 1: 1} as integers, CSV label cells are strings
+    config = tmp_path / "numeric_labels.yaml"
+    config.write_text(TINY_CONFIG.replace(
+        "ingest:\n", "ingest:\n  label_mapping: {0: 0, 1: 1}\n"))
+    assert _run(config, tmp_path, "synth") == 0
+    for name in ("train.csv", "test.csv"):
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(",Normal\n", ",0\n").replace(",Attack\n", ",1\n"))
+    assert _run(config, tmp_path, "ingest") == 0
+    assert (tmp_path / "bundle" / "windows.npz").read_bytes() == (
+        all_out / "bundle" / "windows.npz").read_bytes()
+
+
+def test_baselines_without_holdout_windows_exit_1_until_turned_off(tmp_path, capsys):
+    config = tmp_path / "no_holdout.yaml"
+    no_holdout = TINY_CONFIG.replace("holdout_fraction: 0.3", "holdout_fraction: 0.0")
+    config.write_text(no_holdout + "scoring:\n  tau: 1.0\n")
+    assert _run(config, tmp_path, "all") == 1
+    err = capsys.readouterr().err
+    assert "baselines.cusum and baselines.spe: the bundle has no holdout windows" in err
+    assert "set ingest.holdout_fraction above 0" in err
+    assert not (tmp_path / "metrics.json").exists()
+    config.write_text(
+        no_holdout + "scoring:\n  tau: 1.0\nbaselines:\n  cusum: false\n  spe: false\n")
+    assert _run(config, tmp_path, "evaluate") == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert set(metrics["methods"]) == {"gan_ad"}
+
+
+def _train_windows(out):
+    return json.loads((out / "bundle" / "manifest.json").read_text())[
+        "window_sets"]["train"]["count"]
+
+
+def test_trim_rows_drops_leading_training_rows(all_out, tmp_path):
+    # 200 of 300 rows are left: 60 held out, 140 train 13 windows (20 untrimmed)
+    config = tmp_path / "trim.yaml"
+    config.write_text(TINY_CONFIG.replace("ingest:\n", "ingest:\n  trim_rows: 100\n"))
+    assert _run(config, tmp_path, "synth") == 0
+    assert _run(config, tmp_path, "ingest") == 0
+    assert (_train_windows(tmp_path), _train_windows(all_out)) == (13, 20)
+
+
+def test_trim_rows_of_every_row_exits_1(tmp_path, capsys):
+    config = tmp_path / "trim_all.yaml"
+    config.write_text(TINY_CONFIG.replace("ingest:\n", "ingest:\n  trim_rows: 300\n"))
+    assert _run(config, tmp_path, "synth") == 0
+    assert _run(config, tmp_path, "ingest") == 1
+    assert "ingest.trim_rows 300 leaves none of the 300 rows" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tsgad.ingest import CsvSchema, load_csv
+from tsgad.ingest import load_csv
 from tsgad.synthetic import (
     AttackSpec,
     CoupledSensor,
@@ -33,38 +33,40 @@ def basic_spec(**overrides):
 
 class TestGenerateScenario:
     def test_no_attacks_all_labels_zero(self):
-        series = generate_scenario(basic_spec())
-        assert series.labels.sum() == 0
-        assert series.values.shape == (200, 3)
+        values, labels, names = generate_scenario(basic_spec())
+        assert labels.sum() == 0
+        assert labels.dtype == np.int64
+        assert values.shape == (200, 3)
+        assert names == ["v0_sine", "v1_act", "v2_coupled"]
 
     def test_stuck_value_zeroes_variance(self):
         spec = basic_spec(
             noise_sigma=0.05,
             attacks=[AttackSpec("stuck_value", target=0, start=50, duration=40)],
         )
-        series = generate_scenario(spec)
-        stuck = series.values[50:90, 0]
+        values, _, _ = generate_scenario(spec)
+        stuck = values[50:90, 0]
         assert stuck.var() == 0.0
-        assert series.values[90:140, 0].var() > 0.0
+        assert values[90:140, 0].var() > 0.0
 
     def test_coupled_column_matches_closed_form(self):
         spec = basic_spec()
-        series = generate_scenario(spec)
+        values, _, _ = generate_scenario(spec)
         t = np.arange(200.0)
         expected = 2.0 * np.sin(2 * np.pi * (t - 3) / 40.0)
-        npt.assert_allclose(series.values[:, 2], expected, atol=1e-12)
+        npt.assert_allclose(values[:, 2], expected, atol=1e-12)
 
     def test_square_wave_duty_cycle(self):
-        series = generate_scenario(basic_spec(duration=500))
-        act = series.values[:, 1]
+        values, _, _ = generate_scenario(basic_spec(duration=500))
+        act = values[:, 1]
         assert set(np.unique(act)) == {0.0, 1.0}
         assert act.mean() == pytest.approx(0.4, abs=0.02)
 
     def test_same_seed_bitwise_identical(self):
         spec = basic_spec(noise_sigma=0.1)
-        a = generate_scenario(spec)
-        b = generate_scenario(spec)
-        npt.assert_array_equal(a.values, b.values)
+        a, _, _ = generate_scenario(spec)
+        b, _, _ = generate_scenario(spec)
+        npt.assert_array_equal(a, b)
 
     def test_label_coverage_equals_attack_union(self):
         attacks = [
@@ -72,38 +74,36 @@ class TestGenerateScenario:
             AttackSpec("spike", target=1, start=25, duration=10, magnitude=2.0),
             AttackSpec("stuck_value", target=2, start=100, duration=5),
         ]
-        series = generate_scenario(basic_spec(attacks=attacks))
+        _, labels, _ = generate_scenario(basic_spec(attacks=attacks))
         expected = np.zeros(200, dtype=int)
         expected[20:35] = 1
         expected[100:105] = 1
-        npt.assert_array_equal(series.labels, expected)
+        npt.assert_array_equal(labels, expected)
 
     def test_mean_shift_moves_interval(self):
         spec = basic_spec(
             attacks=[AttackSpec("mean_shift", target=0, start=40, duration=80, magnitude=5.0)]
         )
-        series = generate_scenario(spec)
-        clean = generate_scenario(basic_spec())
-        npt.assert_allclose(series.values[40:120, 0] - clean.values[40:120, 0], 5.0)
-        npt.assert_allclose(series.values[:40, 0], clean.values[:40, 0])
+        shifted, _, _ = generate_scenario(spec)
+        clean, _, _ = generate_scenario(basic_spec())
+        npt.assert_allclose(shifted[40:120, 0] - clean[40:120, 0], 5.0)
+        npt.assert_allclose(shifted[:40, 0], clean[:40, 0])
 
     def test_spike_alternates_sign(self):
         spec = basic_spec(
             attacks=[AttackSpec("spike", target=0, start=10, duration=4, magnitude=3.0)]
         )
-        diff = generate_scenario(spec).values[10:14, 0] - generate_scenario(basic_spec()).values[10:14, 0]
+        diff = generate_scenario(spec)[0][10:14, 0] - generate_scenario(basic_spec())[0][10:14, 0]
         npt.assert_allclose(diff, [3.0, -3.0, 3.0, -3.0])
 
     def test_propagation_carries_attack_to_coupled_channel(self):
         attack = AttackSpec("mean_shift", target=0, start=50, duration=100, magnitude=4.0)
-        isolated = generate_scenario(basic_spec(attacks=[attack]))
-        propagated = generate_scenario(
+        isolated, _, _ = generate_scenario(basic_spec(attacks=[attack]))
+        propagated, _, _ = generate_scenario(
             basic_spec(attacks=[attack], propagate_to_coupled=True)
         )
         # coupled channel (gain 2, delay 3) sees the shift only when enabled
-        npt.assert_allclose(
-            propagated.values[53:150, 2] - isolated.values[53:150, 2], 8.0
-        )
+        npt.assert_allclose(propagated[53:150, 2] - isolated[53:150, 2], 8.0)
 
     def test_coupled_labels_follow_delay_when_enabled(self):
         attack = AttackSpec("mean_shift", target=0, start=50, duration=20, magnitude=4.0)
@@ -143,10 +143,16 @@ def test_csv_roundtrip_through_ingest(tmp_path):
         noise_sigma=0.1,
         attacks=[AttackSpec("mean_shift", target=0, start=20, duration=30, magnitude=2.0)],
     )
-    series = generate_scenario(spec)
+    values, labels, names = generate_scenario(spec)
     path = tmp_path / "scenario.csv"
-    save_scenario_csv(series, path)
-    loaded = load_csv(path, CsvSchema(timestamp_column="timestamp", label_column="label"))
-    npt.assert_allclose(loaded.values, series.values, atol=0)
-    npt.assert_array_equal(loaded.labels, series.labels)
-    assert loaded.column_names == series.column_names
+    save_scenario_csv(values, labels, names, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "timestamp,v0_sine,v1_act,v2_coupled,label"
+    # the timestamp is the row index
+    assert [line.split(",")[0] for line in lines[1:4]] == ["0.0", "1.0", "2.0"]
+    loaded, loaded_labels, loaded_names = load_csv(
+        path, "timestamp", "label", {"Normal": 0, "Attack": 1}
+    )
+    npt.assert_array_equal(loaded, values)
+    npt.assert_array_equal(loaded_labels, labels)
+    assert loaded_names == names
