@@ -1,4 +1,5 @@
-"""Reference detectors: tabular CUSUM and PCA/SPE thresholding."""
+"""Reference detectors: two-sided tabular CUSUM (slack 0.5 sigma) and PCA/SPE
+thresholding."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from .pca import PcaModel, spe
 
 @dataclass
 class CusumConfig:
-    """Tabular CUSUM settings: target mean, slack per step and decision limit."""
+    """Two-sided tabular CUSUM settings: target mean, slack per step and
+    decision limit."""
 
     target_mean: float
     slack: float
     threshold: float
-    two_sided: bool = True
 
     def __post_init__(self):
         if self.slack < 0:
@@ -25,24 +26,14 @@ class CusumConfig:
             raise ValueError("threshold must be > 0")
 
 
-def fit_cusum_config(
-    training_values: np.ndarray,
-    k_sigmas: float = 0.5,
-    h_sigmas: float = 5.0,
-    two_sided: bool = True,
-) -> CusumConfig:
+def fit_cusum_config(training_values: np.ndarray) -> CusumConfig:
     """Classic tabular settings: slack 0.5 sigma, limit 5 sigma, estimated on
     the normal training slice."""
     x = np.asarray(training_values, dtype=np.float64)
     sigma = float(x.std())
     if sigma == 0.0:
         sigma = 1.0  # degenerate constant channel; keeps the chart well-defined
-    return CusumConfig(
-        target_mean=float(x.mean()),
-        slack=k_sigmas * sigma,
-        threshold=h_sigmas * sigma,
-        two_sided=two_sided,
-    )
+    return CusumConfig(target_mean=float(x.mean()), slack=0.5 * sigma, threshold=5.0 * sigma)
 
 
 def _cusum_scan(series: np.ndarray, config: CusumConfig, reset: bool) -> np.ndarray:
@@ -53,14 +44,13 @@ def _cusum_scan(series: np.ndarray, config: CusumConfig, reset: bool) -> np.ndar
         raise ValueError("series must be univariate")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    mean, slack, two_sided = config.target_mean, config.slack, config.two_sided
+    mean, slack = config.target_mean, config.slack
     stat = []
     s_hi = 0.0
     s_lo = 0.0
     for value in x.tolist():  # Python floats: same IEEE arithmetic, faster loop
         s_hi = max(0.0, s_hi + (value - mean - slack))
-        if two_sided:
-            s_lo = max(0.0, s_lo + (mean - value - slack))
+        s_lo = max(0.0, s_lo + (mean - value - slack))
         peak = max(s_hi, s_lo)
         stat.append(peak)
         if reset and peak > config.threshold:

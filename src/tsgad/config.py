@@ -147,8 +147,6 @@ SCHEMA: dict = {
     "baselines": {
         "cusum": Field(bool, True),
         "spe": Field(bool, True),
-        "cusum_k_sigmas": Field(float, 0.5, _non_negative, "non-negative number"),
-        "cusum_two_sided": Field(bool, True),
     },
     "generate": {
         "count": Field(int, 8, _positive, "positive integer"),
@@ -157,9 +155,7 @@ SCHEMA: dict = {
         "enabled": Field(bool, False),
         "train_duration": Field(int, 4000, _positive, "positive integer"),
         "test_duration": Field(int, 2000, _positive, "positive integer"),
-        "noise_sigma": Field((float, list), 0.1),
-        "label_coupled": Field(bool, False),
-        "propagate_to_coupled": Field(bool, False),
+        "noise_sigma": Field(float, 0.1),
         "variables": Field(list, []),
         "attacks": Field(list, []),
     },
@@ -314,8 +310,6 @@ def scenario_spec(cfg: dict, which: str) -> ScenarioSpec:
             noise_sigma=s["noise_sigma"],
             attacks=attacks,
             seed=seed,
-            label_coupled=s["label_coupled"],
-            propagate_to_coupled=s["propagate_to_coupled"],
         )
     except ValueError as exc:
         raise ConfigError(f"synth: {exc}") from None

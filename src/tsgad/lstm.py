@@ -362,14 +362,17 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
     )
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam with bias-corrected moments."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: list[np.ndarray] | None = None
     second_moment: list[np.ndarray] | None = None
@@ -393,7 +396,7 @@ def optimizer_step(
         state.first_moment = [np.zeros_like(p) for p in params]
         state.second_moment = [np.zeros_like(p) for p in params]
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.step
     bias2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -401,7 +404,7 @@ def optimizer_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:

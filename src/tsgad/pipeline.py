@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,17 @@ def _csv_paths(cfg: dict) -> tuple[Path, Path | None]:
     return Path(train), Path(test) if test else None
 
 
+def _check_baselines_have_holdout(cfg: dict, has_holdout: bool) -> None:
+    """The baselines set their thresholds on holdout windows; refuse a run
+    that enables one without them."""
+    enabled = [f"baselines.{name}" for name in ("cusum", "spe") if cfg["baselines"][name]]
+    if enabled and not has_holdout:
+        raise ConfigError(
+            f"{' and '.join(enabled)}: no holdout windows to set a threshold on; "
+            "set ingest.holdout_fraction above 0 and re-ingest, or turn the baseline off"
+        )
+
+
 def run_synth(cfg: dict) -> tuple[Path, Path]:
     """Generate the normal training stream and the attacked test stream."""
     if not cfg["synth"]["enabled"]:
@@ -83,7 +95,7 @@ def run_ingest(cfg: dict) -> Path:
     train_csv, test_csv = _csv_paths(cfg)
     schema = [ing[k] for k in ("timestamp_column", "label_column", "label_mapping",
                                "timestamp_format")]
-    values, labels, columns = ingest.load_csv(train_csv, *schema)
+    values, _, columns = ingest.load_csv(train_csv, *schema)
     trim = ing["trim_rows"]
     if trim >= len(values):
         raise ConfigError(
@@ -98,6 +110,7 @@ def run_ingest(cfg: dict) -> Path:
             f"ingest.holdout_fraction {ing['holdout_fraction']} holds out {holdout_rows} "
             f"rows, fewer than one window of ingest.window_length {window_len}"
         )
+    _check_baselines_have_holdout(cfg, holdout_rows > 0)
     split = len(values) - holdout_rows
     if split < window_len:
         raise ConfigError(
@@ -120,17 +133,23 @@ def run_ingest(cfg: dict) -> Path:
             *ingest.window(rows, labels, window_len, shift), factor
         )
 
-    train_labels = None if labels is None else labels[trim : trim + split]
+    # no stage reads training labels; only the test set's are stored
     sets = {
-        "train": cut(pca.project(model, train_norm), train_labels, ing["train_shift"]),
-        "train_raw": cut(train_norm, train_labels, window_len),
+        "train": cut(pca.project(model, train_norm), None, ing["train_shift"]),
+        "train_raw": cut(train_norm, None, window_len),
     }
     if holdout_rows:
         holdout_norm = ingest.normalize(values[split:], col_min, col_max)
         sets["holdout"] = cut(pca.project(model, holdout_norm), None, ing["test_shift"])
         sets["holdout_raw"] = cut(holdout_norm, None, ing["test_shift"])
     if test_csv:
-        test_values, test_labels, _ = ingest.load_csv(test_csv, *schema)
+        test_values, test_labels, test_columns = ingest.load_csv(test_csv, *schema)
+        if test_columns != columns:
+            pairs = zip_longest(test_columns, columns, fillvalue="<missing>")
+            got, want = next((t, c) for t, c in pairs if t != c)
+            raise ConfigError(
+                f"paths.test_csv {test_csv}: column {got!r} where the training CSV has {want!r}"
+            )
         test_norm = ingest.normalize(test_values, col_min, col_max)
         sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
         sets["test_raw"] = cut(test_norm, test_labels, ing["test_shift"])
@@ -351,12 +370,8 @@ def run_evaluate(cfg: dict) -> Path:
     flags, truth = _read_scores_csv(scores_path)
     if truth is None:
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
-    enabled = [f"baselines.{name}" for name in ("cusum", "spe") if cfg["baselines"][name]]
-    if enabled and "holdout_raw_windows" not in arrays:
-        raise ConfigError(
-            f"{' and '.join(enabled)}: the bundle has no holdout windows to set a threshold "
-            "on; set ingest.holdout_fraction above 0 and re-ingest, or turn the baseline off"
-        )
+    # the bundle may have been ingested with the baselines off
+    _check_baselines_have_holdout(cfg, "holdout_raw_windows" in arrays)
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
     report["methods"]["gan_ad"] = scoring.metrics(flags, truth)
@@ -370,11 +385,7 @@ def run_evaluate(cfg: dict) -> Path:
         per_variable = {}
         best_name, best = None, None
         for j, name in enumerate(columns):
-            base = bl.fit_cusum_config(
-                train_rows[:, j],
-                k_sigmas=cfg["baselines"]["cusum_k_sigmas"],
-                two_sided=cfg["baselines"]["cusum_two_sided"],
-            )
+            base = bl.fit_cusum_config(train_rows[:, j])
             stat = bl.cusum_statistic(holdout_rows[:, j], base)
             threshold = max(scoring.threshold_for_fpr(stat, fpr), 1e-9)
             calibrated = replace(base, threshold=threshold)

@@ -2,9 +2,7 @@
 
 Scenarios mix sinusoidal sensors, square-wave actuators and coupled sensors
 that mirror a source channel with gain and delay.  Attacks overwrite the
-observed readings of their target variable only; a configurable switch
-propagates them to coupled channels (with the coupling delay) instead, for
-indirect-attack experiments.
+observed readings of their target variable only.
 """
 
 from __future__ import annotations
@@ -70,11 +68,9 @@ class AttackSpec:
 class ScenarioSpec:
     duration: int
     variables: list
-    noise_sigma: float | list[float] = 0.0
+    noise_sigma: float = 0.0
     attacks: list[AttackSpec] = field(default_factory=list)
     seed: int = 0
-    label_coupled: bool = False
-    propagate_to_coupled: bool = False
 
     def __post_init__(self):
         if self.duration < 1:
@@ -93,15 +89,6 @@ class ScenarioSpec:
                 raise ValueError(
                     f"attack on variable {attack.target} runs past the scenario end"
                 )
-
-    @property
-    def noise_per_variable(self) -> np.ndarray:
-        if np.isscalar(self.noise_sigma):
-            return np.full(len(self.variables), float(self.noise_sigma))
-        sig = np.asarray(self.noise_sigma, dtype=np.float64)
-        if sig.shape != (len(self.variables),):
-            raise ValueError("noise_sigma list must match variable count")
-        return sig
 
 
 def _column_name(index: int, var) -> str:
@@ -122,10 +109,8 @@ def _base_value(var, t: np.ndarray, base_fns: list) -> np.ndarray:
     raise TypeError(f"unknown variable spec {type(var)!r}")
 
 
-def _apply_attacks(matrix: np.ndarray, clean: np.ndarray, attacks, targets) -> None:
+def _apply_attacks(matrix: np.ndarray, clean: np.ndarray, attacks) -> None:
     for attack in attacks:
-        if attack.target not in targets:
-            continue
         j = attack.target
         sl = slice(attack.start, attack.start + attack.duration)
         if attack.kind == "mean_shift":
@@ -142,7 +127,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
     """Deterministically synthesize the scenario described by ``spec``.
 
     Returns ``(values, labels, column_names)``: the (duration, variables)
-    readings, the int64 0/1 attack flag of each row and one name per variable.
+    readings, the int64 0/1 label of each row (1 inside any attack interval)
+    and one name per variable.
     """
     t = np.arange(spec.duration, dtype=np.float64)
     base_fns = []
@@ -154,62 +140,20 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
     clean = np.column_stack([base_fns[j](t) for j in range(n_vars)])
 
     signal = clean.copy()
-    direct_targets = set(range(n_vars))
-    if spec.propagate_to_coupled:
-        # attack the sources first, then rebuild coupled channels from the
-        # attacked source signal before applying their own direct attacks
-        non_coupled = {
-            j for j, v in enumerate(spec.variables) if not isinstance(v, CoupledSensor)
-        }
-        _apply_attacks(signal, clean, spec.attacks, non_coupled)
-        for j, var in enumerate(spec.variables):
-            if isinstance(var, CoupledSensor):
-                shifted = np.empty(spec.duration)
-                d = var.delay
-                if d > 0:
-                    shifted[:d] = base_fns[var.source](t[:d] - d)
-                    shifted[d:] = signal[: spec.duration - d, var.source]
-                else:
-                    shifted[:] = signal[:, var.source]
-                signal[:, j] = var.gain * shifted + var.offset
-        _apply_attacks(signal, clean, spec.attacks, direct_targets - non_coupled)
-    else:
-        _apply_attacks(signal, clean, spec.attacks, direct_targets)
+    _apply_attacks(signal, clean, spec.attacks)
 
     rng = np.random.default_rng(spec.seed)
-    noise = rng.standard_normal((spec.duration, n_vars)) * spec.noise_per_variable
-    observed = signal + noise
+    observed = signal + rng.standard_normal((spec.duration, n_vars)) * spec.noise_sigma
 
-    # a stuck sensor reports one frozen value, noise included
+    labels = np.zeros(spec.duration, dtype=np.int64)
     for attack in spec.attacks:
+        sl = slice(attack.start, attack.start + attack.duration)
+        # a stuck sensor reports one frozen value, noise included
         if attack.kind == "stuck_value":
-            sl = slice(attack.start, attack.start + attack.duration)
             observed[sl, attack.target] = observed[attack.start, attack.target]
+        labels[sl] = 1
 
-    labels = attack_mask(spec).any(axis=1).astype(np.int64)
     return observed, labels, [_column_name(j, v) for j, v in enumerate(spec.variables)]
-
-
-def attack_mask(spec: ScenarioSpec) -> np.ndarray:
-    """(duration, variables) boolean ground truth of attacked cells.
-
-    Directly attacked intervals are always marked; coupled channels are marked
-    after their delay only when ``label_coupled`` is enabled.
-    """
-    mask = np.zeros((spec.duration, len(spec.variables)), dtype=bool)
-    for attack in spec.attacks:
-        mask[attack.start : attack.start + attack.duration, attack.target] = True
-    if spec.label_coupled:
-        for j, var in enumerate(spec.variables):
-            if not isinstance(var, CoupledSensor):
-                continue
-            for attack in spec.attacks:
-                if attack.target != var.source:
-                    continue
-                start = min(attack.start + var.delay, spec.duration)
-                end = min(attack.start + var.delay + attack.duration, spec.duration)
-                mask[start:end, j] = True
-    return mask
 
 
 def save_scenario_csv(

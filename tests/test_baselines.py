@@ -21,26 +21,25 @@ class TestCusum:
         npt.assert_array_equal(cusum_detect(np.full(50, 3.0), cfg), np.zeros(50))
 
     def test_hand_iterated_recurrence_with_reset(self):
-        # mu0=0, k=0.5, h=2, eight ones: S+ walks 0.5,1.0,1.5,2.0,2.5 -> the
-        # strict > rule first fires at the fifth step, then the reset restarts
-        # the climb at 0.5
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0, two_sided=False)
+        # mu0=0, k=0.5, h=2, eight ones.  S- = max(0, S- + (0 - 1 - 0.5)) stays
+        # at 0, so max(S+, S-) is S+ = max(0, S+ + (1 - 0 - 0.5)), which walks
+        # 0.5, 1.0, ..., 4.0 without resets; with them the strict > rule first
+        # fires at 2.5 (fifth step) and the climb restarts at 0.5
+        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
+        npt.assert_array_equal(cusum_statistic(np.ones(8), cfg), np.arange(1, 9) * 0.5)
         flags = cusum_detect(np.ones(8), cfg)
         npt.assert_array_equal(flags, [0, 0, 0, 0, 1, 0, 0, 0])
 
     def test_tie_does_not_alarm(self):
-        # S+ reaches exactly h and stays: never strictly exceeds
-        cfg = CusumConfig(target_mean=0.0, slack=0.0, threshold=2.0, two_sided=False)
+        # k=0: S+ = 2, 2, 2 reaches exactly h and stays; S- = max(0, -2), then
+        # max(0, 0) stays at 0.  Neither strictly exceeds h
+        cfg = CusumConfig(target_mean=0.0, slack=0.0, threshold=2.0)
         series = np.array([2.0, 0.0, 0.0])
+        npt.assert_array_equal(cusum_statistic(series, cfg), [2.0, 2.0, 2.0])
         npt.assert_array_equal(cusum_detect(series, cfg), [0, 0, 0])
 
-    def test_one_sided_misses_downward_step(self):
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0, two_sided=False)
-        series = np.concatenate([np.zeros(10), np.full(20, -3.0)])
-        npt.assert_array_equal(cusum_detect(series, cfg), np.zeros(30))
-
     def test_two_sided_catches_downward_step(self):
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0, two_sided=True)
+        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
         series = np.concatenate([np.zeros(10), np.full(20, -3.0)])
         assert cusum_detect(series, cfg).sum() > 0
 

@@ -136,16 +136,30 @@ def test_generate_writes_bounded_samples_reproducibly(config, all_out, tmp_path)
     assert (out / "generated.csv").read_bytes() == first
 
 
-@pytest.mark.parametrize("key", ["no_such_key", "workers", "gan.optimizer"])
+@pytest.mark.parametrize("key", [
+    "no_such_key", "workers", "gan.optimizer", "synth.propagate_to_coupled",
+    "synth.label_coupled", "baselines.cusum_two_sided", "baselines.cusum_k_sigmas",
+])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     if "." in key:
         section, name = key.split(".")
-        config.write_text(TINY_CONFIG.replace(f"{section}:\n", f"{section}:\n  {name}: 1\n"))
+        text = TINY_CONFIG if f"{section}:\n" in TINY_CONFIG else TINY_CONFIG + f"{section}:\n"
+        config.write_text(text.replace(f"{section}:\n", f"{section}:\n  {name}: 1\n"))
     else:
         config.write_text(TINY_CONFIG + f"{key}: 1\n")
     assert _run(config, tmp_path, "all") == 1
     assert f"unknown key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigmas", ["[0.1, 0.2]", "[0.1, 0.2, 0.3]"])
+def test_noise_sigma_list_exits_1_at_load(sigmas, tmp_path, capsys):
+    config = tmp_path / "noise_list.yaml"
+    config.write_text(TINY_CONFIG.replace("noise_sigma: 0.05", f"noise_sigma: {sigmas}"))
+    assert _run(config, tmp_path, "synth") == 1
+    assert f"{config}:25: synth.noise_sigma: expected float, got list" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "train.csv").exists()
 
 
 def test_workers_flag_is_rejected(config, tmp_path, capsys):
@@ -205,16 +219,35 @@ def test_baselines_without_holdout_windows_exit_1_until_turned_off(tmp_path, cap
     config = tmp_path / "no_holdout.yaml"
     no_holdout = TINY_CONFIG.replace("holdout_fraction: 0.3", "holdout_fraction: 0.0")
     config.write_text(no_holdout + "scoring:\n  tau: 1.0\n")
-    assert _run(config, tmp_path, "all") == 1
+    assert _run(config, tmp_path / "on", "all") == 1
     err = capsys.readouterr().err
-    assert "baselines.cusum and baselines.spe: the bundle has no holdout windows" in err
+    assert "baselines.cusum and baselines.spe: no holdout windows" in err
     assert "set ingest.holdout_fraction above 0" in err
-    assert not (tmp_path / "metrics.json").exists()
+    # refused at ingest, before any training
+    assert not (tmp_path / "on" / "bundle").exists()
+    assert not (tmp_path / "on" / "checkpoints" / "final.npz").exists()
     config.write_text(
         no_holdout + "scoring:\n  tau: 1.0\nbaselines:\n  cusum: false\n  spe: false\n")
-    assert _run(config, tmp_path, "evaluate") == 0
-    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert _run(config, tmp_path / "off", "all") == 0
+    metrics = json.loads((tmp_path / "off" / "metrics.json").read_text())
     assert set(metrics["methods"]) == {"gan_ad"}
+
+
+def test_test_csv_with_swapped_columns_exits_1(config, tmp_path, capsys):
+    # header and values swapped together: each column would be scaled and
+    # projected with the other's bounds and loadings
+    assert _run(config, tmp_path, "synth") == 0
+    test_csv = tmp_path / "test.csv"
+    lines = []
+    for line in test_csv.read_text().splitlines():
+        cells = line.split(",")
+        cells[1], cells[2] = cells[2], cells[1]
+        lines.append(",".join(cells))
+    test_csv.write_text("\n".join(lines) + "\n")
+    assert _run(config, tmp_path, "ingest") == 1
+    err = capsys.readouterr().err
+    assert f"paths.test_csv {test_csv}: column 'MV101' where the training CSV has 'LIT101'" in err
+    assert not (tmp_path / "bundle").exists()
 
 
 def _train_windows(out):

@@ -216,27 +216,29 @@ def test_window_bundle_roundtrip(tmp_path):
 
 
 def test_bundle_with_offsets_and_shift_keys_still_loads(tmp_path):
-    # the older layout also stored each set's window start rows and the
-    # per-set raw_window_length/shift keys
+    # the older layout also stored each set's window start rows, the per-set
+    # raw_window_length/shift keys and the training labels
     rng = np.random.default_rng(6)
     windows = rng.normal(size=(3, 4, 2))
     labels = (rng.random((3, 4)) < 0.3).astype(np.int64)
     np.savez_compressed(
         tmp_path / "windows.npz",
         test_windows=windows, test_offsets=np.arange(0, 24, 8), test_labels=labels,
-        train_windows=windows[:2], train_offsets=np.arange(0, 16, 8),
+        train_windows=windows[:2], train_offsets=np.arange(0, 16, 8), train_labels=labels[:2],
     )
     meta = {"count": 3, "raw_window_length": 8, "window_length": 4, "shift": 8, "columns": 2}
     (tmp_path / "manifest.json").write_text(json.dumps({
         "window_sets": {
             "test": {**meta, "has_labels": True},
-            "train": {**meta, "count": 2, "has_labels": False},
+            "train": {**meta, "count": 2, "has_labels": True},
         },
         "sequence_length": 4,
     }))
     loaded, manifest = load_window_bundle(tmp_path)
-    assert sorted(loaded) == ["test_labels", "test_windows", "train_windows"]
+    assert sorted(loaded) == ["test_labels", "test_windows", "train_labels", "train_windows"]
     npt.assert_array_equal(loaded["test_windows"], windows)
     npt.assert_array_equal(loaded["test_labels"], labels)
     npt.assert_array_equal(loaded["train_windows"], windows[:2])
+    npt.assert_array_equal(loaded["train_labels"], labels[:2])
     assert manifest["sequence_length"] == 4
+

@@ -9,7 +9,6 @@ from tsgad.synthetic import (
     ScenarioSpec,
     SineSensor,
     SquareActuator,
-    attack_mask,
     generate_scenario,
     save_scenario_csv,
 )
@@ -96,21 +95,6 @@ class TestGenerateScenario:
         diff = generate_scenario(spec)[0][10:14, 0] - generate_scenario(basic_spec())[0][10:14, 0]
         npt.assert_allclose(diff, [3.0, -3.0, 3.0, -3.0])
 
-    def test_propagation_carries_attack_to_coupled_channel(self):
-        attack = AttackSpec("mean_shift", target=0, start=50, duration=100, magnitude=4.0)
-        isolated, _, _ = generate_scenario(basic_spec(attacks=[attack]))
-        propagated, _, _ = generate_scenario(
-            basic_spec(attacks=[attack], propagate_to_coupled=True)
-        )
-        # coupled channel (gain 2, delay 3) sees the shift only when enabled
-        npt.assert_allclose(propagated[53:150, 2] - isolated[53:150, 2], 8.0)
-
-    def test_coupled_labels_follow_delay_when_enabled(self):
-        attack = AttackSpec("mean_shift", target=0, start=50, duration=20, magnitude=4.0)
-        spec = basic_spec(attacks=[attack], label_coupled=True)
-        mask = attack_mask(spec)
-        npt.assert_array_equal(np.flatnonzero(mask[:, 2]), np.arange(53, 73))
-
 
 class TestValidation:
     def test_attack_past_end(self):
@@ -131,11 +115,6 @@ class TestValidation:
                 duration=10,
                 variables=[CoupledSensor(source=0), SineSensor(period=5.0)],
             )
-
-    def test_noise_list_length(self):
-        spec = basic_spec(noise_sigma=[0.1, 0.2])
-        with pytest.raises(ValueError, match="noise_sigma"):
-            generate_scenario(spec)
 
 
 def test_csv_roundtrip_through_ingest(tmp_path):
