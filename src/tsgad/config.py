@@ -1,9 +1,8 @@
 """Run configuration: YAML loading, schema validation and defaults.
 
 Validation failures point at the offending key with its line number in the
-source file.  The defaults pre-populate the preprocessing and network sizes
-used throughout (window 120 -> length-12 sequences, latent dimension 15,
-generator depth 3 / discriminator depth 1 with 100 hidden units each).
+source file.  ``SCHEMA`` is the one place that holds each setting's default
+and range; the stages read the validated sections it produces.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from pathlib import Path
 
 import yaml
 
-from .gan import TrainingConfig
-from .inversion import InversionConfig
 from .synthetic import (
     AttackSpec,
     CoupledSensor,
@@ -155,7 +152,7 @@ SCHEMA: dict = {
         "enabled": Field(bool, False),
         "train_duration": Field(int, 4000, _positive, "positive integer"),
         "test_duration": Field(int, 2000, _positive, "positive integer"),
-        "noise_sigma": Field(float, 0.1),
+        "noise_sigma": Field(float, 0.1, _non_negative, "non-negative number"),
         "variables": Field(list, []),
         "attacks": Field(list, []),
     },
@@ -245,14 +242,6 @@ def config_hash(cfg: dict) -> str:
     relevant = {k: v for k, v in cfg.items() if k != "paths"}
     canonical = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def training_config(cfg: dict, sequence_length: int) -> TrainingConfig:
-    return TrainingConfig(**cfg["gan"], sequence_length=sequence_length, seed=cfg["seed"])
-
-
-def inversion_config(cfg: dict) -> InversionConfig:
-    return InversionConfig(**cfg["inversion"], seed=cfg["seed"])
 
 
 _VARIABLE_KINDS = {

@@ -10,7 +10,7 @@ trained with the non-saturating objective (maximize log D on fakes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,6 @@ from . import lstm
 from .mmd import median_heuristic, mmd_unbiased
 
 SCORE_EPS = 1e-12
-# fields older checkpoints carry in their config that TrainingConfig no longer has
-RETIRED_CONFIG_KEYS = ("optimizer", "checkpoint_dir")
 
 
 class TrainingDiverged(RuntimeError):
@@ -32,42 +30,10 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class TrainingConfig:
-    epochs: int
-    batch_size: int = 32
-    d_steps: int = 1
-    g_steps: int = 3
-    d_learning_rate: float = 1e-3
-    g_learning_rate: float = 1e-3
-    latent_dim: int = 15
-    sequence_length: int = 12
-    gen_depth: int = 3
-    gen_hidden: int = 100
-    disc_depth: int = 1
-    disc_hidden: int = 100
-    grad_clip: float = 5.0
-    seed: int = 0
-    mmd_every: int = 0          # 0 disables the per-epoch MMD diagnostic
-    mmd_samples: int = 128
-    checkpoint_interval: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        for name in ("batch_size", "d_steps", "g_steps", "latent_dim",
-                     "sequence_length", "gen_depth", "gen_hidden",
-                     "disc_depth", "disc_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.mmd_samples < 2:
-            raise ValueError(f"mmd_samples must be >= 2, got {self.mmd_samples}")
-
-
-@dataclass
 class GanModel:
     generator: lstm.StackedLstm
     discriminator: lstm.StackedLstm
-    config: TrainingConfig
+    config: dict  # the gan config section plus sequence_length and seed
     loss_history: list[tuple[float, float]] = field(default_factory=list)
     mmd_history: list[float] = field(default_factory=list)
     epochs_completed: int = 0
@@ -75,9 +41,9 @@ class GanModel:
 
 def build_generator(
     feature_dim: int,
-    latent_dim: int = 15,
-    depth: int = 3,
-    hidden: int = 100,
+    latent_dim: int,
+    depth: int,
+    hidden: int,
     rng: np.random.Generator | int | None = None,
 ) -> lstm.StackedLstm:
     """Latent-to-sequence network; the tanh head keeps samples in (-1, 1)."""
@@ -86,8 +52,8 @@ def build_generator(
 
 def build_discriminator(
     feature_dim: int,
-    depth: int = 1,
-    hidden: int = 100,
+    depth: int,
+    hidden: int,
     rng: np.random.Generator | int | None = None,
 ) -> lstm.StackedLstm:
     """Sequence-to-score network emitting one sigmoid score per timestep."""
@@ -195,11 +161,17 @@ def generator_grads(
 
 
 def train(
-    config: TrainingConfig,
+    settings: dict,
     windows: np.ndarray,
+    seed: int,
     checkpoint_dir: str | Path | None = None,
 ) -> GanModel:
     """Run the adversarial loop and return the trained pair with histories.
+
+    ``settings`` is the validated ``gan`` config section; ``config.SCHEMA``
+    holds its defaults and ranges.  The sequence length is that of
+    ``windows``, and ``seed`` drives initialization, shuffling and latent
+    draws.
 
     Each epoch shuffles the window set and walks it in minibatches; every
     minibatch takes ``d_steps`` discriminator updates followed by ``g_steps``
@@ -215,36 +187,36 @@ def train(
     if windows.ndim != 3:
         raise ValueError("training data must be (windows, length, features)")
     n_windows, seq_len, feature_dim = windows.shape
-    if seq_len != config.sequence_length:
-        raise ValueError(
-            f"windows have length {seq_len}, config expects {config.sequence_length}"
-        )
     if not np.all(np.isfinite(windows)):
         raise ValueError("training windows contain non-finite values")
-    if 0 < config.mmd_every <= config.epochs and n_windows < 2:
+    if 0 < settings["mmd_every"] <= settings["epochs"] and n_windows < 2:
         raise ValueError(
             f"the per-epoch MMD needs at least 2 training windows, got {n_windows}; "
             "add training data or set gan.mmd_every: 0"
         )
 
-    rng = np.random.default_rng(config.seed)
+    latent_dim = settings["latent_dim"]
+    rng = np.random.default_rng(seed)
     gen = build_generator(
-        feature_dim, config.latent_dim, config.gen_depth, config.gen_hidden, rng
+        feature_dim, latent_dim, settings["gen_depth"], settings["gen_hidden"], rng
     )
-    disc = build_discriminator(feature_dim, config.disc_depth, config.disc_hidden, rng)
-    g_opt = lstm.OptimizerState(learning_rate=config.g_learning_rate)
-    d_opt = lstm.OptimizerState(learning_rate=config.d_learning_rate)
-    model = GanModel(gen, disc, config)
+    disc = build_discriminator(
+        feature_dim, settings["disc_depth"], settings["disc_hidden"], rng
+    )
+    g_opt = lstm.OptimizerState(learning_rate=settings["g_learning_rate"])
+    d_opt = lstm.OptimizerState(learning_rate=settings["d_learning_rate"])
+    model = GanModel(gen, disc, {**settings, "sequence_length": seq_len, "seed": seed})
 
-    if config.mmd_every > 0:
-        ref_idx = rng.choice(n_windows, size=min(config.mmd_samples, n_windows), replace=False)
+    if settings["mmd_every"] > 0:
+        ref_size = min(settings["mmd_samples"], n_windows)
+        ref_idx = rng.choice(n_windows, size=ref_size, replace=False)
         mmd_ref = windows[ref_idx]
         bandwidth = median_heuristic(mmd_ref)
 
     last_good = (gen.copy(), disc.copy())
-    batch = min(config.batch_size, n_windows)
+    batch = min(settings["batch_size"], n_windows)
 
-    for epoch in range(config.epochs):
+    for epoch in range(settings["epochs"]):
         perm = rng.permutation(n_windows)
         d_losses: list[float] = []
         g_losses: list[float] = []
@@ -253,20 +225,20 @@ def train(
                 idx = perm[start : start + batch]
                 real = windows[idx]
                 m = real.shape[0]
-                for _ in range(config.d_steps):
-                    z = sample_latent(m, seq_len, config.latent_dim, rng)
+                for _ in range(settings["d_steps"]):
+                    z = sample_latent(m, seq_len, latent_dim, rng)
                     fake = generate(gen, z)
                     loss, grads = discriminator_grads(disc, real, fake)
-                    norm = lstm.clip_gradients(grads, config.grad_clip)
+                    norm = lstm.clip_gradients(grads, settings["grad_clip"])
                     if not np.isfinite(loss + norm):
                         msg = f"d_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
                     lstm.optimizer_step(disc.parameters(), grads, d_opt)
                     d_losses.append(loss)
-                for _ in range(config.g_steps):
-                    z = sample_latent(m, seq_len, config.latent_dim, rng)
+                for _ in range(settings["g_steps"]):
+                    z = sample_latent(m, seq_len, latent_dim, rng)
                     loss, grads = generator_grads(gen, disc, z)
-                    norm = lstm.clip_gradients(grads, config.grad_clip)
+                    norm = lstm.clip_gradients(grads, settings["grad_clip"])
                     if not np.isfinite(loss + norm):
                         msg = f"g_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
@@ -280,14 +252,14 @@ def train(
         model.epochs_completed = epoch + 1
         last_good = (gen.copy(), disc.copy())
 
-        if config.mmd_every > 0 and (epoch + 1) % config.mmd_every == 0:
-            z = sample_latent(mmd_ref.shape[0], seq_len, config.latent_dim, rng)
+        if settings["mmd_every"] > 0 and (epoch + 1) % settings["mmd_every"] == 0:
+            z = sample_latent(mmd_ref.shape[0], seq_len, latent_dim, rng)
             model.mmd_history.append(mmd_unbiased(generate(gen, z), mmd_ref, bandwidth))
 
         if (
-            config.checkpoint_interval > 0
+            settings["checkpoint_interval"] > 0
             and checkpoint_dir is not None
-            and (epoch + 1) % config.checkpoint_interval == 0
+            and (epoch + 1) % settings["checkpoint_interval"] == 0
         ):
             save_checkpoint(model, Path(checkpoint_dir) / f"epoch_{epoch + 1:05d}.npz")
 
@@ -307,7 +279,7 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
     arrays.update(model.discriminator.to_arrays("disc_"))
     meta = {
         "format_version": 1,
-        "config": asdict(model.config),
+        "config": model.config,
         "epochs_completed": model.epochs_completed,
         "loss_history": model.loss_history,
         "mmd_history": model.mmd_history,
@@ -320,13 +292,11 @@ def load_checkpoint(path: str | Path) -> GanModel:
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version in {path}")
-    config = TrainingConfig(
-        **{k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
-    )
+    config = meta["config"]
     return GanModel(
-        generator=lstm.StackedLstm.from_arrays(data, config.gen_depth, "tanh", "gen_"),
+        generator=lstm.StackedLstm.from_arrays(data, config["gen_depth"], "tanh", "gen_"),
         discriminator=lstm.StackedLstm.from_arrays(
-            data, config.disc_depth, "sigmoid", "disc_"
+            data, config["disc_depth"], "sigmoid", "disc_"
         ),
         config=config,
         loss_history=[tuple(pair) for pair in meta["loss_history"]],

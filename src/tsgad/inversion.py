@@ -8,32 +8,13 @@ correlation averaged over columns, so it is bounded and scale invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lstm
 
 MAX_HALVINGS = 10
-
-
-@dataclass
-class InversionConfig:
-    max_iterations: int = 200
-    learning_rate: float = 0.2
-    restarts: int = 3
-    tolerance: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
 
 
 @dataclass
@@ -85,7 +66,7 @@ def _error_and_grad(window: np.ndarray, recon: np.ndarray):
     return 1.0 - sim, None if grad is None else -grad
 
 
-def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, config: InversionConfig):
+def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings: dict):
     """One gradient-descent run; returns None if the error turns non-finite."""
     z = z0.copy()
     recon, cache = lstm.forward_batch(gen, z[None])
@@ -94,9 +75,9 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, config: 
     if not np.isfinite(err):
         return None
     iterations = 0
-    step = config.learning_rate
-    for _ in range(config.max_iterations):
-        if err <= config.tolerance:
+    step = settings["learning_rate"]
+    for _ in range(settings["max_iterations"]):
+        if err <= settings["tolerance"]:
             break
         grads = lstm.backward_batch(gen, cache, err_grad[None])
         z_grad = grads.inputs[0]
@@ -119,15 +100,19 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, config: 
             break  # no direction of improvement within the backtracking budget
         if halvings == 0:
             # clean acceptance: let the step grow back, capped at 50x the base rate
-            step = min(step * 1.5, 50.0 * config.learning_rate)
+            step = min(step * 1.5, 50.0 * settings["learning_rate"])
         iterations += 1
     return InversionResult(latent=z, error=err, iterations=iterations, reconstruction=recon)
 
 
 def invert(
-    gen: lstm.StackedLstm, window: np.ndarray, config: InversionConfig
+    gen: lstm.StackedLstm, window: np.ndarray, settings: dict, seed: int
 ) -> InversionResult:
-    """Best-of-restarts latent recovery for one test window."""
+    """Best-of-restarts latent recovery for one test window.
+
+    ``settings`` is the validated ``inversion`` config section; ``seed``
+    draws the initial latent of every restart.
+    """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ValueError("window must be (timesteps, columns)")
@@ -135,11 +120,11 @@ def invert(
         raise ValueError(
             f"window has {window.shape[1]} columns, generator emits {gen.output_size}"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     best: InversionResult | None = None
-    for _ in range(config.restarts):
+    for _ in range(settings["restarts"]):
         z0 = rng.standard_normal((window.shape[0], gen.input_size))
-        result = _descend(gen, window, z0, config)
+        result = _descend(gen, window, z0, settings)
         if result is None:
             continue
         if best is None or result.error < best.error:
@@ -150,10 +135,11 @@ def invert(
 
 
 def invert_many(
-    gen: lstm.StackedLstm, windows: np.ndarray, config: InversionConfig
+    gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
 ) -> list[InversionResult]:
-    """Invert a batch of windows; window i uses seed config.seed + i."""
+    """Invert a batch of windows with the ``inversion`` config section
+    ``settings``; window i uses seed ``seed + i``."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError("windows must be (count, timesteps, columns)")
-    return [invert(gen, w, replace(config, seed=config.seed + i)) for i, w in enumerate(windows)]
+    return [invert(gen, w, settings, seed + i) for i, w in enumerate(windows)]

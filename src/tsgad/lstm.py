@@ -372,7 +372,7 @@ ADAM_EPSILON = 1e-8
 class OptimizerState:
     """Adam with bias-corrected moments."""
 
-    learning_rate: float = 1e-3
+    learning_rate: float
     step: int = 0
     first_moment: list[np.ndarray] | None = None
     second_moment: list[np.ndarray] | None = None

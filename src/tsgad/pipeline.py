@@ -17,13 +17,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
-from .config import (
-    ConfigError,
-    config_hash,
-    inversion_config,
-    scenario_spec,
-    training_config,
-)
+from .config import ConfigError, config_hash, scenario_spec
 from .synthetic import generate_scenario, save_scenario_csv
 
 # below this many holdout windows, one window can set the residual scale and tau
@@ -177,17 +171,17 @@ def run_ingest(cfg: dict) -> Path:
 def run_train(cfg: dict) -> Path:
     """Train the adversarial pair on the bundled training windows."""
     train_windows = ingest.load_window_bundle(_bundle_dir(cfg))[0]["train_windows"]
-    tc = training_config(cfg, sequence_length=train_windows.shape[1])
     checkpoint = _checkpoint_path(cfg)
-    model = gan.train(tc, train_windows, checkpoint_dir=checkpoint.parent)
+    model = gan.train(cfg["gan"], train_windows, cfg["seed"], checkpoint_dir=checkpoint.parent)
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
+    mmd_every = cfg["gan"]["mmd_every"]
     rows = []
     for epoch, (dl, gl) in enumerate(model.loss_history, start=1):
         mmd_val = ""
-        if tc.mmd_every and epoch % tc.mmd_every == 0:
-            idx = epoch // tc.mmd_every - 1
+        if mmd_every and epoch % mmd_every == 0:
+            idx = epoch // mmd_every - 1
             if idx < len(model.mmd_history):
                 mmd_val = _fmt(model.mmd_history[idx])
         rows.append([epoch, _fmt(dl), _fmt(gl), mmd_val])
@@ -214,8 +208,8 @@ def run_generate(cfg: dict) -> Path:
     """Sample the trained generator and dump sequences for inspection."""
     model = gan.load_checkpoint(_checkpoint_path(cfg))
     count = cfg["generate"]["count"]
-    seq_len = model.config.sequence_length
-    z = gan.sample_latent(count, seq_len, model.config.latent_dim, rng=cfg["seed"])
+    seq_len = model.config["sequence_length"]
+    z = gan.sample_latent(count, seq_len, model.generator.input_size, rng=cfg["seed"])
     samples = gan.generate(model.generator, z)
 
     out = _out_dir(cfg)
@@ -247,9 +241,9 @@ def _flatten_windows(windows: np.ndarray) -> np.ndarray:
     return windows.reshape(-1, windows.shape[2])
 
 
-def _score_windows(model: gan.GanModel, windows: np.ndarray, inv_cfg):
+def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seed: int):
     """Invert every window and collect per-timestep residuals and D scores."""
-    results = inversion.invert_many(model.generator, windows, inv_cfg)
+    results = inversion.invert_many(model.generator, windows, settings, seed)
     recon = np.stack([r.reconstruction for r in results])
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
@@ -265,7 +259,7 @@ def run_detect(cfg: dict) -> Path:
         raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     model = gan.load_checkpoint(_checkpoint_path(cfg))
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
-    inv_cfg = inversion_config(cfg)
+    inv = cfg["inversion"]
     lam = cfg["scoring"]["lambda"]
 
     tau = cfg["scoring"]["tau"]
@@ -274,8 +268,9 @@ def run_detect(cfg: dict) -> Path:
     if 0 < holdout_windows < MIN_HOLDOUT_WINDOWS:
         warnings.warn(f"only {holdout_windows} holdout windows set the residual scale and tau")
     if holdout_windows:
-        hold_cfg = replace(inv_cfg, seed=inv_cfg.seed + 1_000_000)
-        _, _, hold_res, hold_disc = _score_windows(model, arrays["holdout_windows"], hold_cfg)
+        _, _, hold_res, hold_disc = _score_windows(
+            model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
+        )
         res_min, res_max = float(hold_res.min()), float(hold_res.max())
         _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
         if tau is None:
@@ -285,7 +280,9 @@ def run_detect(cfg: dict) -> Path:
             "scoring.tau is unset and the bundle has no holdout windows to calibrate on"
         )
 
-    results, comp_res, test_res, test_disc = _score_windows(model, arrays["test_windows"], inv_cfg)
+    results, comp_res, test_res, test_disc = _score_windows(
+        model, arrays["test_windows"], inv, cfg["seed"]
+    )
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     flags = scoring.flag_anomalies(combined, tau)
 

@@ -109,7 +109,9 @@ def _base_value(var, t: np.ndarray, base_fns: list) -> np.ndarray:
     raise TypeError(f"unknown variable spec {type(var)!r}")
 
 
-def _apply_attacks(matrix: np.ndarray, clean: np.ndarray, attacks) -> None:
+def _apply_attacks(matrix: np.ndarray, attacks) -> None:
+    """Add the mean-shift and spike attacks; a stuck value is frozen later,
+    from the observed reading, by ``generate_scenario``."""
     for attack in attacks:
         j = attack.target
         sl = slice(attack.start, attack.start + attack.duration)
@@ -119,8 +121,6 @@ def _apply_attacks(matrix: np.ndarray, clean: np.ndarray, attacks) -> None:
             length = attack.duration
             signs = np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
             matrix[sl, j] += attack.magnitude * signs
-        elif attack.kind == "stuck_value":
-            matrix[sl, j] = clean[attack.start, j]
 
 
 def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -137,10 +137,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
         base_fns.append(lambda tt, v=var: _base_value(v, np.asarray(tt, dtype=np.float64), base_fns))
 
     n_vars = len(spec.variables)
-    clean = np.column_stack([base_fns[j](t) for j in range(n_vars)])
-
-    signal = clean.copy()
-    _apply_attacks(signal, clean, spec.attacks)
+    signal = np.column_stack([base_fns[j](t) for j in range(n_vars)])
+    _apply_attacks(signal, spec.attacks)
 
     rng = np.random.default_rng(spec.seed)
     observed = signal + rng.standard_normal((spec.duration, n_vars)) * spec.noise_sigma
@@ -148,7 +146,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
     labels = np.zeros(spec.duration, dtype=np.int64)
     for attack in spec.attacks:
         sl = slice(attack.start, attack.start + attack.duration)
-        # a stuck sensor reports one frozen value, noise included
+        # a stuck sensor reports its observed start reading, noise and the
+        # other attacks included
         if attack.kind == "stuck_value":
             observed[sl, attack.target] = observed[attack.start, attack.target]
         labels[sl] = 1

@@ -162,6 +162,15 @@ def test_noise_sigma_list_exits_1_at_load(sigmas, tmp_path, capsys):
     assert not (tmp_path / "train.csv").exists()
 
 
+def test_negative_noise_sigma_exits_1_at_load(tmp_path, capsys):
+    config = tmp_path / "negative_noise.yaml"
+    config.write_text(TINY_CONFIG.replace("noise_sigma: 0.05", "noise_sigma: -0.5"))
+    assert _run(config, tmp_path, "synth") == 1
+    assert f"{config}:25: synth.noise_sigma: expected non-negative number, got -0.5" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "train.csv").exists()
+
+
 def test_workers_flag_is_rejected(config, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         _run(config, tmp_path, "all", "--workers", "2")

@@ -3,10 +3,8 @@ import pytest
 from tsgad.config import (
     ConfigError,
     config_hash,
-    inversion_config,
     load_config,
     scenario_spec,
-    training_config,
     validate_config,
 )
 from tsgad.synthetic import CoupledSensor, SineSensor
@@ -53,6 +51,21 @@ def test_range_violation_reported(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("gan", "epochs", -1),
+    *(("gan", key, 0) for key in ("batch_size", "d_steps", "g_steps", "latent_dim",
+                                   "gen_depth", "gen_hidden", "disc_depth", "disc_hidden")),
+    ("gan", "mmd_samples", 1),
+    ("inversion", "max_iterations", -1),
+    ("inversion", "learning_rate", 0),
+    ("inversion", "restarts", 0),
+    ("inversion", "tolerance", -0.001),
+])
+def test_training_and_inversion_ranges_enforced(section, key, value):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected"):
+        validate_config({section: {key: value}})
+
+
 @pytest.mark.parametrize("value", ["2", "-1", "true", "'1'"])
 def test_label_mapping_values_must_be_0_or_1(value, tmp_path):
     path = tmp_path / "bad.yaml"
@@ -82,22 +95,6 @@ def test_hash_stable_and_sensitive():
     # where files go does not change results
     moved = validate_config({"seed": 1, "paths": {"out_dir": "elsewhere"}})
     assert config_hash(moved) == config_hash(a)
-
-
-def test_training_config_builder():
-    cfg = validate_config({"gan": {"epochs": 5, "gen_hidden": 12}, "seed": 9})
-    tc = training_config(cfg, sequence_length=12)
-    assert tc.epochs == 5
-    assert tc.gen_hidden == 12
-    assert tc.sequence_length == 12
-    assert tc.seed == 9
-
-
-def test_inversion_config_builder():
-    cfg = validate_config({"inversion": {"max_iterations": 50}, "seed": 4})
-    inv = inversion_config(cfg)
-    assert inv.max_iterations == 50
-    assert inv.seed == 4
 
 
 def test_scenario_spec_builders():

@@ -1,14 +1,13 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from tsgad import gan, lstm
+from tsgad.config import validate_config
 from tsgad.gan import (
-    TrainingConfig,
     TrainingDiverged,
     build_discriminator,
     build_generator,
@@ -26,25 +25,27 @@ from tsgad.mmd import median_heuristic, mmd_unbiased
 from test_lstm import float64_twin
 
 
+SEED = 0
+
+
 def tiny_config(**overrides):
-    base = dict(
-        epochs=3,
-        batch_size=16,
-        d_steps=1,
-        g_steps=1,
-        d_learning_rate=1e-2,
-        g_learning_rate=1e-2,
-        latent_dim=2,
-        sequence_length=4,
-        gen_depth=1,
-        gen_hidden=6,
-        disc_depth=1,
-        disc_hidden=4,
-        seed=0,
-        mmd_every=0,
-    )
-    base.update(overrides)
-    return TrainingConfig(**base)
+    """The validated ``gan`` section, sized down, with ``overrides`` on top."""
+    return {
+        **validate_config({})["gan"],
+        "epochs": 3,
+        "batch_size": 16,
+        "d_steps": 1,
+        "g_steps": 1,
+        "d_learning_rate": 1e-2,
+        "g_learning_rate": 1e-2,
+        "latent_dim": 2,
+        "gen_depth": 1,
+        "gen_hidden": 6,
+        "disc_depth": 1,
+        "disc_hidden": 4,
+        "mmd_every": 0,
+        **overrides,
+    }
 
 
 class TestSampleLatent:
@@ -143,7 +144,7 @@ class TestGenerate:
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         windows = np.zeros((8, 4, 1))
-        model = train(tiny_config(epochs=0), windows)
+        model = train(tiny_config(epochs=0), windows, SEED)
         assert model.loss_history == []
         assert model.mmd_history == []
         assert model.epochs_completed == 0
@@ -158,14 +159,14 @@ class TestTrain:
         windows = np.full((64, 4, 1), target)
         cfg = tiny_config(epochs=400, batch_size=64, g_steps=3, gen_hidden=8,
                           disc_hidden=16)
-        model = train(cfg, windows)
+        model = train(cfg, windows, SEED)
         samples = generate(model.generator, sample_latent(200, 4, 2, rng=123))
         assert abs(samples.mean() - target) < 0.1
 
     def test_fixed_seed_is_reproducible(self):
         windows = np.random.default_rng(9).uniform(0.2, 0.8, (16, 4, 2))
-        a = train(tiny_config(), windows)
-        b = train(tiny_config(), windows)
+        a = train(tiny_config(), windows, SEED)
+        b = train(tiny_config(), windows, SEED)
         for pa, pb in zip(a.generator.parameters(), b.generator.parameters()):
             npt.assert_array_equal(pa, pb)
         for pa, pb in zip(a.discriminator.parameters(), b.discriminator.parameters()):
@@ -174,7 +175,7 @@ class TestTrain:
 
     def test_histories_match_epochs_and_mmd_interval(self):
         windows = np.random.default_rng(10).uniform(-0.5, 0.5, (16, 4, 1))
-        model = train(tiny_config(epochs=4, mmd_every=2), windows)
+        model = train(tiny_config(epochs=4, mmd_every=2), windows, SEED)
         assert len(model.loss_history) == 4
         assert len(model.mmd_history) == 2
 
@@ -188,7 +189,7 @@ class TestTrain:
             return mmd_unbiased(gen_set, ref_set, bandwidth)
 
         monkeypatch.setattr(gan, "mmd_unbiased", recording_mmd)
-        model = train(tiny_config(epochs=4, mmd_every=1), windows)
+        model = train(tiny_config(epochs=4, mmd_every=1), windows, SEED)
         assert len(bandwidths) == len(model.mmd_history) == 4
         assert len(set(bandwidths)) == 1
         assert bandwidths[0] == pytest.approx(median_heuristic(windows), rel=1e-12)
@@ -197,12 +198,12 @@ class TestTrain:
         windows = np.zeros((8, 4, 1))
         windows[3, 2, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            train(tiny_config(), windows)
+            train(tiny_config(), windows, SEED)
 
     def test_non_finite_gradients_abort_with_last_good_model(self, monkeypatch):
         windows = np.random.default_rng(11).uniform(-0.5, 0.5, (8, 4, 1))
         cfg = tiny_config(epochs=2, batch_size=4)
-        reference = train(replace(cfg, epochs=1), windows)
+        reference = train({**cfg, "epochs": 1}, windows, SEED)
         real_grads = gan.discriminator_grads
         calls = []
 
@@ -215,7 +216,7 @@ class TestTrain:
 
         monkeypatch.setattr(gan, "discriminator_grads", nan_in_epoch_two)
         with pytest.raises(TrainingDiverged, match="gradient norm nan") as exc_info:
-            train(cfg, windows)
+            train(cfg, windows, SEED)
         model = exc_info.value.model
         assert model.epochs_completed == 1
         for net, ref in ((model.generator, reference.generator),
@@ -227,20 +228,12 @@ class TestTrain:
         # a generator emitting the wrong width fails inside the epoch
         monkeypatch.setattr(gan, "generate", lambda gen, z: np.zeros(z.shape[:2] + (2,)))
         with pytest.raises(ValueError, match="feature dim"):
-            train(tiny_config(), np.zeros((8, 4, 1)))
-
-    def test_sequence_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            train(tiny_config(sequence_length=5), np.zeros((4, 4, 1)))
+            train(tiny_config(), np.zeros((8, 4, 1)), SEED)
 
     def test_one_window_with_mmd_names_the_cause(self):
         with pytest.raises(ValueError, match=r"2 training windows, got 1; .*gan\.mmd_every: 0"):
-            train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)))
-        assert train(tiny_config(epochs=1), np.zeros((1, 4, 1))).epochs_completed == 1
-
-    def test_mmd_samples_below_two_rejected(self):
-        with pytest.raises(ValueError, match="mmd_samples must be >= 2, got 1"):
-            tiny_config(mmd_every=1, mmd_samples=1)
+            train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)), SEED)
+        assert train(tiny_config(epochs=1), np.zeros((1, 4, 1)), SEED).epochs_completed == 1
 
 
 def descent_step(net, grads, lr):
@@ -337,7 +330,7 @@ class TestSaturatedDiscriminator:
 
 def test_checkpoint_roundtrip(tmp_path):
     windows = np.random.default_rng(16).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=2, mmd_every=1), windows)
+    model = train(tiny_config(epochs=2, mmd_every=1), windows, SEED)
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -355,12 +348,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.config == model.config
 
 
+def test_model_config_records_settings_length_and_seed(tmp_path):
+    settings = tiny_config(epochs=1)
+    windows = np.random.default_rng(24).uniform(-0.5, 0.5, (8, 4, 2))
+    model = train(settings, windows, 5)
+    assert model.config == {**settings, "sequence_length": 4, "seed": 5}
+    save_checkpoint(model, tmp_path / "model.npz")
+    assert load_checkpoint(tmp_path / "model.npz").config == model.config
+
+
 def test_checkpoint_with_optimizer_state_loads(tmp_path):
     """Checkpoints written when Adam moments were still saved carry
     gopt_*/dopt_* arrays and optimizer_steps meta, and older configs carry
-    optimizer and checkpoint_dir fields; the loader ignores them all."""
+    optimizer and checkpoint_dir fields; the loader ignores the arrays and
+    keeps the config as stored."""
     windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=1), windows)
+    model = train(tiny_config(epochs=1), windows, SEED)
     save_checkpoint(model, tmp_path / "current.npz")
     with np.load(tmp_path / "current.npz") as data:
         arrays = {k: data[k] for k in data.files}
@@ -381,15 +384,16 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
         model.discriminator.parameters(), loaded.discriminator.parameters()
     ):
         npt.assert_array_equal(a, b)
-    assert loaded.config == model.config
     assert loaded.loss_history == model.loss_history
+    assert loaded.mmd_history == model.mmd_history
+    assert {k: loaded.config[k] for k in model.config} == model.config
 
 
 def test_float64_checkpoint_runs_in_float64(tmp_path):
     """Checkpoints written before the nets were stored in float32 hold float64
     arrays; they load, and compute, in float64."""
     windows = np.random.default_rng(20).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=1), windows)
+    model = train(tiny_config(epochs=1), windows, SEED)
     model.generator = float64_twin(model.generator)
     model.discriminator = float64_twin(model.discriminator)
     save_checkpoint(model, tmp_path / "float64.npz")
@@ -407,6 +411,6 @@ def test_float64_checkpoint_runs_in_float64(tmp_path):
 
 def test_checkpoint_interval_writes_files(tmp_path):
     windows = np.random.default_rng(17).uniform(-0.5, 0.5, (16, 4, 1))
-    train(tiny_config(epochs=4, checkpoint_interval=2), windows, checkpoint_dir=tmp_path)
+    train(tiny_config(epochs=4, checkpoint_interval=2), windows, SEED, checkpoint_dir=tmp_path)
     assert (tmp_path / "epoch_00002.npz").exists()
     assert (tmp_path / "epoch_00004.npz").exists()

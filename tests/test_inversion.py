@@ -5,13 +5,18 @@ import numpy.testing as npt
 import pytest
 
 from tsgad import gan, pipeline
+from tsgad.config import validate_config
 from tsgad.inversion import (
-    InversionConfig,
     _similarity_and_grad,
     invert,
     invert_many,
     similarity,
 )
+
+
+def settings(**overrides):
+    """The validated ``inversion`` section with ``overrides`` on top."""
+    return {**validate_config({})["inversion"], **overrides}
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +82,13 @@ class TestResidual:
     windows at a known offset from their reconstructions."""
 
     STEPS, SEED = 6, 7
-    NO_DESCENT = InversionConfig(max_iterations=0, restarts=1, seed=SEED)
+    NO_DESCENT = settings(max_iterations=0, restarts=1)
 
     @staticmethod
     def _model(columns):
         return SimpleNamespace(
             generator=gan.build_generator(columns, latent_dim=4, depth=1, hidden=12, rng=0),
-            discriminator=gan.build_discriminator(columns, hidden=4, rng=1),
+            discriminator=gan.build_discriminator(columns, depth=1, hidden=4, rng=1),
         )
 
     def _reconstructions(self, model, count):
@@ -96,7 +101,9 @@ class TestResidual:
     def test_identity_reconstruction(self):
         model = self._model(3)
         windows = self._reconstructions(model, 2)
-        _, comp_res, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        _, comp_res, summed, _ = pipeline._score_windows(
+            model, windows, self.NO_DESCENT, self.SEED
+        )
         npt.assert_array_equal(comp_res, np.zeros((2 * self.STEPS, 3)))
         npt.assert_array_equal(summed, np.zeros(2 * self.STEPS))
 
@@ -104,22 +111,24 @@ class TestResidual:
         model = self._model(1)
         offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
         windows = self._reconstructions(model, 1) + offsets
-        _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT, self.SEED)
         npt.assert_allclose(summed, offsets.reshape(-1), rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
         model = self._model(2)
         deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
         windows = self._reconstructions(model, 1) + deltas
-        _, comp_res, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT)
+        _, comp_res, summed, _ = pipeline._score_windows(
+            model, windows, self.NO_DESCENT, self.SEED
+        )
         npt.assert_allclose(comp_res, np.abs(deltas), rtol=0, atol=1e-15)
         npt.assert_allclose(summed, [1.0, 2.0] * (self.STEPS // 2), rtol=0, atol=1e-15)
 
     def test_nonnegative(self):
         model = self._model(4)
         windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
-        cfg = InversionConfig(max_iterations=3, restarts=2, seed=self.SEED)
-        results, comp_res, summed, disc = pipeline._score_windows(model, windows, cfg)
+        cfg = settings(max_iterations=3, restarts=2)
+        results, comp_res, summed, disc = pipeline._score_windows(model, windows, cfg, self.SEED)
         assert len(results) == 3
         assert np.all(comp_res >= 0.0)
         npt.assert_array_equal(summed, comp_res.sum(axis=1))
@@ -127,30 +136,30 @@ class TestResidual:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            pipeline._score_windows(self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT)
+            pipeline._score_windows(
+                self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT, self.SEED
+            )
 
 
 class TestInvert:
     def test_recovers_planted_latent(self, toy_generator):
         z_star = gan.sample_latent(1, 8, 4, rng=100)
         target = gan.generate(toy_generator, z_star)[0]
-        cfg = InversionConfig(max_iterations=200, learning_rate=0.2, seed=0)
-        result = invert(toy_generator, target, cfg)
+        cfg = settings(max_iterations=200, learning_rate=0.2)
+        result = invert(toy_generator, target, cfg, 0)
         assert result.error < 0.05
         assert result.iterations <= 200
 
     def test_zero_iteration_budget_returns_initial_sample(self, toy_generator):
         target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
-        cfg = InversionConfig(max_iterations=0, restarts=1, seed=5)
-        result = invert(toy_generator, target, cfg)
+        result = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 5)
         assert result.iterations == 0
         z0 = np.random.default_rng(5).standard_normal((8, 4))
         npt.assert_array_equal(result.latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
         target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
-        cfg = InversionConfig(max_iterations=30, seed=1)
-        result = invert(toy_generator, target, cfg)
+        result = invert(toy_generator, target, settings(max_iterations=30), 1)
         regenerated = gan.generate(toy_generator, result.latent[None])[0]
         npt.assert_array_equal(result.reconstruction, regenerated)
 
@@ -158,48 +167,37 @@ class TestInvert:
         target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
         errors = []
         for seed in (11, 12):
-            cfg = InversionConfig(max_iterations=200, seed=seed)
-            errors.append(invert(toy_generator, target, cfg).error)
+            errors.append(invert(toy_generator, target, settings(max_iterations=200), seed).error)
         assert abs(errors[0] - errors[1]) < 0.05
 
     def test_deterministic_given_seed(self, toy_generator):
         target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=104))[0]
-        cfg = InversionConfig(max_iterations=50, seed=3)
-        a = invert(toy_generator, target, cfg)
-        b = invert(toy_generator, target, cfg)
+        cfg = settings(max_iterations=50)
+        a = invert(toy_generator, target, cfg, 3)
+        b = invert(toy_generator, target, cfg, 3)
         npt.assert_array_equal(a.latent, b.latent)
         assert a.error == b.error
 
     def test_descent_never_increases_error(self, toy_generator):
         # the accepted-step invariant implies final error <= initial error
         target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
-        start = invert(toy_generator, target, InversionConfig(max_iterations=0, restarts=1, seed=9))
-        finish = invert(toy_generator, target, InversionConfig(max_iterations=60, restarts=1, seed=9))
+        start = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 9)
+        finish = invert(toy_generator, target, settings(max_iterations=60, restarts=1), 9)
         assert finish.error <= start.error
 
     def test_window_shape_validation(self, toy_generator):
         with pytest.raises(ValueError, match="columns"):
-            invert(toy_generator, np.zeros((8, 5)), InversionConfig())
+            invert(toy_generator, np.zeros((8, 5)), settings(), 0)
 
 
 def test_invert_many_matches_serial(toy_generator):
     # window i is the serial inversion with seed + i, bitwise
     windows = gan.generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
-    cfg = InversionConfig(max_iterations=25, restarts=1, seed=42)
-    many = invert_many(toy_generator, windows, cfg)
+    cfg = settings(max_iterations=25, restarts=1)
+    many = invert_many(toy_generator, windows, cfg, 42)
     assert len(many) == 3
     for i, result in enumerate(many):
-        single = invert(toy_generator, windows[i], InversionConfig(
-            max_iterations=25, restarts=1, seed=42 + i))
+        single = invert(toy_generator, windows[i], cfg, 42 + i)
         npt.assert_array_equal(result.latent, single.latent)
         npt.assert_array_equal(result.reconstruction, single.reconstruction)
         assert (result.error, result.iterations) == (single.error, single.iterations)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        InversionConfig(max_iterations=-1)
-    with pytest.raises(ValueError):
-        InversionConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        InversionConfig(restarts=0)

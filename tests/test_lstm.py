@@ -342,17 +342,17 @@ class TestOptimizer:
 
     def test_zero_gradient_keeps_parameters(self):
         params = [np.array([2.0, -1.0])]
-        optimizer_step(params, [np.zeros(2)], OptimizerState())
+        optimizer_step(params, [np.zeros(2)], OptimizerState(learning_rate=1e-3))
         npt.assert_array_equal(params[0], [2.0, -1.0])
 
     def test_non_finite_gradients_diverge(self):
         params = [np.array([1.0])]
         with pytest.raises(ValueError, match="diverged"):
-            optimizer_step(params, [np.array([np.nan])], OptimizerState())
+            optimizer_step(params, [np.array([np.nan])], OptimizerState(learning_rate=1e-3))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            optimizer_step([np.zeros(2)], [np.zeros(3)], OptimizerState())
+            optimizer_step([np.zeros(2)], [np.zeros(3)], OptimizerState(learning_rate=1e-3))
 
 
 class TestClipGradients:
@@ -393,7 +393,7 @@ class TestDtype:
         rng = np.random.default_rng(61)
         out, cache = forward_batch(net, rng.normal(size=(4, 12, 15)))
         grads = backward_batch(net, cache, rng.normal(size=out.shape))
-        state = OptimizerState()
+        state = OptimizerState(learning_rate=1e-3)
         optimizer_step(net.parameters(), grads.arrays(), state)
         arrays = [cache.outputs]
         for lc in cache.layer_caches:

@@ -48,6 +48,15 @@ class TestGenerateScenario:
         assert stuck.var() == 0.0
         assert values[90:140, 0].var() > 0.0
 
+    def test_stuck_value_does_not_depend_on_attack_order(self):
+        # the shift covers the stuck start row, so the sensor freezes shifted
+        shift = AttackSpec("mean_shift", target=0, start=40, duration=20, magnitude=3.0)
+        stuck = AttackSpec("stuck_value", target=0, start=50, duration=30)
+        first, _, _ = generate_scenario(basic_spec(noise_sigma=0.05, attacks=[shift, stuck]))
+        last, _, _ = generate_scenario(basic_spec(noise_sigma=0.05, attacks=[stuck, shift]))
+        npt.assert_array_equal(first, last)
+        assert np.all(first[50:80, 0] == first[50, 0])
+
     def test_coupled_column_matches_closed_form(self):
         spec = basic_spec()
         values, _, _ = generate_scenario(spec)
