@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import pipeline
-from .config import ConfigError, load_config
+from .config import SCHEMA, ConfigError, load_config
 
 COMMANDS = {
     "synth": pipeline.run_synth,
@@ -47,6 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
+        rule = SCHEMA["seed"]
+        if not rule.check(args.seed):
+            raise ConfigError(f"--seed: expected {rule.expect}, got {args.seed}")
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["paths"]["out_dir"] = args.out

@@ -136,10 +136,9 @@ def discriminator_grads(
 
     d_real = (-1.0 / (m * steps * real_seq))[:, None, None] * np.ones_like(real_out)
     d_fake = (1.0 / (m * steps * (1.0 - fake_seq)))[:, None, None] * np.ones_like(fake_out)
-    g_real = lstm.backward_batch(disc, real_cache, d_real)
-    g_fake = lstm.backward_batch(disc, fake_cache, d_fake)
-    total = [a + b for a, b in zip(g_real.arrays(), g_fake.arrays())]
-    return loss, total
+    g_real, _ = lstm.backward_batch(disc, real_cache, d_real)
+    g_fake, _ = lstm.backward_batch(disc, fake_cache, d_fake)
+    return loss, [a + b for a, b in zip(g_real.values(), g_fake.values())]
 
 
 def generator_grads(
@@ -155,9 +154,9 @@ def generator_grads(
     loss = g_loss(fake_seq)
 
     d_scores = (-1.0 / (m * steps * fake_seq))[:, None, None] * np.ones_like(scores)
-    disc_grads = lstm.backward_batch(disc, disc_cache, d_scores)
-    gen_grads = lstm.backward_batch(gen, gen_cache, disc_grads.inputs)
-    return loss, gen_grads.arrays()
+    _, d_fake = lstm.backward_batch(disc, disc_cache, d_scores)
+    gen_grads, _ = lstm.backward_batch(gen, gen_cache, d_fake)
+    return loss, list(gen_grads.values())
 
 
 def train(
@@ -233,7 +232,7 @@ def train(
                     if not np.isfinite(loss + norm):
                         msg = f"d_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
-                    lstm.optimizer_step(disc.parameters(), grads, d_opt)
+                    lstm.optimizer_step(disc.params.values(), grads, d_opt)
                     d_losses.append(loss)
                 for _ in range(settings["g_steps"]):
                     z = sample_latent(m, seq_len, latent_dim, rng)
@@ -242,7 +241,7 @@ def train(
                     if not np.isfinite(loss + norm):
                         msg = f"g_loss {loss}, gradient norm {norm} at epoch {epoch + 1}"
                         raise TrainingDiverged(msg, model)
-                    lstm.optimizer_step(gen.parameters(), grads, g_opt)
+                    lstm.optimizer_step(gen.params.values(), grads, g_opt)
                     g_losses.append(loss)
         except TrainingDiverged:
             model.generator, model.discriminator = last_good
@@ -274,9 +273,8 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {}
-    arrays.update(model.generator.to_arrays("gen_"))
-    arrays.update(model.discriminator.to_arrays("disc_"))
+    nets = {"gen_": model.generator, "disc_": model.discriminator}
+    arrays = {prefix + name: a for prefix, net in nets.items() for name, a in net.params.items()}
     meta = {
         "format_version": 1,
         "config": model.config,
@@ -288,17 +286,27 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> GanModel:
+    """Rebuild both networks from their ``gen_``/``disc_`` arrays.
+
+    Arrays under any other prefix, such as the Adam moments older
+    checkpoints carry, are ignored.
+    """
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version in {path}")
-    config = meta["config"]
+
+    def net(prefix: str, activation: str) -> lstm.StackedLstm:
+        params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+        try:
+            return lstm.StackedLstm(params, activation)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {prefix}* arrays: {exc}") from None
+
     return GanModel(
-        generator=lstm.StackedLstm.from_arrays(data, config["gen_depth"], "tanh", "gen_"),
-        discriminator=lstm.StackedLstm.from_arrays(
-            data, config["disc_depth"], "sigmoid", "disc_"
-        ),
-        config=config,
+        generator=net("gen_", "tanh"),
+        discriminator=net("disc_", "sigmoid"),
+        config=meta["config"],
         loss_history=[tuple(pair) for pair in meta["loss_history"]],
         mmd_history=list(meta["mmd_history"]),
         epochs_completed=meta["epochs_completed"],

@@ -55,8 +55,8 @@ def load_csv(
     ``timestamp_format`` is an optional ``strptime`` pattern for non-numeric
     timestamps.  The timestamps are checked, not returned.
 
-    Rejects ragged rows, non-numeric feature cells, unmapped label strings and
-    timestamps that are not strictly increasing.
+    Rejects ragged rows, non-numeric or non-finite (nan, inf) feature cells,
+    unmapped label strings and timestamps that are not strictly increasing.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
@@ -82,6 +82,7 @@ def load_csv(
 
         timestamps: list[float] = []
         rows: list[list[float]] = []
+        row_nums: list[int] = []
         labels: list[int] = []
         for row_num, row in enumerate(reader, start=2):
             if not row:
@@ -99,6 +100,7 @@ def load_csv(
                     f"{path}: row {row_num}: non-numeric cell {row[bad]!r} "
                     f"in column {header[bad]!r}"
                 ) from None
+            row_nums.append(row_num)
             if label_idx is not None:
                 raw_label = row[label_idx].strip()
                 if raw_label not in mapping:
@@ -109,6 +111,14 @@ def load_csv(
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: row {row_nums[r]}: non-finite cell {values[r, c]} "
+            f"in column {feature_names[c]!r}"
+        )
     ts = np.asarray(timestamps, dtype=np.float64)
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
@@ -117,7 +127,7 @@ def load_csv(
             f"({ts[bad]} -> {ts[bad + 1]})"
         )
     return (
-        np.asarray(rows, dtype=np.float64),
+        values,
         np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
         feature_names,
     )

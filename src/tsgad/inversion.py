@@ -79,8 +79,8 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings
     for _ in range(settings["max_iterations"]):
         if err <= settings["tolerance"]:
             break
-        grads = lstm.backward_batch(gen, cache, err_grad[None])
-        z_grad = grads.inputs[0]
+        _, z_grads = lstm.backward_batch(gen, cache, err_grad[None])
+        z_grad = z_grads[0]
         if not np.all(np.isfinite(z_grad)):
             return None
         accepted = False

@@ -17,6 +17,7 @@ is sigmoid(-50) * (1 - sigmoid(-50)) ~ 1.9e-22, a normal number in both dtypes.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,55 +32,58 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LstmLayerParams:
-    """One recurrent layer: gates (i, f, o, g) stacked along the first axis."""
-
-    input_weights: np.ndarray      # (4h, d)
-    recurrent_weights: np.ndarray  # (4h, h)
-    biases: np.ndarray             # (4h,)
-
-    def __post_init__(self):
-        four_h, d = self.input_weights.shape
-        if four_h % 4 != 0:
-            raise ValueError("first weight axis must be 4*hidden_size")
-        h = four_h // 4
-        if self.recurrent_weights.shape != (four_h, h):
-            raise ValueError("recurrent weight shape mismatch")
-        if self.biases.shape != (four_h,):
-            raise ValueError("bias shape mismatch")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.input_weights.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.input_weights.shape[1]
-
-
-@dataclass
 class StackedLstm:
-    """A stack of LSTM layers with a linear output projection."""
+    """A stack of LSTM layers with a linear output projection.
 
-    layers: list[LstmLayerParams]
-    out_weights: np.ndarray  # (o, h_top)
-    out_bias: np.ndarray     # (o,)
+    ``params`` maps each parameter name to its array, in this order:
+    ``l<i>_w_in`` (4h, d), ``l<i>_w_rec`` (4h, h) and ``l<i>_bias`` (4h,) for
+    each layer i from the bottom, then ``out_w`` (o, h_top) and ``out_b`` (o,).
+    The gates (i, f, o, g) are stacked along the first axis of each layer's
+    arrays.  Gradients come back under the same names in the same order, and
+    checkpoints store these names behind a ``gen_``/``disc_`` prefix.
+    """
+
+    params: dict[str, np.ndarray]
     output_activation: str = "identity"
 
     def __post_init__(self):
-        if not self.layers:
+        depth = 0
+        while any(name.startswith(f"l{depth}_") for name in self.params):
+            depth += 1
+        if depth == 0:
             raise ValueError("need at least one layer")
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            if upper.input_size != lower.hidden_size:
+        layout = [f"l{i}_{part}" for i in range(depth) for part in ("w_in", "w_rec", "bias")]
+        layout += ["out_w", "out_b"]
+        missing = [name for name in layout if name not in self.params]
+        extra = [name for name in self.params if name not in layout]
+        if missing or extra:
+            raise ValueError(
+                f"parameters do not fit a {depth}-layer net: "
+                f"missing {missing}, unexpected {extra}"
+            )
+        p = self.params = {name: self.params[name] for name in layout}
+
+        size = None
+        for i in range(depth):
+            w_in, w_rec, bias = p[f"l{i}_w_in"], p[f"l{i}_w_rec"], p[f"l{i}_bias"]
+            if w_in.ndim != 2 or w_in.shape[0] % 4 != 0:
+                raise ValueError(f"l{i}_w_in shape {w_in.shape} is not (4*hidden, input)")
+            if i > 0 and w_in.shape[1] != size:
                 raise ValueError("layer input size must match previous hidden size")
-        if self.out_weights.shape[1] != self.layers[-1].hidden_size:
+            four_h = w_in.shape[0]
+            if w_rec.shape != (four_h, four_h // 4):
+                raise ValueError(f"l{i}_w_rec shape mismatch: {w_rec.shape}")
+            if bias.shape != (four_h,):
+                raise ValueError(f"l{i}_bias shape mismatch: {bias.shape}")
+            size = four_h // 4
+        if p["out_w"].ndim != 2 or p["out_w"].shape[1] != size:
             raise ValueError("output projection must consume top hidden state")
-        if self.out_bias.shape != (self.out_weights.shape[0],):
+        if p["out_b"].shape != (p["out_w"].shape[0],):
             raise ValueError("output bias shape mismatch")
         if self.output_activation not in ("tanh", "sigmoid", "identity"):
             raise ValueError(f"unknown output activation {self.output_activation!r}")
-        dtype = self.out_weights.dtype
-        for name, array in self.to_arrays().items():
+        dtype = p["out_w"].dtype
+        for name, array in p.items():
             if array.dtype != dtype or not np.issubdtype(dtype, np.floating):
                 raise ValueError(
                     f"parameter {name} has dtype {array.dtype}; "
@@ -87,61 +91,21 @@ class StackedLstm:
                 )
 
     @property
+    def depth(self) -> int:
+        return (len(self.params) - 2) // 3
+
+    @property
     def input_size(self) -> int:
-        return self.layers[0].input_size
+        return self.params["l0_w_in"].shape[1]
 
     @property
     def output_size(self) -> int:
-        return self.out_weights.shape[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        """Live views of every parameter array, in a fixed order."""
-        out = []
-        for layer in self.layers:
-            out.extend([layer.input_weights, layer.recurrent_weights, layer.biases])
-        out.extend([self.out_weights, self.out_bias])
-        return out
+        return self.params["out_w"].shape[0]
 
     def copy(self) -> "StackedLstm":
         return StackedLstm(
-            layers=[
-                LstmLayerParams(
-                    l.input_weights.copy(), l.recurrent_weights.copy(), l.biases.copy()
-                )
-                for l in self.layers
-            ],
-            out_weights=self.out_weights.copy(),
-            out_bias=self.out_bias.copy(),
-            output_activation=self.output_activation,
-        )
-
-    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        arrays = {}
-        for i, layer in enumerate(self.layers):
-            arrays[f"{prefix}l{i}_w_in"] = layer.input_weights
-            arrays[f"{prefix}l{i}_w_rec"] = layer.recurrent_weights
-            arrays[f"{prefix}l{i}_bias"] = layer.biases
-        arrays[f"{prefix}out_w"] = self.out_weights
-        arrays[f"{prefix}out_b"] = self.out_bias
-        return arrays
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: dict, depth: int, output_activation: str, prefix: str = ""
-    ) -> "StackedLstm":
-        layers = [
-            LstmLayerParams(
-                np.asarray(arrays[f"{prefix}l{i}_w_in"]),
-                np.asarray(arrays[f"{prefix}l{i}_w_rec"]),
-                np.asarray(arrays[f"{prefix}l{i}_bias"]),
-            )
-            for i in range(depth)
-        ]
-        return cls(
-            layers=layers,
-            out_weights=np.asarray(arrays[f"{prefix}out_w"]),
-            out_bias=np.asarray(arrays[f"{prefix}out_b"]),
-            output_activation=output_activation,
+            {name: array.copy() for name, array in self.params.items()},
+            self.output_activation,
         )
 
 
@@ -165,57 +129,18 @@ def init_lstm(
     def uniform(shape):
         return rng.uniform(-weight_scale, weight_scale, shape).astype(PARAM_DTYPE)
 
-    layers = []
+    params = {}
     d = input_size
-    for _ in range(depth):
+    for i in range(depth):
+        params[f"l{i}_w_in"] = uniform((4 * hidden_size, d))
+        params[f"l{i}_w_rec"] = uniform((4 * hidden_size, hidden_size))
         biases = np.zeros(4 * hidden_size, PARAM_DTYPE)
         biases[hidden_size : 2 * hidden_size] = 1.0  # forget gate opens early training
-        layers.append(
-            LstmLayerParams(
-                input_weights=uniform((4 * hidden_size, d)),
-                recurrent_weights=uniform((4 * hidden_size, hidden_size)),
-                biases=biases,
-            )
-        )
+        params[f"l{i}_bias"] = biases
         d = hidden_size
-    return StackedLstm(
-        layers=layers,
-        out_weights=uniform((output_size, hidden_size)),
-        out_bias=np.zeros(output_size, PARAM_DTYPE),
-        output_activation=output_activation,
-    )
-
-
-@dataclass
-class LayerCache:
-    inputs: np.ndarray  # (B, L, d)
-    gates: np.ndarray   # (B, L, 4h) activated i, f, o, g
-    cell: np.ndarray    # (B, L, h)
-    hidden: np.ndarray  # (B, L, h)
-
-
-@dataclass
-class ForwardCache:
-    layer_caches: list[LayerCache]
-    outputs: np.ndarray  # (B, L, o)
-
-
-@dataclass
-class GradientSet:
-    """Gradients shape-congruent with a StackedLstm, plus the input gradient."""
-
-    layer_grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    out_weights: np.ndarray
-    out_bias: np.ndarray
-    inputs: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        """Parameter gradients in the same order as StackedLstm.parameters()."""
-        out = []
-        for w_in, w_rec, bias in self.layer_grads:
-            out.extend([w_in, w_rec, bias])
-        out.extend([self.out_weights, self.out_bias])
-        return out
+    params["out_w"] = uniform((output_size, hidden_size))
+    params["out_b"] = np.zeros(output_size, PARAM_DTYPE)
+    return StackedLstm(params, output_activation)
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -226,14 +151,18 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     return pre
 
 
-def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Run a (batch, time, features) tensor through the stack.
 
-    Initial hidden and cell states are zero.  The cache holds every
-    intermediate needed for an exact backward pass.  The sequences are cast to
-    the parameters' dtype, and every array in the result has that dtype.
+    Initial hidden and cell states are zero.  Returns the outputs and a cache
+    ``(layers, outputs)`` for an exact backward pass, where ``layers`` holds
+    one ``(inputs, gates, cell, hidden)`` tuple per layer from the bottom:
+    (B, L, d), the activated (i, f, o, g) gates (B, L, 4h), and (B, L, h)
+    twice.  The sequences are cast to the parameters' dtype, and every array
+    in the result has that dtype.
     """
-    dtype = net.out_weights.dtype
+    p = net.params
+    dtype = p["out_w"].dtype
     x = np.asarray(sequences, dtype=dtype)
     if x.ndim != 3:
         raise ValueError(f"sequences must be (batch, time, features), got {x.shape}")
@@ -245,19 +174,21 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError("non-finite input")
     batch, steps, _ = x.shape
 
-    layer_caches = []
-    for layer in net.layers:
-        h_size = layer.hidden_size
+    layers = []
+    for idx in range(net.depth):
+        w_rec = p[f"l{idx}_w_rec"]
+        bias = p[f"l{idx}_bias"]
+        h_size = w_rec.shape[1]
         gates = np.empty((batch, steps, 4 * h_size), dtype)
         cell = np.empty((batch, steps, h_size), dtype)
         hidden = np.empty((batch, steps, h_size), dtype)
 
         h_prev = np.zeros((batch, h_size), dtype)
         c_prev = np.zeros((batch, h_size), dtype)
-        w_in_t = layer.input_weights.T
-        w_rec_t = layer.recurrent_weights.T
+        w_in_t = p[f"l{idx}_w_in"].T
+        w_rec_t = w_rec.T
         for t in range(steps):
-            pre = x[:, t] @ w_in_t + h_prev @ w_rec_t + layer.biases
+            pre = x[:, t] @ w_in_t + h_prev @ w_rec_t + bias
             ifo = sigmoid(pre[:, : 3 * h_size])
             g = np.tanh(pre[:, 3 * h_size :])
             gates[:, t, : 3 * h_size], gates[:, t, 3 * h_size :] = ifo, g
@@ -266,60 +197,67 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
             h = o * np.tanh(c)
             cell[:, t], hidden[:, t] = c, h
             h_prev, c_prev = h, c
-        layer_caches.append(LayerCache(x, gates, cell, hidden))
+        layers.append((x, gates, cell, hidden))
         x = hidden
 
-    outputs = _activate(x @ net.out_weights.T + net.out_bias, net.output_activation)
-    return outputs, ForwardCache(layer_caches, outputs)
+    outputs = _activate(x @ p["out_w"].T + p["out_b"], net.output_activation)
+    return outputs, (layers, outputs)
 
 
-def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarray) -> GradientSet:
+def backward_batch(
+    net: StackedLstm, cache: tuple, output_grads: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact BPTT for the scalar loss whose per-output partials are given.
 
-    The partials are cast to the parameters' dtype, and every gradient has it.
+    Returns ``(grads, input_grads)``: the parameter gradients keyed and
+    ordered like ``net.params``, and the gradient with respect to the
+    sequences ``forward_batch`` was given.  The partials are cast to the
+    parameters' dtype, and every gradient has it.
     """
-    dtype = net.out_weights.dtype
+    p = net.params
+    dtype = p["out_w"].dtype
+    layers, outputs = cache
     d_out = np.asarray(output_grads, dtype=dtype)
-    if d_out.shape != cache.outputs.shape:
+    if d_out.shape != outputs.shape:
         raise ValueError(
-            f"output_grads shape {d_out.shape} does not match outputs {cache.outputs.shape}"
+            f"output_grads shape {d_out.shape} does not match outputs {outputs.shape}"
         )
-    if len(cache.layer_caches) != len(net.layers):
+    if len(layers) != net.depth:
         raise ValueError("cache does not belong to this network")
     batch, steps, _ = d_out.shape
 
     if net.output_activation == "tanh":
-        d_pre = d_out * (1.0 - cache.outputs**2)
+        d_pre = d_out * (1.0 - outputs**2)
     elif net.output_activation == "sigmoid":
-        d_pre = d_out * cache.outputs * (1.0 - cache.outputs)
+        d_pre = d_out * outputs * (1.0 - outputs)
     else:
         d_pre = d_out
 
-    top_hidden = cache.layer_caches[-1].hidden
-    d_out_w = np.einsum("blo,blh->oh", d_pre, top_hidden)
-    d_out_b = d_pre.sum(axis=(0, 1))
-    d_hidden_seq = d_pre @ net.out_weights
+    grads = dict.fromkeys(p)
+    top_hidden = layers[-1][3]
+    grads["out_w"] = np.einsum("blo,blh->oh", d_pre, top_hidden)
+    grads["out_b"] = d_pre.sum(axis=(0, 1))
+    d_hidden_seq = d_pre @ p["out_w"]
 
-    layer_grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        lc = cache.layer_caches[idx]
-        h_size = layer.hidden_size
+    for idx in range(net.depth - 1, -1, -1):
+        w_in, w_rec = p[f"l{idx}_w_in"], p[f"l{idx}_w_rec"]
+        inputs, gates, cell, hidden = layers[idx]
+        h_size = w_rec.shape[1]
 
         d_gates = np.empty((batch, steps, 4 * h_size), dtype)
-        d_inputs = np.empty_like(lc.inputs)
+        d_inputs = np.empty_like(inputs)
 
-        cell_tanh = np.tanh(lc.cell)
+        cell_tanh = np.tanh(cell)
         d_h_rec = np.zeros((batch, h_size), dtype)
         d_c = np.zeros((batch, h_size), dtype)
         for t in range(steps - 1, -1, -1):
-            act = lc.gates[:, t]
+            act = gates[:, t]
             i = act[:, :h_size]
             f = act[:, h_size : 2 * h_size]
             o = act[:, 2 * h_size : 3 * h_size]
             g = act[:, 3 * h_size :]
             ct = cell_tanh[:, t]
-            c_prev = lc.cell[:, t - 1] if t > 0 else np.zeros((batch, h_size), dtype)
+            c_prev = cell[:, t - 1] if t > 0 else np.zeros((batch, h_size), dtype)
 
             d_h = d_hidden_seq[:, t] + d_h_rec
             d_o = d_h * ct
@@ -340,26 +278,21 @@ def backward_batch(net: StackedLstm, cache: ForwardCache, output_grads: np.ndarr
             )
 
             d_gates[:, t] = d_a
-            d_inputs[:, t] = d_a @ layer.input_weights
-            d_h_rec = d_a @ layer.recurrent_weights
+            d_inputs[:, t] = d_a @ w_in
+            d_h_rec = d_a @ w_rec
             d_c = d_c_prev
 
         # one product per weight array sums over batch and time; h_prev is the
         # hidden state entering each step, zero before t = 0
         flat = d_gates.reshape(-1, 4 * h_size)
-        d_w_in = flat.T @ lc.inputs.reshape(batch * steps, -1)
-        h_prev = np.zeros_like(lc.hidden)
-        h_prev[:, 1:] = lc.hidden[:, :-1]
-        d_w_rec = flat.T @ h_prev.reshape(-1, h_size)
-        layer_grads[idx] = (d_w_in, d_w_rec, flat.sum(axis=0))
+        grads[f"l{idx}_w_in"] = flat.T @ inputs.reshape(batch * steps, -1)
+        h_prev = np.zeros_like(hidden)
+        h_prev[:, 1:] = hidden[:, :-1]
+        grads[f"l{idx}_w_rec"] = flat.T @ h_prev.reshape(-1, h_size)
+        grads[f"l{idx}_bias"] = flat.sum(axis=0)
         d_hidden_seq = d_inputs
 
-    return GradientSet(
-        layer_grads=layer_grads,
-        out_weights=d_out_w,
-        out_bias=d_out_b,
-        inputs=d_hidden_seq,
-    )
+    return grads, d_hidden_seq
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -379,8 +312,8 @@ class OptimizerState:
 
 
 def optimizer_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: Collection[np.ndarray],
+    grads: Collection[np.ndarray],
     state: OptimizerState,
 ) -> None:
     """Update parameters in place by one Adam step."""

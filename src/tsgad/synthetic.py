@@ -89,6 +89,19 @@ class ScenarioSpec:
                 raise ValueError(
                     f"attack on variable {attack.target} runs past the scenario end"
                 )
+        # a stuck sensor freezes at its start reading, so on rows two stuck
+        # attacks share, the one applied last would win
+        stuck = sorted(
+            (a.target, a.start, a.start + a.duration)
+            for a in self.attacks
+            if a.kind == "stuck_value"
+        )
+        for (target, _, end), (other, later, later_end) in zip(stuck, stuck[1:]):
+            if other == target and later < end:
+                raise ValueError(
+                    f"stuck_value attacks on variable {target} overlap at rows "
+                    f"{later}-{min(end, later_end) - 1}"
+                )
 
 
 def _column_name(index: int, var) -> str:

@@ -171,6 +171,18 @@ def test_negative_noise_sigma_exits_1_at_load(tmp_path, capsys):
     assert not (tmp_path / "train.csv").exists()
 
 
+def test_negative_seed_flag_exits_1(config, tmp_path, capsys):
+    # the --seed override obeys the same range as the config's seed key
+    assert _run(config, tmp_path, "synth") == 0
+    written = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for stage in ("synth", "ingest", "train"):
+        assert _run(config, tmp_path, stage, "--seed", "-1") == 1
+        assert "config error: --seed: expected non-negative integer, got -1" in (
+            capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == written
+
+
 def test_workers_flag_is_rejected(config, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         _run(config, tmp_path, "all", "--workers", "2")

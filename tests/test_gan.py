@@ -22,10 +22,23 @@ from tsgad.gan import (
     train,
 )
 from tsgad.mmd import median_heuristic, mmd_unbiased
-from test_lstm import float64_twin
 
 
 SEED = 0
+
+
+def float64_twin(net):
+    """The same net with every parameter array cast to float64, for
+    finite-difference checks and for float64 checkpoints."""
+    return lstm.StackedLstm(
+        {k: v.astype(np.float64) for k, v in net.params.items()}, net.output_activation
+    )
+
+
+def assert_same_params(net, ref):
+    assert list(net.params) == list(ref.params)
+    for a, b in zip(net.params.values(), ref.params.values()):
+        npt.assert_array_equal(a, b)
 
 
 def tiny_config(**overrides):
@@ -124,7 +137,7 @@ class TestGenerate:
 
     def test_zero_parameter_generator_emits_zeros(self):
         gen = build_generator(2, latent_dim=2, depth=1, hidden=4, rng=3)
-        for p in gen.parameters():
+        for p in gen.params.values():
             p[...] = 0.0
         gen.output_activation = "identity"
         out = generate(gen, sample_latent(2, 5, 2, rng=4))
@@ -150,8 +163,7 @@ class TestTrain:
         assert model.epochs_completed == 0
         ref = build_generator(1, latent_dim=2, depth=1, hidden=6,
                               rng=np.random.default_rng(0))
-        for a, b in zip(model.generator.parameters(), ref.parameters()):
-            npt.assert_array_equal(a, b)
+        assert_same_params(model.generator, ref)
 
     def test_constant_data_convergence(self):
         # degenerate target distribution: all windows equal a constant
@@ -167,10 +179,8 @@ class TestTrain:
         windows = np.random.default_rng(9).uniform(0.2, 0.8, (16, 4, 2))
         a = train(tiny_config(), windows, SEED)
         b = train(tiny_config(), windows, SEED)
-        for pa, pb in zip(a.generator.parameters(), b.generator.parameters()):
-            npt.assert_array_equal(pa, pb)
-        for pa, pb in zip(a.discriminator.parameters(), b.discriminator.parameters()):
-            npt.assert_array_equal(pa, pb)
+        assert_same_params(a.generator, b.generator)
+        assert_same_params(a.discriminator, b.discriminator)
         assert a.loss_history == b.loss_history
 
     def test_histories_match_epochs_and_mmd_interval(self):
@@ -219,10 +229,8 @@ class TestTrain:
             train(cfg, windows, SEED)
         model = exc_info.value.model
         assert model.epochs_completed == 1
-        for net, ref in ((model.generator, reference.generator),
-                         (model.discriminator, reference.discriminator)):
-            for a, b in zip(net.parameters(), ref.parameters()):
-                npt.assert_array_equal(a, b)
+        assert_same_params(model.generator, reference.generator)
+        assert_same_params(model.discriminator, reference.discriminator)
 
     def test_shape_bug_is_not_reported_as_divergence(self, monkeypatch):
         # a generator emitting the wrong width fails inside the epoch
@@ -239,7 +247,7 @@ class TestTrain:
 def descent_step(net, grads, lr):
     """A copy of ``net`` after one plain gradient step p -= lr * g."""
     stepped = net.copy()
-    for p, g in zip(stepped.parameters(), grads):
+    for p, g in zip(stepped.params.values(), grads):
         p -= lr * g
     return stepped
 
@@ -296,7 +304,7 @@ class TestUpdateDirections:
         disc = float64_twin(disc)
         z = sample_latent(2, 3, 2, rng=15)
         _, analytic = generator_grads(gen, disc, z)
-        params = gen.parameters()
+        params = list(gen.params.values())
         eps = 1e-6
         for p_idx in range(len(params)):
             flat_idx = np.unravel_index(0, params[p_idx].shape)
@@ -317,7 +325,7 @@ class TestSaturatedDiscriminator:
         rng = np.random.default_rng(19)
         gen = build_generator(2, latent_dim=2, depth=1, hidden=4, rng=rng)
         disc = build_discriminator(2, depth=1, hidden=4, rng=rng)
-        disc.out_bias[:] = 100.0
+        disc.params["out_b"][:] = 100.0
         z = sample_latent(3, 5, 2, rng=rng)
         fake = generate(gen, z)
         assert np.all(lstm.forward_batch(disc, fake)[0] == 1.0)
@@ -334,14 +342,10 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    for a, b in zip(model.generator.parameters(), loaded.generator.parameters()):
-        npt.assert_array_equal(a, b)
-        assert b.dtype == np.float32
-    for a, b in zip(
-        model.discriminator.parameters(), loaded.discriminator.parameters()
-    ):
-        npt.assert_array_equal(a, b)
-        assert b.dtype == np.float32
+    for net, ref in ((loaded.generator, model.generator),
+                     (loaded.discriminator, model.discriminator)):
+        assert_same_params(net, ref)
+        assert all(p.dtype == np.float32 for p in net.params.values())
     assert loaded.loss_history == model.loss_history
     assert loaded.mmd_history == model.mmd_history
     assert loaded.epochs_completed == 2
@@ -371,19 +375,15 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
     meta["optimizer_steps"] = {"gen": 1, "disc": 1}
     meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path))
     for prefix, net in (("gopt_", model.generator), ("dopt_", model.discriminator)):
-        for i, p in enumerate(net.parameters()):
+        for i, p in enumerate(net.params.values()):
             arrays[f"{prefix}m{i}"] = np.full_like(p, 0.1)
             arrays[f"{prefix}v{i}"] = np.full_like(p, 0.01)
     old = tmp_path / "with_optimizer.npz"
     np.savez(old, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
     loaded = load_checkpoint(old)
-    for a, b in zip(model.generator.parameters(), loaded.generator.parameters()):
-        npt.assert_array_equal(a, b)
-    for a, b in zip(
-        model.discriminator.parameters(), loaded.discriminator.parameters()
-    ):
-        npt.assert_array_equal(a, b)
+    assert_same_params(loaded.generator, model.generator)
+    assert_same_params(loaded.discriminator, model.discriminator)
     assert loaded.loss_history == model.loss_history
     assert loaded.mmd_history == model.mmd_history
     assert {k: loaded.config[k] for k in model.config} == model.config
@@ -403,7 +403,7 @@ def test_float64_checkpoint_runs_in_float64(tmp_path):
         (loaded.generator, model.generator, z),
         (loaded.discriminator, model.discriminator, windows[:3]),
     ):
-        assert all(p.dtype == np.float64 for p in net.parameters())
+        assert all(p.dtype == np.float64 for p in net.params.values())
         out = lstm.forward_batch(net, inputs)[0]
         assert out.dtype == np.float64
         npt.assert_array_equal(out, lstm.forward_batch(ref, inputs)[0])
@@ -414,3 +414,27 @@ def test_checkpoint_interval_writes_files(tmp_path):
     train(tiny_config(epochs=4, checkpoint_interval=2), windows, SEED, checkpoint_dir=tmp_path)
     assert (tmp_path / "epoch_00002.npz").exists()
     assert (tmp_path / "epoch_00004.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ("gen_l0_w_rec", None, r"gen_\* arrays: .*missing \['l0_w_rec'\]"),
+        ("disc_out_b", None, r"disc_\* arrays: .*missing \['out_b'\]"),
+        (None, "gen_l9_w_in", r"gen_\* arrays: .*unexpected \['l9_w_in'\]"),
+    ],
+)
+def test_checkpoint_with_missing_or_extra_array_rejected(tmp_path, drop, add, message):
+    """The loader takes each net's depth from its arrays, so an array too
+    few or too many is refused by name instead of silently ignored."""
+    model = train(tiny_config(epochs=0), np.zeros((4, 4, 2)), SEED)
+    save_checkpoint(model, tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    if drop:
+        del arrays[drop]
+    if add:
+        arrays[add] = arrays["gen_l0_w_in"]
+    np.savez(tmp_path / "edited.npz", **arrays)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "edited.npz")

@@ -79,6 +79,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric cell 'oops'"):
             load_csv(p, "ts")
 
+    @pytest.mark.parametrize("cell, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")])
+    def test_non_finite_cell(self, tmp_path, cell, shown):
+        # the blank line is skipped but still counted in the row number
+        p = tmp_path / "data.csv"
+        p.write_text(f"ts,a,b\n0,1,2\n\n1,3,{cell}\n2,5,6\n")
+        with pytest.raises(ValueError, match=rf"data.csv: row 4: non-finite cell {shown} in column 'b'"):
+            load_csv(p, "ts")
+
     def test_unmapped_label(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a,state\n0,1,Weird\n")

@@ -7,8 +7,6 @@ import pytest
 
 from tsgad import lstm
 from tsgad.lstm import (
-    GradientSet,
-    LstmLayerParams,
     OptimizerState,
     StackedLstm,
     backward_batch,
@@ -25,8 +23,9 @@ def float64_twin(net):
     Finite-difference and bitwise-consistency checks run on the twin: their
     tolerances are set for float64, not for the float32 nets ``init_lstm`` makes.
     """
-    arrays = {k: v.astype(np.float64) for k, v in net.to_arrays().items()}
-    return StackedLstm.from_arrays(arrays, len(net.layers), net.output_activation)
+    return StackedLstm(
+        {k: v.astype(np.float64) for k, v in net.params.items()}, net.output_activation
+    )
 
 
 def grad_check(net, sequences, loss_fn, eps=1e-5):
@@ -39,10 +38,10 @@ def grad_check(net, sequences, loss_fn, eps=1e-5):
         raise ValueError("eps must be positive")
     outputs, cache = forward_batch(net, sequences)
     _, d_outputs = loss_fn(outputs)
-    analytic = backward_batch(net, cache, d_outputs).arrays()
+    analytic, _ = backward_batch(net, cache, d_outputs)
 
     worst = 0.0
-    for param, grad in zip(net.parameters(), analytic):
+    for param, grad in zip(net.params.values(), analytic.values()):
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
@@ -60,23 +59,16 @@ def grad_check(net, sequences, loss_fn, eps=1e-5):
 
 
 def zero_net(depth=1, d=2, h=3, o=2, activation="identity"):
-    layers = []
+    params = {}
     size = d
-    for _ in range(depth):
-        layers.append(
-            LstmLayerParams(
-                input_weights=np.zeros((4 * h, size)),
-                recurrent_weights=np.zeros((4 * h, h)),
-                biases=np.zeros(4 * h),
-            )
-        )
+    for i in range(depth):
+        params[f"l{i}_w_in"] = np.zeros((4 * h, size))
+        params[f"l{i}_w_rec"] = np.zeros((4 * h, h))
+        params[f"l{i}_bias"] = np.zeros(4 * h)
         size = h
-    return StackedLstm(
-        layers=layers,
-        out_weights=np.zeros((o, h)),
-        out_bias=np.zeros(o),
-        output_activation=activation,
-    )
+    params["out_w"] = np.zeros((o, h))
+    params["out_b"] = np.zeros(o)
+    return StackedLstm(params, activation)
 
 
 def scaled_linear_loss(shape, seed=0, scale=1e-2):
@@ -103,16 +95,14 @@ class TestForward:
         w_out, b_out = 1.3, -0.4
         x = 0.8
         net = StackedLstm(
-            layers=[
-                LstmLayerParams(
-                    input_weights=np.array([[wi], [wf], [wo], [wg]]),
-                    recurrent_weights=np.array([[0.9], [0.5], [-0.6], [0.2]]),
-                    biases=np.array([bi, bf, bo, bg]),
-                )
-            ],
-            out_weights=np.array([[w_out]]),
-            out_bias=np.array([b_out]),
-            output_activation="identity",
+            {
+                "l0_w_in": np.array([[wi], [wf], [wo], [wg]]),
+                "l0_w_rec": np.array([[0.9], [0.5], [-0.6], [0.2]]),
+                "l0_bias": np.array([bi, bf, bo, bg]),
+                "out_w": np.array([[w_out]]),
+                "out_b": np.array([b_out]),
+            },
+            "identity",
         )
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         i = sig(wi * x + bi)
@@ -180,10 +170,10 @@ class TestBackward:
         net = init_lstm(1, 2, 3, 2, "tanh", rng=11)
         seq = np.random.default_rng(12).normal(size=(1, 4, 2))
         _, cache = forward_batch(net, seq)
-        grads = backward_batch(net, cache, np.zeros((1, 4, 2)))
-        for g in grads.arrays():
+        grads, input_grads = backward_batch(net, cache, np.zeros((1, 4, 2)))
+        for g in grads.values():
             npt.assert_array_equal(g, 0.0)
-        npt.assert_array_equal(grads.inputs, 0.0)
+        npt.assert_array_equal(input_grads, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
@@ -214,7 +204,7 @@ class TestBackward:
         loss_fn = scaled_linear_loss((1, 4, 2), seed=25)
         out, cache = forward_batch(net, seq)
         _, d_out = loss_fn(out)
-        analytic = backward_batch(net, cache, d_out).inputs
+        _, analytic = backward_batch(net, cache, d_out)
         eps = 1e-6
         for t in range(4):
             for j in range(3):
@@ -235,15 +225,15 @@ class TestBackward:
         seqs = rng.normal(size=(3, steps, 3))
         d_out = rng.normal(size=(3, steps, 2))
         _, cache = forward_batch(net, seqs)
-        batched = backward_batch(net, cache, d_out)
+        batched, batched_inputs = backward_batch(net, cache, d_out)
         rows = [
             backward_batch(net, forward_batch(net, seqs[k : k + 1])[1], d_out[k : k + 1])
             for k in range(3)
         ]
-        for p_idx, grad in enumerate(batched.arrays()):
-            npt.assert_allclose(grad, sum(r.arrays()[p_idx] for r in rows), rtol=1e-12)
+        for name, grad in batched.items():
+            npt.assert_allclose(grad, sum(r[0][name] for r in rows), rtol=1e-12)
         for k in range(3):
-            npt.assert_allclose(batched.inputs[k], rows[k].inputs[0], rtol=1e-12)
+            npt.assert_allclose(batched_inputs[k], rows[k][1][0], rtol=1e-12)
 
     def test_cache_mismatch(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
@@ -259,22 +249,22 @@ class TestSaturation:
         rng = np.random.default_rng(51)
         seqs = rng.normal(size=(4, 10, 3)) * 30.0
         # most first-step pre-activations lie beyond +/-CLAMP, so the clip acts
-        first = seqs[:, 0] @ net.layers[0].input_weights.T + net.layers[0].biases
+        first = seqs[:, 0] @ net.params["l0_w_in"].T + net.params["l0_bias"]
         assert np.mean(np.abs(first) >= lstm.CLAMP) > 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, cache = forward_batch(net, seqs)
-            grads = backward_batch(net, cache, rng.normal(size=out.shape))
+            grads, input_grads = backward_batch(net, cache, rng.normal(size=out.shape))
         low, high = {"tanh": (-1.0, 1.0), "sigmoid": (0.0, 1.0)}.get(
             activation, (-np.inf, np.inf)
         )
         assert np.all(np.isfinite(out)) and np.all((out >= low) & (out <= high))
-        for grad in grads.arrays() + [grads.inputs]:
+        for grad in [*grads.values(), input_grads]:
             assert np.all(np.isfinite(grad))
 
     def test_identity_head_is_not_clamped(self):
         net = zero_net(activation="identity")
-        net.out_bias[:] = 100.0
+        net.params["out_b"][:] = 100.0
         out, _ = forward_batch(net, np.zeros((1, 3, 2)))
         npt.assert_array_equal(out, 100.0)
 
@@ -289,12 +279,10 @@ class TestGradCheck:
         loss_fn = scaled_linear_loss((1, 4, 3), seed=31)
         out, cache = forward_batch(net, seq)
         _, d_out = loss_fn(out)
-        grads = backward_batch(net, cache, d_out)
+        grads, _ = backward_batch(net, cache, d_out)
         eps = 1e-5
-        for param, grad in (
-            (net.out_weights, grads.out_weights),
-            (net.out_bias, grads.out_bias),
-        ):
+        for name in ("out_w", "out_b"):
+            param, grad = net.params[name], grads[name]
             it = np.nditer(param, flags=["multi_index"])
             while not it.finished:
                 idx = it.multi_index
@@ -368,23 +356,52 @@ class TestClipGradients:
         npt.assert_array_equal(grads[0], [0.3])
 
 
-def test_gradient_set_array_order_matches_parameters():
+def test_gradients_keyed_and_ordered_like_params():
     net = init_lstm(2, 3, 4, 2, "tanh", rng=40)
+    assert list(net.params) == [
+        "l0_w_in", "l0_w_rec", "l0_bias", "l1_w_in", "l1_w_rec", "l1_bias", "out_w", "out_b"
+    ]
     _, cache = forward_batch(net, np.zeros((1, 3, 3)))
-    grads = backward_batch(net, cache, np.zeros((1, 3, 2)))
-    params = net.parameters()
-    arrays = grads.arrays()
-    assert len(params) == len(arrays)
-    for p, g in zip(params, arrays):
-        assert p.shape == g.shape
+    grads, _ = backward_batch(net, cache, np.zeros((1, 3, 2)))
+    assert list(grads) == list(net.params)
+    for name, g in grads.items():
+        assert g.shape == net.params[name].shape
 
 
-def test_checkpoint_array_roundtrip():
+def test_checkpoint_array_roundtrip(tmp_path):
     net = init_lstm(2, 3, 4, 2, "sigmoid", rng=41)
-    rebuilt = StackedLstm.from_arrays(net.to_arrays(), 2, "sigmoid")
-    for a, b in zip(net.parameters(), rebuilt.parameters()):
+    np.savez(tmp_path / "net.npz", **net.params)
+    with np.load(tmp_path / "net.npz") as data:
+        rebuilt = StackedLstm({k: data[k] for k in data.files}, "sigmoid")
+    assert list(rebuilt.params) == list(net.params)
+    for a, b in zip(net.params.values(), rebuilt.params.values()):
         npt.assert_array_equal(a, b)
         assert a.dtype == b.dtype == lstm.PARAM_DTYPE
+
+
+def test_params_are_put_in_layout_order():
+    net = init_lstm(2, 3, 4, 2, "tanh", rng=42)
+    shuffled = StackedLstm(dict(reversed(net.params.items())), "tanh")
+    assert list(shuffled.params) == list(net.params)
+    assert (shuffled.depth, shuffled.input_size, shuffled.output_size) == (2, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("l0_w_in", (15, 3), "l0_w_in shape"),
+        ("l0_w_rec", (16, 5), "l0_w_rec shape"),
+        ("l1_bias", (12,), "l1_bias shape"),
+        ("l1_w_in", (16, 3), "previous hidden size"),
+        ("out_w", (2, 5), "top hidden state"),
+        ("out_b", (3,), "output bias"),
+    ],
+)
+def test_shape_mismatch_rejected(name, shape, message):
+    params = dict(init_lstm(2, 3, 4, 2, "tanh", rng=44).params)
+    params[name] = np.zeros(shape, np.float32)
+    with pytest.raises(ValueError, match=message):
+        StackedLstm(params, "tanh")
 
 
 class TestDtype:
@@ -392,14 +409,13 @@ class TestDtype:
         net = init_lstm(3, 15, 100, 7, "tanh", rng=60)
         rng = np.random.default_rng(61)
         out, cache = forward_batch(net, rng.normal(size=(4, 12, 15)))
-        grads = backward_batch(net, cache, rng.normal(size=out.shape))
+        grads, input_grads = backward_batch(net, cache, rng.normal(size=out.shape))
         state = OptimizerState(learning_rate=1e-3)
-        optimizer_step(net.parameters(), grads.arrays(), state)
-        arrays = [cache.outputs]
-        for lc in cache.layer_caches:
-            arrays += [lc.inputs, lc.gates, lc.cell, lc.hidden]
-        arrays += grads.arrays() + [grads.inputs]
-        arrays += net.parameters() + state.first_moment + state.second_moment
+        optimizer_step(net.params.values(), grads.values(), state)
+        layers, outputs = cache
+        arrays = [outputs, *(a for layer in layers for a in layer)]
+        arrays += [*grads.values(), input_grads]
+        arrays += [*net.params.values(), *state.first_moment, *state.second_moment]
         assert all(a.dtype == np.float32 for a in arrays)
 
     @pytest.mark.parametrize("batch", [1, 32])
@@ -412,16 +428,16 @@ class TestDtype:
         out, cache = forward_batch(net, z)
         out64, cache64 = forward_batch(twin, z)
         npt.assert_allclose(out, out64, rtol=0, atol=1e-6)
-        grads = backward_batch(net, cache, d_out)
-        grads64 = backward_batch(twin, cache64, d_out)
-        for g, g64 in zip(grads.arrays() + [grads.inputs], grads64.arrays() + [grads64.inputs]):
+        grads, input_grads = backward_batch(net, cache, d_out)
+        grads64, input_grads64 = backward_batch(twin, cache64, d_out)
+        for g, g64 in zip([*grads.values(), input_grads], [*grads64.values(), input_grads64]):
             npt.assert_allclose(g, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
 
     def test_mixed_parameter_dtypes_rejected(self):
-        arrays = init_lstm(2, 3, 4, 2, "tanh", rng=64).to_arrays()
+        arrays = dict(init_lstm(2, 3, 4, 2, "tanh", rng=64).params)
         arrays["l1_bias"] = arrays["l1_bias"].astype(np.float64)
         with pytest.raises(ValueError, match="l1_bias has dtype float64"):
-            StackedLstm.from_arrays(arrays, 2, "tanh")
+            StackedLstm(arrays, "tanh")
         ints = {k: v.astype(np.int64) for k, v in arrays.items()}
         with pytest.raises(ValueError, match="l0_w_in has dtype int64"):
-            StackedLstm.from_arrays(ints, 2, "tanh")
+            StackedLstm(ints, "tanh")

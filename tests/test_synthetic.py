@@ -118,6 +118,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown attack kind"):
             AttackSpec("drift", target=0, start=0, duration=5)
 
+    def test_overlapping_stuck_attacks_on_one_variable_rejected(self):
+        early = AttackSpec("stuck_value", target=0, start=50, duration=30)
+        late = AttackSpec("stuck_value", target=0, start=60, duration=30)
+        for attacks in ([early, late], [late, early]):
+            with pytest.raises(ValueError, match="variable 0 overlap at rows 60-79"):
+                basic_spec(attacks=attacks)
+        # back to back, or on different variables, the freezes do not interact
+        basic_spec(attacks=[early, AttackSpec("stuck_value", target=0, start=80, duration=10)])
+        basic_spec(attacks=[early, AttackSpec("stuck_value", target=1, start=60, duration=30)])
+
     def test_coupled_must_reference_earlier_variable(self):
         with pytest.raises(ValueError, match="earlier variable"):
             ScenarioSpec(
