@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import pipeline
@@ -18,15 +17,6 @@ COMMANDS = {
     "evaluate": pipeline.run_evaluate,
     "all": pipeline.run_all,
 }
-
-# path overrides only; everything else must come from the config file
-ENV_OVERRIDES = {
-    "TSGAD_INPUT_CSV": "input_csv",
-    "TSGAD_TEST_CSV": "test_csv",
-    "TSGAD_OUT_DIR": "out_dir",
-    "TSGAD_CHECKPOINT": "checkpoint",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,10 +43,6 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["paths"]["out_dir"] = args.out
-    for env, key in ENV_OVERRIDES.items():
-        value = os.environ.get(env)
-        if value:
-            cfg["paths"][key] = value
     return cfg
 
 

@@ -31,12 +31,17 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class GanModel:
+    """The trained pair, its config and one record per completed epoch.
+
+    Each ``history`` record is a dict with the epoch's mean ``d_loss`` and
+    ``g_loss`` and its ``mmd``, which is ``None`` on epochs without an MMD
+    evaluation.  ``len(history)`` is the number of completed epochs.
+    """
+
     generator: lstm.StackedLstm
     discriminator: lstm.StackedLstm
     config: dict  # the gan config section plus sequence_length and seed
-    loss_history: list[tuple[float, float]] = field(default_factory=list)
-    mmd_history: list[float] = field(default_factory=list)
-    epochs_completed: int = 0
+    history: list[dict] = field(default_factory=list)
 
 
 def build_generator(
@@ -165,7 +170,7 @@ def train(
     seed: int,
     checkpoint_dir: str | Path | None = None,
 ) -> GanModel:
-    """Run the adversarial loop and return the trained pair with histories.
+    """Run the adversarial loop and return the trained pair with its history.
 
     ``settings`` is the validated ``gan`` config section; ``config.SCHEMA``
     holds its defaults and ranges.  The sequence length is that of
@@ -176,9 +181,11 @@ def train(
     minibatch takes ``d_steps`` discriminator updates followed by ``g_steps``
     generator updates on fresh latent draws.  A non-finite loss or gradient
     norm raises :class:`TrainingDiverged` with the last epoch's parameters
-    attached; non-finite windows are rejected before the first epoch.  The
-    per-epoch MMD uses one bandwidth for the whole run, the median heuristic
-    of its reference windows, so its values can be compared across epochs.
+    and the completed epochs' history attached; non-finite windows are
+    rejected before the first epoch.  Every ``mmd_every`` epochs (never with
+    0) the epoch's record gets an MMD between generated and reference
+    windows, with one bandwidth for the whole run, the median heuristic of
+    its reference windows, so its values can be compared across epochs.
     With ``checkpoint_interval > 0`` a checkpoint goes to ``checkpoint_dir``
     every that many epochs.
     """
@@ -247,13 +254,14 @@ def train(
             model.generator, model.discriminator = last_good
             raise
 
-        model.loss_history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
-        model.epochs_completed = epoch + 1
         last_good = (gen.copy(), disc.copy())
-
+        mmd = None
         if settings["mmd_every"] > 0 and (epoch + 1) % settings["mmd_every"] == 0:
             z = sample_latent(mmd_ref.shape[0], seq_len, latent_dim, rng)
-            model.mmd_history.append(mmd_unbiased(generate(gen, z), mmd_ref, bandwidth))
+            mmd = mmd_unbiased(generate(gen, z), mmd_ref, bandwidth)
+        model.history.append(
+            {"d_loss": float(np.mean(d_losses)), "g_loss": float(np.mean(g_losses)), "mmd": mmd}
+        )
 
         if (
             settings["checkpoint_interval"] > 0
@@ -266,10 +274,15 @@ def train(
 
 
 def save_checkpoint(model: GanModel, path: str | Path) -> None:
-    """Persist both networks, the config and the histories (no optimizer state).
+    """Persist both networks, the config and the history (no optimizer state).
 
     Parameters are stored in their training dtype, and ``load_checkpoint``
-    keeps it, so a float64 checkpoint still runs in float64.
+    keeps it, so a float64 checkpoint still runs in float64.  The meta's
+    ``history`` key holds the records of ``GanModel.history``, with a missing
+    MMD as ``null``.  Checkpoints written before the per-epoch records keep
+    the losses and MMDs in separate meta lists instead; they load with both
+    nets and their config, and with an empty history, since no stage reads
+    a loaded model's history.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -278,9 +291,7 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
     meta = {
         "format_version": 1,
         "config": model.config,
-        "epochs_completed": model.epochs_completed,
-        "loss_history": model.loss_history,
-        "mmd_history": model.mmd_history,
+        "history": model.history,
     }
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
@@ -289,7 +300,8 @@ def load_checkpoint(path: str | Path) -> GanModel:
     """Rebuild both networks from their ``gen_``/``disc_`` arrays.
 
     Arrays under any other prefix, such as the Adam moments older
-    checkpoints carry, are ignored.
+    checkpoints carry, are ignored, and so is meta without a ``history``
+    key (see :func:`save_checkpoint`).
     """
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
@@ -307,7 +319,5 @@ def load_checkpoint(path: str | Path) -> GanModel:
         generator=net("gen_", "tanh"),
         discriminator=net("disc_", "sigmoid"),
         config=meta["config"],
-        loss_history=[tuple(pair) for pair in meta["loss_history"]],
-        mmd_history=list(meta["mmd_history"]),
-        epochs_completed=meta["epochs_completed"],
+        history=meta.get("history", []),
     )

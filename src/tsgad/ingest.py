@@ -55,8 +55,9 @@ def load_csv(
     ``timestamp_format`` is an optional ``strptime`` pattern for non-numeric
     timestamps.  The timestamps are checked, not returned.
 
-    Rejects ragged rows, non-numeric or non-finite (nan, inf) feature cells,
-    unmapped label strings and timestamps that are not strictly increasing.
+    Rejects ragged rows, non-numeric or non-finite (nan, inf) feature cells
+    and timestamps, unmapped label strings and timestamps that are not
+    strictly increasing.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
@@ -120,6 +121,9 @@ def load_csv(
             f"in column {feature_names[c]!r}"
         )
     ts = np.asarray(timestamps, dtype=np.float64)
+    if not np.isfinite(ts).all():
+        r = int(np.argmin(np.isfinite(ts)))
+        raise ValueError(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
         raise ValueError(

@@ -49,33 +49,19 @@ class PcaModel:
     def n_variables(self) -> int:
         return self.loadings.shape[1]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean.tolist(),
-                "loadings": self.loadings.tolist(),
-                "eigenvalues": self.eigenvalues.tolist(),
-                "total_variance": self.total_variance,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PcaModel":
-        d = json.loads(text)
-        return cls(
-            mean=np.asarray(d["mean"]),
-            loadings=np.asarray(d["loadings"]),
-            eigenvalues=np.asarray(d["eigenvalues"]),
-            total_variance=float(d["total_variance"]),
-        )
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        fields = {
+            "mean": self.mean.tolist(),
+            "loadings": self.loadings.tolist(),
+            "eigenvalues": self.eigenvalues.tolist(),
+            "total_variance": self.total_variance,
+        }
+        Path(path).write_text(json.dumps(fields, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "PcaModel":
-        return cls.from_json(Path(path).read_text())
+        d = json.loads(Path(path).read_text())
+        return cls(d["mean"], d["loadings"], d["eigenvalues"], float(d["total_variance"]))
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

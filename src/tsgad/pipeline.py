@@ -176,30 +176,22 @@ def run_train(cfg: dict) -> Path:
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
-    mmd_every = cfg["gan"]["mmd_every"]
-    rows = []
-    for epoch, (dl, gl) in enumerate(model.loss_history, start=1):
-        mmd_val = ""
-        if mmd_every and epoch % mmd_every == 0:
-            idx = epoch // mmd_every - 1
-            if idx < len(model.mmd_history):
-                mmd_val = _fmt(model.mmd_history[idx])
-        rows.append([epoch, _fmt(dl), _fmt(gl), mmd_val])
+    history = model.history
+    rows = [
+        [epoch, h["d_loss"], h["g_loss"], "" if h["mmd"] is None else h["mmd"]]
+        for epoch, h in enumerate(history, start=1)
+    ]
     _write_csv(out / "history.csv", ["epoch", "d_loss", "g_loss", "mmd"], rows)
-    if model.loss_history:
+    if history:
         svgplot.write_line_chart(
             out / "history.svg",
-            {
-                "d_loss": np.array([d for d, _ in model.loss_history]),
-                "g_loss": np.array([g for _, g in model.loss_history]),
-            },
+            {key: [h[key] for h in history] for key in ("d_loss", "g_loss")},
             title="adversarial training losses",
         )
-    if model.mmd_history:
+    mmd = [h["mmd"] for h in history if h["mmd"] is not None]
+    if mmd:
         svgplot.write_line_chart(
-            out / "mmd.svg",
-            {"mmd": np.array(model.mmd_history)},
-            title="generated-vs-real MMD per epoch",
+            out / "mmd.svg", {"mmd": mmd}, title="generated-vs-real MMD per epoch"
         )
     return checkpoint
 

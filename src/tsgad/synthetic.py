@@ -111,14 +111,17 @@ def _column_name(index: int, var) -> str:
     return f"v{index}_{kind}"
 
 
-def _base_value(var, t: np.ndarray, base_fns: list) -> np.ndarray:
+def _base_value(var, t: np.ndarray, variables: list) -> np.ndarray:
+    """Noise-free reading of ``var`` at times ``t``; a coupled sensor reads
+    its source at ``t - delay``."""
     if isinstance(var, SineSensor):
         return var.amplitude * np.sin(2.0 * np.pi * t / var.period + var.phase)
     if isinstance(var, SquareActuator):
         frac = np.mod(t, var.period) / var.period
         return np.where(frac < var.duty_cycle, var.high, var.low)
     if isinstance(var, CoupledSensor):
-        return var.gain * base_fns[var.source](t - var.delay) + var.offset
+        source = variables[var.source]
+        return var.gain * _base_value(source, t - var.delay, variables) + var.offset
     raise TypeError(f"unknown variable spec {type(var)!r}")
 
 
@@ -144,13 +147,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
     and one name per variable.
     """
     t = np.arange(spec.duration, dtype=np.float64)
-    base_fns = []
-    for var in spec.variables:
-        # bind loop variable; coupled channels evaluate their source lazily
-        base_fns.append(lambda tt, v=var: _base_value(v, np.asarray(tt, dtype=np.float64), base_fns))
-
     n_vars = len(spec.variables)
-    signal = np.column_stack([base_fns[j](t) for j in range(n_vars)])
+    signal = np.column_stack([_base_value(v, t, spec.variables) for v in spec.variables])
     _apply_attacks(signal, spec.attacks)
 
     rng = np.random.default_rng(spec.seed)

@@ -1,6 +1,7 @@
 """End-to-end runs of the CLI on a tiny synthetic plant (a few seconds each)."""
 
 import json
+import math
 import shutil
 
 import pytest
@@ -107,6 +108,19 @@ def test_stage_by_stage_matches_all(config, all_out, tmp_path):
         assert _run(config, tmp_path, "detect") == 0
     assert _run(config, tmp_path, "evaluate") == 0
     _assert_same_tree(tmp_path, all_out)
+
+
+def test_history_leaves_mmd_blank_between_mmd_epochs(tmp_path):
+    config = tmp_path / "mmd_every.yaml"
+    config.write_text(TINY_CONFIG.replace("  epochs: 1\n", "  epochs: 3\n  mmd_every: 2\n"))
+    out = tmp_path / "out"
+    for stage in ("synth", "ingest", "train"):
+        assert _run(config, out, stage) == 0, stage
+    rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert [row[3] for row in (rows[0], rows[2])] == ["", ""]
+    assert math.isfinite(float(rows[1][3]))
+    assert (out / "mmd.svg").is_file()
 
 
 def test_periodic_checkpoints_do_not_depend_on_out_dir(tmp_path):

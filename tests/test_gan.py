@@ -158,9 +158,7 @@ class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         windows = np.zeros((8, 4, 1))
         model = train(tiny_config(epochs=0), windows, SEED)
-        assert model.loss_history == []
-        assert model.mmd_history == []
-        assert model.epochs_completed == 0
+        assert model.history == []
         ref = build_generator(1, latent_dim=2, depth=1, hidden=6,
                               rng=np.random.default_rng(0))
         assert_same_params(model.generator, ref)
@@ -181,13 +179,16 @@ class TestTrain:
         b = train(tiny_config(), windows, SEED)
         assert_same_params(a.generator, b.generator)
         assert_same_params(a.discriminator, b.discriminator)
-        assert a.loss_history == b.loss_history
+        assert a.history == b.history
 
     def test_histories_match_epochs_and_mmd_interval(self):
         windows = np.random.default_rng(10).uniform(-0.5, 0.5, (16, 4, 1))
         model = train(tiny_config(epochs=4, mmd_every=2), windows, SEED)
-        assert len(model.loss_history) == 4
-        assert len(model.mmd_history) == 2
+        assert [list(h) for h in model.history] == [["d_loss", "g_loss", "mmd"]] * 4
+        assert [h["mmd"] is None for h in model.history] == [True, False, True, False]
+        for h in model.history:
+            assert all(isinstance(v, float) and math.isfinite(v)
+                       for v in h.values() if v is not None)
 
     def test_every_epoch_mmd_uses_one_bandwidth(self, monkeypatch):
         # 16 windows and mmd_samples 128: the reference set is every window
@@ -200,7 +201,8 @@ class TestTrain:
 
         monkeypatch.setattr(gan, "mmd_unbiased", recording_mmd)
         model = train(tiny_config(epochs=4, mmd_every=1), windows, SEED)
-        assert len(bandwidths) == len(model.mmd_history) == 4
+        assert [h["mmd"] is not None for h in model.history] == [True] * 4
+        assert len(bandwidths) == 4
         assert len(set(bandwidths)) == 1
         assert bandwidths[0] == pytest.approx(median_heuristic(windows), rel=1e-12)
 
@@ -228,7 +230,8 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="gradient norm nan") as exc_info:
             train(cfg, windows, SEED)
         model = exc_info.value.model
-        assert model.epochs_completed == 1
+        assert len(model.history) == 1
+        assert model.history == reference.history
         assert_same_params(model.generator, reference.generator)
         assert_same_params(model.discriminator, reference.discriminator)
 
@@ -241,7 +244,7 @@ class TestTrain:
     def test_one_window_with_mmd_names_the_cause(self):
         with pytest.raises(ValueError, match=r"2 training windows, got 1; .*gan\.mmd_every: 0"):
             train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)), SEED)
-        assert train(tiny_config(epochs=1), np.zeros((1, 4, 1)), SEED).epochs_completed == 1
+        assert len(train(tiny_config(epochs=1), np.zeros((1, 4, 1)), SEED).history) == 1
 
 
 def descent_step(net, grads, lr):
@@ -338,7 +341,7 @@ class TestSaturatedDiscriminator:
 
 def test_checkpoint_roundtrip(tmp_path):
     windows = np.random.default_rng(16).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=2, mmd_every=1), windows, SEED)
+    model = train(tiny_config(epochs=2, mmd_every=2), windows, SEED)
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -346,9 +349,8 @@ def test_checkpoint_roundtrip(tmp_path):
                      (loaded.discriminator, model.discriminator)):
         assert_same_params(net, ref)
         assert all(p.dtype == np.float32 for p in net.params.values())
-    assert loaded.loss_history == model.loss_history
-    assert loaded.mmd_history == model.mmd_history
-    assert loaded.epochs_completed == 2
+    assert [h["mmd"] is None for h in loaded.history] == [True, False]
+    assert loaded.history == model.history
     assert loaded.config == model.config
 
 
@@ -363,9 +365,11 @@ def test_model_config_records_settings_length_and_seed(tmp_path):
 
 def test_checkpoint_with_optimizer_state_loads(tmp_path):
     """Checkpoints written when Adam moments were still saved carry
-    gopt_*/dopt_* arrays and optimizer_steps meta, and older configs carry
-    optimizer and checkpoint_dir fields; the loader ignores the arrays and
-    keeps the config as stored."""
+    gopt_*/dopt_* arrays and optimizer_steps meta, older configs carry
+    optimizer and checkpoint_dir fields, and the meta of checkpoints written
+    before the per-epoch records holds loss_history, mmd_history and
+    epochs_completed instead of history; the loader ignores the arrays and
+    the old history fields, and keeps the config as stored."""
     windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
     model = train(tiny_config(epochs=1), windows, SEED)
     save_checkpoint(model, tmp_path / "current.npz")
@@ -373,6 +377,12 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays.pop("meta")).decode())
     meta["optimizer_steps"] = {"gen": 1, "disc": 1}
+    del meta["history"]
+    meta.update(
+        epochs_completed=1,
+        loss_history=[[h["d_loss"], h["g_loss"]] for h in model.history],
+        mmd_history=[],
+    )
     meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path))
     for prefix, net in (("gopt_", model.generator), ("dopt_", model.discriminator)):
         for i, p in enumerate(net.params.values()):
@@ -384,8 +394,7 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
     loaded = load_checkpoint(old)
     assert_same_params(loaded.generator, model.generator)
     assert_same_params(loaded.discriminator, model.discriminator)
-    assert loaded.loss_history == model.loss_history
-    assert loaded.mmd_history == model.mmd_history
+    assert loaded.history == []
     assert {k: loaded.config[k] for k in model.config} == model.config
 
 

@@ -87,6 +87,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=rf"data.csv: row 4: non-finite cell {shown} in column 'b'"):
             load_csv(p, "ts")
 
+    @pytest.mark.parametrize("text, row, shown", [
+        ("ts,a\n0,1\nnan,2\n2,3\n", 3, "nan"),
+        ("ts,a\n0,1\n1,2\ninf,3\n", 4, "inf"),
+        ("ts,a\n-inf,1\n1,2\n2,3\n", 2, "-inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, tmp_path, text, row, shown):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"data.csv: row {row}: non-finite timestamp {shown}$"):
+            load_csv(p, "ts")
+
     def test_unmapped_label(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a,state\n0,1,Weird\n")
