@@ -73,7 +73,7 @@ def _non_negative(x):
 
 
 def _fraction(x):
-    return 0.0 <= x <= 0.9
+    return 0.0 < x <= 0.9
 
 
 def _unit_open(x):
@@ -108,7 +108,7 @@ SCHEMA: dict = {
         "train_shift": Field(int, 10, _positive, "positive integer"),
         "test_shift": Field(int, 120, _positive, "positive integer"),
         "downsample_factor": Field(int, 10, _positive, "positive integer"),
-        "holdout_fraction": Field(float, 0.2, _fraction, "fraction in [0, 0.9]"),
+        "holdout_fraction": Field(float, 0.2, _fraction, "fraction in (0, 0.9]"),
     },
     "pca": {
         "n_components": Field(int, 5, _positive, "positive integer"),
@@ -139,11 +139,6 @@ SCHEMA: dict = {
     "scoring": {
         "lambda": Field(float, 0.5, _unit_closed, "number in [0, 1]"),
         "target_fpr": Field(float, 0.01, _unit_open, "number strictly in (0, 1)"),
-        "tau": Field((float, type(None)), None),
-    },
-    "baselines": {
-        "cusum": Field(bool, True),
-        "spe": Field(bool, True),
     },
     "generate": {
         "count": Field(int, 8, _positive, "positive integer"),

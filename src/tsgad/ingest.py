@@ -23,18 +23,18 @@ from pathlib import Path
 import numpy as np
 
 
-def _parse_timestamp(raw: str, timestamp_format: str | None, row_num: int) -> float:
+def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num: int) -> float:
     text = raw.strip()
     if timestamp_format is not None:
         try:
             return datetime.strptime(text, timestamp_format).timestamp()
         except ValueError as exc:
-            raise ValueError(f"row {row_num}: bad timestamp {raw!r}: {exc}") from None
+            raise ValueError(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
     try:
         return float(text)
     except ValueError:
         raise ValueError(
-            f"row {row_num}: non-numeric timestamp {raw!r} "
+            f"{path}: row {row_num}: non-numeric timestamp {raw!r} "
             "(set timestamp_format for datetime strings)"
         ) from None
 
@@ -92,7 +92,7 @@ def load_csv(
                 raise ValueError(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            timestamps.append(_parse_timestamp(row[ts_idx], timestamp_format, row_num))
+            timestamps.append(_parse_timestamp(row[ts_idx], timestamp_format, path, row_num))
             try:
                 rows.append([float(row[i]) for i in feature_idx])
             except ValueError:
@@ -127,8 +127,8 @@ def load_csv(
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
         raise ValueError(
-            f"{path}: non-monotone timestamps at data row {bad + 2} "
-            f"({ts[bad]} -> {ts[bad + 1]})"
+            f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
+            f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]})"
         )
     return (
         values,

@@ -62,15 +62,13 @@ def _csv_paths(cfg: dict) -> tuple[Path, Path | None]:
     return Path(train), Path(test) if test else None
 
 
-def _check_baselines_have_holdout(cfg: dict, has_holdout: bool) -> None:
-    """The baselines set their thresholds on holdout windows; refuse a run
-    that enables one without them."""
-    enabled = [f"baselines.{name}" for name in ("cusum", "spe") if cfg["baselines"][name]]
-    if enabled and not has_holdout:
-        raise ConfigError(
-            f"{' and '.join(enabled)}: no holdout windows to set a threshold on; "
-            "set ingest.holdout_fraction above 0 and re-ingest, or turn the baseline off"
-        )
+def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict]:
+    """The bundle that detect and evaluate read: both set their thresholds on
+    its holdout windows, which a bundle ingested with no holdout lacks."""
+    arrays, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
+    if not {"holdout_windows", "holdout_raw_windows"} <= arrays.keys():
+        raise ConfigError("bundle has no holdout windows; re-ingest")
+    return arrays, manifest
 
 
 def run_synth(cfg: dict) -> tuple[Path, Path]:
@@ -99,16 +97,17 @@ def run_ingest(cfg: dict) -> Path:
 
     holdout_rows = int(round(len(values) * ing["holdout_fraction"]))
     window_len = ing["window_length"]
-    if 0 < holdout_rows < window_len:
+    if holdout_rows < window_len:
         raise ConfigError(
             f"ingest.holdout_fraction {ing['holdout_fraction']} holds out {holdout_rows} "
             f"rows, fewer than one window of ingest.window_length {window_len}"
         )
-    _check_baselines_have_holdout(cfg, holdout_rows > 0)
     split = len(values) - holdout_rows
     if split < window_len:
         raise ConfigError(
-            "training split too short for the configured window length"
+            f"ingest.holdout_fraction {ing['holdout_fraction']} and ingest.trim_rows {trim} "
+            f"leave {split} rows of {train_csv} for training, fewer than one window of "
+            f"ingest.window_length {window_len}"
         )
     col_min, col_max = values[:split].min(axis=0), values[:split].max(axis=0)
     train_norm = ingest.normalize(values[:split], col_min, col_max)
@@ -127,15 +126,14 @@ def run_ingest(cfg: dict) -> Path:
             *ingest.window(rows, labels, window_len, shift), factor
         )
 
+    holdout_norm = ingest.normalize(values[split:], col_min, col_max)
     # no stage reads training labels; only the test set's are stored
     sets = {
         "train": cut(pca.project(model, train_norm), None, ing["train_shift"]),
         "train_raw": cut(train_norm, None, window_len),
+        "holdout": cut(pca.project(model, holdout_norm), None, ing["test_shift"]),
+        "holdout_raw": cut(holdout_norm, None, ing["test_shift"]),
     }
-    if holdout_rows:
-        holdout_norm = ingest.normalize(values[split:], col_min, col_max)
-        sets["holdout"] = cut(pca.project(model, holdout_norm), None, ing["test_shift"])
-        sets["holdout_raw"] = cut(holdout_norm, None, ing["test_shift"])
     if test_csv:
         test_values, test_labels, test_columns = ingest.load_csv(test_csv, *schema)
         if test_columns != columns:
@@ -245,8 +243,13 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, see
 
 
 def run_detect(cfg: dict) -> Path:
-    """Invert, score and flag the bundled test windows."""
-    arrays, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
+    """Invert, score and flag the bundled test windows.
+
+    The bundle must hold holdout windows: the residual scale and tau are
+    taken from the scores of those normal windows, so that about
+    ``scoring.target_fpr`` of them would be flagged.
+    """
+    arrays, manifest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
         raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     model = gan.load_checkpoint(_checkpoint_path(cfg))
@@ -254,23 +257,15 @@ def run_detect(cfg: dict) -> Path:
     inv = cfg["inversion"]
     lam = cfg["scoring"]["lambda"]
 
-    tau = cfg["scoring"]["tau"]
-    res_min = res_max = None
-    holdout_windows = len(arrays["holdout_windows"]) if "holdout_windows" in arrays else 0
-    if 0 < holdout_windows < MIN_HOLDOUT_WINDOWS:
+    holdout_windows = len(arrays["holdout_windows"])
+    if holdout_windows < MIN_HOLDOUT_WINDOWS:
         warnings.warn(f"only {holdout_windows} holdout windows set the residual scale and tau")
-    if holdout_windows:
-        _, _, hold_res, hold_disc = _score_windows(
-            model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
-        )
-        res_min, res_max = float(hold_res.min()), float(hold_res.max())
-        _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
-        if tau is None:
-            tau = scoring.calibrate_tau(hold_combined, cfg["scoring"]["target_fpr"])
-    elif tau is None:
-        raise ConfigError(
-            "scoring.tau is unset and the bundle has no holdout windows to calibrate on"
-        )
+    _, _, hold_res, hold_disc = _score_windows(
+        model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
+    )
+    res_min, res_max = float(hold_res.min()), float(hold_res.max())
+    _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
+    tau = scoring.calibrate_tau(hold_combined, cfg["scoring"]["target_fpr"])
 
     results, comp_res, test_res, test_disc = _score_windows(
         model, arrays["test_windows"], inv, cfg["seed"]
@@ -349,9 +344,13 @@ def _read_scores_csv(path: Path):
 
 
 def run_evaluate(cfg: dict) -> Path:
-    """Score GAN detection against the CUSUM and SPE baselines."""
+    """Score GAN detection against the CUSUM and SPE baselines.
+
+    The bundle must hold holdout windows: each baseline's threshold is the
+    ``1 - scoring.target_fpr`` quantile of its statistic on them.
+    """
     bundle = _bundle_dir(cfg)
-    arrays, manifest = ingest.load_window_bundle(bundle)
+    arrays, manifest = _load_calibration_bundle(cfg)
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
     if not scores_path.exists():
@@ -359,45 +358,36 @@ def run_evaluate(cfg: dict) -> Path:
     flags, truth = _read_scores_csv(scores_path)
     if truth is None:
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
-    # the bundle may have been ingested with the baselines off
-    _check_baselines_have_holdout(cfg, "holdout_raw_windows" in arrays)
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
     report["methods"]["gan_ad"] = scoring.metrics(flags, truth)
 
     fpr = cfg["scoring"]["target_fpr"]
-    columns = manifest["columns"]
-    if cfg["baselines"]["cusum"]:
-        train_rows = _flatten_windows(arrays["train_raw_windows"])
-        holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
-        test_rows = _flatten_windows(arrays["test_raw_windows"])
-        per_variable = {}
-        best_name, best = None, None
-        for j, name in enumerate(columns):
-            base = bl.fit_cusum_config(train_rows[:, j])
-            stat = bl.cusum_statistic(holdout_rows[:, j], base)
-            threshold = max(scoring.threshold_for_fpr(stat, fpr), 1e-9)
-            calibrated = replace(base, threshold=threshold)
-            var_report = scoring.metrics(
-                bl.cusum_detect(test_rows[:, j], calibrated), truth
-            )
-            per_variable[name] = {**var_report, "threshold": threshold}
-            if best is None or var_report["f1"] > best["f1"]:
-                best_name, best = name, var_report
-        report["methods"]["cusum"] = {
-            "per_variable": per_variable,
-            "best_variable": best_name,
-            "best": best,
-        }
+    train_rows = _flatten_windows(arrays["train_raw_windows"])
+    holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
+    test_rows = _flatten_windows(arrays["test_raw_windows"])
+    per_variable = {}
+    best_name, best = None, None
+    for j, name in enumerate(manifest["columns"]):
+        base = bl.fit_cusum_config(train_rows[:, j])
+        stat = bl.cusum_statistic(holdout_rows[:, j], base)
+        threshold = max(scoring.threshold_for_fpr(stat, fpr), 1e-9)
+        calibrated = replace(base, threshold=threshold)
+        var_report = scoring.metrics(bl.cusum_detect(test_rows[:, j], calibrated), truth)
+        per_variable[name] = {**var_report, "threshold": threshold}
+        if best is None or var_report["f1"] > best["f1"]:
+            best_name, best = name, var_report
+    report["methods"]["cusum"] = {
+        "per_variable": per_variable,
+        "best_variable": best_name,
+        "best": best,
+    }
 
-    if cfg["baselines"]["spe"]:
-        pca_model = pca.PcaModel.load(bundle / "pca.json")
-        holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
-        test_rows = _flatten_windows(arrays["test_raw_windows"])
-        threshold = scoring.threshold_for_fpr(pca.spe(pca_model, holdout_rows), fpr)
-        spe_report = scoring.metrics(bl.spe_detect(pca_model, test_rows, threshold), truth)
-        report["methods"]["spe"] = {**spe_report, "threshold": threshold}
-        report["variance_ratios"] = pca.variance_ratios(pca_model).tolist()
+    pca_model = pca.PcaModel.load(bundle / "pca.json")
+    threshold = scoring.threshold_for_fpr(pca.spe(pca_model, holdout_rows), fpr)
+    spe_report = scoring.metrics(bl.spe_detect(pca_model, test_rows, threshold), truth)
+    report["methods"]["spe"] = {**spe_report, "threshold": threshold}
+    report["variance_ratios"] = pca.variance_ratios(pca_model).tolist()
 
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(report, indent=2, sort_keys=True))

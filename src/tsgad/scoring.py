@@ -20,16 +20,17 @@ def anomaly_score(
     residuals: np.ndarray,
     disc_scores: np.ndarray,
     lam: float,
-    res_min: float | None = None,
-    res_max: float | None = None,
+    res_min: float,
+    res_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combine residual and discrimination evidence per timestep.
 
     ``disc_scores`` are raw discriminator outputs D(x) in (0, 1); the
     discrimination term becomes 1 - D(x).  Residuals are min-max normalized
-    over this evaluation set unless explicit ``res_min``/``res_max`` (e.g.
-    fitted on a calibration slice) are supplied.  Returns the normalized
-    residuals and the combined score lam * residual_norm + (1 - lam) * (1 - D).
+    with ``res_min``/``res_max``, the residual range on the normal holdout
+    windows, so the test set never sets its own scale; a residual outside
+    that range maps outside [0, 1].  Returns the normalized residuals and the
+    combined score lam * residual_norm + (1 - lam) * (1 - D).
     """
     res = np.asarray(residuals, dtype=np.float64)
     disc = np.asarray(disc_scores, dtype=np.float64)
@@ -37,10 +38,8 @@ def anomaly_score(
         raise ValueError("residuals and disc_scores must be equal-length vectors")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    lo = float(res.min()) if res_min is None else float(res_min)
-    hi = float(res.max()) if res_max is None else float(res_max)
-    span = hi - lo if hi > lo else 1.0
-    res_norm = (res - lo) / span
+    span = res_max - res_min if res_max > res_min else 1.0
+    res_norm = (res - res_min) / span
     return res_norm, lam * res_norm + (1.0 - lam) * (1.0 - disc)
 
 

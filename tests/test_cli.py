@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from tsgad.cli import main
@@ -152,7 +153,7 @@ def test_generate_writes_bounded_samples_reproducibly(config, all_out, tmp_path)
 
 @pytest.mark.parametrize("key", [
     "no_such_key", "workers", "gan.optimizer", "synth.propagate_to_coupled",
-    "synth.label_coupled", "baselines.cusum_two_sided", "baselines.cusum_k_sigmas",
+    "synth.label_coupled", "baselines", "scoring.tau",
 ])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
@@ -250,22 +251,32 @@ def test_integer_label_mapping_keys_match_0_1_label_cells(all_out, tmp_path):
         all_out / "bundle" / "windows.npz").read_bytes()
 
 
-def test_baselines_without_holdout_windows_exit_1_until_turned_off(tmp_path, capsys):
+def test_zero_holdout_fraction_exits_1_at_load(tmp_path, capsys):
+    # detect and evaluate calibrate on holdout windows, so every run needs some
     config = tmp_path / "no_holdout.yaml"
-    no_holdout = TINY_CONFIG.replace("holdout_fraction: 0.3", "holdout_fraction: 0.0")
-    config.write_text(no_holdout + "scoring:\n  tau: 1.0\n")
-    assert _run(config, tmp_path / "on", "all") == 1
-    err = capsys.readouterr().err
-    assert "baselines.cusum and baselines.spe: no holdout windows" in err
-    assert "set ingest.holdout_fraction above 0" in err
-    # refused at ingest, before any training
-    assert not (tmp_path / "on" / "bundle").exists()
-    assert not (tmp_path / "on" / "checkpoints" / "final.npz").exists()
-    config.write_text(
-        no_holdout + "scoring:\n  tau: 1.0\nbaselines:\n  cusum: false\n  spe: false\n")
-    assert _run(config, tmp_path / "off", "all") == 0
-    metrics = json.loads((tmp_path / "off" / "metrics.json").read_text())
-    assert set(metrics["methods"]) == {"gan_ad"}
+    config.write_text(TINY_CONFIG.replace("holdout_fraction: 0.3", "holdout_fraction: 0.0"))
+    out = tmp_path / "out"
+    assert _run(config, out, "all") == 1
+    assert f"{config}:7: ingest.holdout_fraction: expected fraction in (0, 0.9], got 0.0" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_bundle_without_holdout_windows_exits_1_at_detect_and_evaluate(
+        config, all_out, tmp_path, capsys):
+    # a bundle ingested before holdout windows were required
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    windows = out / "bundle" / "windows.npz"
+    with np.load(windows) as data:
+        kept = {k: data[k] for k in data.files if not k.startswith("holdout")}
+    np.savez_compressed(windows, **kept)
+    for stage in ("detect", "evaluate"):
+        capsys.readouterr()
+        assert _run(config, out, stage) == 1, stage
+        assert "bundle has no holdout windows; re-ingest" in capsys.readouterr().err
+    for name in ("scores.csv", "metrics.json"):
+        assert (out / name).read_bytes() == (all_out / name).read_bytes(), name
 
 
 def test_test_csv_with_swapped_columns_exits_1(config, tmp_path, capsys):
@@ -297,6 +308,19 @@ def test_trim_rows_drops_leading_training_rows(all_out, tmp_path):
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0
     assert (_train_windows(tmp_path), _train_windows(all_out)) == (13, 20)
+
+
+def test_training_split_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):
+    # 90% of the 300 training rows is held out, which leaves 30 for training
+    config = tmp_path / "short_train.yaml"
+    config.write_text(TINY_CONFIG.replace("window_length: 20", "window_length: 100").replace(
+        "holdout_fraction: 0.3", "holdout_fraction: 0.9"))
+    assert _run(config, tmp_path, "synth") == 0
+    assert _run(config, tmp_path, "ingest") == 1
+    err = capsys.readouterr().err
+    assert "ingest.holdout_fraction 0.9 and ingest.trim_rows 0 leave 30 rows" in err
+    assert "ingest.window_length 100" in err
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_trim_rows_of_every_row_exits_1(tmp_path, capsys):

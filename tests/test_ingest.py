@@ -46,7 +46,13 @@ class TestLoadCsv:
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a\n5,1\n3,2\n")
-        with pytest.raises(ValueError, match="non-monotone timestamps"):
+        with pytest.raises(ValueError, match=r"data.csv: non-monotone timestamps at rows 2 and 3"):
+            load_csv(p, "ts")
+        # the blank line is skipped but still counted in the row numbers
+        p.write_text("ts,a\n0,1\n\n5,2\n3,3\n")
+        with pytest.raises(
+            ValueError, match=r"data.csv: non-monotone timestamps at rows 4 and 5 \(5.0 -> 3.0\)"
+        ):
             load_csv(p, "ts")
 
     def test_duplicate_timestamps_rejected(self, tmp_path):
@@ -111,8 +117,17 @@ class TestLoadCsv:
         values, _, _ = load_csv(p, "ts", timestamp_format=fmt)
         npt.assert_array_equal(values[:, 0], [1, 2])
         p.write_text("ts,a\n28/12/2015 10:00:01 AM,1\n28/12/2015 10:00:00 AM,2\n")
-        with pytest.raises(ValueError, match="non-monotone timestamps"):
+        with pytest.raises(ValueError, match="data.csv: non-monotone timestamps at rows 2 and 3"):
             load_csv(p, "ts", timestamp_format=fmt)
+        p.write_text("ts,a\n28/12/2015 10:00:00 AM,1\n2015-12-28 10:00:01,2\n")
+        with pytest.raises(ValueError, match="data.csv: row 3: bad timestamp '2015-12-28"):
+            load_csv(p, "ts", timestamp_format=fmt)
+
+    def test_non_numeric_timestamp(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("ts,a\n0,1\nabc,2\n")
+        with pytest.raises(ValueError, match="data.csv: row 3: non-numeric timestamp 'abc'"):
+            load_csv(p, "ts")
 
 
 class TestNormalizer:

@@ -21,23 +21,26 @@ class TestAnomalyScore:
     def test_lambda_one_is_normalized_residual(self):
         res = np.array([1.0, 3.0, 2.0])
         disc = np.array([0.5, 0.5, 0.5])
-        res_norm, combined = anomaly_score(res, disc, 1.0)
+        res_norm, combined = anomaly_score(res, disc, 1.0, 1.0, 3.0)
         npt.assert_allclose(combined, [0.0, 1.0, 0.5])
         npt.assert_array_equal(res_norm, combined)
 
     def test_lambda_zero_is_probability_of_fake(self):
+        # an empty holdout residual range must not divide by zero
         disc = np.array([0.9, 0.1, 0.4])
-        _, combined = anomaly_score(np.zeros(3), disc, 0.0)
+        _, combined = anomaly_score(np.zeros(3), disc, 0.0, 0.0, 0.0)
         npt.assert_allclose(combined, 1.0 - disc)
 
     def test_hand_case(self):
-        res_norm, combined = anomaly_score(np.array([0.0, 2.0]), np.array([0.9, 0.1]), 0.5)
+        res_norm, combined = anomaly_score(
+            np.array([0.0, 2.0]), np.array([0.9, 0.1]), 0.5, 0.0, 2.0)
         npt.assert_allclose(res_norm, [0.0, 1.0])
         npt.assert_allclose(combined, [0.05, 0.95])
 
     def test_combined_within_unit_interval(self):
         rng = np.random.default_rng(0)
-        _, combined = anomaly_score(rng.exponential(size=50), rng.uniform(0.01, 0.99, 50), 0.7)
+        res = rng.exponential(size=50)
+        _, combined = anomaly_score(res, rng.uniform(0.01, 0.99, 50), 0.7, res.min(), res.max())
         assert np.all(combined >= 0.0) and np.all(combined <= 1.0)
 
     def test_external_normalization_stats(self):
@@ -47,11 +50,11 @@ class TestAnomalyScore:
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError, match="lambda"):
-            anomaly_score(np.zeros(2), np.full(2, 0.5), 1.5)
+            anomaly_score(np.zeros(2), np.full(2, 0.5), 1.5, 0.0, 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            anomaly_score(np.zeros(2), np.full(3, 0.5), 0.5)
+            anomaly_score(np.zeros(2), np.full(3, 0.5), 0.5, 0.0, 1.0)
 
 
 class TestAssignLabels:
