@@ -8,19 +8,14 @@ and range; the stages read the validated sections it produces.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import yaml
 
-from .synthetic import (
-    AttackSpec,
-    CoupledSensor,
-    ScenarioSpec,
-    SineSensor,
-    SquareActuator,
-)
+from .synthetic import AttackSpec, CoupledSensor, ScenarioSpec, SineSensor, SquareActuator
 
 LINE_KEY = "__lines__"
 
@@ -177,28 +172,29 @@ def _check_value(value, field: Field, path: str, line: str) -> object:
     return value
 
 
+def _where(raw: dict, key: str, source: str) -> str:
+    """``source:line: `` of ``key`` in the YAML mapping ``raw``, or ``""``."""
+    lines = raw.get(LINE_KEY, {})
+    return f"{source}:{lines[key]}: " if key in lines else ""
+
+
 def _validate(raw: dict, schema: dict, path: str, source: str) -> dict:
-    lines = raw.get(LINE_KEY, {}) if isinstance(raw, dict) else {}
-
-    def where(key):
-        return f"{source}:{lines[key]}: " if key in lines else ""
-
     out = {}
     for key in raw:
         if key == LINE_KEY:
             continue
         if key not in schema:
-            raise ConfigError(f"{where(key)}unknown key {path}{key}")
+            raise ConfigError(f"{_where(raw, key, source)}unknown key {path}{key}")
     for key, spec in schema.items():
         dotted = f"{path}{key}"
         if isinstance(spec, dict):
             sub = raw.get(key, {})
             if not isinstance(sub, dict):
-                raise ConfigError(f"{where(key)}{dotted}: expected a mapping")
+                raise ConfigError(f"{_where(raw, key, source)}{dotted}: expected a mapping")
             out[key] = _validate(sub, spec, dotted + ".", source)
         elif key in raw:
             value = _strip_lines(raw[key])
-            out[key] = _check_value(value, spec, dotted, where(key))
+            out[key] = _check_value(value, spec, dotted, _where(raw, key, source))
         else:
             out[key] = copy.deepcopy(spec.default)
     return out
@@ -211,6 +207,14 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
     cfg = _validate(raw, SCHEMA, "", source)
+    length, factor = cfg["ingest"]["window_length"], cfg["ingest"]["downsample_factor"]
+    if length % factor:
+        ing = raw.get("ingest", {})
+        key = "window_length" if "window_length" in ing else "downsample_factor"
+        raise ConfigError(
+            f"{_where(ing, key, source)}ingest.window_length {length} is not a multiple "
+            f"of ingest.downsample_factor {factor}"
+        )
     if cfg["synth"]["enabled"]:
         # construct the scenario spec now so errors surface at load time
         scenario_spec(cfg, which="test")
@@ -239,40 +243,34 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-_VARIABLE_KINDS = {
-    "sine": (SineSensor, {"period", "amplitude", "phase", "name"}),
-    "square": (SquareActuator, {"period", "duty_cycle", "low", "high", "name"}),
-    "coupled": (CoupledSensor, {"source", "gain", "delay", "offset", "name"}),
-}
+_VARIABLE_KINDS = {"sine": SineSensor, "square": SquareActuator, "coupled": CoupledSensor}
+
+
+def _parse_entry(cls, entry: dict, where: str):
+    """Build the dataclass ``cls`` from a scenario entry, refusing any field
+    it does not declare; ``where`` names the entry in errors."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    unknown = set(entry) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_variable(entry: dict, index: int):
+    where = f"synth.variables[{index}]"
     if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(f"synth.variables[{index}]: expected a mapping with a 'kind'")
+        raise ConfigError(f"{where}: expected a mapping with a 'kind'")
     kind = entry["kind"]
     if kind not in _VARIABLE_KINDS:
         raise ConfigError(
-            f"synth.variables[{index}]: unknown kind {kind!r} "
-            f"(expected one of {sorted(_VARIABLE_KINDS)})"
+            f"{where}: unknown kind {kind!r} (expected one of {sorted(_VARIABLE_KINDS)})"
         )
-    cls, allowed = _VARIABLE_KINDS[kind]
     params = {k: v for k, v in entry.items() if k != "kind"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"synth.variables[{index}]: unknown fields {sorted(unknown)}")
-    try:
-        return cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synth.variables[{index}]: {exc}") from None
-
-
-def _parse_attack(entry: dict, index: int) -> AttackSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"synth.attacks[{index}]: expected a mapping")
-    try:
-        return AttackSpec(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synth.attacks[{index}]: {exc}") from None
+    return _parse_entry(_VARIABLE_KINDS[kind], params, where)
 
 
 def scenario_spec(cfg: dict, which: str) -> ScenarioSpec:
@@ -285,7 +283,9 @@ def scenario_spec(cfg: dict, which: str) -> ScenarioSpec:
         duration, attacks, seed = s["train_duration"], [], cfg["seed"]
     else:
         duration = s["test_duration"]
-        attacks = [_parse_attack(a, i) for i, a in enumerate(s["attacks"])]
+        attacks = [
+            _parse_entry(AttackSpec, a, f"synth.attacks[{i}]") for i, a in enumerate(s["attacks"])
+        ]
         seed = cfg["seed"] + 1  # fresh noise realization for the test stream
     try:
         return ScenarioSpec(

@@ -106,16 +106,6 @@ def g_loss(d_fake: np.ndarray) -> float:
     return float(np.mean(-np.log(fake)))
 
 
-def generate(gen: lstm.StackedLstm, latent: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass of a latent batch (count, length, dim)."""
-    z = np.asarray(latent, dtype=np.float64)
-    if z.ndim != 3 or z.shape[2] != gen.input_size:
-        raise ValueError(
-            f"latent batch must be (count, length, {gen.input_size}), got {z.shape}"
-        )
-    return lstm.forward_batch(gen, z)[0]
-
-
 def _clipped_seq_scores(raw_scores: np.ndarray) -> np.ndarray:
     """Per-sequence mean of per-timestep scores nudged off the exact 0/1 endpoints.
 
@@ -233,7 +223,7 @@ def train(
                 m = real.shape[0]
                 for _ in range(settings["d_steps"]):
                     z = sample_latent(m, seq_len, latent_dim, rng)
-                    fake = generate(gen, z)
+                    fake = lstm.forward_batch(gen, z)[0]
                     loss, grads = discriminator_grads(disc, real, fake)
                     norm = lstm.clip_gradients(grads, settings["grad_clip"])
                     if not np.isfinite(loss + norm):
@@ -258,7 +248,7 @@ def train(
         mmd = None
         if settings["mmd_every"] > 0 and (epoch + 1) % settings["mmd_every"] == 0:
             z = sample_latent(mmd_ref.shape[0], seq_len, latent_dim, rng)
-            mmd = mmd_unbiased(generate(gen, z), mmd_ref, bandwidth)
+            mmd = mmd_unbiased(lstm.forward_batch(gen, z)[0], mmd_ref, bandwidth)
         model.history.append(
             {"d_loss": float(np.mean(d_losses)), "g_loss": float(np.mean(g_losses)), "mmd": mmd}
         )

@@ -10,14 +10,15 @@ Every function takes and returns plain numpy arrays:
   with ``labels`` either ``None`` or int64 of shape (count, length) holding
   a 0/1 flag per window row.
 
-File I/O happens only in :func:`load_csv` and the bundle helpers.
+File I/O happens only in :func:`load_csv`, :func:`write_csv` and the bundle
+helpers; every CSV the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,12 @@ def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num
     text = raw.strip()
     if timestamp_format is not None:
         try:
-            return datetime.strptime(text, timestamp_format).timestamp()
+            parsed = datetime.strptime(text, timestamp_format)
         except ValueError as exc:
             raise ValueError(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
+        # a naive time is UTC, not the machine's zone, whose DST jumps would
+        # make the order checks of load_csv depend on where it runs
+        return (parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)).timestamp()
     try:
         return float(text)
     except ValueError:
@@ -53,11 +57,12 @@ def load_csv(
     ``Normal``/``Attack``) to 0/1; its keys are compared as strings, so the
     YAML mapping ``{0: 0, 1: 1}`` matches a 0/1 label column.
     ``timestamp_format`` is an optional ``strptime`` pattern for non-numeric
-    timestamps.  The timestamps are checked, not returned.
+    timestamps; a time without a ``%z`` offset is read as UTC.  The
+    timestamps are checked, not returned.
 
-    Rejects ragged rows, non-numeric or non-finite (nan, inf) feature cells
-    and timestamps, unmapped label strings and timestamps that are not
-    strictly increasing.
+    Rejects a header that repeats a name, ragged rows, non-numeric or
+    non-finite (nan, inf) feature cells and timestamps, unmapped label
+    strings and timestamps that are not strictly increasing.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
@@ -68,6 +73,9 @@ def load_csv(
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: header repeats {repeated}")
 
         col_index = {name: i for i, name in enumerate(header)}
         for name in [timestamp_column] + ([label_column] if label_column else []):
@@ -143,6 +151,21 @@ def _is_number(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of ``rows`` as comma-joined lines.
+
+    Every cell must be a Python ``str``, ``int`` or ``float`` and is written
+    with ``str()``, so a float is its shortest round-trip text.  Pass numpy
+    data through ``tolist()``: it turns float32 into the exactly equal
+    float, where ``str()`` of a numpy scalar would print fewer digits.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:

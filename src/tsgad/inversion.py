@@ -1,9 +1,9 @@
 """Mapping test windows back into the generator's latent space.
 
-The inversion minimizes 1 - similarity(window, G(z)) over z by gradient
+The inversion minimizes :func:`objective`, one minus the per-column Pearson
+correlation of the window and G(z) averaged over columns, over z by gradient
 descent through the frozen generator, with backtracking step halving and a
-configurable number of restarts.  Similarity is the per-column Pearson
-correlation averaged over columns, so it is bounded and scale invariant.
+configurable number of restarts.  The error is bounded and scale invariant.
 """
 
 from __future__ import annotations
@@ -20,50 +20,38 @@ MAX_HALVINGS = 10
 @dataclass
 class InversionResult:
     latent: np.ndarray          # (length, latent_dim)
-    error: float                # 1 - similarity at the returned latent
+    error: float                # objective at the returned latent
     iterations: int             # accepted descent steps
     reconstruction: np.ndarray  # generator output at the returned latent
 
 
-def similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-column Pearson correlation between two equal-shape windows.
+def objective(window: np.ndarray, recon: np.ndarray) -> tuple[float, np.ndarray]:
+    """Inversion error of ``recon`` against ``window`` and its gradient in ``recon``.
 
-    A constant column in either input contributes 0 for that column.
+    The error is 1 minus the per-column Pearson correlation of two
+    equal-shape (timesteps, columns) windows averaged over columns, so it
+    lies in [0, 2].  A constant column in either input correlates 0 and gets
+    a zero gradient.
     """
-    return _similarity_and_grad(x, y, want_grad=False)[0]
-
-
-def _similarity_and_grad(x, y, want_grad=True):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(window, dtype=np.float64)
+    y = np.asarray(recon, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("windows must be (timesteps >= 2, columns)")
-    steps, cols = x.shape
+    cols = x.shape[1]
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
     sx = np.sqrt(np.sum(xc * xc, axis=0))
     sy = np.sqrt(np.sum(yc * yc, axis=0))
     ok = (sx > 0.0) & (sy > 0.0)
     r = np.zeros(cols)
-    denom = np.where(ok, sx * sy, 1.0)
-    r[ok] = np.sum(xc * yc, axis=0)[ok] / denom[ok]
-    sim = float(r.mean())
-    if not want_grad:
-        return sim, None
-    # d r_j / d y[:, j] = xc/(sx sy) - r * yc / sy^2  (0 for degenerate columns)
+    denom = (sx * sy)[ok]
+    r[ok] = np.sum(xc * yc, axis=0)[ok] / denom
+    # d (1 - r_j) / d y[:, j] = r yc / sy^2 - xc / (sx sy)
     grad = np.zeros_like(y)
-    sy_safe = np.where(ok, sy, 1.0)
-    grad[:, ok] = (
-        xc[:, ok] / denom[ok] - r[ok] * yc[:, ok] / (sy_safe[ok] ** 2)
-    ) / cols
-    return sim, grad
-
-
-def _error_and_grad(window: np.ndarray, recon: np.ndarray):
-    sim, grad = _similarity_and_grad(window, recon)
-    return 1.0 - sim, None if grad is None else -grad
+    grad[:, ok] = (r[ok] * yc[:, ok] / sy[ok] ** 2 - xc[:, ok] / denom) / cols
+    return 1.0 - float(r.mean()), grad
 
 
 def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings: dict):
@@ -71,7 +59,7 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings
     z = z0.copy()
     recon, cache = lstm.forward_batch(gen, z[None])
     recon = recon[0]
-    err, err_grad = _error_and_grad(window, recon)
+    err, err_grad = objective(window, recon)
     if not np.isfinite(err):
         return None
     iterations = 0
@@ -89,7 +77,7 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings
             z_try = z - step * z_grad
             recon_try, cache_try = lstm.forward_batch(gen, z_try[None])
             recon_try = recon_try[0]
-            err_try, grad_try = _error_and_grad(window, recon_try)
+            err_try, grad_try = objective(window, recon_try)
             if np.isfinite(err_try) and err_try < err:
                 z, recon, cache = z_try, recon_try, cache_try
                 err, err_grad = err_try, grad_try

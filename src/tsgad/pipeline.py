@@ -7,6 +7,7 @@ byte-identical outputs in any output directory.
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import replace
@@ -36,18 +37,6 @@ def _checkpoint_path(cfg: dict) -> Path:
     if cfg["paths"]["checkpoint"]:
         return Path(cfg["paths"]["checkpoint"])
     return _out_dir(cfg) / "checkpoints" / "final.npz"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _csv_paths(cfg: dict) -> tuple[Path, Path | None]:
@@ -142,6 +131,11 @@ def run_ingest(cfg: dict) -> Path:
             raise ConfigError(
                 f"paths.test_csv {test_csv}: column {got!r} where the training CSV has {want!r}"
             )
+        if len(test_values) < window_len:
+            raise ConfigError(
+                f"paths.test_csv {test_csv} has {len(test_values)} rows, fewer than one "
+                f"window of ingest.window_length {window_len}"
+            )
         test_norm = ingest.normalize(test_values, col_min, col_max)
         sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
         sets["test_raw"] = cut(test_norm, test_labels, ing["test_shift"])
@@ -179,7 +173,7 @@ def run_train(cfg: dict) -> Path:
         [epoch, h["d_loss"], h["g_loss"], "" if h["mmd"] is None else h["mmd"]]
         for epoch, h in enumerate(history, start=1)
     ]
-    _write_csv(out / "history.csv", ["epoch", "d_loss", "g_loss", "mmd"], rows)
+    ingest.write_csv(out / "history.csv", ["epoch", "d_loss", "g_loss", "mmd"], rows)
     if history:
         svgplot.write_line_chart(
             out / "history.svg",
@@ -200,17 +194,17 @@ def run_generate(cfg: dict) -> Path:
     count = cfg["generate"]["count"]
     seq_len = model.config["sequence_length"]
     z = gan.sample_latent(count, seq_len, model.generator.input_size, rng=cfg["seed"])
-    samples = gan.generate(model.generator, z)
+    samples = lstm.forward_batch(model.generator, z)[0]
 
     out = _out_dir(cfg)
-    n_features = samples.shape[2]
-    header = ["sample", "step"] + [f"f{j}" for j in range(n_features)]
-    rows = []
-    for i in range(count):
-        for t in range(seq_len):
-            rows.append([i, t] + [samples[i, t, j] for j in range(n_features)])
+    header = ["sample", "step"] + [f"f{j}" for j in range(samples.shape[2])]
+    rows = (
+        [i, t, *step]
+        for i, sample in enumerate(samples.tolist())
+        for t, step in enumerate(sample)
+    )
     path = out / "generated.csv"
-    _write_csv(path, header, rows)
+    ingest.write_csv(path, header, rows)
 
     bundle = _bundle_dir(cfg)
     if (bundle / "manifest.json").exists():
@@ -273,34 +267,33 @@ def run_detect(cfg: dict) -> Path:
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     flags = scoring.flag_anomalies(combined, tau)
 
-    truth = arrays["test_labels"].reshape(-1) if "test_labels" in arrays else None
+    if "test_labels" in arrays:
+        truth = arrays["test_labels"].reshape(-1).tolist()
+    else:
+        truth = [""] * len(flags)
     out = _out_dir(cfg)
-    rows = []
-    for t in range(len(flags)):
-        row = [
-            t,
-            test_res[t],
-            res_norm[t],
-            test_disc[t],
-            combined[t],
-            int(flags[t]),
-        ]
-        row.append(int(truth[t]) if truth is not None else "")
-        rows.append(row)
     scores_path = out / "scores.csv"
-    _write_csv(
+    ingest.write_csv(
         scores_path,
         ["index", "residual", "residual_norm", "disc_score", "combined", "flag", "truth"],
-        rows,
+        zip(
+            range(len(flags)),
+            test_res.tolist(),
+            res_norm.tolist(),
+            test_disc.tolist(),
+            combined.tolist(),
+            flags.tolist(),
+            truth,
+        ),
     )
 
     per_var = scoring.per_variable_labels(comp_res, pca_model, tau)
-    _write_csv(
+    ingest.write_csv(
         out / "per_variable_flags.csv",
         ["index"] + manifest["columns"],
-        ([t] + [int(v) for v in per_var[t]] for t in range(per_var.shape[0])),
+        ([t, *row] for t, row in enumerate(per_var.tolist())),
     )
-    _write_csv(
+    ingest.write_csv(
         out / "inversion_diagnostics.csv",
         ["window", "error", "iterations"],
         ([i, r.error, r.iterations] for i, r in enumerate(results)),
@@ -329,20 +322,6 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
-def _read_scores_csv(path: Path):
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            cols[name].append(cell)
-    flags = np.array([int(v) for v in cols["flag"]])
-    truth = None
-    if all(v != "" for v in cols["truth"]):
-        truth = np.array([int(v) for v in cols["truth"]])
-    return flags, truth
-
-
 def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines.
 
@@ -355,9 +334,14 @@ def run_evaluate(cfg: dict) -> Path:
     scores_path = out / "scores.csv"
     if not scores_path.exists():
         raise ConfigError(f"{scores_path} not found; run detect first")
-    flags, truth = _read_scores_csv(scores_path)
-    if truth is None:
+    # flags and truth come from one file, so a re-ingest after detect cannot
+    # pair one run's flags with another run's labels
+    with scores_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if any(row["truth"] == "" for row in rows):
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
+    flags = np.array([int(row["flag"]) for row in rows])
+    truth = np.array([int(row["truth"]) for row in rows])
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
     report["methods"]["gan_ad"] = scoring.metrics(flags, truth)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import write_csv
+
 ATTACK_KINDS = ("mean_shift", "stuck_value", "spike")
 
 
@@ -171,14 +173,12 @@ def save_scenario_csv(
 ) -> None:
     """Write a scenario in the CSV schema the ingest loader consumes.
 
-    The ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
+    ``values`` is the float64 array of :func:`generate_scenario`.  The
+    ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
     ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(["timestamp", *column_names, "label"])]
-    for i, (row, label) in enumerate(zip(values, labels)):
-        cells = [repr(float(i))] + [repr(float(v)) for v in row]
-        cells.append("Attack" if label else "Normal")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        [float(i), *row, "Attack" if label else "Normal"]
+        for i, (row, label) in enumerate(zip(values.tolist(), labels.tolist()))
+    )
+    write_csv(path, ["timestamp", *column_names, "label"], rows)

@@ -330,3 +330,33 @@ def test_trim_rows_of_every_row_exits_1(tmp_path, capsys):
     assert _run(config, tmp_path, "ingest") == 1
     assert "ingest.trim_rows 300 leaves none of the 300 rows" in capsys.readouterr().err
     assert not (tmp_path / "bundle").exists()
+
+
+def test_window_length_not_a_multiple_of_downsample_factor_exits_1_at_load(tmp_path, capsys):
+    config = tmp_path / "indivisible.yaml"
+    config.write_text(TINY_CONFIG.replace("window_length: 20", "window_length: 22"))
+    out = tmp_path / "out"
+    assert _run(config, out, "all") == 1
+    assert (f"{config}:3: ingest.window_length 22 is not a multiple of "
+            "ingest.downsample_factor 4") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_test_csv_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):
+    config = tmp_path / "short_test.yaml"
+    config.write_text(TINY_CONFIG.replace("test_duration: 200", "test_duration: 15").replace(
+        "start: 60, duration: 40", "start: 5, duration: 5"))
+    assert _run(config, tmp_path, "all") == 1
+    err = capsys.readouterr().err
+    assert f"paths.test_csv {tmp_path / 'test.csv'} has 15 rows" in err
+    assert "ingest.window_length 20" in err
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_unknown_attack_field_exits_1_at_load(tmp_path, capsys):
+    config = tmp_path / "attack_typo.yaml"
+    config.write_text(TINY_CONFIG.replace("magnitude: 5.0", "magnitud: 5.0"))
+    out = tmp_path / "out"
+    assert _run(config, out, "all") == 1
+    assert "synth.attacks[0]: unknown fields ['magnitud']" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,7 +14,6 @@ from tsgad.gan import (
     d_loss,
     discriminator_grads,
     g_loss,
-    generate,
     generator_grads,
     load_checkpoint,
     sample_latent,
@@ -129,6 +128,11 @@ class TestGLoss:
         assert g_loss(np.array([0.25, 0.5])) == pytest.approx(expected, abs=1e-12)
 
 
+def generate(gen, z):
+    """The generator's forward pass, as training and ``tsgad generate`` run it."""
+    return lstm.forward_batch(gen, z)[0]
+
+
 class TestGenerate:
     def test_deterministic(self):
         gen = build_generator(3, latent_dim=2, depth=1, hidden=5, rng=1)
@@ -150,7 +154,7 @@ class TestGenerate:
 
     def test_latent_dim_mismatch(self):
         gen = build_generator(2, latent_dim=3, depth=1, hidden=4, rng=7)
-        with pytest.raises(ValueError, match="latent"):
+        with pytest.raises(ValueError, match="feature dim 5 does not match net input size 3"):
             generate(gen, np.zeros((2, 4, 5)))
 
 
@@ -237,7 +241,15 @@ class TestTrain:
 
     def test_shape_bug_is_not_reported_as_divergence(self, monkeypatch):
         # a generator emitting the wrong width fails inside the epoch
-        monkeypatch.setattr(gan, "generate", lambda gen, z: np.zeros(z.shape[:2] + (2,)))
+        real_forward = lstm.forward_batch
+
+        def wrong_width_generator(net, sequences):
+            out, cache = real_forward(net, sequences)
+            if net.output_activation == "tanh":
+                out = np.zeros(out.shape[:2] + (2,))
+            return out, cache
+
+        monkeypatch.setattr(lstm, "forward_batch", wrong_width_generator)
         with pytest.raises(ValueError, match="feature dim"):
             train(tiny_config(), np.zeros((8, 4, 1)), SEED)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from tsgad.ingest import (
     normalize,
     save_window_bundle,
     window,
+    write_csv,
 )
 
 
@@ -123,11 +125,56 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="data.csv: row 3: bad timestamp '2015-12-28"):
             load_csv(p, "ts", timestamp_format=fmt)
 
+    def test_naive_datetimes_are_utc_in_every_machine_zone(self, tmp_path, monkeypatch):
+        # 02:30 does not exist on 2021-03-14 in New York: read in that zone,
+        # it lands after 03:10 and the rows look out of order
+        fmt = "%Y-%m-%d %H:%M:%S"
+        p = tmp_path / "data.csv"
+        p.write_text("ts,a\n2021-03-14 01:59:00,1\n2021-03-14 02:30:00,2\n"
+                     "2021-03-14 03:10:00,3\n")
+        try:
+            for zone in ("UTC", "Asia/Singapore", "America/New_York"):
+                monkeypatch.setenv("TZ", zone)
+                time.tzset()
+                values, _, _ = load_csv(p, "ts", timestamp_format=fmt)
+                npt.assert_array_equal(values[:, 0], [1, 2, 3])
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+
+    def test_datetime_offsets_are_kept(self, tmp_path):
+        # 10:00+02:00 is 08:00 UTC, before 09:30+00:00
+        p = tmp_path / "data.csv"
+        p.write_text("ts,a\n2021-01-01 10:00:00+0200,1\n2021-01-01 09:30:00+0000,2\n")
+        values, _, _ = load_csv(p, "ts", timestamp_format="%Y-%m-%d %H:%M:%S%z")
+        npt.assert_array_equal(values[:, 0], [1, 2])
+        p.write_text("ts,a\n2021-01-01 10:00:00+0000,1\n2021-01-01 09:30:00+0000,2\n")
+        with pytest.raises(ValueError, match="non-monotone timestamps at rows 2 and 3"):
+            load_csv(p, "ts", timestamp_format="%Y-%m-%d %H:%M:%S%z")
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # each name would map to its last column, and the first A would be lost
+        p = tmp_path / "data.csv"
+        p.write_text("timestamp,A,A,label\n0,1.0,10.0,Normal\n1,2.0,20.0,Normal\n")
+        with pytest.raises(ValueError, match=r"data.csv: header repeats \['A'\]"):
+            load_csv(p, "timestamp", "label", {"Normal": 0})
+        p.write_text("ts,b,a,b,ts,a\n0,1,2,3,4,5\n")
+        with pytest.raises(ValueError, match=r"data.csv: header repeats \['a', 'b', 'ts'\]"):
+            load_csv(p, "ts")
+
     def test_non_numeric_timestamp(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a\n0,1\nabc,2\n")
         with pytest.raises(ValueError, match="data.csv: row 3: non-numeric timestamp 'abc'"):
             load_csv(p, "ts")
+
+
+def test_write_csv_writes_each_cell_with_str(tmp_path):
+    path = tmp_path / "sub" / "out.csv"
+    # tolist() widens the float32 0.1 exactly; str() of the numpy scalar is '0.1'
+    narrow = np.array([0.1], dtype=np.float32).tolist()
+    write_csv(path, ["i", "s", "x", "y"], [[3, "Normal", 0.1, *narrow], [-1, "", 2.0, 1e-20]])
+    assert path.read_text() == "i,s,x,y\n3,Normal,0.1,0.10000000149011612\n-1,,2.0,1e-20\n"
 
 
 class TestNormalizer:

@@ -4,19 +4,23 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tsgad import gan, pipeline
+from tsgad import gan, lstm, pipeline
 from tsgad.config import validate_config
-from tsgad.inversion import (
-    _similarity_and_grad,
-    invert,
-    invert_many,
-    similarity,
-)
+from tsgad.inversion import invert, invert_many, objective
 
 
 def settings(**overrides):
     """The validated ``inversion`` section with ``overrides`` on top."""
     return {**validate_config({})["inversion"], **overrides}
+
+
+def generate(gen, z):
+    """The generator's forward pass, as inversion runs it."""
+    return lstm.forward_batch(gen, z)[0]
+
+
+def error(x, y):
+    return objective(x, y)[0]
 
 
 @pytest.fixture(scope="module")
@@ -26,52 +30,55 @@ def toy_generator():
 
 
 class TestSimilarity:
+    """The objective's error is 1 minus the mean per-column Pearson correlation."""
+
     def test_self_correlation(self):
         x = np.random.default_rng(0).normal(size=(6, 3))
-        assert similarity(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - error(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_correlation(self):
         x = np.random.default_rng(1).normal(size=(5, 2))
-        assert similarity(x, -x) == pytest.approx(-1.0, abs=1e-12)
+        assert 1.0 - error(x, -x) == pytest.approx(-1.0, abs=1e-12)
 
     def test_affine_invariance(self):
         x = np.array([[1.0], [2.0], [3.0]])
         y = np.array([[2.0], [4.0], [6.0]])
-        assert similarity(x, y) == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - error(x, y) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_column_contributes_zero(self):
         x = np.column_stack([np.arange(4.0), np.arange(4.0)])
         y = np.column_stack([np.arange(4.0), np.full(4, 2.0)])
-        assert similarity(x, y) == pytest.approx(0.5, abs=1e-12)
+        assert 1.0 - error(x, y) == pytest.approx(0.5, abs=1e-12)
+        npt.assert_array_equal(objective(x, y)[1][:, 1], np.zeros(4))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            similarity(np.zeros((3, 2)), np.zeros((3, 3)))
+            objective(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_too_few_timesteps(self):
         with pytest.raises(ValueError, match="timesteps"):
-            similarity(np.zeros((1, 2)), np.zeros((1, 2)))
+            objective(np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_error_stays_in_range(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            err = 1.0 - similarity(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
+            err = error(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
             assert 0.0 <= err <= 2.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 3))
         y = rng.normal(size=(6, 3))
-        _, grad = _similarity_and_grad(x, y)
+        _, grad = objective(x, y)
         eps = 1e-6
         for t in range(6):
             for j in range(3):
                 bumped = y.copy()
                 bumped[t, j] += eps
-                sp = similarity(x, bumped)
+                ep = error(x, bumped)
                 bumped[t, j] -= 2 * eps
-                sm = similarity(x, bumped)
-                npt.assert_allclose(grad[t, j], (sp - sm) / (2 * eps), atol=1e-8)
+                em = error(x, bumped)
+                npt.assert_allclose(grad[t, j], (ep - em) / (2 * eps), atol=1e-8)
 
 
 class TestResidual:
@@ -96,7 +103,7 @@ class TestResidual:
         # larger float32 batch may round differently
         z0 = [np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
               for i in range(count)]
-        return np.concatenate([gan.generate(model.generator, z) for z in z0])
+        return np.concatenate([generate(model.generator, z) for z in z0])
 
     def test_identity_reconstruction(self):
         model = self._model(3)
@@ -144,34 +151,34 @@ class TestResidual:
 class TestInvert:
     def test_recovers_planted_latent(self, toy_generator):
         z_star = gan.sample_latent(1, 8, 4, rng=100)
-        target = gan.generate(toy_generator, z_star)[0]
+        target = generate(toy_generator, z_star)[0]
         cfg = settings(max_iterations=200, learning_rate=0.2)
         result = invert(toy_generator, target, cfg, 0)
         assert result.error < 0.05
         assert result.iterations <= 200
 
     def test_zero_iteration_budget_returns_initial_sample(self, toy_generator):
-        target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
         result = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 5)
         assert result.iterations == 0
         z0 = np.random.default_rng(5).standard_normal((8, 4))
         npt.assert_array_equal(result.latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
-        target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
         result = invert(toy_generator, target, settings(max_iterations=30), 1)
-        regenerated = gan.generate(toy_generator, result.latent[None])[0]
+        regenerated = generate(toy_generator, result.latent[None])[0]
         npt.assert_array_equal(result.reconstruction, regenerated)
 
     def test_seed_stability(self, toy_generator):
-        target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
         errors = []
         for seed in (11, 12):
             errors.append(invert(toy_generator, target, settings(max_iterations=200), seed).error)
         assert abs(errors[0] - errors[1]) < 0.05
 
     def test_deterministic_given_seed(self, toy_generator):
-        target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=104))[0]
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=104))[0]
         cfg = settings(max_iterations=50)
         a = invert(toy_generator, target, cfg, 3)
         b = invert(toy_generator, target, cfg, 3)
@@ -180,7 +187,7 @@ class TestInvert:
 
     def test_descent_never_increases_error(self, toy_generator):
         # the accepted-step invariant implies final error <= initial error
-        target = gan.generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
         start = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 9)
         finish = invert(toy_generator, target, settings(max_iterations=60, restarts=1), 9)
         assert finish.error <= start.error
@@ -192,7 +199,7 @@ class TestInvert:
 
 def test_invert_many_matches_serial(toy_generator):
     # window i is the serial inversion with seed + i, bitwise
-    windows = gan.generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
+    windows = generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
     cfg = settings(max_iterations=25, restarts=1)
     many = invert_many(toy_generator, windows, cfg, 42)
     assert len(many) == 3
