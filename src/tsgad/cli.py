@@ -12,7 +12,6 @@ COMMANDS = {
     "synth": pipeline.run_synth,
     "ingest": pipeline.run_ingest,
     "train": pipeline.run_train,
-    "generate": pipeline.run_generate,
     "detect": pipeline.run_detect,
     "evaluate": pipeline.run_evaluate,
     "all": pipeline.run_all,

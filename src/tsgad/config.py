@@ -121,9 +121,7 @@ SCHEMA: dict = {
         "disc_depth": Field(int, 1, _positive, "positive integer"),
         "disc_hidden": Field(int, 100, _positive, "positive integer"),
         "grad_clip": Field(float, 5.0, _non_negative, "non-negative number"),
-        "mmd_every": Field(int, 1, _non_negative, "non-negative integer"),
         "mmd_samples": Field(int, 128, lambda v: v >= 2, "integer >= 2"),
-        "checkpoint_interval": Field(int, 0, _non_negative, "non-negative integer"),
     },
     "inversion": {
         "max_iterations": Field(int, 200, _non_negative, "non-negative integer"),
@@ -134,9 +132,6 @@ SCHEMA: dict = {
     "scoring": {
         "lambda": Field(float, 0.5, _unit_closed, "number in [0, 1]"),
         "target_fpr": Field(float, 0.01, _unit_open, "number strictly in (0, 1)"),
-    },
-    "generate": {
-        "count": Field(int, 8, _positive, "positive integer"),
     },
     "synth": {
         "enabled": Field(bool, False),
@@ -265,7 +260,7 @@ def _parse_variable(entry: dict, index: int):
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"{where}: expected a mapping with a 'kind'")
     kind = entry["kind"]
-    if kind not in _VARIABLE_KINDS:
+    if not isinstance(kind, str) or kind not in _VARIABLE_KINDS:
         raise ConfigError(
             f"{where}: unknown kind {kind!r} (expected one of {sorted(_VARIABLE_KINDS)})"
         )

@@ -33,9 +33,9 @@ class TrainingDiverged(RuntimeError):
 class GanModel:
     """The trained pair, its config and one record per completed epoch.
 
-    Each ``history`` record is a dict with the epoch's mean ``d_loss`` and
-    ``g_loss`` and its ``mmd``, which is ``None`` on epochs without an MMD
-    evaluation.  ``len(history)`` is the number of completed epochs.
+    Each ``history`` record is a dict of floats: the epoch's mean ``d_loss``
+    and ``g_loss`` and the ``mmd`` measured after it.  ``len(history)`` is
+    the number of completed epochs.
     """
 
     generator: lstm.StackedLstm
@@ -80,19 +80,19 @@ def sample_latent(
 
 
 def _sequence_scores(scores: np.ndarray, name: str) -> np.ndarray:
-    """Validate per-timestep scores and average them to one score per sequence."""
+    """Check that ``scores`` holds one score per sequence, strictly inside (0, 1)."""
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must hold one score per sequence, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
-    if arr.ndim == 1:
-        return arr
-    return arr.reshape(arr.shape[0], -1).mean(axis=1)
+    return arr
 
 
 def d_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
-    """Mean of -log D(real) - log(1 - D(fake)) over the batch."""
+    """Mean of -log D(real) - log(1 - D(fake)) over per-sequence scores."""
     real = _sequence_scores(d_real, "d_real")
     fake = _sequence_scores(d_fake, "d_fake")
     if real.shape != fake.shape:
@@ -101,7 +101,7 @@ def d_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
 
 
 def g_loss(d_fake: np.ndarray) -> float:
-    """Non-saturating generator objective: mean of -log D(fake)."""
+    """Non-saturating generator objective: mean of -log D(fake) over per-sequence scores."""
     fake = _sequence_scores(d_fake, "d_fake")
     return float(np.mean(-np.log(fake)))
 
@@ -154,12 +154,7 @@ def generator_grads(
     return loss, list(gen_grads.values())
 
 
-def train(
-    settings: dict,
-    windows: np.ndarray,
-    seed: int,
-    checkpoint_dir: str | Path | None = None,
-) -> GanModel:
+def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
     """Run the adversarial loop and return the trained pair with its history.
 
     ``settings`` is the validated ``gan`` config section; ``config.SCHEMA``
@@ -172,12 +167,12 @@ def train(
     generator updates on fresh latent draws.  A non-finite loss or gradient
     norm raises :class:`TrainingDiverged` with the last epoch's parameters
     and the completed epochs' history attached; non-finite windows are
-    rejected before the first epoch.  Every ``mmd_every`` epochs (never with
-    0) the epoch's record gets an MMD between generated and reference
+    rejected before the first epoch.  After every epoch the record gets an
+    MMD between generated windows and up to ``mmd_samples`` reference
     windows, with one bandwidth for the whole run, the median heuristic of
-    its reference windows, so its values can be compared across epochs.
-    With ``checkpoint_interval > 0`` a checkpoint goes to ``checkpoint_dir``
-    every that many epochs.
+    the reference windows, so its values can be compared across epochs.
+    The MMD needs 2 windows, so with ``epochs > 0`` a single window is
+    refused.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
@@ -185,10 +180,10 @@ def train(
     n_windows, seq_len, feature_dim = windows.shape
     if not np.all(np.isfinite(windows)):
         raise ValueError("training windows contain non-finite values")
-    if 0 < settings["mmd_every"] <= settings["epochs"] and n_windows < 2:
+    if settings["epochs"] > 0 and n_windows < 2:
         raise ValueError(
             f"the per-epoch MMD needs at least 2 training windows, got {n_windows}; "
-            "add training data or set gan.mmd_every: 0"
+            "add training data"
         )
 
     latent_dim = settings["latent_dim"]
@@ -203,11 +198,10 @@ def train(
     d_opt = lstm.OptimizerState(learning_rate=settings["d_learning_rate"])
     model = GanModel(gen, disc, {**settings, "sequence_length": seq_len, "seed": seed})
 
-    if settings["mmd_every"] > 0:
-        ref_size = min(settings["mmd_samples"], n_windows)
-        ref_idx = rng.choice(n_windows, size=ref_size, replace=False)
-        mmd_ref = windows[ref_idx]
-        bandwidth = median_heuristic(mmd_ref)
+    ref_size = min(settings["mmd_samples"], n_windows)
+    mmd_ref = windows[rng.choice(n_windows, size=ref_size, replace=False)]
+    # the median heuristic needs 2 windows, which only an MMD run is sure to have
+    bandwidth = median_heuristic(mmd_ref) if settings["epochs"] > 0 else None
 
     last_good = (gen.copy(), disc.copy())
     batch = min(settings["batch_size"], n_windows)
@@ -245,20 +239,11 @@ def train(
             raise
 
         last_good = (gen.copy(), disc.copy())
-        mmd = None
-        if settings["mmd_every"] > 0 and (epoch + 1) % settings["mmd_every"] == 0:
-            z = sample_latent(mmd_ref.shape[0], seq_len, latent_dim, rng)
-            mmd = mmd_unbiased(lstm.forward_batch(gen, z)[0], mmd_ref, bandwidth)
+        z = sample_latent(ref_size, seq_len, latent_dim, rng)
+        mmd = mmd_unbiased(lstm.forward_batch(gen, z)[0], mmd_ref, bandwidth)
         model.history.append(
             {"d_loss": float(np.mean(d_losses)), "g_loss": float(np.mean(g_losses)), "mmd": mmd}
         )
-
-        if (
-            settings["checkpoint_interval"] > 0
-            and checkpoint_dir is not None
-            and (epoch + 1) % settings["checkpoint_interval"] == 0
-        ):
-            save_checkpoint(model, Path(checkpoint_dir) / f"epoch_{epoch + 1:05d}.npz")
 
     return model
 
@@ -268,11 +253,10 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
 
     Parameters are stored in their training dtype, and ``load_checkpoint``
     keeps it, so a float64 checkpoint still runs in float64.  The meta's
-    ``history`` key holds the records of ``GanModel.history``, with a missing
-    MMD as ``null``.  Checkpoints written before the per-epoch records keep
-    the losses and MMDs in separate meta lists instead; they load with both
-    nets and their config, and with an empty history, since no stage reads
-    a loaded model's history.
+    ``history`` key holds the records of ``GanModel.history``.  Checkpoints
+    written before the per-epoch records keep the losses and MMDs in
+    separate meta lists instead; they load with both nets and their config,
+    and with an empty history, since no stage reads a loaded model's history.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

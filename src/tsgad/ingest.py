@@ -154,18 +154,23 @@ def _is_number(cell: str) -> bool:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write ``header`` and then each row of ``rows`` as comma-joined lines.
+    """Write ``header`` and then each row of ``rows`` as newline-ended CSV lines.
 
-    Every cell must be a Python ``str``, ``int`` or ``float`` and is written
-    with ``str()``, so a float is its shortest round-trip text.  Pass numpy
-    data through ``tolist()``: it turns float32 into the exactly equal
-    float, where ``str()`` of a numpy scalar would print fewer digits.
+    The header goes through ``csv.writer``, so a column name with a comma
+    or a quote is quoted and :func:`load_csv` reads it back whole.  Row
+    cells are comma-joined unquoted: each must be a Python ``int``,
+    ``float`` or a ``str`` without commas, quotes or newlines, such as the
+    labels tsgad writes (quoting every cell made a 40k-row plant CSV about
+    a third slower to write).  A cell is written with ``str()``, so a float
+    is its shortest round-trip text.  Pass numpy data through ``tolist()``:
+    it turns float32 into the exactly equal float, where ``str()`` of a
+    numpy scalar would print fewer digits.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:

@@ -164,15 +164,12 @@ def run_train(cfg: dict) -> Path:
     """Train the adversarial pair on the bundled training windows."""
     train_windows = ingest.load_window_bundle(_bundle_dir(cfg))[0]["train_windows"]
     checkpoint = _checkpoint_path(cfg)
-    model = gan.train(cfg["gan"], train_windows, cfg["seed"], checkpoint_dir=checkpoint.parent)
+    model = gan.train(cfg["gan"], train_windows, cfg["seed"])
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
     history = model.history
-    rows = [
-        [epoch, h["d_loss"], h["g_loss"], "" if h["mmd"] is None else h["mmd"]]
-        for epoch, h in enumerate(history, start=1)
-    ]
+    rows = ([epoch, h["d_loss"], h["g_loss"], h["mmd"]] for epoch, h in enumerate(history, 1))
     ingest.write_csv(out / "history.csv", ["epoch", "d_loss", "g_loss", "mmd"], rows)
     if history:
         svgplot.write_line_chart(
@@ -180,45 +177,11 @@ def run_train(cfg: dict) -> Path:
             {key: [h[key] for h in history] for key in ("d_loss", "g_loss")},
             title="adversarial training losses",
         )
-    mmd = [h["mmd"] for h in history if h["mmd"] is not None]
-    if mmd:
         svgplot.write_line_chart(
-            out / "mmd.svg", {"mmd": mmd}, title="generated-vs-real MMD per epoch"
+            out / "mmd.svg", {"mmd": [h["mmd"] for h in history]},
+            title="generated-vs-real MMD per epoch",
         )
     return checkpoint
-
-
-def run_generate(cfg: dict) -> Path:
-    """Sample the trained generator and dump sequences for inspection."""
-    model = gan.load_checkpoint(_checkpoint_path(cfg))
-    count = cfg["generate"]["count"]
-    seq_len = model.config["sequence_length"]
-    z = gan.sample_latent(count, seq_len, model.generator.input_size, rng=cfg["seed"])
-    samples = lstm.forward_batch(model.generator, z)[0]
-
-    out = _out_dir(cfg)
-    header = ["sample", "step"] + [f"f{j}" for j in range(samples.shape[2])]
-    rows = (
-        [i, t, *step]
-        for i, sample in enumerate(samples.tolist())
-        for t, step in enumerate(sample)
-    )
-    path = out / "generated.csv"
-    ingest.write_csv(path, header, rows)
-
-    bundle = _bundle_dir(cfg)
-    if (bundle / "manifest.json").exists():
-        real = ingest.load_window_bundle(bundle)[0]["train_windows"]
-        series = {}
-        for i in range(min(3, count)):
-            series[f"generated_{i}"] = samples[i, :, 0]
-        for i in range(min(3, real.shape[0])):
-            series[f"real_{i}"] = real[i, :, 0]
-        svgplot.write_line_chart(
-            out / "generated_vs_real.svg", series,
-            title="generated vs real windows (first projected component)",
-        )
-    return path
 
 
 def _flatten_windows(windows: np.ndarray) -> np.ndarray:

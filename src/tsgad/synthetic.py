@@ -24,6 +24,10 @@ class SineSensor:
     phase: float = 0.0
     name: str | None = None
 
+    def __post_init__(self):
+        if not self.period > 0.0:
+            raise ValueError("period must be positive")
+
 
 @dataclass
 class SquareActuator:
@@ -34,6 +38,8 @@ class SquareActuator:
     name: str | None = None
 
     def __post_init__(self):
+        if not self.period > 0.0:
+            raise ValueError("period must be positive")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must lie strictly between 0 and 1")
 
@@ -84,6 +90,15 @@ class ScenarioSpec:
                 raise ValueError(
                     f"variable {i}: coupled source must reference an earlier variable"
                 )
+        # save_scenario_csv writes a timestamp and a label column beside the variables
+        names = ["timestamp", "label"]
+        names += [_column_name(i, var) for i, var in enumerate(self.variables)]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(
+                f"column names {repeated} are used twice; the CSV has its own "
+                "timestamp and label columns"
+            )
         for attack in self.attacks:
             if not 0 <= attack.target < len(self.variables):
                 raise ValueError(f"attack target {attack.target} out of range")

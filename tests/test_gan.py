@@ -55,7 +55,6 @@ def tiny_config(**overrides):
         "gen_hidden": 6,
         "disc_depth": 1,
         "disc_hidden": 4,
-        "mmd_every": 0,
         **overrides,
     }
 
@@ -98,10 +97,15 @@ class TestDLoss:
         assert d_loss(d_real, d_fake) == pytest.approx(expected, abs=1e-10)
 
     def test_per_timestep_scores_averaged_first(self):
-        real = np.array([[0.6, 0.8], [0.5, 0.5]])  # sequence means 0.7, 0.5
-        fake = np.array([[0.2, 0.4], [0.1, 0.1]])  # sequence means 0.3, 0.1
-        expected = d_loss(np.array([0.7, 0.5]), np.array([0.3, 0.1]))
-        assert d_loss(real, fake) == pytest.approx(expected, abs=1e-12)
+        raw = np.array([[0.6, 0.8], [0.5, 0.5]])[..., None]  # (sequences, steps, 1)
+        # training averages each sequence's per-timestep D before the loss
+        # (TestUpdateDirections checks the losses discriminator_grads reports)
+        npt.assert_allclose(gan._clipped_seq_scores(raw), [0.7, 0.5], rtol=0, atol=1e-15)
+        # d_loss and g_loss take those per-sequence scores, never per-timestep ones
+        with pytest.raises(ValueError, match="one score per sequence"):
+            d_loss(raw[..., 0], raw[..., 0])
+        with pytest.raises(ValueError, match="one score per sequence"):
+            g_loss(raw[..., 0])
 
     def test_rejects_scores_outside_open_interval(self):
         with pytest.raises(ValueError):
@@ -129,7 +133,7 @@ class TestGLoss:
 
 
 def generate(gen, z):
-    """The generator's forward pass, as training and ``tsgad generate`` run it."""
+    """The generator's forward pass, as training and inversion run it."""
     return lstm.forward_batch(gen, z)[0]
 
 
@@ -186,13 +190,12 @@ class TestTrain:
         assert a.history == b.history
 
     def test_histories_match_epochs_and_mmd_interval(self):
+        # the MMD interval is one epoch: every record holds three finite floats
         windows = np.random.default_rng(10).uniform(-0.5, 0.5, (16, 4, 1))
-        model = train(tiny_config(epochs=4, mmd_every=2), windows, SEED)
+        model = train(tiny_config(epochs=4), windows, SEED)
         assert [list(h) for h in model.history] == [["d_loss", "g_loss", "mmd"]] * 4
-        assert [h["mmd"] is None for h in model.history] == [True, False, True, False]
         for h in model.history:
-            assert all(isinstance(v, float) and math.isfinite(v)
-                       for v in h.values() if v is not None)
+            assert all(isinstance(v, float) and math.isfinite(v) for v in h.values())
 
     def test_every_epoch_mmd_uses_one_bandwidth(self, monkeypatch):
         # 16 windows and mmd_samples 128: the reference set is every window
@@ -204,8 +207,7 @@ class TestTrain:
             return mmd_unbiased(gen_set, ref_set, bandwidth)
 
         monkeypatch.setattr(gan, "mmd_unbiased", recording_mmd)
-        model = train(tiny_config(epochs=4, mmd_every=1), windows, SEED)
-        assert [h["mmd"] is not None for h in model.history] == [True] * 4
+        train(tiny_config(epochs=4), windows, SEED)
         assert len(bandwidths) == 4
         assert len(set(bandwidths)) == 1
         assert bandwidths[0] == pytest.approx(median_heuristic(windows), rel=1e-12)
@@ -254,9 +256,9 @@ class TestTrain:
             train(tiny_config(), np.zeros((8, 4, 1)), SEED)
 
     def test_one_window_with_mmd_names_the_cause(self):
-        with pytest.raises(ValueError, match=r"2 training windows, got 1; .*gan\.mmd_every: 0"):
-            train(tiny_config(mmd_every=1), np.zeros((1, 4, 1)), SEED)
-        assert len(train(tiny_config(epochs=1), np.zeros((1, 4, 1)), SEED).history) == 1
+        with pytest.raises(ValueError, match=r"MMD needs at least 2 training windows, got 1"):
+            train(tiny_config(epochs=1), np.zeros((1, 4, 1)), SEED)
+        assert train(tiny_config(epochs=0), np.zeros((1, 4, 1)), SEED).history == []
 
 
 def descent_step(net, grads, lr):
@@ -275,8 +277,9 @@ class TestUpdateDirections:
         real = rng.uniform(-0.8, 0.8, (8, 5, 2))
         z = sample_latent(8, 5, 2, rng=24)
         fake = generate(gen, z)
-        real_scores = lstm.forward_batch(disc, real)[0][..., 0]
-        fake_scores = lstm.forward_batch(disc, fake)[0][..., 0]
+        # one score per sequence: the mean of its per-timestep scores
+        real_scores = lstm.forward_batch(disc, real)[0][..., 0].astype(np.float64).mean(axis=1)
+        fake_scores = lstm.forward_batch(disc, fake)[0][..., 0].astype(np.float64).mean(axis=1)
         assert discriminator_grads(disc, real, fake)[0] == d_loss(real_scores, fake_scores)
         assert generator_grads(gen, disc, z)[0] == g_loss(fake_scores)
 
@@ -353,7 +356,7 @@ class TestSaturatedDiscriminator:
 
 def test_checkpoint_roundtrip(tmp_path):
     windows = np.random.default_rng(16).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=2, mmd_every=2), windows, SEED)
+    model = train(tiny_config(epochs=2), windows, SEED)
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -361,7 +364,7 @@ def test_checkpoint_roundtrip(tmp_path):
                      (loaded.discriminator, model.discriminator)):
         assert_same_params(net, ref)
         assert all(p.dtype == np.float32 for p in net.params.values())
-    assert [h["mmd"] is None for h in loaded.history] == [True, False]
+    assert len(loaded.history) == 2
     assert loaded.history == model.history
     assert loaded.config == model.config
 
@@ -378,10 +381,11 @@ def test_model_config_records_settings_length_and_seed(tmp_path):
 def test_checkpoint_with_optimizer_state_loads(tmp_path):
     """Checkpoints written when Adam moments were still saved carry
     gopt_*/dopt_* arrays and optimizer_steps meta, older configs carry
-    optimizer and checkpoint_dir fields, and the meta of checkpoints written
-    before the per-epoch records holds loss_history, mmd_history and
-    epochs_completed instead of history; the loader ignores the arrays and
-    the old history fields, and keeps the config as stored."""
+    optimizer, checkpoint_dir, checkpoint_interval and mmd_every fields,
+    and the meta of checkpoints written before the per-epoch records holds
+    loss_history, mmd_history and epochs_completed instead of history; the
+    loader ignores the arrays and the old history fields, and keeps the
+    config as stored."""
     windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
     model = train(tiny_config(epochs=1), windows, SEED)
     save_checkpoint(model, tmp_path / "current.npz")
@@ -395,7 +399,8 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path):
         loss_history=[[h["d_loss"], h["g_loss"]] for h in model.history],
         mmd_history=[],
     )
-    meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path))
+    meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path),
+                          checkpoint_interval=0, mmd_every=1)
     for prefix, net in (("gopt_", model.generator), ("dopt_", model.discriminator)):
         for i, p in enumerate(net.params.values()):
             arrays[f"{prefix}m{i}"] = np.full_like(p, 0.1)
@@ -428,13 +433,6 @@ def test_float64_checkpoint_runs_in_float64(tmp_path):
         out = lstm.forward_batch(net, inputs)[0]
         assert out.dtype == np.float64
         npt.assert_array_equal(out, lstm.forward_batch(ref, inputs)[0])
-
-
-def test_checkpoint_interval_writes_files(tmp_path):
-    windows = np.random.default_rng(17).uniform(-0.5, 0.5, (16, 4, 1))
-    train(tiny_config(epochs=4, checkpoint_interval=2), windows, SEED, checkpoint_dir=tmp_path)
-    assert (tmp_path / "epoch_00002.npz").exists()
-    assert (tmp_path / "epoch_00004.npz").exists()
 
 
 @pytest.mark.parametrize(
