@@ -149,7 +149,7 @@ def generator_grads(
     loss = g_loss(fake_seq)
 
     d_scores = (-1.0 / (m * steps * fake_seq))[:, None, None] * np.ones_like(scores)
-    _, d_fake = lstm.backward_batch(disc, disc_cache, d_scores)
+    _, d_fake = lstm.backward_batch(disc, disc_cache, d_scores, weights=False)
     gen_grads, _ = lstm.backward_batch(gen, gen_cache, d_fake)
     return loss, list(gen_grads.values())
 

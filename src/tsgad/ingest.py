@@ -60,7 +60,8 @@ def load_csv(
     timestamps; a time without a ``%z`` offset is read as UTC.  The
     timestamps are checked, not returned.
 
-    Rejects a header that repeats a name, ragged rows, non-numeric or
+    Rejects a header that repeats a name or has a feature named ``index``
+    (a :class:`~tsgad.config.ConfigError`), ragged rows, non-numeric or
     non-finite (nan, inf) feature cells and timestamps, unmapped label
     strings and timestamps that are not strictly increasing.
     """
@@ -85,6 +86,13 @@ def load_csv(
         feature_names = [h for h in header if h not in skip]
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
+        if "index" in feature_names:
+            from .config import ConfigError  # config imports this module
+
+            raise ConfigError(
+                f"{path}: feature column 'index' clashes with the index column of "
+                "per_variable_flags.csv; rename it"
+            )
         feature_idx = [col_index[c] for c in feature_names]
         ts_idx = col_index[timestamp_column]
         label_idx = col_index[label_column] if label_column else None

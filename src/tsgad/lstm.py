@@ -205,14 +205,19 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
 
 
 def backward_batch(
-    net: StackedLstm, cache: tuple, output_grads: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    net: StackedLstm, cache: tuple, output_grads: np.ndarray, weights: bool = True
+) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
     """Exact BPTT for the scalar loss whose per-output partials are given.
 
     Returns ``(grads, input_grads)``: the parameter gradients keyed and
     ordered like ``net.params``, and the gradient with respect to the
     sequences ``forward_batch`` was given.  The partials are cast to the
     parameters' dtype, and every gradient has it.
+
+    With ``weights=False`` the parameter gradients are not formed and
+    ``grads`` is None; the input gradients are bitwise those of the full
+    pass.  Callers that hold a net fixed (latent inversion, the frozen
+    discriminator in a generator step) use it.
     """
     p = net.params
     dtype = p["out_w"].dtype
@@ -233,10 +238,11 @@ def backward_batch(
     else:
         d_pre = d_out
 
-    grads = dict.fromkeys(p)
-    top_hidden = layers[-1][3]
-    grads["out_w"] = np.einsum("blo,blh->oh", d_pre, top_hidden)
-    grads["out_b"] = d_pre.sum(axis=(0, 1))
+    grads = None
+    if weights:
+        grads = dict.fromkeys(p)
+        grads["out_w"] = np.einsum("blo,blh->oh", d_pre, layers[-1][3])
+        grads["out_b"] = d_pre.sum(axis=(0, 1))
     d_hidden_seq = d_pre @ p["out_w"]
 
     for idx in range(net.depth - 1, -1, -1):
@@ -244,7 +250,8 @@ def backward_batch(
         inputs, gates, cell, hidden = layers[idx]
         h_size = w_rec.shape[1]
 
-        d_gates = np.empty((batch, steps, 4 * h_size), dtype)
+        if weights:
+            d_gates = np.empty((batch, steps, 4 * h_size), dtype)
         d_inputs = np.empty_like(inputs)
 
         cell_tanh = np.tanh(cell)
@@ -277,19 +284,21 @@ def backward_batch(
                 axis=1,
             )
 
-            d_gates[:, t] = d_a
+            if weights:
+                d_gates[:, t] = d_a
             d_inputs[:, t] = d_a @ w_in
             d_h_rec = d_a @ w_rec
             d_c = d_c_prev
 
-        # one product per weight array sums over batch and time; h_prev is the
-        # hidden state entering each step, zero before t = 0
-        flat = d_gates.reshape(-1, 4 * h_size)
-        grads[f"l{idx}_w_in"] = flat.T @ inputs.reshape(batch * steps, -1)
-        h_prev = np.zeros_like(hidden)
-        h_prev[:, 1:] = hidden[:, :-1]
-        grads[f"l{idx}_w_rec"] = flat.T @ h_prev.reshape(-1, h_size)
-        grads[f"l{idx}_bias"] = flat.sum(axis=0)
+        if weights:
+            # one product per weight array sums over batch and time; h_prev is
+            # the hidden state entering each step, zero before t = 0
+            flat = d_gates.reshape(-1, 4 * h_size)
+            grads[f"l{idx}_w_in"] = flat.T @ inputs.reshape(batch * steps, -1)
+            h_prev = np.zeros_like(hidden)
+            h_prev[:, 1:] = hidden[:, :-1]
+            grads[f"l{idx}_w_rec"] = flat.T @ h_prev.reshape(-1, h_size)
+            grads[f"l{idx}_bias"] = flat.sum(axis=0)
         d_hidden_seq = d_inputs
 
     return grads, d_hidden_seq

@@ -90,14 +90,16 @@ class ScenarioSpec:
                 raise ValueError(
                     f"variable {i}: coupled source must reference an earlier variable"
                 )
-        # save_scenario_csv writes a timestamp and a label column beside the variables
-        names = ["timestamp", "label"]
+        # save_scenario_csv writes a timestamp and a label column beside the
+        # variables, and per_variable_flags.csv an index column
+        names = ["timestamp", "label", "index"]
         names += [_column_name(i, var) for i, var in enumerate(self.variables)]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(
                 f"column names {repeated} are used twice; the CSV has its own "
-                "timestamp and label columns"
+                "timestamp and label columns and per_variable_flags.csv its own "
+                "index column"
             )
         for attack in self.attacks:
             if not 0 <= attack.target < len(self.variables):

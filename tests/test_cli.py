@@ -355,11 +355,13 @@ def _edited(tmp_path, edits):
     ([("name: MV101", "name: LIT101")], "synth: column names ['LIT101'] are used twice"),
     ([("name: MV101", "name: label")], "synth: column names ['label'] are used twice"),
     ([("name: MV101", "name: timestamp")], "synth: column names ['timestamp'] are used twice"),
+    ([("name: MV101", "name: index")], "synth: column names ['index'] are used twice"),
     # an unnamed variable takes its default name, v<index>_<kind>
     ([("name: LIT101", "name: v1_act"), (", name: MV101", "")],
      "synth: column names ['v1_act'] are used twice"),
 ], ids=["kind-list", "sine-period-0", "sine-period-negative", "square-period-0",
-        "repeated-name", "name-label", "name-timestamp", "repeated-default-name"])
+        "repeated-name", "name-label", "name-timestamp", "name-index",
+        "repeated-default-name"])
 def test_bad_synth_variable_exits_1_at_load(edits, message, tmp_path, capsys):
     config = _edited(tmp_path, edits)
     assert _run(config, tmp_path, "synth") == 1
@@ -379,3 +381,14 @@ def test_column_name_with_a_comma_keeps_its_column(tmp_path):
         assert (tmp_path / name).read_text().startswith('timestamp,"A,B",C,label\n')
     with (tmp_path / "per_variable_flags.csv").open(newline="") as fh:
         assert next(csv.reader(fh)) == ["index", "A,B", "C"]
+
+
+def test_csv_feature_named_index_exits_1_at_ingest(config, tmp_path, capsys):
+    # per_variable_flags.csv writes its own index column before the features;
+    # a feature of the same name would be dropped when the file is read back
+    assert _run(config, tmp_path, "synth") == 0
+    train_csv = tmp_path / "train.csv"
+    train_csv.write_text(train_csv.read_text().replace(",MV101,", ",index,", 1))
+    assert _run(config, tmp_path, "ingest") == 1
+    assert f"{train_csv}: feature column 'index'" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()

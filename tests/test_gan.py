@@ -283,6 +283,25 @@ class TestUpdateDirections:
         assert discriminator_grads(disc, real, fake)[0] == d_loss(real_scores, fake_scores)
         assert generator_grads(gen, disc, z)[0] == g_loss(fake_scores)
 
+    def test_frozen_discriminator_skips_only_its_weight_gradients(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        gen = build_generator(2, latent_dim=2, depth=2, hidden=6, rng=rng)
+        disc = build_discriminator(2, depth=2, hidden=6, rng=rng)
+        z = sample_latent(8, 5, 2, rng=26)
+        loss, grads = generator_grads(gen, disc, z)
+        full_backward, asked = lstm.backward_batch, []
+
+        def every_gradient(net, cache, output_grads, weights=True):
+            asked.append(weights)
+            return full_backward(net, cache, output_grads)
+
+        monkeypatch.setattr(lstm, "backward_batch", every_gradient)
+        ref_loss, ref_grads = generator_grads(gen, disc, z)
+        assert asked == [False, True]
+        assert loss == ref_loss
+        for g, ref in zip(grads, ref_grads, strict=True):
+            npt.assert_array_equal(g, ref)
+
     def test_discriminator_update_decreases_d_loss(self):
         rng = np.random.default_rng(11)
         disc = build_discriminator(2, depth=1, hidden=6, rng=rng)

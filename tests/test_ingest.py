@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tsgad.config import ConfigError
 from tsgad.ingest import (
     downsample_median,
     load_csv,
@@ -161,6 +162,15 @@ class TestLoadCsv:
         p.write_text("ts,b,a,b,ts,a\n0,1,2,3,4,5\n")
         with pytest.raises(ValueError, match=r"data.csv: header repeats \['a', 'b', 'ts'\]"):
             load_csv(p, "ts")
+
+    def test_feature_named_index_rejected(self, tmp_path):
+        # per_variable_flags.csv puts its own index column before the features
+        p = tmp_path / "data.csv"
+        p.write_text("ts,index,a\n0,1,2\n1,3,4\n")
+        with pytest.raises(ConfigError, match=r"data.csv: feature column 'index'"):
+            load_csv(p, "ts")
+        # as the timestamp column it is not a feature
+        assert load_csv(p, "index")[2] == ["ts", "a"]
 
     def test_non_numeric_timestamp(self, tmp_path):
         p = tmp_path / "data.csv"

@@ -6,7 +6,7 @@ import pytest
 
 from tsgad import gan, lstm, pipeline
 from tsgad.config import validate_config
-from tsgad.inversion import invert, invert_many, objective
+from tsgad.inversion import MAX_HALVINGS, _descend, invert, invert_many, objective
 
 
 def settings(**overrides):
@@ -99,8 +99,9 @@ class TestResidual:
         )
 
     def _reconstructions(self, model, count):
-        # one window per call: inversion runs the generator at batch 1, and a
-        # larger float32 batch may round differently
+        # one window per call: inversion descends at batch ``restarts`` but
+        # takes the reconstruction from a batch-1 forward pass of the winning
+        # latent, and a larger float32 batch may round differently
         z0 = [np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
               for i in range(count)]
         return np.concatenate([generate(model.generator, z) for z in z0])
@@ -195,6 +196,59 @@ class TestInvert:
     def test_window_shape_validation(self, toy_generator):
         with pytest.raises(ValueError, match="columns"):
             invert(toy_generator, np.zeros((8, 5)), settings(), 0)
+
+
+def one_row_descent(gen, window, z, cfg):
+    """The descent rule for one restart, step by step: ``(error, iterations)``."""
+    err, err_grad = objective(window, generate(gen, z[None])[0])
+    step, iterations = cfg["learning_rate"], 0
+    while iterations < cfg["max_iterations"] and err > cfg["tolerance"]:
+        z_grad = lstm.backward_batch(gen, lstm.forward_batch(gen, z[None])[1], err_grad[None])[1][0]
+        for halvings in range(MAX_HALVINGS + 1):
+            z_try = z - step * z_grad
+            err_try, grad_try = objective(window, generate(gen, z_try[None])[0])
+            if err_try < err:
+                break
+            step *= 0.5
+        else:
+            break  # no lower error within the backtracking budget
+        z, err, err_grad = z_try, err_try, grad_try
+        iterations += 1
+        if halvings == 0:
+            step = min(step * 1.5, 50.0 * cfg["learning_rate"])
+    return err, iterations
+
+
+class TestBatchedRestarts:
+    """All restarts of one window descend as one batch, each by its own rule."""
+
+    def test_rows_match_solo_descents(self, toy_generator):
+        # row 0 starts at the planted latent, below the tolerance, so it takes
+        # no step; the other two stop at the tolerance after different counts
+        z_star = gan.sample_latent(1, 8, 4, rng=107)
+        target = generate(toy_generator, z_star)[0].astype(np.float64)
+        z0 = np.concatenate([z_star, np.random.default_rng(3).standard_normal((2, 8, 4))])
+        cfg = settings(max_iterations=100, tolerance=0.02, learning_rate=0.2)
+        _, _, errors, iterations = _descend(toy_generator, target, z0, cfg)
+        assert len(set(iterations.tolist())) == 3 and iterations[0] == 0
+        for r in range(3):
+            solo = _descend(toy_generator, target, z0[r : r + 1], cfg)
+            # a batch of one runs the rule's arithmetic exactly
+            assert (solo[2][0], solo[3][0]) == one_row_descent(toy_generator, target, z0[r], cfg)
+            assert iterations[r] == solo[3][0]
+            assert errors[r] == pytest.approx(solo[2][0], abs=1e-6)
+
+    def test_no_descent_picks_the_best_serial_draw(self, toy_generator):
+        # restart r starts from the r-th (8, 4) draw of default_rng(seed)
+        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=109))[0]
+        rng = np.random.default_rng(13)
+        draws = [rng.standard_normal((8, 4)) for _ in range(3)]
+        errors = [error(target, generate(toy_generator, z[None])[0]) for z in draws]
+        best = int(np.argmin(errors))
+        assert len(set(errors)) == 3
+        result = invert(toy_generator, target, settings(max_iterations=0, restarts=3), 13)
+        npt.assert_array_equal(result.latent, draws[best])
+        assert (result.error, result.iterations) == (errors[best], 0)
 
 
 def test_invert_many_matches_serial(toy_generator):

@@ -235,6 +235,20 @@ class TestBackward:
         for k in range(3):
             npt.assert_allclose(batched_inputs[k], rows[k][1][0], rtol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_input_gradients_only(self, activation, depth, batch):
+        # float32, as inversion and the frozen discriminator run it
+        net = init_lstm(depth, 3, 6, 2, activation, rng=29, weight_scale=0.4)
+        rng = np.random.default_rng(30)
+        seqs = rng.normal(size=(batch, 4, 3))
+        d_out = rng.normal(size=(batch, 4, 2))
+        _, cache = forward_batch(net, seqs)
+        grads, input_grads = backward_batch(net, cache, d_out, weights=False)
+        assert grads is None
+        npt.assert_array_equal(input_grads, backward_batch(net, cache, d_out)[1])
+
     def test_cache_mismatch(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
         _, cache = forward_batch(net, np.zeros((1, 4, 2)))
