@@ -21,7 +21,12 @@ LINE_KEY = "__lines__"
 
 
 class ConfigError(ValueError):
-    """A configuration file failed schema validation."""
+    """A configuration file failed schema validation, or an input file it
+    names (a CSV or a window bundle) was refused.
+
+    The CLI reports it with exit code 1, so a bad config or input file is
+    told apart from a crash (exit 2).
+    """
 
 
 class _LineLoader(yaml.SafeLoader):

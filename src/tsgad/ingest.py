@@ -24,20 +24,27 @@ from pathlib import Path
 import numpy as np
 
 
+def _refusal(message: str) -> ValueError:
+    """A :class:`~tsgad.config.ConfigError`: a bad input file exits 1, as a bad config does."""
+    from .config import ConfigError  # config imports this module, through synthetic
+
+    return ConfigError(message)
+
+
 def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num: int) -> float:
     text = raw.strip()
     if timestamp_format is not None:
         try:
             parsed = datetime.strptime(text, timestamp_format)
         except ValueError as exc:
-            raise ValueError(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
+            raise _refusal(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
         # a naive time is UTC, not the machine's zone, whose DST jumps would
         # make the order checks of load_csv depend on where it runs
         return (parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)).timestamp()
     try:
         return float(text)
     except ValueError:
-        raise ValueError(
+        raise _refusal(
             f"{path}: row {row_num}: non-numeric timestamp {raw!r} "
             "(set timestamp_format for datetime strings)"
         ) from None
@@ -60,10 +67,11 @@ def load_csv(
     timestamps; a time without a ``%z`` offset is read as UTC.  The
     timestamps are checked, not returned.
 
-    Rejects a header that repeats a name or has a feature named ``index``
-    (a :class:`~tsgad.config.ConfigError`), ragged rows, non-numeric or
-    non-finite (nan, inf) feature cells and timestamps, unmapped label
-    strings and timestamps that are not strictly increasing.
+    Refuses, with a :class:`~tsgad.config.ConfigError` naming the path, a
+    header that repeats a name or has a feature named ``index``, ragged
+    rows, non-numeric or non-finite (nan, inf) feature cells and
+    timestamps, unmapped label strings and timestamps that are not strictly
+    increasing.  A missing file raises ``FileNotFoundError``.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
@@ -73,23 +81,21 @@ def load_csv(
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+            raise _refusal(f"{path}: empty file") from None
         repeated = sorted({name for name in header if header.count(name) > 1})
         if repeated:
-            raise ValueError(f"{path}: header repeats {repeated}")
+            raise _refusal(f"{path}: header repeats {repeated}")
 
         col_index = {name: i for i, name in enumerate(header)}
         for name in [timestamp_column] + ([label_column] if label_column else []):
             if name not in col_index:
-                raise ValueError(f"{path}: schema column {name!r} not in header {header}")
+                raise _refusal(f"{path}: schema column {name!r} not in header {header}")
         skip = {timestamp_column, label_column}
         feature_names = [h for h in header if h not in skip]
         if not feature_names:
-            raise ValueError(f"{path}: no feature columns")
+            raise _refusal(f"{path}: no feature columns")
         if "index" in feature_names:
-            from .config import ConfigError  # config imports this module
-
-            raise ConfigError(
+            raise _refusal(
                 f"{path}: feature column 'index' clashes with the index column of "
                 "per_variable_flags.csv; rename it"
             )
@@ -105,7 +111,7 @@ def load_csv(
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(
+                raise _refusal(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
             timestamps.append(_parse_timestamp(row[ts_idx], timestamp_format, path, row_num))
@@ -113,7 +119,7 @@ def load_csv(
                 rows.append([float(row[i]) for i in feature_idx])
             except ValueError:
                 bad = next(i for i in feature_idx if not _is_number(row[i]))
-                raise ValueError(
+                raise _refusal(
                     f"{path}: row {row_num}: non-numeric cell {row[bad]!r} "
                     f"in column {header[bad]!r}"
                 ) from None
@@ -121,28 +127,28 @@ def load_csv(
             if label_idx is not None:
                 raw_label = row[label_idx].strip()
                 if raw_label not in mapping:
-                    raise ValueError(
+                    raise _refusal(
                         f"{path}: row {row_num}: label {raw_label!r} not in label_mapping"
                     )
                 labels.append(mapping[raw_label])
 
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise _refusal(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise ValueError(
+        raise _refusal(
             f"{path}: row {row_nums[r]}: non-finite cell {values[r, c]} "
             f"in column {feature_names[c]!r}"
         )
     ts = np.asarray(timestamps, dtype=np.float64)
     if not np.isfinite(ts).all():
         r = int(np.argmin(np.isfinite(ts)))
-        raise ValueError(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
+        raise _refusal(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
-        raise ValueError(
+        raise _refusal(
             f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
             f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]})"
         )

@@ -5,12 +5,16 @@ correlation of the window and G(z) averaged over columns, over z by gradient
 descent through the frozen generator, with backtracking step halving and a
 configurable number of restarts.  The error is bounded and scale invariant.
 
-All restarts of one window descend together as one (restarts, L, latent)
-batch, each row under its own step and stop rule, and the backward pass
-forms input gradients only.  float32 rounds a batch of R rows differently
-from R batches of one, so with several restarts a window's result can differ
-by rounding from descending the restarts one at a time; with one restart it
-is bitwise the same.
+:func:`invert` takes a stack of N windows and descends all of its N x R
+restarts (R = ``restarts``) together, as one (N R, L, latent) batch laid out
+window by window: rows ``i R .. i R + R - 1`` are the restarts of window i,
+drawn as the first R (L, latent) draws of ``default_rng(seed + i)``.  Each
+row descends towards its own window under its own step and stop rule, and
+the backward pass forms input gradients only.  At most
+:data:`MAX_BATCH_ROWS` rows descend in one batch, so the LSTM caches of a
+large test set stay bounded.  float32 rounds a batch of B rows differently
+from B batches of one, so a window's result can differ by rounding from
+inverting it alone.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import numpy as np
 from . import lstm
 
 MAX_HALVINGS = 10
+# rows (windows x restarts) per descent batch; bounds the LSTM cache memory
+MAX_BATCH_ROWS = 512
 
 
 @dataclass
@@ -32,33 +38,36 @@ class InversionResult:
     reconstruction: np.ndarray  # generator output at the returned latent
 
 
-def objective(window: np.ndarray, recon: np.ndarray) -> tuple[float, np.ndarray]:
+def objective(window: np.ndarray, recon: np.ndarray):
     """Inversion error of ``recon`` against ``window`` and its gradient in ``recon``.
 
     The error is 1 minus the per-column Pearson correlation of two
     equal-shape (timesteps, columns) windows averaged over columns, so it
     lies in [0, 2].  A constant column in either input correlates 0 and gets
-    a zero gradient.
+    a zero gradient.  Two (timesteps, columns) inputs give ``(float, grad)``;
+    two (batch, timesteps, columns) stacks give ``(errors, grads)`` with one
+    error per batch row, each equal to the 2-D call on that row.
     """
     x = np.asarray(window, dtype=np.float64)
     y = np.asarray(recon, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("windows must be (timesteps >= 2, columns)")
-    cols = x.shape[1]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    sx = np.sqrt(np.sum(xc * xc, axis=0))
-    sy = np.sqrt(np.sum(yc * yc, axis=0))
+    if x.ndim not in (2, 3) or x.shape[-2] < 2:
+        raise ValueError("windows must be ([batch,] timesteps >= 2, columns)")
+    cols = x.shape[-1]
+    xc = x - x.mean(axis=-2, keepdims=True)
+    yc = y - y.mean(axis=-2, keepdims=True)
+    sx = np.sqrt(np.sum(xc * xc, axis=-2, keepdims=True))
+    sy = np.sqrt(np.sum(yc * yc, axis=-2, keepdims=True))
     ok = (sx > 0.0) & (sy > 0.0)
-    r = np.zeros(cols)
-    denom = (sx * sy)[ok]
-    r[ok] = np.sum(xc * yc, axis=0)[ok] / denom
+    # a constant column divides by 1 and is then zeroed, so it warns of nothing
+    sy = np.where(ok, sy, 1.0)
+    denom = np.where(ok, sx * sy, 1.0)
+    r = np.where(ok, np.sum(xc * yc, axis=-2, keepdims=True) / denom, 0.0)
     # d (1 - r_j) / d y[:, j] = r yc / sy^2 - xc / (sx sy)
-    grad = np.zeros_like(y)
-    grad[:, ok] = (r[ok] * yc[:, ok] / sy[ok] ** 2 - xc[:, ok] / denom) / cols
-    return 1.0 - float(r.mean()), grad
+    grad = np.where(ok, (r * yc / sy**2 - xc / denom) / cols, 0.0)
+    errors = 1.0 - r.mean(axis=(-2, -1))
+    return (float(errors), grad) if x.ndim == 2 else (errors, grad)
 
 
 def _take(cache: tuple, rows: np.ndarray) -> tuple:
@@ -75,25 +84,22 @@ def _splice(cache: tuple, rows: np.ndarray, trial: tuple, picks: np.ndarray) -> 
     cache[1][rows] = trial[1][picks]
 
 
-def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings: dict):
-    """Gradient descent from every restart row of ``z0`` (restarts, L, latent) as one batch.
+def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, settings: dict):
+    """Gradient descent from every row of ``z0`` (rows, L, latent) as one batch.
 
-    Each row follows the one-row rule on its own: it stops at ``tolerance``,
-    after ``max_iterations`` accepted steps, or when ``MAX_HALVINGS``
-    halvings of its step find no lower error; a clean first-try acceptance
-    grows its step by 1.5, capped at 50 times ``learning_rate``.  The batch
-    holds only the rows still descending, and a backtracking retry forwards
-    only the rows still searching.  Returns ``(latents, reconstructions,
-    errors, iterations)`` per row, with a nan error for a row whose error or
-    gradient turned non-finite.
+    Row k descends towards ``windows[k]`` and follows the one-row rule on
+    its own: it stops at ``tolerance``, after ``max_iterations`` accepted
+    steps, or when ``MAX_HALVINGS`` halvings of its step find no lower
+    error; a clean first-try acceptance grows its step by 1.5, capped at 50
+    times ``learning_rate``.  The batch holds only the rows still
+    descending, and a backtracking retry forwards only the rows still
+    searching.  Returns ``(latents, errors, iterations)`` per row, with a
+    nan error for a row whose error or gradient turned non-finite.
     """
     lr, tol = settings["learning_rate"], settings["tolerance"]
     z = z0.copy()
     recons, cache = lstm.forward_batch(gen, z)
-    errors = np.empty(len(z))
-    err_grads = np.empty(recons.shape)
-    for r, rec in enumerate(recons):
-        errors[r], err_grads[r] = objective(window, rec)
+    errors, err_grads = objective(windows, recons)
     steps = np.full(len(z), lr)
     iterations = np.zeros(len(z), dtype=int)
     errors[~np.isfinite(errors)] = np.nan
@@ -117,21 +123,18 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings
         for halvings in range(MAX_HALVINGS + 1):
             rows = run[search]
             # the step in the gradient's dtype, as numpy applies a Python float
-            # step, so one restart repeats the one-row arithmetic bitwise
+            # step, so a batch of one repeats the one-row arithmetic bitwise
             step = steps[rows].astype(z_grads.dtype)[:, None, None]
             z_try = z[rows] - step * z_grads[search]
             recon_try, cache_try = lstm.forward_batch(gen, z_try)
-            accept = np.zeros(len(rows), dtype=bool)
-            for k, r in enumerate(rows):
-                err_try, grad_try = objective(window, recon_try[k])
-                if np.isfinite(err_try) and err_try < errors[r]:
-                    accept[k] = True
-                    z[r], recons[r], errors[r] = z_try[k], recon_try[k], err_try
-                    err_grads[r] = grad_try
-            iterations[rows[accept]] += 1
+            err_try, grad_try = objective(windows[rows], recon_try)
+            accept = np.isfinite(err_try) & (err_try < errors[rows])
+            won = rows[accept]
+            z[won], errors[won], err_grads[won] = z_try[accept], err_try[accept], grad_try[accept]
+            iterations[won] += 1
             if halvings == 0:
                 # clean acceptance: let the step grow back, capped at 50x the base rate
-                steps[rows[accept]] = np.minimum(steps[rows[accept]] * 1.5, 50.0 * lr)
+                steps[won] = np.minimum(steps[won] * 1.5, 50.0 * lr)
             if halvings == 0 and accept.all():
                 cache = cache_try
             else:
@@ -145,49 +148,74 @@ def _descend(gen: lstm.StackedLstm, window: np.ndarray, z0: np.ndarray, settings
             keep = np.ones(len(run), dtype=bool)
             keep[search] = False
             run, cache = run[keep], _take(cache, keep)
-    return z, recons, errors, iterations
+    return z, errors, iterations
 
 
 def invert(
-    gen: lstm.StackedLstm, window: np.ndarray, settings: dict, seed: int
-) -> InversionResult:
-    """Best-of-restarts latent recovery for one test window.
+    gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
+) -> list[InversionResult]:
+    """Best-of-restarts latent recovery for each window of an (N, L, C) stack.
 
-    ``settings`` is the validated ``inversion`` config section; ``seed``
-    draws the initial latent of every restart, restart r taking the r-th
-    draw.  All restarts descend as one batch.  The returned reconstruction
-    equals ``forward_batch(gen, latent[None])`` exactly: with more than one
-    restart it and the error come from a batch-1 forward pass of the winning
-    latent, because float32 rounds a larger batch differently.
+    ``settings`` is the validated ``inversion`` config section.  Window i
+    starts its R restarts from the first R (L, latent) draws of
+    ``default_rng(seed + i)``, restart r taking the r-th draw, whatever else
+    is in the stack.  All N x R restarts descend together, at most
+    :data:`MAX_BATCH_ROWS` rows per batch, and window i keeps its restart
+    of lowest error.  Every reconstruction and error comes from one forward
+    pass over the N winning latents: ``reconstruction`` of window i equals
+    row i of ``forward_batch(gen, latents)[0]`` exactly, with ``latents``
+    the stacked winning latents.  One window is inverted as ``invert(gen,
+    window[None], settings, seed)[0]``; an empty stack returns ``[]``.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError("window must be (timesteps, columns)")
-    if window.shape[1] != gen.output_size:
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError("windows must be (count, timesteps, columns)")
+    if windows.shape[2] != gen.output_size:
         raise ValueError(
-            f"window has {window.shape[1]} columns, generator emits {gen.output_size}"
+            f"windows have {windows.shape[2]} columns, generator emits {gen.output_size}"
         )
-    rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal((settings["restarts"], window.shape[0], gen.input_size))
-    latents, recons, errors, iterations = _descend(gen, window, z0, settings)
-    if np.isnan(errors).all():
-        raise RuntimeError("all inversion restarts diverged")
-    best = int(np.nanargmin(errors))
-    recon, error = recons[best], float(errors[best])
-    if len(z0) > 1:
-        recon = lstm.forward_batch(gen, latents[best][None])[0][0]
-        error = objective(window, recon)[0]
-    return InversionResult(
-        latent=latents[best], error=error, iterations=int(iterations[best]), reconstruction=recon
-    )
+    count, length, _ = windows.shape
+    if not count:
+        return []
+    restarts = settings["restarts"]
+    shape = (restarts, length, gen.input_size)
+    z0 = np.concatenate([np.random.default_rng(seed + i).standard_normal(shape)
+                         for i in range(count)])
+    targets = np.repeat(windows, restarts, axis=0)
+    latents, errors, iterations = np.empty_like(z0), np.empty(len(z0)), np.empty(len(z0), int)
+    for lo in range(0, len(z0), MAX_BATCH_ROWS):
+        part = slice(lo, lo + MAX_BATCH_ROWS)
+        latents[part], errors[part], iterations[part] = _descend(
+            gen, targets[part], z0[part], settings
+        )
+    errors = errors.reshape(count, restarts)
+    diverged = np.isnan(errors).all(axis=1)
+    if diverged.any():
+        raise RuntimeError(
+            f"window {int(np.argmax(diverged))}: all inversion restarts diverged"
+        )
+    best = np.arange(count) * restarts + np.nanargmin(errors, axis=1)
+    winners = latents[best]
+    recons = lstm.forward_batch(gen, winners)[0]
+    final, _ = objective(windows, recons)
+    return [
+        InversionResult(latent=winners[i], error=float(final[i]),
+                        iterations=int(iterations[k]), reconstruction=recons[i])
+        for i, k in enumerate(best)
+    ]
 
 
 def invert_many(
     gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
 ) -> list[InversionResult]:
-    """Invert a batch of windows with the ``inversion`` config section
-    ``settings``; window i uses seed ``seed + i``."""
+    """Invert an (N, L, C) stack of windows with the ``inversion`` config
+    section ``settings``; window i uses seed ``seed + i``.
+
+    The same as :func:`invert`, which runs the whole stack as one batched
+    descent; see there for the batch layout, the row cap and what each
+    ``reconstruction`` equals exactly.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError("windows must be (count, timesteps, columns)")
-    return [invert(gen, w, settings, seed + i) for i, w in enumerate(windows)]
+    return invert(gen, windows, settings, seed)

@@ -392,3 +392,36 @@ def test_csv_feature_named_index_exits_1_at_ingest(config, tmp_path, capsys):
     assert _run(config, tmp_path, "ingest") == 1
     assert f"{train_csv}: feature column 'index'" in capsys.readouterr().err
     assert not (tmp_path / "bundle").exists()
+
+
+def _repeat_header_name(text):
+    return text.replace(",MV101,", ",LIT101,", 1)
+
+
+def _drop_a_cell(text):
+    lines = text.splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _non_numeric_cell(text):
+    lines = text.splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "high"
+    lines[5] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_header_name, "header repeats ['LIT101']"),
+    (_drop_a_cell, "ragged row 6: expected 5 cells, got 4"),
+    (_non_numeric_cell, "row 6: non-numeric cell 'high' in column 'LIT101'"),
+], ids=["repeated-header-name", "ragged-row", "non-numeric-cell"])
+def test_bad_csv_exits_1_at_ingest(edit, message, config, tmp_path, capsys):
+    # a refused input file is a config error (exit 1), not a crash (exit 2)
+    assert _run(config, tmp_path, "synth") == 0
+    train_csv = tmp_path / "train.csv"
+    train_csv.write_text(edit(train_csv.read_text()))
+    assert _run(config, tmp_path, "ingest") == 1
+    assert f"config error: {train_csv}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tsgad import gan, lstm, pipeline
+from tsgad import gan, inversion, lstm, pipeline
 from tsgad.config import validate_config
 from tsgad.inversion import MAX_HALVINGS, _descend, invert, invert_many, objective
 
@@ -21,6 +21,11 @@ def generate(gen, z):
 
 def error(x, y):
     return objective(x, y)[0]
+
+
+def invert_one(gen, window, cfg, seed):
+    """The inversion of one (timesteps, columns) window, alone in its stack."""
+    return invert(gen, window[None], cfg, seed)[0]
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +104,14 @@ class TestResidual:
         )
 
     def _reconstructions(self, model, count):
-        # one window per call: inversion descends at batch ``restarts`` but
-        # takes the reconstruction from a batch-1 forward pass of the winning
-        # latent, and a larger float32 batch may round differently
-        z0 = [np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
-              for i in range(count)]
-        return np.concatenate([generate(model.generator, z) for z in z0])
+        # inversion takes every reconstruction from one forward pass of the
+        # stacked winning latents, and a float32 batch of another size may
+        # round differently, so this is one pass over all ``count`` latents
+        z0 = np.concatenate([
+            np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
+            for i in range(count)
+        ])
+        return generate(model.generator, z0)
 
     def test_identity_reconstruction(self):
         model = self._model(3)
@@ -154,20 +161,20 @@ class TestInvert:
         z_star = gan.sample_latent(1, 8, 4, rng=100)
         target = generate(toy_generator, z_star)[0]
         cfg = settings(max_iterations=200, learning_rate=0.2)
-        result = invert(toy_generator, target, cfg, 0)
+        result = invert_one(toy_generator, target, cfg, 0)
         assert result.error < 0.05
         assert result.iterations <= 200
 
     def test_zero_iteration_budget_returns_initial_sample(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
-        result = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 5)
+        result = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 5)
         assert result.iterations == 0
         z0 = np.random.default_rng(5).standard_normal((8, 4))
         npt.assert_array_equal(result.latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
-        result = invert(toy_generator, target, settings(max_iterations=30), 1)
+        result = invert_one(toy_generator, target, settings(max_iterations=30), 1)
         regenerated = generate(toy_generator, result.latent[None])[0]
         npt.assert_array_equal(result.reconstruction, regenerated)
 
@@ -175,27 +182,29 @@ class TestInvert:
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
         errors = []
         for seed in (11, 12):
-            errors.append(invert(toy_generator, target, settings(max_iterations=200), seed).error)
+            errors.append(invert_one(toy_generator, target, settings(max_iterations=200), seed).error)
         assert abs(errors[0] - errors[1]) < 0.05
 
     def test_deterministic_given_seed(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=104))[0]
         cfg = settings(max_iterations=50)
-        a = invert(toy_generator, target, cfg, 3)
-        b = invert(toy_generator, target, cfg, 3)
+        a = invert_one(toy_generator, target, cfg, 3)
+        b = invert_one(toy_generator, target, cfg, 3)
         npt.assert_array_equal(a.latent, b.latent)
         assert a.error == b.error
 
     def test_descent_never_increases_error(self, toy_generator):
         # the accepted-step invariant implies final error <= initial error
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
-        start = invert(toy_generator, target, settings(max_iterations=0, restarts=1), 9)
-        finish = invert(toy_generator, target, settings(max_iterations=60, restarts=1), 9)
+        start = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 9)
+        finish = invert_one(toy_generator, target, settings(max_iterations=60, restarts=1), 9)
         assert finish.error <= start.error
 
     def test_window_shape_validation(self, toy_generator):
         with pytest.raises(ValueError, match="columns"):
-            invert(toy_generator, np.zeros((8, 5)), settings(), 0)
+            invert(toy_generator, np.zeros((1, 8, 5)), settings(), 0)
+        with pytest.raises(ValueError, match=r"\(count, timesteps, columns\)"):
+            invert(toy_generator, np.zeros((8, 3)), settings(), 0)
 
 
 def one_row_descent(gen, window, z, cfg):
@@ -227,16 +236,17 @@ class TestBatchedRestarts:
         # no step; the other two stop at the tolerance after different counts
         z_star = gan.sample_latent(1, 8, 4, rng=107)
         target = generate(toy_generator, z_star)[0].astype(np.float64)
+        targets = np.repeat(target[None], 3, axis=0)
         z0 = np.concatenate([z_star, np.random.default_rng(3).standard_normal((2, 8, 4))])
         cfg = settings(max_iterations=100, tolerance=0.02, learning_rate=0.2)
-        _, _, errors, iterations = _descend(toy_generator, target, z0, cfg)
+        _, errors, iterations = _descend(toy_generator, targets, z0, cfg)
         assert len(set(iterations.tolist())) == 3 and iterations[0] == 0
         for r in range(3):
-            solo = _descend(toy_generator, target, z0[r : r + 1], cfg)
+            solo = _descend(toy_generator, targets[r : r + 1], z0[r : r + 1], cfg)
             # a batch of one runs the rule's arithmetic exactly
-            assert (solo[2][0], solo[3][0]) == one_row_descent(toy_generator, target, z0[r], cfg)
-            assert iterations[r] == solo[3][0]
-            assert errors[r] == pytest.approx(solo[2][0], abs=1e-6)
+            assert (solo[1][0], solo[2][0]) == one_row_descent(toy_generator, target, z0[r], cfg)
+            assert iterations[r] == solo[2][0]
+            assert errors[r] == pytest.approx(solo[1][0], abs=1e-6)
 
     def test_no_descent_picks_the_best_serial_draw(self, toy_generator):
         # restart r starts from the r-th (8, 4) draw of default_rng(seed)
@@ -246,19 +256,111 @@ class TestBatchedRestarts:
         errors = [error(target, generate(toy_generator, z[None])[0]) for z in draws]
         best = int(np.argmin(errors))
         assert len(set(errors)) == 3
-        result = invert(toy_generator, target, settings(max_iterations=0, restarts=3), 13)
+        result = invert_one(toy_generator, target, settings(max_iterations=0, restarts=3), 13)
         npt.assert_array_equal(result.latent, draws[best])
         assert (result.error, result.iterations) == (errors[best], 0)
 
 
+class TestWindowStack:
+    """All windows x restarts of a stack descend together; window i keeps
+    the draws of seed + i and its own rule, so only float32 rounding
+    separates it from inverting the window alone."""
+
+    SEED = 40
+    # tolerance stops and a budget that some windows use up
+    CFG = settings(max_iterations=25, tolerance=0.02, learning_rate=0.2, restarts=1)
+
+    @pytest.fixture(scope="class")
+    def stack(self, toy_generator):
+        # window 0 is G of its own first draw, so it starts below the
+        # tolerance; windows 1-6 are G of planted latents and window 7 is noise
+        first = np.random.default_rng(self.SEED).standard_normal((1, 8, 4))
+        planted = [gan.sample_latent(1, 8, 4, rng=200 + k) for k in range(6)]
+        windows = generate(toy_generator, np.concatenate([first, *planted]))
+        noise = np.random.default_rng(9).normal(size=(1, 8, 3))
+        return np.concatenate([windows, noise]).astype(np.float64)
+
+    def test_rows_match_solo_inversions(self, toy_generator, stack):
+        results = invert(toy_generator, stack, self.CFG, self.SEED)
+        iterations = [r.iterations for r in results]
+        budget = self.CFG["max_iterations"]
+        assert iterations[0] == 0 and budget in iterations
+        stopped = {n for n, r in zip(iterations, results)
+                   if 0 < n < budget and r.error <= self.CFG["tolerance"]}
+        assert len(stopped) >= 2, iterations
+        for i, result in enumerate(results):
+            solo = invert_one(toy_generator, stack[i], self.CFG, self.SEED + i)
+            assert result.iterations == solo.iterations, i
+            assert result.error == pytest.approx(solo.error, abs=1e-6), i
+
+    def test_no_descent_takes_the_best_of_each_windows_draws(self, toy_generator, stack):
+        restarts = 3
+        results = invert(toy_generator, stack, settings(max_iterations=0, restarts=restarts),
+                         self.SEED)
+        for i, result in enumerate(results):
+            draws = np.random.default_rng(self.SEED + i).standard_normal((restarts, 8, 4))
+            errors = objective(np.repeat(stack[i][None], restarts, axis=0),
+                               generate(toy_generator, draws))[0]
+            npt.assert_array_equal(result.latent, draws[int(np.argmin(errors))])
+            assert result.iterations == 0
+
+    def test_reconstructions_come_from_one_pass_over_the_winners(self, toy_generator, stack):
+        results = invert(toy_generator, stack, settings(max_iterations=5, restarts=2), 1)
+        recons = generate(toy_generator, np.stack([r.latent for r in results]))
+        errors = objective(stack, recons)[0]
+        for i, result in enumerate(results):
+            npt.assert_array_equal(result.reconstruction, recons[i])
+            assert result.error == errors[i]
+
+    def test_row_cap_splits_the_descent_only(self, toy_generator, stack, monkeypatch):
+        # three restarts at two rows per batch also split a window's restarts
+        cfg = {**self.CFG, "restarts": 3}
+        whole = invert(toy_generator, stack, cfg, self.SEED)
+        monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", 2)
+        split = invert(toy_generator, stack, cfg, self.SEED)
+        for a, b in zip(whole, split, strict=True):
+            assert a.iterations == b.iterations
+            assert a.error == pytest.approx(b.error, abs=1e-6)
+            npt.assert_allclose(a.reconstruction, b.reconstruction, rtol=0, atol=1e-6)
+
+    def test_empty_stack(self, toy_generator):
+        assert invert(toy_generator, np.zeros((0, 8, 3)), self.CFG, 0) == []
+
+    def test_diverged_window_is_named(self, toy_generator, stack, monkeypatch):
+        # every restart of window 3 gets a nan gradient; the others stay finite
+        marked = stack.copy()
+        marked[3, 0, 0] = 123.0
+
+        def poisoned(windows, recons):
+            errors, grads = objective(windows, recons)
+            grads[windows[:, 0, 0] == 123.0] = np.nan
+            return errors, grads
+
+        monkeypatch.setattr(inversion, "objective", poisoned)
+        with pytest.raises(RuntimeError, match="window 3: all inversion restarts diverged"):
+            invert(toy_generator, marked, settings(max_iterations=3, restarts=2), 0)
+
+
+def test_objective_rows_equal_single_calls():
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 6, 3))
+    x[1, :, 2] = 1.0  # a constant column
+    errors, grads = objective(x, y)
+    for k in range(4):
+        err, grad = objective(x[k], y[k])
+        assert errors[k] == err
+        npt.assert_array_equal(grads[k], grad)
+
+
 def test_invert_many_matches_serial(toy_generator):
-    # window i is the serial inversion with seed + i, bitwise
+    # window i is the solo inversion with seed + i, up to float32 rounding:
+    # the stack descends at batch 3 and a solo window at batch 1
     windows = generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
     cfg = settings(max_iterations=25, restarts=1)
     many = invert_many(toy_generator, windows, cfg, 42)
     assert len(many) == 3
     for i, result in enumerate(many):
-        single = invert(toy_generator, windows[i], cfg, 42 + i)
-        npt.assert_array_equal(result.latent, single.latent)
-        npt.assert_array_equal(result.reconstruction, single.reconstruction)
-        assert (result.error, result.iterations) == (single.error, single.iterations)
+        single = invert_one(toy_generator, windows[i], cfg, 42 + i)
+        assert result.iterations == single.iterations
+        assert result.error == pytest.approx(single.error, abs=1e-6)
+        npt.assert_allclose(result.latent, single.latent, rtol=0, atol=1e-5)
