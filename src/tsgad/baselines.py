@@ -13,54 +13,72 @@ from .pca import PcaModel, spe
 @dataclass
 class CusumConfig:
     """Two-sided tabular CUSUM settings: target mean, slack per step and
-    decision limit."""
+    decision limit.
 
-    target_mean: float
-    slack: float
-    threshold: float
+    Each field is a float for one series, or holds one entry per column
+    (an array of shape ``(columns,)``) for a ``(rows, columns)`` series,
+    whose columns are then charted side by side.
+    """
+
+    target_mean: float | np.ndarray
+    slack: float | np.ndarray
+    threshold: float | np.ndarray
 
     def __post_init__(self):
-        if self.slack < 0:
+        if np.any(np.asarray(self.slack) < 0):
             raise ValueError("slack must be >= 0")
-        if self.threshold <= 0:
+        if np.any(np.asarray(self.threshold) <= 0):
             raise ValueError("threshold must be > 0")
 
 
 def fit_cusum_config(training_values: np.ndarray) -> CusumConfig:
     """Classic tabular settings: slack 0.5 sigma, limit 5 sigma, estimated on
-    the normal training slice."""
-    x = np.asarray(training_values, dtype=np.float64)
-    sigma = float(x.std())
-    if sigma == 0.0:
-        sigma = 1.0  # degenerate constant channel; keeps the chart well-defined
-    return CusumConfig(target_mean=float(x.mean()), slack=0.5 * sigma, threshold=5.0 * sigma)
+    the normal training slice, one series or each column of ``(rows,
+    columns)``."""
+    # each column is reduced as one contiguous row, so its sums round as a
+    # single-column fit's do
+    x = np.ascontiguousarray(np.asarray(training_values, dtype=np.float64).T)
+    sigma = x.std(axis=-1)
+    # a degenerate constant channel gets sigma 1, which keeps its chart well-defined
+    sigma = np.where(sigma == 0.0, 1.0, sigma)
+    return CusumConfig(target_mean=x.mean(axis=-1), slack=0.5 * sigma, threshold=5.0 * sigma)
 
 
 def _cusum_scan(series: np.ndarray, config: CusumConfig, reset: bool) -> np.ndarray:
     """max(S+, S-) per step, taken before any reset; with ``reset``, both
-    accumulators return to zero whenever that value exceeds the threshold."""
+    accumulators of a column return to zero whenever that value exceeds its
+    threshold.
+
+    One pass over the rows updates every column at once.  ``np.where`` keeps
+    the scalar recurrence's IEEE arithmetic and its ``max``: ``max(0.0, s)``
+    is ``s`` only when ``s > 0.0``, so a ``-0.0`` or nan sum becomes ``0.0``.
+    """
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be univariate")
+    if x.ndim not in (1, 2):
+        raise ValueError("series must be one series or (rows, columns)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     mean, slack = config.target_mean, config.slack
-    stat = []
-    s_hi = 0.0
-    s_lo = 0.0
-    for value in x.tolist():  # Python floats: same IEEE arithmetic, faster loop
-        s_hi = max(0.0, s_hi + (value - mean - slack))
-        s_lo = max(0.0, s_lo + (mean - value - slack))
-        peak = max(s_hi, s_lo)
-        stat.append(peak)
-        if reset and peak > config.threshold:
-            s_hi = 0.0
-            s_lo = 0.0
-    return np.array(stat, dtype=np.float64)
+    rise = x - mean - slack
+    fall = mean - x - slack
+    stat = np.empty_like(x)
+    s_hi = s_lo = np.zeros(x.shape[1:])
+    for t in range(len(x)):
+        s_hi = s_hi + rise[t]
+        s_hi = np.where(s_hi > 0.0, s_hi, 0.0)
+        s_lo = s_lo + fall[t]
+        s_lo = np.where(s_lo > 0.0, s_lo, 0.0)
+        peak = stat[t] = np.where(s_lo > s_hi, s_lo, s_hi)
+        if reset:
+            alarm = peak > config.threshold
+            s_hi = np.where(alarm, 0.0, s_hi)
+            s_lo = np.where(alarm, 0.0, s_lo)
+    return stat
 
 
 def cusum_statistic(series: np.ndarray, config: CusumConfig) -> np.ndarray:
-    """Accumulator trajectory max(S+, S-) without alarm resets.
+    """Accumulator trajectory max(S+, S-) without alarm resets, of one
+    series or of each column of a ``(rows, columns)`` series.
 
     Used for threshold calibration: the alarm rule ``stat > h`` applied to
     this trajectory matches the first alarm of :func:`cusum_detect`.
@@ -69,7 +87,8 @@ def cusum_statistic(series: np.ndarray, config: CusumConfig) -> np.ndarray:
 
 
 def cusum_detect(series: np.ndarray, config: CusumConfig) -> np.ndarray:
-    """Flag timesteps where an accumulator strictly exceeds the threshold.
+    """Flag timesteps where an accumulator strictly exceeds the threshold,
+    in one series or in each column of a ``(rows, columns)`` series.
 
     Both accumulators reset to zero after an alarm, so alarms mark events
     rather than latching for the rest of the series.

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,23 +33,88 @@ def _refusal(message: str) -> ValueError:
     return ConfigError(message)
 
 
+def _number(cell: str) -> float:
+    """``float(cell)`` for exactly the cells numpy's C parser reads.
+
+    ``float`` also reads digit grouping (``1_000``) and non-ASCII digits;
+    the parser that :func:`load_csv` runs refuses both, so this does too.
+    """
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {cell!r}")
+    return float(text)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        _number(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _epoch_seconds(raw: str, timestamp_format: str) -> float:
+    parsed = datetime.strptime(raw.strip(), timestamp_format)
+    # a naive time is UTC, not the machine's zone, whose DST jumps would
+    # make the order checks of load_csv depend on where it runs
+    return (parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)).timestamp()
+
+
 def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num: int) -> float:
-    text = raw.strip()
     if timestamp_format is not None:
         try:
-            parsed = datetime.strptime(text, timestamp_format)
+            return _epoch_seconds(raw, timestamp_format)
         except ValueError as exc:
             raise _refusal(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
-        # a naive time is UTC, not the machine's zone, whose DST jumps would
-        # make the order checks of load_csv depend on where it runs
-        return (parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)).timestamp()
     try:
-        return float(text)
+        return _number(raw)
     except ValueError:
         raise _refusal(
             f"{path}: row {row_num}: non-numeric timestamp {raw!r} "
             "(set timestamp_format for datetime strings)"
         ) from None
+
+
+class _Layout(NamedTuple):
+    """Where :func:`load_csv` finds each column, by cell index."""
+
+    header: list[str]
+    features: list[int]
+    timestamp: int
+    label: int | None
+
+
+def _read_header(
+    reader, path: Path, timestamp_column: str, label_column: str | None
+) -> _Layout:
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise _refusal(f"{path}: empty file") from None
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise _refusal(f"{path}: header repeats {repeated}")
+    col_index = {name: i for i, name in enumerate(header)}
+    for name in [timestamp_column] + ([label_column] if label_column else []):
+        if name not in col_index:
+            raise _refusal(f"{path}: schema column {name!r} not in header {header}")
+    if label_column == timestamp_column:
+        raise _refusal(f"{path}: column {label_column!r} cannot be both timestamp and label")
+    skip = {timestamp_column, label_column}
+    feature_names = [h for h in header if h not in skip]
+    if not feature_names:
+        raise _refusal(f"{path}: no feature columns")
+    if "index" in feature_names:
+        raise _refusal(
+            f"{path}: feature column 'index' clashes with the index column of "
+            "per_variable_flags.csv; rename it"
+        )
+    return _Layout(
+        header,
+        [col_index[c] for c in feature_names],
+        col_index[timestamp_column],
+        col_index[label_column] if label_column else None,
+    )
 
 
 def load_csv(
@@ -67,46 +134,86 @@ def load_csv(
     timestamps; a time without a ``%z`` offset is read as UTC.  The
     timestamps are checked, not returned.
 
+    The header goes through ``csv.reader``, so a quoted name may hold a
+    comma.  The body is read by one ``np.loadtxt`` call, numpy's C parser:
+    numeric cells, the numeric timestamp included, are parsed in C, and
+    only the label cells (and ``strptime`` timestamps) go through Python
+    converters.  A cell may be quoted; ``#`` is not a comment.  When
+    ``loadtxt`` refuses the body, or the result has the wrong width, no
+    rows, a non-finite cell or timestamp, or timestamps that do not
+    increase, the file is read again row by row with ``csv.reader``, which
+    finds the refusal and its file row (blank lines counted); that slow
+    loop runs only for a file that is refused.  A cell is a number when the
+    C parser reads it: ``float`` would also read ``1_000`` and non-ASCII
+    digits, which are refused as non-numeric.
+
     Refuses, with a :class:`~tsgad.config.ConfigError` naming the path, a
-    header that repeats a name or has a feature named ``index``, ragged
-    rows, non-numeric or non-finite (nan, inf) feature cells and
-    timestamps, unmapped label strings and timestamps that are not strictly
-    increasing.  A missing file raises ``FileNotFoundError``.
+    header that repeats a name, has a feature named ``index`` or gives one
+    column as both timestamp and label, ragged rows, non-numeric or
+    non-finite (nan, inf) feature cells and timestamps, unmapped label
+    strings and timestamps that are not strictly increasing.  A missing
+    file raises ``FileNotFoundError``.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
+    with path.open(newline="") as fh:
+        layout = _read_header(csv.reader(fh), path, timestamp_column, label_column)
+        table = _parse_body(fh, layout, mapping, timestamp_format)
+    if table is None:
+        table = _scan_body(path, layout, mapping, timestamp_format)
+    values, labels = table
+    return values, labels, [layout.header[i] for i in layout.features]
 
+
+def _parse_body(
+    fh, layout: _Layout, mapping: dict, timestamp_format: str | None
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The rows after the header through ``np.loadtxt``; ``None`` when they
+    do not pass every check of :func:`_scan_body`."""
+    converters = {}
+    if timestamp_format is not None:
+        converters[layout.timestamp] = lambda raw: _epoch_seconds(raw, timestamp_format)
+    if layout.label is not None:
+        converters[layout.label] = lambda raw: mapping[raw.strip()]
+    with warnings.catch_warnings():
+        # a header-only file; _scan_body refuses it as "no data rows"
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            # encoding=None hands the converters str cells; numpy < 2.0
+            # defaults to encoding="bytes", which would hand them bytes
+            table = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                dtype=np.float64, converters=converters, encoding=None,
+            )
+        except ValueError:  # converter failures (unmapped labels included) arrive as this
+            return None
+    # loadtxt takes the width from the first row, so every row may be too wide
+    if len(table) == 0 or table.shape[1] != len(layout.header):
+        return None
+    # take() returns C order, as _scan_body does; table[:, features] would be
+    # F-strided, and pca.fit_pca's column sums round by memory layout
+    values = table.take(layout.features, axis=1)
+    ts = table[:, layout.timestamp]
+    if not (np.isfinite(values).all() and np.isfinite(ts).all() and np.all(np.diff(ts) > 0)):
+        return None
+    labels = None if layout.label is None else table[:, layout.label].astype(np.int64)
+    return values, labels
+
+
+def _scan_body(
+    path: Path, layout: _Layout, mapping: dict, timestamp_format: str | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row-by-row ``csv.reader`` form of :func:`_parse_body` that raises the
+    refusal of the first bad row, numbering rows as the file does."""
+    header, feature_idx = layout.header, layout.features
+    feature_names = [header[i] for i in feature_idx]
+    timestamps: list[float] = []
+    rows: list[list[float]] = []
+    row_nums: list[int] = []
+    labels: list[int] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise _refusal(f"{path}: empty file") from None
-        repeated = sorted({name for name in header if header.count(name) > 1})
-        if repeated:
-            raise _refusal(f"{path}: header repeats {repeated}")
-
-        col_index = {name: i for i, name in enumerate(header)}
-        for name in [timestamp_column] + ([label_column] if label_column else []):
-            if name not in col_index:
-                raise _refusal(f"{path}: schema column {name!r} not in header {header}")
-        skip = {timestamp_column, label_column}
-        feature_names = [h for h in header if h not in skip]
-        if not feature_names:
-            raise _refusal(f"{path}: no feature columns")
-        if "index" in feature_names:
-            raise _refusal(
-                f"{path}: feature column 'index' clashes with the index column of "
-                "per_variable_flags.csv; rename it"
-            )
-        feature_idx = [col_index[c] for c in feature_names]
-        ts_idx = col_index[timestamp_column]
-        label_idx = col_index[label_column] if label_column else None
-
-        timestamps: list[float] = []
-        rows: list[list[float]] = []
-        row_nums: list[int] = []
-        labels: list[int] = []
+        next(reader)
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -114,9 +221,11 @@ def load_csv(
                 raise _refusal(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            timestamps.append(_parse_timestamp(row[ts_idx], timestamp_format, path, row_num))
+            timestamps.append(
+                _parse_timestamp(row[layout.timestamp], timestamp_format, path, row_num)
+            )
             try:
-                rows.append([float(row[i]) for i in feature_idx])
+                rows.append([_number(row[i]) for i in feature_idx])
             except ValueError:
                 bad = next(i for i in feature_idx if not _is_number(row[i]))
                 raise _refusal(
@@ -124,8 +233,8 @@ def load_csv(
                     f"in column {header[bad]!r}"
                 ) from None
             row_nums.append(row_num)
-            if label_idx is not None:
-                raw_label = row[label_idx].strip()
+            if layout.label is not None:
+                raw_label = row[layout.label].strip()
                 if raw_label not in mapping:
                     raise _refusal(
                         f"{path}: row {row_num}: label {raw_label!r} not in label_mapping"
@@ -152,19 +261,7 @@ def load_csv(
             f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
             f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]})"
         )
-    return (
-        values,
-        np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
-        feature_names,
-    )
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+    return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -262,6 +359,11 @@ def save_window_bundle(
     this module, ``bench/stages.py`` and ``bench/checks.py`` read the
     manifest: the per-set ``count`` and the top-level ``sequence_length`` and
     ``columns``.  Returns the manifest path.
+
+    ``windows.npz`` is written uncompressed with ``np.savez``, as
+    :func:`tsgad.gan.save_checkpoint` writes checkpoints: on a 51-column
+    plant zlib took about 0.1 s of a 0.11 s save to keep the file 8%
+    smaller.  Like every artifact it is byte-identical across reruns.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -280,7 +382,7 @@ def save_window_bundle(
         }
     if manifest_extra:
         manifest.update(manifest_extra)
-    np.savez_compressed(directory / "windows.npz", **arrays)
+    np.savez(directory / "windows.npz", **arrays)
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path

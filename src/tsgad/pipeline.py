@@ -74,6 +74,9 @@ def run_ingest(cfg: dict) -> Path:
     """CSV -> normalized, PCA-projected, windowed dataset bundle."""
     ing = cfg["ingest"]
     train_csv, test_csv = _csv_paths(cfg)
+    for key, path in (("paths.input_csv", train_csv), ("paths.test_csv", test_csv)):
+        if path is not None and not path.is_file():
+            raise ConfigError(f"{key}: no file {str(path)!r}")
     schema = [ing[k] for k in ("timestamp_column", "label_column", "label_mapping",
                                "timestamp_format")]
     values, _, columns = ingest.load_csv(train_csv, *schema)
@@ -313,15 +316,16 @@ def run_evaluate(cfg: dict) -> Path:
     train_rows = _flatten_windows(arrays["train_raw_windows"])
     holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
     test_rows = _flatten_windows(arrays["test_raw_windows"])
+    # one chart per variable, all scanned at once
+    base = bl.fit_cusum_config(train_rows)
+    stat = bl.cusum_statistic(holdout_rows, base)
+    thresholds = [max(scoring.threshold_for_fpr(column, fpr), 1e-9) for column in stat.T]
+    cusum_flags = bl.cusum_detect(test_rows, replace(base, threshold=np.array(thresholds)))
     per_variable = {}
     best_name, best = None, None
     for j, name in enumerate(manifest["columns"]):
-        base = bl.fit_cusum_config(train_rows[:, j])
-        stat = bl.cusum_statistic(holdout_rows[:, j], base)
-        threshold = max(scoring.threshold_for_fpr(stat, fpr), 1e-9)
-        calibrated = replace(base, threshold=threshold)
-        var_report = scoring.metrics(bl.cusum_detect(test_rows[:, j], calibrated), truth)
-        per_variable[name] = {**var_report, "threshold": threshold}
+        var_report = scoring.metrics(cusum_flags[:, j], truth)
+        per_variable[name] = {**var_report, "threshold": thresholds[j]}
         if best is None or var_report["f1"] > best["f1"]:
             best_name, best = name, var_report
     report["methods"]["cusum"] = {

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgad import baselines
 from tsgad.baselines import (
     CusumConfig,
     cusum_detect,
@@ -13,6 +14,24 @@ from tsgad.baselines import (
 )
 from tsgad.pca import fit_pca
 from tsgad.scoring import metrics, threshold_for_fpr
+
+
+def _scalar_scan(series, config, reset):
+    """The scalar recurrence on Python floats: the reference for the scan."""
+    stat, s_hi, s_lo = [], 0.0, 0.0
+    mean, slack = float(config.target_mean), float(config.slack)
+    for value in series.tolist():
+        s_hi = max(0.0, s_hi + (value - mean - slack))
+        s_lo = max(0.0, s_lo + (mean - value - slack))
+        peak = max(s_hi, s_lo)
+        stat.append(peak)
+        if reset and peak > config.threshold:
+            s_hi = s_lo = 0.0
+    return np.array(stat, dtype=np.float64)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestCusum:
@@ -29,6 +48,12 @@ class TestCusum:
         npt.assert_array_equal(cusum_statistic(np.ones(8), cfg), np.arange(1, 9) * 0.5)
         flags = cusum_detect(np.ones(8), cfg)
         npt.assert_array_equal(flags, [0, 0, 0, 0, 1, 0, 0, 0])
+        # as two columns of one scan, the second with a limit never reached
+        both = CusumConfig(target_mean=np.zeros(2), slack=np.full(2, 0.5),
+                           threshold=np.array([2.0, 100.0]))
+        flags = cusum_detect(np.ones((8, 2)), both)
+        npt.assert_array_equal(flags[:, 0], [0, 0, 0, 0, 1, 0, 0, 0])
+        npt.assert_array_equal(flags[:, 1], np.zeros(8))
 
     def test_tie_does_not_alarm(self):
         # k=0: S+ = 2, 2, 2 reaches exactly h and stays; S- = max(0, -2), then
@@ -67,6 +92,45 @@ class TestCusum:
         npt.assert_array_equal(
             cusum_detect(series, base), cusum_detect(series + offset, shifted)
         )
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["no-reset", "reset"])
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_all_column_scan_equals_each_column(self, reset, seed):
+        # columns with mean shifts, exact zeros of both signs, zero slack and
+        # limits low enough to alarm; each column must be bitwise the
+        # single-column scan and the scalar recurrence
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        x = rng.normal(size=(rows, cols)) + rng.choice([0.0, 3.0], size=(rows, cols))
+        x[rng.random(x.shape) < 0.2] = rng.choice([0.0, -0.0])
+        cfg = CusumConfig(
+            target_mean=rng.choice([0.0, -0.0, 0.5], size=cols),
+            slack=rng.choice([0.0, 0.5], size=cols),
+            threshold=rng.choice([0.5, 2.0, 50.0], size=cols),
+        )
+        stat = baselines._cusum_scan(x, cfg, reset)
+        flags = cusum_detect(x, cfg)
+        for j in range(cols):
+            column = CusumConfig(cfg.target_mean[j], cfg.slack[j], cfg.threshold[j])
+            want = _scalar_scan(x[:, j], column, reset)
+            npt.assert_array_equal(_bits(stat[:, j]), _bits(want))
+            npt.assert_array_equal(_bits(baselines._cusum_scan(x[:, j], column, reset)),
+                                   _bits(want))
+            npt.assert_array_equal(flags[:, j], cusum_detect(x[:, j], column))
+        npt.assert_array_equal(_bits(cusum_statistic(x, cfg)),
+                               _bits(baselines._cusum_scan(x, cfg, False)))
+
+    def test_fit_per_column_equals_single_column_fits(self):
+        rng = np.random.default_rng(8)
+        train = rng.normal(3.0, 2.0, (500, 4))
+        train[:, 2] = 1.5  # a constant channel
+        fit = fit_cusum_config(train)
+        for j in range(4):
+            one = fit_cusum_config(train[:, j])
+            for field in ("target_mean", "slack", "threshold"):
+                assert _bits(getattr(fit, field)[j]) == _bits(getattr(one, field))
+        assert fit.threshold[2] == 5.0
 
     def test_non_finite_input(self):
         cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)

@@ -425,3 +425,19 @@ def test_bad_csv_exits_1_at_ingest(edit, message, config, tmp_path, capsys):
     assert _run(config, tmp_path, "ingest") == 1
     assert f"config error: {train_csv}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("key", ["input_csv", "test_csv"])
+def test_missing_csv_exits_1_naming_its_key(key, config, tmp_path, capsys):
+    # a wrong path in the config is a config error (exit 1), not a crash (exit 2)
+    assert _run(config, tmp_path, "synth") == 0
+    paths = {"input_csv": tmp_path / "train.csv", "test_csv": tmp_path / "test.csv"}
+    paths[key] = tmp_path / "nowhere.csv"
+    edited = _edited(tmp_path, [
+        ("enabled: true", "enabled: false"),
+        ("seed: 3\n", "seed: 3\npaths:\n" + "".join(
+            f"  {name}: {path}\n" for name, path in paths.items())),
+    ])
+    assert _run(edited, tmp_path, "ingest") == 1
+    assert f"config error: paths.{key}: no file '{paths[key]}'" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()

@@ -4,7 +4,11 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tsgad import ingest
 from tsgad.config import ConfigError
 from tsgad.ingest import (
     downsample_median,
@@ -81,6 +85,8 @@ class TestLoadCsv:
             load_csv(p, "time")
         with pytest.raises(ValueError, match="not in header"):
             load_csv(p, "ts", "state", {"Normal": 0, "Attack": 1})
+        with pytest.raises(ConfigError, match="column 'ts' cannot be both timestamp and label"):
+            load_csv(p, "ts", "ts", {"0": 0, "1": 1})
 
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -177,6 +183,143 @@ class TestLoadCsv:
         p.write_text("ts,a\n0,1\nabc,2\n")
         with pytest.raises(ValueError, match="data.csv: row 3: non-numeric timestamp 'abc'"):
             load_csv(p, "ts")
+
+
+# (file text, label column, values or refusal after the path, labels): each
+# case reads as the row-by-row csv.reader loader read it, except the 1_000 and
+# non-ASCII digit cells, which float() read and numpy's C parser refuses
+PARITY_CASES = {
+    "crlf": ("ts,a,b\r\n0,1.5,2\r\n1,3,4\r\n", None, [[1.5, 2], [3, 4]], None),
+    "quoted-numeric-cell": ('ts,a,b\n0,"1.5",2\n"1",3,"4"\n', None, [[1.5, 2], [3, 4]], None),
+    "blank-line": ("ts,a,b\n0,1,2\n\n1,3,4\n", None, [[1, 2], [3, 4]], None),
+    "whitespace-only-line": (
+        "ts,a,b\n0,1,2\n   \n1,3,4\n", None, "ragged row 3: expected 3 cells, got 1", None
+    ),
+    "hash-inside-a-cell": (
+        "ts,a,b\n0,1 # c,2\n", None, "row 2: non-numeric cell '1 # c' in column 'a'", None
+    ),
+    "line-starting-with-hash": (
+        "ts,a,b\n0,1,2\n# x\n1,3,4\n", None, "ragged row 3: expected 3 cells, got 1", None
+    ),
+    "full-width-line-starting-with-hash": (
+        "ts,a,b\n0,1,2\n#1,3,4\n", None,
+        "row 3: non-numeric timestamp '#1' (set timestamp_format for datetime strings)", None,
+    ),
+    "every-row-one-cell-wider": (
+        "ts,a,b\n0,1,2,9\n1,3,4,9\n", None, "ragged row 2: expected 3 cells, got 4", None
+    ),
+    "header-only": ("ts,a,b\n", None, "no data rows", None),
+    "header-and-blank-lines": ("ts,a,b\n\n\n", None, "no data rows", None),
+    "trailing-comma-on-every-line": (
+        "ts,a,b,\n0,1,2,\n1,3,4,\n", None, "row 2: non-numeric cell '' in column ''", None
+    ),
+    "trailing-comma-on-data-lines": (
+        "ts,a,b\n0,1,2,\n1,3,4,\n", None, "ragged row 2: expected 3 cells, got 4", None
+    ),
+    "label-cell-with-spaces": (
+        "ts,a,label\n0,1, Attack \n1,2,Normal\n", "label", [[1], [2]], [1, 0]
+    ),
+    "digit-grouping": (
+        "ts,a,b\n0,1,2\n1,1_000,4\n", None, "row 3: non-numeric cell '1_000' in column 'a'", None
+    ),
+    "digit-grouping-timestamp": (
+        "ts,a,b\n1_0,1,2\n", None,
+        "row 2: non-numeric timestamp '1_0' (set timestamp_format for datetime strings)", None,
+    ),
+    "non-ascii-digit": (
+        "ts,a,b\n0,1,\u0661\n", None, "row 2: non-numeric cell '\u0661' in column 'b'", None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_loader_parity(tmp_path, monkeypatch, case):
+    text, label_column, want, want_labels = case
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode())
+    mapping = {"Normal": 0, "Attack": 1}
+    if isinstance(want, str):
+        with pytest.raises(ConfigError) as refused:
+            load_csv(p, "ts", label_column, mapping)
+        assert str(refused.value) == f"{p}: {want}"
+        return
+
+    def no_scan(*_):
+        raise AssertionError("an accepted file went through the row-by-row scan")
+
+    monkeypatch.setattr(ingest, "_scan_body", no_scan, raising=False)
+    values, labels, _ = load_csv(p, "ts", label_column, mapping)
+    npt.assert_array_equal(values, want)
+    assert labels is None if want_labels is None else labels.tolist() == want_labels
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                   [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_then_load_is_bitwise(tmp_path, matrix):
+    # write_csv prints str(float), the shortest round-trip text; the C parser
+    # must round it back as float() does, or the scores would drift
+    p = tmp_path / "plant.csv"
+    header = ["ts"] + [f"v{j}" for j in range(matrix.shape[1])]
+    write_csv(p, header, ([float(i), *row] for i, row in enumerate(matrix.tolist())))
+    values, labels, names = load_csv(p, "ts")
+    assert values.flags.c_contiguous and values.dtype == np.float64
+    npt.assert_array_equal(_bits(values), _bits(matrix))
+    assert labels is None and names == header[1:]
+
+
+NUMBERS = ["0", "1", "2.5", "-3", "1e3", " 4 ", '"5"', "-0.0"]
+CELLS = NUMBERS + ["nan", "inf", "1_0", "", "   ", "x", '"6,7"', "# c", "#", '"', "\r",
+                   "Normal", "Attack", " Attack "]
+
+
+@st.composite
+def csv_lines(draw):
+    """Up to 5 lines, mostly full-width numeric rows with increasing
+    timestamps, the others lines of any width made of awkward cells."""
+    lines = []
+    for i in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            cells = [str(i), *draw(st.lists(st.sampled_from(NUMBERS), min_size=2, max_size=2))]
+            if draw(st.booleans()):
+                cells[2] = draw(st.sampled_from(["Normal", "Attack", " Attack "]))
+        else:
+            cells = draw(st.lists(st.sampled_from(CELLS), max_size=4))
+        lines.append(",".join(cells))
+    return lines
+
+
+@given(csv_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fast_path_matches_row_scan(tmp_path, lines, newline, with_label):
+    # the row-by-row csv.reader scan is the reference: wherever loadtxt
+    # accepts a file, it must give the scan's arrays; elsewhere the scan runs
+    p = tmp_path / "fuzz.csv"
+    header = "ts,a,label" if with_label else "ts,a,b"
+    p.write_text(newline.join([header, *lines]) + newline, newline="")
+    args = ("ts", "label" if with_label else None, {"Normal": 0, "Attack": 1})
+
+    def outcome():
+        try:
+            values, labels, names = load_csv(p, *args)
+        except ConfigError as exc:
+            return str(exc)
+        assert values.flags.c_contiguous
+        return _bits(values).tolist(), None if labels is None else labels.tolist(), names
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_body", lambda *_: None)
+        assert outcome() == fast
 
 
 def test_write_csv_writes_each_cell_with_str(tmp_path):
