@@ -25,12 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-def _refusal(message: str) -> ValueError:
-    """A :class:`~tsgad.config.ConfigError`: a bad input file exits 1, as a bad config does."""
-    from .config import ConfigError  # config imports this module, through synthetic
-
-    return ConfigError(message)
+from .config import ConfigError
 
 
 def _number(cell: str) -> float:
@@ -65,11 +60,11 @@ def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num
         try:
             return _epoch_seconds(raw, timestamp_format)
         except ValueError as exc:
-            raise _refusal(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
+            raise ConfigError(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
     try:
         return _number(raw)
     except ValueError:
-        raise _refusal(
+        raise ConfigError(
             f"{path}: row {row_num}: non-numeric timestamp {raw!r} "
             "(set timestamp_format for datetime strings)"
         ) from None
@@ -90,22 +85,22 @@ def _read_header(
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise _refusal(f"{path}: empty file") from None
+        raise ConfigError(f"{path}: empty file") from None
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
-        raise _refusal(f"{path}: header repeats {repeated}")
+        raise ConfigError(f"{path}: header repeats {repeated}")
     col_index = {name: i for i, name in enumerate(header)}
     for name in [timestamp_column] + ([label_column] if label_column else []):
         if name not in col_index:
-            raise _refusal(f"{path}: schema column {name!r} not in header {header}")
+            raise ConfigError(f"{path}: schema column {name!r} not in header {header}")
     if label_column == timestamp_column:
-        raise _refusal(f"{path}: column {label_column!r} cannot be both timestamp and label")
+        raise ConfigError(f"{path}: column {label_column!r} cannot be both timestamp and label")
     skip = {timestamp_column, label_column}
     feature_names = [h for h in header if h not in skip]
     if not feature_names:
-        raise _refusal(f"{path}: no feature columns")
+        raise ConfigError(f"{path}: no feature columns")
     if "index" in feature_names:
-        raise _refusal(
+        raise ConfigError(
             f"{path}: feature column 'index' clashes with the index column of "
             "per_variable_flags.csv; rename it"
         )
@@ -218,7 +213,7 @@ def _scan_body(
             if not row:
                 continue
             if len(row) != len(header):
-                raise _refusal(
+                raise ConfigError(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
             timestamps.append(
@@ -228,7 +223,7 @@ def _scan_body(
                 rows.append([_number(row[i]) for i in feature_idx])
             except ValueError:
                 bad = next(i for i in feature_idx if not _is_number(row[i]))
-                raise _refusal(
+                raise ConfigError(
                     f"{path}: row {row_num}: non-numeric cell {row[bad]!r} "
                     f"in column {header[bad]!r}"
                 ) from None
@@ -236,28 +231,28 @@ def _scan_body(
             if layout.label is not None:
                 raw_label = row[layout.label].strip()
                 if raw_label not in mapping:
-                    raise _refusal(
+                    raise ConfigError(
                         f"{path}: row {row_num}: label {raw_label!r} not in label_mapping"
                     )
                 labels.append(mapping[raw_label])
 
     if not rows:
-        raise _refusal(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
-        raise _refusal(
+        raise ConfigError(
             f"{path}: row {row_nums[r]}: non-finite cell {values[r, c]} "
             f"in column {feature_names[c]!r}"
         )
     ts = np.asarray(timestamps, dtype=np.float64)
     if not np.isfinite(ts).all():
         r = int(np.argmin(np.isfinite(ts)))
-        raise _refusal(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
+        raise ConfigError(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
-        raise _refusal(
+        raise ConfigError(
             f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
             f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]})"
         )

@@ -19,9 +19,9 @@ import numpy as np
 from . import baselines as bl
 from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
 from .config import ConfigError, config_hash, scenario_spec
-from .synthetic import generate_scenario, save_scenario_csv
+from .synthetic import generate_scenario
 
-# below this many holdout windows, one window can set the residual scale and tau
+# below this many holdout windows, one window can set the residual scale and threshold
 MIN_HOLDOUT_WINDOWS = 8
 
 
@@ -58,6 +58,22 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict]:
     if not {"holdout_windows", "holdout_raw_windows"} <= arrays.keys():
         raise ConfigError("bundle has no holdout windows; re-ingest")
     return arrays, manifest
+
+
+def save_scenario_csv(
+    values: np.ndarray, labels: np.ndarray, column_names: list[str], path: str | Path
+) -> None:
+    """Write a scenario in the CSV schema the ingest loader consumes.
+
+    ``values`` is the float64 array of :func:`~tsgad.synthetic.generate_scenario`.
+    The ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
+    ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
+    """
+    rows = (
+        [float(i), *row, "Attack" if label else "Normal"]
+        for i, (row, label) in enumerate(zip(values.tolist(), labels.tolist()))
+    )
+    ingest.write_csv(path, ["timestamp", *column_names, "label"], rows)
 
 
 def run_synth(cfg: dict) -> tuple[Path, Path]:
@@ -205,9 +221,10 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, see
 def run_detect(cfg: dict) -> Path:
     """Invert, score and flag the bundled test windows.
 
-    The bundle must hold holdout windows: the residual scale and tau are
-    taken from the scores of those normal windows, so that about
-    ``scoring.target_fpr`` of them would be flagged.
+    The bundle must hold holdout windows: the residual scale and the
+    threshold on the combined score are taken from the scores of those
+    normal windows, so that about ``scoring.target_fpr`` of them would be
+    flagged.
     """
     arrays, manifest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
@@ -219,19 +236,21 @@ def run_detect(cfg: dict) -> Path:
 
     holdout_windows = len(arrays["holdout_windows"])
     if holdout_windows < MIN_HOLDOUT_WINDOWS:
-        warnings.warn(f"only {holdout_windows} holdout windows set the residual scale and tau")
+        warnings.warn(
+            f"only {holdout_windows} holdout windows set the residual scale and threshold"
+        )
     _, _, hold_res, hold_disc = _score_windows(
         model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
     )
     res_min, res_max = float(hold_res.min()), float(hold_res.max())
     _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
-    tau = scoring.calibrate_tau(hold_combined, cfg["scoring"]["target_fpr"])
+    threshold = scoring.threshold_for_fpr(hold_combined, cfg["scoring"]["target_fpr"])
 
     results, comp_res, test_res, test_disc = _score_windows(
         model, arrays["test_windows"], inv, cfg["seed"]
     )
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
-    flags = scoring.flag_anomalies(combined, tau)
+    flags = (combined > threshold).astype(np.int64)
 
     if "test_labels" in arrays:
         truth = arrays["test_labels"].reshape(-1).tolist()
@@ -253,7 +272,7 @@ def run_detect(cfg: dict) -> Path:
         ),
     )
 
-    per_var = scoring.per_variable_labels(comp_res, pca_model, tau)
+    per_var = scoring.per_variable_labels(comp_res, pca_model, threshold)
     ingest.write_csv(
         out / "per_variable_flags.csv",
         ["index"] + manifest["columns"],
@@ -269,11 +288,11 @@ def run_detect(cfg: dict) -> Path:
             {
                 "config_hash": config_hash(cfg),
                 "holdout_windows": holdout_windows,
-                "tau": tau,
                 "lambda": lam,
                 "residual_min": res_min,
                 "residual_max": res_max,
                 "test_windows": len(arrays["test_windows"]),
+                "threshold": threshold,
                 "timesteps": int(len(flags)),
             },
             indent=2,
@@ -319,13 +338,13 @@ def run_evaluate(cfg: dict) -> Path:
     # one chart per variable, all scanned at once
     base = bl.fit_cusum_config(train_rows)
     stat = bl.cusum_statistic(holdout_rows, base)
-    thresholds = [max(scoring.threshold_for_fpr(column, fpr), 1e-9) for column in stat.T]
-    cusum_flags = bl.cusum_detect(test_rows, replace(base, threshold=np.array(thresholds)))
+    thresholds = np.maximum(scoring.threshold_for_fpr(stat, fpr), 1e-9)
+    cusum_flags = bl.cusum_detect(test_rows, replace(base, threshold=thresholds))
     per_variable = {}
     best_name, best = None, None
     for j, name in enumerate(manifest["columns"]):
         var_report = scoring.metrics(cusum_flags[:, j], truth)
-        per_variable[name] = {**var_report, "threshold": thresholds[j]}
+        per_variable[name] = {**var_report, "threshold": float(thresholds[j])}
         if best is None or var_report["f1"] > best["f1"]:
             best_name, best = name, var_report
     report["methods"]["cusum"] = {

@@ -2,9 +2,15 @@
 
 The combined score S is a convex mix of the min-max-normalized reconstruction
 residual and the probability-of-fake (1 - D); high S means more anomalous.
-The flag rule is the cross-entropy test on the probability of being normal:
-with p = 1 - S clipped into (eps, 1 - eps), timestep t is flagged iff
--log(p_t) > tau.  :func:`flag_anomalies` is its one implementation.
+Every detector, GAN-AD and both baselines, has one flag rule: a timestep is
+flagged when its statistic exceeds :func:`threshold_for_fpr`, the
+``1 - target_fpr`` quantile of the same statistic on held-out normal data.
+For S this is the cross-entropy test on the probability of being normal
+p = 1 - S, -ln(1 - S) > -ln(1 - threshold), written directly: -ln(1 - S)
+increases with S.  A test that clips p into [1e-7, 1 - 1e-7] differs only at
+the clip: when the holdout quantile is at or above 1 - 1e-7 it flags nothing,
+where S > threshold flags every S above it, and likewise when the quantile
+is at or below 1e-7 it misses S in (threshold, 1e-7].
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .pca import PcaModel
-
-CLAMP_EPS = 1e-7
 
 
 def anomaly_score(
@@ -43,27 +47,16 @@ def anomaly_score(
     return res_norm, lam * res_norm + (1.0 - lam) * (1.0 - disc)
 
 
-def flag_anomalies(scores, tau: float) -> np.ndarray:
-    """0/1 flags, of the same shape as ``scores``, from the flag rule."""
-    p = np.clip(1.0 - np.asarray(scores, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return (-np.log(p) > tau).astype(np.int64)
+def threshold_for_fpr(normal_statistic, target_fpr: float) -> float | np.ndarray:
+    """Upper quantile of a detector statistic on held-out normal data.
 
-
-def calibrate_tau(normal_scores: np.ndarray, target_fpr: float) -> float:
-    """Pick tau so that roughly ``target_fpr`` of the given normal combined
-    scores get flagged by :func:`flag_anomalies`."""
+    A statistic of shape (rows,) gives one float; one of shape (rows,
+    columns) gives an array of one threshold per column.
+    """
     if not 0.0 < target_fpr < 1.0:
         raise ValueError("target_fpr must lie strictly between 0 and 1")
-    normality = 1.0 - np.asarray(normal_scores, dtype=np.float64)
-    cut = float(np.quantile(normality, target_fpr))
-    return float(-np.log(np.clip(cut, CLAMP_EPS, 1.0 - CLAMP_EPS)))
-
-
-def threshold_for_fpr(normal_statistic, target_fpr: float) -> float:
-    """Upper quantile of a detector statistic on held-out normal data."""
-    if not 0.0 < target_fpr < 1.0:
-        raise ValueError("target_fpr must lie strictly between 0 and 1")
-    return float(np.quantile(np.asarray(normal_statistic, dtype=np.float64), 1.0 - target_fpr))
+    cut = np.quantile(np.asarray(normal_statistic, dtype=np.float64), 1.0 - target_fpr, axis=0)
+    return cut if cut.ndim else float(cut)
 
 
 def metrics(predicted, truth) -> dict:
@@ -116,13 +109,13 @@ def metrics(predicted, truth) -> dict:
 def per_variable_labels(
     component_residuals: np.ndarray,
     model: PcaModel,
-    tau: float,
+    threshold: float,
 ) -> np.ndarray:
     """Attribute PC-space residuals back to original variables and flag them.
 
     The contribution of variable j at time t is sum_k |P[k, j]| * res[t, k].
-    Contributions share one min-max scale across the whole matrix, then every
-    entry goes through the flag rule at the same tau.
+    Contributions share one min-max scale across the whole matrix, and every
+    entry above ``threshold`` is flagged.
     """
     res = np.asarray(component_residuals, dtype=np.float64)
     if res.ndim != 2 or res.shape[1] != model.n_components:
@@ -132,4 +125,4 @@ def per_variable_labels(
     contrib = np.abs(res) @ np.abs(model.loadings)
     lo, hi = float(contrib.min()), float(contrib.max())
     span = hi - lo if hi > lo else 1.0
-    return flag_anomalies((contrib - lo) / span, tau)
+    return ((contrib - lo) / span > threshold).astype(np.int64)

@@ -8,11 +8,8 @@ observed readings of their target variable only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-
-from .ingest import write_csv
 
 ATTACK_KINDS = ("mean_shift", "stuck_value", "spike")
 
@@ -90,8 +87,8 @@ class ScenarioSpec:
                 raise ValueError(
                     f"variable {i}: coupled source must reference an earlier variable"
                 )
-        # save_scenario_csv writes a timestamp and a label column beside the
-        # variables, and per_variable_flags.csv an index column
+        # pipeline.save_scenario_csv writes a timestamp and a label column
+        # beside the variables, and per_variable_flags.csv an index column
         names = ["timestamp", "label", "index"]
         names += [_column_name(i, var) for i, var in enumerate(self.variables)]
         repeated = sorted({name for name in names if names.count(name) > 1})
@@ -184,18 +181,3 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
 
     return observed, labels, [_column_name(j, v) for j, v in enumerate(spec.variables)]
 
-
-def save_scenario_csv(
-    values: np.ndarray, labels: np.ndarray, column_names: list[str], path: str | Path
-) -> None:
-    """Write a scenario in the CSV schema the ingest loader consumes.
-
-    ``values`` is the float64 array of :func:`generate_scenario`.  The
-    ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
-    ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
-    """
-    rows = (
-        [float(i), *row, "Attack" if label else "Normal"]
-        for i, (row, label) in enumerate(zip(values.tolist(), labels.tolist()))
-    )
-    write_csv(path, ["timestamp", *column_names, "label"], rows)

@@ -97,6 +97,13 @@ def test_all_writes_documented_artifacts(all_out):
     assert manifest["holdout_windows"] == 4
 
 
+def test_flags_are_the_combined_score_above_the_threshold(all_out):
+    threshold = json.loads((all_out / "detect_manifest.json").read_text())["threshold"]
+    with (all_out / "scores.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["flag"]) for r in rows] == [int(float(r["combined"]) > threshold) for r in rows]
+
+
 def test_rerun_is_byte_identical(config, all_out, tmp_path):
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
         assert _run(config, tmp_path, "all") == 0

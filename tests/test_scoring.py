@@ -3,18 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsgad.pca import PcaModel
-from tsgad.scoring import (
-    anomaly_score,
-    calibrate_tau,
-    flag_anomalies,
-    metrics,
-    per_variable_labels,
-    threshold_for_fpr,
-)
+from tsgad.scoring import anomaly_score, metrics, per_variable_labels, threshold_for_fpr
 
 
 class TestAnomalyScore:
@@ -57,54 +50,152 @@ class TestAnomalyScore:
             anomaly_score(np.zeros(2), np.full(3, 0.5), 0.5, 0.0, 1.0)
 
 
+def _cross_entropy_flags(scores, holdout_scores, target_fpr: float) -> np.ndarray:
+    """The cross-entropy form of the flag rule, as a reference: flag -ln(p) >
+    tau on the probability of being normal p = 1 - S, clipped into
+    [1e-7, 1 - 1e-7], with tau from the target_fpr quantile of p on the
+    holdout."""
+    eps = 1e-7
+    normality = 1.0 - np.asarray(holdout_scores, dtype=np.float64)
+    cut = float(np.quantile(normality, target_fpr))
+    tau = -np.log(np.clip(cut, eps, 1.0 - eps))
+    p = np.clip(1.0 - np.asarray(scores, dtype=np.float64), eps, 1.0 - eps)
+    return (-np.log(p) > tau).astype(np.int64)
+
+
+def _flags(scores, holdout_scores, target_fpr: float) -> np.ndarray:
+    """The flag rule as ``run_detect`` applies it."""
+    threshold = threshold_for_fpr(holdout_scores, target_fpr)
+    return (np.asarray(scores, dtype=np.float64) > threshold).astype(np.int64)
+
+
+# scores outside [0, 1], as an unclipped residual_norm gives, and repeated
+# values, so that quantiles land on ties
+SCORES = st.one_of(
+    st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]),
+    st.floats(min_value=-2.0, max_value=3.0),
+)
+
+
 class TestAssignLabels:
-    """Label assignment by the cross-entropy rule -log(p) > tau, applied by
-    :func:`flag_anomalies` to the probability of being normal p = 1 - S."""
+    """Label assignment: a score is flagged when it exceeds the holdout
+    quantile, which is the cross-entropy test -ln(1 - S) > tau written
+    directly."""
 
     def test_zero_threshold_flags_everything_below_one(self):
+        # an all-zero holdout gives threshold 0, which flags every p = 1 - S below one
         p = np.array([0.3, 0.999, 0.5])
-        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.0), [1, 1, 1])
+        assert threshold_for_fpr(np.zeros(50), 0.01) == 0.0
+        npt.assert_array_equal(_flags(1.0 - p, np.zeros(50), 0.01), [1, 1, 1])
 
     def test_confident_normal_not_flagged(self):
+        holdout = np.random.default_rng(5).uniform(0.0, 0.5, 200)
         p = np.array([1.0 - 1e-7])
-        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.5), [0])
+        npt.assert_array_equal(_flags(1.0 - p, holdout, 0.01), [0])
 
     def test_log_threshold_hand_case(self):
-        # -ln 0.9 = 0.105, -ln 0.2 = 1.609: only the second exceeds 0.5
+        # -ln 0.9 = 0.105, -ln 0.2 = 1.609: at tau 0.5, the threshold
+        # 1 - e^-0.5 = 0.393 on S = 1 - p, only the second is flagged
         p = np.array([0.9, 0.2])
-        npt.assert_array_equal(flag_anomalies(1.0 - p, 0.5), [0, 1])
+        holdout = np.full(10, 1.0 - math.exp(-0.5))
+        npt.assert_array_equal(_flags(1.0 - p, holdout, 0.1), [0, 1])
+        npt.assert_array_equal(_cross_entropy_flags(1.0 - p, holdout, 0.1), [0, 1])
+
+    @given(
+        st.lists(SCORES, min_size=1, max_size=40),
+        st.lists(SCORES, min_size=1, max_size=40),
+        st.floats(min_value=0.001, max_value=0.999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cross_entropy_rule(self, holdout, test, target_fpr):
+        threshold = threshold_for_fpr(holdout, target_fpr)
+        assume(1e-6 <= threshold <= 1.0 - 1e-6)
+        # the two rules interpolate the quantile at different indices,
+        # target_fpr * (n - 1) and (1 - target_fpr) * (n - 1), and round 1 - S,
+        # so a score nearer the threshold than a few ulp of that index times
+        # the holdout's spread may fall either side
+        band = 4 * len(holdout) * np.spacing(1.0) * max(1.0, np.ptp(holdout))
+        near = threshold + band * np.array([-2.0, -1.01, 1.01, 2.0])
+        scores = np.concatenate([test, holdout, near])
+        new = _flags(scores, holdout, target_fpr)
+        reference = _cross_entropy_flags(scores, holdout, target_fpr)
+        away = np.abs(scores - threshold) > band
+        npt.assert_array_equal(new[away], reference[away])
+
+    def test_clip_edge(self):
+        # a holdout quantile at or above 1 - 1e-7 clips tau: the
+        # cross-entropy rule flags nothing, the quantile rule flags S above it
+        holdout = np.full(20, 1.0 - 1e-8)
+        scores = np.array([0.5, 1.0 - 1e-8, 1.0, 2.0])
+        npt.assert_array_equal(_cross_entropy_flags(scores, holdout, 0.05), [0, 0, 0, 0])
+        npt.assert_array_equal(_flags(scores, holdout, 0.05), [0, 0, 1, 1])
+        # and a quantile at or below 1e-7 misses S in (threshold, 1e-7]
+        scores = np.array([0.0, 5e-8, 0.5])
+        npt.assert_array_equal(_cross_entropy_flags(scores, np.zeros(20), 0.05), [0, 0, 1])
+        npt.assert_array_equal(_flags(scores, np.zeros(20), 0.05), [0, 1, 1])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.0, max_value=5.0),
+        st.floats(min_value=0.001, max_value=0.999),
+        st.floats(min_value=0.0, max_value=0.5),
     )
     @settings(max_examples=50, deadline=None)
-    def test_monotone_in_tau(self, values, tau_low, extra):
-        scores = 1.0 - np.asarray(values)
-        low = flag_anomalies(scores, tau_low)
-        high = flag_anomalies(scores, tau_low + extra)
-        assert np.all(high <= low)
+    def test_monotone_in_threshold(self, values, target_fpr, extra):
+        scores = np.asarray(values)
+        low = threshold_for_fpr(scores, min(target_fpr + extra, 0.999))
+        high = threshold_for_fpr(scores, target_fpr)
+        assert low <= high
+        assert np.all((scores > high) <= (scores > low))
 
 
 class TestFlagAnomalies:
     def test_flags_high_scores(self):
-        flags = flag_anomalies(np.array([0.05, 0.95]), 0.5)
-        npt.assert_array_equal(flags, [0, 1])
+        holdout = np.random.default_rng(6).uniform(0.0, 0.5, 200)
+        npt.assert_array_equal(_flags(np.array([0.05, 0.95]), holdout, 0.01), [0, 1])
 
-    def test_calibrated_tau_hits_target_rate(self):
+    def test_calibrated_threshold_hits_target_rate(self):
         rng = np.random.default_rng(1)
         normal_scores = rng.uniform(0.0, 0.5, 2000)
-        tau = calibrate_tau(normal_scores, 0.01)
-        rate = flag_anomalies(normal_scores, tau).mean()
+        rate = _flags(normal_scores, normal_scores, 0.01).mean()
         assert rate == pytest.approx(0.01, abs=0.005)
         # clearly anomalous scores are still flagged
-        npt.assert_array_equal(flag_anomalies(np.array([0.9, 0.99]), tau), [1, 1])
+        npt.assert_array_equal(_flags(np.array([0.9, 0.99]), normal_scores, 0.01), [1, 1])
 
     def test_threshold_for_fpr_quantile(self):
         stats = np.arange(100.0)
         cut = threshold_for_fpr(stats, 0.05)
         assert (stats > cut).mean() <= 0.05
+
+    @given(
+        st.lists(SCORES, min_size=1, max_size=60),
+        st.floats(min_value=0.001, max_value=0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_holdout_flag_rate_at_most_target_plus_one_value(self, values, target_fpr):
+        stat = np.array(values)
+        flagged = np.mean(stat > threshold_for_fpr(stat, target_fpr))
+        assert flagged <= target_fpr + 1.0 / len(stat)
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=5),
+        st.floats(min_value=0.001, max_value=0.999),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_per_column_thresholds_equal_each_column(self, rows, columns, target_fpr, seed):
+        rng = np.random.default_rng(seed)
+        # rounded values repeat, so some columns have ties
+        stat = np.round(rng.exponential(size=(rows, columns)), 1)
+        thresholds = threshold_for_fpr(stat, target_fpr)
+        assert thresholds.shape == (columns,)
+        for j in range(columns):
+            assert thresholds[j] == threshold_for_fpr(stat[:, j], target_fpr)
+
+    def test_target_fpr_outside_unit_interval(self):
+        for target_fpr in (0.0, 1.0):
+            with pytest.raises(ValueError, match="target_fpr"):
+                threshold_for_fpr(np.arange(5.0), target_fpr)
 
 
 class TestMetrics:
@@ -183,10 +274,10 @@ class TestPerVariableLabels:
         )
         res = np.random.default_rng(8).exponential(size=(40, columns))
         res[5] = 6.0
-        flags = per_variable_labels(res, model, tau=1.0)
+        flags = per_variable_labels(res, model, threshold=0.6)
         scaled = (res - res.min()) / (res.max() - res.min())
         for j in range(columns):
-            npt.assert_array_equal(flags[:, j], flag_anomalies(scaled[:, j], 1.0))
+            npt.assert_array_equal(flags[:, j], scaled[:, j] > 0.6)
         assert flags.dtype == np.int64
         assert 0 < flags.sum() < flags.size
 
@@ -200,7 +291,7 @@ class TestPerVariableLabels:
         res = np.zeros((6, 3))
         res[2:4, 1] = 10.0  # attack window on the middle variable
         res += 0.05
-        flags = per_variable_labels(res, model, tau=1.0)
+        flags = per_variable_labels(res, model, threshold=0.6)
         assert flags[:, 1].sum() > flags[:, 0].sum()
         assert flags[:, 1].sum() > flags[:, 2].sum()
         npt.assert_array_equal(flags[2:4, 1], [1, 1])
@@ -221,7 +312,7 @@ class TestPerVariableLabels:
         res = np.abs(rng.normal(0.0, 0.02, size=(200, 3)))
         attack_dir = loadings @ np.array([0.0, 1.0, 0.0])  # variable 2 in PC space
         res[80:120] += np.abs(attack_dir) * 3.0
-        flags = per_variable_labels(res, model, tau=1.0)
+        flags = per_variable_labels(res, model, threshold=0.6)
         counts = flags.sum(axis=0)
         assert counts[1] > counts[0]
         assert counts[1] > counts[2]

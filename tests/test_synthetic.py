@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from tsgad.ingest import load_csv
+from tsgad.pipeline import save_scenario_csv
 from tsgad.synthetic import (
     AttackSpec,
     CoupledSensor,
@@ -10,7 +11,6 @@ from tsgad.synthetic import (
     SineSensor,
     SquareActuator,
     generate_scenario,
-    save_scenario_csv,
 )
 
 
