@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lstm
+from .config import ConfigError
 from .mmd import median_heuristic, mmd_unbiased
 
 SCORE_EPS = 1e-12
@@ -253,10 +254,7 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
 
     Parameters are stored in their training dtype, and ``load_checkpoint``
     keeps it, so a float64 checkpoint still runs in float64.  The meta's
-    ``history`` key holds the records of ``GanModel.history``.  Checkpoints
-    written before the per-epoch records keep the losses and MMDs in
-    separate meta lists instead; they load with both nets and their config,
-    and with an empty history, since no stage reads a loaded model's history.
+    ``history`` key holds the records of ``GanModel.history``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -273,25 +271,30 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> GanModel:
     """Rebuild both networks from their ``gen_``/``disc_`` arrays.
 
-    Arrays under any other prefix, such as the Adam moments older
-    checkpoints carry, are ignored, and so is meta without a ``history``
-    key (see :func:`save_checkpoint`).
+    A file :func:`save_checkpoint` would not write is refused with a
+    :class:`ConfigError` naming ``path``: another version, an array under
+    another prefix, meta without ``history`` or arrays that form no stack.
     """
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
     if meta.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version in {path}")
+        raise ConfigError(f"unsupported checkpoint version in {path}")
+    foreign = sorted(k for k in data.files if k != "meta" and not k.startswith(("gen_", "disc_")))
+    if foreign:
+        raise ConfigError(f"{path}: arrays outside gen_*/disc_*: {foreign}")
+    if "history" not in meta:
+        raise ConfigError(f"{path}: meta has no history")
 
     def net(prefix: str, activation: str) -> lstm.StackedLstm:
         params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
         try:
             return lstm.StackedLstm(params, activation)
         except ValueError as exc:
-            raise ValueError(f"{path}: {prefix}* arrays: {exc}") from None
+            raise ConfigError(f"{path}: {prefix}* arrays: {exc}") from None
 
     return GanModel(
         generator=net("gen_", "tanh"),
         discriminator=net("disc_", "sigmoid"),
         config=meta["config"],
-        history=meta.get("history", []),
+        history=meta["history"],
     )

@@ -386,13 +386,11 @@ def save_window_bundle(
 def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of :func:`save_window_bundle`: ``(arrays, manifest)``.
 
-    ``arrays`` maps the names ``windows.npz`` stores, ``<set>_windows`` and,
-    for a set with labels, ``<set>_labels``, to their arrays.  The
-    ``<set>_offsets`` arrays and the per-set ``raw_window_length``/``shift``
-    manifest keys of older bundles are ignored.
+    ``arrays`` maps every name ``windows.npz`` stores, ``<set>_windows`` and,
+    for a set with labels, ``<set>_labels``, to its array.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     with np.load(directory / "windows.npz") as data:
-        arrays = {k: data[k] for k in data.files if k.endswith(("_windows", "_labels"))}
+        arrays = {k: data[k] for k in data.files}
     return arrays, manifest

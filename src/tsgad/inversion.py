@@ -208,14 +208,6 @@ def invert(
 def invert_many(
     gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
 ) -> list[InversionResult]:
-    """Invert an (N, L, C) stack of windows with the ``inversion`` config
-    section ``settings``; window i uses seed ``seed + i``.
-
-    The same as :func:`invert`, which runs the whole stack as one batched
-    descent; see there for the batch layout, the row cap and what each
-    ``reconstruction`` equals exactly.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3:
-        raise ValueError("windows must be (count, timesteps, columns)")
+    """The same as :func:`invert`; ``bench/tracer.py`` times the inversions
+    of ``tsgad detect`` under this name."""
     return invert(gen, windows, settings, seed)

@@ -331,8 +331,6 @@ def optimizer_step(
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("diverged: non-finite gradients")
 
     if state.first_moment is None:
         state.first_moment = [np.zeros_like(p) for p in params]
@@ -350,9 +348,10 @@ def optimizer_step(
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most max_norm."""
+    """Scale gradients in place so their global L2 norm is at most max_norm;
+    a non-finite norm, which ``gan.train`` refuses, leaves them as they are."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if max_norm > 0.0 and total > max_norm:
+    if 0.0 < max_norm < total < np.inf:
         scale = max_norm / total
         for g in grads:
             g *= scale

@@ -21,7 +21,7 @@ from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
 from .config import ConfigError, config_hash, scenario_spec
 from .synthetic import generate_scenario
 
-# below this many holdout windows, one window can set the residual scale and threshold
+# below this many holdout windows, one window can set the residual scale and every threshold
 MIN_HOLDOUT_WINDOWS = 8
 
 
@@ -221,30 +221,34 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, see
 def run_detect(cfg: dict) -> Path:
     """Invert, score and flag the bundled test windows.
 
-    The bundle must hold holdout windows: the residual scale and the
-    threshold on the combined score are taken from the scores of those
-    normal windows, so that about ``scoring.target_fpr`` of them would be
-    flagged.
+    The bundle must hold holdout windows: the residual scale, the threshold
+    on the combined score and each variable's threshold in
+    ``per_variable_flags.csv`` are taken from the scores of those normal
+    windows, so that about ``scoring.target_fpr`` of them would be flagged.
     """
     arrays, manifest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
         raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
-    model = gan.load_checkpoint(_checkpoint_path(cfg))
+    checkpoint = _checkpoint_path(cfg)
+    if not checkpoint.is_file():
+        raise ConfigError(f"{checkpoint} not found; run train first")
+    model = gan.load_checkpoint(checkpoint)
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
     inv = cfg["inversion"]
     lam = cfg["scoring"]["lambda"]
+    target_fpr = cfg["scoring"]["target_fpr"]
 
     holdout_windows = len(arrays["holdout_windows"])
     if holdout_windows < MIN_HOLDOUT_WINDOWS:
         warnings.warn(
-            f"only {holdout_windows} holdout windows set the residual scale and threshold"
+            f"only {holdout_windows} holdout windows set the residual scale and thresholds"
         )
-    _, _, hold_res, hold_disc = _score_windows(
+    _, hold_comp_res, hold_res, hold_disc = _score_windows(
         model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
     )
     res_min, res_max = float(hold_res.min()), float(hold_res.max())
     _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
-    threshold = scoring.threshold_for_fpr(hold_combined, cfg["scoring"]["target_fpr"])
+    threshold = scoring.threshold_for_fpr(hold_combined, target_fpr)
 
     results, comp_res, test_res, test_disc = _score_windows(
         model, arrays["test_windows"], inv, cfg["seed"]
@@ -272,7 +276,7 @@ def run_detect(cfg: dict) -> Path:
         ),
     )
 
-    per_var = scoring.per_variable_labels(comp_res, pca_model, threshold)
+    per_var = scoring.per_variable_labels(hold_comp_res, comp_res, pca_model, target_fpr)
     ingest.write_csv(
         out / "per_variable_flags.csv",
         ["index"] + manifest["columns"],

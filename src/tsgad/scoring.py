@@ -2,9 +2,9 @@
 
 The combined score S is a convex mix of the min-max-normalized reconstruction
 residual and the probability-of-fake (1 - D); high S means more anomalous.
-Every detector, GAN-AD and both baselines, has one flag rule: a timestep is
-flagged when its statistic exceeds :func:`threshold_for_fpr`, the
-``1 - target_fpr`` quantile of the same statistic on held-out normal data.
+Every flag has one rule: a statistic above :func:`threshold_for_fpr`, its
+``1 - target_fpr`` quantile on held-out normal data.  The four users are S,
+the SPE and CUSUM baselines and each variable of :func:`per_variable_labels`.
 For S this is the cross-entropy test on the probability of being normal
 p = 1 - S, -ln(1 - S) > -ln(1 - threshold), written directly: -ln(1 - S)
 increases with S.  A test that clips p into [1e-7, 1 - 1e-7] differs only at
@@ -107,22 +107,24 @@ def metrics(predicted, truth) -> dict:
 
 
 def per_variable_labels(
-    component_residuals: np.ndarray,
+    holdout_residuals: np.ndarray,
+    test_residuals: np.ndarray,
     model: PcaModel,
-    threshold: float,
+    target_fpr: float,
 ) -> np.ndarray:
     """Attribute PC-space residuals back to original variables and flag them.
 
-    The contribution of variable j at time t is sum_k |P[k, j]| * res[t, k].
-    Contributions share one min-max scale across the whole matrix, and every
-    entry above ``threshold`` is flagged.
+    The contribution of variable j at time t is sum_k |P[k, j]| * |res[t, k]|.
+    A test contribution is flagged when it exceeds the ``1 - target_fpr``
+    quantile of the same variable's contributions on the holdout residuals,
+    so each variable flags at most about ``target_fpr`` of its holdout cells.
     """
-    res = np.asarray(component_residuals, dtype=np.float64)
-    if res.ndim != 2 or res.shape[1] != model.n_components:
-        raise ValueError(
-            f"component_residuals must be (timesteps x {model.n_components}), got {res.shape}"
-        )
-    contrib = np.abs(res) @ np.abs(model.loadings)
-    lo, hi = float(contrib.min()), float(contrib.max())
-    span = hi - lo if hi > lo else 1.0
-    return ((contrib - lo) / span > threshold).astype(np.int64)
+    contrib = {}
+    for name, res in (("holdout", holdout_residuals), ("test", test_residuals)):
+        res = np.asarray(res, dtype=np.float64)
+        if res.ndim != 2 or res.shape[1] != model.n_components:
+            raise ValueError(
+                f"{name} residuals must be (timesteps x {model.n_components}), got {res.shape}"
+            )
+        contrib[name] = np.abs(res) @ np.abs(model.loadings)
+    return (contrib["test"] > threshold_for_fpr(contrib["holdout"], target_fpr)).astype(np.int64)

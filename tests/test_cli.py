@@ -186,12 +186,27 @@ def test_workers_flag_is_rejected(config, tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_detect_without_checkpoint_exits_2(config, tmp_path, capsys):
+def test_detect_without_checkpoint_exits_1(config, tmp_path, capsys):
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0
     capsys.readouterr()
-    assert _run(config, tmp_path, "detect") == 2
-    assert "final.npz" in capsys.readouterr().err
+    assert _run(config, tmp_path, "detect") == 1
+    checkpoint = tmp_path / "checkpoints" / "final.npz"
+    assert f"{checkpoint} not found; run train first" in capsys.readouterr().err
+
+
+def test_detect_with_refused_checkpoint_exits_1(config, all_out, tmp_path, capsys):
+    # Adam moments, which no stage writes any more, next to the nets
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    checkpoint = out / "checkpoints" / "final.npz"
+    with np.load(checkpoint) as data:
+        arrays = {k: data[k] for k in data.files}
+    np.savez(checkpoint, gopt_m0=arrays["gen_out_b"], **arrays)
+    capsys.readouterr()
+    assert _run(config, out, "detect") == 1
+    assert f"config error: {checkpoint}: arrays outside gen_*/disc_*: ['gopt_m0']" in (
+        capsys.readouterr().err)
 
 
 def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from tsgad import gan, lstm
-from tsgad.config import validate_config
+from tsgad.config import ConfigError, validate_config
 from tsgad.gan import (
     TrainingDiverged,
     build_discriminator,
@@ -233,7 +234,7 @@ class TestTrain:
             return loss, grads
 
         monkeypatch.setattr(gan, "discriminator_grads", nan_in_epoch_two)
-        with pytest.raises(TrainingDiverged, match="gradient norm nan") as exc_info:
+        with pytest.raises(TrainingDiverged, match="gradient norm nan at epoch 2") as exc_info:
             train(cfg, windows, SEED)
         model = exc_info.value.model
         assert len(model.history) == 1
@@ -397,41 +398,35 @@ def test_model_config_records_settings_length_and_seed(tmp_path):
     assert load_checkpoint(tmp_path / "model.npz").config == model.config
 
 
-def test_checkpoint_with_optimizer_state_loads(tmp_path):
-    """Checkpoints written when Adam moments were still saved carry
-    gopt_*/dopt_* arrays and optimizer_steps meta, older configs carry
-    optimizer, checkpoint_dir, checkpoint_interval and mmd_every fields,
-    and the meta of checkpoints written before the per-epoch records holds
-    loss_history, mmd_history and epochs_completed instead of history; the
-    loader ignores the arrays and the old history fields, and keeps the
-    config as stored."""
-    windows = np.random.default_rng(18).uniform(-0.5, 0.5, (16, 4, 2))
-    model = train(tiny_config(epochs=1), windows, SEED)
-    save_checkpoint(model, tmp_path / "current.npz")
-    with np.load(tmp_path / "current.npz") as data:
+def _without_history(arrays, meta):
+    del meta["history"]
+
+
+def _with_optimizer_state(arrays, meta):
+    arrays["gopt_m0"] = np.zeros_like(arrays["gen_out_b"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_optimizer_state, r"arrays outside gen_\*/disc_\*: \['gopt_m0'\]"),
+        (_without_history, "meta has no history"),
+    ],
+    ids=["optimizer-state", "no-history"],
+)
+def test_checkpoint_format_nothing_writes_is_refused(tmp_path, edit, message):
+    """No stage writes the Adam moments or a meta without per-epoch history
+    any more, so a checkpoint that holds either is refused by path."""
+    model = train(tiny_config(epochs=0), np.zeros((4, 4, 2)), SEED)
+    save_checkpoint(model, tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays.pop("meta")).decode())
-    meta["optimizer_steps"] = {"gen": 1, "disc": 1}
-    del meta["history"]
-    meta.update(
-        epochs_completed=1,
-        loss_history=[[h["d_loss"], h["g_loss"]] for h in model.history],
-        mmd_history=[],
-    )
-    meta["config"].update(optimizer="adam", checkpoint_dir=str(tmp_path),
-                          checkpoint_interval=0, mmd_every=1)
-    for prefix, net in (("gopt_", model.generator), ("dopt_", model.discriminator)):
-        for i, p in enumerate(net.params.values()):
-            arrays[f"{prefix}m{i}"] = np.full_like(p, 0.1)
-            arrays[f"{prefix}v{i}"] = np.full_like(p, 0.01)
-    old = tmp_path / "with_optimizer.npz"
-    np.savez(old, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-    loaded = load_checkpoint(old)
-    assert_same_params(loaded.generator, model.generator)
-    assert_same_params(loaded.discriminator, model.discriminator)
-    assert loaded.history == []
-    assert {k: loaded.config[k] for k in model.config} == model.config
+    edit(arrays, meta)
+    path = tmp_path / "edited.npz"
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
 
 
 def test_float64_checkpoint_runs_in_float64(tmp_path):

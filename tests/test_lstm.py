@@ -347,11 +347,6 @@ class TestOptimizer:
         optimizer_step(params, [np.zeros(2)], OptimizerState(learning_rate=1e-3))
         npt.assert_array_equal(params[0], [2.0, -1.0])
 
-    def test_non_finite_gradients_diverge(self):
-        params = [np.array([1.0])]
-        with pytest.raises(ValueError, match="diverged"):
-            optimizer_step(params, [np.array([np.nan])], OptimizerState(learning_rate=1e-3))
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             optimizer_step([np.zeros(2)], [np.zeros(3)], OptimizerState(learning_rate=1e-3))
@@ -363,6 +358,13 @@ class TestClipGradients:
         norm = clip_gradients(grads, 1.0)
         assert norm == pytest.approx(5.0)
         npt.assert_allclose(grads[0], [0.6, 0.8])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_gives_non_finite_norm(self, bad):
+        # gan.train refuses a non-finite norm before optimizer_step sees the gradients
+        grads = [np.array([3.0, 4.0]), np.array([bad])]
+        assert not np.isfinite(clip_gradients(grads, 1.0))
+        npt.assert_array_equal(grads[0], [3.0, 4.0])
 
     def test_below_threshold_untouched(self):
         grads = [np.array([0.3])]

@@ -261,69 +261,86 @@ class TestMetrics:
             metrics(np.array([0, -1]), np.zeros(2, dtype=int))
 
 
+def _pca_model(loadings):
+    k = loadings.shape[0]
+    return PcaModel(
+        mean=np.zeros(loadings.shape[1]),
+        loadings=loadings,
+        eigenvalues=np.ones(k),
+        total_variance=float(k),
+    )
+
+
 class TestPerVariableLabels:
     @pytest.mark.parametrize("columns", [1, 3])
     def test_single_variable_reduces_to_scalar_flagging(self, columns):
         # with identity loadings each variable is flagged exactly as its own
-        # column would be on the shared min-max scale
-        model = PcaModel(
-            mean=np.zeros(columns),
-            loadings=np.eye(columns),
-            eigenvalues=np.ones(columns),
-            total_variance=float(columns),
-        )
-        res = np.random.default_rng(8).exponential(size=(40, columns))
+        # column would be against its own holdout quantile
+        model = _pca_model(np.eye(columns))
+        rng = np.random.default_rng(8)
+        hold = rng.exponential(size=(200, columns))
+        res = rng.exponential(size=(40, columns))
         res[5] = 6.0
-        flags = per_variable_labels(res, model, threshold=0.6)
-        scaled = (res - res.min()) / (res.max() - res.min())
+        flags = per_variable_labels(hold, res, model, target_fpr=0.05)
         for j in range(columns):
-            npt.assert_array_equal(flags[:, j], scaled[:, j] > 0.6)
+            npt.assert_array_equal(flags[:, j], res[:, j] > threshold_for_fpr(hold[:, j], 0.05))
         assert flags.dtype == np.int64
         assert 0 < flags.sum() < flags.size
 
     def test_identity_loadings_pass_residuals_through(self):
-        model = PcaModel(
-            mean=np.zeros(3),
-            loadings=np.eye(3),
-            eigenvalues=np.ones(3),
-            total_variance=3.0,
-        )
-        res = np.zeros((6, 3))
+        model = _pca_model(np.eye(3))
+        hold = np.random.default_rng(9).uniform(0.0, 0.1, size=(100, 3))
+        res = np.full((6, 3), 0.05)
         res[2:4, 1] = 10.0  # attack window on the middle variable
-        res += 0.05
-        flags = per_variable_labels(res, model, threshold=0.6)
-        assert flags[:, 1].sum() > flags[:, 0].sum()
-        assert flags[:, 1].sum() > flags[:, 2].sum()
-        npt.assert_array_equal(flags[2:4, 1], [1, 1])
+        flags = per_variable_labels(hold, res, model, target_fpr=0.01)
+        npt.assert_array_equal(flags[:, 1], [0, 0, 1, 1, 0, 0])
+        npt.assert_array_equal(flags[:, [0, 2]], 0)
 
     def test_attack_variable_flagged_most(self):
         # 3 variables under a mild PC rotation; attack residual concentrated
-        # on the middle variable attributes back to it far more strongly than
-        # the 0.5 cross-talk leaked into its neighbour
+        # on the middle variable attributes back to it twice as strongly as
+        # the cross-talk leaked into its neighbour.  An attack far above the
+        # noise pushes both over their holdout thresholds, so this one is
+        # three times the noise's scale
         c, s = np.cos(np.radians(15)), np.sin(np.radians(15))
         loadings = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-        model = PcaModel(
-            mean=np.zeros(3),
-            loadings=loadings,
-            eigenvalues=np.array([2.0, 1.0, 0.5]),
-            total_variance=3.5,
-        )
+        model = _pca_model(loadings)
         rng = np.random.default_rng(4)
+        hold = np.abs(rng.normal(0.0, 0.02, size=(400, 3)))
         res = np.abs(rng.normal(0.0, 0.02, size=(200, 3)))
         attack_dir = loadings @ np.array([0.0, 1.0, 0.0])  # variable 2 in PC space
-        res[80:120] += np.abs(attack_dir) * 3.0
-        flags = per_variable_labels(res, model, threshold=0.6)
+        res[80:120] += np.abs(attack_dir) * 0.06
+        flags = per_variable_labels(hold, res, model, target_fpr=0.01)
         counts = flags.sum(axis=0)
         assert counts[1] > counts[0]
         assert counts[1] > counts[2]
         assert counts[1] >= 40
 
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.floats(min_value=0.001, max_value=0.999),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_holdout_flag_rate_per_variable_at_most_target_plus_one_value(
+        self, rows, components, dropped, target_fpr, seed
+    ):
+        rng = np.random.default_rng(seed)
+        variables = components + dropped
+        model = _pca_model(rng.uniform(-1.0, 1.0, size=(components, variables)))
+        # rounded residuals repeat, so some contributions tie
+        hold = np.round(rng.exponential(size=(rows, components)), 1)
+        flags = per_variable_labels(hold, hold, model, target_fpr)
+        assert np.all(flags.mean(axis=0) <= target_fpr + 1.0 / rows)
+
     def test_dimension_mismatch(self):
-        model = PcaModel(
-            mean=np.zeros(2),
-            loadings=np.eye(2),
-            eigenvalues=np.ones(2),
-            total_variance=2.0,
-        )
-        with pytest.raises(ValueError):
-            per_variable_labels(np.zeros((5, 3)), model, 1.0)
+        model = _pca_model(np.eye(2))
+        with pytest.raises(ValueError, match=r"test residuals must be \(timesteps x 2\)"):
+            per_variable_labels(np.zeros((5, 2)), np.zeros((5, 3)), model, 0.01)
+
+    def test_holdout_columns_differ_from_test(self):
+        model = _pca_model(np.eye(2))
+        with pytest.raises(ValueError, match=r"holdout residuals .* got \(5, 3\)"):
+            per_variable_labels(np.zeros((5, 3)), np.zeros((5, 2)), model, 0.01)
