@@ -207,14 +207,18 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
     cfg = _validate(raw, SCHEMA, "", source)
-    length, factor = cfg["ingest"]["window_length"], cfg["ingest"]["downsample_factor"]
-    if length % factor:
-        ing = raw.get("ingest", {})
-        key = "window_length" if "window_length" in ing else "downsample_factor"
-        raise ConfigError(
-            f"{_where(ing, key, source)}ingest.window_length {length} is not a multiple "
-            f"of ingest.downsample_factor {factor}"
-        )
+    ing = raw.get("ingest", {})
+    factor = cfg["ingest"]["downsample_factor"]
+    # a window must cut into whole blocks, and a test window must start on a
+    # block boundary so that neighbouring windows share one downsampled grid
+    for name in ("window_length", "test_shift"):
+        value = cfg["ingest"][name]
+        if value % factor:
+            key = name if name in ing else "downsample_factor"
+            raise ConfigError(
+                f"{_where(ing, key, source)}ingest.{name} {value} is not a multiple "
+                f"of ingest.downsample_factor {factor}"
+            )
     if cfg["synth"]["enabled"]:
         # construct the scenario spec now so errors surface at load time
         scenario_spec(cfg, which="test")

@@ -259,24 +259,31 @@ def _scan_body(
     return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], rows, row_format: str | None = None) -> None:
     """Write ``header`` and then each row of ``rows`` as newline-ended CSV lines.
 
     The header goes through ``csv.writer``, so a column name with a comma
     or a quote is quoted and :func:`load_csv` reads it back whole.  Row
     cells are comma-joined unquoted: each must be a Python ``int``,
     ``float`` or a ``str`` without commas, quotes or newlines, such as the
-    labels tsgad writes (quoting every cell made a 40k-row plant CSV about
-    a third slower to write).  A cell is written with ``str()``, so a float
-    is its shortest round-trip text.  Pass numpy data through ``tolist()``:
-    it turns float32 into the exactly equal float, where ``str()`` of a
-    numpy scalar would print fewer digits.
+    labels tsgad writes.  A row is written in one of two formats:
+
+    - without ``row_format``, each cell with ``str()``, so a float is its
+      shortest round-trip text.  Pass numpy data through ``tolist()``: it
+      turns float32 into the exactly equal float, where ``str()`` of a
+      numpy scalar would print fewer digits;
+    - with ``row_format``, a ``%``-format of the whole row without its line
+      end, such as ``"%.1f,%.6f,%s"``, applied to the row's cells as a tuple.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        if row_format is None:
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        else:
+            line = row_format + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines as bl
 from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
 from .config import ConfigError, config_hash, scenario_spec
-from .synthetic import generate_scenario
+from .synthetic import DECIMALS, generate_scenario
 
 # below this many holdout windows, one window can set the residual scale and every threshold
 MIN_HOLDOUT_WINDOWS = 8
@@ -68,12 +68,22 @@ def save_scenario_csv(
     ``values`` is the float64 array of :func:`~tsgad.synthetic.generate_scenario`.
     The ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
     ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
+
+    Each reading is written as fixed-point text with
+    :data:`~tsgad.synthetic.DECIMALS` digits after the point (``%.6f``).
+    For a reading on that grid, as every reading of ``generate_scenario``
+    is, :func:`~tsgad.ingest.load_csv` returns the same double bit for bit:
+    below 2**33 the text is the grid value the double is nearest to, and
+    above it the text is off by at most 5e-7, less than half the spacing
+    of the doubles there.  The text is half the size of the shortest
+    round-trip text of a noisy reading, and faster to write and to parse.
     """
+    row_format = "%.1f," + ",".join([f"%.{DECIMALS}f"] * values.shape[1]) + ",%s"
     rows = (
-        [float(i), *row, "Attack" if label else "Normal"]
+        (i, *row, "Attack" if label else "Normal")
         for i, (row, label) in enumerate(zip(values.tolist(), labels.tolist()))
     )
-    ingest.write_csv(path, ["timestamp", *column_names, "label"], rows)
+    ingest.write_csv(path, ["timestamp", *column_names, "label"], rows, row_format)
 
 
 def run_synth(cfg: dict) -> tuple[Path, Path]:
@@ -315,7 +325,11 @@ def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines.
 
     The bundle must hold holdout windows: each baseline's threshold is the
-    ``1 - scoring.target_fpr`` quantile of its statistic on them.
+    ``1 - scoring.target_fpr`` quantile of its statistic on them.  Besides
+    the flags' confusion counts, ``metrics.json`` holds the threshold-free
+    :func:`~tsgad.scoring.ranking_metrics` of the ``residual``, 1 -
+    ``disc_score`` and ``combined`` columns of ``scores.csv`` (under
+    ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest = _load_calibration_bundle(cfg)
@@ -332,8 +346,22 @@ def run_evaluate(cfg: dict) -> Path:
     flags = np.array([int(row["flag"]) for row in rows])
     truth = np.array([int(row["truth"]) for row in rows])
 
+    def column(key: str) -> np.ndarray:
+        return np.array([float(row[key]) for row in rows])
+
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
-    report["methods"]["gan_ad"] = scoring.metrics(flags, truth)
+    report["methods"]["gan_ad"] = {
+        **scoring.metrics(flags, truth),
+        # -D ranks the rows as 1 - D does, without the ties rounding 1 - D makes
+        "ranking": {
+            name: scoring.ranking_metrics(stat, truth)
+            for name, stat in (
+                ("residual", column("residual")),
+                ("one_minus_disc", -column("disc_score")),
+                ("combined", column("combined")),
+            )
+        },
+    }
 
     fpr = cfg["scoring"]["target_fpr"]
     train_rows = _flatten_windows(arrays["train_raw_windows"])
@@ -344,6 +372,8 @@ def run_evaluate(cfg: dict) -> Path:
     stat = bl.cusum_statistic(holdout_rows, base)
     thresholds = np.maximum(scoring.threshold_for_fpr(stat, fpr), 1e-9)
     cusum_flags = bl.cusum_detect(test_rows, replace(base, threshold=thresholds))
+    # no AUROC for CUSUM: its flags come from a scan that resets after each
+    # alarm, not from a fixed statistic that a ranking could score
     per_variable = {}
     best_name, best = None, None
     for j, name in enumerate(manifest["columns"]):
@@ -360,7 +390,11 @@ def run_evaluate(cfg: dict) -> Path:
     pca_model = pca.PcaModel.load(bundle / "pca.json")
     threshold = scoring.threshold_for_fpr(pca.spe(pca_model, holdout_rows), fpr)
     spe_report = scoring.metrics(bl.spe_detect(pca_model, test_rows, threshold), truth)
-    report["methods"]["spe"] = {**spe_report, "threshold": threshold}
+    report["methods"]["spe"] = {
+        **spe_report,
+        "threshold": threshold,
+        **scoring.ranking_metrics(pca.spe(pca_model, test_rows), truth),
+    }
     report["variance_ratios"] = pca.variance_ratios(pca_model).tolist()
 
     metrics_path = out / "metrics.json"

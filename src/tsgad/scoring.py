@@ -106,6 +106,36 @@ def metrics(predicted, truth) -> dict:
     }
 
 
+def ranking_metrics(statistic, truth) -> dict:
+    """Threshold-free quality of a statistic that is high on attacks.
+
+    ``auroc`` is the chance that an attacked row's statistic exceeds a
+    normal row's, ties counting one half: the Mann-Whitney rank sum with
+    average ranks for ties.  ``average_precision`` is the mean, over the
+    attacked rows, of the precision of flagging every row whose statistic is
+    at least that row's.  A value that one class missing leaves undefined is
+    ``None``: both for no attacked rows, and ``auroc`` for no normal rows.
+    """
+    stat = np.asarray(statistic, dtype=np.float64)
+    true = np.asarray(truth, dtype=np.int64)
+    if stat.shape != true.shape or stat.ndim != 1:
+        raise ValueError("statistic and truth must be equal-length vectors")
+    ranked = np.sort(stat)
+    below = np.searchsorted(ranked, stat, "left")
+    ranks = (below + np.searchsorted(ranked, stat, "right") + 1) / 2.0
+    pos = true == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0:
+        return {"auroc": None, "average_precision": None}
+    auroc = None
+    if n_neg:
+        auroc = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # rows at or above each attacked row's statistic, all and attacked
+    at_or_above = len(stat) - below[pos]
+    pos_at_or_above = n_pos - np.searchsorted(np.sort(stat[pos]), stat[pos], "left")
+    return {"auroc": auroc, "average_precision": float(np.mean(pos_at_or_above / at_or_above))}
+
+
 def per_variable_labels(
     holdout_residuals: np.ndarray,
     test_residuals: np.ndarray,

@@ -13,6 +13,10 @@ import numpy as np
 
 ATTACK_KINDS = ("mean_shift", "stuck_value", "spike")
 
+# a plant historian records readings at a fixed resolution: every reading is
+# rounded to this many decimals, 1e-6 against the bench plants' noise of 0.02
+DECIMALS = 6
+
 
 @dataclass
 class SineSensor:
@@ -161,6 +165,13 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
     Returns ``(values, labels, column_names)``: the (duration, variables)
     readings, the int64 0/1 label of each row (1 inside any attack interval)
     and one name per variable.
+
+    Every reading lies on the ``DECIMALS`` grid: the noisy, attacked signal
+    is rounded with ``np.round(observed, DECIMALS)``, which moves a reading
+    by at most 5e-7 plus one spacing of the doubles around it (2e-15 below
+    10), before a stuck sensor freezes, so a frozen reading is a grid value
+    too.  :func:`tsgad.pipeline.save_scenario_csv` writes these values
+    as fixed-point text that reads back bit for bit.
     """
     t = np.arange(spec.duration, dtype=np.float64)
     n_vars = len(spec.variables)
@@ -169,6 +180,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, list[
 
     rng = np.random.default_rng(spec.seed)
     observed = signal + rng.standard_normal((spec.duration, n_vars)) * spec.noise_sigma
+    observed = np.round(observed, DECIMALS)
 
     labels = np.zeros(spec.duration, dtype=np.int64)
     for attack in spec.attacks:

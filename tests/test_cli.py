@@ -91,6 +91,11 @@ def test_all_writes_documented_artifacts(all_out):
         assert (all_out / name).is_file(), name
     metrics = json.loads((all_out / "metrics.json").read_text())
     assert set(metrics["methods"]) == {"gan_ad", "cusum", "spe"}
+    # threshold-free metrics for GAN-AD's three scores and for SPE
+    ranked = [*metrics["methods"]["gan_ad"]["ranking"].values(), metrics["methods"]["spe"]]
+    assert set(metrics["methods"]["gan_ad"]["ranking"]) == {"residual", "one_minus_disc",
+                                                            "combined"}
+    assert all(0.0 <= r[k] <= 1.0 for r in ranked for k in ("auroc", "average_precision"))
     manifest = json.loads((all_out / "detect_manifest.json").read_text())
     assert manifest["config_hash"] == metrics["config_hash"]
     assert manifest["timesteps"] == manifest["test_windows"] * 5
@@ -334,6 +339,17 @@ def test_window_length_not_a_multiple_of_downsample_factor_exits_1_at_load(tmp_p
     out = tmp_path / "out"
     assert _run(config, out, "all") == 1
     assert (f"{config}:3: ingest.window_length 22 is not a multiple of "
+            "ingest.downsample_factor 4") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_test_shift_not_a_multiple_of_downsample_factor_exits_1_at_load(tmp_path, capsys):
+    # neighbouring test windows would sit on downsampled grids 2 rows apart
+    config = tmp_path / "misaligned.yaml"
+    config.write_text(TINY_CONFIG.replace("test_shift: 20", "test_shift: 10"))
+    out = tmp_path / "out"
+    assert _run(config, out, "all") == 1
+    assert (f"{config}:5: ingest.test_shift 10 is not a multiple of "
             "ingest.downsample_factor 4") in capsys.readouterr().err
     assert not out.exists()
 

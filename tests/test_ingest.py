@@ -329,6 +329,14 @@ def test_write_csv_writes_each_cell_with_str(tmp_path):
     assert path.read_text() == "i,s,x,y\n3,Normal,0.1,0.10000000149011612\n-1,,2.0,1e-20\n"
 
 
+def test_write_csv_with_row_format_formats_each_row(tmp_path):
+    path = tmp_path / "fixed.csv"
+    rows = ([i, x, label] for i, x, label in [(0, 0.1, "Normal"), (1, -2.5e-7, "Attack")])
+    write_csv(path, ["t", "a,b", "label"], rows, "%.1f,%.6f,%s")
+    # the header is still quoted through csv.writer
+    assert path.read_text() == 't,"a,b",label\n0.0,0.100000,Normal\n1.0,-0.000000,Attack\n'
+
+
 class TestNormalizer:
     def test_minmax(self):
         out = normalize_on_itself([[2.0], [4.0], [6.0]])

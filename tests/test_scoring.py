@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsgad.pca import PcaModel
-from tsgad.scoring import anomaly_score, metrics, per_variable_labels, threshold_for_fpr
+from tsgad.scoring import (
+    anomaly_score,
+    metrics,
+    per_variable_labels,
+    ranking_metrics,
+    threshold_for_fpr,
+)
 
 
 class TestAnomalyScore:
@@ -259,6 +265,62 @@ class TestMetrics:
             metrics(np.zeros(4, dtype=int), np.array([0, 2, 0, 2]))
         with pytest.raises(ValueError, match="predicted labels"):
             metrics(np.array([0, -1]), np.zeros(2, dtype=int))
+
+
+def _brute_force_ranking(stat, truth):
+    """AUROC by counting every (attacked, normal) pair, ties as one half, and
+    average precision as the precision at each attacked row's statistic."""
+    pos = [s for s, t in zip(stat, truth) if t == 1]
+    neg = [s for s, t in zip(stat, truth) if t == 0]
+    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    precisions = [
+        sum(1 for s, t in zip(stat, truth) if t == 1 and s >= p)
+        / sum(1 for s in stat if s >= p)
+        for p in pos
+    ]
+    return wins / (len(pos) * len(neg)), sum(precisions) / len(pos)
+
+
+class TestRankingMetrics:
+    @given(
+        st.lists(
+            # few distinct values, so that ties are common
+            st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 3.0]), st.integers(0, 1)),
+            min_size=2, max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_pairwise_count(self, rows):
+        stat, truth = (list(c) for c in zip(*rows))
+        assume(0 < sum(truth) < len(truth))
+        auroc, ap = _brute_force_ranking(stat, truth)
+        report = ranking_metrics(np.array(stat), np.array(truth))
+        assert report["auroc"] == pytest.approx(auroc, abs=1e-12)
+        assert report["average_precision"] == pytest.approx(ap, abs=1e-12)
+
+    def test_hand_case_with_ties(self):
+        # pairs (attack, normal): 3>1, 3>2, 2=2 (half), 2>1 -> 3.5 of 4
+        report = ranking_metrics([1.0, 2.0, 2.0, 3.0], [0, 0, 1, 1])
+        assert report["auroc"] == 0.875
+        # at 3.0: 1 of 1 rows attacked; at 2.0: 2 of 3
+        assert report["average_precision"] == pytest.approx((1.0 + 2 / 3) / 2)
+
+    def test_perfect_and_reversed_rankings(self):
+        truth = np.array([0, 0, 1, 1, 1])
+        stat = np.arange(5.0)
+        assert ranking_metrics(stat, truth) == {"auroc": 1.0, "average_precision": 1.0}
+        assert ranking_metrics(-stat, truth)["auroc"] == 0.0
+        # a constant statistic ties every pair
+        assert ranking_metrics(np.ones(5), truth) == {"auroc": 0.5, "average_precision": 0.6}
+
+    def test_one_class_leaves_undefined_values_none(self):
+        stat = np.array([0.3, 0.1, 0.2])
+        assert ranking_metrics(stat, np.zeros(3)) == {"auroc": None, "average_precision": None}
+        assert ranking_metrics(stat, np.ones(3)) == {"auroc": None, "average_precision": 1.0}
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            ranking_metrics(np.zeros(3), np.zeros(4, dtype=int))
 
 
 def _pca_model(loadings):

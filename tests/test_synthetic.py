@@ -1,10 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tsgad.ingest import load_csv
 from tsgad.pipeline import save_scenario_csv
 from tsgad.synthetic import (
+    DECIMALS,
     AttackSpec,
     CoupledSensor,
     ScenarioSpec,
@@ -62,7 +65,8 @@ class TestGenerateScenario:
         values, _, _ = generate_scenario(spec)
         t = np.arange(200.0)
         expected = 2.0 * np.sin(2 * np.pi * (t - 3) / 40.0)
-        npt.assert_allclose(values[:, 2], expected, atol=1e-12)
+        # the reading is the closed form on the DECIMALS grid, exactly
+        npt.assert_array_equal(values[:, 2], np.round(expected, DECIMALS))
 
     def test_square_wave_duty_cycle(self):
         values, _, _ = generate_scenario(basic_spec(duration=500))
@@ -148,9 +152,82 @@ def test_csv_roundtrip_through_ingest(tmp_path):
     assert lines[0] == "timestamp,v0_sine,v1_act,v2_coupled,label"
     # the timestamp is the row index
     assert [line.split(",")[0] for line in lines[1:4]] == ["0.0", "1.0", "2.0"]
+    # every reading is fixed-point with DECIMALS digits after the point
+    cells = [cell for line in lines[1:] for cell in line.split(",")[1:-1]]
+    assert all(len(cell.partition(".")[2]) == DECIMALS for cell in cells)
+    assert {line.split(",")[-1] for line in lines[1:]} == {"Normal", "Attack"}
     loaded, loaded_labels, loaded_names = load_csv(
         path, "timestamp", "label", {"Normal": 0, "Attack": 1}
     )
     npt.assert_array_equal(loaded, values)
     npt.assert_array_equal(loaded_labels, labels)
     assert loaded_names == names
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+MAGNITUDE = st.floats(-1e9, 1e9)
+
+
+@st.composite
+def scenario_specs(draw):
+    """Plants whose readings stay below 2**33 in magnitude: values and
+    magnitudes up to 1e9, coupling gains in [-1, 1], at most three couplings
+    and three attacks."""
+    duration = draw(st.integers(1, 40))
+    period = st.floats(1.0, 100.0)
+    variables = []
+    for i in range(draw(st.integers(1, 4))):
+        kinds = ["sine", "square"] + (["coupled"] if i else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sine":
+            variables.append(SineSensor(draw(period), draw(MAGNITUDE), draw(st.floats(0.0, 7.0))))
+        elif kind == "square":
+            variables.append(SquareActuator(
+                draw(period), draw(st.floats(0.05, 0.95)), draw(MAGNITUDE), draw(MAGNITUDE)
+            ))
+        else:
+            variables.append(CoupledSensor(
+                draw(st.integers(0, i - 1)), draw(st.floats(-1.0, 1.0)),
+                draw(st.integers(0, 5)), draw(MAGNITUDE),
+            ))
+    attacks = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, duration - 1))
+        attacks.append(AttackSpec(
+            draw(st.sampled_from(["mean_shift", "spike", "stuck_value"])),
+            draw(st.integers(0, len(variables) - 1)),
+            start,
+            draw(st.integers(1, duration - start)),
+            draw(MAGNITUDE),
+        ))
+    try:
+        return ScenarioSpec(duration, variables, draw(st.floats(0.0, 1.0)), attacks,
+                            draw(st.integers(0, 2**32)))
+    except ValueError:  # overlapping stuck_value attacks on one variable
+        assume(False)
+
+
+@given(scenario_specs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readings_lie_on_the_grid_and_round_trip_bitwise(tmp_path, spec):
+    values, labels, names = generate_scenario(spec)
+    npt.assert_array_equal(_bits(np.round(values, DECIMALS)), _bits(values))
+    path = tmp_path / "plant.csv"
+    save_scenario_csv(values, labels, names, path)
+    loaded, loaded_labels, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+    npt.assert_array_equal(_bits(loaded), _bits(values))
+    npt.assert_array_equal(loaded_labels, labels)
+
+
+def test_fixed_point_text_round_trips_above_2_33(tmp_path):
+    # beyond 2**33 the doubles are more than 1e-6 apart, so %.6f text is off
+    # by less than half their spacing and still reads back as the same double
+    rng = np.random.default_rng(5)
+    values = rng.uniform(2.0**33, 2.0**45, (50, 3)) * rng.choice([-1.0, 1.0], (50, 3))
+    path = tmp_path / "wide.csv"
+    save_scenario_csv(values, np.zeros(50, dtype=np.int64), ["a", "b", "c"], path)
+    loaded, _, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+    npt.assert_array_equal(_bits(loaded), _bits(values))
