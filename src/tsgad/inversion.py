@@ -71,16 +71,23 @@ def objective(window: np.ndarray, recon: np.ndarray):
 
 
 def _take(cache: tuple, rows: np.ndarray) -> tuple:
-    """The ``forward_batch`` cache of the given batch rows only."""
+    """The ``forward_batch`` cache of the given batch rows only.
+
+    ``rows`` is a boolean mask or an index array.  The per-layer arrays hold
+    the batch on their last axis and the outputs on their first; ``take``
+    keeps each step's block of a per-layer array contiguous.
+    """
     layers, outputs = cache
-    return [tuple(a[rows] for a in layer) for layer in layers], outputs[rows]
+    if rows.dtype == bool:
+        rows = np.flatnonzero(rows)
+    return [tuple(a.take(rows, axis=-1) for a in layer) for layer in layers], outputs[rows]
 
 
 def _splice(cache: tuple, rows: np.ndarray, trial: tuple, picks: np.ndarray) -> None:
     """Overwrite batch rows ``rows`` of ``cache`` with rows ``picks`` of ``trial``."""
     for layer, trial_layer in zip(cache[0], trial[0]):
         for a, b in zip(layer, trial_layer):
-            a[rows] = b[picks]
+            a[..., rows] = b[..., picks]
     cache[1][rows] = trial[1][picks]
 
 

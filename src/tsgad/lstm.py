@@ -9,10 +9,20 @@ All parameter arrays of a net share one floating dtype.  ``init_lstm`` stores
 forward pass, the backward pass and the optimizer work in the parameters'
 dtype, so inputs and upstream gradients are cast to it.
 
-``sigmoid`` clips its argument to +/-50 to keep exp() finite.  The backward
-pass needs no clamp mask: tanh(+/-50) and sigmoid(+50) are exactly +/-1 and 1
-in float32 and float64, so their slopes are 0, and below -50 the sigmoid slope
-is sigmoid(-50) * (1 - sigmoid(-50)) ~ 1.9e-22, a normal number in both dtypes.
+``forward_batch`` and ``backward_batch`` take and return (batch, time,
+features) arrays but work feature-major.  The sequences are transposed once
+to (L, features, B), so each step's (4h, B) gate block, and each (h, B) gate
+inside it, is one contiguous array that the time loop updates in place.  The
+input projection of every step is one product before the loop; the input
+and weight gradients are products over every step after it.
+
+``sigmoid`` raises its argument to at least -50 to keep exp() finite.  Above
++50 it needs no clamp: exp(-50) ~ 1.9e-22 vanishes beside 1 in float32 and
+float64, so it is exactly 1 there, as the logistic of an argument clipped to
++/-50 is.  The backward pass needs no clamp mask: tanh(+/-50) and
+sigmoid(+50) are exactly +/-1 and 1 in both dtypes, so their slopes are 0,
+and below -50 the sigmoid slope is sigmoid(-50) * (1 - sigmoid(-50)) ~
+1.9e-22, a normal number in both dtypes.
 """
 
 from __future__ import annotations
@@ -26,9 +36,17 @@ CLAMP = 50.0
 PARAM_DTYPE = np.float32
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function of ``z`` clipped to +/-CLAMP, so exp() never overflows."""
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -CLAMP, CLAMP)))
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of ``z`` clipped to +/-CLAMP, so exp() never overflows.
+
+    Only the lower clamp is applied; above +CLAMP the result is 1 either way.
+    With ``out``, which may be ``z`` itself, the result is written there.
+    """
+    out = np.maximum(z, -CLAMP, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 @dataclass
@@ -144,22 +162,29 @@ def init_lstm(
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the output head's activation to ``pre`` in place."""
     if kind == "tanh":
-        return np.tanh(pre)
-    if kind == "sigmoid":
-        return sigmoid(pre)
+        np.tanh(pre, out=pre)
+    elif kind == "sigmoid":
+        sigmoid(pre, out=pre)
     return pre
+
+
+def _flat_steps(a: np.ndarray) -> np.ndarray:
+    """A feature-major (L, n, B) array as the (n, L*B) matrix of its columns."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
 def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Run a (batch, time, features) tensor through the stack.
 
-    Initial hidden and cell states are zero.  Returns the outputs and a cache
-    ``(layers, outputs)`` for an exact backward pass, where ``layers`` holds
-    one ``(inputs, gates, cell, hidden)`` tuple per layer from the bottom:
-    (B, L, d), the activated (i, f, o, g) gates (B, L, 4h), and (B, L, h)
-    twice.  The sequences are cast to the parameters' dtype, and every array
-    in the result has that dtype.
+    Initial hidden and cell states are zero.  Returns the (batch, time,
+    output) outputs and a cache ``(layers, outputs)`` for an exact backward
+    pass.  ``layers`` holds one ``(inputs, gates, cell, cell_tanh, hidden)``
+    tuple per layer from the bottom, feature-major with the batch last:
+    (L, d, B), the activated (i, f, o, g) gates (L, 4h, B), then cell,
+    tanh(cell) and hidden (L, h, B).  The sequences are cast to the
+    parameters' dtype, and every array in the result has that dtype.
     """
     p = net.params
     dtype = p["out_w"].dtype
@@ -173,34 +198,39 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     batch, steps, _ = x.shape
+    x = np.ascontiguousarray(x.transpose(1, 2, 0))
 
     layers = []
     for idx in range(net.depth):
         w_rec = p[f"l{idx}_w_rec"]
-        bias = p[f"l{idx}_bias"]
-        h_size = w_rec.shape[1]
-        gates = np.empty((batch, steps, 4 * h_size), dtype)
-        cell = np.empty((batch, steps, h_size), dtype)
-        hidden = np.empty((batch, steps, h_size), dtype)
-
-        h_prev = np.zeros((batch, h_size), dtype)
-        c_prev = np.zeros((batch, h_size), dtype)
-        w_in_t = p[f"l{idx}_w_in"].T
-        w_rec_t = w_rec.T
+        h = w_rec.shape[1]
+        # the input projection of every step at once; the loop adds w_rec @ h_prev
+        gates = np.matmul(p[f"l{idx}_w_in"], x)
+        gates += p[f"l{idx}_bias"][:, None]
+        cell = np.empty((steps, h, batch), dtype)
+        cell_tanh = np.empty_like(cell)
+        hidden = np.empty_like(cell)
+        rec = np.empty((4 * h, batch), dtype)
+        kept = np.empty((h, batch), dtype)
         for t in range(steps):
-            pre = x[:, t] @ w_in_t + h_prev @ w_rec_t + bias
-            ifo = sigmoid(pre[:, : 3 * h_size])
-            g = np.tanh(pre[:, 3 * h_size :])
-            gates[:, t, : 3 * h_size], gates[:, t, 3 * h_size :] = ifo, g
-            i, f, o = ifo[:, :h_size], ifo[:, h_size : 2 * h_size], ifo[:, 2 * h_size :]
-            c = f * c_prev + i * g
-            h = o * np.tanh(c)
-            cell[:, t], hidden[:, t] = c, h
-            h_prev, c_prev = h, c
-        layers.append((x, gates, cell, hidden))
+            act = gates[t]
+            if t > 0:
+                np.matmul(w_rec, hidden[t - 1], out=rec)
+                act += rec
+            sigmoid(act[: 3 * h], out=act[: 3 * h])
+            np.tanh(act[3 * h :], out=act[3 * h :])
+            i, f, o, g = act[:h], act[h : 2 * h], act[2 * h : 3 * h], act[3 * h :]
+            np.multiply(i, g, out=cell[t])
+            if t > 0:
+                cell[t] += np.multiply(f, cell[t - 1], out=kept)
+            np.tanh(cell[t], out=cell_tanh[t])
+            np.multiply(o, cell_tanh[t], out=hidden[t])
+        layers.append((x, gates, cell, cell_tanh, hidden))
         x = hidden
 
-    outputs = _activate(x @ p["out_w"].T + p["out_b"], net.output_activation)
+    head = np.matmul(p["out_w"], x)
+    head += p["out_b"][:, None]
+    outputs = np.ascontiguousarray(_activate(head, net.output_activation).transpose(2, 0, 1))
     return outputs, (layers, outputs)
 
 
@@ -209,10 +239,14 @@ def backward_batch(
 ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
     """Exact BPTT for the scalar loss whose per-output partials are given.
 
+    ``output_grads`` has the (batch, time, output) shape of the outputs, and
+    ``cache`` is the feature-major cache ``forward_batch`` returned with them.
     Returns ``(grads, input_grads)``: the parameter gradients keyed and
-    ordered like ``net.params``, and the gradient with respect to the
-    sequences ``forward_batch`` was given.  The partials are cast to the
-    parameters' dtype, and every gradient has it.
+    ordered like ``net.params``, and the (batch, time, features) gradient
+    with respect to the sequences ``forward_batch`` was given.  The partials
+    are cast to the parameters' dtype, and every gradient has it.  The
+    recurrence runs on one contiguous (4h, B) gate-gradient block per step;
+    the input and weight gradients are formed from all steps' blocks after it.
 
     With ``weights=False`` the parameter gradients are not formed and
     ``grads`` is None; the input gradients are bitwise those of the full
@@ -237,71 +271,72 @@ def backward_batch(
         d_pre = d_out * outputs * (1.0 - outputs)
     else:
         d_pre = d_out
+    d_pre = np.ascontiguousarray(d_pre.transpose(1, 2, 0))
 
     grads = None
     if weights:
         grads = dict.fromkeys(p)
-        grads["out_w"] = np.einsum("blo,blh->oh", d_pre, layers[-1][3])
-        grads["out_b"] = d_pre.sum(axis=(0, 1))
-    d_hidden_seq = d_pre @ p["out_w"]
+        flat_hidden = _flat_steps(layers[-1][4])
+        grads["out_w"] = _flat_steps(d_pre) @ flat_hidden.T
+        grads["out_b"] = d_pre.sum(axis=(0, 2))
+    d_hidden_seq = np.matmul(p["out_w"].T, d_pre)
 
     for idx in range(net.depth - 1, -1, -1):
-        w_in, w_rec = p[f"l{idx}_w_in"], p[f"l{idx}_w_rec"]
-        inputs, gates, cell, hidden = layers[idx]
-        h_size = w_rec.shape[1]
+        w_rec = p[f"l{idx}_w_rec"]
+        inputs, gates, cell, cell_tanh, _ = layers[idx]
+        h = w_rec.shape[1]
+        w_rec_t = np.ascontiguousarray(w_rec.T)
 
-        if weights:
-            d_gates = np.empty((batch, steps, 4 * h_size), dtype)
-        d_inputs = np.empty_like(inputs)
-
-        cell_tanh = np.tanh(cell)
-        d_h_rec = np.zeros((batch, h_size), dtype)
-        d_c = np.zeros((batch, h_size), dtype)
+        d_gates = np.empty_like(gates)
+        d_h_rec = np.empty((h, batch), dtype)
+        d_c = np.zeros((h, batch), dtype)
+        tmp = np.empty((h, batch), dtype)
+        slope = np.empty((3 * h, batch), dtype)
+        zeros = np.zeros((h, batch), dtype)
         for t in range(steps - 1, -1, -1):
-            act = gates[:, t]
-            i = act[:, :h_size]
-            f = act[:, h_size : 2 * h_size]
-            o = act[:, 2 * h_size : 3 * h_size]
-            g = act[:, 3 * h_size :]
-            ct = cell_tanh[:, t]
-            c_prev = cell[:, t - 1] if t > 0 else np.zeros((batch, h_size), dtype)
+            act, d_a = gates[t], d_gates[t]
+            i, f, o, g = act[:h], act[h : 2 * h], act[2 * h : 3 * h], act[3 * h :]
+            d_i, d_f, d_o, d_g = d_a[:h], d_a[h : 2 * h], d_a[2 * h : 3 * h], d_a[3 * h :]
+            ct = cell_tanh[t]
+            c_prev = cell[t - 1] if t > 0 else zeros
 
-            d_h = d_hidden_seq[:, t] + d_h_rec
-            d_o = d_h * ct
-            d_c = d_c + d_h * o * (1.0 - ct**2)
-            d_i = d_c * g
-            d_g = d_c * i
-            d_f = d_c * c_prev
-            d_c_prev = d_c * f
-
-            d_a = np.concatenate(
-                [
-                    d_i * i * (1.0 - i),
-                    d_f * f * (1.0 - f),
-                    d_o * o * (1.0 - o),
-                    d_g * (1.0 - g**2),
-                ],
-                axis=1,
-            )
-
-            if weights:
-                d_gates[:, t] = d_a
-            d_inputs[:, t] = d_a @ w_in
-            d_h_rec = d_a @ w_rec
-            d_c = d_c_prev
+            if t < steps - 1:
+                d_h = np.matmul(w_rec_t, d_gates[t + 1], out=d_h_rec)
+                d_h += d_hidden_seq[t]
+            else:
+                d_h = d_hidden_seq[t]
+            np.multiply(d_h, ct, out=d_o)
+            # d_c += d_h * o * (1 - ct^2)
+            np.multiply(ct, ct, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= o
+            tmp *= d_h
+            d_c += tmp
+            np.multiply(d_c, g, out=d_i)
+            np.multiply(d_c, c_prev, out=d_f)
+            # the sigmoid gates' slope s (1 - s), all three in one block
+            np.subtract(1.0, act[: 3 * h], out=slope)
+            slope *= act[: 3 * h]
+            d_a[: 3 * h] *= slope
+            # d_g = d_c * i * (1 - g^2)
+            np.multiply(g, g, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= i
+            np.multiply(d_c, tmp, out=d_g)
+            d_c *= f
 
         if weights:
-            # one product per weight array sums over batch and time; h_prev is
-            # the hidden state entering each step, zero before t = 0
-            flat = d_gates.reshape(-1, 4 * h_size)
-            grads[f"l{idx}_w_in"] = flat.T @ inputs.reshape(batch * steps, -1)
-            h_prev = np.zeros_like(hidden)
-            h_prev[:, 1:] = hidden[:, :-1]
-            grads[f"l{idx}_w_rec"] = flat.T @ h_prev.reshape(-1, h_size)
-            grads[f"l{idx}_bias"] = flat.sum(axis=0)
-        d_hidden_seq = d_inputs
+            # one product per weight array sums over batch and time; the
+            # recurrent weights see step t's gates against hidden state t - 1,
+            # which are the columns one batch apart in the flat matrices
+            flat, flat_inputs = _flat_steps(d_gates), _flat_steps(inputs)
+            grads[f"l{idx}_w_in"] = flat @ flat_inputs.T
+            grads[f"l{idx}_w_rec"] = flat[:, batch:] @ flat_hidden[:, :-batch].T
+            grads[f"l{idx}_bias"] = flat.sum(axis=1)
+            flat_hidden = flat_inputs
+        d_hidden_seq = np.matmul(p[f"l{idx}_w_in"].T, d_gates)
 
-    return grads, d_hidden_seq
+    return grads, np.ascontiguousarray(d_hidden_seq.transpose(2, 0, 1))
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -348,8 +383,12 @@ def optimizer_step(
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most max_norm;
-    a non-finite norm, which ``gan.train`` refuses, leaves them as they are."""
+    """Scale gradients in place so their global L2 norm is at most max_norm.
+
+    ``max_norm`` 0 turns clipping off, and a non-finite norm, which
+    ``gan.train`` refuses, leaves them as they are.  Returns the norm before
+    any scaling.
+    """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if 0.0 < max_norm < total < np.inf:
         scale = max_norm / total

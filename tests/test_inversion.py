@@ -364,3 +364,42 @@ def test_invert_many_matches_serial(toy_generator):
         assert result.iterations == single.iterations
         assert result.error == pytest.approx(single.error, abs=1e-6)
         npt.assert_allclose(result.latent, single.latent, rtol=0, atol=1e-5)
+
+
+class TestCacheRows:
+    """``_take`` and ``_splice`` on the feature-major cache, batch on the last axis."""
+
+    @pytest.fixture(scope="class")
+    def deep_generator(self):
+        return gan.build_generator(3, latent_dim=4, depth=2, hidden=6,
+                                   rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("rows", [np.array([4, 0, 2]), np.array([1, 0, 1, 0, 1], bool)])
+    def test_take_is_the_cache_of_the_rows_alone(self, deep_generator, rows):
+        # batch 5, 7 steps and 4 latent columns, so no other axis can pass for the batch
+        z = gan.sample_latent(5, 7, 4, rng=107)
+        (layers, outputs) = inversion._take(lstm.forward_batch(deep_generator, z)[1], rows)
+        alone_layers, alone_outputs = lstm.forward_batch(deep_generator, z[rows])[1]
+        npt.assert_allclose(outputs, alone_outputs, rtol=0, atol=1e-6)
+        assert len(layers) == len(alone_layers) == 2
+        for layer, alone in zip(layers, alone_layers):
+            assert len(layer) == len(alone)
+            for taken, expected in zip(layer, alone):
+                assert taken.shape == expected.shape
+                # each step's block stays one contiguous array
+                assert taken.flags.c_contiguous
+                npt.assert_allclose(taken, expected, rtol=0, atol=1e-6)
+
+    def test_splice_changes_exactly_the_chosen_rows(self, deep_generator):
+        cache = lstm.forward_batch(deep_generator, gan.sample_latent(5, 7, 4, rng=108))[1]
+        trial = lstm.forward_batch(deep_generator, gan.sample_latent(3, 7, 4, rng=109))[1]
+        before = ([tuple(a.copy() for a in layer) for layer in cache[0]], cache[1].copy())
+        rows, picks = np.array([3, 0]), np.array([2, 1])
+        inversion._splice(cache, rows, trial, picks)
+        others = np.array([1, 2, 4])
+        npt.assert_array_equal(cache[1][rows], trial[1][picks])
+        npt.assert_array_equal(cache[1][others], before[1][others])
+        for layer, trial_layer, old in zip(cache[0], trial[0], before[0]):
+            for a, b, kept in zip(layer, trial_layer, old):
+                npt.assert_array_equal(a[..., rows], b[..., picks])
+                npt.assert_array_equal(a[..., others], kept[..., others])

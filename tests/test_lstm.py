@@ -82,6 +82,148 @@ def scaled_linear_loss(shape, seed=0, scale=1e-2):
     return loss_fn
 
 
+def reference_forward(net, sequences):
+    """The batch-major per-step forward pass the feature-major one replaced.
+
+    Returns the (B, L, O) outputs and a (B, L, .) cache of ``(inputs,
+    gates, cell, hidden)`` per layer for :func:`reference_backward`.
+    """
+    p = net.params
+    dtype = p["out_w"].dtype
+    x = np.asarray(sequences, dtype=dtype)
+    batch, steps, _ = x.shape
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -lstm.CLAMP, lstm.CLAMP)))
+
+    layers = []
+    for idx in range(net.depth):
+        w_rec = p[f"l{idx}_w_rec"]
+        bias = p[f"l{idx}_bias"]
+        h_size = w_rec.shape[1]
+        gates = np.empty((batch, steps, 4 * h_size), dtype)
+        cell = np.empty((batch, steps, h_size), dtype)
+        hidden = np.empty((batch, steps, h_size), dtype)
+        h_prev = np.zeros((batch, h_size), dtype)
+        c_prev = np.zeros((batch, h_size), dtype)
+        for t in range(steps):
+            pre = x[:, t] @ p[f"l{idx}_w_in"].T + h_prev @ w_rec.T + bias
+            ifo = sigmoid(pre[:, : 3 * h_size])
+            g = np.tanh(pre[:, 3 * h_size :])
+            gates[:, t, : 3 * h_size], gates[:, t, 3 * h_size :] = ifo, g
+            i, f, o = ifo[:, :h_size], ifo[:, h_size : 2 * h_size], ifo[:, 2 * h_size :]
+            c = f * c_prev + i * g
+            h = o * np.tanh(c)
+            cell[:, t], hidden[:, t] = c, h
+            h_prev, c_prev = h, c
+        layers.append((x, gates, cell, hidden))
+        x = hidden
+
+    pre = x @ p["out_w"].T + p["out_b"]
+    activate = {"tanh": np.tanh, "sigmoid": sigmoid, "identity": lambda a: a}
+    outputs = activate[net.output_activation](pre)
+    return outputs, (layers, outputs)
+
+
+def reference_backward(net, cache, output_grads):
+    """Per-step BPTT on the cache of :func:`reference_forward`: ``(grads, input_grads)``."""
+    p = net.params
+    dtype = p["out_w"].dtype
+    layers, outputs = cache
+    d_out = np.asarray(output_grads, dtype=dtype)
+    batch, steps, _ = d_out.shape
+    if net.output_activation == "tanh":
+        d_pre = d_out * (1.0 - outputs**2)
+    elif net.output_activation == "sigmoid":
+        d_pre = d_out * outputs * (1.0 - outputs)
+    else:
+        d_pre = d_out
+
+    grads = dict.fromkeys(p)
+    grads["out_w"] = np.einsum("blo,blh->oh", d_pre, layers[-1][3])
+    grads["out_b"] = d_pre.sum(axis=(0, 1))
+    d_hidden_seq = d_pre @ p["out_w"]
+    for idx in range(net.depth - 1, -1, -1):
+        w_in, w_rec = p[f"l{idx}_w_in"], p[f"l{idx}_w_rec"]
+        inputs, gates, cell, hidden = layers[idx]
+        h_size = w_rec.shape[1]
+        d_gates = np.empty((batch, steps, 4 * h_size), dtype)
+        d_inputs = np.empty_like(inputs)
+        cell_tanh = np.tanh(cell)
+        d_h_rec = np.zeros((batch, h_size), dtype)
+        d_c = np.zeros((batch, h_size), dtype)
+        for t in range(steps - 1, -1, -1):
+            act = gates[:, t]
+            i, f = act[:, :h_size], act[:, h_size : 2 * h_size]
+            o, g = act[:, 2 * h_size : 3 * h_size], act[:, 3 * h_size :]
+            ct = cell_tanh[:, t]
+            c_prev = cell[:, t - 1] if t > 0 else np.zeros((batch, h_size), dtype)
+            d_h = d_hidden_seq[:, t] + d_h_rec
+            d_o = d_h * ct
+            d_c = d_c + d_h * o * (1.0 - ct**2)
+            d_a = np.concatenate(
+                [
+                    d_c * g * i * (1.0 - i),
+                    d_c * c_prev * f * (1.0 - f),
+                    d_o * o * (1.0 - o),
+                    d_c * i * (1.0 - g**2),
+                ],
+                axis=1,
+            )
+            d_gates[:, t] = d_a
+            d_inputs[:, t] = d_a @ w_in
+            d_h_rec = d_a @ w_rec
+            d_c = d_c * f
+        flat = d_gates.reshape(-1, 4 * h_size)
+        grads[f"l{idx}_w_in"] = flat.T @ inputs.reshape(batch * steps, -1)
+        h_prev = np.zeros_like(hidden)
+        h_prev[:, 1:] = hidden[:, :-1]
+        grads[f"l{idx}_w_rec"] = flat.T @ h_prev.reshape(-1, h_size)
+        grads[f"l{idx}_bias"] = flat.sum(axis=0)
+        d_hidden_seq = d_inputs
+    return grads, d_hidden_seq
+
+
+class TestAgainstReference:
+    """The feature-major passes against the batch-major per-step code they replaced.
+
+    Both run the same float32 net; they differ only in the order of float32
+    sums, so outputs agree to 1e-6 and gradients to 1e-5 of the largest
+    reference entry.
+    """
+
+    @pytest.mark.parametrize("weights", [True, False])
+    @pytest.mark.parametrize("activation", ["identity", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("steps", [1, 2, 12])
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_per_step_reference(self, depth, batch, steps, activation, weights):
+        net = init_lstm(depth, 5, 16, 3, activation, rng=70 + depth, weight_scale=0.3)
+        rng = np.random.default_rng(71)
+        seqs = rng.normal(size=(batch, steps, 5))
+        d_out = rng.normal(size=(batch, steps, 3))
+        out, cache = forward_batch(net, seqs)
+        ref_out, ref_cache = reference_forward(net, seqs)
+        npt.assert_allclose(out, ref_out, rtol=0, atol=1e-6)
+
+        grads, input_grads = backward_batch(net, cache, d_out, weights=weights)
+        ref_grads, ref_input_grads = reference_backward(net, ref_cache, d_out)
+        assert input_grads.shape == seqs.shape and input_grads.dtype == np.float32
+        pairs = [(input_grads, ref_input_grads)]
+        if weights:
+            assert list(grads) == list(ref_grads)
+            pairs += [(grads[name], ref) for name, ref in ref_grads.items()]
+        else:
+            assert grads is None
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype == np.float32
+            npt.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+        if weights and steps == 1:
+            # no step has a previous hidden state for the recurrent weights to see
+            for idx in range(depth):
+                npt.assert_array_equal(grads[f"l{idx}_w_rec"], 0.0)
+
+
 class TestForward:
     def test_zero_parameters_fixed_point(self):
         net = zero_net()
@@ -370,6 +512,12 @@ class TestClipGradients:
         grads = [np.array([0.3])]
         clip_gradients(grads, 5.0)
         npt.assert_array_equal(grads[0], [0.3])
+
+    def test_zero_max_norm_turns_clipping_off(self):
+        grads = [np.array([3.0, 4.0]), np.array([12.0])]
+        assert clip_gradients(grads, 0.0) == pytest.approx(13.0)
+        npt.assert_array_equal(grads[0], [3.0, 4.0])
+        npt.assert_array_equal(grads[1], [12.0])
 
 
 def test_gradients_keyed_and_ordered_like_params():
