@@ -130,6 +130,8 @@ SCHEMA: dict = {
         ),
         "mmd_samples": Field(int, 128, lambda v: v >= 2, "integer >= 2"),
     },
+    # Adam on the latents: ``learning_rate`` is Adam's step size, and a
+    # restart stops once its lowest error reaches ``tolerance``
     "inversion": {
         "max_iterations": Field(int, 200, _non_negative, "non-negative integer"),
         "learning_rate": Field(float, 0.2, _positive, "positive number"),

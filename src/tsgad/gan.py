@@ -10,6 +10,7 @@ trained with the non-saturating objective (maximize log D on fakes).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,21 +273,32 @@ def load_checkpoint(path: str | Path) -> GanModel:
     """Rebuild both networks from their ``gen_``/``disc_`` arrays.
 
     A file :func:`save_checkpoint` would not write is refused with a
-    :class:`ConfigError` naming ``path``: another version, an array under
+    :class:`ConfigError` naming ``path``: no npz archive, no ``meta`` array
+    or one that holds no JSON object, another version, an array under
     another prefix, meta without ``history`` or arrays that form no stack.
     """
-    data = np.load(path)
-    meta = json.loads(bytes(data["meta"]).decode())
+    if not zipfile.is_zipfile(path):
+        raise ConfigError(f"{path}: not an npz archive")
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if "meta" not in arrays:
+        raise ConfigError(f"{path}: no meta array")
+    try:
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: meta is not a JSON object")
     if meta.get("format_version") != 1:
         raise ConfigError(f"unsupported checkpoint version in {path}")
-    foreign = sorted(k for k in data.files if k != "meta" and not k.startswith(("gen_", "disc_")))
+    foreign = sorted(k for k in arrays if not k.startswith(("gen_", "disc_")))
     if foreign:
         raise ConfigError(f"{path}: arrays outside gen_*/disc_*: {foreign}")
     if "history" not in meta:
         raise ConfigError(f"{path}: meta has no history")
 
     def net(prefix: str, activation: str) -> lstm.StackedLstm:
-        params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+        params = {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
         try:
             return lstm.StackedLstm(params, activation)
         except ValueError as exc:

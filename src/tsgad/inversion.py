@@ -1,18 +1,20 @@
 """Mapping test windows back into the generator's latent space.
 
 The inversion minimizes :func:`objective`, one minus the per-column Pearson
-correlation of the window and G(z) averaged over columns, over z by gradient
-descent through the frozen generator, with backtracking step halving and a
-configurable number of restarts.  The error is bounded and scale invariant.
+correlation of the window and G(z) averaged over columns, over z by Adam
+through the frozen generator, with a configurable number of restarts.  The
+error is bounded and scale invariant.
 
 :func:`invert` takes a stack of N windows and descends all of its N x R
 restarts (R = ``restarts``) together, as one (N R, L, latent) batch laid out
 window by window: rows ``i R .. i R + R - 1`` are the restarts of window i,
-drawn as the first R (L, latent) draws of ``default_rng(seed + i)``.  Each
-row descends towards its own window under its own step and stop rule, and
-the backward pass forms input gradients only.  At most
-:data:`MAX_BATCH_ROWS` rows descend in one batch, so the LSTM caches of a
-large test set stay bounded.  float32 rounds a batch of B rows differently
+drawn as the first R (L, latent) draws of ``default_rng(seed + i)``.  Every
+iteration forwards, scores and back-propagates the whole batch, input
+gradients only, and takes one Adam step (``lstm.optimizer_step``, step size
+``learning_rate``) on all of z.  Adam's moments are elementwise, so each row
+follows its own trajectory and keeps the lowest-error latent it visits.  At
+most :data:`MAX_BATCH_ROWS` rows descend in one batch, so the LSTM caches of
+a large test set stay bounded.  float32 rounds a batch of B rows differently
 from B batches of one, so a window's result can differ by rounding from
 inverting it alone.
 """
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import lstm
 
-MAX_HALVINGS = 10
 # rows (windows x restarts) per descent batch; bounds the LSTM cache memory
 MAX_BATCH_ROWS = 512
 
@@ -34,128 +35,77 @@ MAX_BATCH_ROWS = 512
 class InversionResult:
     latent: np.ndarray          # (length, latent_dim)
     error: float                # objective at the returned latent
-    iterations: int             # accepted descent steps
+    iterations: int             # Adam steps taken before the row stopped
     reconstruction: np.ndarray  # generator output at the returned latent
 
 
-def objective(window: np.ndarray, recon: np.ndarray):
-    """Inversion error of ``recon`` against ``window`` and its gradient in ``recon``.
+def objective(windows: np.ndarray, recons: np.ndarray):
+    """Inversion errors of ``recons`` against ``windows`` and their gradients in ``recons``.
 
-    The error is 1 minus the per-column Pearson correlation of two
-    equal-shape (timesteps, columns) windows averaged over columns, so it
-    lies in [0, 2].  A constant column in either input correlates 0 and gets
-    a zero gradient.  Two (timesteps, columns) inputs give ``(float, grad)``;
-    two (batch, timesteps, columns) stacks give ``(errors, grads)`` with one
-    error per batch row, each equal to the 2-D call on that row.
+    Both are (batch, timesteps, columns) stacks.  Row k's error is 1 minus
+    the per-column Pearson correlation of ``windows[k]`` and ``recons[k]``
+    averaged over columns, so it lies in [0, 2].  A constant column in
+    either input correlates 0 and gets a zero gradient.  Returns
+    ``(errors, grads)``: one error per row and the gradient of each row's
+    error, shaped like ``recons``.
     """
-    x = np.asarray(window, dtype=np.float64)
-    y = np.asarray(recon, dtype=np.float64)
+    x = np.asarray(windows, dtype=np.float64)
+    y = np.asarray(recons, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.ndim not in (2, 3) or x.shape[-2] < 2:
-        raise ValueError("windows must be ([batch,] timesteps >= 2, columns)")
-    cols = x.shape[-1]
-    xc = x - x.mean(axis=-2, keepdims=True)
-    yc = y - y.mean(axis=-2, keepdims=True)
-    sx = np.sqrt(np.sum(xc * xc, axis=-2, keepdims=True))
-    sy = np.sqrt(np.sum(yc * yc, axis=-2, keepdims=True))
+    if x.ndim != 3 or x.shape[1] < 2:
+        raise ValueError("windows must be (batch, timesteps >= 2, columns)")
+    cols = x.shape[2]
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sx = np.sqrt(np.sum(xc * xc, axis=1, keepdims=True))
+    sy = np.sqrt(np.sum(yc * yc, axis=1, keepdims=True))
     ok = (sx > 0.0) & (sy > 0.0)
     # a constant column divides by 1 and is then zeroed, so it warns of nothing
     sy = np.where(ok, sy, 1.0)
     denom = np.where(ok, sx * sy, 1.0)
-    r = np.where(ok, np.sum(xc * yc, axis=-2, keepdims=True) / denom, 0.0)
+    r = np.where(ok, np.sum(xc * yc, axis=1, keepdims=True) / denom, 0.0)
     # d (1 - r_j) / d y[:, j] = r yc / sy^2 - xc / (sx sy)
     grad = np.where(ok, (r * yc / sy**2 - xc / denom) / cols, 0.0)
-    errors = 1.0 - r.mean(axis=(-2, -1))
-    return (float(errors), grad) if x.ndim == 2 else (errors, grad)
-
-
-def _take(cache: tuple, rows: np.ndarray) -> tuple:
-    """The ``forward_batch`` cache of the given batch rows only.
-
-    ``rows`` is a boolean mask or an index array.  The per-layer arrays hold
-    the batch on their last axis and the outputs on their first; ``take``
-    keeps each step's block of a per-layer array contiguous.
-    """
-    layers, outputs = cache
-    if rows.dtype == bool:
-        rows = np.flatnonzero(rows)
-    return [tuple(a.take(rows, axis=-1) for a in layer) for layer in layers], outputs[rows]
-
-
-def _splice(cache: tuple, rows: np.ndarray, trial: tuple, picks: np.ndarray) -> None:
-    """Overwrite batch rows ``rows`` of ``cache`` with rows ``picks`` of ``trial``."""
-    for layer, trial_layer in zip(cache[0], trial[0]):
-        for a, b in zip(layer, trial_layer):
-            a[..., rows] = b[..., picks]
-    cache[1][rows] = trial[1][picks]
+    return 1.0 - r.mean(axis=(1, 2)), grad
 
 
 def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, settings: dict):
-    """Gradient descent from every row of ``z0`` (rows, L, latent) as one batch.
+    """Adam from every row of ``z0`` (rows, L, latent) as one batch.
 
-    Row k descends towards ``windows[k]`` and follows the one-row rule on
-    its own: it stops at ``tolerance``, after ``max_iterations`` accepted
-    steps, or when ``MAX_HALVINGS`` halvings of its step find no lower
-    error; a clean first-try acceptance grows its step by 1.5, capped at 50
-    times ``learning_rate``.  The batch holds only the rows still
-    descending, and a backtracking retry forwards only the rows still
-    searching.  Returns ``(latents, errors, iterations)`` per row, with a
-    nan error for a row whose error or gradient turned non-finite.
+    Row k descends towards ``windows[k]``.  It stops once its lowest error is
+    at or below ``tolerance``, or once its error or gradient turns
+    non-finite; a stopped row's latent drifts on its momentum alone.  The
+    loop ends after ``max_iterations`` steps or when every row has stopped.
+    Returns ``(latents, errors, iterations)`` per row: the lowest-error
+    latent it visited, that error (nan for a row whose error or gradient
+    turned non-finite) and the Adam steps it took before it stopped.
     """
-    lr, tol = settings["learning_rate"], settings["tolerance"]
     z = z0.copy()
-    recons, cache = lstm.forward_batch(gen, z)
-    errors, err_grads = objective(windows, recons)
-    steps = np.full(len(z), lr)
+    best, errors = z0.copy(), np.full(len(z), np.inf)
     iterations = np.zeros(len(z), dtype=int)
-    errors[~np.isfinite(errors)] = np.nan
-    run = np.flatnonzero(~np.isnan(errors))  # rows still descending, in cache order
-    if len(run) < len(z):
-        cache = _take(cache, run)
-    for _ in range(settings["max_iterations"]):
-        keep = errors[run] > tol
-        if not keep.all():
-            run, cache = run[keep], _take(cache, keep)
-        if not len(run):
+    run = np.ones(len(z), dtype=bool)  # rows still descending
+    adam = lstm.OptimizerState(settings["learning_rate"])
+    for step in range(settings["max_iterations"] + 1):
+        recons, cache = lstm.forward_batch(gen, z)
+        err, err_grads = objective(windows, recons)
+        finite = np.isfinite(err)
+        errors[run & ~finite] = np.nan
+        run &= finite
+        better = run & (err < errors)
+        best[better], errors[better] = z[better], err[better]
+        run &= errors > settings["tolerance"]
+        if step == settings["max_iterations"] or not run.any():
             break
-        _, z_grads = lstm.backward_batch(gen, cache, err_grads[run], weights=False)
+        _, z_grads = lstm.backward_batch(gen, cache, err_grads, weights=False)
         finite = np.isfinite(z_grads).all(axis=(1, 2))
-        if not finite.all():
-            errors[run[~finite]] = np.nan
-            run, cache, z_grads = run[finite], _take(cache, finite), z_grads[finite]
-            if not len(run):
-                break
-        search = np.arange(len(run))  # cache positions of the rows still backtracking
-        for halvings in range(MAX_HALVINGS + 1):
-            rows = run[search]
-            # the step in the gradient's dtype, as numpy applies a Python float
-            # step, so a batch of one repeats the one-row arithmetic bitwise
-            step = steps[rows].astype(z_grads.dtype)[:, None, None]
-            z_try = z[rows] - step * z_grads[search]
-            recon_try, cache_try = lstm.forward_batch(gen, z_try)
-            err_try, grad_try = objective(windows[rows], recon_try)
-            accept = np.isfinite(err_try) & (err_try < errors[rows])
-            won = rows[accept]
-            z[won], errors[won], err_grads[won] = z_try[accept], err_try[accept], grad_try[accept]
-            iterations[won] += 1
-            if halvings == 0:
-                # clean acceptance: let the step grow back, capped at 50x the base rate
-                steps[won] = np.minimum(steps[won] * 1.5, 50.0 * lr)
-            if halvings == 0 and accept.all():
-                cache = cache_try
-            else:
-                _splice(cache, search[accept], cache_try, np.flatnonzero(accept))
-            steps[rows[~accept]] *= 0.5
-            search = search[~accept]
-            if not len(search):
-                break
-        if len(search):
-            # no direction of improvement within the backtracking budget
-            keep = np.ones(len(run), dtype=bool)
-            keep[search] = False
-            run, cache = run[keep], _take(cache, keep)
-    return z, errors, iterations
+        errors[run & ~finite] = np.nan
+        run &= finite
+        # a stopped row's gradient, finite or not, stays out of Adam's moments
+        z_grads[~run] = 0.0
+        iterations[run] += 1
+        lstm.optimizer_step([z], [z_grads], adam)
+    return best, errors, iterations
 
 
 def invert(
@@ -204,7 +154,7 @@ def invert(
     best = np.arange(count) * restarts + np.nanargmin(errors, axis=1)
     winners = latents[best]
     recons = lstm.forward_batch(gen, winners)[0]
-    final, _ = objective(windows, recons)
+    final = objective(windows, recons)[0]
     return [
         InversionResult(latent=winners[i], error=float(final[i]),
                         iterations=int(iterations[k]), reconstruction=recons[i])

@@ -214,6 +214,36 @@ def test_detect_with_refused_checkpoint_exits_1(config, all_out, tmp_path, capsy
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("damage, reason", [
+    ("text", "not an npz archive"),
+    ("npy", "not an npz archive"),
+    ("no meta", "no meta array"),
+    ("meta not json", "meta is not a JSON object"),
+])
+def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsys,
+                                                 damage, reason):
+    # paths.checkpoint may name any file: one that is no npz archive (text or
+    # a single .npy array), or an npz archive of the nets whose meta is
+    # missing or not JSON
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    checkpoint = out / "checkpoints" / "final.npz"
+    if damage == "text":
+        checkpoint.write_text("not a checkpoint\n")
+    elif damage == "npy":
+        with open(checkpoint, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        if damage == "meta not json":
+            arrays["meta"] = np.frombuffer(b"not json", dtype=np.uint8)
+        np.savez(checkpoint, **arrays)
+    capsys.readouterr()
+    assert _run(config, out, "detect") == 1
+    assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err
+
+
 def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):
     # a truth label of 2 would reach scores.csv, and the confusion counts in
     # metrics.json would skip its timesteps
