@@ -275,7 +275,8 @@ def load_checkpoint(path: str | Path) -> GanModel:
     A file :func:`save_checkpoint` would not write is refused with a
     :class:`ConfigError` naming ``path``: no npz archive, no ``meta`` array
     or one that holds no JSON object, another version, an array under
-    another prefix, meta without ``history`` or arrays that form no stack.
+    another prefix, meta without ``config`` or ``history`` or arrays that
+    form no stack.
     """
     if not zipfile.is_zipfile(path):
         raise ConfigError(f"{path}: not an npz archive")
@@ -294,8 +295,9 @@ def load_checkpoint(path: str | Path) -> GanModel:
     foreign = sorted(k for k in arrays if not k.startswith(("gen_", "disc_")))
     if foreign:
         raise ConfigError(f"{path}: arrays outside gen_*/disc_*: {foreign}")
-    if "history" not in meta:
-        raise ConfigError(f"{path}: meta has no history")
+    for key in ("config", "history"):
+        if key not in meta:
+            raise ConfigError(f"{path}: meta has no {key}")
 
     def net(prefix: str, activation: str) -> lstm.StackedLstm:
         params = {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}

@@ -16,12 +16,11 @@ follows its own trajectory and keeps the lowest-error latent it visits.  At
 most :data:`MAX_BATCH_ROWS` rows descend in one batch, so the LSTM caches of
 a large test set stay bounded.  float32 rounds a batch of B rows differently
 from B batches of one, so a window's result can differ by rounding from
-inverting it alone.
+inverting it alone.  The result is four arrays stacked like the windows,
+window i in row i: latents, errors, iterations and reconstructions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +28,6 @@ from . import lstm
 
 # rows (windows x restarts) per descent batch; bounds the LSTM cache memory
 MAX_BATCH_ROWS = 512
-
-
-@dataclass
-class InversionResult:
-    latent: np.ndarray          # (length, latent_dim)
-    error: float                # objective at the returned latent
-    iterations: int             # Adam steps taken before the row stopped
-    reconstruction: np.ndarray  # generator output at the returned latent
 
 
 def objective(windows: np.ndarray, recons: np.ndarray):
@@ -108,9 +99,7 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
     return best, errors, iterations
 
 
-def invert(
-    gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
-) -> list[InversionResult]:
+def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int):
     """Best-of-restarts latent recovery for each window of an (N, L, C) stack.
 
     ``settings`` is the validated ``inversion`` config section.  Window i
@@ -118,22 +107,22 @@ def invert(
     ``default_rng(seed + i)``, restart r taking the r-th draw, whatever else
     is in the stack.  All N x R restarts descend together, at most
     :data:`MAX_BATCH_ROWS` rows per batch, and window i keeps its restart
-    of lowest error.  Every reconstruction and error comes from one forward
-    pass over the N winning latents: ``reconstruction`` of window i equals
-    row i of ``forward_batch(gen, latents)[0]`` exactly, with ``latents``
-    the stacked winning latents.  One window is inverted as ``invert(gen,
-    window[None], settings, seed)[0]``; an empty stack returns ``[]``.
+    of lowest error.  Returns ``(latents, errors, iterations,
+    reconstructions)``, row i of each for window i: the winning (N, L,
+    latent) latents, their float64 errors, the Adam steps each winning
+    restart took and the (N, L, C) generator outputs.  The reconstructions
+    are ``forward_batch(gen, latents)[0]`` exactly, one pass over all N
+    winners, and the errors are the objective at them.  An empty stack is
+    refused.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3:
-        raise ValueError("windows must be (count, timesteps, columns)")
+    if windows.ndim != 3 or not len(windows):
+        raise ValueError("windows must be a non-empty (count, timesteps, columns) stack")
     if windows.shape[2] != gen.output_size:
         raise ValueError(
             f"windows have {windows.shape[2]} columns, generator emits {gen.output_size}"
         )
     count, length, _ = windows.shape
-    if not count:
-        return []
     restarts = settings["restarts"]
     shape = (restarts, length, gen.input_size)
     z0 = np.concatenate([np.random.default_rng(seed + i).standard_normal(shape)
@@ -152,19 +141,12 @@ def invert(
             f"window {int(np.argmax(diverged))}: all inversion restarts diverged"
         )
     best = np.arange(count) * restarts + np.nanargmin(errors, axis=1)
-    winners = latents[best]
-    recons = lstm.forward_batch(gen, winners)[0]
-    final = objective(windows, recons)[0]
-    return [
-        InversionResult(latent=winners[i], error=float(final[i]),
-                        iterations=int(iterations[k]), reconstruction=recons[i])
-        for i, k in enumerate(best)
-    ]
+    latents = latents[best]
+    recons = lstm.forward_batch(gen, latents)[0]
+    return latents, objective(windows, recons)[0], iterations[best], recons
 
 
-def invert_many(
-    gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
-) -> list[InversionResult]:
+def invert_many(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int):
     """The same as :func:`invert`; ``bench/tracer.py`` times the inversions
     of ``tsgad detect`` under this name."""
     return invert(gen, windows, settings, seed)

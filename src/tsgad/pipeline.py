@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -218,14 +217,16 @@ def _flatten_windows(windows: np.ndarray) -> np.ndarray:
 
 
 def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seed: int):
-    """Invert every window and collect per-timestep residuals and D scores."""
-    results = inversion.invert_many(model.generator, windows, settings, seed)
-    recon = np.stack([r.reconstruction for r in results])
+    """Invert every window and collect per-timestep residuals and D scores:
+    ``(errors, iterations, component_residuals, summed, disc_flat)``, the
+    first two per window and the others per timestep."""
+    # the tracer sizes invert_many by its second positional argument
+    _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seed)
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
     disc_out = lstm.forward_batch(model.discriminator, windows)[0]
     disc_flat = disc_out[..., 0].reshape(-1)
-    return results, component_residuals, summed, disc_flat
+    return errors, iterations, component_residuals, summed, disc_flat
 
 
 def run_detect(cfg: dict) -> Path:
@@ -235,6 +236,12 @@ def run_detect(cfg: dict) -> Path:
     on the combined score and each variable's threshold in
     ``per_variable_flags.csv`` are taken from the scores of those normal
     windows, so that about ``scoring.target_fpr`` of them would be flagged.
+    A checkpoint whose networks take another window width than the bundle's
+    is refused.  Besides the threshold and the residual scale,
+    ``detect_manifest.json`` records how well the generator reconstructs
+    those normal windows: ``holdout_error_median``, the median of their
+    inversion errors, and ``holdout_iterations_mean``, the mean of their
+    Adam steps.
     """
     arrays, manifest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
@@ -243,6 +250,13 @@ def run_detect(cfg: dict) -> Path:
     if not checkpoint.is_file():
         raise ConfigError(f"{checkpoint} not found; run train first")
     model = gan.load_checkpoint(checkpoint)
+    width = arrays["test_windows"].shape[2]
+    nets = model.generator.output_size, model.discriminator.input_size
+    if nets != (width, width):
+        raise ConfigError(
+            f"{checkpoint}: generator emits {nets[0]} and discriminator reads {nets[1]} "
+            f"columns, the bundle's windows have {width}; re-run train"
+        )
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
     inv = cfg["inversion"]
     lam = cfg["scoring"]["lambda"]
@@ -253,14 +267,14 @@ def run_detect(cfg: dict) -> Path:
         warnings.warn(
             f"only {holdout_windows} holdout windows set the residual scale and thresholds"
         )
-    _, hold_comp_res, hold_res, hold_disc = _score_windows(
+    hold_errors, hold_iterations, hold_comp_res, hold_res, hold_disc = _score_windows(
         model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
     )
     res_min, res_max = float(hold_res.min()), float(hold_res.max())
     _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
     threshold = scoring.threshold_for_fpr(hold_combined, target_fpr)
 
-    results, comp_res, test_res, test_disc = _score_windows(
+    errors, iterations, comp_res, test_res, test_disc = _score_windows(
         model, arrays["test_windows"], inv, cfg["seed"]
     )
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
@@ -295,12 +309,14 @@ def run_detect(cfg: dict) -> Path:
     ingest.write_csv(
         out / "inversion_diagnostics.csv",
         ["window", "error", "iterations"],
-        ([i, r.error, r.iterations] for i, r in enumerate(results)),
+        zip(range(len(errors)), errors.tolist(), iterations.tolist()),
     )
     (out / "detect_manifest.json").write_text(
         json.dumps(
             {
                 "config_hash": config_hash(cfg),
+                "holdout_error_median": float(np.median(hold_errors)),
+                "holdout_iterations_mean": float(hold_iterations.mean()),
                 "holdout_windows": holdout_windows,
                 "lambda": lam,
                 "residual_min": res_min,
@@ -330,6 +346,8 @@ def run_evaluate(cfg: dict) -> Path:
     :func:`~tsgad.scoring.ranking_metrics` of the ``residual``, 1 -
     ``disc_score`` and ``combined`` columns of ``scores.csv`` (under
     ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
+    A ``scores.csv`` whose ``truth`` column is not the bundle's test labels
+    comes from another ingest and is refused.
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest = _load_calibration_bundle(cfg)
@@ -337,14 +355,20 @@ def run_evaluate(cfg: dict) -> Path:
     scores_path = out / "scores.csv"
     if not scores_path.exists():
         raise ConfigError(f"{scores_path} not found; run detect first")
-    # flags and truth come from one file, so a re-ingest after detect cannot
-    # pair one run's flags with another run's labels
     with scores_path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     if any(row["truth"] == "" for row in rows):
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
     flags = np.array([int(row["flag"]) for row in rows])
     truth = np.array([int(row["truth"]) for row in rows])
+    # the baselines scan the bundle's test rows, so after a re-ingest their
+    # flags would meet another run's truth
+    labels = arrays.get("test_labels", np.empty(0)).reshape(-1)
+    if not np.array_equal(truth, labels):
+        raise ConfigError(
+            f"{scores_path}: its {len(truth)} truth rows differ from the bundle's "
+            f"{len(labels)} test labels; re-run detect"
+        )
 
     def column(key: str) -> np.ndarray:
         return np.array([float(row[key]) for row in rows])
@@ -368,10 +392,10 @@ def run_evaluate(cfg: dict) -> Path:
     holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
     test_rows = _flatten_windows(arrays["test_raw_windows"])
     # one chart per variable, all scanned at once
-    base = bl.fit_cusum_config(train_rows)
-    stat = bl.cusum_statistic(holdout_rows, base)
+    mean, slack = bl.fit_cusum_config(train_rows)
+    stat = bl.cusum_statistic(holdout_rows, mean, slack)
     thresholds = np.maximum(scoring.threshold_for_fpr(stat, fpr), 1e-9)
-    cusum_flags = bl.cusum_detect(test_rows, replace(base, threshold=thresholds))
+    cusum_flags = bl.cusum_detect(test_rows, mean, slack, thresholds)
     # no AUROC for CUSUM: its flags come from a scan that resets after each
     # alarm, not from a fixed statistic that a ranking could score
     per_variable = {}

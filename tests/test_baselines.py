@@ -5,27 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgad import baselines
-from tsgad.baselines import (
-    CusumConfig,
-    cusum_detect,
-    cusum_statistic,
-    fit_cusum_config,
-    spe_detect,
-)
+from tsgad.baselines import cusum_detect, cusum_statistic, fit_cusum_config, spe_detect
 from tsgad.pca import fit_pca
 from tsgad.scoring import metrics, threshold_for_fpr
 
 
-def _scalar_scan(series, config, reset):
-    """The scalar recurrence on Python floats: the reference for the scan."""
+def _scalar_scan(series, mean, slack, threshold=None):
+    """The scalar recurrence on Python floats: the reference for the scan,
+    which resets exactly when it is given a ``threshold``."""
     stat, s_hi, s_lo = [], 0.0, 0.0
-    mean, slack = float(config.target_mean), float(config.slack)
+    mean, slack = float(mean), float(slack)
     for value in series.tolist():
         s_hi = max(0.0, s_hi + (value - mean - slack))
         s_lo = max(0.0, s_lo + (mean - value - slack))
         peak = max(s_hi, s_lo)
         stat.append(peak)
-        if reset and peak > config.threshold:
+        if threshold is not None and peak > threshold:
             s_hi = s_lo = 0.0
     return np.array(stat, dtype=np.float64)
 
@@ -36,50 +31,43 @@ def _bits(a):
 
 class TestCusum:
     def test_constant_series_never_alarms(self):
-        cfg = CusumConfig(target_mean=3.0, slack=0.1, threshold=1.0)
-        npt.assert_array_equal(cusum_detect(np.full(50, 3.0), cfg), np.zeros(50))
+        npt.assert_array_equal(cusum_detect(np.full(50, 3.0), 3.0, 0.1, 1.0), np.zeros(50))
 
     def test_hand_iterated_recurrence_with_reset(self):
         # mu0=0, k=0.5, h=2, eight ones.  S- = max(0, S- + (0 - 1 - 0.5)) stays
         # at 0, so max(S+, S-) is S+ = max(0, S+ + (1 - 0 - 0.5)), which walks
         # 0.5, 1.0, ..., 4.0 without resets; with them the strict > rule first
         # fires at 2.5 (fifth step) and the climb restarts at 0.5
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
-        npt.assert_array_equal(cusum_statistic(np.ones(8), cfg), np.arange(1, 9) * 0.5)
-        flags = cusum_detect(np.ones(8), cfg)
+        npt.assert_array_equal(cusum_statistic(np.ones(8), 0.0, 0.5), np.arange(1, 9) * 0.5)
+        flags = cusum_detect(np.ones(8), 0.0, 0.5, 2.0)
         npt.assert_array_equal(flags, [0, 0, 0, 0, 1, 0, 0, 0])
         # as two columns of one scan, the second with a limit never reached
-        both = CusumConfig(target_mean=np.zeros(2), slack=np.full(2, 0.5),
-                           threshold=np.array([2.0, 100.0]))
-        flags = cusum_detect(np.ones((8, 2)), both)
+        flags = cusum_detect(np.ones((8, 2)), np.zeros(2), np.full(2, 0.5),
+                             np.array([2.0, 100.0]))
         npt.assert_array_equal(flags[:, 0], [0, 0, 0, 0, 1, 0, 0, 0])
         npt.assert_array_equal(flags[:, 1], np.zeros(8))
 
     def test_tie_does_not_alarm(self):
         # k=0: S+ = 2, 2, 2 reaches exactly h and stays; S- = max(0, -2), then
         # max(0, 0) stays at 0.  Neither strictly exceeds h
-        cfg = CusumConfig(target_mean=0.0, slack=0.0, threshold=2.0)
         series = np.array([2.0, 0.0, 0.0])
-        npt.assert_array_equal(cusum_statistic(series, cfg), [2.0, 2.0, 2.0])
-        npt.assert_array_equal(cusum_detect(series, cfg), [0, 0, 0])
+        npt.assert_array_equal(cusum_statistic(series, 0.0, 0.0), [2.0, 2.0, 2.0])
+        npt.assert_array_equal(cusum_detect(series, 0.0, 0.0, 2.0), [0, 0, 0])
 
     def test_two_sided_catches_downward_step(self):
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
         series = np.concatenate([np.zeros(10), np.full(20, -3.0)])
-        assert cusum_detect(series, cfg).sum() > 0
+        assert cusum_detect(series, 0.0, 0.5, 2.0).sum() > 0
 
     def test_statistic_nonnegative(self):
         rng = np.random.default_rng(0)
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=5.0)
-        stat = cusum_statistic(rng.normal(size=200), cfg)
+        stat = cusum_statistic(rng.normal(size=200), 0.0, 0.5)
         assert np.all(stat >= 0.0)
 
     def test_statistic_first_crossing_matches_first_alarm(self):
         rng = np.random.default_rng(1)
         series = np.concatenate([rng.normal(size=50), rng.normal(3.0, 1.0, 50)])
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=4.0)
-        stat = cusum_statistic(series, cfg)
-        alarms = cusum_detect(series, cfg)
+        stat = cusum_statistic(series, 0.0, 0.5)
+        alarms = cusum_detect(series, 0.0, 0.5, 4.0)
         assert np.argmax(stat > 4.0) == np.argmax(alarms == 1)
 
     @given(st.floats(min_value=-100.0, max_value=100.0), st.integers(0, 2**31 - 1))
@@ -87,10 +75,8 @@ class TestCusum:
     def test_shift_equivariance(self, offset, seed):
         rng = np.random.default_rng(seed)
         series = rng.normal(size=80)
-        base = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
-        shifted = CusumConfig(target_mean=offset, slack=0.5, threshold=2.0)
         npt.assert_array_equal(
-            cusum_detect(series, base), cusum_detect(series + offset, shifted)
+            cusum_detect(series, 0.0, 0.5, 2.0), cusum_detect(series + offset, offset, 0.5, 2.0)
         )
 
     @pytest.mark.parametrize("reset", [False, True], ids=["no-reset", "reset"])
@@ -104,22 +90,21 @@ class TestCusum:
         rows, cols = int(rng.integers(1, 60)), int(rng.integers(1, 6))
         x = rng.normal(size=(rows, cols)) + rng.choice([0.0, 3.0], size=(rows, cols))
         x[rng.random(x.shape) < 0.2] = rng.choice([0.0, -0.0])
-        cfg = CusumConfig(
-            target_mean=rng.choice([0.0, -0.0, 0.5], size=cols),
-            slack=rng.choice([0.0, 0.5], size=cols),
-            threshold=rng.choice([0.5, 2.0, 50.0], size=cols),
-        )
-        stat = baselines._cusum_scan(x, cfg, reset)
-        flags = cusum_detect(x, cfg)
+        mean = rng.choice([0.0, -0.0, 0.5], size=cols)
+        slack = rng.choice([0.0, 0.5], size=cols)
+        threshold = rng.choice([0.5, 2.0, 50.0], size=cols)
+        limit = threshold if reset else None
+        stat = baselines._cusum_scan(x, mean, slack, limit)
+        flags = cusum_detect(x, mean, slack, threshold)
         for j in range(cols):
-            column = CusumConfig(cfg.target_mean[j], cfg.slack[j], cfg.threshold[j])
-            want = _scalar_scan(x[:, j], column, reset)
+            column = mean[j], slack[j], None if limit is None else limit[j]
+            want = _scalar_scan(x[:, j], *column)
             npt.assert_array_equal(_bits(stat[:, j]), _bits(want))
-            npt.assert_array_equal(_bits(baselines._cusum_scan(x[:, j], column, reset)),
-                                   _bits(want))
-            npt.assert_array_equal(flags[:, j], cusum_detect(x[:, j], column))
-        npt.assert_array_equal(_bits(cusum_statistic(x, cfg)),
-                               _bits(baselines._cusum_scan(x, cfg, False)))
+            npt.assert_array_equal(_bits(baselines._cusum_scan(x[:, j], *column)), _bits(want))
+            npt.assert_array_equal(flags[:, j],
+                                   cusum_detect(x[:, j], mean[j], slack[j], threshold[j]))
+        npt.assert_array_equal(_bits(cusum_statistic(x, mean, slack)),
+                               _bits(baselines._cusum_scan(x, mean, slack)))
 
     def test_fit_per_column_equals_single_column_fits(self):
         rng = np.random.default_rng(8)
@@ -128,32 +113,36 @@ class TestCusum:
         fit = fit_cusum_config(train)
         for j in range(4):
             one = fit_cusum_config(train[:, j])
-            for field in ("target_mean", "slack", "threshold"):
-                assert _bits(getattr(fit, field)[j]) == _bits(getattr(one, field))
-        assert fit.threshold[2] == 5.0
+            for field in range(2):  # target mean, slack
+                assert _bits(fit[field][j]) == _bits(one[field])
+        assert fit[1][2] == 0.5
 
     def test_non_finite_input(self):
-        cfg = CusumConfig(target_mean=0.0, slack=0.5, threshold=2.0)
         with pytest.raises(ValueError, match="non-finite"):
-            cusum_detect(np.array([0.0, np.inf]), cfg)
+            cusum_detect(np.array([0.0, np.inf]), 0.0, 0.5, 2.0)
 
     def test_fit_config_from_training_slice(self):
         rng = np.random.default_rng(2)
         train = rng.normal(5.0, 2.0, 5000)
-        cfg = fit_cusum_config(train)
-        assert cfg.target_mean == pytest.approx(5.0, abs=0.1)
-        assert cfg.slack == pytest.approx(1.0, abs=0.1)     # 0.5 sigma
-        assert cfg.threshold == pytest.approx(10.0, abs=0.5)  # 5 sigma
+        mean, slack = fit_cusum_config(train)
+        assert mean == pytest.approx(5.0, abs=0.1)
+        assert slack == pytest.approx(1.0, abs=0.1)  # 0.5 sigma
 
     def test_fit_config_constant_channel(self):
-        cfg = fit_cusum_config(np.full(10, 1.0))
-        assert cfg.threshold > 0.0
+        # sigma 1 in place of 0: the chart keeps a positive slack
+        assert fit_cusum_config(np.full(10, 1.0)) == (1.0, 0.5)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CusumConfig(target_mean=0.0, slack=-0.1, threshold=1.0)
-        with pytest.raises(ValueError):
-            CusumConfig(target_mean=0.0, slack=0.1, threshold=0.0)
+        series = np.zeros(4)
+        with pytest.raises(ValueError, match="slack must be >= 0"):
+            cusum_statistic(series, 0.0, -0.1)
+        with pytest.raises(ValueError, match="slack must be >= 0"):
+            cusum_detect(series, 0.0, -0.1, 1.0)
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            cusum_detect(series, 0.0, 0.1, 0.0)
+        # one column's bad entry is enough
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            cusum_detect(np.zeros((4, 2)), np.zeros(2), np.full(2, 0.1), np.array([1.0, -1.0]))
 
 
 class TestSpeDetect:

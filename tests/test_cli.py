@@ -8,7 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
+from tsgad import gan, ingest, inversion
 from tsgad.cli import main
+from tsgad.config import load_config
 
 TINY_CONFIG = """\
 seed: 3
@@ -100,6 +102,21 @@ def test_all_writes_documented_artifacts(all_out):
     assert manifest["config_hash"] == metrics["config_hash"]
     assert manifest["timesteps"] == manifest["test_windows"] * 5
     assert manifest["holdout_windows"] == 4
+
+
+def test_detect_manifest_records_holdout_inversions(config, all_out):
+    # the holdout windows' inversions, which set the residual scale, are
+    # summarized beside it: their error median and mean Adam step count
+    manifest = json.loads((all_out / "detect_manifest.json").read_text())
+    cfg = load_config(config)
+    assert 0.0 <= manifest["holdout_error_median"] <= 2.0
+    assert 0.0 <= manifest["holdout_iterations_mean"] <= cfg["inversion"]["max_iterations"]
+    holdout = ingest.load_window_bundle(all_out / "bundle")[0]["holdout_windows"]
+    generator = gan.load_checkpoint(all_out / "checkpoints" / "final.npz").generator
+    _, errors, iterations, _ = inversion.invert(generator, holdout, cfg["inversion"],
+                                                cfg["seed"] + 1_000_000)
+    assert manifest["holdout_error_median"] == float(np.median(errors))
+    assert manifest["holdout_iterations_mean"] == float(iterations.mean())
 
 
 def test_flags_are_the_combined_score_above_the_threshold(all_out):
@@ -219,12 +236,13 @@ def test_detect_with_refused_checkpoint_exits_1(config, all_out, tmp_path, capsy
     ("npy", "not an npz archive"),
     ("no meta", "no meta array"),
     ("meta not json", "meta is not a JSON object"),
+    ("no config", "meta has no config"),
 ])
 def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsys,
                                                  damage, reason):
     # paths.checkpoint may name any file: one that is no npz archive (text or
     # a single .npy array), or an npz archive of the nets whose meta is
-    # missing or not JSON
+    # missing, not JSON or without the training config
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     checkpoint = out / "checkpoints" / "final.npz"
@@ -235,13 +253,69 @@ def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsy
             np.save(fh, np.zeros(3))
     else:
         with np.load(checkpoint) as data:
-            arrays = {k: data[k] for k in data.files if k != "meta"}
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
         if damage == "meta not json":
             arrays["meta"] = np.frombuffer(b"not json", dtype=np.uint8)
+        elif damage == "no config":
+            del meta["config"]
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(checkpoint, **arrays)
     capsys.readouterr()
     assert _run(config, out, "detect") == 1
     assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mismatch", ["re-ingest", "discriminator"])
+def test_detect_with_checkpoint_of_another_width_exits_1(config, all_out, tmp_path, capsys,
+                                                         mismatch):
+    # the checkpoint was trained on 2-column windows: either the bundle is
+    # re-ingested at 3 principal components, or the discriminator reads 3
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    checkpoint = out / "checkpoints" / "final.npz"
+    if mismatch == "re-ingest":
+        config = _edited(tmp_path, [("n_components: 2", "n_components: 3")])
+        assert _run(config, out, "ingest") == 0
+        widths = "generator emits 2 and discriminator reads 2 columns, the bundle's windows have 3"
+    else:
+        model = gan.load_checkpoint(checkpoint)
+        model.discriminator = gan.build_discriminator(3, depth=1, hidden=4, rng=0)
+        gan.save_checkpoint(model, checkpoint)
+        widths = "generator emits 2 and discriminator reads 3 columns, the bundle's windows have 2"
+    capsys.readouterr()
+    assert _run(config, out, "detect") == 1
+    assert f"config error: {checkpoint}: {widths}; re-run train" in capsys.readouterr().err
+    assert (out / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
+
+
+@pytest.mark.parametrize("change, stages, edits", [
+    ("test_shift", ("ingest",), [("test_shift: 20", "test_shift: 12")]),
+    ("attack", ("synth", "ingest"), [("start: 60", "start: 120")]),
+], ids=["test-shift", "attack"])
+def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, stages, edits):
+    # detect scored one ingest's test windows; the baselines would scan
+    # another's, at another length (a new test_shift) or at the same length
+    # with other labels (a moved attack)
+    for stage in ("synth", "ingest", "train"):
+        assert _run(config, tmp_path, stage) == 0, stage
+    with pytest.warns(UserWarning, match=FEW_HOLDOUT):
+        assert _run(config, tmp_path, "detect") == 0
+    rows = len((tmp_path / "scores.csv").read_text().splitlines()) - 1
+    edited = _edited(tmp_path, edits)
+    for stage in stages:
+        assert _run(edited, tmp_path, stage) == 0, stage
+    labels = ingest.load_window_bundle(tmp_path / "bundle")[0]["test_labels"].size
+    assert (rows == labels) == (change == "attack")
+    capsys.readouterr()
+    assert _run(edited, tmp_path, "evaluate") == 1
+    assert (f"config error: {tmp_path / 'scores.csv'}: its {rows} truth rows differ from "
+            f"the bundle's {labels} test labels; re-run detect") in capsys.readouterr().err
+    assert not (tmp_path / "metrics.json").exists()
+    # the remedy the message names; a test_shift of 12 also cuts 6 holdout windows
+    with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
+        assert _run(edited, tmp_path, "detect") == 0
+    assert _run(edited, tmp_path, "evaluate") == 0
 
 
 def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):

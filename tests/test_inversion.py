@@ -25,8 +25,9 @@ def error(x, y):
 
 
 def invert_one(gen, window, cfg, seed):
-    """The inversion of one (timesteps, columns) window, alone in its stack."""
-    return invert(gen, window[None], cfg, seed)[0]
+    """The inversion of one (timesteps, columns) window, alone in its stack:
+    ``(latent, error, iterations, reconstruction)``, row 0 of each array."""
+    return tuple(a[0] for a in invert(gen, window[None], cfg, seed))
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +122,7 @@ class TestResidual:
     def test_identity_reconstruction(self):
         model = self._model(3)
         windows = self._reconstructions(model, 2)
-        _, comp_res, summed, _ = pipeline._score_windows(
+        _, _, comp_res, summed, _ = pipeline._score_windows(
             model, windows, self.NO_DESCENT, self.SEED
         )
         npt.assert_array_equal(comp_res, np.zeros((2 * self.STEPS, 3)))
@@ -131,14 +132,14 @@ class TestResidual:
         model = self._model(1)
         offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
         windows = self._reconstructions(model, 1) + offsets
-        _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT, self.SEED)
+        _, _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT, self.SEED)
         npt.assert_allclose(summed, offsets.reshape(-1), rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
         model = self._model(2)
         deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
         windows = self._reconstructions(model, 1) + deltas
-        _, comp_res, summed, _ = pipeline._score_windows(
+        _, _, comp_res, summed, _ = pipeline._score_windows(
             model, windows, self.NO_DESCENT, self.SEED
         )
         npt.assert_allclose(comp_res, np.abs(deltas), rtol=0, atol=1e-15)
@@ -148,8 +149,10 @@ class TestResidual:
         model = self._model(4)
         windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
         cfg = settings(max_iterations=3, restarts=2)
-        results, comp_res, summed, disc = pipeline._score_windows(model, windows, cfg, self.SEED)
-        assert len(results) == 3
+        errors, iterations, comp_res, summed, disc = pipeline._score_windows(
+            model, windows, cfg, self.SEED
+        )
+        assert errors.shape == iterations.shape == (3,)
         assert np.all(comp_res >= 0.0)
         npt.assert_array_equal(summed, comp_res.sum(axis=1))
         assert disc.shape == summed.shape == (3 * self.STEPS,)
@@ -166,28 +169,31 @@ class TestInvert:
         z_star = gan.sample_latent(1, 8, 4, rng=100)
         target = generate(toy_generator, z_star)[0]
         cfg = settings(max_iterations=200, learning_rate=0.2)
-        result = invert_one(toy_generator, target, cfg, 0)
-        assert result.error < 0.05
-        assert result.iterations <= 200
+        _, err, iterations, _ = invert_one(toy_generator, target, cfg, 0)
+        assert err < 0.05
+        assert iterations <= 200
 
     def test_zero_iteration_budget_returns_initial_sample(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
-        result = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 5)
-        assert result.iterations == 0
+        latent, _, iterations, _ = invert_one(
+            toy_generator, target, settings(max_iterations=0, restarts=1), 5
+        )
+        assert iterations == 0
         z0 = np.random.default_rng(5).standard_normal((8, 4))
-        npt.assert_array_equal(result.latent, z0)
+        npt.assert_array_equal(latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
-        result = invert_one(toy_generator, target, settings(max_iterations=30), 1)
-        regenerated = generate(toy_generator, result.latent[None])[0]
-        npt.assert_array_equal(result.reconstruction, regenerated)
+        latent, _, _, reconstruction = invert_one(toy_generator, target,
+                                                  settings(max_iterations=30), 1)
+        regenerated = generate(toy_generator, latent[None])[0]
+        npt.assert_array_equal(reconstruction, regenerated)
 
     def test_seed_stability(self, toy_generator):
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
         errors = []
         for seed in (11, 12):
-            errors.append(invert_one(toy_generator, target, settings(max_iterations=200), seed).error)
+            errors.append(invert_one(toy_generator, target, settings(max_iterations=200), seed)[1])
         assert abs(errors[0] - errors[1]) < 0.05
 
     def test_deterministic_given_seed(self, toy_generator):
@@ -195,15 +201,15 @@ class TestInvert:
         cfg = settings(max_iterations=50)
         a = invert_one(toy_generator, target, cfg, 3)
         b = invert_one(toy_generator, target, cfg, 3)
-        npt.assert_array_equal(a.latent, b.latent)
-        assert a.error == b.error
+        npt.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
 
     def test_descent_never_increases_error(self, toy_generator):
         # each row keeps the lowest-error latent it visits, the start included
         target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
-        start = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 9)
-        finish = invert_one(toy_generator, target, settings(max_iterations=60, restarts=1), 9)
-        assert finish.error <= start.error
+        start = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 9)[1]
+        finish = invert_one(toy_generator, target, settings(max_iterations=60, restarts=1), 9)[1]
+        assert finish <= start
 
     def test_window_shape_validation(self, toy_generator):
         with pytest.raises(ValueError, match="columns"):
@@ -262,9 +268,11 @@ class TestBatchedRestarts:
         errors = [error(target, generate(toy_generator, z[None])[0]) for z in draws]
         best = int(np.argmin(errors))
         assert len(set(errors)) == 3
-        result = invert_one(toy_generator, target, settings(max_iterations=0, restarts=3), 13)
-        npt.assert_array_equal(result.latent, draws[best])
-        assert (result.error, result.iterations) == (errors[best], 0)
+        latent, err, iterations, _ = invert_one(
+            toy_generator, target, settings(max_iterations=0, restarts=3), 13
+        )
+        npt.assert_array_equal(latent, draws[best])
+        assert (err, iterations) == (errors[best], 0)
 
 
 class TestWindowStack:
@@ -287,23 +295,23 @@ class TestWindowStack:
         return np.concatenate([windows, noise]).astype(np.float64)
 
     def test_rows_match_solo_inversions(self, toy_generator, stack):
-        results = invert(toy_generator, stack, self.CFG, self.SEED)
-        iterations = [r.iterations for r in results]
+        _, errors, iterations, _ = invert(toy_generator, stack, self.CFG, self.SEED)
         budget = self.CFG["max_iterations"]
         assert iterations[0] == 0 and budget in iterations
-        stopped = {n for n, r in zip(iterations, results)
-                   if 0 < n < budget and r.error <= self.CFG["tolerance"]}
+        stopped = {n for n, e in zip(iterations.tolist(), errors)
+                   if 0 < n < budget and e <= self.CFG["tolerance"]}
         assert len(stopped) >= 2, iterations
-        for i, result in enumerate(results):
-            solo = invert_one(toy_generator, stack[i], self.CFG, self.SEED + i)
-            assert result.iterations == solo.iterations, i
-            assert result.error == pytest.approx(solo.error, abs=1e-6), i
+        for i in range(len(stack)):
+            _, solo_error, solo_iterations, _ = invert_one(toy_generator, stack[i], self.CFG,
+                                                           self.SEED + i)
+            assert iterations[i] == solo_iterations, i
+            assert errors[i] == pytest.approx(solo_error, abs=1e-6), i
 
     def test_more_iterations_never_raise_an_error(self, toy_generator, stack):
         # a larger budget runs the same trajectories further, and each row
         # keeps the lowest-error latent it visits
-        errors = {n: [r.error for r in invert(toy_generator, stack,
-                                              settings(max_iterations=n, restarts=2), self.SEED)]
+        errors = {n: invert(toy_generator, stack, settings(max_iterations=n, restarts=2),
+                            self.SEED)[1]
                   for n in (0, 10, 50)}
         for i in range(len(stack)):
             assert errors[50][i] <= errors[10][i] + 1e-6, i
@@ -311,22 +319,22 @@ class TestWindowStack:
 
     def test_no_descent_takes_the_best_of_each_windows_draws(self, toy_generator, stack):
         restarts = 3
-        results = invert(toy_generator, stack, settings(max_iterations=0, restarts=restarts),
-                         self.SEED)
-        for i, result in enumerate(results):
+        latents, _, iterations, _ = invert(
+            toy_generator, stack, settings(max_iterations=0, restarts=restarts), self.SEED
+        )
+        npt.assert_array_equal(iterations, np.zeros(len(stack)))
+        for i in range(len(stack)):
             draws = np.random.default_rng(self.SEED + i).standard_normal((restarts, 8, 4))
             errors = objective(np.repeat(stack[i][None], restarts, axis=0),
                                generate(toy_generator, draws))[0]
-            npt.assert_array_equal(result.latent, draws[int(np.argmin(errors))])
-            assert result.iterations == 0
+            npt.assert_array_equal(latents[i], draws[int(np.argmin(errors))])
 
     def test_reconstructions_come_from_one_pass_over_the_winners(self, toy_generator, stack):
-        results = invert(toy_generator, stack, settings(max_iterations=5, restarts=2), 1)
-        recons = generate(toy_generator, np.stack([r.latent for r in results]))
-        errors = objective(stack, recons)[0]
-        for i, result in enumerate(results):
-            npt.assert_array_equal(result.reconstruction, recons[i])
-            assert result.error == errors[i]
+        latents, errors, _, recons = invert(toy_generator, stack,
+                                            settings(max_iterations=5, restarts=2), 1)
+        regenerated = generate(toy_generator, latents)
+        npt.assert_array_equal(recons, regenerated)
+        npt.assert_array_equal(errors, objective(stack, regenerated)[0])
 
     def test_row_cap_splits_the_descent_only(self, toy_generator, stack, monkeypatch):
         # three restarts at two rows per batch also split a window's restarts
@@ -334,13 +342,13 @@ class TestWindowStack:
         whole = invert(toy_generator, stack, cfg, self.SEED)
         monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", 2)
         split = invert(toy_generator, stack, cfg, self.SEED)
-        for a, b in zip(whole, split, strict=True):
-            assert a.iterations == b.iterations
-            assert a.error == pytest.approx(b.error, abs=1e-6)
-            npt.assert_allclose(a.reconstruction, b.reconstruction, rtol=0, atol=1e-6)
+        npt.assert_array_equal(whole[2], split[2])
+        npt.assert_allclose(whole[1], split[1], rtol=0, atol=1e-6)
+        npt.assert_allclose(whole[3], split[3], rtol=0, atol=1e-6)
 
     def test_empty_stack(self, toy_generator):
-        assert invert(toy_generator, np.zeros((0, 8, 3)), self.CFG, 0) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            invert(toy_generator, np.zeros((0, 8, 3)), self.CFG, 0)
 
     def test_diverged_window_is_named(self, toy_generator, stack, monkeypatch):
         # every restart of window 3 gets a nan gradient; the others stay finite
@@ -362,10 +370,11 @@ def test_invert_many_matches_serial(toy_generator):
     # the stack descends at batch 3 and a solo window at batch 1
     windows = generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
     cfg = settings(max_iterations=25, restarts=1)
-    many = invert_many(toy_generator, windows, cfg, 42)
-    assert len(many) == 3
-    for i, result in enumerate(many):
-        single = invert_one(toy_generator, windows[i], cfg, 42 + i)
-        assert result.iterations == single.iterations
-        assert result.error == pytest.approx(single.error, abs=1e-6)
-        npt.assert_allclose(result.latent, single.latent, rtol=0, atol=1e-5)
+    latents, errors, iterations, recons = invert_many(toy_generator, windows, cfg, 42)
+    assert (latents.shape, errors.shape, iterations.shape, recons.shape) == (
+        (3, 8, 4), (3,), (3,), (3, 8, 3))
+    for i in range(3):
+        latent, err, steps, _ = invert_one(toy_generator, windows[i], cfg, 42 + i)
+        assert iterations[i] == steps
+        assert errors[i] == pytest.approx(err, abs=1e-6)
+        npt.assert_allclose(latents[i], latent, rtol=0, atol=1e-5)
