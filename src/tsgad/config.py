@@ -2,20 +2,23 @@
 
 Validation failures point at the offending key with its line number in the
 source file.  ``SCHEMA`` is the one place that holds each setting's default
-and range; the stages read the validated sections it produces.
+and range, the entries of the ``synth.variables`` and ``synth.attacks``
+lists included: each entry's ``kind`` picks its fields from a :class:`Kinds`
+mapping.  The stages read the validated sections it produces;
+:func:`tsgad.synthetic.check_scenario` adds the checks that span entries.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import yaml
 
-from .synthetic import AttackSpec, CoupledSensor, ScenarioSpec, SineSensor, SquareActuator
+from .synthetic import check_scenario
 
 LINE_KEY = "__lines__"
 
@@ -57,6 +60,9 @@ def _strip_lines(obj):
 
 
 class Field:
+    """One setting: its type, its default (``...`` when it has to be given)
+    and an optional range check, described by ``expect`` in errors."""
+
     def __init__(self, kind, default=None, check=None, expect=""):
         self.kind = kind
         self.default = default
@@ -86,6 +92,20 @@ def _unit_closed(x):
 
 def _binary_labels(mapping):
     return all(type(v) is int and v in (0, 1) for v in mapping.values())
+
+
+class Kinds(dict):
+    """A list setting whose entries are mappings tagged with a ``kind``: maps
+    each kind to the field schema of its entries."""
+
+
+_NAME = Field((str, type(None)), None)  # a column name; unset means v<index>_<kind>
+_PERIOD = Field(float, ..., _positive, "positive number")
+_ATTACK = {
+    "target": Field(int, ...),
+    "start": Field(int, ..., _non_negative, "non-negative integer"),
+    "duration": Field(int, ..., _positive, "positive integer"),
+}
 
 
 SCHEMA: dict = {
@@ -147,8 +167,36 @@ SCHEMA: dict = {
         "train_duration": Field(int, 4000, _positive, "positive integer"),
         "test_duration": Field(int, 2000, _positive, "positive integer"),
         "noise_sigma": Field(float, 0.1, _non_negative, "non-negative number"),
-        "variables": Field(list, []),
-        "attacks": Field(list, []),
+        "variables": Kinds(
+            sine={
+                "period": _PERIOD,
+                "amplitude": Field(float, 1.0),
+                "phase": Field(float, 0.0),
+                "name": _NAME,
+            },
+            square={
+                "period": _PERIOD,
+                "duty_cycle": Field(float, 0.5, _unit_open, "number strictly in (0, 1)"),
+                "low": Field(float, 0.0),
+                "high": Field(float, 1.0),
+                "name": _NAME,
+            },
+            # mirrors an earlier variable, ``source``, read ``delay`` rows late
+            coupled={
+                "source": Field(int, ...),
+                "gain": Field(float, 1.0),
+                "delay": Field(int, 0, _non_negative, "non-negative integer"),
+                "offset": Field(float, 0.0),
+                "name": _NAME,
+            },
+        ),
+        # each attack acts on rows [start, start + duration) of its target;
+        # a stuck sensor repeats its reading at start, so it has no magnitude
+        "attacks": Kinds(
+            mean_shift={**_ATTACK, "magnitude": Field(float, 0.0)},
+            spike={**_ATTACK, "magnitude": Field(float, 0.0)},
+            stuck_value=_ATTACK,
+        ),
     },
 }
 
@@ -171,6 +219,8 @@ def _check_value(value, field: Field, path: str, line: str) -> object:
         raise ConfigError(
             f"{line}{path}: expected {_type_name(kind)}, got {type(value).__name__} ({value!r})"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{line}{path}: expected a finite number, got {value!r}")
     if field.check is not None and value is not None and not field.check(value):
         raise ConfigError(f"{line}{path}: expected {field.expect}, got {value!r}")
     return value
@@ -182,6 +232,20 @@ def _where(raw: dict, key: str, source: str) -> str:
     return f"{source}:{lines[key]}: " if key in lines else ""
 
 
+def _validate_entry(entry, kinds: Kinds, path: str, source: str, line: str) -> dict:
+    """One kind-tagged list entry, checked against the schema of its kind."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{line}{path}: expected a mapping, got {type(entry).__name__}")
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(
+            f"{_where(entry, 'kind', source) or line}{path}.kind: expected one of "
+            f"{sorted(kinds)}, got {kind!r}"
+        )
+    fields = {k: v for k, v in entry.items() if k != "kind"}
+    return {"kind": kind, **_validate(fields, kinds[kind], path + ".", source)}
+
+
 def _validate(raw: dict, schema: dict, path: str, source: str) -> dict:
     out = {}
     for key in raw:
@@ -191,14 +255,27 @@ def _validate(raw: dict, schema: dict, path: str, source: str) -> dict:
             raise ConfigError(f"{_where(raw, key, source)}unknown key {path}{key}")
     for key, spec in schema.items():
         dotted = f"{path}{key}"
-        if isinstance(spec, dict):
+        line = _where(raw, key, source)
+        if isinstance(spec, Kinds):
+            entries = raw.get(key, [])
+            if not isinstance(entries, list):
+                raise ConfigError(f"{line}{dotted}: expected a list of mappings")
+            out[key] = [
+                _validate_entry(entry, spec, f"{dotted}[{i}]", source, line)
+                for i, entry in enumerate(entries)
+            ]
+        elif isinstance(spec, dict):
             sub = raw.get(key, {})
             if not isinstance(sub, dict):
-                raise ConfigError(f"{_where(raw, key, source)}{dotted}: expected a mapping")
+                raise ConfigError(f"{line}{dotted}: expected a mapping")
             out[key] = _validate(sub, spec, dotted + ".", source)
         elif key in raw:
-            value = _strip_lines(raw[key])
-            out[key] = _check_value(value, spec, dotted, _where(raw, key, source))
+            out[key] = _check_value(_strip_lines(raw[key]), spec, dotted, line)
+        elif spec.default is ...:
+            # a missing key has no line; point at the mapping that lacks it
+            lines = raw.get(LINE_KEY)
+            where = f"{source}:{min(lines.values())}: " if lines else ""
+            raise ConfigError(f"{where}{dotted}: required, not given")
         else:
             out[key] = copy.deepcopy(spec.default)
     return out
@@ -223,9 +300,13 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
                 f"{_where(ing, key, source)}ingest.{name} {value} is not a multiple "
                 f"of ingest.downsample_factor {factor}"
             )
-    if cfg["synth"]["enabled"]:
-        # construct the scenario spec now so errors surface at load time
-        scenario_spec(cfg, which="test")
+    synth = cfg["synth"]
+    if synth["enabled"]:
+        # the test run has every attack and is the one they must fit in
+        try:
+            check_scenario(synth["variables"], synth["attacks"], synth["test_duration"])
+        except ValueError as exc:
+            raise ConfigError(f"synth: {exc}") from None
     return cfg
 
 
@@ -250,58 +331,3 @@ def config_hash(cfg: dict) -> str:
     canonical = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-
-_VARIABLE_KINDS = {"sine": SineSensor, "square": SquareActuator, "coupled": CoupledSensor}
-
-
-def _parse_entry(cls, entry: dict, where: str):
-    """Build the dataclass ``cls`` from a scenario entry, refusing any field
-    it does not declare; ``where`` names the entry in errors."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    unknown = set(entry) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    try:
-        return cls(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse_variable(entry: dict, index: int):
-    where = f"synth.variables[{index}]"
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(f"{where}: expected a mapping with a 'kind'")
-    kind = entry["kind"]
-    if not isinstance(kind, str) or kind not in _VARIABLE_KINDS:
-        raise ConfigError(
-            f"{where}: unknown kind {kind!r} (expected one of {sorted(_VARIABLE_KINDS)})"
-        )
-    params = {k: v for k, v in entry.items() if k != "kind"}
-    return _parse_entry(_VARIABLE_KINDS[kind], params, where)
-
-
-def scenario_spec(cfg: dict, which: str) -> ScenarioSpec:
-    """Build the normal-run ('train') or attacked-run ('test') scenario."""
-    s = cfg["synth"]
-    if not s["variables"]:
-        raise ConfigError("synth.variables: at least one variable is required")
-    variables = [_parse_variable(v, i) for i, v in enumerate(s["variables"])]
-    if which == "train":
-        duration, attacks, seed = s["train_duration"], [], cfg["seed"]
-    else:
-        duration = s["test_duration"]
-        attacks = [
-            _parse_entry(AttackSpec, a, f"synth.attacks[{i}]") for i, a in enumerate(s["attacks"])
-        ]
-        seed = cfg["seed"] + 1  # fresh noise realization for the test stream
-    try:
-        return ScenarioSpec(
-            duration=duration,
-            variables=variables,
-            noise_sigma=s["noise_sigma"],
-            attacks=attacks,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"synth: {exc}") from None

@@ -37,13 +37,16 @@ class GanModel:
 
     Each ``history`` record is a dict of floats: the epoch's mean ``d_loss``
     and ``g_loss`` and the ``mmd`` measured after it.  ``len(history)`` is
-    the number of completed epochs.
+    the number of completed epochs.  ``windows_sha256`` is the SHA-256 of
+    the window bundle's ``windows.npz`` the pair was trained on, which
+    :func:`tsgad.pipeline.run_train` sets.
     """
 
     generator: lstm.StackedLstm
     discriminator: lstm.StackedLstm
     config: dict  # the gan config section plus sequence_length and seed
     history: list[dict] = field(default_factory=list)
+    windows_sha256: str | None = None
 
 
 def build_generator(
@@ -255,7 +258,7 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
 
     Parameters are stored in their training dtype, and ``load_checkpoint``
     keeps it, so a float64 checkpoint still runs in float64.  The meta's
-    ``history`` key holds the records of ``GanModel.history``.
+    ``history`` and ``windows_sha256`` keys hold those fields of the model.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,6 +268,7 @@ def save_checkpoint(model: GanModel, path: str | Path) -> None:
         "format_version": 1,
         "config": model.config,
         "history": model.history,
+        "windows_sha256": model.windows_sha256,
     }
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
@@ -275,8 +279,9 @@ def load_checkpoint(path: str | Path) -> GanModel:
     A file :func:`save_checkpoint` would not write is refused with a
     :class:`ConfigError` naming ``path``: no npz archive, no ``meta`` array
     or one that holds no JSON object, another version, an array under
-    another prefix, meta without ``config`` or ``history`` or arrays that
-    form no stack.
+    another prefix, meta without ``config``, ``history`` or
+    ``windows_sha256``, arrays that form no stack or a discriminator that
+    reads another width than the generator emits.
     """
     if not zipfile.is_zipfile(path):
         raise ConfigError(f"{path}: not an npz archive")
@@ -295,7 +300,7 @@ def load_checkpoint(path: str | Path) -> GanModel:
     foreign = sorted(k for k in arrays if not k.startswith(("gen_", "disc_")))
     if foreign:
         raise ConfigError(f"{path}: arrays outside gen_*/disc_*: {foreign}")
-    for key in ("config", "history"):
+    for key in ("config", "history", "windows_sha256"):
         if key not in meta:
             raise ConfigError(f"{path}: meta has no {key}")
 
@@ -306,9 +311,10 @@ def load_checkpoint(path: str | Path) -> GanModel:
         except ValueError as exc:
             raise ConfigError(f"{path}: {prefix}* arrays: {exc}") from None
 
-    return GanModel(
-        generator=net("gen_", "tanh"),
-        discriminator=net("disc_", "sigmoid"),
-        config=meta["config"],
-        history=meta["history"],
-    )
+    gen, disc = net("gen_", "tanh"), net("disc_", "sigmoid")
+    if gen.output_size != disc.input_size:
+        raise ConfigError(
+            f"{path}: generator emits {gen.output_size} and discriminator reads "
+            f"{disc.input_size} columns"
+        )
+    return GanModel(gen, disc, meta["config"], meta["history"], meta["windows_sha256"])

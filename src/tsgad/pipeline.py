@@ -8,6 +8,7 @@ byte-identical outputs in any output directory.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import warnings
 from itertools import zip_longest
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
-from .config import ConfigError, config_hash, scenario_spec
+from .config import ConfigError, config_hash
 from .synthetic import DECIMALS, generate_scenario
 
 # below this many holdout windows, one window can set the residual scale and every threshold
@@ -90,8 +91,14 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
     if not cfg["synth"]["enabled"]:
         raise ConfigError("synth.enabled is false; nothing to generate")
     train_csv, test_csv = _csv_paths(cfg)
-    save_scenario_csv(*generate_scenario(scenario_spec(cfg, "train")), train_csv)
-    save_scenario_csv(*generate_scenario(scenario_spec(cfg, "test")), test_csv)
+    s, seed = cfg["synth"], cfg["seed"]
+    train = generate_scenario(s["variables"], [], s["train_duration"], s["noise_sigma"], seed)
+    save_scenario_csv(*train, train_csv)
+    # a fresh noise realization for the test stream
+    test = generate_scenario(
+        s["variables"], s["attacks"], s["test_duration"], s["noise_sigma"], seed + 1
+    )
+    save_scenario_csv(*test, test_csv)
     return train_csv, test_csv
 
 
@@ -188,11 +195,18 @@ def run_ingest(cfg: dict) -> Path:
     return bundle
 
 
+def _windows_sha256(cfg: dict) -> str:
+    """SHA-256 of the bundle's ``windows.npz``: the checkpoint records the one
+    it was trained on, so that detect refuses another bundle."""
+    return hashlib.sha256((_bundle_dir(cfg) / "windows.npz").read_bytes()).hexdigest()
+
+
 def run_train(cfg: dict) -> Path:
     """Train the adversarial pair on the bundled training windows."""
     train_windows = ingest.load_window_bundle(_bundle_dir(cfg))[0]["train_windows"]
     checkpoint = _checkpoint_path(cfg)
     model = gan.train(cfg["gan"], train_windows, cfg["seed"])
+    model.windows_sha256 = _windows_sha256(cfg)
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
@@ -236,8 +250,10 @@ def run_detect(cfg: dict) -> Path:
     on the combined score and each variable's threshold in
     ``per_variable_flags.csv`` are taken from the scores of those normal
     windows, so that about ``scoring.target_fpr`` of them would be flagged.
-    A checkpoint whose networks take another window width than the bundle's
-    is refused.  Besides the threshold and the residual scale,
+    A checkpoint trained on another bundle's windows is refused: its
+    ``windows_sha256`` must be the digest of the bundle's ``windows.npz``
+    (the config hash would not do, as a changed CSV re-ingested under the
+    same config keeps it).  Besides the threshold and the residual scale,
     ``detect_manifest.json`` records how well the generator reconstructs
     those normal windows: ``holdout_error_median``, the median of their
     inversion errors, and ``holdout_iterations_mean``, the mean of their
@@ -250,12 +266,11 @@ def run_detect(cfg: dict) -> Path:
     if not checkpoint.is_file():
         raise ConfigError(f"{checkpoint} not found; run train first")
     model = gan.load_checkpoint(checkpoint)
-    width = arrays["test_windows"].shape[2]
-    nets = model.generator.output_size, model.discriminator.input_size
-    if nets != (width, width):
+    digest = _windows_sha256(cfg)
+    if model.windows_sha256 != digest:
         raise ConfigError(
-            f"{checkpoint}: generator emits {nets[0]} and discriminator reads {nets[1]} "
-            f"columns, the bundle's windows have {width}; re-run train"
+            f"{checkpoint}: trained on windows.npz with sha256 {model.windows_sha256}, "
+            f"the bundle's has {digest}; re-run train"
         )
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
     inv = cfg["inversion"]

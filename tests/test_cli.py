@@ -1,6 +1,7 @@
 """End-to-end runs of the CLI on a tiny synthetic plant (a few seconds each)."""
 
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -237,12 +238,14 @@ def test_detect_with_refused_checkpoint_exits_1(config, all_out, tmp_path, capsy
     ("no meta", "no meta array"),
     ("meta not json", "meta is not a JSON object"),
     ("no config", "meta has no config"),
+    ("no windows digest", "meta has no windows_sha256"),
 ])
 def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsys,
                                                  damage, reason):
     # paths.checkpoint may name any file: one that is no npz archive (text or
     # a single .npy array), or an npz archive of the nets whose meta is
-    # missing, not JSON or without the training config
+    # missing, not JSON, or without the training config or the digest of the
+    # windows it was trained on
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     checkpoint = out / "checkpoints" / "final.npz"
@@ -257,8 +260,8 @@ def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsy
         meta = json.loads(bytes(arrays.pop("meta")).decode())
         if damage == "meta not json":
             arrays["meta"] = np.frombuffer(b"not json", dtype=np.uint8)
-        elif damage == "no config":
-            del meta["config"]
+        elif damage != "no meta":
+            del meta["config" if damage == "no config" else "windows_sha256"]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(checkpoint, **arrays)
     capsys.readouterr()
@@ -266,27 +269,60 @@ def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsy
     assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("mismatch", ["re-ingest", "discriminator"])
 def test_detect_with_checkpoint_of_another_width_exits_1(config, all_out, tmp_path, capsys,
                                                          mismatch):
     # the checkpoint was trained on 2-column windows: either the bundle is
-    # re-ingested at 3 principal components, or the discriminator reads 3
+    # re-ingested at 3 principal components, so it holds other windows than
+    # the checkpoint was trained on, or the discriminator reads 3
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     checkpoint = out / "checkpoints" / "final.npz"
     if mismatch == "re-ingest":
+        trained_on = _sha256(out / "bundle" / "windows.npz")
         config = _edited(tmp_path, [("n_components: 2", "n_components: 3")])
         assert _run(config, out, "ingest") == 0
-        widths = "generator emits 2 and discriminator reads 2 columns, the bundle's windows have 3"
+        reason = (f"trained on windows.npz with sha256 {trained_on}, the bundle's has "
+                  f"{_sha256(out / 'bundle' / 'windows.npz')}; re-run train")
     else:
         model = gan.load_checkpoint(checkpoint)
         model.discriminator = gan.build_discriminator(3, depth=1, hidden=4, rng=0)
         gan.save_checkpoint(model, checkpoint)
-        widths = "generator emits 2 and discriminator reads 3 columns, the bundle's windows have 2"
+        reason = "generator emits 2 and discriminator reads 3 columns"
     capsys.readouterr()
     assert _run(config, out, "detect") == 1
-    assert f"config error: {checkpoint}: {widths}; re-run train" in capsys.readouterr().err
+    assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err
     assert (out / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
+
+
+def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
+        all_out, tmp_path, capsys):
+    # trimming training rows refits the normalization and the principal
+    # components: the windows keep their 2 columns, but the checkpoint was
+    # trained on others, and the config hash alone would not tell
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    windows = out / "bundle" / "windows.npz"
+    trained_on = _sha256(windows)
+    config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
+                                 "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
+    assert _run(config, out, "ingest") == 0
+    arrays = ingest.load_window_bundle(out / "bundle")[0]
+    assert arrays["test_windows"].shape[2] == 2
+    capsys.readouterr()
+    assert _run(config, out, "detect") == 1
+    checkpoint = out / "checkpoints" / "final.npz"
+    assert (f"config error: {checkpoint}: trained on windows.npz with sha256 {trained_on}, "
+            f"the bundle's has {_sha256(windows)}; re-run train") in capsys.readouterr().err
+    assert (out / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
+    # the remedy the message names
+    assert _run(config, out, "train") == 0
+    with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
+        assert _run(config, out, "detect") == 0
 
 
 @pytest.mark.parametrize("change, stages, edits", [
@@ -312,7 +348,12 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     assert (f"config error: {tmp_path / 'scores.csv'}: its {rows} truth rows differ from "
             f"the bundle's {labels} test labels; re-run detect") in capsys.readouterr().err
     assert not (tmp_path / "metrics.json").exists()
-    # the remedy the message names; a test_shift of 12 also cuts 6 holdout windows
+    # the remedy the message names, after the one detect names for the
+    # checkpoint trained on the first ingest's windows; a test_shift of 12
+    # also cuts 6 holdout windows
+    assert _run(edited, tmp_path, "detect") == 1
+    assert "re-run train" in capsys.readouterr().err
+    assert _run(edited, tmp_path, "train") == 0
     with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
         assert _run(edited, tmp_path, "detect") == 0
     assert _run(edited, tmp_path, "evaluate") == 0
@@ -474,7 +515,7 @@ def test_unknown_attack_field_exits_1_at_load(tmp_path, capsys):
     config.write_text(TINY_CONFIG.replace("magnitude: 5.0", "magnitud: 5.0"))
     out = tmp_path / "out"
     assert _run(config, out, "all") == 1
-    assert "synth.attacks[0]: unknown fields ['magnitud']" in capsys.readouterr().err
+    assert f"{config}:31: unknown key synth.attacks[0].magnitud" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -490,10 +531,11 @@ def _edited(tmp_path, edits):
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([("{kind: sine,", "{kind: [sine],")], "synth.variables[0]: unknown kind ['sine']"),
-    ([("period: 30.0", "period: 0.0")], "synth.variables[0]: period must be positive"),
-    ([("period: 30.0", "period: -30.0")], "synth.variables[0]: period must be positive"),
-    ([("period: 40.0", "period: 0.0")], "synth.variables[1]: period must be positive"),
+    ([("{kind: sine,", "{kind: [sine],")],
+     ":27: synth.variables[0].kind: expected one of ['coupled', 'sine', 'square'], got ['sine']"),
+    ([("period: 30.0", "period: 0.0")], ":27: synth.variables[0].period: expected positive number"),
+    ([("period: 30.0", "period: -30.0")], ":27: synth.variables[0].period: expected positive number"),
+    ([("period: 40.0", "period: 0.0")], ":28: synth.variables[1].period: expected positive number"),
     ([("name: MV101", "name: LIT101")], "synth: column names ['LIT101'] are used twice"),
     ([("name: MV101", "name: label")], "synth: column names ['label'] are used twice"),
     ([("name: MV101", "name: timestamp")], "synth: column names ['timestamp'] are used twice"),
@@ -501,9 +543,32 @@ def _edited(tmp_path, edits):
     # an unnamed variable takes its default name, v<index>_<kind>
     ([("name: LIT101", "name: v1_act"), (", name: MV101", "")],
      "synth: column names ['v1_act'] are used twice"),
+    ([("amplitude: 1.0", "amplitude: abc")],
+     ":27: synth.variables[0].amplitude: expected float, got str ('abc')"),
+    ([("source: 0,", "source: 0.0,")],
+     ":29: synth.variables[2].source: expected int, got float (0.0)"),
+    ([("target: 0,", "target: 1.5,")], ":31: synth.attacks[0].target: expected int, got float (1.5)"),
+    ([("magnitude: 5.0", "magnitude: null")],
+     ":31: synth.attacks[0].magnitude: expected float, got NoneType (None)"),
+    ([("duty_cycle: 0.5,", "duty_cycle: 0.5, low: null,")],
+     ":28: synth.variables[1].low: expected float, got NoneType (None)"),
+    ([("delay: 2,", "delay: 2.5,")], ":29: synth.variables[2].delay: expected int, got float (2.5)"),
+    ([("name: MV101", "name: 5")], ":28: synth.variables[1].name: expected str or null, got int (5)"),
+    ([("start: 60,", "start: true,")], ":31: synth.attacks[0].start: expected int, got boolean"),
+    ([("period: 30.0", "period: .inf")],
+     ":27: synth.variables[0].period: expected a finite number, got inf"),
+    ([("amplitude: 1.0", "amplitude: .nan")],
+     ":27: synth.variables[0].amplitude: expected a finite number, got nan"),
+    ([("gain: 0.8", "gain: -.inf")], ":29: synth.variables[2].gain: expected a finite number, got -inf"),
+    ([("period: 30.0, ", "")], ":27: synth.variables[0].period: required, not given"),
+    # a stuck sensor repeats its start reading, so a magnitude would be ignored
+    ([("kind: mean_shift", "kind: stuck_value")], ":31: unknown key synth.attacks[0].magnitude"),
 ], ids=["kind-list", "sine-period-0", "sine-period-negative", "square-period-0",
         "repeated-name", "name-label", "name-timestamp", "name-index",
-        "repeated-default-name"])
+        "repeated-default-name", "amplitude-string", "source-float", "target-float",
+        "magnitude-null", "low-null", "delay-float", "name-int", "start-boolean",
+        "period-inf", "amplitude-nan", "gain-negative-inf", "period-missing",
+        "stuck-magnitude"])
 def test_bad_synth_variable_exits_1_at_load(edits, message, tmp_path, capsys):
     config = _edited(tmp_path, edits)
     assert _run(config, tmp_path, "synth") == 1

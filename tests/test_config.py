@@ -1,13 +1,15 @@
+import numpy.testing as npt
 import pytest
 
 from tsgad.config import (
     ConfigError,
     config_hash,
     load_config,
-    scenario_spec,
     validate_config,
 )
-from tsgad.synthetic import CoupledSensor, SineSensor
+from tsgad.ingest import load_csv
+from tsgad.pipeline import run_synth
+from tsgad.synthetic import generate_scenario
 
 
 def test_defaults_carry_paper_scale_preprocessing():
@@ -97,38 +99,64 @@ def test_hash_stable_and_sensitive():
     assert config_hash(moved) == config_hash(a)
 
 
-def test_scenario_spec_builders():
-    cfg = validate_config(
-        {
-            "seed": 5,
-            "synth": {
-                "enabled": True,
-                "train_duration": 500,
-                "test_duration": 300,
-                "variables": [
-                    {"kind": "sine", "period": 40.0},
-                    {"kind": "coupled", "source": 0, "gain": 2.0, "delay": 3},
-                ],
-                "attacks": [
-                    {"kind": "mean_shift", "target": 0, "start": 50,
-                     "duration": 30, "magnitude": 1.0},
-                ],
-            },
-        }
-    )
-    train = scenario_spec(cfg, "train")
-    test = scenario_spec(cfg, "test")
-    assert train.duration == 500 and train.attacks == []
-    assert test.duration == 300 and len(test.attacks) == 1
-    assert train.seed == 5 and test.seed == 6
-    assert isinstance(train.variables[0], SineSensor)
-    assert isinstance(train.variables[1], CoupledSensor)
+SCENARIO = {
+    "enabled": True,
+    "train_duration": 500,
+    "test_duration": 300,
+    "variables": [
+        {"kind": "sine", "period": 40.0},
+        {"kind": "coupled", "source": 0, "gain": 2.0, "delay": 3},
+    ],
+    "attacks": [
+        {"kind": "mean_shift", "target": 0, "start": 50, "duration": 30, "magnitude": 1.0},
+        {"kind": "stuck_value", "target": 1, "start": 100, "duration": 20},
+    ],
+}
+
+
+def test_scenario_entries_carry_their_kinds_defaults():
+    synth = validate_config({"synth": SCENARIO})["synth"]
+    assert synth["variables"] == [
+        {"kind": "sine", "period": 40.0, "amplitude": 1.0, "phase": 0.0, "name": None},
+        {"kind": "coupled", "source": 0, "gain": 2.0, "delay": 3, "offset": 0.0, "name": None},
+    ]
+    # a stuck sensor repeats its start reading: it has no magnitude
+    assert synth["attacks"][1] == {"kind": "stuck_value", "target": 1, "start": 100,
+                                   "duration": 20}
+
+
+def test_spelled_out_entry_defaults_hash_like_omitted_ones():
+    spelled = {**SCENARIO, "variables": [
+        {"kind": "sine", "period": 40, "amplitude": 1, "phase": 0.0, "name": None},
+        {"kind": "coupled", "source": 0, "gain": 2.0, "delay": 3, "offset": 0.0},
+    ]}
+    assert config_hash(validate_config({"synth": spelled})) == config_hash(
+        validate_config({"synth": SCENARIO}))
+    moved = {**SCENARIO, "variables": [{**SCENARIO["variables"][0], "phase": 0.5},
+                                        SCENARIO["variables"][1]]}
+    assert config_hash(validate_config({"synth": moved})) != config_hash(
+        validate_config({"synth": SCENARIO}))
+
+
+def test_run_synth_writes_the_train_run_at_seed_and_the_test_run_at_seed_plus_1(tmp_path):
+    cfg = validate_config({"seed": 5, "paths": {"out_dir": str(tmp_path)}, "synth": SCENARIO})
+    train_csv, test_csv = run_synth(cfg)
+    s = cfg["synth"]
+    runs = [(train_csv, [], s["train_duration"], 5), (test_csv, s["attacks"], s["test_duration"], 6)]
+    for path, attacks, duration, seed in runs:
+        values, labels, _ = generate_scenario(s["variables"], attacks, duration,
+                                              s["noise_sigma"], seed)
+        loaded, loaded_labels, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+        npt.assert_array_equal(loaded, values)
+        npt.assert_array_equal(loaded_labels, labels)
+    assert loaded_labels.sum() == 50
 
 
 def test_scenario_validation_errors_surface_at_load():
-    with pytest.raises(ConfigError, match="synth.variables"):
+    with pytest.raises(ConfigError, match=r"synth\.variables\[0\]\.kind: expected one of "
+                       r"\['coupled', 'sine', 'square'\], got 'fancy'"):
         validate_config({"synth": {"enabled": True, "variables": [{"kind": "fancy"}]}})
-    with pytest.raises(ConfigError, match="synth.*target 5 out of range"):
+    with pytest.raises(ConfigError, match="synth: attack target 5 out of range"):
         validate_config(
             {
                 "synth": {
@@ -139,6 +167,42 @@ def test_scenario_validation_errors_surface_at_load():
                 }
             }
         )
+    with pytest.raises(ConfigError, match="synth: at least one variable is required"):
+        validate_config({"synth": {"enabled": True}})
+
+
+def test_scenario_entries_are_checked_with_synth_disabled(tmp_path):
+    # each entry is checked against its schema whether or not synth runs; the
+    # checks that span entries run only when it does
+    path = tmp_path / "bad.yaml"
+    path.write_text("synth:\n  variables:\n    - {kind: sine, period: 5.0}\n"
+                    "    - {kind: square, amplitude: 2.0}\n")
+    with pytest.raises(ConfigError, match=r"bad.yaml:4: unknown key synth\.variables\[1\]\.amplitude"):
+        load_config(path)
+    path.write_text("synth:\n  variables:\n    - {kind: sine}\n")
+    with pytest.raises(ConfigError, match=r"bad.yaml:3: synth\.variables\[0\]\.period: "
+                       "required, not given"):
+        load_config(path)
+    path.write_text("synth:\n  variables:\n    - sine\n")
+    with pytest.raises(ConfigError, match=r"bad.yaml:2: synth\.variables\[0\]: expected a mapping, "
+                       "got str"):
+        load_config(path)
+    # an entry of a source that does not exist is caught once synth is enabled
+    path.write_text("synth:\n  variables:\n    - {kind: coupled, source: 3}\n")
+    assert load_config(path)["synth"]["variables"][0]["source"] == 3
+
+
+@pytest.mark.parametrize("key", [
+    "gan.d_learning_rate", "gan.g_learning_rate", "gan.grad_clip", "inversion.learning_rate",
+    "inversion.tolerance", "synth.noise_sigma", "scoring.lambda", "ingest.holdout_fraction",
+])
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+def test_non_finite_float_refused_with_its_line(key, value, tmp_path):
+    section, name = key.split(".")
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"seed: 1\n{section}:\n  {name}: {value}\n")
+    with pytest.raises(ConfigError, match=rf"bad.yaml:3: {key}: expected a finite number"):
+        load_config(path)
 
 
 def test_boolean_not_accepted_as_int(tmp_path):

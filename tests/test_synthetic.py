@@ -4,148 +4,143 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from tsgad.config import ConfigError, validate_config
 from tsgad.ingest import load_csv
 from tsgad.pipeline import save_scenario_csv
-from tsgad.synthetic import (
-    DECIMALS,
-    AttackSpec,
-    CoupledSensor,
-    ScenarioSpec,
-    SineSensor,
-    SquareActuator,
-    generate_scenario,
-)
+from tsgad.synthetic import DECIMALS, generate_scenario
+
+BASIC_VARIABLES = [
+    {"kind": "sine", "period": 40.0},
+    {"kind": "square", "period": 50.0, "duty_cycle": 0.4},
+    {"kind": "coupled", "source": 0, "gain": 2.0, "delay": 3},
+]
 
 
-def basic_spec(**overrides):
-    base = dict(
-        duration=200,
-        variables=[
-            SineSensor(period=40.0),
-            SquareActuator(period=50.0, duty_cycle=0.4),
-            CoupledSensor(source=0, gain=2.0, delay=3),
-        ],
-        noise_sigma=0.0,
-        attacks=[],
-        seed=1,
-    )
-    base.update(overrides)
-    return ScenarioSpec(**base)
+def plant(variables=BASIC_VARIABLES, attacks=(), duration=200, noise_sigma=0.0, seed=1):
+    """The validated ``synth`` section of a plant: its entries carry the
+    defaults of ``config.SCHEMA``, and ``check_scenario`` has passed."""
+    cfg = validate_config({"synth": {
+        "enabled": True, "test_duration": duration, "noise_sigma": noise_sigma,
+        "variables": list(variables), "attacks": list(attacks),
+    }})
+    return {**cfg["synth"], "seed": seed}
+
+
+def generate(synth):
+    """The attacked run of a validated plant."""
+    return generate_scenario(synth["variables"], synth["attacks"], synth["test_duration"],
+                             synth["noise_sigma"], synth["seed"])
+
+
+def scenario(**overrides):
+    return generate(plant(**overrides))
+
+
+def attack(kind, target, start, duration, **fields):
+    return {"kind": kind, "target": target, "start": start, "duration": duration, **fields}
 
 
 class TestGenerateScenario:
     def test_no_attacks_all_labels_zero(self):
-        values, labels, names = generate_scenario(basic_spec())
+        values, labels, names = scenario()
         assert labels.sum() == 0
         assert labels.dtype == np.int64
         assert values.shape == (200, 3)
         assert names == ["v0_sine", "v1_act", "v2_coupled"]
 
     def test_stuck_value_zeroes_variance(self):
-        spec = basic_spec(
-            noise_sigma=0.05,
-            attacks=[AttackSpec("stuck_value", target=0, start=50, duration=40)],
-        )
-        values, _, _ = generate_scenario(spec)
+        values, _, _ = scenario(noise_sigma=0.05, attacks=[attack("stuck_value", 0, 50, 40)])
         stuck = values[50:90, 0]
         assert stuck.var() == 0.0
         assert values[90:140, 0].var() > 0.0
 
     def test_stuck_value_does_not_depend_on_attack_order(self):
         # the shift covers the stuck start row, so the sensor freezes shifted
-        shift = AttackSpec("mean_shift", target=0, start=40, duration=20, magnitude=3.0)
-        stuck = AttackSpec("stuck_value", target=0, start=50, duration=30)
-        first, _, _ = generate_scenario(basic_spec(noise_sigma=0.05, attacks=[shift, stuck]))
-        last, _, _ = generate_scenario(basic_spec(noise_sigma=0.05, attacks=[stuck, shift]))
+        shift = attack("mean_shift", 0, 40, 20, magnitude=3.0)
+        stuck = attack("stuck_value", 0, 50, 30)
+        first, _, _ = scenario(noise_sigma=0.05, attacks=[shift, stuck])
+        last, _, _ = scenario(noise_sigma=0.05, attacks=[stuck, shift])
         npt.assert_array_equal(first, last)
         assert np.all(first[50:80, 0] == first[50, 0])
 
     def test_coupled_column_matches_closed_form(self):
-        spec = basic_spec()
-        values, _, _ = generate_scenario(spec)
+        values, _, _ = scenario()
         t = np.arange(200.0)
         expected = 2.0 * np.sin(2 * np.pi * (t - 3) / 40.0)
         # the reading is the closed form on the DECIMALS grid, exactly
         npt.assert_array_equal(values[:, 2], np.round(expected, DECIMALS))
 
     def test_square_wave_duty_cycle(self):
-        values, _, _ = generate_scenario(basic_spec(duration=500))
+        values, _, _ = scenario(duration=500)
         act = values[:, 1]
         assert set(np.unique(act)) == {0.0, 1.0}
         assert act.mean() == pytest.approx(0.4, abs=0.02)
 
     def test_same_seed_bitwise_identical(self):
-        spec = basic_spec(noise_sigma=0.1)
-        a, _, _ = generate_scenario(spec)
-        b, _, _ = generate_scenario(spec)
+        synth = plant(noise_sigma=0.1)
+        a, _, _ = generate(synth)
+        b, _, _ = generate(synth)
         npt.assert_array_equal(a, b)
 
     def test_label_coverage_equals_attack_union(self):
         attacks = [
-            AttackSpec("mean_shift", target=0, start=20, duration=10, magnitude=1.0),
-            AttackSpec("spike", target=1, start=25, duration=10, magnitude=2.0),
-            AttackSpec("stuck_value", target=2, start=100, duration=5),
+            attack("mean_shift", 0, 20, 10, magnitude=1.0),
+            attack("spike", 1, 25, 10, magnitude=2.0),
+            attack("stuck_value", 2, 100, 5),
         ]
-        _, labels, _ = generate_scenario(basic_spec(attacks=attacks))
+        _, labels, _ = scenario(attacks=attacks)
         expected = np.zeros(200, dtype=int)
         expected[20:35] = 1
         expected[100:105] = 1
         npt.assert_array_equal(labels, expected)
 
     def test_mean_shift_moves_interval(self):
-        spec = basic_spec(
-            attacks=[AttackSpec("mean_shift", target=0, start=40, duration=80, magnitude=5.0)]
-        )
-        shifted, _, _ = generate_scenario(spec)
-        clean, _, _ = generate_scenario(basic_spec())
+        shifted, _, _ = scenario(attacks=[attack("mean_shift", 0, 40, 80, magnitude=5.0)])
+        clean, _, _ = scenario()
         npt.assert_allclose(shifted[40:120, 0] - clean[40:120, 0], 5.0)
         npt.assert_allclose(shifted[:40, 0], clean[:40, 0])
 
     def test_spike_alternates_sign(self):
-        spec = basic_spec(
-            attacks=[AttackSpec("spike", target=0, start=10, duration=4, magnitude=3.0)]
-        )
-        diff = generate_scenario(spec)[0][10:14, 0] - generate_scenario(basic_spec())[0][10:14, 0]
+        spiked, _, _ = scenario(attacks=[attack("spike", 0, 10, 4, magnitude=3.0)])
+        diff = spiked[10:14, 0] - scenario()[0][10:14, 0]
         npt.assert_allclose(diff, [3.0, -3.0, 3.0, -3.0])
 
 
 class TestValidation:
     def test_attack_past_end(self):
-        with pytest.raises(ValueError, match="past the scenario end"):
-            basic_spec(attacks=[AttackSpec("spike", target=0, start=190, duration=20)])
+        with pytest.raises(ConfigError, match="synth: attack on variable 0 runs past the scenario end"):
+            plant(attacks=[attack("spike", 0, 190, 20)])
 
     def test_bad_target(self):
-        with pytest.raises(ValueError, match="out of range"):
-            basic_spec(attacks=[AttackSpec("spike", target=9, start=0, duration=5)])
+        with pytest.raises(ConfigError, match="synth: attack target 9 out of range"):
+            plant(attacks=[attack("spike", 9, 0, 5)])
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError, match="unknown attack kind"):
-            AttackSpec("drift", target=0, start=0, duration=5)
+        with pytest.raises(ConfigError, match=r"synth\.attacks\[0\]\.kind: expected one of "
+                           r"\['mean_shift', 'spike', 'stuck_value'\], got 'drift'"):
+            plant(attacks=[attack("drift", 0, 0, 5)])
 
     def test_overlapping_stuck_attacks_on_one_variable_rejected(self):
-        early = AttackSpec("stuck_value", target=0, start=50, duration=30)
-        late = AttackSpec("stuck_value", target=0, start=60, duration=30)
+        early = attack("stuck_value", 0, 50, 30)
+        late = attack("stuck_value", 0, 60, 30)
         for attacks in ([early, late], [late, early]):
-            with pytest.raises(ValueError, match="variable 0 overlap at rows 60-79"):
-                basic_spec(attacks=attacks)
+            with pytest.raises(ConfigError, match="synth: stuck_value attacks on variable 0 "
+                               "overlap at rows 60-79"):
+                plant(attacks=attacks)
         # back to back, or on different variables, the freezes do not interact
-        basic_spec(attacks=[early, AttackSpec("stuck_value", target=0, start=80, duration=10)])
-        basic_spec(attacks=[early, AttackSpec("stuck_value", target=1, start=60, duration=30)])
+        plant(attacks=[early, attack("stuck_value", 0, 80, 10)])
+        plant(attacks=[early, attack("stuck_value", 1, 60, 30)])
 
     def test_coupled_must_reference_earlier_variable(self):
-        with pytest.raises(ValueError, match="earlier variable"):
-            ScenarioSpec(
-                duration=10,
-                variables=[CoupledSensor(source=0), SineSensor(period=5.0)],
-            )
+        with pytest.raises(ConfigError, match="synth: variable 0: coupled source must "
+                           "reference an earlier variable"):
+            plant([{"kind": "coupled", "source": 0}, {"kind": "sine", "period": 5.0}])
 
 
 def test_csv_roundtrip_through_ingest(tmp_path):
-    spec = basic_spec(
-        noise_sigma=0.1,
-        attacks=[AttackSpec("mean_shift", target=0, start=20, duration=30, magnitude=2.0)],
+    values, labels, names = scenario(
+        noise_sigma=0.1, attacks=[attack("mean_shift", 0, 20, 30, magnitude=2.0)]
     )
-    values, labels, names = generate_scenario(spec)
     path = tmp_path / "scenario.csv"
     save_scenario_csv(values, labels, names, path)
     lines = path.read_text().splitlines()
@@ -172,48 +167,44 @@ MAGNITUDE = st.floats(-1e9, 1e9)
 
 
 @st.composite
-def scenario_specs(draw):
-    """Plants whose readings stay below 2**33 in magnitude: values and
-    magnitudes up to 1e9, coupling gains in [-1, 1], at most three couplings
-    and three attacks."""
+def plants(draw):
+    """Validated plants whose readings stay below 2**33 in magnitude: values
+    and magnitudes up to 1e9, coupling gains in [-1, 1], at most three
+    couplings and three attacks."""
     duration = draw(st.integers(1, 40))
     period = st.floats(1.0, 100.0)
     variables = []
     for i in range(draw(st.integers(1, 4))):
-        kinds = ["sine", "square"] + (["coupled"] if i else [])
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(["sine", "square"] + (["coupled"] if i else [])))
         if kind == "sine":
-            variables.append(SineSensor(draw(period), draw(MAGNITUDE), draw(st.floats(0.0, 7.0))))
+            variables.append({"kind": kind, "period": draw(period), "amplitude": draw(MAGNITUDE),
+                              "phase": draw(st.floats(0.0, 7.0))})
         elif kind == "square":
-            variables.append(SquareActuator(
-                draw(period), draw(st.floats(0.05, 0.95)), draw(MAGNITUDE), draw(MAGNITUDE)
-            ))
+            variables.append({"kind": kind, "period": draw(period),
+                              "duty_cycle": draw(st.floats(0.05, 0.95)),
+                              "low": draw(MAGNITUDE), "high": draw(MAGNITUDE)})
         else:
-            variables.append(CoupledSensor(
-                draw(st.integers(0, i - 1)), draw(st.floats(-1.0, 1.0)),
-                draw(st.integers(0, 5)), draw(MAGNITUDE),
-            ))
+            variables.append({"kind": kind, "source": draw(st.integers(0, i - 1)),
+                              "gain": draw(st.floats(-1.0, 1.0)),
+                              "delay": draw(st.integers(0, 5)), "offset": draw(MAGNITUDE)})
     attacks = []
     for _ in range(draw(st.integers(0, 3))):
         start = draw(st.integers(0, duration - 1))
-        attacks.append(AttackSpec(
-            draw(st.sampled_from(["mean_shift", "spike", "stuck_value"])),
-            draw(st.integers(0, len(variables) - 1)),
-            start,
-            draw(st.integers(1, duration - start)),
-            draw(MAGNITUDE),
-        ))
+        kind = draw(st.sampled_from(["mean_shift", "spike", "stuck_value"]))
+        fields = {} if kind == "stuck_value" else {"magnitude": draw(MAGNITUDE)}
+        attacks.append(attack(kind, draw(st.integers(0, len(variables) - 1)), start,
+                              draw(st.integers(1, duration - start)), **fields))
     try:
-        return ScenarioSpec(duration, variables, draw(st.floats(0.0, 1.0)), attacks,
-                            draw(st.integers(0, 2**32)))
-    except ValueError:  # overlapping stuck_value attacks on one variable
+        return plant(variables, attacks, duration, draw(st.floats(0.0, 1.0)),
+                     draw(st.integers(0, 2**32)))
+    except ConfigError:  # overlapping stuck_value attacks on one variable
         assume(False)
 
 
-@given(scenario_specs())
+@given(plants())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_readings_lie_on_the_grid_and_round_trip_bitwise(tmp_path, spec):
-    values, labels, names = generate_scenario(spec)
+def test_readings_lie_on_the_grid_and_round_trip_bitwise(tmp_path, synth):
+    values, labels, names = generate(synth)
     npt.assert_array_equal(_bits(np.round(values, DECIMALS)), _bits(values))
     path = tmp_path / "plant.csv"
     save_scenario_csv(values, labels, names, path)
