@@ -10,8 +10,10 @@ Every function takes and returns plain numpy arrays:
   with ``labels`` either ``None`` or int64 of shape (count, length) holding
   a 0/1 flag per window row.
 
-File I/O happens only in :func:`load_csv`, :func:`write_csv` and the bundle
-helpers; every CSV the package writes goes through :func:`write_csv`.
+File I/O happens only in :func:`load_csv`, the two CSV writers and the
+bundle helpers.  Every CSV the package writes goes through a writer:
+:func:`write_fixed_point_csv` for the plant readings synth writes,
+:func:`write_csv` for the rest.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -259,31 +262,131 @@ def _scan_body(
     return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None
 
 
-def write_csv(path: str | Path, header: list[str], rows, row_format: str | None = None) -> None:
+def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write ``header`` and then each row of ``rows`` as newline-ended CSV lines.
 
     The header goes through ``csv.writer``, so a column name with a comma
     or a quote is quoted and :func:`load_csv` reads it back whole.  Row
-    cells are comma-joined unquoted: each must be a Python ``int``,
-    ``float`` or a ``str`` without commas, quotes or newlines, such as the
-    labels tsgad writes.  A row is written in one of two formats:
-
-    - without ``row_format``, each cell with ``str()``, so a float is its
-      shortest round-trip text.  Pass numpy data through ``tolist()``: it
-      turns float32 into the exactly equal float, where ``str()`` of a
-      numpy scalar would print fewer digits;
-    - with ``row_format``, a ``%``-format of the whole row without its line
-      end, such as ``"%.1f,%.6f,%s"``, applied to the row's cells as a tuple.
+    cells are comma-joined unquoted, each with ``str()``: each must be a
+    Python ``int``, ``float`` or a ``str`` without commas, quotes or
+    newlines, such as the labels tsgad writes.  A float is written as its
+    shortest round-trip text.  Pass numpy data through ``tolist()``: it
+    turns float32 into the exactly equal float, where ``str()`` of a numpy
+    scalar would print fewer digits.
     """
+    with _open_csv(path, header) as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@contextmanager
+def _open_csv(path: str | Path, header: list[str]):
+    """Create the parent directory, open ``path`` for text writing and write
+    ``header`` through ``csv.writer``; yields the open file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        if row_format is None:
-            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
-        else:
-            line = row_format + "\n"
-            fh.writelines(line % tuple(row) for row in rows)
+        yield fh
+
+
+# rows formatted at once by write_fixed_point_csv: formatting the whole
+# matrix in one pass would hold a dozen bytes of temporaries per cell
+FIXED_POINT_BLOCK_ROWS = 2048
+
+
+def _fixed_point(values: np.ndarray, decimals: int, prefix: bytes = b"") -> np.ndarray:
+    """The text ``prefix`` + ``"%.{decimals}f" % v`` of each of the 1-d float64
+    ``values``, as a digit-major ``(width, cells)`` uint8 table: column j
+    holds the text of ``values[j]``, right-aligned and padded on the left
+    with NUL bytes.  ``decimals`` is 1 to 9, so that the fraction's digits
+    fit an int32, and every value is below 2**63 in magnitude, so that its
+    integer part fits an int64.
+
+    The digits are ``floor(|v|)`` and ``rint((|v| - floor(|v|)) * 10**decimals)``,
+    with the carry into the integer part when the second reaches
+    ``10**decimals``; the sign comes from ``signbit``, so ``-0.0`` is
+    ``-0.000000`` as with ``%``.  The subtraction is exact; the product
+    rounds once, so where printf sees a decimal tie or a near-tie of the
+    exact double, the last digit can differ: see
+    :func:`tsgad.pipeline.save_scenario_csv` for the values on which the
+    text is exactly printf's.
+    """
+    scale = 10**decimals
+    magnitude = np.abs(values)
+    whole = np.floor(magnitude)
+    # int32 arithmetic runs several times faster than int64 here
+    frac = np.rint((magnitude - whole) * scale).astype(np.int32)
+    whole = whole.astype(np.int64)
+    carry = frac == scale
+    whole[carry] += 1
+    frac[carry] = 0
+    digits = len(str(whole.max())) if len(whole) else 1
+    # prefix, sign, integer digits, point, decimals
+    point = len(prefix) + 1 + digits
+    table = np.zeros((point + 1 + decimals, len(values)), np.uint8)
+    if prefix:
+        table[: len(prefix)] = np.frombuffer(prefix, np.uint8)[:, None]
+    # x // 10 runs as a multiply and shift; x % 10 is a division per cell
+    for row in range(point + decimals, point, -1):
+        quotient = frac // 10
+        table[row] = frac - 10 * quotient + ord("0")
+        frac = quotient
+    table[point] = ord(".")
+    rest = whole
+    for row in range(point - 1, point - 1 - digits, -1):
+        quotient = rest // 10
+        table[row] = rest - 10 * quotient + ord("0")
+        if row < point - 1:  # a leading zero stays NUL
+            table[row] *= rest > 0
+        rest = quotient
+    negative = np.flatnonzero(np.signbit(values))
+    if len(negative):
+        length = 1 + sum(whole[negative] >= 10**k for k in range(1, digits))
+        table[point - 1 - length, negative] = ord("-")
+    return table
+
+
+def write_fixed_point_csv(
+    path: str | Path,
+    header: list[str],
+    values: np.ndarray,
+    decimals: int,
+    labels: np.ndarray,
+    label_text: tuple[str, ...],
+) -> None:
+    """Write ``header`` and then one line per row of the float64 ``values``:
+    the row index as ``%.1f``, each reading as ``%.{decimals}f`` and
+    ``label_text[labels[row]]``, comma-separated.
+
+    The header goes through ``csv.writer``, as in :func:`write_csv`.  The
+    rows are formatted by numpy digit arithmetic,
+    :data:`FIXED_POINT_BLOCK_ROWS` at a time: each block becomes one byte
+    array, with the NUL padding of the digit tables dropped by one boolean
+    mask.  ``decimals`` is 1 to 9 and every reading is below 2**63 in
+    magnitude; the text is exactly ``%``'s on the values
+    :func:`tsgad.pipeline.save_scenario_csv` names.
+    """
+    with _open_csv(path, header) as fh:
+        ends = [f",{text}\n".encode(fh.encoding) for text in label_text]
+        end_table = np.zeros((len(ends), max(map(len, ends))), np.uint8)
+        for row, end in zip(end_table, ends):
+            row[: len(end)] = np.frombuffer(end, np.uint8)
+        # the rows go as bytes to the buffer under the text layer, after
+        # the header it holds
+        fh.flush()
+        for start in range(0, len(values), FIXED_POINT_BLOCK_ROWS):
+            block = values[start : start + FIXED_POINT_BLOCK_ROWS]
+            stamps = _fixed_point(np.arange(start, start + len(block), dtype=np.float64), 1)
+            cells = _fixed_point(block.reshape(-1), decimals, b",")
+            lines = np.concatenate(
+                [
+                    stamps.T,
+                    cells.T.reshape(len(block), -1),
+                    end_table[labels[start : start + len(block)]],
+                ],
+                axis=1,
+            )
+            fh.buffer.write(lines[lines != 0])
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:
@@ -340,7 +443,14 @@ def downsample_median(
     if factor == 1:
         return windows, labels
     out_rows = rows // factor
-    down = np.median(windows.reshape(n, out_rows, factor, m), axis=2)
+    # the middle of each sorted block, or the halved sum of its middle two,
+    # is np.median's value bit for bit, at a third of its time
+    blocks = np.sort(windows.reshape(n, out_rows, factor, m), axis=2)
+    mid = factor // 2
+    if factor % 2:
+        down = blocks[:, :, mid].copy()
+    else:
+        down = (blocks[:, :, mid - 1] + blocks[:, :, mid]) / 2
     if labels is not None:
         labels = labels.reshape(n, out_rows, factor).max(axis=2)
     return down, labels

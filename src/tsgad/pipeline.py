@@ -60,6 +60,18 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, manifest
 
 
+def _check_magnitudes(values: np.ndarray, column_names: list[str], path: str | Path) -> None:
+    """Refuse a reading of ``values``, bound for ``path``, that is 2**63 or
+    more in magnitude or not finite, naming its column."""
+    out_of_range = ~(np.abs(values) < 2.0**63)
+    if out_of_range.any():
+        row, column = np.argwhere(out_of_range)[0]
+        raise ConfigError(
+            f"synth: column {column_names[column]!r} reaches {float(values[row, column])!r} at "
+            f"row {row} of {path}; readings must stay below 2**63 in magnitude"
+        )
+
+
 def save_scenario_csv(
     values: np.ndarray, labels: np.ndarray, column_names: list[str], path: str | Path
 ) -> None:
@@ -70,20 +82,33 @@ def save_scenario_csv(
     ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
 
     Each reading is written as fixed-point text with
-    :data:`~tsgad.synthetic.DECIMALS` digits after the point (``%.6f``).
-    For a reading on that grid, as every reading of ``generate_scenario``
-    is, :func:`~tsgad.ingest.load_csv` returns the same double bit for bit:
-    below 2**33 the text is the grid value the double is nearest to, and
-    above it the text is off by at most 5e-7, less than half the spacing
-    of the doubles there.  The text is half the size of the shortest
-    round-trip text of a noisy reading, and faster to write and to parse.
+    :data:`~tsgad.synthetic.DECIMALS` digits after the point, the text of
+    ``%.6f``, by :func:`~tsgad.ingest.write_fixed_point_csv`: numpy digit
+    arithmetic on blocks of :data:`~tsgad.ingest.FIXED_POINT_BLOCK_ROWS`
+    rows, not one ``%`` per cell.  The text is byte for byte ``%.6f``'s on
+    every reading ``generate_scenario`` can emit: a value on the grid, and
+    any double of magnitude from 2**33 to below 2**63, whose fraction times
+    1e6 is exact.  A double below 2**33 off the grid can differ in its last
+    digit at a decimal near-tie: ``0.0000025`` is written ``0.000002``,
+    where ``%.6f`` writes ``0.000003``; no stage writes such a value.
+
+    For a reading on the grid :func:`~tsgad.ingest.load_csv` returns the
+    same double bit for bit: below 2**33 the text is the grid value the
+    double is nearest to, and above it the text is off by at most 5e-7,
+    less than half the spacing of the doubles there.  The text is half the
+    size of the shortest round-trip text of a noisy reading, and faster to
+    write and to parse.
+
+    A reading of magnitude 2**63 or more, or one that is not finite, is
+    refused with a :class:`~tsgad.config.ConfigError` naming its column,
+    before the file is opened: its integer part does not fit the int64 the
+    digits are computed in.
     """
-    row_format = "%.1f," + ",".join([f"%.{DECIMALS}f"] * values.shape[1]) + ",%s"
-    rows = (
-        (i, *row, "Attack" if label else "Normal")
-        for i, (row, label) in enumerate(zip(values.tolist(), labels.tolist()))
+    _check_magnitudes(values, column_names, path)
+    ingest.write_fixed_point_csv(
+        path, ["timestamp", *column_names, "label"], values, DECIMALS, labels,
+        ("Normal", "Attack"),
     )
-    ingest.write_csv(path, ["timestamp", *column_names, "label"], rows, row_format)
 
 
 def run_synth(cfg: dict) -> tuple[Path, Path]:
@@ -93,11 +118,15 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
     train_csv, test_csv = _csv_paths(cfg)
     s, seed = cfg["synth"], cfg["seed"]
     train = generate_scenario(s["variables"], [], s["train_duration"], s["noise_sigma"], seed)
-    save_scenario_csv(*train, train_csv)
     # a fresh noise realization for the test stream
     test = generate_scenario(
         s["variables"], s["attacks"], s["test_duration"], s["noise_sigma"], seed + 1
     )
+    # both streams are checked before either is written: a refused test
+    # stream must not leave a new train.csv beside an old test.csv
+    for (values, _, names), path in ((train, train_csv), (test, test_csv)):
+        _check_magnitudes(values, names, path)
+    save_scenario_csv(*train, train_csv)
     save_scenario_csv(*test, test_csv)
     return train_csv, test_csv
 
@@ -197,7 +226,8 @@ def run_ingest(cfg: dict) -> Path:
 
 def _windows_sha256(cfg: dict) -> str:
     """SHA-256 of the bundle's ``windows.npz``: the checkpoint records the one
-    it was trained on, so that detect refuses another bundle."""
+    it was trained on and ``detect_manifest.json`` the one detect scored, so
+    that detect and evaluate refuse another bundle."""
     return hashlib.sha256((_bundle_dir(cfg) / "windows.npz").read_bytes()).hexdigest()
 
 
@@ -254,10 +284,10 @@ def run_detect(cfg: dict) -> Path:
     ``windows_sha256`` must be the digest of the bundle's ``windows.npz``
     (the config hash would not do, as a changed CSV re-ingested under the
     same config keeps it).  Besides the threshold and the residual scale,
-    ``detect_manifest.json`` records how well the generator reconstructs
-    those normal windows: ``holdout_error_median``, the median of their
-    inversion errors, and ``holdout_iterations_mean``, the mean of their
-    Adam steps.
+    ``detect_manifest.json`` records that digest, as ``windows_sha256``,
+    for evaluate to check, and how well the generator reconstructs those
+    normal windows: ``holdout_error_median``, the median of their inversion
+    errors, and ``holdout_iterations_mean``, the mean of their Adam steps.
     """
     arrays, manifest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
@@ -339,6 +369,7 @@ def run_detect(cfg: dict) -> Path:
                 "test_windows": len(arrays["test_windows"]),
                 "threshold": threshold,
                 "timesteps": int(len(flags)),
+                "windows_sha256": digest,
             },
             indent=2,
             sort_keys=True,
@@ -361,29 +392,32 @@ def run_evaluate(cfg: dict) -> Path:
     :func:`~tsgad.scoring.ranking_metrics` of the ``residual``, 1 -
     ``disc_score`` and ``combined`` columns of ``scores.csv`` (under
     ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
-    A ``scores.csv`` whose ``truth`` column is not the bundle's test labels
-    comes from another ingest and is refused.
+    The baselines scan the bundle's windows, so a ``scores.csv`` that detect
+    wrote from another bundle is refused: the ``windows_sha256`` in
+    ``detect_manifest.json`` must be the digest of the bundle's
+    ``windows.npz``, as for the checkpoint in :func:`run_detect`.
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest = _load_calibration_bundle(cfg)
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
-    if not scores_path.exists():
-        raise ConfigError(f"{scores_path} not found; run detect first")
+    detect_path = out / "detect_manifest.json"
+    for path in (scores_path, detect_path):
+        if not path.exists():
+            raise ConfigError(f"{path} not found; run detect first")
+    scored = json.loads(detect_path.read_text()).get("windows_sha256")
+    digest = _windows_sha256(cfg)
+    if scored != digest:
+        raise ConfigError(
+            f"{scores_path}: detect scored windows.npz with sha256 {scored}, "
+            f"the bundle's has {digest}; re-run detect"
+        )
     with scores_path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     if any(row["truth"] == "" for row in rows):
         raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
     flags = np.array([int(row["flag"]) for row in rows])
     truth = np.array([int(row["truth"]) for row in rows])
-    # the baselines scan the bundle's test rows, so after a re-ingest their
-    # flags would meet another run's truth
-    labels = arrays.get("test_labels", np.empty(0)).reshape(-1)
-    if not np.array_equal(truth, labels):
-        raise ConfigError(
-            f"{scores_path}: its {len(truth)} truth rows differ from the bundle's "
-            f"{len(labels)} test labels; re-run detect"
-        )
 
     def column(key: str) -> np.ndarray:
         return np.array([float(row[key]) for row in rows])

@@ -103,6 +103,8 @@ def test_all_writes_documented_artifacts(all_out):
     assert manifest["config_hash"] == metrics["config_hash"]
     assert manifest["timesteps"] == manifest["test_windows"] * 5
     assert manifest["holdout_windows"] == 4
+    # the bundle detect scored, for evaluate to check
+    assert manifest["windows_sha256"] == _sha256(all_out / "bundle" / "windows.npz")
 
 
 def test_detect_manifest_records_holdout_inversions(config, all_out):
@@ -325,6 +327,44 @@ def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
         assert _run(config, out, "detect") == 0
 
 
+def test_evaluate_after_a_trim_rows_re_ingest_exits_1(all_out, tmp_path, capsys):
+    # trimming training rows refits the normalization and the principal
+    # components but keeps the test windows' count and labels: only the
+    # digest of windows.npz tells that scores.csv came from another bundle
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    windows = out / "bundle" / "windows.npz"
+    scored = _sha256(windows)
+    config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
+                                 "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
+    assert _run(config, out, "ingest") == 0
+    labels = ingest.load_window_bundle(out / "bundle")[0]["test_labels"]
+    before = ingest.load_window_bundle(all_out / "bundle")[0]["test_labels"]
+    np.testing.assert_array_equal(labels, before)
+    capsys.readouterr()
+    assert _run(config, out, "evaluate") == 1
+    assert (f"config error: {out / 'scores.csv'}: detect scored windows.npz with sha256 "
+            f"{scored}, the bundle's has {_sha256(windows)}; re-run detect"
+            ) in capsys.readouterr().err
+    assert (out / "metrics.json").read_bytes() == (all_out / "metrics.json").read_bytes()
+
+
+def test_evaluate_without_a_recorded_digest_exits_1(all_out, tmp_path, capsys):
+    # a detect_manifest.json without windows_sha256 ties scores.csv to no bundle
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    manifest = json.loads((out / "detect_manifest.json").read_text())
+    del manifest["windows_sha256"]
+    (out / "detect_manifest.json").write_text(json.dumps(manifest))
+    config = _edited(tmp_path, [])
+    assert _run(config, out, "evaluate") == 1
+    assert "detect scored windows.npz with sha256 None" in capsys.readouterr().err
+    (out / "detect_manifest.json").unlink()
+    assert _run(config, out, "evaluate") == 1
+    assert (f"config error: {out / 'detect_manifest.json'} not found; run detect first"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("change, stages, edits", [
     ("test_shift", ("ingest",), [("test_shift: 20", "test_shift: 12")]),
     ("attack", ("synth", "ingest"), [("start: 60", "start: 120")]),
@@ -338,6 +378,8 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
         assert _run(config, tmp_path, "detect") == 0
     rows = len((tmp_path / "scores.csv").read_text().splitlines()) - 1
+    windows = tmp_path / "bundle" / "windows.npz"
+    scored = _sha256(windows)
     edited = _edited(tmp_path, edits)
     for stage in stages:
         assert _run(edited, tmp_path, stage) == 0, stage
@@ -345,8 +387,9 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     assert (rows == labels) == (change == "attack")
     capsys.readouterr()
     assert _run(edited, tmp_path, "evaluate") == 1
-    assert (f"config error: {tmp_path / 'scores.csv'}: its {rows} truth rows differ from "
-            f"the bundle's {labels} test labels; re-run detect") in capsys.readouterr().err
+    assert (f"config error: {tmp_path / 'scores.csv'}: detect scored windows.npz with sha256 "
+            f"{scored}, the bundle's has {_sha256(windows)}; re-run detect"
+            ) in capsys.readouterr().err
     assert not (tmp_path / "metrics.json").exists()
     # the remedy the message names, after the one detect names for the
     # checkpoint trained on the first ingest's windows; a test_shift of 12
@@ -574,6 +617,27 @@ def test_bad_synth_variable_exits_1_at_load(edits, message, tmp_path, capsys):
     assert _run(config, tmp_path, "synth") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "train.csv").exists()
+
+
+def test_reading_beyond_2_63_exits_1_at_synth(config, tmp_path, capsys):
+    # the fixed-point text of such a reading would not fit its integer part
+    # in an int64; both streams are checked before either file is written
+    config_big = _edited(tmp_path, [("amplitude: 1.0, name: LIT101",
+                                     "amplitude: 1.0e+19, name: LIT101")])
+    assert _run(config_big, tmp_path, "synth") == 1
+    err = capsys.readouterr().err
+    assert "config error: synth: column 'LIT101' reaches " in err
+    assert f"of {tmp_path / 'train.csv'}; readings must stay below 2**63 in magnitude" in err
+    assert not (tmp_path / "train.csv").exists()
+    # an attack that reaches it in the test stream leaves the last synth's
+    # pair of files as it was
+    assert _run(config, tmp_path, "synth") == 0
+    written = {name: (tmp_path / name).read_bytes() for name in ("train.csv", "test.csv")}
+    config_big = _edited(tmp_path, [("magnitude: 5.0", "magnitude: 1.0e+19")])
+    assert _run(config_big, tmp_path, "synth") == 1
+    assert ("config error: synth: column 'LIT101' reaches 1e+19 at row 60 of "
+            f"{tmp_path / 'test.csv'}") in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 def test_column_name_with_a_comma_keeps_its_column(tmp_path):

@@ -17,6 +17,7 @@ from tsgad.ingest import (
     save_window_bundle,
     window,
     write_csv,
+    write_fixed_point_csv,
 )
 
 
@@ -329,12 +330,19 @@ def test_write_csv_writes_each_cell_with_str(tmp_path):
     assert path.read_text() == "i,s,x,y\n3,Normal,0.1,0.10000000149011612\n-1,,2.0,1e-20\n"
 
 
-def test_write_csv_with_row_format_formats_each_row(tmp_path):
-    path = tmp_path / "fixed.csv"
-    rows = ([i, x, label] for i, x, label in [(0, 0.1, "Normal"), (1, -2.5e-7, "Attack")])
-    write_csv(path, ["t", "a,b", "label"], rows, "%.1f,%.6f,%s")
-    # the header is still quoted through csv.writer
-    assert path.read_text() == 't,"a,b",label\n0.0,0.100000,Normal\n1.0,-0.000000,Attack\n'
+def test_write_fixed_point_csv_formats_each_row(tmp_path):
+    path = tmp_path / "sub" / "fixed.csv"
+    values = np.array([[0.1, -0.0], [-2.5e-7, 9.9999996], [1e17, -0.9999999]])
+    write_fixed_point_csv(path, ["t", "a,b", "c", "label"], values, 6,
+                          np.array([0, 1, 0]), ("Normal", "Attack"))
+    # the header is still quoted through csv.writer; the carries reach the
+    # integer part, and -0.0 keeps its sign, as with %
+    assert path.read_text() == (
+        't,"a,b",c,label\n'
+        "0.0,0.100000,-0.000000,Normal\n"
+        "1.0,-0.000000,10.000000,Attack\n"
+        "2.0,100000000000000000.000000,-1.000000,Normal\n"
+    )
 
 
 class TestNormalizer:
@@ -396,6 +404,18 @@ class TestWindow:
 
 
 class TestDownsampleMedian:
+    @pytest.mark.parametrize("factor", range(1, 13))
+    def test_is_np_median_bit_for_bit(self, factor):
+        # rounded readings make ties inside a block; the halved sum of an
+        # even block's middle two must round as np.median's mean does
+        rng = np.random.default_rng(factor)
+        windows = np.round(rng.normal(size=(6, 4 * factor, 5)) * 1e3, 1)
+        windows[0] = 0.1
+        out, _ = downsample_median(windows, None, factor)
+        want = np.median(windows.reshape(6, 4, factor, 5), axis=2)
+        npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert out.flags.c_contiguous
+
     def test_even_count_median(self):
         windows, _ = cut(np.arange(1.0, 11.0).reshape(10, 1), 10, 10, 10)
         assert windows[0, 0, 0] == pytest.approx(5.5)

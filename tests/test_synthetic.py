@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tsgad.config import ConfigError, validate_config
-from tsgad.ingest import load_csv
+from tsgad.ingest import FIXED_POINT_BLOCK_ROWS, load_csv
 from tsgad.pipeline import save_scenario_csv
 from tsgad.synthetic import DECIMALS, generate_scenario
 
@@ -222,3 +224,60 @@ def test_fixed_point_text_round_trips_above_2_33(tmp_path):
     save_scenario_csv(values, np.zeros(50, dtype=np.int64), ["a", "b", "c"], path)
     loaded, _, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
     npt.assert_array_equal(_bits(loaded), _bits(values))
+
+
+def _percent_text(values, labels, names):
+    """The plant CSV as ``%``-formatting wrote it, one Python float at a time."""
+    line = "%.1f," + f"%.{DECIMALS}f," * values.shape[1] + "%s\n"
+    rows = zip(values.tolist(), labels.tolist())
+    return "timestamp," + ",".join(names) + ",label\n" + "".join(
+        line % (i, *row, "Attack" if label else "Normal") for i, (row, label) in enumerate(rows)
+    )
+
+
+# readings on which the digit arithmetic must be exactly %'s: grid values
+# below 2**33, any double from 2**33 to below 2**63, -0.0, and off-grid
+# carries into the integer part that sit far from a decimal tie
+READINGS = st.one_of(
+    st.floats(-(2.0**33), 2.0**33).map(lambda x: float(np.round(x, DECIMALS))),
+    st.floats(2.0**33, 2.0**63, exclude_max=True),
+    st.floats(-(2.0**63), -(2.0**33), exclude_min=True),
+    st.sampled_from([0.0, -0.0, 9.9999996, -0.9999999, 99.9999997, -1e-7, 1e17]),
+)
+# the timestamp gains a digit at rows 10, 100, 1000 and 10000, and blocks
+# of FIXED_POINT_BLOCK_ROWS rows end inside these counts
+ROW_COUNTS = st.one_of(
+    st.integers(1, 120),
+    st.integers(FIXED_POINT_BLOCK_ROWS - 2, FIXED_POINT_BLOCK_ROWS + 2),
+    st.sampled_from([2 * FIXED_POINT_BLOCK_ROWS + 1, 10_001]),
+)
+
+
+@given(st.lists(READINGS, min_size=1, max_size=12), ROW_COUNTS, st.integers(1, 4),
+       st.integers(0, 2**32))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_plant_csv_is_the_percent_format_text(tmp_path, readings, rows, columns, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(readings)[rng.integers(len(readings), size=(rows, columns))]
+    labels = rng.integers(0, 2, rows)
+    names = [f"v{j}" for j in range(columns)]
+    path = tmp_path / "plant.csv"
+    save_scenario_csv(values, labels, names, path)
+    assert path.read_bytes() == _percent_text(values, labels, names).encode()
+
+
+@pytest.mark.parametrize("reading", [2.0**63, -(2.0**63), 1e300, np.inf, -np.inf, np.nan])
+def test_readings_beyond_2_63_are_refused(tmp_path, reading):
+    # the integer part of the fixed-point text must fit an int64
+    values = np.zeros((4, 2))
+    values[2, 1] = reading
+    path = tmp_path / "plant.csv"
+    message = (f"synth: column 'b' reaches {reading!r} at row 2 of {path}; "
+               "readings must stay below 2**63 in magnitude")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        save_scenario_csv(values, np.zeros(4, dtype=np.int64), ["a", "b"], path)
+    assert not path.exists()
+    # the largest double below 2**63 is written
+    values[2, 1] = np.nextafter(2.0**63, 0.0)
+    save_scenario_csv(values, np.zeros(4, dtype=np.int64), ["a", "b"], path)
+    assert path.read_text().splitlines()[3] == "2.0,0.000000,9223372036854774784.000000,Normal"
