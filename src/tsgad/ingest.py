@@ -8,7 +8,9 @@ Every function takes and returns plain numpy arrays:
   shape (rows,) holding a 0/1 attack flag per row;
 - a window set is ``windows``, float64 of shape (count, length, columns),
   with ``labels`` either ``None`` or int64 of shape (count, length) holding
-  a 0/1 flag per window row.
+  a 0/1 flag per window row.  A window set may be a read-only strided view
+  of its series, as :func:`window` returns it: a reader takes it as it
+  would a contiguous stack, and a writer copies it first.
 
 File I/O happens only in :func:`load_csv`, the two CSV writers and the
 bundle helpers.  Every CSV the package writes goes through a writer:
@@ -27,6 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError
 
@@ -401,7 +404,9 @@ def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> n
         )
     span = col_max - col_min
     safe_span = np.where(span == 0.0, 1.0, span)
-    scaled = (values - col_min) / safe_span
+    # one new matrix: the quotient overwrites the difference
+    scaled = values - col_min
+    scaled /= safe_span
     scaled[:, span == 0.0] = 0.0
     return scaled
 
@@ -412,7 +417,15 @@ def window(
     """Cut a series into fixed-length windows with the given shift.
 
     Produces floor((rows - length) / shift) + 1 windows; a trailing remainder
-    that does not fill a whole window is dropped.
+    that does not fill a whole window is dropped.  Window k is
+    ``values[k * shift : k * shift + length]``, and its labels the same rows
+    of ``labels``.
+
+    Nothing is copied: the windows, and their labels, are read-only strided
+    views of the series, which they keep alive.  Overlapping windows
+    (``shift < length``) share rows, so the view holds the series once
+    however many windows it has; :func:`downsample_median` and
+    ``np.savez`` read it as they would a contiguous stack.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -420,10 +433,10 @@ def window(
         raise ValueError("shift must be >= 1")
     if length > len(values):
         raise ValueError(f"window length {length} exceeds series length {len(values)}")
-    offsets = range(0, len(values) - length + 1, shift)
-    windows = np.stack([values[o : o + length] for o in offsets])
+    # (count, columns, length) views, whose last axis steps through the rows
+    windows = sliding_window_view(values, length, axis=0)[::shift].transpose(0, 2, 1)
     if labels is not None:
-        labels = np.stack([labels[o : o + length] for o in offsets])
+        labels = sliding_window_view(labels, length)[::shift]
     return windows, labels
 
 
@@ -433,7 +446,11 @@ def downsample_median(
     """Replace each ``factor``-row block of every window with its per-column median.
 
     An even block count uses the arithmetic mean of the two middle values.  A
-    downsampled row is labeled anomalous if any row of its block is.
+    downsampled row is labeled anomalous if any row of its block is.  With
+    ``factor`` 1 the windows and labels are returned as given; otherwise
+    both results are new C-contiguous arrays, whatever the layout of the
+    windows: the blocks of a :func:`window` view are cut by a reshape that
+    stays a view, so the one copy is the one the sort makes.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -445,14 +462,15 @@ def downsample_median(
     out_rows = rows // factor
     # the middle of each sorted block, or the halved sum of its middle two,
     # is np.median's value bit for bit, at a third of its time
-    blocks = np.sort(windows.reshape(n, out_rows, factor, m), axis=2)
+    blocks = windows.reshape(n, out_rows, factor, m).copy()
+    blocks.sort(axis=2)
     mid = factor // 2
     if factor % 2:
         down = blocks[:, :, mid].copy()
     else:
         down = (blocks[:, :, mid - 1] + blocks[:, :, mid]) / 2
     if labels is not None:
-        labels = labels.reshape(n, out_rows, factor).max(axis=2)
+        labels = np.ascontiguousarray(labels.reshape(n, out_rows, factor).max(axis=2))
     return down, labels
 
 

@@ -13,11 +13,13 @@ iteration forwards, scores and back-propagates the whole batch, input
 gradients only, and takes one Adam step (``lstm.optimizer_step``, step size
 ``learning_rate``) on all of z.  Adam's moments are elementwise, so each row
 follows its own trajectory and keeps the lowest-error latent it visits.  At
-most :data:`MAX_BATCH_ROWS` rows descend in one batch, so the LSTM caches of
-a large test set stay bounded.  float32 rounds a batch of B rows differently
-from B batches of one, so a window's result can differ by rounding from
-inverting it alone.  The result is four arrays stacked like the windows,
-window i in row i: latents, errors, iterations and reconstructions.
+most :data:`MAX_BATCH_ROWS` rows go through the LSTM at once, in the descent
+and in the final pass that reconstructs the winners (see
+:func:`forward_outputs`), so the LSTM caches of a large test set stay
+bounded.  float32 rounds a batch of B rows differently from B batches of
+one, so a window's result can differ by rounding from inverting it alone.
+The result is four arrays stacked like the windows, window i in row i:
+latents, errors, iterations and reconstructions.
 """
 
 from __future__ import annotations
@@ -26,8 +28,22 @@ import numpy as np
 
 from . import lstm
 
-# rows (windows x restarts) per descent batch; bounds the LSTM cache memory
+# rows (windows x restarts) per LSTM batch; bounds the LSTM cache memory
 MAX_BATCH_ROWS = 512
+
+
+def forward_outputs(net: lstm.StackedLstm, sequences: np.ndarray) -> np.ndarray:
+    """The outputs of ``lstm.forward_batch(net, sequences)``, taken
+    :data:`MAX_BATCH_ROWS` sequences at a time, so that at most one batch's
+    cache is alive; a generator's holds about 100 KB per 12-step sequence
+    at the default sizes.  Up to ``MAX_BATCH_ROWS`` sequences this is one
+    call and its exact result; a longer stack may differ from one call by
+    float32 rounding.
+    """
+    return np.concatenate([
+        lstm.forward_batch(net, sequences[lo : lo + MAX_BATCH_ROWS])[0]
+        for lo in range(0, len(sequences), MAX_BATCH_ROWS)
+    ])
 
 
 def objective(windows: np.ndarray, recons: np.ndarray):
@@ -111,9 +127,9 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
     reconstructions)``, row i of each for window i: the winning (N, L,
     latent) latents, their float64 errors, the Adam steps each winning
     restart took and the (N, L, C) generator outputs.  The reconstructions
-    are ``forward_batch(gen, latents)[0]`` exactly, one pass over all N
-    winners, and the errors are the objective at them.  An empty stack is
-    refused.
+    are ``forward_outputs(gen, latents)`` exactly: for N up to
+    ``MAX_BATCH_ROWS``, one pass over all N winners.  The errors are the
+    objective at them.  An empty stack is refused.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or not len(windows):
@@ -142,7 +158,7 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
         )
     best = np.arange(count) * restarts + np.nanargmin(errors, axis=1)
     latents = latents[best]
-    recons = lstm.forward_batch(gen, latents)[0]
+    recons = forward_outputs(gen, latents)
     return latents, objective(windows, recons)[0], iterations[best], recons
 
 

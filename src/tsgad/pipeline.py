@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines as bl
-from . import gan, ingest, inversion, lstm, pca, scoring, svgplot
+from . import gan, ingest, inversion, pca, scoring, svgplot
 from .config import ConfigError, config_hash
 from .synthetic import DECIMALS, generate_scenario
 
@@ -63,6 +63,9 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict]:
 def _check_magnitudes(values: np.ndarray, column_names: list[str], path: str | Path) -> None:
     """Refuse a reading of ``values``, bound for ``path``, that is 2**63 or
     more in magnitude or not finite, naming its column."""
+    # min and max allocate nothing, and a nan fails both comparisons
+    if not values.size or (-(2.0**63) < values.min() and values.max() < 2.0**63):
+        return
     out_of_range = ~(np.abs(values) < 2.0**63)
     if out_of_range.any():
         row, column = np.argwhere(out_of_range)[0]
@@ -164,6 +167,9 @@ def run_ingest(cfg: dict) -> Path:
         )
     col_min, col_max = values[:split].min(axis=0), values[:split].max(axis=0)
     train_norm = ingest.normalize(values[:split], col_min, col_max)
+    holdout_norm = ingest.normalize(values[split:], col_min, col_max)
+    # each plant matrix is held about once: a stage drops what no later one reads
+    del values
     n_components = cfg["pca"]["n_components"]
     if n_components > len(columns):
         raise ConfigError(
@@ -179,7 +185,6 @@ def run_ingest(cfg: dict) -> Path:
             *ingest.window(rows, labels, window_len, shift), factor
         )
 
-    holdout_norm = ingest.normalize(values[split:], col_min, col_max)
     # no stage reads training labels; only the test set's are stored
     sets = {
         "train": cut(pca.project(model, train_norm), None, ing["train_shift"]),
@@ -187,6 +192,7 @@ def run_ingest(cfg: dict) -> Path:
         "holdout": cut(pca.project(model, holdout_norm), None, ing["test_shift"]),
         "holdout_raw": cut(holdout_norm, None, ing["test_shift"]),
     }
+    del train_norm, holdout_norm
     if test_csv:
         test_values, test_labels, test_columns = ingest.load_csv(test_csv, *schema)
         if test_columns != columns:
@@ -201,6 +207,7 @@ def run_ingest(cfg: dict) -> Path:
                 f"window of ingest.window_length {window_len}"
             )
         test_norm = ingest.normalize(test_values, col_min, col_max)
+        del test_values
         sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
         sets["test_raw"] = cut(test_norm, test_labels, ing["test_shift"])
 
@@ -263,12 +270,14 @@ def _flatten_windows(windows: np.ndarray) -> np.ndarray:
 def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seed: int):
     """Invert every window and collect per-timestep residuals and D scores:
     ``(errors, iterations, component_residuals, summed, disc_flat)``, the
-    first two per window and the others per timestep."""
+    first two per window and the others per timestep.  Like the inversion,
+    the discriminator takes at most ``inversion.MAX_BATCH_ROWS`` windows
+    at once."""
     # the tracer sizes invert_many by its second positional argument
     _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seed)
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
-    disc_out = lstm.forward_batch(model.discriminator, windows)[0]
+    disc_out = inversion.forward_outputs(model.discriminator, windows)
     disc_flat = disc_out[..., 0].reshape(-1)
     return errors, iterations, component_residuals, summed, disc_flat
 

@@ -82,17 +82,17 @@ def _base_value(var: dict, t: np.ndarray, variables: list[dict]) -> np.ndarray:
     raise ValueError(f"unknown variable kind {kind!r}")
 
 
-def _apply_attacks(matrix: np.ndarray, attacks) -> None:
-    """Add the mean-shift and spike attacks; a stuck value is frozen later,
-    from the observed reading, by ``generate_scenario``."""
+def _apply_attacks(column: np.ndarray, attacks) -> None:
+    """Add the mean-shift and spike attacks, all on the variable whose
+    readings ``column`` holds; a stuck value is frozen later, from the
+    observed reading, by ``generate_scenario``."""
     for attack in attacks:
-        j = attack["target"]
         sl = slice(attack["start"], attack["start"] + attack["duration"])
         if attack["kind"] == "mean_shift":
-            matrix[sl, j] += attack["magnitude"]
+            column[sl] += attack["magnitude"]
         elif attack["kind"] == "spike":
             signs = np.where(np.arange(attack["duration"]) % 2 == 0, 1.0, -1.0)
-            matrix[sl, j] += attack["magnitude"] * signs
+            column[sl] += attack["magnitude"] * signs
 
 
 def generate_scenario(
@@ -116,12 +116,16 @@ def generate_scenario(
     as fixed-point text that reads back bit for bit.
     """
     t = np.arange(duration, dtype=np.float64)
-    signal = np.column_stack([_base_value(v, t, variables) for v in variables])
-    _apply_attacks(signal, attacks)
-
     rng = np.random.default_rng(seed)
-    observed = signal + rng.standard_normal((duration, len(variables))) * noise_sigma
-    observed = np.round(observed, DECIMALS)
+    observed = rng.standard_normal((duration, len(variables)))
+    observed *= noise_sigma
+    # the attacked signal is added one column at a time, so the plant is
+    # held once; IEEE addition commutes, so noise + signal is signal + noise
+    for j, var in enumerate(variables):
+        signal = _base_value(var, t, variables)
+        _apply_attacks(signal, [a for a in attacks if a["target"] == j])
+        observed[:, j] += signal
+    np.round(observed, DECIMALS, out=observed)
 
     labels = np.zeros(duration, dtype=np.int64)
     for attack in attacks:

@@ -31,6 +31,24 @@ def cut(values, length, shift, factor, labels=None):
     return downsample_median(windows, labels, factor)
 
 
+def stacked(values, labels, length, shift):
+    """:func:`window` as a copy: one ``np.stack`` of the windows, and of
+    their labels, the way windows were cut before they became views."""
+    offsets = range(0, len(values) - length + 1, shift)
+    windows = np.stack([values[o : o + length] for o in offsets])
+    if labels is not None:
+        labels = np.stack([labels[o : o + length] for o in offsets])
+    return windows, labels
+
+
+def plant_rows(rows=60, columns=3, seed=0):
+    """A rounded series with ties inside blocks and its 0/1 labels."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=(rows, columns)) * 1e3, 1)
+    labels = (rng.random(rows) < 0.2).astype(np.int64)
+    return values, labels
+
+
 class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -402,6 +420,32 @@ class TestWindow:
         covered = np.concatenate(list(windows), axis=0)
         npt.assert_array_equal(covered, values[: len(windows) * 10])
 
+    def test_is_a_read_only_view_of_the_series(self):
+        values, labels = plant_rows()
+        windows, window_labels = window(values, labels, 12, 4)
+        for view, series in ((windows, values), (window_labels, labels)):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, series)
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0, 0, 0] = 1.0
+
+    # a shift below, equal to and above the length of 12
+    @pytest.mark.parametrize("shift", [5, 12, 17])
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_equals_the_stacked_copy(self, shift, with_labels):
+        values, labels = plant_rows(rows=61)
+        labels = labels if with_labels else None
+        windows, window_labels = window(values, labels, 12, shift)
+        want, want_labels = stacked(values, labels, 12, shift)
+        assert (windows.shape, windows.dtype) == (want.shape, want.dtype)
+        npt.assert_array_equal(windows, want)
+        if with_labels:
+            assert (window_labels.shape, window_labels.dtype) == (
+                want_labels.shape, want_labels.dtype)
+            npt.assert_array_equal(window_labels, want_labels)
+        else:
+            assert window_labels is None
+
 
 class TestDownsampleMedian:
     @pytest.mark.parametrize("factor", range(1, 13))
@@ -415,6 +459,23 @@ class TestDownsampleMedian:
         want = np.median(windows.reshape(6, 4, factor, 5), axis=2)
         npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
         assert out.flags.c_contiguous
+
+    # an even, an odd and the identity factor, each with windows that
+    # overlap by less than a block, by whole blocks, or not at all
+    @pytest.mark.parametrize("factor", [4, 3, 1])
+    @pytest.mark.parametrize("shift", [1, 12, 13])
+    def test_view_downsamples_as_its_copy_bit_for_bit(self, factor, shift):
+        values, labels = plant_rows(rows=50)
+        windows, window_labels = window(values, labels, 12, shift)
+        out, out_labels = downsample_median(windows, window_labels, factor)
+        want, want_labels = downsample_median(
+            np.ascontiguousarray(windows), np.ascontiguousarray(window_labels), factor
+        )
+        assert (out.shape, out_labels.shape) == (want.shape, want_labels.shape)
+        npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+        npt.assert_array_equal(out_labels, want_labels)
+        if factor > 1:
+            assert out.flags.c_contiguous and out_labels.flags.c_contiguous
 
     def test_even_count_median(self):
         windows, _ = cut(np.arange(1.0, 11.0).reshape(10, 1), 10, 10, 10)
@@ -451,6 +512,19 @@ class TestDownsampleMedian:
         a, _ = cut(values, 12, 12, 3)
         b, _ = cut(values[:, perm], 12, 12, 3)
         npt.assert_array_equal(a[:, :, perm], b)
+
+
+@pytest.mark.parametrize("shift", [4, 8, 11])
+def test_window_bundle_of_a_view_is_the_bundle_of_its_copy(tmp_path, shift):
+    values, labels = plant_rows(rows=40, columns=2)
+    view = window(values, labels, 8, shift)
+    copy = tuple(np.ascontiguousarray(a) for a in view)
+    for name, pair in (("view", view), ("copy", copy)):
+        save_window_bundle(tmp_path / name, {"test": pair, "train": (pair[0], None)})
+    for artifact in ("windows.npz", "manifest.json"):
+        assert (tmp_path / "view" / artifact).read_bytes() == (
+            tmp_path / "copy" / artifact
+        ).read_bytes()
 
 
 def test_window_bundle_roundtrip(tmp_path):

@@ -336,8 +336,9 @@ class TestWindowStack:
         npt.assert_array_equal(recons, regenerated)
         npt.assert_array_equal(errors, objective(stack, regenerated)[0])
 
-    def test_row_cap_splits_the_descent_only(self, toy_generator, stack, monkeypatch):
-        # three restarts at two rows per batch also split a window's restarts
+    def test_row_cap_moves_results_by_rounding_only(self, toy_generator, stack, monkeypatch):
+        # three restarts at two rows per batch also split a window's
+        # restarts, and the winners are reconstructed two at a time
         cfg = {**self.CFG, "restarts": 3}
         whole = invert(toy_generator, stack, cfg, self.SEED)
         monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", 2)
@@ -363,6 +364,59 @@ class TestWindowStack:
         monkeypatch.setattr(inversion, "objective", poisoned)
         with pytest.raises(RuntimeError, match="window 3: all inversion restarts diverged"):
             invert(toy_generator, marked, settings(max_iterations=3, restarts=2), 0)
+
+
+class TestBatchRowCap:
+    """No LSTM pass of the inversion or of the discriminator's scoring sees
+    more than ``MAX_BATCH_ROWS`` rows, the final pass over the winners
+    included, so the caches of a large test set stay bounded."""
+
+    CAP = 3
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        forward = lstm.forward_batch
+
+        def recording(net, sequences):
+            sizes.append(len(sequences))
+            return forward(net, sequences)
+
+        monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", self.CAP)
+        monkeypatch.setattr(lstm, "forward_batch", recording)
+        return sizes
+
+    def test_invert(self, toy_generator, batch_sizes):
+        windows = np.random.default_rng(8).normal(size=(7, 8, 3))
+        latents, errors, _, recons = invert(
+            toy_generator, windows, settings(max_iterations=2, restarts=2), 0
+        )
+        assert max(batch_sizes) <= self.CAP
+        # the winners of the 7 windows are reconstructed 3, 3 and 1 at a time
+        assert batch_sizes[-3:] == [3, 3, 1]
+        npt.assert_array_equal(recons, np.concatenate(
+            [generate(toy_generator, latents[lo : lo + self.CAP]) for lo in (0, 3, 6)]
+        ))
+        npt.assert_array_equal(errors, objective(windows, recons)[0])
+
+    def test_score_windows(self, batch_sizes):
+        model = TestResidual._model(3)
+        windows = np.random.default_rng(9).normal(size=(7, TestResidual.STEPS, 3))
+        whole = generate(model.discriminator, windows)[..., 0].reshape(-1)
+        batch_sizes.clear()
+        *_, disc = pipeline._score_windows(
+            model, windows, settings(max_iterations=2, restarts=2), 0
+        )
+        assert max(batch_sizes) <= self.CAP
+        assert batch_sizes[-3:] == [3, 3, 1]
+        # a batch of 3 rounds in float32 as a batch of 7 may not
+        npt.assert_allclose(disc, whole, rtol=0, atol=1e-6)
+
+    def test_up_to_the_cap_is_one_call(self, toy_generator, batch_sizes):
+        latents = np.random.default_rng(10).normal(size=(self.CAP, 8, 4))
+        out = inversion.forward_outputs(toy_generator, latents)
+        assert batch_sizes == [self.CAP]
+        npt.assert_array_equal(out, generate(toy_generator, latents))
 
 
 def test_invert_many_matches_serial(toy_generator):
