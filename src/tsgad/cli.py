@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import SCHEMA, ConfigError, load_config
+from .config import ConfigError, load_config
 
 COMMANDS = {
     "synth": pipeline.run_synth,
@@ -29,29 +29,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS), help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override paths.out_dir")
     return parser
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        rule = SCHEMA["seed"]
-        if not rule.check(args.seed):
-            raise ConfigError(f"--seed: expected {rule.expect}, got {args.seed}")
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["paths"]["out_dir"] = args.out
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if args.out is not None:
+        cfg["paths"]["out_dir"] = args.out
     try:
         result = COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -145,9 +145,6 @@ SCHEMA: dict = {
         "gen_hidden": Field(int, 100, _positive, "positive integer"),
         "disc_depth": Field(int, 1, _positive, "positive integer"),
         "disc_hidden": Field(int, 100, _positive, "positive integer"),
-        "grad_clip": Field(
-            float, 5.0, _non_negative, "non-negative number (0 turns clipping off)"
-        ),
         "mmd_samples": Field(int, 128, lambda v: v >= 2, "integer >= 2"),
     },
     # Adam on the latents: ``learning_rate`` is Adam's step size, and a

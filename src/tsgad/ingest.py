@@ -21,6 +21,8 @@ bundle helpers.  Every CSV the package writes goes through a writer:
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import warnings
 from contextlib import contextmanager
@@ -292,9 +294,10 @@ def _open_csv(path: str | Path, header: list[str]):
         yield fh
 
 
-# rows formatted at once by write_fixed_point_csv: formatting the whole
-# matrix in one pass would hold a dozen bytes of temporaries per cell
-FIXED_POINT_BLOCK_ROWS = 2048
+# numbers formatted at once by write_fixed_point_csv: a block holds about 90
+# bytes of text and temporaries per number, so a budget in rows would grow
+# with the plant's width
+FIXED_POINT_BLOCK_CELLS = 12_000
 
 
 def _fixed_point(values: np.ndarray, decimals: int, prefix: bytes = b"") -> np.ndarray:
@@ -362,11 +365,11 @@ def write_fixed_point_csv(
     ``label_text[labels[row]]``, comma-separated.
 
     The header goes through ``csv.writer``, as in :func:`write_csv`.  The
-    rows are formatted by numpy digit arithmetic,
-    :data:`FIXED_POINT_BLOCK_ROWS` at a time: each block becomes one byte
-    array, with the NUL padding of the digit tables dropped by one boolean
-    mask.  ``decimals`` is 1 to 9 and every reading is below 2**63 in
-    magnitude; the text is exactly ``%``'s on the values
+    rows are formatted by numpy digit arithmetic, in blocks of about
+    :data:`FIXED_POINT_BLOCK_CELLS` numbers, the timestamps counted: each
+    block becomes one byte array, with the NUL padding of the digit tables
+    dropped by one boolean mask.  ``decimals`` is 1 to 9 and every reading
+    is below 2**63 in magnitude; the text is exactly ``%``'s on the values
     :func:`tsgad.pipeline.save_scenario_csv` names.
     """
     with _open_csv(path, header) as fh:
@@ -377,8 +380,9 @@ def write_fixed_point_csv(
         # the rows go as bytes to the buffer under the text layer, after
         # the header it holds
         fh.flush()
-        for start in range(0, len(values), FIXED_POINT_BLOCK_ROWS):
-            block = values[start : start + FIXED_POINT_BLOCK_ROWS]
+        block_rows = max(1, FIXED_POINT_BLOCK_CELLS // (1 + values.shape[1]))
+        for start in range(0, len(values), block_rows):
+            block = values[start : start + block_rows]
             stamps = _fixed_point(np.arange(start, start + len(block), dtype=np.float64), 1)
             cells = _fixed_point(block.reshape(-1), decimals, b",")
             lines = np.concatenate(
@@ -518,14 +522,18 @@ def save_window_bundle(
     return manifest_path
 
 
-def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`save_window_bundle`: ``(arrays, manifest)``.
+def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict, str]:
+    """Inverse of :func:`save_window_bundle`: ``(arrays, manifest, sha256)``.
 
     ``arrays`` maps every name ``windows.npz`` stores, ``<set>_windows`` and,
-    for a set with labels, ``<set>_labels``, to its array.
+    for a set with labels, ``<set>_labels``, to its array.  ``sha256`` is
+    the hex digest of the bytes the arrays were parsed from: the file is
+    read once, so a bundle re-ingested meanwhile cannot give the arrays
+    another file's digest.  The bytes are dropped on return.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    with np.load(directory / "windows.npz") as data:
+    raw = (directory / "windows.npz").read_bytes()
+    with np.load(io.BytesIO(raw)) as data:
         arrays = {k: data[k] for k in data.files}
-    return arrays, manifest
+    return arrays, manifest, hashlib.sha256(raw).hexdigest()

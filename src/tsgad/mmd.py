@@ -12,8 +12,6 @@ import numpy as np
 
 def _flatten(samples: np.ndarray) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[:, None]
     return arr.reshape(arr.shape[0], -1)
 
 

@@ -8,7 +8,6 @@ byte-identical outputs in any output directory.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import warnings
 from itertools import zip_longest
@@ -51,13 +50,15 @@ def _csv_paths(cfg: dict) -> tuple[Path, Path | None]:
     return Path(train), Path(test) if test else None
 
 
-def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict]:
-    """The bundle that detect and evaluate read: both set their thresholds on
-    its holdout windows, which a bundle ingested with no holdout lacks."""
-    arrays, manifest = ingest.load_window_bundle(_bundle_dir(cfg))
+def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict, str]:
+    """The bundle that detect and evaluate read, as
+    :func:`~tsgad.ingest.load_window_bundle` returns it: both set their
+    thresholds on its holdout windows, which a bundle ingested with no
+    holdout lacks."""
+    arrays, manifest, digest = ingest.load_window_bundle(_bundle_dir(cfg))
     if not {"holdout_windows", "holdout_raw_windows"} <= arrays.keys():
         raise ConfigError("bundle has no holdout windows; re-ingest")
-    return arrays, manifest
+    return arrays, manifest, digest
 
 
 def _check_magnitudes(values: np.ndarray, column_names: list[str], path: str | Path) -> None:
@@ -87,8 +88,8 @@ def save_scenario_csv(
     Each reading is written as fixed-point text with
     :data:`~tsgad.synthetic.DECIMALS` digits after the point, the text of
     ``%.6f``, by :func:`~tsgad.ingest.write_fixed_point_csv`: numpy digit
-    arithmetic on blocks of :data:`~tsgad.ingest.FIXED_POINT_BLOCK_ROWS`
-    rows, not one ``%`` per cell.  The text is byte for byte ``%.6f``'s on
+    arithmetic on blocks of about :data:`~tsgad.ingest.FIXED_POINT_BLOCK_CELLS`
+    numbers, not one ``%`` per cell.  The text is byte for byte ``%.6f``'s on
     every reading ``generate_scenario`` can emit: a value on the grid, and
     any double of magnitude from 2**33 to below 2**63, whose fraction times
     1e6 is exact.  A double below 2**33 off the grid can differ in its last
@@ -209,7 +210,7 @@ def run_ingest(cfg: dict) -> Path:
         test_norm = ingest.normalize(test_values, col_min, col_max)
         del test_values
         sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
-        sets["test_raw"] = cut(test_norm, test_labels, ing["test_shift"])
+        sets["test_raw"] = cut(test_norm, None, ing["test_shift"])
 
     bundle = _bundle_dir(cfg)
     ingest.save_window_bundle(
@@ -231,19 +232,19 @@ def run_ingest(cfg: dict) -> Path:
     return bundle
 
 
-def _windows_sha256(cfg: dict) -> str:
-    """SHA-256 of the bundle's ``windows.npz``: the checkpoint records the one
-    it was trained on and ``detect_manifest.json`` the one detect scored, so
-    that detect and evaluate refuse another bundle."""
-    return hashlib.sha256((_bundle_dir(cfg) / "windows.npz").read_bytes()).hexdigest()
-
-
 def run_train(cfg: dict) -> Path:
-    """Train the adversarial pair on the bundled training windows."""
-    train_windows = ingest.load_window_bundle(_bundle_dir(cfg))[0]["train_windows"]
+    """Train the adversarial pair on the bundled training windows.
+
+    The checkpoint records, as ``windows_sha256``, the SHA-256 of the
+    ``windows.npz`` bytes those windows were read from, so that detect and
+    evaluate refuse another bundle, one re-ingested during training too.
+    """
+    arrays, _, digest = ingest.load_window_bundle(_bundle_dir(cfg))
+    train_windows = arrays["train_windows"]
+    del arrays  # training reads no other set
     checkpoint = _checkpoint_path(cfg)
     model = gan.train(cfg["gan"], train_windows, cfg["seed"])
-    model.windows_sha256 = _windows_sha256(cfg)
+    model.windows_sha256 = digest
     gan.save_checkpoint(model, checkpoint)
 
     out = _out_dir(cfg)
@@ -298,14 +299,13 @@ def run_detect(cfg: dict) -> Path:
     normal windows: ``holdout_error_median``, the median of their inversion
     errors, and ``holdout_iterations_mean``, the mean of their Adam steps.
     """
-    arrays, manifest = _load_calibration_bundle(cfg)
+    arrays, manifest, digest = _load_calibration_bundle(cfg)
     if "test_windows" not in arrays:
         raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     checkpoint = _checkpoint_path(cfg)
     if not checkpoint.is_file():
         raise ConfigError(f"{checkpoint} not found; run train first")
     model = gan.load_checkpoint(checkpoint)
-    digest = _windows_sha256(cfg)
     if model.windows_sha256 != digest:
         raise ConfigError(
             f"{checkpoint}: trained on windows.npz with sha256 {model.windows_sha256}, "
@@ -407,7 +407,7 @@ def run_evaluate(cfg: dict) -> Path:
     ``windows.npz``, as for the checkpoint in :func:`run_detect`.
     """
     bundle = _bundle_dir(cfg)
-    arrays, manifest = _load_calibration_bundle(cfg)
+    arrays, manifest, digest = _load_calibration_bundle(cfg)
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
     detect_path = out / "detect_manifest.json"
@@ -415,7 +415,6 @@ def run_evaluate(cfg: dict) -> Path:
         if not path.exists():
             raise ConfigError(f"{path} not found; run detect first")
     scored = json.loads(detect_path.read_text()).get("windows_sha256")
-    digest = _windows_sha256(cfg)
     if scored != digest:
         raise ConfigError(
             f"{scores_path}: detect scored windows.npz with sha256 {scored}, "

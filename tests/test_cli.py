@@ -159,7 +159,7 @@ def test_history_has_a_finite_mmd_every_epoch(tmp_path):
 @pytest.mark.parametrize("key", [
     "no_such_key", "workers", "gan.optimizer", "synth.propagate_to_coupled",
     "synth.label_coupled", "baselines", "scoring.tau", "generate",
-    "gan.checkpoint_interval", "gan.mmd_every",
+    "gan.checkpoint_interval", "gan.mmd_every", "gan.grad_clip",
 ])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
@@ -192,16 +192,13 @@ def test_negative_noise_sigma_exits_1_at_load(tmp_path, capsys):
     assert not (tmp_path / "train.csv").exists()
 
 
-def test_negative_seed_flag_exits_1(config, tmp_path, capsys):
-    # the --seed override obeys the same range as the config's seed key
-    assert _run(config, tmp_path, "synth") == 0
-    written = sorted(tmp_path.rglob("*"))
-    capsys.readouterr()
-    for stage in ("synth", "ingest", "train"):
-        assert _run(config, tmp_path, stage, "--seed", "-1") == 1
-        assert "config error: --seed: expected non-negative integer, got -1" in (
-            capsys.readouterr().err)
-    assert sorted(tmp_path.rglob("*")) == written
+def test_seed_flag_is_rejected(config, tmp_path, capsys):
+    # the config's seed key is the one seed setting
+    with pytest.raises(SystemExit) as exc_info:
+        _run(config, tmp_path, "all", "--seed", "3")
+    assert exc_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_workers_flag_is_rejected(config, tmp_path, capsys):
@@ -325,6 +322,30 @@ def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
     assert _run(config, out, "train") == 0
     with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
         assert _run(config, out, "detect") == 0
+
+
+def test_re_ingest_during_train_binds_the_checkpoint_to_the_windows_trained_on(
+        all_out, tmp_path, capsys, monkeypatch):
+    # the checkpoint's digest is that of the bytes train parsed its windows
+    # from, not of whatever windows.npz holds when training ends
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
+                                 "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
+    trained_on = _sha256(out / "bundle" / "windows.npz")
+    real_train = gan.train
+
+    def train_during_a_re_ingest(*args):
+        model = real_train(*args)
+        assert _run(config, out, "ingest") == 0
+        return model
+
+    monkeypatch.setattr(gan, "train", train_during_a_re_ingest)
+    assert _run(config, out, "train") == 0
+    assert gan.load_checkpoint(out / "checkpoints" / "final.npz").windows_sha256 == trained_on
+    capsys.readouterr()
+    assert _run(config, out, "detect") == 1
+    assert "re-run train" in capsys.readouterr().err
 
 
 def test_evaluate_after_a_trim_rows_re_ingest_exits_1(all_out, tmp_path, capsys):

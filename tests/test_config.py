@@ -193,7 +193,7 @@ def test_scenario_entries_are_checked_with_synth_disabled(tmp_path):
 
 
 @pytest.mark.parametrize("key", [
-    "gan.d_learning_rate", "gan.g_learning_rate", "gan.grad_clip", "inversion.learning_rate",
+    "gan.d_learning_rate", "gan.g_learning_rate", "inversion.learning_rate",
     "inversion.tolerance", "synth.noise_sigma", "scoring.lambda", "ingest.holdout_fraction",
 ])
 @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])

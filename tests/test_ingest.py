@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -534,7 +535,8 @@ def test_window_bundle_roundtrip(tmp_path):
     test = cut(values, 8, 8, 2, labels)
     train = cut(values, 8, 4, 2)
     save_window_bundle(tmp_path / "bundle", {"test": test, "train": train}, {"note": "x"})
-    loaded, manifest = load_window_bundle(tmp_path / "bundle")
+    loaded, manifest, digest = load_window_bundle(tmp_path / "bundle")
+    assert digest == hashlib.sha256((tmp_path / "bundle" / "windows.npz").read_bytes()).hexdigest()
     assert sorted(loaded) == ["test_labels", "test_windows", "train_windows"]
     npt.assert_array_equal(loaded["test_windows"], test[0])
     npt.assert_array_equal(loaded["test_labels"], test[1])

@@ -166,7 +166,7 @@ class TestResidual:
 
 class TestInvert:
     def test_recovers_planted_latent(self, toy_generator):
-        z_star = gan.sample_latent(1, 8, 4, rng=100)
+        z_star = np.random.default_rng(100).standard_normal((1, 8, 4))
         target = generate(toy_generator, z_star)[0]
         cfg = settings(max_iterations=200, learning_rate=0.2)
         _, err, iterations, _ = invert_one(toy_generator, target, cfg, 0)
@@ -174,7 +174,7 @@ class TestInvert:
         assert iterations <= 200
 
     def test_zero_iteration_budget_returns_initial_sample(self, toy_generator):
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=101))[0]
+        target = generate(toy_generator, np.random.default_rng(101).standard_normal((1, 8, 4)))[0]
         latent, _, iterations, _ = invert_one(
             toy_generator, target, settings(max_iterations=0, restarts=1), 5
         )
@@ -183,21 +183,21 @@ class TestInvert:
         npt.assert_array_equal(latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=102))[0]
+        target = generate(toy_generator, np.random.default_rng(102).standard_normal((1, 8, 4)))[0]
         latent, _, _, reconstruction = invert_one(toy_generator, target,
                                                   settings(max_iterations=30), 1)
         regenerated = generate(toy_generator, latent[None])[0]
         npt.assert_array_equal(reconstruction, regenerated)
 
     def test_seed_stability(self, toy_generator):
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=103))[0]
+        target = generate(toy_generator, np.random.default_rng(103).standard_normal((1, 8, 4)))[0]
         errors = []
         for seed in (11, 12):
             errors.append(invert_one(toy_generator, target, settings(max_iterations=200), seed)[1])
         assert abs(errors[0] - errors[1]) < 0.05
 
     def test_deterministic_given_seed(self, toy_generator):
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=104))[0]
+        target = generate(toy_generator, np.random.default_rng(104).standard_normal((1, 8, 4)))[0]
         cfg = settings(max_iterations=50)
         a = invert_one(toy_generator, target, cfg, 3)
         b = invert_one(toy_generator, target, cfg, 3)
@@ -206,7 +206,7 @@ class TestInvert:
 
     def test_descent_never_increases_error(self, toy_generator):
         # each row keeps the lowest-error latent it visits, the start included
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=105))[0]
+        target = generate(toy_generator, np.random.default_rng(105).standard_normal((1, 8, 4)))[0]
         start = invert_one(toy_generator, target, settings(max_iterations=0, restarts=1), 9)[1]
         finish = invert_one(toy_generator, target, settings(max_iterations=60, restarts=1), 9)[1]
         assert finish <= start
@@ -245,7 +245,7 @@ class TestBatchedRestarts:
     def test_rows_match_solo_descents(self, toy_generator):
         # row 0 starts at the planted latent, below the tolerance, so it takes
         # no step; the other two stop at the tolerance after different counts
-        z_star = gan.sample_latent(1, 8, 4, rng=107)
+        z_star = np.random.default_rng(107).standard_normal((1, 8, 4))
         target = generate(toy_generator, z_star)[0].astype(np.float64)
         targets = np.repeat(target[None], 3, axis=0)
         z0 = np.concatenate([z_star, np.random.default_rng(3).standard_normal((2, 8, 4))])
@@ -262,7 +262,7 @@ class TestBatchedRestarts:
 
     def test_no_descent_picks_the_best_serial_draw(self, toy_generator):
         # restart r starts from the r-th (8, 4) draw of default_rng(seed)
-        target = generate(toy_generator, gan.sample_latent(1, 8, 4, rng=109))[0]
+        target = generate(toy_generator, np.random.default_rng(109).standard_normal((1, 8, 4)))[0]
         rng = np.random.default_rng(13)
         draws = [rng.standard_normal((8, 4)) for _ in range(3)]
         errors = [error(target, generate(toy_generator, z[None])[0]) for z in draws]
@@ -289,7 +289,7 @@ class TestWindowStack:
         # window 0 is G of its own first draw, so it starts below the
         # tolerance; windows 1-6 are G of planted latents and window 7 is noise
         first = np.random.default_rng(self.SEED).standard_normal((1, 8, 4))
-        planted = [gan.sample_latent(1, 8, 4, rng=200 + k) for k in range(6)]
+        planted = [np.random.default_rng(200 + k).standard_normal((1, 8, 4)) for k in range(6)]
         windows = generate(toy_generator, np.concatenate([first, *planted]))
         noise = np.random.default_rng(9).normal(size=(1, 8, 3))
         return np.concatenate([windows, noise]).astype(np.float64)
@@ -422,7 +422,7 @@ class TestBatchRowCap:
 def test_invert_many_matches_serial(toy_generator):
     # window i is the solo inversion with seed + i, up to float32 rounding:
     # the stack descends at batch 3 and a solo window at batch 1
-    windows = generate(toy_generator, gan.sample_latent(3, 8, 4, rng=106))
+    windows = generate(toy_generator, np.random.default_rng(106).standard_normal((3, 8, 4)))
     cfg = settings(max_iterations=25, restarts=1)
     latents, errors, iterations, recons = invert_many(toy_generator, windows, cfg, 42)
     assert (latents.shape, errors.shape, iterations.shape, recons.shape) == (

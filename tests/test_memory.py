@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from tsgad import ingest, pipeline
+from tsgad import pipeline
 from tsgad.config import validate_config
 
 ROWS = 6000
@@ -24,7 +24,9 @@ GROUPS = 10
 WIDTH = 3 * GROUPS
 PLANT_BYTES = ROWS * WIDTH * 8
 
-# measured 2.44 and 2.42; one more matrix reads 3.4 or more
+# measured 2.69 and 2.41, synth's with the CSV writer's block of about
+# FIXED_POINT_BLOCK_CELLS numbers, 0.3 matrix on this width; one more matrix
+# reads 3.4 or more
 BOUNDS = {"synth": 2.9, "ingest": 2.9}
 
 
@@ -72,17 +74,13 @@ def _traced_peak(run) -> int:
 def plant_multiples(tmp_path_factory):
     """Traced peak of ``run_synth`` and ``run_ingest``, in plant matrices."""
     cfg = _wide_config(tmp_path_factory.mktemp("wide") / "out")
-    with pytest.MonkeyPatch.context() as mp:
-        # the CSV writer holds about 90 bytes per cell of its block; 256 rows
-        # keep that to a third of a matrix, so the peak counts plant copies
-        mp.setattr(ingest, "FIXED_POINT_BLOCK_ROWS", 256)
-        # the first run imports modules and fills caches that the second reuses
-        pipeline.run_synth(cfg)
-        pipeline.run_ingest(cfg)
-        return {
-            "synth": _traced_peak(lambda: pipeline.run_synth(cfg)) / PLANT_BYTES,
-            "ingest": _traced_peak(lambda: pipeline.run_ingest(cfg)) / PLANT_BYTES,
-        }
+    # the first run imports modules and fills caches that the second reuses
+    pipeline.run_synth(cfg)
+    pipeline.run_ingest(cfg)
+    return {
+        "synth": _traced_peak(lambda: pipeline.run_synth(cfg)) / PLANT_BYTES,
+        "ingest": _traced_peak(lambda: pipeline.run_ingest(cfg)) / PLANT_BYTES,
+    }
 
 
 @pytest.mark.parametrize("stage", sorted(BOUNDS))

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tsgad.config import ConfigError, validate_config
-from tsgad.ingest import FIXED_POINT_BLOCK_ROWS, load_csv
+from tsgad.ingest import FIXED_POINT_BLOCK_CELLS, load_csv
 from tsgad.pipeline import save_scenario_csv
 from tsgad.synthetic import DECIMALS, generate_scenario
 
@@ -244,19 +244,28 @@ READINGS = st.one_of(
     st.floats(-(2.0**63), -(2.0**33), exclude_min=True),
     st.sampled_from([0.0, -0.0, 9.9999996, -0.9999999, 99.9999997, -1e-7, 1e17]),
 )
-# the timestamp gains a digit at rows 10, 100, 1000 and 10000, and blocks
-# of FIXED_POINT_BLOCK_ROWS rows end inside these counts
-ROW_COUNTS = st.one_of(
-    st.integers(1, 120),
-    st.integers(FIXED_POINT_BLOCK_ROWS - 2, FIXED_POINT_BLOCK_ROWS + 2),
-    st.sampled_from([2 * FIXED_POINT_BLOCK_ROWS + 1, 10_001]),
+
+
+def _row_counts(columns: int):
+    """Row counts inside which the timestamp gains a digit, at rows 10, 100,
+    1000 and 10000, and a block of the CSV writer ends at this width."""
+    block = FIXED_POINT_BLOCK_CELLS // (1 + columns)
+    return st.one_of(
+        st.integers(1, 120),
+        st.integers(block - 2, block + 2),
+        st.sampled_from([2 * block + 1, 10_001]),
+    )
+
+
+SHAPES = st.integers(1, 4).flatmap(
+    lambda columns: st.tuples(_row_counts(columns), st.just(columns))
 )
 
 
-@given(st.lists(READINGS, min_size=1, max_size=12), ROW_COUNTS, st.integers(1, 4),
-       st.integers(0, 2**32))
+@given(st.lists(READINGS, min_size=1, max_size=12), SHAPES, st.integers(0, 2**32))
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_plant_csv_is_the_percent_format_text(tmp_path, readings, rows, columns, seed):
+def test_plant_csv_is_the_percent_format_text(tmp_path, readings, shape, seed):
+    rows, columns = shape
     rng = np.random.default_rng(seed)
     values = np.array(readings)[rng.integers(len(readings), size=(rows, columns))]
     labels = rng.integers(0, 2, rows)
