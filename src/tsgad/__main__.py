@@ -1,0 +1,8 @@
+"""``python -m tsgad``: the ``tsgad`` command, for a checkout with ``src`` on the path."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

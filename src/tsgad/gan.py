@@ -168,6 +168,12 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
     the reference windows, so its values can be compared across epochs.
     The MMD needs 2 windows, so with ``epochs > 0`` a single window is
     refused.
+
+    Only the passes a backward reads keep an LSTM cache: those inside
+    :func:`discriminator_grads` and :func:`generator_grads`.  The generator
+    passes that make a discriminator step's fakes and the MMD batch run
+    with ``cache=False``; with ``mmd_samples`` above ``batch_size``, the
+    MMD batch's cache would otherwise set the peak memory of training.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
@@ -212,7 +218,7 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
                 m = real.shape[0]
                 for _ in range(settings["d_steps"]):
                     z = rng.standard_normal((m, seq_len, latent_dim))
-                    fake = lstm.forward_batch(gen, z)[0]
+                    fake = lstm.forward_batch(gen, z, cache=False)[0]
                     loss, grads = discriminator_grads(disc, real, fake)
                     _update(model, disc, d_opt, "d_loss", loss, grads, epoch + 1)
                     d_losses.append(loss)
@@ -227,7 +233,7 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
 
         last_good = (gen.copy(), disc.copy())
         z = rng.standard_normal((ref_size, seq_len, latent_dim))
-        mmd = mmd_unbiased(lstm.forward_batch(gen, z)[0], mmd_ref, bandwidth)
+        mmd = mmd_unbiased(lstm.forward_batch(gen, z, cache=False)[0], mmd_ref, bandwidth)
         model.history.append(
             {"d_loss": float(np.mean(d_losses)), "g_loss": float(np.mean(g_losses)), "mmd": mmd}
         )

@@ -15,11 +15,13 @@ gradients only, and takes one Adam step (``lstm.optimizer_step``, step size
 follows its own trajectory and keeps the lowest-error latent it visits.  At
 most :data:`MAX_BATCH_ROWS` rows go through the LSTM at once, in the descent
 and in the final pass that reconstructs the winners (see
-:func:`forward_outputs`), so the LSTM caches of a large test set stay
-bounded.  float32 rounds a batch of B rows differently from B batches of
-one, so a window's result can differ by rounding from inverting it alone.
-The result is four arrays stacked like the windows, window i in row i:
-latents, errors, iterations and reconstructions.
+:func:`forward_outputs`).  Only the descent's forwards keep an LSTM cache,
+each for the backward that follows it, so :data:`MAX_BATCH_ROWS` bounds
+those caches for a large test set; the descent's last forward and the
+final pass keep none.  float32 rounds a batch of B rows differently from
+B batches of one, so a window's result can differ by rounding from
+inverting it alone.  The result is four arrays stacked like the windows,
+window i in row i: latents, errors, iterations and reconstructions.
 """
 
 from __future__ import annotations
@@ -28,20 +30,21 @@ import numpy as np
 
 from . import lstm
 
-# rows (windows x restarts) per LSTM batch; bounds the LSTM cache memory
+# rows (windows x restarts) per LSTM batch; bounds the descent's LSTM caches
 MAX_BATCH_ROWS = 512
 
 
 def forward_outputs(net: lstm.StackedLstm, sequences: np.ndarray) -> np.ndarray:
     """The outputs of ``lstm.forward_batch(net, sequences)``, taken
-    :data:`MAX_BATCH_ROWS` sequences at a time, so that at most one batch's
-    cache is alive; a generator's holds about 100 KB per 12-step sequence
-    at the default sizes.  Up to ``MAX_BATCH_ROWS`` sequences this is one
-    call and its exact result; a longer stack may differ from one call by
-    float32 rounding.
+    :data:`MAX_BATCH_ROWS` sequences at a time.  No backward follows, so
+    each batch runs with ``cache=False`` and holds one layer's arrays at a
+    time, not the cache of about 100 KB per 12-step sequence a generator
+    pass keeps at the default sizes.  Up to ``MAX_BATCH_ROWS`` sequences
+    this is one call and its exact result; a longer stack may differ from
+    one call by float32 rounding.
     """
     return np.concatenate([
-        lstm.forward_batch(net, sequences[lo : lo + MAX_BATCH_ROWS])[0]
+        lstm.forward_batch(net, sequences[lo : lo + MAX_BATCH_ROWS], cache=False)[0]
         for lo in range(0, len(sequences), MAX_BATCH_ROWS)
     ])
 
@@ -93,8 +96,10 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
     iterations = np.zeros(len(z), dtype=int)
     run = np.ones(len(z), dtype=bool)  # rows still descending
     adam = lstm.OptimizerState(settings["learning_rate"])
-    for step in range(settings["max_iterations"] + 1):
-        recons, cache = lstm.forward_batch(gen, z)
+    last = settings["max_iterations"]
+    for step in range(last + 1):
+        # no backward follows the last step's forward
+        recons, cache = lstm.forward_batch(gen, z, cache=step < last)
         err, err_grads = objective(windows, recons)
         finite = np.isfinite(err)
         errors[run & ~finite] = np.nan
@@ -102,7 +107,7 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
         better = run & (err < errors)
         best[better], errors[better] = z[better], err[better]
         run &= errors > settings["tolerance"]
-        if step == settings["max_iterations"] or not run.any():
+        if step == last or not run.any():
             break
         _, z_grads = lstm.backward_batch(gen, cache, err_grads, weights=False)
         finite = np.isfinite(z_grads).all(axis=(1, 2))

@@ -16,6 +16,14 @@ inside it, is one contiguous array that the time loop updates in place.  The
 input projection of every step is one product before the loop; the input
 and weight gradients are products over every step after it.
 
+Each pass forms only what its caller reads.  A forward pass keeps the
+backward cache, the per-layer arrays of every step, only for a backward
+that reads it; one that no backward reads runs with
+``forward_batch(..., cache=False)``, which keeps about one layer's arrays
+at a time and returns bitwise the same outputs.  ``backward_batch``
+returns the parameter gradients, or with ``weights=False`` the input
+gradients, never both.
+
 ``sigmoid`` raises its argument to at least -50 to keep exp() finite.  Above
 +50 it needs no clamp: exp(-50) ~ 1.9e-22 vanishes beside 1 in float32 and
 float64, so it is exactly 1 there, as the logistic of an argument clipped to
@@ -175,7 +183,9 @@ def _flat_steps(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
-def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, tuple]:
+def forward_batch(
+    net: StackedLstm, sequences: np.ndarray, cache: bool = True
+) -> tuple[np.ndarray, tuple | None]:
     """Run a (batch, time, features) tensor through the stack.
 
     Initial hidden and cell states are zero.  Returns the (batch, time,
@@ -185,6 +195,16 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
     (L, d, B), the activated (i, f, o, g) gates (L, 4h, B), then cell,
     tanh(cell) and hidden (L, h, B).  The sequences are cast to the
     parameters' dtype, and every array in the result has that dtype.
+
+    With ``cache=False`` the cache is None: each layer's gates, cell and
+    tanh(cell) are freed as the next layer allocates its own, so the pass
+    holds one layer's arrays and the next one's gates at most, where the
+    cached pass holds every layer's.  The outputs are bitwise those of the
+    cached pass, which runs the same operations in the same order.  The
+    passes that no backward reads use it: in training, the generator's
+    fakes for a discriminator step and its MMD batch; in inversion, the
+    descent's last forward, the reconstruction of the winning latents and
+    the discriminator's scoring.
     """
     p = net.params
     dtype = p["out_w"].dtype
@@ -225,34 +245,39 @@ def forward_batch(net: StackedLstm, sequences: np.ndarray) -> tuple[np.ndarray, 
                 cell[t] += np.multiply(f, cell[t - 1], out=kept)
             np.tanh(cell[t], out=cell_tanh[t])
             np.multiply(o, cell_tanh[t], out=hidden[t])
-        layers.append((x, gates, cell, cell_tanh, hidden))
+        if cache:
+            layers.append((x, gates, cell, cell_tanh, hidden))
         x = hidden
 
     head = np.matmul(p["out_w"], x)
     head += p["out_b"][:, None]
     outputs = np.ascontiguousarray(_activate(head, net.output_activation).transpose(2, 0, 1))
-    return outputs, (layers, outputs)
+    return outputs, ((layers, outputs) if cache else None)
 
 
 def backward_batch(
-    net: StackedLstm, cache: tuple, output_grads: np.ndarray, weights: bool = True
-) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
+    net: StackedLstm, cache: tuple | None, output_grads: np.ndarray, weights: bool = True
+) -> tuple[dict[str, np.ndarray] | None, np.ndarray | None]:
     """Exact BPTT for the scalar loss whose per-output partials are given.
 
     ``output_grads`` has the (batch, time, output) shape of the outputs, and
     ``cache`` is the feature-major cache ``forward_batch`` returned with them.
-    Returns ``(grads, input_grads)``: the parameter gradients keyed and
-    ordered like ``net.params``, and the (batch, time, features) gradient
-    with respect to the sequences ``forward_batch`` was given.  The partials
-    are cast to the parameters' dtype, and every gradient has it.  The
-    recurrence runs on one contiguous (4h, B) gate-gradient block per step;
-    the input and weight gradients are formed from all steps' blocks after it.
+    Returns ``(grads, None)``: the parameter gradients keyed and ordered
+    like ``net.params``.  The partials are cast to the parameters' dtype,
+    and every gradient has it.  The recurrence runs on one contiguous
+    (4h, B) gate-gradient block per step; the input and weight gradients
+    are formed from all steps' blocks after it.
 
-    With ``weights=False`` the parameter gradients are not formed and
-    ``grads`` is None; the input gradients are bitwise those of the full
-    pass.  Callers that hold a net fixed (latent inversion, the frozen
-    discriminator in a generator step) use it.
+    With ``weights=False`` it returns ``(None, input_grads)`` instead: the
+    (batch, time, features) gradient with respect to the sequences
+    ``forward_batch`` was given, and no parameter gradient.  Callers that
+    hold a net fixed (latent inversion, the frozen discriminator in a
+    generator step) use it.  No caller reads both, so the pass with
+    weights skips the bottom layer's input-gradient product.  A cache of
+    None, from ``forward_batch(..., cache=False)``, is refused.
     """
+    if cache is None:
+        raise ValueError("no backward cache: the forward ran with cache=False")
     p = net.params
     dtype = p["out_w"].dtype
     layers, outputs = cache
@@ -334,9 +359,11 @@ def backward_batch(
             grads[f"l{idx}_w_rec"] = flat[:, batch:] @ flat_hidden[:, :-batch].T
             grads[f"l{idx}_bias"] = flat.sum(axis=1)
             flat_hidden = flat_inputs
+            if idx == 0:  # no caller of the weight gradients reads the input's
+                return grads, None
         d_hidden_seq = np.matmul(p[f"l{idx}_w_in"].T, d_gates)
 
-    return grads, np.ascontiguousarray(d_hidden_seq.transpose(2, 0, 1))
+    return None, np.ascontiguousarray(d_hidden_seq.transpose(2, 0, 1))
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)

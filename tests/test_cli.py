@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -733,3 +737,20 @@ def test_missing_csv_exits_1_naming_its_key(key, config, tmp_path, capsys):
     assert _run(edited, tmp_path, "ingest") == 1
     assert f"config error: paths.{key}: no file '{paths[key]}'" in capsys.readouterr().err
     assert not (tmp_path / "bundle").exists()
+
+
+def test_module_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "tsgad", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "{all,detect,evaluate,ingest,synth,train}" in shown.stdout
+    # the process exits with main's code: 1 for a config error
+    missing = run("synth", "--config", "missing.yaml")
+    assert missing.returncode == 1
+    assert "config error" in missing.stderr

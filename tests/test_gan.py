@@ -209,8 +209,8 @@ class TestTrain:
         # a generator emitting the wrong width fails inside the epoch
         real_forward = lstm.forward_batch
 
-        def wrong_width_generator(net, sequences):
-            out, cache = real_forward(net, sequences)
+        def wrong_width_generator(net, sequences, **kwargs):
+            out, cache = real_forward(net, sequences, **kwargs)
             if net.output_activation == "tanh":
                 out = np.zeros(out.shape[:2] + (2,))
             return out, cache
@@ -218,6 +218,14 @@ class TestTrain:
         monkeypatch.setattr(lstm, "forward_batch", wrong_width_generator)
         with pytest.raises(ValueError, match="feature dim"):
             train(tiny_config(), np.zeros((8, 4, 1)), SEED)
+
+    def test_every_kept_cache_is_read(self, kept_caches):
+        # the MMD batch of 24 windows and the discriminator step's fakes
+        # run with cache=False
+        windows = np.random.default_rng(31).uniform(-0.5, 0.5, (24, 4, 1))
+        train(tiny_config(epochs=2, batch_size=8, mmd_samples=24), windows, SEED)
+        kept, unread = kept_caches()
+        assert kept and not unread
 
     def test_one_window_with_mmd_names_the_cause(self):
         with pytest.raises(ValueError, match=r"MMD needs at least 2 training windows, got 1"):
@@ -256,8 +264,10 @@ class TestUpdateDirections:
         full_backward, asked = lstm.backward_batch, []
 
         def every_gradient(net, cache, output_grads, weights=True):
+            # both passes' gradients, whichever the caller asked for
             asked.append(weights)
-            return full_backward(net, cache, output_grads)
+            return (full_backward(net, cache, output_grads, weights=True)[0],
+                    full_backward(net, cache, output_grads, weights=False)[1])
 
         monkeypatch.setattr(lstm, "backward_batch", every_gradient)
         ref_loss, ref_grads = generator_grads(gen, disc, z)

@@ -378,9 +378,9 @@ class TestBatchRowCap:
         sizes = []
         forward = lstm.forward_batch
 
-        def recording(net, sequences):
+        def recording(net, sequences, **kwargs):
             sizes.append(len(sequences))
-            return forward(net, sequences)
+            return forward(net, sequences, **kwargs)
 
         monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", self.CAP)
         monkeypatch.setattr(lstm, "forward_batch", recording)
@@ -417,6 +417,19 @@ class TestBatchRowCap:
         out = inversion.forward_outputs(toy_generator, latents)
         assert batch_sizes == [self.CAP]
         npt.assert_array_equal(out, generate(toy_generator, latents))
+
+
+@pytest.mark.parametrize("max_iterations", [0, 2])
+def test_every_kept_cache_is_read(max_iterations, kept_caches):
+    # the descent's last forward, the winners' reconstruction and the
+    # discriminator's scoring run with cache=False
+    model = TestResidual._model(3)
+    windows = np.random.default_rng(11).normal(size=(5, TestResidual.STEPS, 3))
+    cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
+    pipeline._score_windows(model, windows, cfg, 0)
+    kept, unread = kept_caches()
+    # one cache per descent step, each read by that step's backward
+    assert len(kept) == max_iterations and not unread
 
 
 def test_invert_many_matches_serial(toy_generator):

@@ -208,13 +208,14 @@ class TestAgainstReference:
 
         grads, input_grads = backward_batch(net, cache, d_out, weights=weights)
         ref_grads, ref_input_grads = reference_backward(net, ref_cache, d_out)
-        assert input_grads.shape == seqs.shape and input_grads.dtype == np.float32
-        pairs = [(input_grads, ref_input_grads)]
         if weights:
+            assert input_grads is None
             assert list(grads) == list(ref_grads)
-            pairs += [(grads[name], ref) for name, ref in ref_grads.items()]
+            pairs = [(grads[name], ref) for name, ref in ref_grads.items()]
         else:
             assert grads is None
+            assert input_grads.shape == seqs.shape
+            pairs = [(input_grads, ref_input_grads)]
         for got, ref in pairs:
             assert got.dtype == ref.dtype == np.float32
             npt.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
@@ -225,6 +226,20 @@ class TestAgainstReference:
 
 
 class TestForward:
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["identity", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_uncached_outputs_equal_cached(self, depth, activation, dtype, batch):
+        net = init_lstm(depth, 5, 16, 3, activation, rng=80 + depth, weight_scale=0.3)
+        if dtype == np.float64:
+            net = float64_twin(net)
+        seqs = np.random.default_rng(81).normal(size=(batch, 12, 5))
+        out, cache = forward_batch(net, seqs, cache=False)
+        assert cache is None
+        assert out.dtype == dtype
+        npt.assert_array_equal(out, forward_batch(net, seqs)[0])
+
     def test_zero_parameters_fixed_point(self):
         net = zero_net()
         out, _ = forward_batch(net, np.random.default_rng(0).normal(size=(1, 6, 2)))
@@ -312,7 +327,8 @@ class TestBackward:
         net = init_lstm(1, 2, 3, 2, "tanh", rng=11)
         seq = np.random.default_rng(12).normal(size=(1, 4, 2))
         _, cache = forward_batch(net, seq)
-        grads, input_grads = backward_batch(net, cache, np.zeros((1, 4, 2)))
+        grads, _ = backward_batch(net, cache, np.zeros((1, 4, 2)))
+        _, input_grads = backward_batch(net, cache, np.zeros((1, 4, 2)), weights=False)
         for g in grads.values():
             npt.assert_array_equal(g, 0.0)
         npt.assert_array_equal(input_grads, 0.0)
@@ -346,7 +362,7 @@ class TestBackward:
         loss_fn = scaled_linear_loss((1, 4, 2), seed=25)
         out, cache = forward_batch(net, seq)
         _, d_out = loss_fn(out)
-        _, analytic = backward_batch(net, cache, d_out)
+        _, analytic = backward_batch(net, cache, d_out, weights=False)
         eps = 1e-6
         for t in range(4):
             for j in range(3):
@@ -367,15 +383,18 @@ class TestBackward:
         seqs = rng.normal(size=(3, steps, 3))
         d_out = rng.normal(size=(3, steps, 2))
         _, cache = forward_batch(net, seqs)
-        batched, batched_inputs = backward_batch(net, cache, d_out)
-        rows = [
-            backward_batch(net, forward_batch(net, seqs[k : k + 1])[1], d_out[k : k + 1])
-            for k in range(3)
+        batched, _ = backward_batch(net, cache, d_out)
+        _, batched_inputs = backward_batch(net, cache, d_out, weights=False)
+        caches = [forward_batch(net, seqs[k : k + 1])[1] for k in range(3)]
+        rows = [backward_batch(net, c, d_out[k : k + 1])[0] for k, c in enumerate(caches)]
+        row_inputs = [
+            backward_batch(net, c, d_out[k : k + 1], weights=False)[1]
+            for k, c in enumerate(caches)
         ]
         for name, grad in batched.items():
-            npt.assert_allclose(grad, sum(r[0][name] for r in rows), rtol=1e-12)
+            npt.assert_allclose(grad, sum(r[name] for r in rows), rtol=1e-12)
         for k in range(3):
-            npt.assert_allclose(batched_inputs[k], rows[k][1][0], rtol=1e-12)
+            npt.assert_allclose(batched_inputs[k], row_inputs[k][0], rtol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("depth", [1, 3])
@@ -389,7 +408,20 @@ class TestBackward:
         _, cache = forward_batch(net, seqs)
         grads, input_grads = backward_batch(net, cache, d_out, weights=False)
         assert grads is None
-        npt.assert_array_equal(input_grads, backward_batch(net, cache, d_out)[1])
+        assert input_grads.shape == seqs.shape and input_grads.dtype == np.float32
+        # a pass with weights forms no input gradients and leaves the cache
+        # as it found it, so a second pass over it gives the same bits
+        assert backward_batch(net, cache, d_out)[1] is None
+        npt.assert_array_equal(
+            input_grads, backward_batch(net, cache, d_out, weights=False)[1]
+        )
+
+    def test_uncached_forward_is_refused(self):
+        net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
+        _, cache = forward_batch(net, np.zeros((1, 4, 2)), cache=False)
+        for weights in (True, False):
+            with pytest.raises(ValueError, match="forward ran with cache=False"):
+                backward_batch(net, cache, np.zeros((1, 4, 2)), weights=weights)
 
     def test_cache_mismatch(self):
         net = init_lstm(1, 2, 3, 2, "tanh", rng=26)
@@ -410,7 +442,9 @@ class TestSaturation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, cache = forward_batch(net, seqs)
-            grads, input_grads = backward_batch(net, cache, rng.normal(size=out.shape))
+            d_out = rng.normal(size=out.shape)
+            grads, _ = backward_batch(net, cache, d_out)
+            _, input_grads = backward_batch(net, cache, d_out, weights=False)
         low, high = {"tanh": (-1.0, 1.0), "sigmoid": (0.0, 1.0)}.get(
             activation, (-np.inf, np.inf)
         )
@@ -573,7 +607,9 @@ class TestDtype:
         net = init_lstm(3, 15, 100, 7, "tanh", rng=60)
         rng = np.random.default_rng(61)
         out, cache = forward_batch(net, rng.normal(size=(4, 12, 15)))
-        grads, input_grads = backward_batch(net, cache, rng.normal(size=out.shape))
+        d_out = rng.normal(size=out.shape)
+        grads, _ = backward_batch(net, cache, d_out)
+        _, input_grads = backward_batch(net, cache, d_out, weights=False)
         state = OptimizerState(learning_rate=1e-3)
         optimizer_step(net.params.values(), grads.values(), state)
         layers, outputs = cache
@@ -592,8 +628,10 @@ class TestDtype:
         out, cache = forward_batch(net, z)
         out64, cache64 = forward_batch(twin, z)
         npt.assert_allclose(out, out64, rtol=0, atol=1e-6)
-        grads, input_grads = backward_batch(net, cache, d_out)
-        grads64, input_grads64 = backward_batch(twin, cache64, d_out)
+        grads, _ = backward_batch(net, cache, d_out)
+        grads64, _ = backward_batch(twin, cache64, d_out)
+        input_grads = backward_batch(net, cache, d_out, weights=False)[1]
+        input_grads64 = backward_batch(twin, cache64, d_out, weights=False)[1]
         for g, g64 in zip([*grads.values(), input_grads], [*grads64.values(), input_grads64]):
             npt.assert_allclose(g, g64, rtol=0, atol=1e-5 * np.abs(g64).max())
 

@@ -9,13 +9,18 @@ Each bound is the multiple measured on the plant below plus a margin of
 about half a matrix.  Before synth and ingest kept one copy of each matrix,
 synth held 4.1 matrices here and ingest 6.4; one matrix more than today, a
 stacked copy of the windows or a temporary of ``normalize`` say, fails.
+
+Training is counted in another unit: the backward cache of its per-epoch
+MMD batch of ``mmd_samples`` generated windows, which no backward reads.
+A pass that kept it would add most of that cache to training's peak.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from tsgad import pipeline
+from tsgad import gan, lstm, pipeline
 from tsgad.config import validate_config
 
 ROWS = 6000
@@ -88,3 +93,26 @@ def test_stage_holds_each_plant_matrix_about_once(plant_multiples, stage):
     assert plant_multiples[stage] <= BOUNDS[stage], (
         f"run_{stage} held {plant_multiples[stage]:.2f} plant matrices at its peak"
     )
+
+
+def test_training_keeps_no_cache_of_its_mmd_batch():
+    windows = np.random.default_rng(0).uniform(-1.0, 1.0, (128, 12, 5))
+    gan_section = validate_config({"gan": {"epochs": 1, "batch_size": 16, "g_steps": 1}})["gan"]
+    latent = gan_section["latent_dim"]
+    gen = gan.build_generator(5, latent, gan_section["gen_depth"], gan_section["gen_hidden"], 0)
+    layers, outputs = lstm.forward_batch(gen, np.zeros((128, 12, latent)))[1]
+    # a layer's input is the hidden state below it: count each array once
+    arrays = {id(a): a for layer in layers for a in layer}
+    cache_bytes = outputs.nbytes + sum(a.nbytes for a in arrays.values())
+    del layers, outputs, arrays
+
+    def peak(mmd_samples):
+        settings = {**gan_section, "mmd_samples": mmd_samples}
+        return _traced_peak(lambda: gan.train(settings, windows, 0))
+
+    gan.train(gan_section, windows[:8], 0)  # imports and caches outside the count
+    # an MMD batch of 128 windows, 8 minibatches, against one of a minibatch
+    added = (peak(128) - peak(16)) / cache_bytes
+    # measured 0.35, about one layer's arrays and the next layer's gates;
+    # keeping the MMD batch's cache added 0.78
+    assert added < 0.55, f"the MMD batch added {added:.2f} of its cache to the peak"
