@@ -12,10 +12,10 @@ Every function takes and returns plain numpy arrays:
   of its series, as :func:`window` returns it: a reader takes it as it
   would a contiguous stack, and a writer copies it first.
 
-File I/O happens only in :func:`load_csv`, the two CSV writers and the
-bundle helpers.  Every CSV the package writes goes through a writer:
-:func:`write_fixed_point_csv` for the plant readings synth writes,
-:func:`write_csv` for the rest.
+File I/O happens only in :func:`load_csv`, the one CSV writer
+:func:`write_csv` and the bundle helpers.  Every CSV the package writes goes
+through :func:`write_csv`, except the plant CSVs of synth:
+:func:`tsgad.synthetic.save_scenario_csv` writes those as fixed-point text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import hashlib
 import io
 import json
 import warnings
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -279,121 +278,11 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     turns float32 into the exactly equal float, where ``str()`` of a numpy
     scalar would print fewer digits.
     """
-    with _open_csv(path, header) as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
-
-
-@contextmanager
-def _open_csv(path: str | Path, header: list[str]):
-    """Create the parent directory, open ``path`` for text writing and write
-    ``header`` through ``csv.writer``; yields the open file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        yield fh
-
-
-# numbers formatted at once by write_fixed_point_csv: a block holds about 90
-# bytes of text and temporaries per number, so a budget in rows would grow
-# with the plant's width
-FIXED_POINT_BLOCK_CELLS = 12_000
-
-
-def _fixed_point(values: np.ndarray, decimals: int, prefix: bytes = b"") -> np.ndarray:
-    """The text ``prefix`` + ``"%.{decimals}f" % v`` of each of the 1-d float64
-    ``values``, as a digit-major ``(width, cells)`` uint8 table: column j
-    holds the text of ``values[j]``, right-aligned and padded on the left
-    with NUL bytes.  ``decimals`` is 1 to 9, so that the fraction's digits
-    fit an int32, and every value is below 2**63 in magnitude, so that its
-    integer part fits an int64.
-
-    The digits are ``floor(|v|)`` and ``rint((|v| - floor(|v|)) * 10**decimals)``,
-    with the carry into the integer part when the second reaches
-    ``10**decimals``; the sign comes from ``signbit``, so ``-0.0`` is
-    ``-0.000000`` as with ``%``.  The subtraction is exact; the product
-    rounds once, so where printf sees a decimal tie or a near-tie of the
-    exact double, the last digit can differ: see
-    :func:`tsgad.pipeline.save_scenario_csv` for the values on which the
-    text is exactly printf's.
-    """
-    scale = 10**decimals
-    magnitude = np.abs(values)
-    whole = np.floor(magnitude)
-    # int32 arithmetic runs several times faster than int64 here
-    frac = np.rint((magnitude - whole) * scale).astype(np.int32)
-    whole = whole.astype(np.int64)
-    carry = frac == scale
-    whole[carry] += 1
-    frac[carry] = 0
-    digits = len(str(whole.max())) if len(whole) else 1
-    # prefix, sign, integer digits, point, decimals
-    point = len(prefix) + 1 + digits
-    table = np.zeros((point + 1 + decimals, len(values)), np.uint8)
-    if prefix:
-        table[: len(prefix)] = np.frombuffer(prefix, np.uint8)[:, None]
-    # x // 10 runs as a multiply and shift; x % 10 is a division per cell
-    for row in range(point + decimals, point, -1):
-        quotient = frac // 10
-        table[row] = frac - 10 * quotient + ord("0")
-        frac = quotient
-    table[point] = ord(".")
-    rest = whole
-    for row in range(point - 1, point - 1 - digits, -1):
-        quotient = rest // 10
-        table[row] = rest - 10 * quotient + ord("0")
-        if row < point - 1:  # a leading zero stays NUL
-            table[row] *= rest > 0
-        rest = quotient
-    negative = np.flatnonzero(np.signbit(values))
-    if len(negative):
-        length = 1 + sum(whole[negative] >= 10**k for k in range(1, digits))
-        table[point - 1 - length, negative] = ord("-")
-    return table
-
-
-def write_fixed_point_csv(
-    path: str | Path,
-    header: list[str],
-    values: np.ndarray,
-    decimals: int,
-    labels: np.ndarray,
-    label_text: tuple[str, ...],
-) -> None:
-    """Write ``header`` and then one line per row of the float64 ``values``:
-    the row index as ``%.1f``, each reading as ``%.{decimals}f`` and
-    ``label_text[labels[row]]``, comma-separated.
-
-    The header goes through ``csv.writer``, as in :func:`write_csv`.  The
-    rows are formatted by numpy digit arithmetic, in blocks of about
-    :data:`FIXED_POINT_BLOCK_CELLS` numbers, the timestamps counted: each
-    block becomes one byte array, with the NUL padding of the digit tables
-    dropped by one boolean mask.  ``decimals`` is 1 to 9 and every reading
-    is below 2**63 in magnitude; the text is exactly ``%``'s on the values
-    :func:`tsgad.pipeline.save_scenario_csv` names.
-    """
-    with _open_csv(path, header) as fh:
-        ends = [f",{text}\n".encode(fh.encoding) for text in label_text]
-        end_table = np.zeros((len(ends), max(map(len, ends))), np.uint8)
-        for row, end in zip(end_table, ends):
-            row[: len(end)] = np.frombuffer(end, np.uint8)
-        # the rows go as bytes to the buffer under the text layer, after
-        # the header it holds
-        fh.flush()
-        block_rows = max(1, FIXED_POINT_BLOCK_CELLS // (1 + values.shape[1]))
-        for start in range(0, len(values), block_rows):
-            block = values[start : start + block_rows]
-            stamps = _fixed_point(np.arange(start, start + len(block), dtype=np.float64), 1)
-            cells = _fixed_point(block.reshape(-1), decimals, b",")
-            lines = np.concatenate(
-                [
-                    stamps.T,
-                    cells.T.reshape(len(block), -1),
-                    end_table[labels[start : start + len(block)]],
-                ],
-                axis=1,
-            )
-            fh.buffer.write(lines[lines != 0])
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:
@@ -530,8 +419,13 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
     the hex digest of the bytes the arrays were parsed from: the file is
     read once, so a bundle re-ingested meanwhile cannot give the arrays
     another file's digest.  The bytes are dropped on return.
+
+    A directory that lacks either file is refused with a
+    :class:`~tsgad.config.ConfigError` that names it.
     """
     directory = Path(directory)
+    if not all((directory / name).is_file() for name in ("manifest.json", "windows.npz")):
+        raise ConfigError(f"no window bundle in {directory}; run ingest first")
     manifest = json.loads((directory / "manifest.json").read_text())
     raw = (directory / "windows.npz").read_bytes()
     with np.load(io.BytesIO(raw)) as data:

@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines as bl
 from . import gan, ingest, inversion, pca, scoring, svgplot
 from .config import ConfigError, config_hash
-from .synthetic import DECIMALS, generate_scenario
+from .synthetic import check_readings, generate_scenario, save_scenario_csv
 
 # below this many holdout windows, one window can set the residual scale and every threshold
 MIN_HOLDOUT_WINDOWS = 8
@@ -61,62 +61,11 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict, st
     return arrays, manifest, digest
 
 
-def _check_magnitudes(values: np.ndarray, column_names: list[str], path: str | Path) -> None:
-    """Refuse a reading of ``values``, bound for ``path``, that is 2**63 or
-    more in magnitude or not finite, naming its column."""
-    # min and max allocate nothing, and a nan fails both comparisons
-    if not values.size or (-(2.0**63) < values.min() and values.max() < 2.0**63):
-        return
-    out_of_range = ~(np.abs(values) < 2.0**63)
-    if out_of_range.any():
-        row, column = np.argwhere(out_of_range)[0]
-        raise ConfigError(
-            f"synth: column {column_names[column]!r} reaches {float(values[row, column])!r} at "
-            f"row {row} of {path}; readings must stay below 2**63 in magnitude"
-        )
-
-
-def save_scenario_csv(
-    values: np.ndarray, labels: np.ndarray, column_names: list[str], path: str | Path
-) -> None:
-    """Write a scenario in the CSV schema the ingest loader consumes.
-
-    ``values`` is the float64 array of :func:`~tsgad.synthetic.generate_scenario`.
-    The ``timestamp`` column holds the row index (0.0, 1.0, ...) and the
-    ``label`` column ``Attack`` or ``Normal`` from the 0/1 ``labels``.
-
-    Each reading is written as fixed-point text with
-    :data:`~tsgad.synthetic.DECIMALS` digits after the point, the text of
-    ``%.6f``, by :func:`~tsgad.ingest.write_fixed_point_csv`: numpy digit
-    arithmetic on blocks of about :data:`~tsgad.ingest.FIXED_POINT_BLOCK_CELLS`
-    numbers, not one ``%`` per cell.  The text is byte for byte ``%.6f``'s on
-    every reading ``generate_scenario`` can emit: a value on the grid, and
-    any double of magnitude from 2**33 to below 2**63, whose fraction times
-    1e6 is exact.  A double below 2**33 off the grid can differ in its last
-    digit at a decimal near-tie: ``0.0000025`` is written ``0.000002``,
-    where ``%.6f`` writes ``0.000003``; no stage writes such a value.
-
-    For a reading on the grid :func:`~tsgad.ingest.load_csv` returns the
-    same double bit for bit: below 2**33 the text is the grid value the
-    double is nearest to, and above it the text is off by at most 5e-7,
-    less than half the spacing of the doubles there.  The text is half the
-    size of the shortest round-trip text of a noisy reading, and faster to
-    write and to parse.
-
-    A reading of magnitude 2**63 or more, or one that is not finite, is
-    refused with a :class:`~tsgad.config.ConfigError` naming its column,
-    before the file is opened: its integer part does not fit the int64 the
-    digits are computed in.
-    """
-    _check_magnitudes(values, column_names, path)
-    ingest.write_fixed_point_csv(
-        path, ["timestamp", *column_names, "label"], values, DECIMALS, labels,
-        ("Normal", "Attack"),
-    )
-
-
 def run_synth(cfg: dict) -> tuple[Path, Path]:
-    """Generate the normal training stream and the attacked test stream."""
+    """Generate the normal training stream and the attacked test stream and
+    write each with :func:`~tsgad.synthetic.save_scenario_csv`.  A reading
+    that :func:`~tsgad.synthetic.check_readings` refuses, in either stream,
+    is a :class:`~tsgad.config.ConfigError` before either file is written."""
     if not cfg["synth"]["enabled"]:
         raise ConfigError("synth.enabled is false; nothing to generate")
     train_csv, test_csv = _csv_paths(cfg)
@@ -128,8 +77,11 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
     )
     # both streams are checked before either is written: a refused test
     # stream must not leave a new train.csv beside an old test.csv
-    for (values, _, names), path in ((train, train_csv), (test, test_csv)):
-        _check_magnitudes(values, names, path)
+    try:
+        for (values, _, names), path in ((train, train_csv), (test, test_csv)):
+            check_readings(values, names, path)
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from None
     save_scenario_csv(*train, train_csv)
     save_scenario_csv(*test, test_csv)
     return train_csv, test_csv

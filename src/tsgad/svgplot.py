@@ -7,18 +7,14 @@ from pathlib import Path
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# every chart's size in pixels
+WIDTH, HEIGHT = 800, 300
 
 
-def write_line_chart(
-    path: str | Path,
-    series: dict[str, np.ndarray],
-    title: str = "",
-    width: int = 800,
-    height: int = 300,
-) -> None:
+def write_line_chart(path: str | Path, series: dict[str, np.ndarray], title: str = "") -> None:
     """Render named 1-D series as polylines with a shared y-scale."""
     margin = 45
-    plot_w, plot_h = width - 2 * margin, height - 2 * margin
+    plot_w, plot_h = WIDTH - 2 * margin, HEIGHT - 2 * margin
     arrays = {k: np.asarray(v, dtype=float) for k, v in series.items() if len(v) > 0}
     if not arrays:
         raise ValueError("nothing to plot")
@@ -29,9 +25,9 @@ def write_line_chart(
     x_max = max(len(a) for a in arrays.values()) - 1 or 1
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{title}</text>',
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#999"/>',
@@ -50,7 +46,7 @@ def write_line_chart(
             f'points="{" ".join(points)}"/>'
         )
         parts.append(
-            f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '
+            f'<text x="{WIDTH - margin + 4}" y="{margin + 14 * i + 10}" '
             f'font-family="sans-serif" font-size="10" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")

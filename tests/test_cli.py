@@ -212,6 +212,16 @@ def test_workers_flag_is_rejected(config, tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["train", "detect", "evaluate"])
+def test_stage_before_ingest_exits_1(stage, tmp_path, capsys):
+    config = tmp_path / "seed.yaml"
+    config.write_text("seed: 0\n")
+    out = tmp_path / "out"
+    assert _run(config, out, stage) == 1
+    assert (f"config error: no window bundle in {out / 'bundle'}; run ingest first"
+            in capsys.readouterr().err)
+
+
 def test_detect_without_checkpoint_exits_1(config, tmp_path, capsys):
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0

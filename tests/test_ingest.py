@@ -18,7 +18,6 @@ from tsgad.ingest import (
     save_window_bundle,
     window,
     write_csv,
-    write_fixed_point_csv,
 )
 
 
@@ -347,21 +346,6 @@ def test_write_csv_writes_each_cell_with_str(tmp_path):
     narrow = np.array([0.1], dtype=np.float32).tolist()
     write_csv(path, ["i", "s", "x", "y"], [[3, "Normal", 0.1, *narrow], [-1, "", 2.0, 1e-20]])
     assert path.read_text() == "i,s,x,y\n3,Normal,0.1,0.10000000149011612\n-1,,2.0,1e-20\n"
-
-
-def test_write_fixed_point_csv_formats_each_row(tmp_path):
-    path = tmp_path / "sub" / "fixed.csv"
-    values = np.array([[0.1, -0.0], [-2.5e-7, 9.9999996], [1e17, -0.9999999]])
-    write_fixed_point_csv(path, ["t", "a,b", "c", "label"], values, 6,
-                          np.array([0, 1, 0]), ("Normal", "Attack"))
-    # the header is still quoted through csv.writer; the carries reach the
-    # integer part, and -0.0 keeps its sign, as with %
-    assert path.read_text() == (
-        't,"a,b",c,label\n'
-        "0.0,0.100000,-0.000000,Normal\n"
-        "1.0,-0.000000,10.000000,Attack\n"
-        "2.0,100000000000000000.000000,-1.000000,Normal\n"
-    )
 
 
 class TestNormalizer:

@@ -30,8 +30,8 @@ WIDTH = 3 * GROUPS
 PLANT_BYTES = ROWS * WIDTH * 8
 
 # measured 2.69 and 2.41, synth's with the CSV writer's block of about
-# FIXED_POINT_BLOCK_CELLS numbers, 0.3 matrix on this width; one more matrix
-# reads 3.4 or more
+# synthetic.FIXED_POINT_BLOCK_CELLS numbers, 0.3 matrix on this width; one
+# more matrix reads 3.4 or more
 BOUNDS = {"synth": 2.9, "ingest": 2.9}
 
 

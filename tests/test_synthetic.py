@@ -7,9 +7,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tsgad.config import ConfigError, validate_config
-from tsgad.ingest import FIXED_POINT_BLOCK_CELLS, load_csv
-from tsgad.pipeline import save_scenario_csv
-from tsgad.synthetic import DECIMALS, generate_scenario
+from tsgad.ingest import load_csv
+from tsgad.synthetic import (
+    DECIMALS,
+    FIXED_POINT_BLOCK_CELLS,
+    generate_scenario,
+    save_scenario_csv,
+)
 
 BASIC_VARIABLES = [
     {"kind": "sine", "period": 40.0},
@@ -161,6 +165,20 @@ def test_csv_roundtrip_through_ingest(tmp_path):
     assert loaded_names == names
 
 
+def test_save_scenario_csv_formats_each_row(tmp_path):
+    path = tmp_path / "sub" / "fixed.csv"
+    values = np.array([[0.1, -0.0], [-2.5e-7, 9.9999996], [1e17, -0.9999999]])
+    save_scenario_csv(values, np.array([0, 1, 0]), ["a,b", "c"], path)
+    # the header is quoted through csv.writer; the carries reach the
+    # integer part, and -0.0 keeps its sign, as with %
+    assert path.read_text() == (
+        'timestamp,"a,b",c,label\n'
+        "0.0,0.100000,-0.000000,Normal\n"
+        "1.0,-0.000000,10.000000,Attack\n"
+        "2.0,100000000000000000.000000,-1.000000,Normal\n"
+    )
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
@@ -281,9 +299,9 @@ def test_readings_beyond_2_63_are_refused(tmp_path, reading):
     values = np.zeros((4, 2))
     values[2, 1] = reading
     path = tmp_path / "plant.csv"
-    message = (f"synth: column 'b' reaches {reading!r} at row 2 of {path}; "
+    message = (f"column 'b' reaches {reading!r} at row 2 of {path}; "
                "readings must stay below 2**63 in magnitude")
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)):
         save_scenario_csv(values, np.zeros(4, dtype=np.int64), ["a", "b"], path)
     assert not path.exists()
     # the largest double below 2**63 is written
