@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import warnings
+import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -420,14 +421,27 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
     read once, so a bundle re-ingested meanwhile cannot give the arrays
     another file's digest.  The bytes are dropped on return.
 
-    A directory that lacks either file is refused with a
-    :class:`~tsgad.config.ConfigError` that names it.
+    A directory that lacks either file, a ``manifest.json`` that holds no
+    JSON object and a ``windows.npz`` that ``np.load`` cannot read are
+    refused with a :class:`~tsgad.config.ConfigError` that names the
+    directory or the file.
     """
     directory = Path(directory)
-    if not all((directory / name).is_file() for name in ("manifest.json", "windows.npz")):
+    manifest_path, windows_path = directory / "manifest.json", directory / "windows.npz"
+    if not (manifest_path.is_file() and windows_path.is_file()):
         raise ConfigError(f"no window bundle in {directory}; run ingest first")
-    manifest = json.loads((directory / "manifest.json").read_text())
-    raw = (directory / "windows.npz").read_bytes()
-    with np.load(io.BytesIO(raw)) as data:
-        arrays = {k: data[k] for k in data.files}
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise ConfigError(f"{manifest_path}: damaged ({exc}); re-run ingest") from None
+    raw = windows_path.read_bytes()
+    try:
+        if not zipfile.is_zipfile(io.BytesIO(raw)):
+            raise ValueError("not an npz archive")
+        with np.load(io.BytesIO(raw)) as data:
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{windows_path}: damaged ({exc}); re-run ingest") from None
     return arrays, manifest, hashlib.sha256(raw).hexdigest()

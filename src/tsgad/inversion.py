@@ -1,27 +1,31 @@
-"""Mapping test windows back into the generator's latent space.
+"""Mapping windows back into the generator's latent space.
 
 The inversion minimizes :func:`objective`, one minus the per-column Pearson
 correlation of the window and G(z) averaged over columns, over z by Adam
 through the frozen generator, with a configurable number of restarts.  The
 error is bounded and scale invariant.
 
-:func:`invert` takes a stack of N windows and descends all of its N x R
-restarts (R = ``restarts``) together, as one (N R, L, latent) batch laid out
-window by window: rows ``i R .. i R + R - 1`` are the restarts of window i,
-drawn as the first R (L, latent) draws of ``default_rng(seed + i)``.  Every
-iteration forwards, scores and back-propagates the whole batch, input
-gradients only, and takes one Adam step (``lstm.optimizer_step``, step size
-``learning_rate``) on all of z.  Adam's moments are elementwise, so each row
-follows its own trajectory and keeps the lowest-error latent it visits.  At
-most :data:`MAX_BATCH_ROWS` rows go through the LSTM at once, in the descent
-and in the final pass that reconstructs the winners (see
-:func:`forward_outputs`).  Only the descent's forwards keep an LSTM cache,
-each for the backward that follows it, so :data:`MAX_BATCH_ROWS` bounds
-those caches for a large test set; the descent's last forward and the
-final pass keep none.  float32 rounds a batch of B rows differently from
-B batches of one, so a window's result can differ by rounding from
-inverting it alone.  The result is four arrays stacked like the windows,
-window i in row i: latents, errors, iterations and reconstructions.
+:func:`invert` takes a stack of N windows with one seed each and descends
+all of its N x R restarts (R = ``restarts``) together, as one (N R, L,
+latent) batch laid out window by window: rows ``i R .. i R + R - 1`` are the
+restarts of window i, drawn as the first R (L, latent) draws of
+``default_rng(seeds[i])``.  ``tsgad detect`` inverts its holdout and test
+windows in one such stack.  Every iteration forwards, scores and
+back-propagates the whole batch, input gradients only, and takes one Adam
+step (``lstm.optimizer_step``, step size ``learning_rate``) on all of z.
+Adam's moments are elementwise, so each row follows its own trajectory and
+keeps the lowest-error latent it visits.  At most :data:`MAX_BATCH_ROWS`
+rows go through the LSTM at once, in the descent and in the final pass that
+reconstructs the winners (see :func:`forward_outputs`).  Only the descent's
+forwards keep an LSTM cache, each for the backward that follows it, so
+:data:`MAX_BATCH_ROWS` bounds those caches for a large test set; the
+descent's last forward and the final pass keep none.  float32 rounds a
+batch of B rows differently from a batch of another size, so a window's
+result can differ from inverting it alone or in another stack by that
+rounding, which Adam's normalized steps can amplify; its starts and its
+trajectory are its own.  The result is four arrays stacked like the
+windows, window i in row i: latents, errors, iterations and
+reconstructions.
 """
 
 from __future__ import annotations
@@ -120,12 +124,13 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
     return best, errors, iterations
 
 
-def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int):
+def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):
     """Best-of-restarts latent recovery for each window of an (N, L, C) stack.
 
-    ``settings`` is the validated ``inversion`` config section.  Window i
-    starts its R restarts from the first R (L, latent) draws of
-    ``default_rng(seed + i)``, restart r taking the r-th draw, whatever else
+    ``settings`` is the validated ``inversion`` config section and
+    ``seeds`` a sequence of N seeds, one per window.  Window i starts its R
+    restarts from the first R (L, latent) draws of
+    ``default_rng(seeds[i])``, restart r taking the r-th draw, whatever else
     is in the stack.  All N x R restarts descend together, at most
     :data:`MAX_BATCH_ROWS` rows per batch, and window i keeps its restart
     of lowest error.  Returns ``(latents, errors, iterations,
@@ -134,7 +139,8 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
     restart took and the (N, L, C) generator outputs.  The reconstructions
     are ``forward_outputs(gen, latents)`` exactly: for N up to
     ``MAX_BATCH_ROWS``, one pass over all N winners.  The errors are the
-    objective at them.  An empty stack is refused.
+    objective at them.  An empty stack, and a seed count other than N,
+    are refused.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or not len(windows):
@@ -144,10 +150,11 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
             f"windows have {windows.shape[2]} columns, generator emits {gen.output_size}"
         )
     count, length, _ = windows.shape
+    if np.ndim(seeds) != 1 or len(seeds) != count:
+        raise ValueError(f"need a sequence of one seed per window, for {count} windows")
     restarts = settings["restarts"]
     shape = (restarts, length, gen.input_size)
-    z0 = np.concatenate([np.random.default_rng(seed + i).standard_normal(shape)
-                         for i in range(count)])
+    z0 = np.concatenate([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
     targets = np.repeat(windows, restarts, axis=0)
     latents, errors, iterations = np.empty_like(z0), np.empty(len(z0)), np.empty(len(z0), int)
     for lo in range(0, len(z0), MAX_BATCH_ROWS):
@@ -167,7 +174,7 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int
     return latents, objective(windows, recons)[0], iterations[best], recons
 
 
-def invert_many(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seed: int):
-    """The same as :func:`invert`; ``bench/tracer.py`` times the inversions
-    of ``tsgad detect`` under this name."""
-    return invert(gen, windows, settings, seed)
+def invert_many(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):
+    """The same as :func:`invert`; ``bench/tracer.py`` times the one
+    inversion of ``tsgad detect`` under this name."""
+    return invert(gen, windows, settings, seeds)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .orderstats import median
+
 
 def _flatten(samples: np.ndarray) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
@@ -38,7 +40,7 @@ def median_heuristic(samples: np.ndarray) -> float:
     nonzero = upper[upper > 0.0]
     if nonzero.size == 0:
         return 1.0
-    return float(np.median(nonzero))
+    return median(nonzero)
 
 
 def mmd_unbiased(

@@ -1,0 +1,52 @@
+"""Medians and quantiles by one sort, equal bit for bit to numpy's.
+
+``np.median`` and ``np.quantile`` import ``numpy.ma`` on their first call,
+which a run otherwise never imports: about 13 ms and 1 MB of resident
+memory with numpy 2.4 on a 2-core x86-64 host.  These two read the sorted
+values directly.  A 1-D input gives a float, and a (rows, columns) input
+gives one value per column, as numpy's ``axis=0`` does.  A column that
+holds a nan gives nan, as numpy's does.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _sorted(values) -> np.ndarray:
+    arr = np.sort(np.asarray(values, dtype=np.float64), axis=0)
+    if not len(arr):
+        raise ValueError("no values")
+    return arr
+
+
+def _finish(value, arr: np.ndarray) -> float | np.ndarray:
+    # np.sort puts nan last, so a column that holds one ends in it
+    value = np.where(np.isnan(arr[-1]), arr[-1], value)
+    return value if value.ndim else float(value)
+
+
+def median(values) -> float | np.ndarray:
+    """``np.median(values, axis=0)``: the middle sorted value, or the halved
+    sum of the middle two."""
+    arr = _sorted(values)
+    mid = len(arr) // 2
+    return _finish(arr[mid] if len(arr) % 2 else (arr[mid - 1] + arr[mid]) / 2, arr)
+
+
+def quantile(values, q: float) -> float | np.ndarray:
+    """``np.quantile(values, q, axis=0)`` by numpy's ``linear`` method, for
+    ``q`` in [0, 1] and values without infinities.
+
+    The quantile sits at virtual index ``(n - 1) q`` of the sorted values,
+    between its floor ``a`` and the next value ``b`` at fraction ``t``; it
+    is ``a + (b - a) t``, or ``b - (b - a) (1 - t)`` when t >= 0.5, as
+    numpy's lerp rounds it.
+    """
+    arr = _sorted(values)
+    last = len(arr) - 1
+    virtual = last * q
+    lo = min(int(virtual), last)
+    a, b, t = arr[lo], arr[min(lo + 1, last)], virtual - lo
+    diff = b - a
+    return _finish(b - diff * (1 - t) if t >= 0.5 else a + diff * t, arr)

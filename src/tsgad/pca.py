@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
+
 
 @dataclass
 class PcaModel:
@@ -60,8 +62,14 @@ class PcaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PcaModel":
-        d = json.loads(Path(path).read_text())
-        return cls(d["mean"], d["loadings"], d["eigenvalues"], float(d["total_variance"]))
+        """The model ``save`` wrote to ``path``.  A missing or damaged
+        file is refused with a :class:`~tsgad.config.ConfigError` that
+        names it."""
+        try:
+            d = json.loads(Path(path).read_text())
+            return cls(d["mean"], d["loadings"], d["eigenvalues"], float(d["total_variance"]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: not a saved PCA model ({exc}); re-run ingest") from None
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

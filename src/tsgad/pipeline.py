@@ -18,6 +18,7 @@ import numpy as np
 from . import baselines as bl
 from . import gan, ingest, inversion, pca, scoring, svgplot
 from .config import ConfigError, config_hash
+from .orderstats import median
 from .synthetic import check_readings, generate_scenario, save_scenario_csv
 
 # below this many holdout windows, one window can set the residual scale and every threshold
@@ -220,14 +221,16 @@ def _flatten_windows(windows: np.ndarray) -> np.ndarray:
     return windows.reshape(-1, windows.shape[2])
 
 
-def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seed: int):
-    """Invert every window and collect per-timestep residuals and D scores:
-    ``(errors, iterations, component_residuals, summed, disc_flat)``, the
-    first two per window and the others per timestep.  Like the inversion,
-    the discriminator takes at most ``inversion.MAX_BATCH_ROWS`` windows
-    at once."""
+def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seeds):
+    """Invert every window, window i from ``seeds[i]``, and collect
+    per-timestep residuals and D scores: ``(errors, iterations,
+    component_residuals, summed, disc_flat)``, the first two per window and
+    the others per timestep, in window order.  One ``invert_many`` call
+    inverts the whole stack and one ``forward_outputs`` call scores it;
+    like the inversion, the discriminator takes at most
+    ``inversion.MAX_BATCH_ROWS`` windows at once."""
     # the tracer sizes invert_many by its second positional argument
-    _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seed)
+    _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seeds)
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
     summed = component_residuals.sum(axis=1)
     disc_out = inversion.forward_outputs(model.discriminator, windows)
@@ -242,6 +245,13 @@ def run_detect(cfg: dict) -> Path:
     on the combined score and each variable's threshold in
     ``per_variable_flags.csv`` are taken from the scores of those normal
     windows, so that about ``scoring.target_fpr`` of them would be flagged.
+    The holdout and the test windows are inverted and scored as one stack,
+    holdout first, by one :func:`_score_windows` call: holdout window j
+    from seed ``seed + 1_000_000 + j`` and test window i from ``seed + i``,
+    where ``seed`` is the config's.  Each window keeps its own starts and
+    Adam trajectory, so sharing batches with the other set moves its
+    scores only by float32 rounding, which the descent can amplify.
+
     A checkpoint trained on another bundle's windows is refused: its
     ``windows_sha256`` must be the digest of the bundle's ``windows.npz``
     (the config hash would not do, as a changed CSV re-ingested under the
@@ -264,25 +274,31 @@ def run_detect(cfg: dict) -> Path:
             f"the bundle's has {digest}; re-run train"
         )
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
-    inv = cfg["inversion"]
     lam = cfg["scoring"]["lambda"]
     target_fpr = cfg["scoring"]["target_fpr"]
 
-    holdout_windows = len(arrays["holdout_windows"])
+    holdout, test = arrays["holdout_windows"], arrays["test_windows"]
+    holdout_windows = len(holdout)
     if holdout_windows < MIN_HOLDOUT_WINDOWS:
         warnings.warn(
             f"only {holdout_windows} holdout windows set the residual scale and thresholds"
         )
-    hold_errors, hold_iterations, hold_comp_res, hold_res, hold_disc = _score_windows(
-        model, arrays["holdout_windows"], inv, cfg["seed"] + 1_000_000
+    seed = cfg["seed"]
+    seeds = [seed + 1_000_000 + j for j in range(holdout_windows)]
+    seeds += [seed + i for i in range(len(test))]
+    errors, iterations, comp_res, residuals, disc = _score_windows(
+        model, np.concatenate([holdout, test]), cfg["inversion"], seeds
     )
+    # the holdout leads the stack: its windows, then its timesteps
+    steps = holdout_windows * holdout.shape[1]
+    hold_errors, errors = errors[:holdout_windows], errors[holdout_windows:]
+    hold_iterations, iterations = iterations[:holdout_windows], iterations[holdout_windows:]
+    hold_res, test_res = residuals[:steps], residuals[steps:]
+    hold_disc, test_disc = disc[:steps], disc[steps:]
+
     res_min, res_max = float(hold_res.min()), float(hold_res.max())
     _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
     threshold = scoring.threshold_for_fpr(hold_combined, target_fpr)
-
-    errors, iterations, comp_res, test_res, test_disc = _score_windows(
-        model, arrays["test_windows"], inv, cfg["seed"]
-    )
     res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     flags = (combined > threshold).astype(np.int64)
 
@@ -306,7 +322,8 @@ def run_detect(cfg: dict) -> Path:
         ),
     )
 
-    per_var = scoring.per_variable_labels(hold_comp_res, comp_res, pca_model, target_fpr)
+    per_var = scoring.per_variable_labels(comp_res[:steps], comp_res[steps:], pca_model,
+                                         target_fpr)
     ingest.write_csv(
         out / "per_variable_flags.csv",
         ["index"] + manifest["columns"],
@@ -321,13 +338,13 @@ def run_detect(cfg: dict) -> Path:
         json.dumps(
             {
                 "config_hash": config_hash(cfg),
-                "holdout_error_median": float(np.median(hold_errors)),
+                "holdout_error_median": median(hold_errors),
                 "holdout_iterations_mean": float(hold_iterations.mean()),
                 "holdout_windows": holdout_windows,
                 "lambda": lam,
                 "residual_min": res_min,
                 "residual_max": res_max,
-                "test_windows": len(arrays["test_windows"]),
+                "test_windows": len(test),
                 "threshold": threshold,
                 "timesteps": int(len(flags)),
                 "windows_sha256": digest,

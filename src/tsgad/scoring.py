@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .orderstats import quantile
 from .pca import PcaModel
 
 
@@ -55,8 +56,7 @@ def threshold_for_fpr(normal_statistic, target_fpr: float) -> float | np.ndarray
     """
     if not 0.0 < target_fpr < 1.0:
         raise ValueError("target_fpr must lie strictly between 0 and 1")
-    cut = np.quantile(np.asarray(normal_statistic, dtype=np.float64), 1.0 - target_fpr, axis=0)
-    return cut if cut.ndim else float(cut)
+    return quantile(normal_statistic, 1.0 - target_fpr)
 
 
 def metrics(predicted, truth) -> dict:

@@ -118,12 +118,56 @@ def test_detect_manifest_records_holdout_inversions(config, all_out):
     cfg = load_config(config)
     assert 0.0 <= manifest["holdout_error_median"] <= 2.0
     assert 0.0 <= manifest["holdout_iterations_mean"] <= cfg["inversion"]["max_iterations"]
-    holdout = ingest.load_window_bundle(all_out / "bundle")[0]["holdout_windows"]
+    # detect inverts the holdout and the test windows in one stack, holdout
+    # first, window j of the holdout from seed + 1_000_000 + j and window i
+    # of the test set from seed + i; the same call gives the same figures
+    arrays = ingest.load_window_bundle(all_out / "bundle")[0]
+    holdout, test = arrays["holdout_windows"], arrays["test_windows"]
+    seeds = [cfg["seed"] + 1_000_000 + j for j in range(len(holdout))]
+    seeds += [cfg["seed"] + i for i in range(len(test))]
     generator = gan.load_checkpoint(all_out / "checkpoints" / "final.npz").generator
-    _, errors, iterations, _ = inversion.invert(generator, holdout, cfg["inversion"],
-                                                cfg["seed"] + 1_000_000)
-    assert manifest["holdout_error_median"] == float(np.median(errors))
-    assert manifest["holdout_iterations_mean"] == float(iterations.mean())
+    _, errors, iterations, _ = inversion.invert(generator, np.concatenate([holdout, test]),
+                                                cfg["inversion"], seeds)
+    assert manifest["holdout_error_median"] == float(np.median(errors[:len(holdout)]))
+    assert manifest["holdout_iterations_mean"] == float(iterations[:len(holdout)].mean())
+    with (all_out / "inversion_diagnostics.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["error"]) for r in rows] == errors[len(holdout):].tolist()
+    assert [int(r["iterations"]) for r in rows] == iterations[len(holdout):].tolist()
+
+
+def test_detect_inverts_and_scores_every_window_in_one_pass(config, all_out, tmp_path,
+                                                            monkeypatch):
+    # one descent over the holdout and test windows together, and one
+    # discriminator pass over them; the generator's own forward_outputs
+    # call reconstructs the winners inside invert
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    inverted, scored = [], []
+    invert_many, forward_outputs = inversion.invert_many, inversion.forward_outputs
+
+    def counting_invert_many(gen, windows, settings, seeds):
+        inverted.append((len(windows), list(seeds)))
+        return invert_many(gen, windows, settings, seeds)
+
+    def counting_forward_outputs(net, sequences):
+        scored.append((net.output_size, len(sequences)))
+        return forward_outputs(net, sequences)
+
+    monkeypatch.setattr(inversion, "invert_many", counting_invert_many)
+    monkeypatch.setattr(inversion, "forward_outputs", counting_forward_outputs)
+    with pytest.warns(UserWarning, match=FEW_HOLDOUT):
+        assert _run(config, out, "detect") == 0
+    detect = json.loads((out / "detect_manifest.json").read_text())
+    holdout, test = detect["holdout_windows"], detect["test_windows"]
+    seed = load_config(config)["seed"]
+    seeds = [seed + 1_000_000 + j for j in range(holdout)] + [seed + i for i in range(test)]
+    assert inverted == [(holdout + test, seeds)]
+    # the generator's reconstruction of the winners (2 components), then the
+    # discriminator's scoring (one probability per step)
+    assert scored == [(2, holdout + test), (1, holdout + test)]
+    for name in ("scores.csv", "detect_manifest.json", "inversion_diagnostics.csv"):
+        assert (out / name).read_bytes() == (all_out / name).read_bytes(), name
 
 
 def test_flags_are_the_combined_score_above_the_threshold(all_out):
@@ -220,6 +264,27 @@ def test_stage_before_ingest_exits_1(stage, tmp_path, capsys):
     assert _run(config, out, stage) == 1
     assert (f"config error: no window bundle in {out / 'bundle'}; run ingest first"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name, damage, stage", [
+    ("windows.npz", "truncate", "train"),
+    ("manifest.json", "{", "train"),
+    ("pca.json", "{", "detect"),
+    ("pca.json", "{", "evaluate"),
+])
+def test_damaged_bundle_file_exits_1(config, all_out, tmp_path, capsys, name, damage, stage):
+    # a bundle file cut short or not JSON is refused by name, with the cure
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    path = out / "bundle" / name
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:1000])
+    else:
+        path.write_text(damage)
+    capsys.readouterr()
+    assert _run(config, out, stage) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "; re-run ingest" in err, err
 
 
 def test_detect_without_checkpoint_exits_1(config, tmp_path, capsys):
@@ -764,3 +829,28 @@ def test_module_runs_from_a_checkout(tmp_path):
     missing = run("synth", "--config", "missing.yaml")
     assert missing.returncode == 1
     assert "config error" in missing.stderr
+
+
+def test_a_run_leaves_numpy_ma_unimported(config, tmp_path):
+    # np.median and np.quantile import numpy.ma on first use; tsgad takes
+    # its medians and quantiles from tsgad.orderstats instead
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, warnings\n"
+        "import numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from tsgad.cli import main\n"
+        "warnings.simplefilter('ignore', UserWarning)\n"
+        f"assert main(['all', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    # the CLI prints the paths it wrote between the two answers
+    lines = run.stdout.splitlines()
+    at_import, after_run = lines[0], lines[-1]
+    if at_import == "True":
+        pytest.skip("import numpy loads numpy.ma")
+    assert after_run == "False"

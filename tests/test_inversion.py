@@ -27,7 +27,12 @@ def error(x, y):
 def invert_one(gen, window, cfg, seed):
     """The inversion of one (timesteps, columns) window, alone in its stack:
     ``(latent, error, iterations, reconstruction)``, row 0 of each array."""
-    return tuple(a[0] for a in invert(gen, window[None], cfg, seed))
+    return tuple(a[0] for a in invert(gen, window[None], cfg, [seed]))
+
+
+def consecutive(seed, windows):
+    """One seed per window of a stack: ``seed + i`` for window i."""
+    return range(seed, seed + len(windows))
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +128,7 @@ class TestResidual:
         model = self._model(3)
         windows = self._reconstructions(model, 2)
         _, _, comp_res, summed, _ = pipeline._score_windows(
-            model, windows, self.NO_DESCENT, self.SEED
+            model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
         npt.assert_array_equal(comp_res, np.zeros((2 * self.STEPS, 3)))
         npt.assert_array_equal(summed, np.zeros(2 * self.STEPS))
@@ -132,7 +137,8 @@ class TestResidual:
         model = self._model(1)
         offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
         windows = self._reconstructions(model, 1) + offsets
-        _, _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT, self.SEED)
+        _, _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT,
+                                                     consecutive(self.SEED, windows))
         npt.assert_allclose(summed, offsets.reshape(-1), rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
@@ -140,7 +146,7 @@ class TestResidual:
         deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
         windows = self._reconstructions(model, 1) + deltas
         _, _, comp_res, summed, _ = pipeline._score_windows(
-            model, windows, self.NO_DESCENT, self.SEED
+            model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
         npt.assert_allclose(comp_res, np.abs(deltas), rtol=0, atol=1e-15)
         npt.assert_allclose(summed, [1.0, 2.0] * (self.STEPS // 2), rtol=0, atol=1e-15)
@@ -150,7 +156,7 @@ class TestResidual:
         windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
         cfg = settings(max_iterations=3, restarts=2)
         errors, iterations, comp_res, summed, disc = pipeline._score_windows(
-            model, windows, cfg, self.SEED
+            model, windows, cfg, consecutive(self.SEED, windows)
         )
         assert errors.shape == iterations.shape == (3,)
         assert np.all(comp_res >= 0.0)
@@ -160,7 +166,7 @@ class TestResidual:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
             pipeline._score_windows(
-                self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT, self.SEED
+                self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT, [self.SEED]
             )
 
 
@@ -213,9 +219,9 @@ class TestInvert:
 
     def test_window_shape_validation(self, toy_generator):
         with pytest.raises(ValueError, match="columns"):
-            invert(toy_generator, np.zeros((1, 8, 5)), settings(), 0)
+            invert(toy_generator, np.zeros((1, 8, 5)), settings(), [0])
         with pytest.raises(ValueError, match=r"\(count, timesteps, columns\)"):
-            invert(toy_generator, np.zeros((8, 3)), settings(), 0)
+            invert(toy_generator, np.zeros((8, 3)), settings(), [0])
 
 
 def one_row_adam(gen, window, z, cfg):
@@ -277,7 +283,7 @@ class TestBatchedRestarts:
 
 class TestWindowStack:
     """All windows x restarts of a stack descend together; window i keeps
-    the draws of seed + i and its own Adam trajectory, so only float32
+    the draws of its own seed and its own Adam trajectory, so only float32
     rounding separates it from inverting the window alone."""
 
     SEED = 40
@@ -295,7 +301,8 @@ class TestWindowStack:
         return np.concatenate([windows, noise]).astype(np.float64)
 
     def test_rows_match_solo_inversions(self, toy_generator, stack):
-        _, errors, iterations, _ = invert(toy_generator, stack, self.CFG, self.SEED)
+        _, errors, iterations, _ = invert(toy_generator, stack, self.CFG,
+                                          consecutive(self.SEED, stack))
         budget = self.CFG["max_iterations"]
         assert iterations[0] == 0 and budget in iterations
         stopped = {n for n, e in zip(iterations.tolist(), errors)
@@ -311,7 +318,7 @@ class TestWindowStack:
         # a larger budget runs the same trajectories further, and each row
         # keeps the lowest-error latent it visits
         errors = {n: invert(toy_generator, stack, settings(max_iterations=n, restarts=2),
-                            self.SEED)[1]
+                            consecutive(self.SEED, stack))[1]
                   for n in (0, 10, 50)}
         for i in range(len(stack)):
             assert errors[50][i] <= errors[10][i] + 1e-6, i
@@ -320,7 +327,8 @@ class TestWindowStack:
     def test_no_descent_takes_the_best_of_each_windows_draws(self, toy_generator, stack):
         restarts = 3
         latents, _, iterations, _ = invert(
-            toy_generator, stack, settings(max_iterations=0, restarts=restarts), self.SEED
+            toy_generator, stack, settings(max_iterations=0, restarts=restarts),
+            consecutive(self.SEED, stack)
         )
         npt.assert_array_equal(iterations, np.zeros(len(stack)))
         for i in range(len(stack)):
@@ -329,9 +337,41 @@ class TestWindowStack:
                                generate(toy_generator, draws))[0]
             npt.assert_array_equal(latents[i], draws[int(np.argmin(errors))])
 
+    def test_explicit_seeds_start_each_window_from_its_own_draws(self, toy_generator, stack):
+        # arbitrary seeds, one of them twice: window i's restarts are the
+        # first R draws of default_rng(seeds[i]) in the whole stack, in a
+        # stack of two and alone
+        seeds = [1_000_000, 7, 7, 3, 40, 999, 1_000_001, 2]
+        restarts = 3
+        cfg = settings(max_iterations=0, restarts=restarts)
+        latents = invert(toy_generator, stack, cfg, seeds)[0]
+        part = [5, 1]
+        npt.assert_array_equal(
+            invert(toy_generator, stack[part], cfg, [seeds[i] for i in part])[0], latents[part]
+        )
+        for i, seed in enumerate(seeds):
+            draws = np.random.default_rng(seed).standard_normal((restarts, 8, 4))
+            errors = objective(np.repeat(stack[i][None], restarts, axis=0),
+                               generate(toy_generator, draws))[0]
+            npt.assert_array_equal(latents[i], draws[int(np.argmin(errors))])
+            npt.assert_array_equal(invert_one(toy_generator, stack[i], cfg, seed)[0], latents[i])
+        # with descent, each window follows its solo trajectory up to rounding
+        _, errors, iterations, _ = invert(toy_generator, stack, self.CFG, seeds)
+        for i, seed in enumerate(seeds):
+            _, solo_error, solo_iterations, _ = invert_one(toy_generator, stack[i], self.CFG, seed)
+            assert iterations[i] == solo_iterations, i
+            assert errors[i] == pytest.approx(solo_error, abs=1e-6), i
+
+    @pytest.mark.parametrize("seeds", [range(7), range(9), 40, [[40] * 8]],
+                             ids=["too few", "too many", "one int", "nested"])
+    def test_one_seed_per_window_is_required(self, toy_generator, stack, seeds):
+        with pytest.raises(ValueError, match="one seed per window, for 8 windows"):
+            invert(toy_generator, stack, self.CFG, seeds)
+
     def test_reconstructions_come_from_one_pass_over_the_winners(self, toy_generator, stack):
         latents, errors, _, recons = invert(toy_generator, stack,
-                                            settings(max_iterations=5, restarts=2), 1)
+                                            settings(max_iterations=5, restarts=2),
+                                            consecutive(1, stack))
         regenerated = generate(toy_generator, latents)
         npt.assert_array_equal(recons, regenerated)
         npt.assert_array_equal(errors, objective(stack, regenerated)[0])
@@ -340,16 +380,17 @@ class TestWindowStack:
         # three restarts at two rows per batch also split a window's
         # restarts, and the winners are reconstructed two at a time
         cfg = {**self.CFG, "restarts": 3}
-        whole = invert(toy_generator, stack, cfg, self.SEED)
+        seeds = consecutive(self.SEED, stack)
+        whole = invert(toy_generator, stack, cfg, seeds)
         monkeypatch.setattr(inversion, "MAX_BATCH_ROWS", 2)
-        split = invert(toy_generator, stack, cfg, self.SEED)
+        split = invert(toy_generator, stack, cfg, seeds)
         npt.assert_array_equal(whole[2], split[2])
         npt.assert_allclose(whole[1], split[1], rtol=0, atol=1e-6)
         npt.assert_allclose(whole[3], split[3], rtol=0, atol=1e-6)
 
     def test_empty_stack(self, toy_generator):
         with pytest.raises(ValueError, match="non-empty"):
-            invert(toy_generator, np.zeros((0, 8, 3)), self.CFG, 0)
+            invert(toy_generator, np.zeros((0, 8, 3)), self.CFG, [])
 
     def test_diverged_window_is_named(self, toy_generator, stack, monkeypatch):
         # every restart of window 3 gets a nan gradient; the others stay finite
@@ -363,7 +404,8 @@ class TestWindowStack:
 
         monkeypatch.setattr(inversion, "objective", poisoned)
         with pytest.raises(RuntimeError, match="window 3: all inversion restarts diverged"):
-            invert(toy_generator, marked, settings(max_iterations=3, restarts=2), 0)
+            invert(toy_generator, marked, settings(max_iterations=3, restarts=2),
+                   consecutive(0, marked))
 
 
 class TestBatchRowCap:
@@ -389,7 +431,7 @@ class TestBatchRowCap:
     def test_invert(self, toy_generator, batch_sizes):
         windows = np.random.default_rng(8).normal(size=(7, 8, 3))
         latents, errors, _, recons = invert(
-            toy_generator, windows, settings(max_iterations=2, restarts=2), 0
+            toy_generator, windows, settings(max_iterations=2, restarts=2), consecutive(0, windows)
         )
         assert max(batch_sizes) <= self.CAP
         # the winners of the 7 windows are reconstructed 3, 3 and 1 at a time
@@ -405,7 +447,7 @@ class TestBatchRowCap:
         whole = generate(model.discriminator, windows)[..., 0].reshape(-1)
         batch_sizes.clear()
         *_, disc = pipeline._score_windows(
-            model, windows, settings(max_iterations=2, restarts=2), 0
+            model, windows, settings(max_iterations=2, restarts=2), consecutive(0, windows)
         )
         assert max(batch_sizes) <= self.CAP
         assert batch_sizes[-3:] == [3, 3, 1]
@@ -426,7 +468,7 @@ def test_every_kept_cache_is_read(max_iterations, kept_caches):
     model = TestResidual._model(3)
     windows = np.random.default_rng(11).normal(size=(5, TestResidual.STEPS, 3))
     cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
-    pipeline._score_windows(model, windows, cfg, 0)
+    pipeline._score_windows(model, windows, cfg, consecutive(0, windows))
     kept, unread = kept_caches()
     # one cache per descent step, each read by that step's backward
     assert len(kept) == max_iterations and not unread
@@ -437,7 +479,8 @@ def test_invert_many_matches_serial(toy_generator):
     # the stack descends at batch 3 and a solo window at batch 1
     windows = generate(toy_generator, np.random.default_rng(106).standard_normal((3, 8, 4)))
     cfg = settings(max_iterations=25, restarts=1)
-    latents, errors, iterations, recons = invert_many(toy_generator, windows, cfg, 42)
+    latents, errors, iterations, recons = invert_many(toy_generator, windows, cfg,
+                                                      consecutive(42, windows))
     assert (latents.shape, errors.shape, iterations.shape, recons.shape) == (
         (3, 8, 4), (3,), (3,), (3, 8, 3))
     for i in range(3):
