@@ -24,8 +24,8 @@ LINE_KEY = "__lines__"
 
 
 class ConfigError(ValueError):
-    """A configuration file failed schema validation, or an input file it
-    names (a CSV or a window bundle) was refused.
+    """A configuration file failed schema validation, or a stage input was
+    refused: a CSV it names or any file an earlier stage wrote.
 
     The CLI reports it with exit code 1, so a bad config or input file is
     told apart from a crash (exit 2).

@@ -10,7 +10,6 @@ trained with the non-saturating objective (maximize log D on fakes).
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import lstm
 from .config import ConfigError
+from .ingest import read_json_object, read_npz
 from .mmd import median_heuristic, mmd_unbiased
 
 SCORE_EPS = 1e-12
@@ -265,24 +265,17 @@ def load_checkpoint(path: str | Path) -> GanModel:
     """Rebuild both networks from their ``gen_``/``disc_`` arrays.
 
     A file :func:`save_checkpoint` would not write is refused with a
-    :class:`ConfigError` naming ``path``: no npz archive, no ``meta`` array
-    or one that holds no JSON object, another version, an array under
+    :class:`ConfigError` naming ``path``: no npz archive, a member that
+    cannot be read or a ``meta`` that holds no JSON object (as damaged, with
+    ``; re-run train``), no ``meta`` array, another version, an array under
     another prefix, meta without ``config``, ``history`` or
     ``windows_sha256``, arrays that form no stack or a discriminator that
     reads another width than the generator emits.
     """
-    if not zipfile.is_zipfile(path):
-        raise ConfigError(f"{path}: not an npz archive")
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
+    arrays = read_npz(path, "re-run train")
     if "meta" not in arrays:
         raise ConfigError(f"{path}: no meta array")
-    try:
-        meta = json.loads(bytes(arrays.pop("meta")).decode())
-    except ValueError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{path}: meta is not a JSON object")
+    meta = read_json_object(path, "re-run train", bytes(arrays.pop("meta")))
     if meta.get("format_version") != 1:
         raise ConfigError(f"unsupported checkpoint version in {path}")
     foreign = sorted(k for k in arrays if not k.startswith(("gen_", "disc_")))

@@ -13,9 +13,12 @@ Every function takes and returns plain numpy arrays:
   would a contiguous stack, and a writer copies it first.
 
 File I/O happens only in :func:`load_csv`, the one CSV writer
-:func:`write_csv` and the bundle helpers.  Every CSV the package writes goes
-through :func:`write_csv`, except the plant CSVs of synth:
-:func:`tsgad.synthetic.save_scenario_csv` writes those as fixed-point text.
+:func:`write_csv`, the bundle helpers and the readers of other stage outputs,
+:func:`read_npz` and :func:`read_json_object`, which the bundle loader,
+``gan.load_checkpoint``, ``pca.PcaModel.load`` and ``pipeline.run_evaluate``
+call.  Every CSV the package writes goes through :func:`write_csv`, except
+the plant CSVs of synth: :func:`tsgad.synthetic.save_scenario_csv` writes
+those as fixed-point text.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError
+from .orderstats import median
 
 
 def _number(cell: str) -> float:
@@ -46,14 +50,6 @@ def _number(cell: str) -> float:
     if "_" in text or not text.isascii():
         raise ValueError(f"not a number: {cell!r}")
     return float(text)
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        _number(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _epoch_seconds(raw: str, timestamp_format: str) -> float:
@@ -227,14 +223,14 @@ def _scan_body(
             timestamps.append(
                 _parse_timestamp(row[layout.timestamp], timestamp_format, path, row_num)
             )
-            try:
-                rows.append([_number(row[i]) for i in feature_idx])
-            except ValueError:
-                bad = next(i for i in feature_idx if not _is_number(row[i]))
-                raise ConfigError(
-                    f"{path}: row {row_num}: non-numeric cell {row[bad]!r} "
-                    f"in column {header[bad]!r}"
-                ) from None
+            numbers = []
+            for i in feature_idx:
+                try:
+                    numbers.append(_number(row[i]))
+                except ValueError:
+                    raise ConfigError(f"{path}: row {row_num}: non-numeric cell {row[i]!r} "
+                                      f"in column {header[i]!r}") from None
+            rows.append(numbers)
             row_nums.append(row_num)
             if layout.label is not None:
                 raw_label = row[layout.label].strip()
@@ -344,7 +340,8 @@ def downsample_median(
     ``factor`` 1 the windows and labels are returned as given; otherwise
     both results are new C-contiguous arrays, whatever the layout of the
     windows: the blocks of a :func:`window` view are cut by a reshape that
-    stays a view, so the one copy is the one the sort makes.
+    stays a view, so the one copy is the one the sort of
+    :func:`~tsgad.orderstats.median` makes.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -354,15 +351,7 @@ def downsample_median(
     if factor == 1:
         return windows, labels
     out_rows = rows // factor
-    # the middle of each sorted block, or the halved sum of its middle two,
-    # is np.median's value bit for bit, at a third of its time
-    blocks = windows.reshape(n, out_rows, factor, m).copy()
-    blocks.sort(axis=2)
-    mid = factor // 2
-    if factor % 2:
-        down = blocks[:, :, mid].copy()
-    else:
-        down = (blocks[:, :, mid - 1] + blocks[:, :, mid]) / 2
+    down = median(windows.reshape(n, out_rows, factor, m), axis=2)
     if labels is not None:
         labels = np.ascontiguousarray(labels.reshape(n, out_rows, factor).max(axis=2))
     return down, labels
@@ -421,27 +410,40 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
     read once, so a bundle re-ingested meanwhile cannot give the arrays
     another file's digest.  The bytes are dropped on return.
 
-    A directory that lacks either file, a ``manifest.json`` that holds no
-    JSON object and a ``windows.npz`` that ``np.load`` cannot read are
-    refused with a :class:`~tsgad.config.ConfigError` that names the
-    directory or the file.
+    A directory that lacks either file is refused with a
+    :class:`~tsgad.config.ConfigError` that names it, and a damaged file
+    with the cure ``re-run ingest``.
     """
     directory = Path(directory)
     manifest_path, windows_path = directory / "manifest.json", directory / "windows.npz"
     if not (manifest_path.is_file() and windows_path.is_file()):
         raise ConfigError(f"no window bundle in {directory}; run ingest first")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict):
-            raise ValueError("not a JSON object")
-    except ValueError as exc:
-        raise ConfigError(f"{manifest_path}: damaged ({exc}); re-run ingest") from None
+    manifest = read_json_object(manifest_path, "re-run ingest")
     raw = windows_path.read_bytes()
+    return read_npz(windows_path, "re-run ingest", raw), manifest, hashlib.sha256(raw).hexdigest()
+
+
+def read_npz(path: str | Path, cure: str, raw: bytes | None = None) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at ``path`` by name, parsed from
+    ``raw``, its bytes, when given.  No zip archive, or a member ``np.load``
+    cannot read, is refused as damaged, naming ``path`` and the ``cure``."""
     try:
-        if not zipfile.is_zipfile(io.BytesIO(raw)):
+        if not zipfile.is_zipfile(path if raw is None else io.BytesIO(raw)):
             raise ValueError("not an npz archive")
-        with np.load(io.BytesIO(raw)) as data:
-            arrays = {k: data[k] for k in data.files}
+        with np.load(path if raw is None else io.BytesIO(raw)) as data:
+            return {k: data[k] for k in data.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"{windows_path}: damaged ({exc}); re-run ingest") from None
-    return arrays, manifest, hashlib.sha256(raw).hexdigest()
+        raise ConfigError(f"{path}: damaged ({exc}); {cure}") from None
+
+
+def read_json_object(path: str | Path, cure: str, text: str | bytes | None = None) -> dict:
+    """The JSON object in ``text``, or in the file at ``path`` when no text
+    is given.  An unreadable file, or text that holds no JSON object, is
+    refused as damaged, naming ``path`` and the ``cure``."""
+    try:
+        value = json.loads(Path(path).read_text() if text is None else text)
+        if not isinstance(value, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: damaged ({exc}); {cure}") from None
+    return value

@@ -13,25 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sorted(values) -> np.ndarray:
-    arr = np.sort(np.asarray(values, dtype=np.float64), axis=0)
-    if not len(arr):
+def _sorted(values, axis: int) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C")
+    if not arr.shape[axis]:
         raise ValueError("no values")
+    arr.sort(axis=axis)
     return arr
 
 
-def _finish(value, arr: np.ndarray) -> float | np.ndarray:
-    # np.sort puts nan last, so a column that holds one ends in it
-    value = np.where(np.isnan(arr[-1]), arr[-1], value)
+def _finish(value, arr: np.ndarray, axis: int) -> float | np.ndarray:
+    # the sort puts nan last, so a column that holds one ends in it
+    last = arr.take(-1, axis=axis)
+    value = np.where(np.isnan(last), last, value)
     return value if value.ndim else float(value)
 
 
-def median(values) -> float | np.ndarray:
-    """``np.median(values, axis=0)``: the middle sorted value, or the halved
-    sum of the middle two."""
-    arr = _sorted(values)
-    mid = len(arr) // 2
-    return _finish(arr[mid] if len(arr) % 2 else (arr[mid - 1] + arr[mid]) / 2, arr)
+def median(values, axis: int = 0) -> float | np.ndarray:
+    """``np.median(values, axis)``, a new C-order array for more than one
+    dimension: the middle sorted value, or the halved sum of the middle two."""
+    arr = _sorted(values, axis)
+    mid = arr.shape[axis] // 2
+    value = arr.take(mid, axis=axis)
+    if arr.shape[axis] % 2 == 0:
+        value = (arr.take(mid - 1, axis=axis) + value) / 2
+    return _finish(value, arr, axis)
 
 
 def quantile(values, q: float) -> float | np.ndarray:
@@ -43,10 +48,10 @@ def quantile(values, q: float) -> float | np.ndarray:
     is ``a + (b - a) t``, or ``b - (b - a) (1 - t)`` when t >= 0.5, as
     numpy's lerp rounds it.
     """
-    arr = _sorted(values)
+    arr = _sorted(values, 0)
     last = len(arr) - 1
     virtual = last * q
     lo = min(int(virtual), last)
     a, b, t = arr[lo], arr[min(lo + 1, last)], virtual - lo
     diff = b - a
-    return _finish(b - diff * (1 - t) if t >= 0.5 else a + diff * t, arr)
+    return _finish(b - diff * (1 - t) if t >= 0.5 else a + diff * t, arr, 0)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
+from .ingest import read_json_object
 
 
 @dataclass
@@ -62,13 +63,13 @@ class PcaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PcaModel":
-        """The model ``save`` wrote to ``path``.  A missing or damaged
-        file is refused with a :class:`~tsgad.config.ConfigError` that
-        names it."""
+        """The model ``save`` wrote to ``path``.  A missing or damaged file,
+        or one that holds no model, is refused with a
+        :class:`~tsgad.config.ConfigError` that names it."""
+        d = read_json_object(path, "re-run ingest")
         try:
-            d = json.loads(Path(path).read_text())
             return cls(d["mean"], d["loadings"], d["eigenvalues"], float(d["total_variance"]))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: not a saved PCA model ({exc}); re-run ingest") from None
 
 
@@ -112,14 +113,18 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     )
 
 
-def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Project rows into the retained principal subspace: (X - mean) @ P.T."""
+def _centered(model: PcaModel, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.n_variables:
         raise ValueError(
             f"data must be (rows x {model.n_variables}), got {data.shape}"
         )
-    return (data - model.mean) @ model.loadings.T
+    return data - model.mean
+
+
+def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
+    """Project rows into the retained principal subspace: (X - mean) @ P.T."""
+    return _centered(model, data) @ model.loadings.T
 
 
 def variance_ratios(model: PcaModel) -> np.ndarray:
@@ -131,11 +136,6 @@ def variance_ratios(model: PcaModel) -> np.ndarray:
 
 def spe(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Squared prediction error: distance from the principal subspace, per row."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != model.n_variables:
-        raise ValueError(
-            f"data must be (rows x {model.n_variables}), got {data.shape}"
-        )
-    centered = data - model.mean
+    centered = _centered(model, data)
     residual = centered - (centered @ model.loadings.T) @ model.loadings
     return np.sum(residual * residual, axis=1)

@@ -23,6 +23,7 @@ from .synthetic import check_readings, generate_scenario, save_scenario_csv
 
 # below this many holdout windows, one window can set the residual scale and every threshold
 MIN_HOLDOUT_WINDOWS = 8
+SCORES_HEADER = ["index", "residual", "residual_norm", "disc_score", "combined", "flag", "truth"]
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -60,6 +61,13 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict, st
     if not {"holdout_windows", "holdout_raw_windows"} <= arrays.keys():
         raise ConfigError("bundle has no holdout windows; re-ingest")
     return arrays, manifest, digest
+
+
+def _check_binding(path: Path, action: str, recorded, digest: str, cure: str) -> None:
+    """Refuse ``path`` unless the windows.npz its stage ``action`` is the bundle's."""
+    if recorded != digest:
+        raise ConfigError(f"{path}: {action} windows.npz with sha256 {recorded}, "
+                          f"the bundle's has {digest}; {cure}")
 
 
 def run_synth(cfg: dict) -> tuple[Path, Path]:
@@ -268,11 +276,7 @@ def run_detect(cfg: dict) -> Path:
     if not checkpoint.is_file():
         raise ConfigError(f"{checkpoint} not found; run train first")
     model = gan.load_checkpoint(checkpoint)
-    if model.windows_sha256 != digest:
-        raise ConfigError(
-            f"{checkpoint}: trained on windows.npz with sha256 {model.windows_sha256}, "
-            f"the bundle's has {digest}; re-run train"
-        )
+    _check_binding(checkpoint, "trained on", model.windows_sha256, digest, "re-run train")
     pca_model = pca.PcaModel.load(_bundle_dir(cfg) / "pca.json")
     lam = cfg["scoring"]["lambda"]
     target_fpr = cfg["scoring"]["target_fpr"]
@@ -291,15 +295,14 @@ def run_detect(cfg: dict) -> Path:
     )
     # the holdout leads the stack: its windows, then its timesteps
     steps = holdout_windows * holdout.shape[1]
-    hold_errors, errors = errors[:holdout_windows], errors[holdout_windows:]
-    hold_iterations, iterations = iterations[:holdout_windows], iterations[holdout_windows:]
-    hold_res, test_res = residuals[:steps], residuals[steps:]
-    hold_disc, test_disc = disc[:steps], disc[steps:]
-
-    res_min, res_max = float(hold_res.min()), float(hold_res.max())
-    _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
-    threshold = scoring.threshold_for_fpr(hold_combined, target_fpr)
-    res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
+    res_min, res_max = float(residuals[:steps].min()), float(residuals[:steps].max())
+    res_norm, combined = scoring.anomaly_score(residuals, disc, lam, res_min, res_max)
+    threshold = scoring.threshold_for_fpr(combined[:steps], target_fpr)
+    test_res, res_norm, test_disc, combined = (
+        a[steps:] for a in (residuals, res_norm, disc, combined)
+    )
+    hold_errors, hold_iterations = errors[:holdout_windows], iterations[:holdout_windows]
+    errors, iterations = errors[holdout_windows:], iterations[holdout_windows:]
     flags = (combined > threshold).astype(np.int64)
 
     if "test_labels" in arrays:
@@ -310,7 +313,7 @@ def run_detect(cfg: dict) -> Path:
     scores_path = out / "scores.csv"
     ingest.write_csv(
         scores_path,
-        ["index", "residual", "residual_norm", "disc_score", "combined", "flag", "truth"],
+        SCORES_HEADER,
         zip(
             range(len(flags)),
             test_res.tolist(),
@@ -361,6 +364,33 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
+def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
+    """The columns of detect's ``scores.csv`` by name, ``flag`` and ``truth``
+    as integers and the scores as floats.  A file without ground truth is
+    refused, and as damaged one that is not :data:`SCORES_HEADER` over
+    ``timesteps`` rows of as many cells that parse."""
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    ragged = next((n for n, row in enumerate(rows, start=2) if len(row) != len(header)), None)
+    if header != SCORES_HEADER:
+        reason = f"header {header} where detect writes {SCORES_HEADER}"
+    elif ragged:
+        reason = f"row {ragged} has {len(rows[ragged - 2])} of {len(header)} cells"
+    elif len(rows) != timesteps:
+        reason = f"{len(rows)} rows for the bundle's {timesteps} test timesteps"
+    else:
+        columns = dict(zip(header, zip(*rows)))
+        if "" in columns["truth"]:
+            raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
+        try:
+            return {name: np.array([parse(cell) for cell in columns[name]])
+                    for name, parse in (("flag", int), ("truth", int), ("residual", float),
+                                        ("disc_score", float), ("combined", float))}
+        except ValueError as exc:
+            reason = exc
+    raise ConfigError(f"{path}: damaged ({reason}); re-run detect")
+
+
 def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines.
 
@@ -373,7 +403,8 @@ def run_evaluate(cfg: dict) -> Path:
     The baselines scan the bundle's windows, so a ``scores.csv`` that detect
     wrote from another bundle is refused: the ``windows_sha256`` in
     ``detect_manifest.json`` must be the digest of the bundle's
-    ``windows.npz``, as for the checkpoint in :func:`run_detect`.
+    ``windows.npz``, as for the checkpoint in :func:`run_detect`, and a
+    damaged ``detect_manifest.json`` or ``scores.csv`` too.
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest, digest = _load_calibration_bundle(cfg)
@@ -383,40 +414,30 @@ def run_evaluate(cfg: dict) -> Path:
     for path in (scores_path, detect_path):
         if not path.exists():
             raise ConfigError(f"{path} not found; run detect first")
-    scored = json.loads(detect_path.read_text()).get("windows_sha256")
-    if scored != digest:
-        raise ConfigError(
-            f"{scores_path}: detect scored windows.npz with sha256 {scored}, "
-            f"the bundle's has {digest}; re-run detect"
-        )
-    with scores_path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if any(row["truth"] == "" for row in rows):
-        raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
-    flags = np.array([int(row["flag"]) for row in rows])
-    truth = np.array([int(row["truth"]) for row in rows])
-
-    def column(key: str) -> np.ndarray:
-        return np.array([float(row[key]) for row in rows])
+    detect = ingest.read_json_object(detect_path, "re-run detect")
+    _check_binding(scores_path, "detect scored", detect.get("windows_sha256"), digest,
+                   "re-run detect")
+    train_rows = _flatten_windows(arrays["train_raw_windows"])
+    holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
+    test_rows = _flatten_windows(arrays["test_raw_windows"])
+    scores = _read_scores(scores_path, len(test_rows))
+    truth = scores["truth"]
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}
     report["methods"]["gan_ad"] = {
-        **scoring.metrics(flags, truth),
+        **scoring.metrics(scores["flag"], truth),
         # -D ranks the rows as 1 - D does, without the ties rounding 1 - D makes
         "ranking": {
             name: scoring.ranking_metrics(stat, truth)
             for name, stat in (
-                ("residual", column("residual")),
-                ("one_minus_disc", -column("disc_score")),
-                ("combined", column("combined")),
+                ("residual", scores["residual"]),
+                ("one_minus_disc", -scores["disc_score"]),
+                ("combined", scores["combined"]),
             )
         },
     }
 
     fpr = cfg["scoring"]["target_fpr"]
-    train_rows = _flatten_windows(arrays["train_raw_windows"])
-    holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
-    test_rows = _flatten_windows(arrays["test_raw_windows"])
     # one chart per variable, all scanned at once
     mean, slack = bl.fit_cusum_config(train_rows)
     stat = bl.cusum_statistic(holdout_rows, mean, slack)

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from tsgad import gan, ingest, inversion
 from tsgad.cli import main
 from tsgad.config import load_config
+from tsgad.pipeline import SCORES_HEADER
 
 TINY_CONFIG = """\
 seed: 3
@@ -287,6 +290,57 @@ def test_damaged_bundle_file_exits_1(config, all_out, tmp_path, capsys, name, da
     assert f"config error: {path}: " in err and "; re-run ingest" in err, err
 
 
+def _flip_member_bytes(path):
+    """Invert the last 100 data bytes of the largest member of the stored
+    (uncompressed) zip archive at ``path``, leaving its CRC as it was."""
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        member = max(archive.infolist(), key=lambda info: info.compress_size)
+    start = member.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
+    end = start + 30 + name_len + extra_len + member.compress_size
+    raw[end - 100:end] = bytes(b ^ 0xFF for b in raw[end - 100:end])
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("name, damage, stage, cure", [
+    ("checkpoints/final.npz", "flip", "detect", "train"),
+    ("detect_manifest.json", "{", "evaluate", "detect"),
+    ("detect_manifest.json", "[1]", "evaluate", "detect"),
+    ("scores.csv", "truncate", "evaluate", "detect"),
+    ("scores.csv", "index,residual\n0,0.5\n", "evaluate", "detect"),
+    ("scores.csv", "rows", "evaluate", "detect"),
+    ("scores.csv", "cell", "evaluate", "detect"),
+], ids=["checkpoint bad crc", "detect manifest not json", "detect manifest a list",
+        "scores cut short", "scores header", "scores missing rows", "scores cell not a number"])
+def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
+                                      cure):
+    # a checkpoint whose member fails its CRC, a detect manifest that is no
+    # JSON object, and a scores.csv cut short (mid-row or after a row), with a
+    # foreign header or with a flag that is no integer are refused by name,
+    # with the stage to re-run
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    path = out / name
+    if damage == "flip":
+        _flip_member_bytes(path)
+    elif damage == "truncate":
+        path.write_bytes(path.read_bytes()[:300])
+    elif damage == "rows":
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+    elif damage == "cell":
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        cells = first.split(",")
+        cells[SCORES_HEADER.index("flag")] = "x"
+        path.write_text("".join([header, ",".join(cells), *rest]))
+    else:
+        path.write_text(damage)
+    capsys.readouterr()
+    assert _run(config, out, stage) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {path}: damaged (" in err and f"; re-run {cure}" in err, err
+
+
 def test_detect_without_checkpoint_exits_1(config, tmp_path, capsys):
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0
@@ -314,7 +368,7 @@ def test_detect_with_refused_checkpoint_exits_1(config, all_out, tmp_path, capsy
     ("text", "not an npz archive"),
     ("npy", "not an npz archive"),
     ("no meta", "no meta array"),
-    ("meta not json", "meta is not a JSON object"),
+    ("meta not json", "Expecting value: line 1 column 1 (char 0)"),
     ("no config", "meta has no config"),
     ("no windows digest", "meta has no windows_sha256"),
 ])
@@ -342,6 +396,9 @@ def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsy
             del meta["config" if damage == "no config" else "windows_sha256"]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(checkpoint, **arrays)
+    if damage in ("text", "npy", "meta not json"):
+        # the npz and JSON readers refuse a damaged file with the cure
+        reason = f"damaged ({reason}); re-run train"
     capsys.readouterr()
     assert _run(config, out, "detect") == 1
     assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgad.ingest import window
 from tsgad.orderstats import median, quantile
 
 # the quantiles the code takes: 1 - target_fpr, for the default target and
@@ -45,6 +46,45 @@ def test_quantile_is_numpys(values, q):
 @settings(max_examples=200, deadline=None)
 def test_median_is_numpys(values):
     assert_bitwise(median(values), np.median(values, axis=0))
+
+
+@st.composite
+def axis_samples(draw):
+    """A 1-D, (rows, columns) or (n, rows, factor, columns) float64 sample
+    and the axis to reduce, which holds 1 to 40 values; a few distinct
+    values make ties, and one cell may hold a nan."""
+    ndim = draw(st.sampled_from([1, 2, 4]))
+    axis = draw(st.integers(min_value=0, max_value=ndim - 1))
+    shape = [draw(st.integers(min_value=1, max_value=6)) for _ in range(ndim)]
+    shape[axis] = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    distinct = draw(st.sampled_from([None, 1, 2, 5]))
+    if distinct is None:
+        values = rng.normal(size=shape)
+    else:
+        values = rng.choice(rng.normal(size=distinct), size=shape)
+    if draw(st.booleans()):
+        values.flat[rng.integers(values.size)] = np.nan
+    return values, axis
+
+
+@given(axis_samples())
+@settings(max_examples=300, deadline=None)
+def test_median_along_an_axis_is_numpys(sample):
+    values, axis = sample
+    assert_bitwise(median(values, axis), np.median(values, axis=axis))
+
+
+@pytest.mark.parametrize("factor", [3, 4])
+def test_median_of_a_strided_window_view_is_c_contiguous(factor):
+    # the blocks downsample_median reduces: a reshape of a window view,
+    # whose rows overlap, that stays a view
+    windows, _ = window(np.random.default_rng(factor).normal(size=(50, 5)), None, 12, 1)
+    blocks = windows.reshape(len(windows), 12 // factor, factor, 5)
+    assert not blocks.flags.c_contiguous
+    got = median(blocks, axis=2)
+    assert got.flags.c_contiguous
+    assert_bitwise(got, np.median(blocks, axis=2))
 
 
 def test_a_column_with_a_nan_gives_nan():
