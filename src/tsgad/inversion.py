@@ -14,18 +14,17 @@ windows in one such stack.  Every iteration forwards, scores and
 back-propagates the whole batch, input gradients only, and takes one Adam
 step (``lstm.optimizer_step``, step size ``learning_rate``) on all of z.
 Adam's moments are elementwise, so each row follows its own trajectory and
-keeps the lowest-error latent it visits.  At most :data:`MAX_BATCH_ROWS`
-rows go through the LSTM at once, in the descent and in the final pass that
-reconstructs the winners (see :func:`forward_outputs`).  Only the descent's
-forwards keep an LSTM cache, each for the backward that follows it, so
-:data:`MAX_BATCH_ROWS` bounds those caches for a large test set; the
-descent's last forward and the final pass keep none.  float32 rounds a
-batch of B rows differently from a batch of another size, so a window's
-result can differ from inverting it alone or in another stack by that
-rounding, which Adam's normalized steps can amplify; its starts and its
-trajectory are its own.  The result is four arrays stacked like the
-windows, window i in row i: latents, errors, iterations and
-reconstructions.
+keeps the lowest-error latent it visits, with its error and the generator
+output the descent made at it.  At most :data:`MAX_BATCH_ROWS` rows go
+through the LSTM at once.  Only the descent's forwards keep an LSTM cache,
+each for the backward that follows it, so :data:`MAX_BATCH_ROWS` bounds
+those caches for a large test set; the descent's last forward keeps none,
+and no pass follows the descent.  float32 rounds a batch of B rows
+differently from a batch of another size, so a window's result can differ
+from inverting it alone or in another stack by that rounding, which Adam's
+normalized steps can amplify; its starts and its trajectory are its own.
+The result is four arrays stacked like the windows, window i in row i:
+latents, errors, iterations and reconstructions.
 """
 
 from __future__ import annotations
@@ -40,12 +39,12 @@ MAX_BATCH_ROWS = 512
 
 def forward_outputs(net: lstm.StackedLstm, sequences: np.ndarray) -> np.ndarray:
     """The outputs of ``lstm.forward_batch(net, sequences)``, taken
-    :data:`MAX_BATCH_ROWS` sequences at a time.  No backward follows, so
-    each batch runs with ``cache=False`` and holds one layer's arrays at a
-    time, not the cache of about 100 KB per 12-step sequence a generator
-    pass keeps at the default sizes.  Up to ``MAX_BATCH_ROWS`` sequences
-    this is one call and its exact result; a longer stack may differ from
-    one call by float32 rounding.
+    :data:`MAX_BATCH_ROWS` sequences at a time: the discriminator's scoring
+    of the detect windows.  No backward follows, so each batch runs with
+    ``cache=False`` and holds one layer's arrays at a time, not the cache of
+    every layer.  Up to ``MAX_BATCH_ROWS`` sequences this is one call and
+    its exact result; a longer stack may differ from one call by float32
+    rounding.
     """
     return np.concatenate([
         lstm.forward_batch(net, sequences[lo : lo + MAX_BATCH_ROWS], cache=False)[0]
@@ -91,12 +90,14 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
     at or below ``tolerance``, or once its error or gradient turns
     non-finite; a stopped row's latent drifts on its momentum alone.  The
     loop ends after ``max_iterations`` steps or when every row has stopped.
-    Returns ``(latents, errors, iterations)`` per row: the lowest-error
-    latent it visited, that error (nan for a row whose error or gradient
-    turned non-finite) and the Adam steps it took before it stopped.
+    Returns ``(latents, errors, iterations, reconstructions)`` per row: the
+    lowest-error latent it visited, that error (nan for a row whose error or
+    gradient turned non-finite), the Adam steps it took before it stopped
+    and the generator output at that latent, from the batch that scored it.
     """
     z = z0.copy()
     best, errors = z0.copy(), np.full(len(z), np.inf)
+    best_recons = np.empty(windows.shape, gen.params["out_w"].dtype)
     iterations = np.zeros(len(z), dtype=int)
     run = np.ones(len(z), dtype=bool)  # rows still descending
     adam = lstm.OptimizerState(settings["learning_rate"])
@@ -110,6 +111,7 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
         run &= finite
         better = run & (err < errors)
         best[better], errors[better] = z[better], err[better]
+        best_recons[better] = recons[better]
         run &= errors > settings["tolerance"]
         if step == last or not run.any():
             break
@@ -121,7 +123,7 @@ def _descend(gen: lstm.StackedLstm, windows: np.ndarray, z0: np.ndarray, setting
         z_grads[~run] = 0.0
         iterations[run] += 1
         lstm.optimizer_step([z], [z_grads], adam)
-    return best, errors, iterations
+    return best, errors, iterations, best_recons
 
 
 def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):
@@ -136,11 +138,13 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):
     of lowest error.  Returns ``(latents, errors, iterations,
     reconstructions)``, row i of each for window i: the winning (N, L,
     latent) latents, their float64 errors, the Adam steps each winning
-    restart took and the (N, L, C) generator outputs.  The reconstructions
-    are ``forward_outputs(gen, latents)`` exactly: for N up to
-    ``MAX_BATCH_ROWS``, one pass over all N winners.  The errors are the
-    objective at them.  An empty stack, and a seed count other than N,
-    are refused.
+    restart took and the (N, L, C) generator outputs at those latents.
+    Both the reconstructions and the errors come from the descent batch
+    that visited each winning latent, so the errors are
+    ``objective(windows, reconstructions)[0]`` bit for bit, and the
+    reconstructions are the generator's outputs at the latents up to the
+    float32 rounding of that batch's size.  An empty stack, and a seed
+    count other than N, are refused.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or not len(windows):
@@ -156,22 +160,19 @@ def invert(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):
     shape = (restarts, length, gen.input_size)
     z0 = np.concatenate([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
     targets = np.repeat(windows, restarts, axis=0)
-    latents, errors, iterations = np.empty_like(z0), np.empty(len(z0)), np.empty(len(z0), int)
-    for lo in range(0, len(z0), MAX_BATCH_ROWS):
-        part = slice(lo, lo + MAX_BATCH_ROWS)
-        latents[part], errors[part], iterations[part] = _descend(
-            gen, targets[part], z0[part], settings
-        )
-    errors = errors.reshape(count, restarts)
-    diverged = np.isnan(errors).all(axis=1)
+    parts = [
+        _descend(gen, targets[lo : lo + MAX_BATCH_ROWS], z0[lo : lo + MAX_BATCH_ROWS], settings)
+        for lo in range(0, len(z0), MAX_BATCH_ROWS)
+    ]
+    latents, errors, iterations, recons = (np.concatenate(a) for a in zip(*parts))
+    by_window = errors.reshape(count, restarts)
+    diverged = np.isnan(by_window).all(axis=1)
     if diverged.any():
         raise RuntimeError(
             f"window {int(np.argmax(diverged))}: all inversion restarts diverged"
         )
-    best = np.arange(count) * restarts + np.nanargmin(errors, axis=1)
-    latents = latents[best]
-    recons = forward_outputs(gen, latents)
-    return latents, objective(windows, recons)[0], iterations[best], recons
+    best = np.arange(count) * restarts + np.nanargmin(by_window, axis=1)
+    return latents[best], errors[best], iterations[best], recons[best]
 
 
 def invert_many(gen: lstm.StackedLstm, windows: np.ndarray, settings: dict, seeds):

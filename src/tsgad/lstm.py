@@ -202,9 +202,8 @@ def forward_batch(
     cached pass holds every layer's.  The outputs are bitwise those of the
     cached pass, which runs the same operations in the same order.  The
     passes that no backward reads use it: in training, the generator's
-    fakes for a discriminator step and its MMD batch; in inversion, the
-    descent's last forward, the reconstruction of the winning latents and
-    the discriminator's scoring.
+    fakes for a discriminator step and its MMD batch; in detection, the
+    inversion descent's last forward and the discriminator's scoring.
     """
     p = net.params
     dtype = p["out_w"].dtype
@@ -412,12 +411,11 @@ def optimizer_step(
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most max_norm.
 
-    ``max_norm`` 0 turns clipping off, and a non-finite norm, which
-    ``gan.train`` refuses, leaves them as they are.  Returns the norm before
-    any scaling.
+    A non-finite norm, which ``gan.train`` refuses, leaves them as they
+    are.  Returns the norm before any scaling.
     """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if 0.0 < max_norm < total < np.inf:
+    if max_norm < total < np.inf:
         scale = max_norm / total
         for g in grads:
             g *= scale

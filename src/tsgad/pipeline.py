@@ -234,9 +234,11 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, see
     per-timestep residuals and D scores: ``(errors, iterations,
     component_residuals, summed, disc_flat)``, the first two per window and
     the others per timestep, in window order.  One ``invert_many`` call
-    inverts the whole stack and one ``forward_outputs`` call scores it;
-    like the inversion, the discriminator takes at most
-    ``inversion.MAX_BATCH_ROWS`` windows at once."""
+    inverts the whole stack, and the residuals are taken against the
+    reconstructions its descent made, with no further generator pass; one
+    ``forward_outputs`` call scores the stack.  Like the inversion, the
+    discriminator takes at most ``inversion.MAX_BATCH_ROWS`` windows at
+    once."""
     # the tracer sizes invert_many by its second positional argument
     _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seeds)
     component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
@@ -368,7 +370,8 @@ def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
     """The columns of detect's ``scores.csv`` by name, ``flag`` and ``truth``
     as integers and the scores as floats.  A file without ground truth is
     refused, and as damaged one that is not :data:`SCORES_HEADER` over
-    ``timesteps`` rows of as many cells that parse."""
+    ``timesteps`` rows of as many cells that parse, with every ``flag`` and
+    ``truth`` 0 or 1 and every score finite."""
     with path.open(newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     ragged = next((n for n, row in enumerate(rows, start=2) if len(row) != len(header)), None)
@@ -383,11 +386,22 @@ def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
         if "" in columns["truth"]:
             raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
         try:
-            return {name: np.array([parse(cell) for cell in columns[name]])
-                    for name, parse in (("flag", int), ("truth", int), ("residual", float),
-                                        ("disc_score", float), ("combined", float))}
+            parsed = {name: np.array([parse(cell) for cell in columns[name]])
+                      for name, parse in (("flag", int), ("truth", int), ("residual", float),
+                                          ("disc_score", float), ("combined", float))}
         except ValueError as exc:
             reason = exc
+        else:
+            for name, values in parsed.items():
+                label = name in ("flag", "truth")
+                ok = np.isin(values, (0, 1)) if label else np.isfinite(values)
+                if not ok.all():
+                    row = int(np.argmin(ok))
+                    want = "0 or 1" if label else "a finite score"
+                    reason = f"row {row + 2} has {name} {columns[name][row]}, not {want}"
+                    break
+            else:
+                return parsed
     raise ConfigError(f"{path}: damaged ({reason}); re-run detect")
 
 

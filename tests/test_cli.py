@@ -141,9 +141,8 @@ def test_detect_manifest_records_holdout_inversions(config, all_out):
 
 def test_detect_inverts_and_scores_every_window_in_one_pass(config, all_out, tmp_path,
                                                             monkeypatch):
-    # one descent over the holdout and test windows together, and one
-    # discriminator pass over them; the generator's own forward_outputs
-    # call reconstructs the winners inside invert
+    # one descent over the holdout and test windows together, which keeps
+    # the reconstructions it made, and one discriminator pass over them
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     inverted, scored = [], []
@@ -166,9 +165,8 @@ def test_detect_inverts_and_scores_every_window_in_one_pass(config, all_out, tmp
     seed = load_config(config)["seed"]
     seeds = [seed + 1_000_000 + j for j in range(holdout)] + [seed + i for i in range(test)]
     assert inverted == [(holdout + test, seeds)]
-    # the generator's reconstruction of the winners (2 components), then the
-    # discriminator's scoring (one probability per step)
-    assert scored == [(2, holdout + test), (1, holdout + test)]
+    # the discriminator's scoring (one probability per step) only
+    assert scored == [(1, holdout + test)]
     for name in ("scores.csv", "detect_manifest.json", "inversion_diagnostics.csv"):
         assert (out / name).read_bytes() == (all_out / name).read_bytes(), name
 
@@ -310,15 +308,24 @@ def _flip_member_bytes(path):
     ("scores.csv", "truncate", "evaluate", "detect"),
     ("scores.csv", "index,residual\n0,0.5\n", "evaluate", "detect"),
     ("scores.csv", "rows", "evaluate", "detect"),
-    ("scores.csv", "cell", "evaluate", "detect"),
+    ("scores.csv", ("flag", "x"), "evaluate", "detect"),
+    ("scores.csv", ("flag", "2"), "evaluate", "detect"),
+    ("scores.csv", ("truth", "2"), "evaluate", "detect"),
+    ("scores.csv", ("truth", "-1"), "evaluate", "detect"),
+    ("scores.csv", ("residual", "nan"), "evaluate", "detect"),
+    ("scores.csv", ("disc_score", "inf"), "evaluate", "detect"),
+    ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
 ], ids=["checkpoint bad crc", "detect manifest not json", "detect manifest a list",
-        "scores cut short", "scores header", "scores missing rows", "scores cell not a number"])
+        "scores cut short", "scores header", "scores missing rows", "scores cell not a number",
+        "scores flag 2", "scores truth 2", "scores truth -1", "scores residual nan",
+        "scores disc_score inf", "scores combined -inf"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a checkpoint whose member fails its CRC, a detect manifest that is no
     # JSON object, and a scores.csv cut short (mid-row or after a row), with a
-    # foreign header or with a flag that is no integer are refused by name,
-    # with the stage to re-run
+    # foreign header, with a flag that is no integer, a flag or truth other
+    # than 0 or 1 or a score that is not finite are refused by name, with the
+    # stage to re-run
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
@@ -328,11 +335,13 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
         path.write_bytes(path.read_bytes()[:300])
     elif damage == "rows":
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
-    elif damage == "cell":
+    elif isinstance(damage, tuple):
+        # one cell of the first row
+        column, value = damage
         header, first, *rest = path.read_text().splitlines(keepends=True)
-        cells = first.split(",")
-        cells[SCORES_HEADER.index("flag")] = "x"
-        path.write_text("".join([header, ",".join(cells), *rest]))
+        cells = first.rstrip("\r\n").split(",")
+        cells[SCORES_HEADER.index(column)] = value
+        path.write_text("".join([header, ",".join(cells), "\n", *rest]))
     else:
         path.write_text(damage)
     capsys.readouterr()

@@ -115,9 +115,9 @@ class TestResidual:
         )
 
     def _reconstructions(self, model, count):
-        # inversion takes every reconstruction from one forward pass of the
-        # stacked winning latents, and a float32 batch of another size may
-        # round differently, so this is one pass over all ``count`` latents
+        # with one restart and no step, every reconstruction comes from the
+        # descent's one forward pass over all ``count`` starts, and a float32
+        # batch of another size may round differently, so this is that pass
         z0 = np.concatenate([
             np.random.default_rng(self.SEED + i).standard_normal((1, self.STEPS, 4))
             for i in range(count)
@@ -189,9 +189,11 @@ class TestInvert:
         npt.assert_array_equal(latent, z0)
 
     def test_reconstruction_equals_generator_output(self, toy_generator):
+        # one restart: the descent batch that visited the latent is one row,
+        # as a pass over the latent alone is
         target = generate(toy_generator, np.random.default_rng(102).standard_normal((1, 8, 4)))[0]
         latent, _, _, reconstruction = invert_one(toy_generator, target,
-                                                  settings(max_iterations=30), 1)
+                                                  settings(max_iterations=30, restarts=1), 1)
         regenerated = generate(toy_generator, latent[None])[0]
         npt.assert_array_equal(reconstruction, regenerated)
 
@@ -256,7 +258,7 @@ class TestBatchedRestarts:
         targets = np.repeat(target[None], 3, axis=0)
         z0 = np.concatenate([z_star, np.random.default_rng(3).standard_normal((2, 8, 4))])
         cfg = settings(max_iterations=100, tolerance=0.02, learning_rate=0.2)
-        _, errors, iterations = _descend(toy_generator, targets, z0, cfg)
+        _, errors, iterations, _ = _descend(toy_generator, targets, z0, cfg)
         assert len(set(iterations.tolist())) == 3 and iterations[0] == 0
         for r in range(3):
             solo = _descend(toy_generator, targets[r : r + 1], z0[r : r + 1], cfg)
@@ -267,17 +269,19 @@ class TestBatchedRestarts:
             assert errors[r] == pytest.approx(solo[1][0], abs=1e-6)
 
     def test_no_descent_picks_the_best_serial_draw(self, toy_generator):
-        # restart r starts from the r-th (8, 4) draw of default_rng(seed)
+        # restart r starts from the r-th (8, 4) draw of default_rng(seed); the
+        # three restarts are scored by one forward pass over all three draws
         target = generate(toy_generator, np.random.default_rng(109).standard_normal((1, 8, 4)))[0]
-        rng = np.random.default_rng(13)
-        draws = [rng.standard_normal((8, 4)) for _ in range(3)]
-        errors = [error(target, generate(toy_generator, z[None])[0]) for z in draws]
+        draws = np.random.default_rng(13).standard_normal((3, 8, 4))
+        outputs = generate(toy_generator, draws)
+        errors = objective(np.repeat(target[None], 3, axis=0), outputs)[0]
         best = int(np.argmin(errors))
-        assert len(set(errors)) == 3
-        latent, err, iterations, _ = invert_one(
+        assert len(set(errors.tolist())) == 3
+        latent, err, iterations, recon = invert_one(
             toy_generator, target, settings(max_iterations=0, restarts=3), 13
         )
         npt.assert_array_equal(latent, draws[best])
+        npt.assert_array_equal(recon, outputs[best])
         assert (err, iterations) == (errors[best], 0)
 
 
@@ -368,17 +372,23 @@ class TestWindowStack:
         with pytest.raises(ValueError, match="one seed per window, for 8 windows"):
             invert(toy_generator, stack, self.CFG, seeds)
 
-    def test_reconstructions_come_from_one_pass_over_the_winners(self, toy_generator, stack):
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_reconstructions_are_the_generator_outputs_at_the_latents(self, toy_generator,
+                                                                      stack, restarts):
+        # the descent scored each winner in a batch of 8 x restarts rows; at
+        # one restart that is a batch of 8, as one pass over the 8 winners is
         latents, errors, _, recons = invert(toy_generator, stack,
-                                            settings(max_iterations=5, restarts=2),
+                                            settings(max_iterations=5, restarts=restarts),
                                             consecutive(1, stack))
+        npt.assert_array_equal(errors, objective(stack, recons)[0])
         regenerated = generate(toy_generator, latents)
-        npt.assert_array_equal(recons, regenerated)
-        npt.assert_array_equal(errors, objective(stack, regenerated)[0])
+        if restarts == 1:
+            npt.assert_array_equal(recons, regenerated)
+        else:
+            npt.assert_allclose(recons, regenerated, rtol=0, atol=1e-6)
 
     def test_row_cap_moves_results_by_rounding_only(self, toy_generator, stack, monkeypatch):
-        # three restarts at two rows per batch also split a window's
-        # restarts, and the winners are reconstructed two at a time
+        # three restarts at two rows per batch also split a window's restarts
         cfg = {**self.CFG, "restarts": 3}
         seeds = consecutive(self.SEED, stack)
         whole = invert(toy_generator, stack, cfg, seeds)
@@ -410,8 +420,8 @@ class TestWindowStack:
 
 class TestBatchRowCap:
     """No LSTM pass of the inversion or of the discriminator's scoring sees
-    more than ``MAX_BATCH_ROWS`` rows, the final pass over the winners
-    included, so the caches of a large test set stay bounded."""
+    more than ``MAX_BATCH_ROWS`` rows, so the caches of a large test set
+    stay bounded."""
 
     CAP = 3
 
@@ -428,17 +438,22 @@ class TestBatchRowCap:
         monkeypatch.setattr(lstm, "forward_batch", recording)
         return sizes
 
-    def test_invert(self, toy_generator, batch_sizes):
+    def test_invert(self, toy_generator, batch_sizes, monkeypatch):
+        scored = []
+
+        def counting(windows, recons):
+            scored.append(len(recons))
+            return objective(windows, recons)
+
+        monkeypatch.setattr(inversion, "objective", counting)
         windows = np.random.default_rng(8).normal(size=(7, 8, 3))
-        latents, errors, _, recons = invert(
-            toy_generator, windows, settings(max_iterations=2, restarts=2), consecutive(0, windows)
-        )
-        assert max(batch_sizes) <= self.CAP
-        # the winners of the 7 windows are reconstructed 3, 3 and 1 at a time
-        assert batch_sizes[-3:] == [3, 3, 1]
-        npt.assert_array_equal(recons, np.concatenate(
-            [generate(toy_generator, latents[lo : lo + self.CAP]) for lo in (0, 3, 6)]
-        ))
+        cfg = settings(max_iterations=2, restarts=2, tolerance=0.0)
+        latents, errors, _, recons = invert(toy_generator, windows, cfg, consecutive(0, windows))
+        # the 14 restarts descend 3, 3, 3, 3 and 2 at a time, each batch
+        # forwarded and scored once per step, the start included, and
+        # nothing is forwarded or scored after the last batch's last step
+        descent = [n for n in (3, 3, 3, 3, 2) for _ in range(cfg["max_iterations"] + 1)]
+        assert batch_sizes == descent and scored == descent
         npt.assert_array_equal(errors, objective(windows, recons)[0])
 
     def test_score_windows(self, batch_sizes):
@@ -463,8 +478,8 @@ class TestBatchRowCap:
 
 @pytest.mark.parametrize("max_iterations", [0, 2])
 def test_every_kept_cache_is_read(max_iterations, kept_caches):
-    # the descent's last forward, the winners' reconstruction and the
-    # discriminator's scoring run with cache=False
+    # the descent's last forward and the discriminator's scoring run with
+    # cache=False
     model = TestResidual._model(3)
     windows = np.random.default_rng(11).normal(size=(5, TestResidual.STEPS, 3))
     cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
@@ -472,6 +487,27 @@ def test_every_kept_cache_is_read(max_iterations, kept_caches):
     kept, unread = kept_caches()
     # one cache per descent step, each read by that step's backward
     assert len(kept) == max_iterations and not unread
+
+
+@pytest.mark.parametrize("max_iterations", [0, 2])
+def test_score_windows_forwards_each_net_once_per_pass(max_iterations, monkeypatch):
+    # the generator runs once per descent step, the start included, and
+    # never after the descent; the discriminator scores all windows once
+    model = TestResidual._model(3)
+    windows = np.random.default_rng(12).normal(size=(5, TestResidual.STEPS, 3))
+    calls = []
+    forward = lstm.forward_batch
+
+    def counting(net, sequences, **kwargs):
+        calls.append(net)
+        return forward(net, sequences, **kwargs)
+
+    monkeypatch.setattr(lstm, "forward_batch", counting)
+    cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
+    pipeline._score_windows(model, windows, cfg, consecutive(0, windows))
+    assert sum(net is model.generator for net in calls) == max_iterations + 1
+    assert sum(net is model.discriminator for net in calls) == 1
+    assert len(calls) == max_iterations + 2
 
 
 def test_invert_many_matches_serial(toy_generator):

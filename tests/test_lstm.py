@@ -547,12 +547,6 @@ class TestClipGradients:
         clip_gradients(grads, 5.0)
         npt.assert_array_equal(grads[0], [0.3])
 
-    def test_zero_max_norm_turns_clipping_off(self):
-        grads = [np.array([3.0, 4.0]), np.array([12.0])]
-        assert clip_gradients(grads, 0.0) == pytest.approx(13.0)
-        npt.assert_array_equal(grads[0], [3.0, 4.0])
-        npt.assert_array_equal(grads[1], [12.0])
-
 
 def test_gradients_keyed_and_ordered_like_params():
     net = init_lstm(2, 3, 4, 2, "tanh", rng=40)
