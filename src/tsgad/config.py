@@ -287,9 +287,10 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
     cfg = _validate(raw, SCHEMA, "", source)
     ing = raw.get("ingest", {})
     factor = cfg["ingest"]["downsample_factor"]
-    # a window must cut into whole blocks, and a test window must start on a
-    # block boundary so that neighbouring windows share one downsampled grid
-    for name in ("window_length", "test_shift"):
+    # a window must cut into whole blocks, and every window must start on a
+    # block boundary: ingest cuts each set's windows from its one downsampled
+    # stream
+    for name in ("window_length", "train_shift", "test_shift"):
         value = cfg["ingest"][name]
         if value % factor:
             key = name if name in ing else "downsample_factor"

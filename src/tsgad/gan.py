@@ -40,8 +40,9 @@ class GanModel:
 
     Each ``history`` record is a dict of floats: the epoch's mean ``d_loss``
     and ``g_loss`` and the ``mmd`` measured after it.  ``len(history)`` is
-    the number of completed epochs.  ``windows_sha256`` is the SHA-256 of
-    the window bundle's ``windows.npz`` the pair was trained on, which
+    the number of completed epochs.  ``windows_sha256`` is the digest of the
+    window bundle the pair was trained on, as
+    :func:`tsgad.ingest.load_window_bundle` returns it, which
     :func:`tsgad.pipeline.run_train` sets.
     """
 

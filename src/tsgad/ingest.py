@@ -5,12 +5,16 @@ Every function takes and returns plain numpy arrays:
 - a series is ``values``, float64 of shape (rows, columns), one row per
   timestamp and one column per variable (real-valued sensor readings or 0/1
   actuator states), with ``labels`` either ``None`` or an int64 array of
-  shape (rows,) holding a 0/1 attack flag per row;
+  shape (rows,) holding a 0/1 attack flag per row.  A downsampled series, a
+  *stream*, has the same form with one row per block of raw rows;
 - a window set is ``windows``, float64 of shape (count, length, columns),
   with ``labels`` either ``None`` or int64 of shape (count, length) holding
-  a 0/1 flag per window row.  A window set may be a read-only strided view
-  of its series, as :func:`window` returns it: a reader takes it as it
-  would a contiguous stack, and a writer copies it first.
+  a 0/1 flag per window row.  A window set is a read-only strided view of
+  its series, as :func:`window` returns it: a reader takes it as it would
+  a contiguous stack, and a writer copies it first.
+
+The window bundle stores each set's stream once, with the step its windows
+start at; :func:`load_window_bundle` cuts the windows from it.
 
 File I/O happens only in :func:`load_csv`, the one CSV writer
 :func:`write_csv`, the bundle helpers and the readers of other stage outputs,
@@ -314,8 +318,8 @@ def window(
     Nothing is copied: the windows, and their labels, are read-only strided
     views of the series, which they keep alive.  Overlapping windows
     (``shift < length``) share rows, so the view holds the series once
-    however many windows it has; :func:`downsample_median` and
-    ``np.savez`` read it as they would a contiguous stack.
+    however many windows it has.  :func:`load_window_bundle` cuts every
+    window set this way from its stored stream.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -331,47 +335,50 @@ def window(
 
 
 def downsample_median(
-    windows: np.ndarray, labels: np.ndarray | None, factor: int
+    values: np.ndarray, labels: np.ndarray | None, factor: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Replace each ``factor``-row block of every window with its per-column median.
+    """Replace each ``factor``-row block of a series with its per-column median.
 
-    An even block count uses the arithmetic mean of the two middle values.  A
-    downsampled row is labeled anomalous if any row of its block is.  With
-    ``factor`` 1 the windows and labels are returned as given; otherwise
-    both results are new C-contiguous arrays, whatever the layout of the
-    windows: the blocks of a :func:`window` view are cut by a reshape that
-    stays a view, so the one copy is the one the sort of
-    :func:`~tsgad.orderstats.median` makes.
+    The result is the stream of ``rows // factor`` rows: a trailing partial
+    block is dropped.  An even block count uses the arithmetic mean of the
+    two middle values.  A downsampled row is labeled anomalous if any row of
+    its block is.  With ``factor`` 1 the series and labels are returned as
+    given; otherwise both results are new C-contiguous arrays.
+
+    Windows cut from the stream at a step of ``shift / factor`` rows are,
+    bit for bit, the per-window block medians of the series' windows at
+    ``shift``, when ``shift`` and the window length are multiples of
+    ``factor``: each block median sees the same values in the same order.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    n, rows, m = windows.shape
-    if rows % factor != 0:
-        raise ValueError(f"window length {rows} not divisible by factor {factor}")
     if factor == 1:
-        return windows, labels
-    out_rows = rows // factor
-    down = median(windows.reshape(n, out_rows, factor, m), axis=2)
+        return values, labels
+    blocks = len(values) // factor
+    rows = blocks * factor
+    down = median(values[:rows].reshape(blocks, factor, values.shape[1]), axis=1)
     if labels is not None:
-        labels = np.ascontiguousarray(labels.reshape(n, out_rows, factor).max(axis=2))
+        labels = labels[:rows].reshape(blocks, factor).max(axis=1)
     return down, labels
 
 
 def save_window_bundle(
     directory: str | Path,
-    window_sets: dict[str, tuple[np.ndarray, np.ndarray | None]],
+    window_sets: dict[str, tuple[np.ndarray, np.ndarray | None, int, int]],
     manifest_extra: dict | None = None,
 ) -> Path:
-    """Write named ``(windows, labels)`` pairs plus a JSON manifest to ``directory``.
+    """Write named ``(stream, labels, length, step)`` sets plus a JSON
+    manifest to ``directory``.
 
-    Arrays land in one ``windows.npz`` as ``<set>_windows`` and, when the set
-    has labels, ``<set>_labels``; :func:`load_window_bundle` returns them
-    under the same names.  ``manifest.json`` holds ``manifest_extra`` at its
-    top level and, under ``window_sets``, one entry per set with the keys
-    ``count``, ``window_length``, ``columns`` and ``has_labels``.  Besides
-    this module, ``bench/stages.py`` and ``bench/checks.py`` read the
-    manifest: the per-set ``count`` and the top-level ``sequence_length`` and
-    ``columns``.  Returns the manifest path.
+    Each set's windows are ``length`` stream rows long and start every
+    ``step`` rows.  Its stream lands in one ``windows.npz`` as
+    ``<set>_stream`` and, when the set has labels, ``<set>_stream_labels``.
+    ``manifest.json`` holds ``manifest_extra`` at its top level and, under
+    ``window_sets``, one entry per set with the keys ``count`` (its
+    windows), ``window_length``, ``step``, ``columns`` and ``has_labels``.
+    Besides this module, ``bench/stages.py`` and ``bench/checks.py`` read
+    the manifest: the per-set ``count`` and the top-level
+    ``sequence_length`` and ``columns``.  Returns the manifest path.
 
     ``windows.npz`` is written uncompressed with ``np.savez``, as
     :func:`tsgad.gan.save_checkpoint` writes checkpoints: on a 51-column
@@ -382,15 +389,15 @@ def save_window_bundle(
     directory.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
     manifest: dict = {"window_sets": {}}
-    for name, (windows, labels) in window_sets.items():
-        arrays[f"{name}_windows"] = windows
+    for name, (values, labels, length, step) in window_sets.items():
+        arrays[f"{name}_stream"] = values
         if labels is not None:
-            arrays[f"{name}_labels"] = labels
-        count, length, columns = windows.shape
+            arrays[f"{name}_stream_labels"] = labels
         manifest["window_sets"][name] = {
-            "count": count,
+            "count": len(window(values, None, length, step)[0]),
             "window_length": length,
-            "columns": columns,
+            "step": step,
+            "columns": values.shape[1],
             "has_labels": labels is not None,
         }
     if manifest_extra:
@@ -404,15 +411,21 @@ def save_window_bundle(
 def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict, str]:
     """Inverse of :func:`save_window_bundle`: ``(arrays, manifest, sha256)``.
 
-    ``arrays`` maps every name ``windows.npz`` stores, ``<set>_windows`` and,
-    for a set with labels, ``<set>_labels``, to its array.  ``sha256`` is
-    the hex digest of the bytes the arrays were parsed from: the file is
-    read once, so a bundle re-ingested meanwhile cannot give the arrays
-    another file's digest.  The bytes are dropped on return.
+    ``arrays`` maps every name ``windows.npz`` stores to its array, and adds
+    per set the :func:`window` views cut from its stream at its manifest
+    ``window_length`` and ``step``: ``<set>_windows`` and, for a set with
+    labels, ``<set>_labels``.  ``sha256`` is the hex digest of what the
+    windows were cut from: the ``windows.npz`` bytes the arrays were parsed
+    from, then the sorted JSON of the manifest's ``window_sets``, so that a
+    re-ingest at another shift, which stores the same streams, changes it.
+    Each file is read once, so a bundle re-ingested meanwhile cannot give
+    the arrays another file's digest.  The bytes are dropped on return.
 
     A directory that lacks either file is refused with a
     :class:`~tsgad.config.ConfigError` that names it, and a damaged file
-    with the cure ``re-run ingest``.
+    with the cure ``re-run ingest``.  A manifest is damaged when a set's
+    ``window_length`` or ``step`` is not a positive integer, or its stream
+    is missing from ``windows.npz`` or shorter than a window.
     """
     directory = Path(directory)
     manifest_path, windows_path = directory / "manifest.json", directory / "windows.npz"
@@ -420,7 +433,26 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
         raise ConfigError(f"no window bundle in {directory}; run ingest first")
     manifest = read_json_object(manifest_path, "re-run ingest")
     raw = windows_path.read_bytes()
-    return read_npz(windows_path, "re-run ingest", raw), manifest, hashlib.sha256(raw).hexdigest()
+    arrays = read_npz(windows_path, "re-run ingest", raw)
+    try:
+        for name, entry in manifest["window_sets"].items():
+            for key in ("window_length", "step"):
+                if type(entry.get(key)) is not int or entry[key] < 1:
+                    raise ValueError(f"set {name!r} has {key} {entry.get(key)!r}, "
+                                     "not a positive integer")
+            if f"{name}_stream" not in arrays:
+                raise ValueError(f"set {name!r} has no {name}_stream in windows.npz")
+            windows, labels = window(arrays[f"{name}_stream"], arrays.get(f"{name}_stream_labels"),
+                                     entry["window_length"], entry["step"])
+            arrays[f"{name}_windows"] = windows
+            if labels is not None:
+                arrays[f"{name}_labels"] = labels
+    except (KeyError, AttributeError, ValueError) as exc:
+        # no window_sets, an entry that is no mapping, or a stream too short
+        raise ConfigError(f"{manifest_path}: damaged ({exc}); re-run ingest") from None
+    digest = hashlib.sha256(raw)
+    digest.update(json.dumps(manifest["window_sets"], sort_keys=True).encode())
+    return arrays, manifest, digest.hexdigest()
 
 
 def read_npz(path: str | Path, cure: str, raw: bytes | None = None) -> dict[str, np.ndarray]:

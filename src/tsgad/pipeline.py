@@ -97,7 +97,7 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
 
 
 def run_ingest(cfg: dict) -> Path:
-    """CSV -> normalized, PCA-projected, windowed dataset bundle."""
+    """CSV -> bundle of normalized, PCA-projected, downsampled streams."""
     ing = cfg["ingest"]
     train_csv, test_csv = _csv_paths(cfg)
     for key, path in (("paths.input_csv", train_csv), ("paths.test_csv", test_csv)):
@@ -142,17 +142,17 @@ def run_ingest(cfg: dict) -> Path:
 
     factor = ing["downsample_factor"]
 
-    def cut(rows: np.ndarray, labels: np.ndarray | None, shift: int):
-        return ingest.downsample_median(
-            *ingest.window(rows, labels, window_len, shift), factor
-        )
+    def stream(rows: np.ndarray, shift: int, labels: np.ndarray | None = None):
+        # each set is downsampled once; its windows start every shift / factor rows
+        return (*ingest.downsample_median(rows, labels, factor), window_len // factor,
+                shift // factor)
 
     # no stage reads training labels; only the test set's are stored
     sets = {
-        "train": cut(pca.project(model, train_norm), None, ing["train_shift"]),
-        "train_raw": cut(train_norm, None, window_len),
-        "holdout": cut(pca.project(model, holdout_norm), None, ing["test_shift"]),
-        "holdout_raw": cut(holdout_norm, None, ing["test_shift"]),
+        "train": stream(pca.project(model, train_norm), ing["train_shift"]),
+        "train_raw": stream(train_norm, window_len),
+        "holdout": stream(pca.project(model, holdout_norm), ing["test_shift"]),
+        "holdout_raw": stream(holdout_norm, ing["test_shift"]),
     }
     del train_norm, holdout_norm
     if test_csv:
@@ -170,8 +170,8 @@ def run_ingest(cfg: dict) -> Path:
             )
         test_norm = ingest.normalize(test_values, col_min, col_max)
         del test_values
-        sets["test"] = cut(pca.project(model, test_norm), test_labels, ing["test_shift"])
-        sets["test_raw"] = cut(test_norm, None, ing["test_shift"])
+        sets["test"] = stream(pca.project(model, test_norm), ing["test_shift"], test_labels)
+        sets["test_raw"] = stream(test_norm, ing["test_shift"])
 
     bundle = _bundle_dir(cfg)
     ingest.save_window_bundle(
@@ -184,7 +184,6 @@ def run_ingest(cfg: dict) -> Path:
             "train_shift": ing["train_shift"],
             "test_shift": ing["test_shift"],
             "downsample_factor": factor,
-            "downsample_order": "window-then-downsample",
             "columns": columns,
             "normalization": {"col_min": col_min.tolist(), "col_max": col_max.tolist()},
         },
@@ -196,9 +195,10 @@ def run_ingest(cfg: dict) -> Path:
 def run_train(cfg: dict) -> Path:
     """Train the adversarial pair on the bundled training windows.
 
-    The checkpoint records, as ``windows_sha256``, the SHA-256 of the
-    ``windows.npz`` bytes those windows were read from, so that detect and
-    evaluate refuse another bundle, one re-ingested during training too.
+    The checkpoint records, as ``windows_sha256``, the digest of what those
+    windows were cut from, as :func:`~tsgad.ingest.load_window_bundle`
+    returns it, so that detect and evaluate refuse another bundle, one
+    re-ingested during training too.
     """
     arrays, _, digest = ingest.load_window_bundle(_bundle_dir(cfg))
     train_windows = arrays["train_windows"]
@@ -263,7 +263,7 @@ def run_detect(cfg: dict) -> Path:
     scores only by float32 rounding, which the descent can amplify.
 
     A checkpoint trained on another bundle's windows is refused: its
-    ``windows_sha256`` must be the digest of the bundle's ``windows.npz``
+    ``windows_sha256`` must be the digest of the bundle's windows
     (the config hash would not do, as a changed CSV re-ingested under the
     same config keeps it).  Besides the threshold and the residual scale,
     ``detect_manifest.json`` records that digest, as ``windows_sha256``,
@@ -416,8 +416,8 @@ def run_evaluate(cfg: dict) -> Path:
     ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
     The baselines scan the bundle's windows, so a ``scores.csv`` that detect
     wrote from another bundle is refused: the ``windows_sha256`` in
-    ``detect_manifest.json`` must be the digest of the bundle's
-    ``windows.npz``, as for the checkpoint in :func:`run_detect`, and a
+    ``detect_manifest.json`` must be the digest of the bundle's windows,
+    as for the checkpoint in :func:`run_detect`, and a
     damaged ``detect_manifest.json`` or ``scores.csv`` too.
     """
     bundle = _bundle_dir(cfg)

@@ -24,7 +24,7 @@ TINY_CONFIG = """\
 seed: 3
 ingest:
   window_length: 20
-  train_shift: 10
+  train_shift: 8
   test_shift: 20
   downsample_factor: 4
   holdout_fraction: 0.3
@@ -111,7 +111,7 @@ def test_all_writes_documented_artifacts(all_out):
     assert manifest["timesteps"] == manifest["test_windows"] * 5
     assert manifest["holdout_windows"] == 4
     # the bundle detect scored, for evaluate to check
-    assert manifest["windows_sha256"] == _sha256(all_out / "bundle" / "windows.npz")
+    assert manifest["windows_sha256"] == _bundle_digest(all_out / "bundle")
 
 
 def test_detect_manifest_records_holdout_inversions(config, all_out):
@@ -301,7 +301,30 @@ def _flip_member_bytes(path):
     path.write_bytes(bytes(raw))
 
 
+def _window_set_edit(name, key, value):
+    """A damage that sets, or with ``...`` deletes, one key of the bundle
+    manifest's ``window_sets`` entry ``name``, or adds the entry as a copy
+    of the test set's."""
+    def edit(sets):
+        entry = sets.setdefault(name, dict(sets["test"]))
+        if value is ...:
+            del entry[key]
+        else:
+            entry[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("name, damage, stage, cure", [
+    ("bundle/manifest.json", _window_set_edit("train", "step", ...), "train", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("test", "step", 0), "detect", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("holdout", "step", "1"), "evaluate", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("train", "step", True), "train", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("test_raw", "window_length", 1.5), "evaluate",
+     "ingest"),
+    ("bundle/manifest.json", _window_set_edit("spare", "step", 1), "train", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("test", "window_length", 1000), "detect",
+     "ingest"),
+    ("bundle/manifest.json", "{}", "train", "ingest"),
     ("checkpoints/final.npz", "flip", "detect", "train"),
     ("detect_manifest.json", "{", "evaluate", "detect"),
     ("detect_manifest.json", "[1]", "evaluate", "detect"),
@@ -315,21 +338,30 @@ def _flip_member_bytes(path):
     ("scores.csv", ("residual", "nan"), "evaluate", "detect"),
     ("scores.csv", ("disc_score", "inf"), "evaluate", "detect"),
     ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
-], ids=["checkpoint bad crc", "detect manifest not json", "detect manifest a list",
+], ids=["bundle step missing", "bundle step 0", "bundle step a string", "bundle step true",
+        "bundle window length a float", "bundle set without a stream",
+        "bundle window longer than its stream", "bundle without window sets",
+        "checkpoint bad crc", "detect manifest not json", "detect manifest a list",
         "scores cut short", "scores header", "scores missing rows", "scores cell not a number",
         "scores flag 2", "scores truth 2", "scores truth -1", "scores residual nan",
         "scores disc_score inf", "scores combined -inf"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
-    # a checkpoint whose member fails its CRC, a detect manifest that is no
-    # JSON object, and a scores.csv cut short (mid-row or after a row), with a
-    # foreign header, with a flag that is no integer, a flag or truth other
-    # than 0 or 1 or a score that is not finite are refused by name, with the
-    # stage to re-run
+    # a bundle manifest without window sets, or whose set has a window step
+    # or length that is not a positive integer, no stream in windows.npz or
+    # one shorter than a window, a checkpoint whose member fails its CRC, a
+    # detect manifest that is no JSON object, and a scores.csv cut short
+    # (mid-row or after a row), with a foreign header, with a flag that is no
+    # integer, a flag or truth other than 0 or 1 or a score that is not
+    # finite are refused by name, with the stage to re-run
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
-    if damage == "flip":
+    if callable(damage):
+        manifest = json.loads(path.read_text())
+        damage(manifest["window_sets"])
+        path.write_text(json.dumps(manifest))
+    elif damage == "flip":
         _flip_member_bytes(path)
     elif damage == "truncate":
         path.write_bytes(path.read_bytes()[:300])
@@ -413,8 +445,14 @@ def test_detect_with_corrupt_checkpoint_exits_1(config, all_out, tmp_path, capsy
     assert f"config error: {checkpoint}: {reason}" in capsys.readouterr().err
 
 
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _bundle_digest(bundle):
+    """The digest that binds a stage to the windows it read: the sha256 of
+    ``windows.npz``'s bytes, then the sorted JSON of the manifest's
+    ``window_sets``, which give each set's window length and step."""
+    digest = hashlib.sha256((bundle / "windows.npz").read_bytes())
+    sets = json.loads((bundle / "manifest.json").read_text())["window_sets"]
+    digest.update(json.dumps(sets, sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("mismatch", ["re-ingest", "discriminator"])
@@ -427,11 +465,11 @@ def test_detect_with_checkpoint_of_another_width_exits_1(config, all_out, tmp_pa
     shutil.copytree(all_out, out)
     checkpoint = out / "checkpoints" / "final.npz"
     if mismatch == "re-ingest":
-        trained_on = _sha256(out / "bundle" / "windows.npz")
+        trained_on = _bundle_digest(out / "bundle")
         config = _edited(tmp_path, [("n_components: 2", "n_components: 3")])
         assert _run(config, out, "ingest") == 0
         reason = (f"trained on windows.npz with sha256 {trained_on}, the bundle's has "
-                  f"{_sha256(out / 'bundle' / 'windows.npz')}; re-run train")
+                  f"{_bundle_digest(out / 'bundle')}; re-run train")
     else:
         model = gan.load_checkpoint(checkpoint)
         model.discriminator = gan.build_discriminator(3, depth=1, hidden=4, rng=0)
@@ -450,8 +488,8 @@ def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
     # trained on others, and the config hash alone would not tell
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
-    windows = out / "bundle" / "windows.npz"
-    trained_on = _sha256(windows)
+    bundle = out / "bundle"
+    trained_on = _bundle_digest(bundle)
     config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
                                  "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
     assert _run(config, out, "ingest") == 0
@@ -461,7 +499,7 @@ def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
     assert _run(config, out, "detect") == 1
     checkpoint = out / "checkpoints" / "final.npz"
     assert (f"config error: {checkpoint}: trained on windows.npz with sha256 {trained_on}, "
-            f"the bundle's has {_sha256(windows)}; re-run train") in capsys.readouterr().err
+            f"the bundle's has {_bundle_digest(bundle)}; re-run train") in capsys.readouterr().err
     assert (out / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
     # the remedy the message names
     assert _run(config, out, "train") == 0
@@ -477,7 +515,7 @@ def test_re_ingest_during_train_binds_the_checkpoint_to_the_windows_trained_on(
     shutil.copytree(all_out, out)
     config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
                                  "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
-    trained_on = _sha256(out / "bundle" / "windows.npz")
+    trained_on = _bundle_digest(out / "bundle")
     real_train = gan.train
 
     def train_during_a_re_ingest(*args):
@@ -496,11 +534,11 @@ def test_re_ingest_during_train_binds_the_checkpoint_to_the_windows_trained_on(
 def test_evaluate_after_a_trim_rows_re_ingest_exits_1(all_out, tmp_path, capsys):
     # trimming training rows refits the normalization and the principal
     # components but keeps the test windows' count and labels: only the
-    # digest of windows.npz tells that scores.csv came from another bundle
+    # bundle's digest tells that scores.csv came from another bundle
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
-    windows = out / "bundle" / "windows.npz"
-    scored = _sha256(windows)
+    bundle = out / "bundle"
+    scored = _bundle_digest(bundle)
     config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
                                  "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
     assert _run(config, out, "ingest") == 0
@@ -510,7 +548,7 @@ def test_evaluate_after_a_trim_rows_re_ingest_exits_1(all_out, tmp_path, capsys)
     capsys.readouterr()
     assert _run(config, out, "evaluate") == 1
     assert (f"config error: {out / 'scores.csv'}: detect scored windows.npz with sha256 "
-            f"{scored}, the bundle's has {_sha256(windows)}; re-run detect"
+            f"{scored}, the bundle's has {_bundle_digest(bundle)}; re-run detect"
             ) in capsys.readouterr().err
     assert (out / "metrics.json").read_bytes() == (all_out / "metrics.json").read_bytes()
 
@@ -544,8 +582,8 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
         assert _run(config, tmp_path, "detect") == 0
     rows = len((tmp_path / "scores.csv").read_text().splitlines()) - 1
-    windows = tmp_path / "bundle" / "windows.npz"
-    scored = _sha256(windows)
+    bundle = tmp_path / "bundle"
+    scored = _bundle_digest(bundle)
     edited = _edited(tmp_path, edits)
     for stage in stages:
         assert _run(edited, tmp_path, stage) == 0, stage
@@ -554,7 +592,7 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     capsys.readouterr()
     assert _run(edited, tmp_path, "evaluate") == 1
     assert (f"config error: {tmp_path / 'scores.csv'}: detect scored windows.npz with sha256 "
-            f"{scored}, the bundle's has {_sha256(windows)}; re-run detect"
+            f"{scored}, the bundle's has {_bundle_digest(bundle)}; re-run detect"
             ) in capsys.readouterr().err
     assert not (tmp_path / "metrics.json").exists()
     # the remedy the message names, after the one detect names for the
@@ -626,6 +664,11 @@ def test_bundle_without_holdout_windows_exits_1_at_detect_and_evaluate(
     with np.load(windows) as data:
         kept = {k: data[k] for k in data.files if not k.startswith("holdout")}
     np.savez_compressed(windows, **kept)
+    manifest_path = out / "bundle" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for name in ("holdout", "holdout_raw"):
+        del manifest["window_sets"][name]
+    manifest_path.write_text(json.dumps(manifest))
     for stage in ("detect", "evaluate"):
         capsys.readouterr()
         assert _run(config, out, stage) == 1, stage
@@ -657,12 +700,12 @@ def _train_windows(out):
 
 
 def test_trim_rows_drops_leading_training_rows(all_out, tmp_path):
-    # 200 of 300 rows are left: 60 held out, 140 train 13 windows (20 untrimmed)
+    # 200 of 300 rows are left: 60 held out, 140 train 16 windows (24 untrimmed)
     config = tmp_path / "trim.yaml"
     config.write_text(TINY_CONFIG.replace("ingest:\n", "ingest:\n  trim_rows: 100\n"))
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0
-    assert (_train_windows(tmp_path), _train_windows(all_out)) == (13, 20)
+    assert (_train_windows(tmp_path), _train_windows(all_out)) == (16, 24)
 
 
 def test_training_split_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):

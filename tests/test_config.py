@@ -25,6 +25,21 @@ def test_defaults_carry_paper_scale_preprocessing():
     assert cfg["gan"]["disc_hidden"] == 100
 
 
+# every training window must start on a block boundary, as each test window
+# does: ingest cuts both from one downsampled stream.  The message names the
+# train_shift line, or the downsample_factor line when train_shift is the default
+@pytest.mark.parametrize("text, line", [
+    ("ingest:\n  downsample_factor: 4\n  train_shift: 10\n", 3),
+    ("ingest:\n  downsample_factor: 4\n", 2),
+], ids=["given", "default"])
+def test_train_shift_not_a_multiple_of_downsample_factor_rejected(tmp_path, text, line):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"bad.yaml:{line}: ingest.train_shift 10 is not a "
+                                          r"multiple of ingest.downsample_factor 4$"):
+        load_config(path)
+
+
 def test_partial_config_merges_over_defaults():
     cfg = validate_config({"gan": {"epochs": 7}, "seed": 3})
     assert cfg["gan"]["epochs"] == 7

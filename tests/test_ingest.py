@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -24,11 +25,6 @@ from tsgad.ingest import (
 def normalize_on_itself(values):
     values = np.asarray(values, dtype=float)
     return normalize(values, values.min(axis=0), values.max(axis=0))
-
-
-def cut(values, length, shift, factor, labels=None):
-    windows, labels = window(np.asarray(values, dtype=float), labels, length, shift)
-    return downsample_median(windows, labels, factor)
 
 
 def stacked(values, labels, length, shift):
@@ -436,25 +432,27 @@ class TestDownsampleMedian:
     @pytest.mark.parametrize("factor", range(1, 13))
     def test_is_np_median_bit_for_bit(self, factor):
         # rounded readings make ties inside a block; the halved sum of an
-        # even block's middle two must round as np.median's mean does
+        # even block's middle two must round as np.median's mean does.  A
+        # trailing partial block is dropped
         rng = np.random.default_rng(factor)
-        windows = np.round(rng.normal(size=(6, 4 * factor, 5)) * 1e3, 1)
-        windows[0] = 0.1
-        out, _ = downsample_median(windows, None, factor)
-        want = np.median(windows.reshape(6, 4, factor, 5), axis=2)
+        values = np.round(rng.normal(size=(24 * factor + factor // 2, 5)) * 1e3, 1)
+        values[:factor] = 0.1
+        out, _ = downsample_median(values, None, factor)
+        want = np.median(values[: 24 * factor].reshape(24, factor, 5), axis=1)
         npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
         assert out.flags.c_contiguous
 
-    # an even, an odd and the identity factor, each with windows that
-    # overlap by less than a block, by whole blocks, or not at all
+    # an even, an odd and the identity factor, each on a series that starts
+    # 1, 12 or 13 rows into the plant, as the holdout starts at its split
     @pytest.mark.parametrize("factor", [4, 3, 1])
     @pytest.mark.parametrize("shift", [1, 12, 13])
     def test_view_downsamples_as_its_copy_bit_for_bit(self, factor, shift):
         values, labels = plant_rows(rows=50)
-        windows, window_labels = window(values, labels, 12, shift)
-        out, out_labels = downsample_median(windows, window_labels, factor)
+        # a strided view: the rows from shift on, with the columns reversed
+        view, view_labels = values[shift:, ::-1], labels[shift:]
+        out, out_labels = downsample_median(view, view_labels, factor)
         want, want_labels = downsample_median(
-            np.ascontiguousarray(windows), np.ascontiguousarray(window_labels), factor
+            np.ascontiguousarray(view), np.ascontiguousarray(view_labels), factor
         )
         assert (out.shape, out_labels.shape) == (want.shape, want_labels.shape)
         npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
@@ -463,49 +461,98 @@ class TestDownsampleMedian:
             assert out.flags.c_contiguous and out_labels.flags.c_contiguous
 
     def test_even_count_median(self):
-        windows, _ = cut(np.arange(1.0, 11.0).reshape(10, 1), 10, 10, 10)
-        assert windows[0, 0, 0] == pytest.approx(5.5)
+        out, _ = downsample_median(np.arange(1.0, 11.0).reshape(10, 1), None, 10)
+        assert out[0, 0] == pytest.approx(5.5)
 
     def test_swat_shape(self):
-        windows, _ = cut(np.zeros((240, 2)), 120, 120, 10)
-        assert windows.shape == (2, 12, 2)
+        stream, _ = downsample_median(np.zeros((240, 2)), None, 10)
+        assert stream.shape == (24, 2)
+        assert window(stream, None, 12, 12)[0].shape == (2, 12, 2)
 
     def test_constant_block(self):
-        windows, _ = cut(np.full((8, 1), 3.25), 8, 8, 4)
-        npt.assert_array_equal(windows[0][:, 0], [3.25, 3.25])
+        out, _ = downsample_median(np.full((8, 1), 3.25), None, 4)
+        npt.assert_array_equal(out[:, 0], [3.25, 3.25])
 
     def test_factor_one_is_identity(self):
-        windows, labels = window(np.random.default_rng(1).normal(size=(12, 2)), None, 6, 6)
-        out, out_labels = downsample_median(windows, labels, 1)
-        npt.assert_array_equal(out, windows)
+        values = np.random.default_rng(1).normal(size=(12, 2))
+        out, out_labels = downsample_median(values, None, 1)
+        assert out is values
         assert out_labels is None
 
     def test_indivisible_factor(self):
-        with pytest.raises(ValueError, match="divisible"):
-            cut(np.zeros((10, 1)), 10, 10, 3)
+        # the trailing partial block, with its attacked row, is dropped
+        labels = np.zeros(10, dtype=np.int64)
+        labels[9] = 1
+        out, out_labels = downsample_median(np.arange(10.0).reshape(10, 1), labels, 3)
+        npt.assert_array_equal(out[:, 0], [1.0, 4.0, 7.0])
+        npt.assert_array_equal(out_labels, [0, 0, 0])
 
     def test_any_anomalous_label_aggregation(self):
         labels = np.zeros(12, dtype=np.int64)
         labels[5] = 1
-        _, out = cut(np.zeros((12, 1)), 12, 12, 4, labels)
-        npt.assert_array_equal(out, [[0, 1, 0]])
+        _, out = downsample_median(np.zeros((12, 1)), labels, 4)
+        npt.assert_array_equal(out, [0, 1, 0])
+        assert out.dtype == np.int64
 
     def test_commutes_with_column_permutation(self):
         rng = np.random.default_rng(7)
         values = rng.normal(size=(24, 4))
         perm = [2, 0, 3, 1]
-        a, _ = cut(values, 12, 12, 3)
-        b, _ = cut(values[:, perm], 12, 12, 3)
-        npt.assert_array_equal(a[:, :, perm], b)
+        a, _ = downsample_median(values, None, 3)
+        b, _ = downsample_median(values[:, perm], None, 3)
+        npt.assert_array_equal(a[:, perm], b)
 
 
+@given(
+    factor=st.integers(1, 5),
+    blocks=st.integers(1, 4),
+    step=st.integers(1, 9),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# steps below, equal to and above the window's 3 blocks; the first three
+# series end in a partial block (37 = 9 * 4 + 1, 41 = 10 * 4 + 1 and
+# 42 = 8 * 5 + 2 rows), and the second and third in a partial window
+@example(factor=4, blocks=3, step=1, extra=25, seed=0)
+@example(factor=4, blocks=3, step=3, extra=29, seed=1)
+@example(factor=5, blocks=3, step=4, extra=27, seed=2)
+@example(factor=1, blocks=3, step=2, extra=0, seed=3)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bundle_of_streams_cuts_the_downsampled_windows_of_the_series(
+        tmp_path, factor, blocks, step, extra, seed):
+    # each set is downsampled once and saved as a stream; the windows cut at
+    # load are, bit for bit, the block medians (and block maxima of the
+    # labels) of the series' windows at a shift of step * factor.  The
+    # series is one window long plus extra rows
+    length, shift = blocks * factor, step * factor
+    values, labels = plant_rows(rows=length + extra, columns=2, seed=seed)
+    stream, stream_labels = downsample_median(values, labels, factor)
+    save_window_bundle(tmp_path / "bundle", {"test": (stream, stream_labels, blocks, step),
+                                             "train": (stream, None, blocks, step)})
+    loaded, manifest, _ = load_window_bundle(tmp_path / "bundle")
+    windows, window_labels = stacked(values, labels, length, shift)
+    count = len(windows)
+    want = np.median(windows.reshape(count, blocks, factor, 2), axis=2)
+    want_labels = window_labels.reshape(count, blocks, factor).max(axis=2)
+    for name in ("test", "train"):
+        got = loaded[f"{name}_windows"]
+        assert got.shape == want.shape
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert manifest["window_sets"][name]["count"] == len(got)
+    assert (loaded["test_labels"].dtype, loaded["test_labels"].shape) == (np.int64, (count, blocks))
+    npt.assert_array_equal(loaded["test_labels"], want_labels)
+    assert "train_labels" not in loaded
+
+
+# window steps below, equal to and above the window length of 8
 @pytest.mark.parametrize("shift", [4, 8, 11])
 def test_window_bundle_of_a_view_is_the_bundle_of_its_copy(tmp_path, shift):
     values, labels = plant_rows(rows=40, columns=2)
-    view = window(values, labels, 8, shift)
-    copy = tuple(np.ascontiguousarray(a) for a in view)
-    for name, pair in (("view", view), ("copy", copy)):
-        save_window_bundle(tmp_path / name, {"test": pair, "train": (pair[0], None)})
+    # a strided view of the stream: its columns reversed
+    view = (values[:, ::-1], labels, 8, shift)
+    copy = (np.ascontiguousarray(view[0]), labels, 8, shift)
+    for name, stream in (("view", view), ("copy", copy)):
+        save_window_bundle(tmp_path / name, {"test": stream, "train": (stream[0], None, 8, shift)})
     for artifact in ("windows.npz", "manifest.json"):
         assert (tmp_path / "view" / artifact).read_bytes() == (
             tmp_path / "copy" / artifact
@@ -514,23 +561,31 @@ def test_window_bundle_of_a_view_is_the_bundle_of_its_copy(tmp_path, shift):
 
 def test_window_bundle_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    labels = (rng.random(40) < 0.2).astype(np.int64)
-    values = rng.normal(size=(40, 2))
-    test = cut(values, 8, 8, 2, labels)
-    train = cut(values, 8, 4, 2)
-    save_window_bundle(tmp_path / "bundle", {"test": test, "train": train}, {"note": "x"})
+    labels = (rng.random(41) < 0.2).astype(np.int64)
+    test = downsample_median(rng.normal(size=(41, 2)), labels, 2)
+    train = downsample_median(rng.normal(size=(40, 2)), None, 2)
+    save_window_bundle(tmp_path / "bundle", {"test": (*test, 4, 4), "train": (*train, 4, 2)},
+                       {"note": "x"})
     loaded, manifest, digest = load_window_bundle(tmp_path / "bundle")
-    assert digest == hashlib.sha256((tmp_path / "bundle" / "windows.npz").read_bytes()).hexdigest()
-    assert sorted(loaded) == ["test_labels", "test_windows", "train_windows"]
-    npt.assert_array_equal(loaded["test_windows"], test[0])
-    npt.assert_array_equal(loaded["test_labels"], test[1])
-    npt.assert_array_equal(loaded["train_windows"], train[0])
+    want_digest = hashlib.sha256((tmp_path / "bundle" / "windows.npz").read_bytes())
+    want_digest.update(json.dumps(manifest["window_sets"], sort_keys=True).encode())
+    assert digest == want_digest.hexdigest()
+    assert sorted(loaded) == ["test_labels", "test_stream", "test_stream_labels", "test_windows",
+                              "train_stream", "train_windows"]
+    npt.assert_array_equal(loaded["test_stream"], test[0])
+    npt.assert_array_equal(loaded["test_stream_labels"], test[1])
+    npt.assert_array_equal(loaded["train_stream"], train[0])
+    npt.assert_array_equal(loaded["test_windows"], stacked(test[0], None, 4, 4)[0])
+    npt.assert_array_equal(loaded["test_labels"], stacked(test[0], test[1], 4, 4)[1])
+    npt.assert_array_equal(loaded["train_windows"], stacked(train[0], None, 4, 2)[0])
+    for name in ("test_windows", "test_labels", "train_windows"):
+        assert not loaded[name].flags.writeable
     assert manifest["note"] == "x"
     assert manifest["window_sets"]["test"] == {
-        "count": 5, "window_length": 4, "columns": 2, "has_labels": True,
+        "count": 5, "window_length": 4, "step": 4, "columns": 2, "has_labels": True,
     }
     assert manifest["window_sets"]["train"] == {
-        "count": 9, "window_length": 4, "columns": 2, "has_labels": False,
+        "count": 9, "window_length": 4, "step": 2, "columns": 2, "has_labels": False,
     }
     with np.load(tmp_path / "bundle" / "windows.npz") as data:
-        assert sorted(data.files) == sorted(loaded)
+        assert sorted(data.files) == ["test_stream", "test_stream_labels", "train_stream"]

@@ -29,7 +29,7 @@ GROUPS = 10
 WIDTH = 3 * GROUPS
 PLANT_BYTES = ROWS * WIDTH * 8
 
-# measured 2.69 and 2.41, synth's with the CSV writer's block of about
+# measured 2.69 and 2.52, synth's with the CSV writer's block of about
 # synthetic.FIXED_POINT_BLOCK_CELLS numbers, 0.3 matrix on this width; one
 # more matrix reads 3.4 or more
 BOUNDS = {"synth": 2.9, "ingest": 2.9}
@@ -49,10 +49,6 @@ def _wide_config(out_dir) -> dict:
     ]
     return validate_config({
         "paths": {"out_dir": str(out_dir)},
-        # non-overlapping training windows, as in the wide-plant workload: the
-        # sort of 12-fold overlapping ones would hold 1.6 projected matrices
-        # and hide a plant copy
-        "ingest": {"train_shift": 120},
         "synth": {
             "enabled": True, "train_duration": ROWS, "test_duration": ROWS,
             "variables": variables, "attacks": attacks,
