@@ -8,13 +8,15 @@ Every function takes and returns plain numpy arrays:
   shape (rows,) holding a 0/1 attack flag per row.  A downsampled series, a
   *stream*, has the same form with one row per block of raw rows;
 - a window set is ``windows``, float64 of shape (count, length, columns),
-  with ``labels`` either ``None`` or int64 of shape (count, length) holding
-  a 0/1 flag per window row.  A window set is a read-only strided view of
-  its series, as :func:`window` returns it: a reader takes it as it would
-  a contiguous stack, and a writer copies it first.
+  and carries no labels: a row's label is its stream's.  A window set is a
+  read-only strided view of its series, as :func:`window` returns it: a
+  reader takes it as it would a contiguous stack, and a writer copies it
+  first.  :func:`unwindow` maps values per window timestep back onto the
+  stream rows the windows cover.
 
-The window bundle stores each set's stream once, with the step its windows
-start at; :func:`load_window_bundle` cuts the windows from it.
+The window bundle stores each set's stream, and the test set's labels, once,
+with the step its windows start at; :func:`load_window_bundle` cuts the
+windows from it.
 
 File I/O happens only in :func:`load_csv`, the one CSV writer
 :func:`write_csv`, the bundle helpers and the readers of other stage outputs,
@@ -305,21 +307,18 @@ def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> n
     return scaled
 
 
-def window(
-    values: np.ndarray, labels: np.ndarray | None, length: int, shift: int
-) -> tuple[np.ndarray, np.ndarray | None]:
+def window(values: np.ndarray, length: int, shift: int) -> np.ndarray:
     """Cut a series into fixed-length windows with the given shift.
 
     Produces floor((rows - length) / shift) + 1 windows; a trailing remainder
     that does not fill a whole window is dropped.  Window k is
-    ``values[k * shift : k * shift + length]``, and its labels the same rows
-    of ``labels``.
+    ``values[k * shift : k * shift + length]``, of shape (length, ...).
 
-    Nothing is copied: the windows, and their labels, are read-only strided
-    views of the series, which they keep alive.  Overlapping windows
-    (``shift < length``) share rows, so the view holds the series once
-    however many windows it has.  :func:`load_window_bundle` cuts every
-    window set this way from its stored stream.
+    Nothing is copied: the windows are a read-only strided view of the
+    series, which they keep alive.  Overlapping windows (``shift < length``)
+    share rows, so the view holds the series once however many windows it
+    has.  :func:`load_window_bundle` cuts every window set this way from its
+    stored stream.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -327,11 +326,31 @@ def window(
         raise ValueError("shift must be >= 1")
     if length > len(values):
         raise ValueError(f"window length {length} exceeds series length {len(values)}")
-    # (count, columns, length) views, whose last axis steps through the rows
-    windows = sliding_window_view(values, length, axis=0)[::shift].transpose(0, 2, 1)
-    if labels is not None:
-        labels = sliding_window_view(labels, length)[::shift]
-    return windows, labels
+    # (count, ..., length) views, whose last axis steps through the rows
+    return np.moveaxis(sliding_window_view(values, length, axis=0)[::shift], -1, 1)
+
+
+def unwindow(values: np.ndarray, step: int) -> np.ndarray:
+    """Inverse of :func:`window`: values per window timestep, of shape
+    (count, length, ...), averaged onto the stream rows the windows cover,
+    in stream order, where window k starts at row ``k * step``.
+
+    A row that several overlapping windows cover gets the mean of their
+    values, summed in window order.  Windows that do not overlap (``step >=
+    length``) give each covered row one value, so the result is ``values``
+    reshaped to (count * length, ...), bit for bit; rows between windows
+    that start further apart than their length are covered by none and
+    have no entry.
+    """
+    count, length = values.shape[:2]
+    flat = values.reshape(count * length, *values.shape[2:])
+    if step >= length:
+        return flat
+    rows = (np.arange(count)[:, None] * step + np.arange(length)).reshape(-1)
+    sums = np.zeros((rows[-1] + 1, *values.shape[2:]))
+    # unbuffered, one window timestep at a time, in window order
+    np.add.at(sums, rows, flat)
+    return sums / np.bincount(rows).reshape(-1, *(1,) * (values.ndim - 2))
 
 
 def downsample_median(
@@ -375,7 +394,7 @@ def save_window_bundle(
     ``<set>_stream`` and, when the set has labels, ``<set>_stream_labels``.
     ``manifest.json`` holds ``manifest_extra`` at its top level and, under
     ``window_sets``, one entry per set with the keys ``count`` (its
-    windows), ``window_length``, ``step``, ``columns`` and ``has_labels``.
+    windows), ``window_length`` and ``step``.
     Besides this module, ``bench/stages.py`` and ``bench/checks.py`` read
     the manifest: the per-set ``count`` and the top-level
     ``sequence_length`` and ``columns``.  Returns the manifest path.
@@ -393,13 +412,8 @@ def save_window_bundle(
         arrays[f"{name}_stream"] = values
         if labels is not None:
             arrays[f"{name}_stream_labels"] = labels
-        manifest["window_sets"][name] = {
-            "count": len(window(values, None, length, step)[0]),
-            "window_length": length,
-            "step": step,
-            "columns": values.shape[1],
-            "has_labels": labels is not None,
-        }
+        count = len(window(values, length, step))
+        manifest["window_sets"][name] = {"count": count, "window_length": length, "step": step}
     if manifest_extra:
         manifest.update(manifest_extra)
     np.savez(directory / "windows.npz", **arrays)
@@ -412,20 +426,21 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
     """Inverse of :func:`save_window_bundle`: ``(arrays, manifest, sha256)``.
 
     ``arrays`` maps every name ``windows.npz`` stores to its array, and adds
-    per set the :func:`window` views cut from its stream at its manifest
-    ``window_length`` and ``step``: ``<set>_windows`` and, for a set with
-    labels, ``<set>_labels``.  ``sha256`` is the hex digest of what the
-    windows were cut from: the ``windows.npz`` bytes the arrays were parsed
-    from, then the sorted JSON of the manifest's ``window_sets``, so that a
-    re-ingest at another shift, which stores the same streams, changes it.
+    per set ``<set>_windows``, the :func:`window` view cut from its stream
+    at its manifest ``window_length`` and ``step``.  ``sha256`` is the hex
+    digest of what the windows were cut from: the ``windows.npz`` bytes the
+    arrays were parsed from, then the sorted JSON of the manifest's
+    ``window_sets``, so that a re-ingest at another shift, which stores the
+    same streams, changes it.
     Each file is read once, so a bundle re-ingested meanwhile cannot give
     the arrays another file's digest.  The bytes are dropped on return.
 
     A directory that lacks either file is refused with a
     :class:`~tsgad.config.ConfigError` that names it, and a damaged file
     with the cure ``re-run ingest``.  A manifest is damaged when a set's
-    ``window_length`` or ``step`` is not a positive integer, or its stream
-    is missing from ``windows.npz`` or shorter than a window.
+    ``window_length`` or ``step`` is not a positive integer, its stream is
+    missing from ``windows.npz`` or shorter than a window, or its ``count``
+    is not the number of windows cut.
     """
     directory = Path(directory)
     manifest_path, windows_path = directory / "manifest.json", directory / "windows.npz"
@@ -442,11 +457,11 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
                                      "not a positive integer")
             if f"{name}_stream" not in arrays:
                 raise ValueError(f"set {name!r} has no {name}_stream in windows.npz")
-            windows, labels = window(arrays[f"{name}_stream"], arrays.get(f"{name}_stream_labels"),
-                                     entry["window_length"], entry["step"])
+            windows = window(arrays[f"{name}_stream"], entry["window_length"], entry["step"])
+            if entry.get("count") != len(windows):
+                raise ValueError(f"set {name!r} has count {entry.get('count')!r}, "
+                                 f"but its stream cuts {len(windows)} windows")
             arrays[f"{name}_windows"] = windows
-            if labels is not None:
-                arrays[f"{name}_labels"] = labels
     except (KeyError, AttributeError, ValueError) as exc:
         # no window_sets, an entry that is no mapping, or a stream too short
         raise ConfigError(f"{manifest_path}: damaged ({exc}); re-run ingest") from None

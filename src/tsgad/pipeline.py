@@ -23,6 +23,7 @@ from .synthetic import check_readings, generate_scenario, save_scenario_csv
 
 # below this many holdout windows, one window can set the residual scale and every threshold
 MIN_HOLDOUT_WINDOWS = 8
+# index: the test-stream row each score is for
 SCORES_HEADER = ["index", "residual", "residual_norm", "disc_score", "combined", "flag", "truth"]
 
 
@@ -64,9 +65,11 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict, st
 
 
 def _check_binding(path: Path, action: str, recorded, digest: str, cure: str) -> None:
-    """Refuse ``path`` unless the windows.npz its stage ``action`` is the bundle's."""
+    """Refuse ``path`` unless the bundle digest, as
+    :func:`~tsgad.ingest.load_window_bundle` returns it, of the windows its
+    stage ``action`` is the bundle's."""
     if recorded != digest:
-        raise ConfigError(f"{path}: {action} windows.npz with sha256 {recorded}, "
+        raise ConfigError(f"{path}: {action} windows with bundle digest {recorded}, "
                           f"the bundle's has {digest}; {cure}")
 
 
@@ -225,15 +228,22 @@ def run_train(cfg: dict) -> Path:
     return checkpoint
 
 
-def _flatten_windows(windows: np.ndarray) -> np.ndarray:
-    return windows.reshape(-1, windows.shape[2])
+def _covered_rows(arrays: dict[str, np.ndarray], manifest: dict, name: str) -> np.ndarray:
+    """The numbers of the rows of bundle set ``name``'s stream that its
+    windows cover, in stream order: the rows onto which
+    :func:`~tsgad.ingest.unwindow` maps the windows' values, found by
+    unwindowing the windows of the row numbers."""
+    entry, stream = manifest["window_sets"][name], arrays[f"{name}_stream"]
+    rows = ingest.window(np.arange(len(stream)), entry["window_length"], entry["step"])
+    return ingest.unwindow(rows, entry["step"]).astype(np.int64)
 
 
 def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seeds):
-    """Invert every window, window i from ``seeds[i]``, and collect
-    per-timestep residuals and D scores: ``(errors, iterations,
-    component_residuals, summed, disc_flat)``, the first two per window and
-    the others per timestep, in window order.  One ``invert_many`` call
+    """Invert every window, window i from ``seeds[i]``, and collect its
+    residuals and D scores: ``(errors, iterations, component_residuals,
+    disc)``, the first two of shape (count,), the component residuals
+    |window - reconstruction| of the windows' shape and the D scores of
+    shape (count, length).  One ``invert_many`` call
     inverts the whole stack, and the residuals are taken against the
     reconstructions its descent made, with no further generator pass; one
     ``forward_outputs`` call scores the stack.  Like the inversion, the
@@ -241,20 +251,27 @@ def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, see
     once."""
     # the tracer sizes invert_many by its second positional argument
     _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seeds)
-    component_residuals = np.abs(_flatten_windows(windows) - _flatten_windows(recon))
-    summed = component_residuals.sum(axis=1)
-    disc_out = inversion.forward_outputs(model.discriminator, windows)
-    disc_flat = disc_out[..., 0].reshape(-1)
-    return errors, iterations, component_residuals, summed, disc_flat
+    disc = inversion.forward_outputs(model.discriminator, windows)[..., 0]
+    return errors, iterations, np.abs(windows - recon), disc
 
 
 def run_detect(cfg: dict) -> Path:
-    """Invert, score and flag the bundled test windows.
+    """Invert the bundled test windows, then score and flag the test-stream
+    rows they cover.
+
+    Each set's component residuals and D scores per window timestep are
+    averaged onto the stream rows its windows cover by
+    :func:`~tsgad.ingest.unwindow`, so a row that overlapping windows share
+    is scored once.  Per row, the residual is the component residuals'
+    sum, and the combined score mixes it with the D score.  ``scores.csv``
+    holds one line per covered test row, ``index`` being that row of the
+    test stream and ``truth`` its label in ``test_stream_labels``, as does
+    ``per_variable_flags.csv``.
 
     The bundle must hold holdout windows: the residual scale, the threshold
     on the combined score and each variable's threshold in
-    ``per_variable_flags.csv`` are taken from the scores of those normal
-    windows, so that about ``scoring.target_fpr`` of them would be flagged.
+    ``per_variable_flags.csv`` are taken from the scores of the holdout
+    rows, so that about ``scoring.target_fpr`` of them would be flagged.
     The holdout and the test windows are inverted and scored as one stack,
     holdout first, by one :func:`_score_windows` call: holdout window j
     from seed ``seed + 1_000_000 + j`` and test window i from ``seed + i``,
@@ -292,32 +309,34 @@ def run_detect(cfg: dict) -> Path:
     seed = cfg["seed"]
     seeds = [seed + 1_000_000 + j for j in range(holdout_windows)]
     seeds += [seed + i for i in range(len(test))]
-    errors, iterations, comp_res, residuals, disc = _score_windows(
+    errors, iterations, comp_res, disc = _score_windows(
         model, np.concatenate([holdout, test]), cfg["inversion"], seeds
     )
-    # the holdout leads the stack: its windows, then its timesteps
-    steps = holdout_windows * holdout.shape[1]
-    res_min, res_max = float(residuals[:steps].min()), float(residuals[:steps].max())
-    res_norm, combined = scoring.anomaly_score(residuals, disc, lam, res_min, res_max)
-    threshold = scoring.threshold_for_fpr(combined[:steps], target_fpr)
-    test_res, res_norm, test_disc, combined = (
-        a[steps:] for a in (residuals, res_norm, disc, combined)
-    )
+    # the holdout leads the stack; each set's scores go onto its stream rows
+    sets = manifest["window_sets"]
+    hold_comp, hold_disc = (ingest.unwindow(a[:holdout_windows], sets["holdout"]["step"])
+                            for a in (comp_res, disc))
+    test_comp, test_disc = (ingest.unwindow(a[holdout_windows:], sets["test"]["step"])
+                            for a in (comp_res, disc))
+    hold_res, test_res = hold_comp.sum(axis=1), test_comp.sum(axis=1)
+    res_min, res_max = float(hold_res.min()), float(hold_res.max())
+    _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
+    threshold = scoring.threshold_for_fpr(hold_combined, target_fpr)
+    res_norm, combined = scoring.anomaly_score(test_res, test_disc, lam, res_min, res_max)
     hold_errors, hold_iterations = errors[:holdout_windows], iterations[:holdout_windows]
     errors, iterations = errors[holdout_windows:], iterations[holdout_windows:]
     flags = (combined > threshold).astype(np.int64)
 
-    if "test_labels" in arrays:
-        truth = arrays["test_labels"].reshape(-1).tolist()
-    else:
-        truth = [""] * len(flags)
+    rows = _covered_rows(arrays, manifest, "test")
+    labels = arrays.get("test_stream_labels")
+    truth = [""] * len(rows) if labels is None else labels[rows].tolist()
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
     ingest.write_csv(
         scores_path,
         SCORES_HEADER,
         zip(
-            range(len(flags)),
+            rows.tolist(),
             test_res.tolist(),
             res_norm.tolist(),
             test_disc.tolist(),
@@ -327,12 +346,11 @@ def run_detect(cfg: dict) -> Path:
         ),
     )
 
-    per_var = scoring.per_variable_labels(comp_res[:steps], comp_res[steps:], pca_model,
-                                         target_fpr)
+    per_var = scoring.per_variable_labels(hold_comp, test_comp, pca_model, target_fpr)
     ingest.write_csv(
         out / "per_variable_flags.csv",
         ["index"] + manifest["columns"],
-        ([t, *row] for t, row in enumerate(per_var.tolist())),
+        ([t, *row] for t, row in zip(rows.tolist(), per_var.tolist())),
     )
     ingest.write_csv(
         out / "inversion_diagnostics.csv",
@@ -366,11 +384,11 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
-def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
+def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
     """The columns of detect's ``scores.csv`` by name, ``flag`` and ``truth``
     as integers and the scores as floats.  A file without ground truth is
     refused, and as damaged one that is not :data:`SCORES_HEADER` over
-    ``timesteps`` rows of as many cells that parse, with every ``flag`` and
+    ``test_rows`` rows of as many cells that parse, with every ``flag`` and
     ``truth`` 0 or 1 and every score finite."""
     with path.open(newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
@@ -379,8 +397,8 @@ def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
         reason = f"header {header} where detect writes {SCORES_HEADER}"
     elif ragged:
         reason = f"row {ragged} has {len(rows[ragged - 2])} of {len(header)} cells"
-    elif len(rows) != timesteps:
-        reason = f"{len(rows)} rows for the bundle's {timesteps} test timesteps"
+    elif len(rows) != test_rows:
+        reason = f"{len(rows)} rows for the bundle's {test_rows} test rows"
     else:
         columns = dict(zip(header, zip(*rows)))
         if "" in columns["truth"]:
@@ -408,13 +426,18 @@ def _read_scores(path: Path, timesteps: int) -> dict[str, np.ndarray]:
 def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines.
 
-    The bundle must hold holdout windows: each baseline's threshold is the
-    ``1 - scoring.target_fpr`` quantile of its statistic on them.  Besides
+    Every method is counted on the rows of ``scores.csv``, the test-stream
+    rows that the test windows cover, each once.  The baselines scan the
+    rows of the ``*_raw_stream`` sets that their windows cover, in time
+    order: CUSUM's mean and slack are fitted on the training rows that
+    ``train_raw``'s windows cover.  The bundle must hold holdout windows:
+    each baseline's threshold is the ``1 - scoring.target_fpr`` quantile of
+    its statistic on the holdout rows.  Besides
     the flags' confusion counts, ``metrics.json`` holds the threshold-free
     :func:`~tsgad.scoring.ranking_metrics` of the ``residual``, 1 -
     ``disc_score`` and ``combined`` columns of ``scores.csv`` (under
     ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
-    The baselines scan the bundle's windows, so a ``scores.csv`` that detect
+    The baselines scan the bundle's streams, so a ``scores.csv`` that detect
     wrote from another bundle is refused: the ``windows_sha256`` in
     ``detect_manifest.json`` must be the digest of the bundle's windows,
     as for the checkpoint in :func:`run_detect`, and a
@@ -431,9 +454,9 @@ def run_evaluate(cfg: dict) -> Path:
     detect = ingest.read_json_object(detect_path, "re-run detect")
     _check_binding(scores_path, "detect scored", detect.get("windows_sha256"), digest,
                    "re-run detect")
-    train_rows = _flatten_windows(arrays["train_raw_windows"])
-    holdout_rows = _flatten_windows(arrays["holdout_raw_windows"])
-    test_rows = _flatten_windows(arrays["test_raw_windows"])
+    train_rows, holdout_rows, test_rows = (
+        arrays[f"{name}_stream"][_covered_rows(arrays, manifest, name)]
+        for name in ("train_raw", "holdout_raw", "test_raw"))
     scores = _read_scores(scores_path, len(test_rows))
     truth = scores["truth"]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsgad import gan, ingest, inversion
+from tsgad import gan, ingest, inversion, pipeline
 from tsgad.cli import main
 from tsgad.config import load_config
 from tsgad.pipeline import SCORES_HEADER
@@ -325,6 +325,7 @@ def _window_set_edit(name, key, value):
     ("bundle/manifest.json", _window_set_edit("test", "window_length", 1000), "detect",
      "ingest"),
     ("bundle/manifest.json", "{}", "train", "ingest"),
+    ("bundle/manifest.json", _window_set_edit("train", "count", 1), "train", "ingest"),
     ("checkpoints/final.npz", "flip", "detect", "train"),
     ("detect_manifest.json", "{", "evaluate", "detect"),
     ("detect_manifest.json", "[1]", "evaluate", "detect"),
@@ -341,19 +342,20 @@ def _window_set_edit(name, key, value):
 ], ids=["bundle step missing", "bundle step 0", "bundle step a string", "bundle step true",
         "bundle window length a float", "bundle set without a stream",
         "bundle window longer than its stream", "bundle without window sets",
-        "checkpoint bad crc", "detect manifest not json", "detect manifest a list",
-        "scores cut short", "scores header", "scores missing rows", "scores cell not a number",
-        "scores flag 2", "scores truth 2", "scores truth -1", "scores residual nan",
-        "scores disc_score inf", "scores combined -inf"])
+        "bundle count not the windows cut", "checkpoint bad crc", "detect manifest not json",
+        "detect manifest a list", "scores cut short", "scores header", "scores missing rows",
+        "scores cell not a number", "scores flag 2", "scores truth 2", "scores truth -1",
+        "scores residual nan", "scores disc_score inf", "scores combined -inf"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a bundle manifest without window sets, or whose set has a window step
-    # or length that is not a positive integer, no stream in windows.npz or
-    # one shorter than a window, a checkpoint whose member fails its CRC, a
-    # detect manifest that is no JSON object, and a scores.csv cut short
-    # (mid-row or after a row), with a foreign header, with a flag that is no
-    # integer, a flag or truth other than 0 or 1 or a score that is not
-    # finite are refused by name, with the stage to re-run
+    # or length that is not a positive integer, no stream in windows.npz, one
+    # shorter than a window or a count other than the windows it cuts, a
+    # checkpoint whose member fails its CRC, a detect manifest that is no JSON
+    # object, and a scores.csv cut short (mid-row or after a row), with a
+    # foreign header, with a flag that is no integer, a flag or truth other
+    # than 0 or 1 or a score that is not finite are refused by name, with the
+    # stage to re-run
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
@@ -468,7 +470,7 @@ def test_detect_with_checkpoint_of_another_width_exits_1(config, all_out, tmp_pa
         trained_on = _bundle_digest(out / "bundle")
         config = _edited(tmp_path, [("n_components: 2", "n_components: 3")])
         assert _run(config, out, "ingest") == 0
-        reason = (f"trained on windows.npz with sha256 {trained_on}, the bundle's has "
+        reason = (f"trained on windows with bundle digest {trained_on}, the bundle's has "
                   f"{_bundle_digest(out / 'bundle')}; re-run train")
     else:
         model = gan.load_checkpoint(checkpoint)
@@ -498,7 +500,7 @@ def test_detect_with_checkpoint_of_another_bundle_of_the_same_width_exits_1(
     capsys.readouterr()
     assert _run(config, out, "detect") == 1
     checkpoint = out / "checkpoints" / "final.npz"
-    assert (f"config error: {checkpoint}: trained on windows.npz with sha256 {trained_on}, "
+    assert (f"config error: {checkpoint}: trained on windows with bundle digest {trained_on}, "
             f"the bundle's has {_bundle_digest(bundle)}; re-run train") in capsys.readouterr().err
     assert (out / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
     # the remedy the message names
@@ -542,12 +544,12 @@ def test_evaluate_after_a_trim_rows_re_ingest_exits_1(all_out, tmp_path, capsys)
     config = _edited(tmp_path, [("  holdout_fraction: 0.3\n",
                                  "  holdout_fraction: 0.3\n  trim_rows: 100\n")])
     assert _run(config, out, "ingest") == 0
-    labels = ingest.load_window_bundle(out / "bundle")[0]["test_labels"]
-    before = ingest.load_window_bundle(all_out / "bundle")[0]["test_labels"]
+    labels = ingest.load_window_bundle(out / "bundle")[0]["test_stream_labels"]
+    before = ingest.load_window_bundle(all_out / "bundle")[0]["test_stream_labels"]
     np.testing.assert_array_equal(labels, before)
     capsys.readouterr()
     assert _run(config, out, "evaluate") == 1
-    assert (f"config error: {out / 'scores.csv'}: detect scored windows.npz with sha256 "
+    assert (f"config error: {out / 'scores.csv'}: detect scored windows with bundle digest "
             f"{scored}, the bundle's has {_bundle_digest(bundle)}; re-run detect"
             ) in capsys.readouterr().err
     assert (out / "metrics.json").read_bytes() == (all_out / "metrics.json").read_bytes()
@@ -562,7 +564,7 @@ def test_evaluate_without_a_recorded_digest_exits_1(all_out, tmp_path, capsys):
     (out / "detect_manifest.json").write_text(json.dumps(manifest))
     config = _edited(tmp_path, [])
     assert _run(config, out, "evaluate") == 1
-    assert "detect scored windows.npz with sha256 None" in capsys.readouterr().err
+    assert "detect scored windows with bundle digest None" in capsys.readouterr().err
     (out / "detect_manifest.json").unlink()
     assert _run(config, out, "evaluate") == 1
     assert (f"config error: {out / 'detect_manifest.json'} not found; run detect first"
@@ -574,9 +576,9 @@ def test_evaluate_without_a_recorded_digest_exits_1(all_out, tmp_path, capsys):
     ("attack", ("synth", "ingest"), [("start: 60", "start: 120")]),
 ], ids=["test-shift", "attack"])
 def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, stages, edits):
-    # detect scored one ingest's test windows; the baselines would scan
-    # another's, at another length (a new test_shift) or at the same length
-    # with other labels (a moved attack)
+    # detect scored one ingest's test windows; evaluate would count them
+    # against another's, cut at another step from the same test stream (a
+    # new test_shift) or from a stream with other labels (a moved attack)
     for stage in ("synth", "ingest", "train"):
         assert _run(config, tmp_path, stage) == 0, stage
     with pytest.warns(UserWarning, match=FEW_HOLDOUT):
@@ -584,14 +586,16 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     rows = len((tmp_path / "scores.csv").read_text().splitlines()) - 1
     bundle = tmp_path / "bundle"
     scored = _bundle_digest(bundle)
+    before = ingest.load_window_bundle(bundle)[0]["test_stream_labels"]
     edited = _edited(tmp_path, edits)
     for stage in stages:
         assert _run(edited, tmp_path, stage) == 0, stage
-    labels = ingest.load_window_bundle(tmp_path / "bundle")[0]["test_labels"].size
-    assert (rows == labels) == (change == "attack")
+    labels = ingest.load_window_bundle(bundle)[0]["test_stream_labels"]
+    assert rows == labels.size
+    assert np.array_equal(labels, before) == (change == "test_shift")
     capsys.readouterr()
     assert _run(edited, tmp_path, "evaluate") == 1
-    assert (f"config error: {tmp_path / 'scores.csv'}: detect scored windows.npz with sha256 "
+    assert (f"config error: {tmp_path / 'scores.csv'}: detect scored windows with bundle digest "
             f"{scored}, the bundle's has {_bundle_digest(bundle)}; re-run detect"
             ) in capsys.readouterr().err
     assert not (tmp_path / "metrics.json").exists()
@@ -604,6 +608,41 @@ def test_evaluate_after_a_re_ingest_exits_1(config, tmp_path, capsys, change, st
     with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
         assert _run(edited, tmp_path, "detect") == 0
     assert _run(edited, tmp_path, "evaluate") == 0
+
+
+def test_overlapping_test_windows_score_each_test_stream_row_once(tmp_path):
+    # at a test_shift of 12, the 5-row test windows overlap; they cover the
+    # same 50 test-stream rows (and 20 holdout rows) as the abutting windows
+    # at 20, and every method counts each row once, so the baselines, which
+    # scan those rows, report the same figures at both shifts
+    runs = {}
+    for shift in (20, 12):
+        out = tmp_path / str(shift)
+        out.mkdir()
+        config = _edited(out, [("test_shift: 20", f"test_shift: {shift}")])
+        with pytest.warns(UserWarning, match="holdout windows set the residual scale"):
+            assert _run(config, out, "all") == 0
+        with (out / "scores.csv").open(newline="") as fh:
+            scores = list(csv.DictReader(fh))
+        arrays, manifest, _ = ingest.load_window_bundle(out / "bundle")
+        sets = manifest["window_sets"]
+        runs[shift] = {
+            "scores": scores,
+            "flag_rows": len((out / "per_variable_flags.csv").read_text().splitlines()) - 1,
+            "metrics": json.loads((out / "metrics.json").read_text())["methods"],
+            "windows": {name: sets[name]["count"] for name in ("holdout", "test")},
+            "holdout_rows": len(pipeline._covered_rows(arrays, manifest, "holdout")),
+        }
+    whole, overlapping = runs[20], runs[12]
+    assert (whole["windows"], overlapping["windows"]) == ({"holdout": 4, "test": 10},
+                                                          {"holdout": 6, "test": 16})
+    assert whole["holdout_rows"] == overlapping["holdout_rows"] == 20
+    for run in runs.values():
+        assert [r["index"] for r in run["scores"]] == [str(t) for t in range(50)]
+        assert run["flag_rows"] == 50
+    assert [r["truth"] for r in whole["scores"]] == [r["truth"] for r in overlapping["scores"]]
+    for method in ("spe", "cusum"):
+        assert whole["metrics"][method] == overlapping["metrics"][method], method
 
 
 def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):

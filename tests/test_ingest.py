@@ -17,6 +17,7 @@ from tsgad.ingest import (
     load_window_bundle,
     normalize,
     save_window_bundle,
+    unwindow,
     window,
     write_csv,
 )
@@ -371,39 +372,39 @@ class TestNormalizer:
 
 class TestWindow:
     def test_count_and_offsets(self):
-        windows, labels = window(np.arange(100.0).reshape(100, 1), None, 12, 10)
+        windows = window(np.arange(100.0).reshape(100, 1), 12, 10)
         assert windows.shape == (9, 12, 1)
-        assert labels is None
         npt.assert_array_equal(windows[:, 0, 0], np.arange(0, 90, 10))
         npt.assert_array_equal(windows[3][:, 0], np.arange(30, 42))
 
     def test_single_window_boundary(self):
         values = np.arange(7.0).reshape(7, 1)
         for shift in (1, 3, 100):
-            windows, _ = window(values, None, 7, shift)
+            windows = window(values, 7, shift)
             assert windows.shape[0] == 1
 
     def test_window_too_long(self):
         with pytest.raises(ValueError, match="exceeds"):
-            window(np.zeros((5, 1)), None, 6, 1)
+            window(np.zeros((5, 1)), 6, 1)
 
     def test_labels_carried_per_row(self):
+        # a label series is cut as a series of values is
         labels = np.zeros(20, dtype=np.int64)
         labels[7] = 1
-        _, out = window(np.zeros((20, 1)), labels, 5, 5)
+        out = window(labels, 5, 5)
         assert out.shape == (4, 5)
         npt.assert_array_equal(out.sum(axis=1), [0, 1, 0, 0])
 
     def test_concat_reconstructs_covered_prefix(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(53, 3))
-        windows, _ = window(values, None, 10, 10)
+        windows = window(values, 10, 10)
         covered = np.concatenate(list(windows), axis=0)
         npt.assert_array_equal(covered, values[: len(windows) * 10])
 
     def test_is_a_read_only_view_of_the_series(self):
         values, labels = plant_rows()
-        windows, window_labels = window(values, labels, 12, 4)
+        windows, window_labels = window(values, 12, 4), window(labels, 12, 4)
         for view, series in ((windows, values), (window_labels, labels)):
             assert not view.flags.writeable
             assert np.shares_memory(view, series)
@@ -415,17 +416,62 @@ class TestWindow:
     @pytest.mark.parametrize("with_labels", [False, True])
     def test_equals_the_stacked_copy(self, shift, with_labels):
         values, labels = plant_rows(rows=61)
-        labels = labels if with_labels else None
-        windows, window_labels = window(values, labels, 12, shift)
-        want, want_labels = stacked(values, labels, 12, shift)
+        # the values, or their 1-D label series
+        series = labels if with_labels else values
+        windows = window(series, 12, shift)
+        want = stacked(series, None, 12, shift)[0]
         assert (windows.shape, windows.dtype) == (want.shape, want.dtype)
         npt.assert_array_equal(windows, want)
-        if with_labels:
-            assert (window_labels.shape, window_labels.dtype) == (
-                want_labels.shape, want_labels.dtype)
-            npt.assert_array_equal(window_labels, want_labels)
-        else:
-            assert window_labels is None
+
+
+class TestUnwindow:
+    """:func:`unwindow` puts values per window timestep back on the stream
+    rows the windows cover, as :func:`window` cut them."""
+
+    @staticmethod
+    def loop_mean(values, step):
+        # each covered row's values, window by window, summed in window order
+        count, length = values.shape[:2]
+        covering = {}
+        for k in range(count):
+            for j in range(length):
+                covering.setdefault(k * step + j, []).append(values[k, j])
+        return np.stack([sum(covering[r], 0.0) / len(covering[r]) for r in sorted(covering)])
+
+    # windows that abut and windows with a gap between them
+    @pytest.mark.parametrize("step", [6, 9])
+    def test_without_overlap_is_the_flattened_values(self, step):
+        values = np.random.default_rng(0).normal(size=(4, 6, 3))
+        got = unwindow(values, step)
+        want = values.reshape(24, 3)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(
+        count=st.integers(1, 6),
+        length=st.integers(2, 7),
+        step_fraction=st.floats(0.0, 1.0, exclude_max=True),
+        columns=st.sampled_from([(), (1,), (3,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the two edge rows that one window covers each, and a row that all cover
+    @example(count=3, length=5, step_fraction=0.2, columns=(2,), seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_overlapping_rows_are_the_loop_mean(self, count, length, step_fraction, columns,
+                                                seed):
+        step = 1 + int(step_fraction * (length - 1))
+        values = np.random.default_rng(seed).normal(size=(count, length, *columns))
+        got = unwindow(values, step)
+        assert got.shape == ((count - 1) * step + length, *columns)
+        npt.assert_array_equal(got, self.loop_mean(values, step))
+
+    def test_inverts_window(self):
+        # the stream rows the windows cover come back, up to the mean's rounding
+        values, _ = plant_rows(rows=40)
+        for shift in (3, 8, 11):
+            windows = window(values, 8, shift)
+            covered = np.unique(np.arange(len(windows))[:, None] * shift + np.arange(8))
+            npt.assert_allclose(unwindow(windows, shift), values[covered], rtol=1e-15)
 
 
 class TestDownsampleMedian:
@@ -467,7 +513,7 @@ class TestDownsampleMedian:
     def test_swat_shape(self):
         stream, _ = downsample_median(np.zeros((240, 2)), None, 10)
         assert stream.shape == (24, 2)
-        assert window(stream, None, 12, 12)[0].shape == (2, 12, 2)
+        assert window(stream, 12, 12).shape == (2, 12, 2)
 
     def test_constant_block(self):
         out, _ = downsample_median(np.full((8, 1), 3.25), None, 4)
@@ -539,9 +585,11 @@ def test_bundle_of_streams_cuts_the_downsampled_windows_of_the_series(
         assert got.shape == want.shape
         npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         assert manifest["window_sets"][name]["count"] == len(got)
-    assert (loaded["test_labels"].dtype, loaded["test_labels"].shape) == (np.int64, (count, blocks))
-    npt.assert_array_equal(loaded["test_labels"], want_labels)
-    assert "train_labels" not in loaded
+    # windows carry no labels: each row's is its stream's
+    got_labels = window(loaded["test_stream_labels"], blocks, step)
+    assert (got_labels.dtype, got_labels.shape) == (np.int64, (count, blocks))
+    npt.assert_array_equal(got_labels, want_labels)
+    assert "train_stream_labels" not in loaded
 
 
 # window steps below, equal to and above the window length of 8
@@ -570,22 +618,21 @@ def test_window_bundle_roundtrip(tmp_path):
     want_digest = hashlib.sha256((tmp_path / "bundle" / "windows.npz").read_bytes())
     want_digest.update(json.dumps(manifest["window_sets"], sort_keys=True).encode())
     assert digest == want_digest.hexdigest()
-    assert sorted(loaded) == ["test_labels", "test_stream", "test_stream_labels", "test_windows",
+    assert sorted(loaded) == ["test_stream", "test_stream_labels", "test_windows",
                               "train_stream", "train_windows"]
     npt.assert_array_equal(loaded["test_stream"], test[0])
     npt.assert_array_equal(loaded["test_stream_labels"], test[1])
     npt.assert_array_equal(loaded["train_stream"], train[0])
     npt.assert_array_equal(loaded["test_windows"], stacked(test[0], None, 4, 4)[0])
-    npt.assert_array_equal(loaded["test_labels"], stacked(test[0], test[1], 4, 4)[1])
     npt.assert_array_equal(loaded["train_windows"], stacked(train[0], None, 4, 2)[0])
-    for name in ("test_windows", "test_labels", "train_windows"):
+    for name in ("test_windows", "train_windows"):
         assert not loaded[name].flags.writeable
     assert manifest["note"] == "x"
     assert manifest["window_sets"]["test"] == {
-        "count": 5, "window_length": 4, "step": 4, "columns": 2, "has_labels": True,
+        "count": 5, "window_length": 4, "step": 4,
     }
     assert manifest["window_sets"]["train"] == {
-        "count": 9, "window_length": 4, "step": 2, "columns": 2, "has_labels": False,
+        "count": 9, "window_length": 4, "step": 2,
     }
     with np.load(tmp_path / "bundle" / "windows.npz") as data:
         assert sorted(data.files) == ["test_stream", "test_stream_labels", "train_stream"]

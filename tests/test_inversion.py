@@ -98,9 +98,10 @@ class TestSimilarity:
 
 
 class TestResidual:
-    """The per-timestep residual ``scores.csv`` holds, from
-    ``pipeline._score_windows``: |window - reconstruction| summed over
-    variables.  With no descent steps and one restart, window i's
+    """The component residuals per window timestep from
+    ``pipeline._score_windows``, |window - reconstruction|, which detect
+    averages onto stream rows and sums over variables for ``scores.csv``.
+    With no descent steps and one restart, window i's
     reconstruction is G(z0) for z0 drawn from seed + i, so a test can plant
     windows at a known offset from their reconstructions."""
 
@@ -127,41 +128,41 @@ class TestResidual:
     def test_identity_reconstruction(self):
         model = self._model(3)
         windows = self._reconstructions(model, 2)
-        _, _, comp_res, summed, _ = pipeline._score_windows(
+        _, _, comp_res, _ = pipeline._score_windows(
             model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
-        npt.assert_array_equal(comp_res, np.zeros((2 * self.STEPS, 3)))
-        npt.assert_array_equal(summed, np.zeros(2 * self.STEPS))
+        npt.assert_array_equal(comp_res, np.zeros((2, self.STEPS, 3)))
 
     def test_single_column_arithmetic(self):
         model = self._model(1)
         offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
         windows = self._reconstructions(model, 1) + offsets
-        _, _, _, summed, _ = pipeline._score_windows(model, windows, self.NO_DESCENT,
-                                                     consecutive(self.SEED, windows))
-        npt.assert_allclose(summed, offsets.reshape(-1), rtol=0, atol=1e-15)
+        _, _, comp_res, _ = pipeline._score_windows(model, windows, self.NO_DESCENT,
+                                                    consecutive(self.SEED, windows))
+        npt.assert_allclose(comp_res, offsets, rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
         model = self._model(2)
         deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
         windows = self._reconstructions(model, 1) + deltas
-        _, _, comp_res, summed, _ = pipeline._score_windows(
+        _, _, comp_res, _ = pipeline._score_windows(
             model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
-        npt.assert_allclose(comp_res, np.abs(deltas), rtol=0, atol=1e-15)
-        npt.assert_allclose(summed, [1.0, 2.0] * (self.STEPS // 2), rtol=0, atol=1e-15)
+        npt.assert_allclose(comp_res[0], np.abs(deltas), rtol=0, atol=1e-15)
+        npt.assert_allclose(comp_res.sum(axis=2), [[1.0, 2.0] * (self.STEPS // 2)], rtol=0,
+                            atol=1e-15)
 
     def test_nonnegative(self):
         model = self._model(4)
         windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
         cfg = settings(max_iterations=3, restarts=2)
-        errors, iterations, comp_res, summed, disc = pipeline._score_windows(
+        errors, iterations, comp_res, disc = pipeline._score_windows(
             model, windows, cfg, consecutive(self.SEED, windows)
         )
         assert errors.shape == iterations.shape == (3,)
+        assert comp_res.shape == windows.shape
         assert np.all(comp_res >= 0.0)
-        npt.assert_array_equal(summed, comp_res.sum(axis=1))
-        assert disc.shape == summed.shape == (3 * self.STEPS,)
+        assert disc.shape == (3, self.STEPS)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
@@ -459,7 +460,7 @@ class TestBatchRowCap:
     def test_score_windows(self, batch_sizes):
         model = TestResidual._model(3)
         windows = np.random.default_rng(9).normal(size=(7, TestResidual.STEPS, 3))
-        whole = generate(model.discriminator, windows)[..., 0].reshape(-1)
+        whole = generate(model.discriminator, windows)[..., 0]
         batch_sizes.clear()
         *_, disc = pipeline._score_windows(
             model, windows, settings(max_iterations=2, restarts=2), consecutive(0, windows)

@@ -79,7 +79,7 @@ def test_median_along_an_axis_is_numpys(sample):
 def test_median_of_a_strided_window_view_is_c_contiguous(factor):
     # the blocks downsample_median reduces: a reshape of a window view,
     # whose rows overlap, that stays a view
-    windows, _ = window(np.random.default_rng(factor).normal(size=(50, 5)), None, 12, 1)
+    windows = window(np.random.default_rng(factor).normal(size=(50, 5)), 12, 1)
     blocks = windows.reshape(len(windows), 12 // factor, factor, 5)
     assert not blocks.flags.c_contiguous
     got = median(blocks, axis=2)
