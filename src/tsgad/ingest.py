@@ -5,8 +5,14 @@ Every function takes and returns plain numpy arrays:
 - a series is ``values``, float64 of shape (rows, columns), one row per
   timestamp and one column per variable (real-valued sensor readings or 0/1
   actuator states), with ``labels`` either ``None`` or an int64 array of
-  shape (rows,) holding a 0/1 attack flag per row.  A downsampled series, a
-  *stream*, has the same form with one row per block of raw rows;
+  shape (rows,) holding a 0/1 attack flag per row.  A series is row-major
+  with a unit column stride: C-contiguous, or, as :func:`load_csv` returns
+  it, a view of a run of two or more columns of a wider table, whose rows
+  are further apart.  Such a view sums, sorts and multiplies in the order a
+  C-contiguous copy does, so every step of ingest gives the copy's results
+  bit for bit.  :func:`normalize` rewrites its series in place.  A
+  downsampled series, a *stream*, is a new C-contiguous array of the same
+  form with one row per block of raw rows;
 - a window set is ``windows``, float64 of shape (count, length, columns),
   and carries no labels: a row's label is its stream's.  A window set is a
   read-only strided view of its series, as :func:`window` returns it: a
@@ -132,12 +138,15 @@ def load_csv(
     """Parse a headered CSV file into ``(values, labels, feature_names)``.
 
     Every column that is neither the timestamp nor the label is a feature, in
-    file order.  ``label_mapping`` translates raw label cells (e.g.
-    ``Normal``/``Attack``) to 0/1; its keys are compared as strings, so the
-    YAML mapping ``{0: 0, 1: 1}`` matches a 0/1 label column.
-    ``timestamp_format`` is an optional ``strptime`` pattern for non-numeric
-    timestamps; a time without a ``%z`` offset is read as UTC.  The
-    timestamps are checked, not returned.
+    file order.  ``values`` is row-major with a unit column stride: when the
+    features are one run of two or more columns, as in every CSV synth
+    writes, it is a view of those columns of the table the parser read, so
+    the plant is held once; otherwise it is a C-contiguous copy.
+    ``label_mapping`` translates raw label cells (e.g. ``Normal``/``Attack``)
+    to 0/1; its keys are compared as strings, so the YAML mapping ``{0: 0,
+    1: 1}`` matches a 0/1 label column.  ``timestamp_format`` is an optional
+    ``strptime`` pattern for non-numeric timestamps; a time without a ``%z``
+    offset is read as UTC.  The timestamps are checked, not returned.
 
     The header goes through ``csv.reader``, so a quoted name may hold a
     comma.  The body is read by one ``np.loadtxt`` call, numpy's C parser:
@@ -195,14 +204,27 @@ def _parse_body(
     # loadtxt takes the width from the first row, so every row may be too wide
     if len(table) == 0 or table.shape[1] != len(layout.header):
         return None
-    # take() returns C order, as _scan_body does; table[:, features] would be
-    # F-strided, and pca.fit_pca's column sums round by memory layout
-    values = table.take(layout.features, axis=1)
+    # pca.fit_pca's column sums round by memory layout, so values is
+    # row-major with a unit column stride, as _scan_body's C-order array is:
+    # a slice of one run of columns is such a view of the table; otherwise
+    # take() copies in C order, where table[:, features] would be F-strided.
+    # A single column is copied too: BLAS sums a strided vector's products,
+    # as in fit_pca's covariance, in another order than a contiguous one's
+    first, width = layout.features[0], len(layout.features)
+    if width > 1 and layout.features == list(range(first, first + width)):
+        values = table[:, first : first + width]
+    else:
+        values = table.take(layout.features, axis=1)
     ts = table[:, layout.timestamp]
-    if not (np.isfinite(values).all() and np.isfinite(ts).all() and np.all(np.diff(ts) > 0)):
+    if not (_finite(values) and _finite(ts) and np.all(np.diff(ts) > 0)):
         return None
     labels = None if layout.label is None else table[:, layout.label].astype(np.int64)
     return values, labels
+
+
+def _finite(values: np.ndarray) -> bool:
+    # min and max allocate nothing, and a nan fails both comparisons
+    return bool(-np.inf < values.min() and values.max() < np.inf)
 
 
 def _scan_body(
@@ -289,7 +311,9 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> np.ndarray:
-    """Map values through the min-max transform with the given column bounds.
+    """Map a float64 series through the min-max transform with the given
+    column bounds, in place: the result is ``values``, overwritten, so a
+    caller that still needs the readings passes a copy.
 
     Data the bounds were taken from lands in [0, 1]; unseen data may fall
     outside and is deliberately not clipped.  Constant columns map to 0.
@@ -299,12 +323,10 @@ def normalize(values: np.ndarray, col_min: np.ndarray, col_max: np.ndarray) -> n
             f"bounds fitted on {col_min.shape[0]} columns, values have {values.shape[1]}"
         )
     span = col_max - col_min
-    safe_span = np.where(span == 0.0, 1.0, span)
-    # one new matrix: the quotient overwrites the difference
-    scaled = values - col_min
-    scaled /= safe_span
-    scaled[:, span == 0.0] = 0.0
-    return scaled
+    values -= col_min
+    values /= np.where(span == 0.0, 1.0, span)
+    values[:, span == 0.0] = 0.0
+    return values
 
 
 def window(values: np.ndarray, length: int, shift: int) -> np.ndarray:
@@ -353,6 +375,11 @@ def unwindow(values: np.ndarray, step: int) -> np.ndarray:
     return sums / np.bincount(rows).reshape(-1, *(1,) * (values.ndim - 2))
 
 
+# numbers downsample_median sorts at once: its median sorts a C-order copy of
+# what it is given, and a budget in rows would grow with the plant's width
+MEDIAN_BLOCK_CELLS = 16_384
+
+
 def downsample_median(
     values: np.ndarray, labels: np.ndarray | None, factor: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -362,7 +389,10 @@ def downsample_median(
     block is dropped.  An even block count uses the arithmetic mean of the
     two middle values.  A downsampled row is labeled anomalous if any row of
     its block is.  With ``factor`` 1 the series and labels are returned as
-    given; otherwise both results are new C-contiguous arrays.
+    given; otherwise both results are new C-contiguous arrays.  The blocks
+    are sorted a group at a time, each group's copy about
+    :data:`MEDIAN_BLOCK_CELLS` numbers, so the sort holds no second copy of
+    the series.
 
     Windows cut from the stream at a step of ``shift / factor`` rows are,
     bit for bit, the per-window block medians of the series' windows at
@@ -373,9 +403,14 @@ def downsample_median(
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return values, labels
-    blocks = len(values) // factor
+    blocks, columns = len(values) // factor, values.shape[1]
     rows = blocks * factor
-    down = median(values[:rows].reshape(blocks, factor, values.shape[1]), axis=1)
+    down = np.empty((blocks, columns))
+    group = max(1, MEDIAN_BLOCK_CELLS // (factor * columns))
+    for start in range(0, blocks, group):
+        stop = min(start + group, blocks)
+        block_rows = values[start * factor : stop * factor]
+        down[start:stop] = median(block_rows.reshape(stop - start, factor, columns), axis=1)
     if labels is not None:
         labels = labels[:rows].reshape(blocks, factor).max(axis=1)
     return down, labels

@@ -89,6 +89,11 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     Components are eigenvectors of the sample covariance (ddof=1) of the
     mean-centered data, descending by eigenvalue.  Zero-variance data yields
     zero eigenvalues, not an error.
+
+    A float64 ``data`` array is centred in place: on return it holds the
+    rows minus the model's mean, which :func:`project` would give them, so
+    their scores are ``data @ model.loadings.T``.  A caller that still needs
+    the rows passes a copy.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -99,8 +104,8 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     if not 1 <= n_components <= m:
         raise ValueError(f"n_components must be in [1, {m}]")
     mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n_rows - 1)
+    data -= mean
+    cov = data.T @ data / (n_rows - 1)
     # eigh sorts ascending; PCA keeps the largest components first
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     eigenvalues = np.maximum(eigenvalues[::-1], 0.0)
@@ -113,18 +118,24 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     )
 
 
-def _centered(model: PcaModel, data: np.ndarray) -> np.ndarray:
+def _rows(model: PcaModel, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.n_variables:
         raise ValueError(
             f"data must be (rows x {model.n_variables}), got {data.shape}"
         )
-    return data - model.mean
+    return data
 
 
 def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Project rows into the retained principal subspace: (X - mean) @ P.T."""
-    return _centered(model, data) @ model.loadings.T
+    """Project rows into the retained principal subspace: (X - mean) @ P.T.
+
+    A float64 ``data`` array is centred in place, as :func:`fit_pca`
+    centres its rows; a caller that still needs the rows passes a copy.
+    """
+    data = _rows(model, data)
+    data -= model.mean
+    return data @ model.loadings.T
 
 
 def variance_ratios(model: PcaModel) -> np.ndarray:
@@ -136,6 +147,6 @@ def variance_ratios(model: PcaModel) -> np.ndarray:
 
 def spe(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Squared prediction error: distance from the principal subspace, per row."""
-    centered = _centered(model, data)
+    centered = _rows(model, data) - model.mean
     residual = centered - (centered @ model.loadings.T) @ model.loadings
     return np.sum(residual * residual, axis=1)

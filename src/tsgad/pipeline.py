@@ -131,9 +131,10 @@ def run_ingest(cfg: dict) -> Path:
             f"ingest.window_length {window_len}"
         )
     col_min, col_max = values[:split].min(axis=0), values[:split].max(axis=0)
+    # each plant matrix is held once: normalize, and then the PCA fit and
+    # projections, rewrite the rows load_csv returned in place
     train_norm = ingest.normalize(values[:split], col_min, col_max)
     holdout_norm = ingest.normalize(values[split:], col_min, col_max)
-    # each plant matrix is held about once: a stage drops what no later one reads
     del values
     n_components = cfg["pca"]["n_components"]
     if n_components > len(columns):
@@ -141,8 +142,6 @@ def run_ingest(cfg: dict) -> Path:
             f"pca.n_components ({n_components}) exceeds the "
             f"{len(columns)} data columns"
         )
-    model = pca.fit_pca(train_norm, n_components)
-
     factor = ing["downsample_factor"]
 
     def stream(rows: np.ndarray, shift: int, labels: np.ndarray | None = None):
@@ -150,12 +149,21 @@ def run_ingest(cfg: dict) -> Path:
         return (*ingest.downsample_median(rows, labels, factor), window_len // factor,
                 shift // factor)
 
-    # no stage reads training labels; only the test set's are stored
+    def raw_stream(rows: np.ndarray, shift: int):
+        # taken before the PCA centres the rows; at factor 1 the stream
+        # would be those very rows, so it is a copy
+        return stream(rows.copy() if factor == 1 else rows, shift)
+
+    train_raw = raw_stream(train_norm, window_len)
+    holdout_raw = raw_stream(holdout_norm, ing["test_shift"])
+    model = pca.fit_pca(train_norm, n_components)
+    # no stage reads training labels; only the test set's are stored.  The
+    # fit left the training rows centred: their scores need no second centring
     sets = {
-        "train": stream(pca.project(model, train_norm), ing["train_shift"]),
-        "train_raw": stream(train_norm, window_len),
+        "train": stream(train_norm @ model.loadings.T, ing["train_shift"]),
+        "train_raw": train_raw,
         "holdout": stream(pca.project(model, holdout_norm), ing["test_shift"]),
-        "holdout_raw": stream(holdout_norm, ing["test_shift"]),
+        "holdout_raw": holdout_raw,
     }
     del train_norm, holdout_norm
     if test_csv:
@@ -172,9 +180,9 @@ def run_ingest(cfg: dict) -> Path:
                 f"window of ingest.window_length {window_len}"
             )
         test_norm = ingest.normalize(test_values, col_min, col_max)
-        del test_values
+        test_raw = raw_stream(test_norm, ing["test_shift"])
         sets["test"] = stream(pca.project(model, test_norm), ing["test_shift"], test_labels)
-        sets["test_raw"] = stream(test_norm, ing["test_shift"])
+        sets["test_raw"] = test_raw
 
     bundle = _bundle_dir(cfg)
     ingest.save_window_bundle(

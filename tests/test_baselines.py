@@ -149,14 +149,14 @@ class TestSpeDetect:
     def test_full_rank_model_never_alarms(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(30, 3))
-        model = fit_pca(data, 3)
+        model = fit_pca(data.copy(), 3)
         for threshold in (1e-12, 0.5, 10.0):
             assert spe_detect(model, data, threshold).sum() == 0
 
     def test_zero_threshold_flags_every_nonzero_residual(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(30, 3))
-        model = fit_pca(data, 1)
+        model = fit_pca(data.copy(), 1)
         flags = spe_detect(model, data, 0.0)
         assert flags.sum() == 30
 

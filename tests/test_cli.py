@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsgad import gan, ingest, inversion, pipeline
+from tsgad import gan, ingest, inversion, pca, pipeline
 from tsgad.cli import main
 from tsgad.config import load_config
 from tsgad.pipeline import SCORES_HEADER
@@ -643,6 +643,27 @@ def test_overlapping_test_windows_score_each_test_stream_row_once(tmp_path):
     assert [r["truth"] for r in whole["scores"]] == [r["truth"] for r in overlapping["scores"]]
     for method in ("spe", "cusum"):
         assert whole["metrics"][method] == overlapping["metrics"][method], method
+
+
+def test_ingest_at_factor_one_stores_the_normalized_and_projected_rows(tmp_path):
+    # ingest rewrites the parsed rows in place, normalizing and then
+    # centring them for the PCA; at factor 1 each raw stream would be those
+    # very rows, so it must be stored as normalize left them
+    config = _edited(tmp_path, [("downsample_factor: 4", "downsample_factor: 1")])
+    assert _run(config, tmp_path, "synth") == 0
+    assert _run(config, tmp_path, "ingest") == 0
+    arrays, manifest, _ = ingest.load_window_bundle(tmp_path / "bundle")
+    model = pca.PcaModel.load(tmp_path / "bundle" / "pca.json")
+    ing = load_config(config)["ingest"]
+    schema = [ing[k] for k in ("timestamp_column", "label_column", "label_mapping")]
+    bounds = [np.array(manifest["normalization"][k]) for k in ("col_min", "col_max")]
+    train = ingest.normalize(ingest.load_csv(tmp_path / "train.csv", *schema)[0], *bounds)
+    split = len(train) - int(round(len(train) * ing["holdout_fraction"]))
+    test = ingest.normalize(ingest.load_csv(tmp_path / "test.csv", *schema)[0], *bounds)
+    for name, rows in (("train", train[:split]), ("holdout", train[split:]), ("test", test)):
+        raw, projected = arrays[f"{name}_raw_stream"], arrays[f"{name}_stream"]
+        assert raw.tobytes() == np.ascontiguousarray(rows).tobytes(), name
+        assert projected.tobytes() == pca.project(model, rows.copy()).tobytes(), name
 
 
 def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):

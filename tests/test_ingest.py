@@ -21,6 +21,7 @@ from tsgad.ingest import (
     window,
     write_csv,
 )
+from tsgad.pca import fit_pca, project
 
 
 def normalize_on_itself(values):
@@ -272,6 +273,14 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _row_major(values):
+    """The layout load_csv documents: each row one run of adjacent cells,
+    the rows in order and apart by at least a row's width, as in a C-order
+    array or a view of a run of columns of a wider table."""
+    rows, columns = values.strides
+    return columns == values.itemsize and rows >= values.shape[1] * values.itemsize
+
+
 @given(hnp.arrays(
     np.float64,
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -287,7 +296,7 @@ def test_write_then_load_is_bitwise(tmp_path, matrix):
     header = ["ts"] + [f"v{j}" for j in range(matrix.shape[1])]
     write_csv(p, header, ([float(i), *row] for i, row in enumerate(matrix.tolist())))
     values, labels, names = load_csv(p, "ts")
-    assert values.flags.c_contiguous and values.dtype == np.float64
+    assert _row_major(values) and values.dtype == np.float64
     npt.assert_array_equal(_bits(values), _bits(matrix))
     assert labels is None and names == header[1:]
 
@@ -328,13 +337,72 @@ def test_fast_path_matches_row_scan(tmp_path, lines, newline, with_label):
             values, labels, names = load_csv(p, *args)
         except ConfigError as exc:
             return str(exc)
-        assert values.flags.c_contiguous
+        assert _row_major(values)
         return _bits(values).tolist(), None if labels is None else labels.tolist(), names
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_parse_body", lambda *_: None)
         assert outcome() == fast
+
+
+@given(
+    features=st.integers(1, 5),
+    rows=st.integers(2, 40),
+    positions=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    factor=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_ingest_steps_see_the_loaded_layout_as_a_contiguous_copy(
+    tmp_path, features, rows, positions, factor, seed
+):
+    # the timestamp and label at either end or in the middle: the features
+    # are one run of columns, which load_csv returns as a view of its table,
+    # or split, which it copies, as it copies a single column.  Either way
+    # each ingest step gives, bit for bit, what it gives on a C-contiguous
+    # copy
+    rng = np.random.default_rng(seed)
+    matrix = np.round(rng.normal(size=(rows, features)) * 1e3, 1)
+    matrix[:, 0] = np.round(matrix[:, 0], -2)  # ties for the block medians
+    names = [f"v{j}" for j in range(features)]
+    header = names.copy()
+    ts_at, label_at = (min(at, len(header)) for at in positions)
+    header.insert(ts_at, "ts")
+    header.insert(label_at, "label")
+    cells = {name: matrix[:, j].tolist() for j, name in enumerate(names)}
+    cells["ts"] = list(range(rows))
+    cells["label"] = ["Attack" if i % 3 else "Normal" for i in range(rows)]
+    p = tmp_path / "plant.csv"
+    write_csv(p, header, zip(*(cells[name] for name in header)))
+    at = [header.index(name) for name in names]
+    run = features > 1 and at == list(range(at[0], at[0] + features))
+
+    def load():
+        values, _, loaded_names = load_csv(p, "ts", "label", {"Normal": 0, "Attack": 1})
+        assert _row_major(values) and loaded_names == names
+        npt.assert_array_equal(_bits(values), _bits(matrix))
+        return values
+
+    assert load().flags.owndata is not run
+    col_min, col_max = matrix.min(axis=0), matrix.max(axis=0)
+    components = 1 + seed % features
+
+    def steps(layout):
+        values = layout(load())
+        norm = normalize(values, col_min, col_max)
+        assert norm is values
+        # taken before fit_pca centres the rows in place; at factor 1 the
+        # stream is the rows themselves, so it is copied
+        down = downsample_median(norm, None, factor)[0].copy()
+        model = fit_pca(norm, components)
+        scores = project(model, normalize(layout(load()), col_min, col_max))
+        return [norm, down, model.mean, model.loadings, model.eigenvalues,
+                np.float64(model.total_variance), scores]
+
+    for got, want in zip(steps(lambda v: v), steps(np.ascontiguousarray)):
+        assert got.shape == want.shape
+        npt.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_write_csv_writes_each_cell_with_str(tmp_path):

@@ -37,7 +37,7 @@ class TestFitPca:
         rng = np.random.default_rng(11)
         for _ in range(10):
             data = rng.normal(size=(20, 5)) @ rng.normal(size=(5, 5))
-            model = fit_pca(data, 5)
+            model = fit_pca(data.copy(), 5)
             ref_values, ref_vectors = eigh_oracle(data, 5)
             npt.assert_allclose(model.eigenvalues, ref_values, atol=1e-8)
             for row, ref in zip(model.loadings, ref_vectors):
@@ -67,7 +67,7 @@ class TestFitPca:
         rng = np.random.default_rng(4)
         for size in (2, 3, 6, 10):
             data = rng.normal(size=(3 * size, size)) @ rng.normal(size=(size, size))
-            model = fit_pca(data, size)
+            model = fit_pca(data.copy(), size)
             centered = data - data.mean(axis=0)
             cov = centered.T @ centered / (data.shape[0] - 1)
             loadings, values = model.loadings, model.eigenvalues
@@ -88,14 +88,14 @@ class TestProject:
     def test_full_rank_roundtrip(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(15, 4))
-        model = fit_pca(data, 4)
-        scores = project(model, data)
+        model = fit_pca(data.copy(), 4)
+        scores = project(model, data.copy())
         npt.assert_allclose(scores @ model.loadings + model.mean, data, atol=1e-8)
 
     def test_projected_variances_reproduce_eigenvalues(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(40, 5)) * np.array([3.0, 1.0, 0.5, 0.2, 0.1])
-        model = fit_pca(data, 5)
+        model = fit_pca(data.copy(), 5)
         scores = project(model, data)
         npt.assert_allclose(scores.var(axis=0, ddof=1), model.eigenvalues, atol=1e-8)
 
@@ -133,7 +133,7 @@ class TestSpe:
     def test_complete_basis_gives_zero(self):
         rng = np.random.default_rng(9)
         data = rng.normal(size=(10, 3))
-        model = fit_pca(data, 3)
+        model = fit_pca(data.copy(), 3)
         npt.assert_allclose(spe(model, data), 0.0, atol=1e-12)
 
     def test_row_in_retained_span(self):
@@ -146,7 +146,7 @@ class TestSpe:
     def test_matches_explicit_reconstruction(self):
         rng = np.random.default_rng(12)
         data = rng.normal(size=(10, 4))
-        model = fit_pca(data, 2)
+        model = fit_pca(data.copy(), 2)
         expected = np.empty(10)
         for i in range(10):
             centered = data[i] - model.mean
@@ -164,7 +164,7 @@ class TestSpe:
         model = fit_pca(data, 3)
         test = rng.normal(size=(8, 5))
         centered = test - model.mean
-        expected = np.sum(centered**2, axis=1) - np.sum(project(model, test) ** 2, axis=1)
+        expected = np.sum(centered**2, axis=1) - np.sum(project(model, test.copy()) ** 2, axis=1)
         npt.assert_allclose(spe(model, test), expected, atol=1e-10)
 
 
