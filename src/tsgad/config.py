@@ -298,6 +298,14 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
                 f"{_where(ing, key, source)}ingest.{name} {value} is not a multiple "
                 f"of ingest.downsample_factor {factor}"
             )
+    # detect's inversion correlates each window over its stream rows, so it
+    # needs 2 or more; this refuses a 1-row window before synth writes anything
+    if cfg["ingest"]["window_length"] == factor:
+        key = "window_length" if "window_length" in ing else "downsample_factor"
+        raise ConfigError(
+            f"{_where(ing, key, source)}ingest.window_length {factor} is one block of "
+            f"ingest.downsample_factor {factor}: a window must downsample to 2 or more rows"
+        )
     synth = cfg["synth"]
     if synth["enabled"]:
         # the test run has every attack and is the one they must fit in

@@ -17,12 +17,19 @@ Every function takes and returns plain numpy arrays:
   and carries no labels: a row's label is its stream's.  A window set is a
   read-only strided view of its series, as :func:`window` returns it: a
   reader takes it as it would a contiguous stack, and a writer copies it
-  first.  :func:`unwindow` maps values per window timestep back onto the
-  stream rows the windows cover.
+  first.  Windows are the GAN's: :func:`unwindow` maps values per window
+  timestep back onto the stream rows the windows cover;
+- a row table is a new C-contiguous series of the rows of a stream that a
+  window set covers, as :func:`covered_rows` cuts them, and is what the
+  CUSUM and SPE baselines scan.
 
-The window bundle stores each set's stream, and the test set's labels, once,
-with the step its windows start at; :func:`load_window_bundle` cuts the
-windows from it.
+The window bundle stores each GAN set's stream, and the test set's labels,
+once, with the step its windows start at; :func:`load_window_bundle` cuts
+the windows from it.  Beside them it stores the baselines' row tables, cut
+from the normalized, downsampled streams before the PCA projection, each
+the rows that its set's windows cover.  The training table covers whole
+windows at a step of one window length, so CUSUM fits its mean and slack
+on every training row up to the last whole window.
 
 File I/O happens only in :func:`load_csv`, the one CSV writer
 :func:`write_csv`, the bundle helpers and the readers of other stage outputs,
@@ -352,27 +359,43 @@ def window(values: np.ndarray, length: int, shift: int) -> np.ndarray:
     return np.moveaxis(sliding_window_view(values, length, axis=0)[::shift], -1, 1)
 
 
-def unwindow(values: np.ndarray, step: int) -> np.ndarray:
+def _cover(count: int, length: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stream row of each timestep of ``count`` windows of ``length``
+    rows that start every ``step`` rows, window by window, and per stream
+    row up to the last covered one the number of windows that cover it."""
+    timesteps = (np.arange(count)[:, None] * step + np.arange(length)).reshape(-1)
+    return timesteps, np.bincount(timesteps)
+
+
+def covered_rows(stream: np.ndarray, length: int, step: int) -> np.ndarray:
+    """The rows of ``stream`` that its :func:`window` cut at ``length`` and
+    ``step`` covers, in stream order, as a new C-contiguous array: the rows
+    onto which :func:`unwindow` maps those windows' values.  Rows between
+    windows that start further apart than their length, and a trailing
+    remainder, are left out."""
+    count = len(window(stream, length, step))
+    return stream[np.flatnonzero(_cover(count, length, step)[1])]
+
+
+def unwindow(values: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`window`: values per window timestep, of shape
     (count, length, ...), averaged onto the stream rows the windows cover,
-    in stream order, where window k starts at row ``k * step``.
+    where window k starts at row ``k * step``.
 
-    A row that several overlapping windows cover gets the mean of their
-    values, summed in window order.  Windows that do not overlap (``step >=
-    length``) give each covered row one value, so the result is ``values``
-    reshaped to (count * length, ...), bit for bit; rows between windows
-    that start further apart than their length are covered by none and
-    have no entry.
+    Returns ``(rows, means)``: the numbers of the covered rows in stream
+    order, the rows :func:`covered_rows` keeps, and per row the mean of the
+    values of the windows that cover it, summed in window order, in
+    float64.  A row that one window covers gets that window's value bit for
+    bit.
     """
     count, length = values.shape[:2]
-    flat = values.reshape(count * length, *values.shape[2:])
-    if step >= length:
-        return flat
-    rows = (np.arange(count)[:, None] * step + np.arange(length)).reshape(-1)
-    sums = np.zeros((rows[-1] + 1, *values.shape[2:]))
+    timesteps, counts = _cover(count, length, step)
+    # -0.0 is the exact identity of addition, so a lone value keeps its sign of zero
+    sums = np.full((len(counts), *values.shape[2:]), -0.0)
     # unbuffered, one window timestep at a time, in window order
-    np.add.at(sums, rows, flat)
-    return sums / np.bincount(rows).reshape(-1, *(1,) * (values.ndim - 2))
+    np.add.at(sums, timesteps, values.reshape(count * length, *values.shape[2:]))
+    rows = np.flatnonzero(counts)
+    return rows, sums[rows] / counts[rows].reshape(-1, *(1,) * (values.ndim - 2))
 
 
 # numbers downsample_median sorts at once: its median sorts a C-order copy of
@@ -420,19 +443,23 @@ def save_window_bundle(
     directory: str | Path,
     window_sets: dict[str, tuple[np.ndarray, np.ndarray | None, int, int]],
     manifest_extra: dict | None = None,
+    tables: dict[str, np.ndarray] | None = None,
 ) -> Path:
-    """Write named ``(stream, labels, length, step)`` sets plus a JSON
-    manifest to ``directory``.
+    """Write named ``(stream, labels, length, step)`` window sets, named row
+    ``tables`` and a JSON manifest to ``directory``.
 
     Each set's windows are ``length`` stream rows long and start every
     ``step`` rows.  Its stream lands in one ``windows.npz`` as
-    ``<set>_stream`` and, when the set has labels, ``<set>_stream_labels``.
-    ``manifest.json`` holds ``manifest_extra`` at its top level and, under
-    ``window_sets``, one entry per set with the keys ``count`` (its
-    windows), ``window_length`` and ``step``.
-    Besides this module, ``bench/stages.py`` and ``bench/checks.py`` read
-    the manifest: the per-set ``count`` and the top-level
-    ``sequence_length`` and ``columns``.  Returns the manifest path.
+    ``<set>_stream`` and, when the set has labels, ``<set>_stream_labels``;
+    each table lands there under its own name.  ``manifest.json`` holds
+    ``manifest_extra`` at its top level and, under ``window_sets``, one
+    entry per set with the keys ``count`` (its windows), ``window_length``
+    and ``step``; tables have no entry.  :func:`load_window_bundle` reads
+    every set's entry.  Of the rest, ``pipeline.run_detect`` reads each
+    set's ``step`` and the top-level ``columns``, ``pipeline.run_evaluate``
+    reads ``columns`` alone, and ``bench/stages.py`` and ``bench/checks.py``
+    read the per-set ``count`` and the top-level ``sequence_length`` and
+    ``columns``.  Returns the manifest path.
 
     ``windows.npz`` is written uncompressed with ``np.savez``, as
     :func:`tsgad.gan.save_checkpoint` writes checkpoints: on a 51-column
@@ -441,7 +468,7 @@ def save_window_bundle(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = dict(tables or {})
     manifest: dict = {"window_sets": {}}
     for name, (values, labels, length, step) in window_sets.items():
         arrays[f"{name}_stream"] = values
@@ -460,13 +487,14 @@ def save_window_bundle(
 def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict, str]:
     """Inverse of :func:`save_window_bundle`: ``(arrays, manifest, sha256)``.
 
-    ``arrays`` maps every name ``windows.npz`` stores to its array, and adds
-    per set ``<set>_windows``, the :func:`window` view cut from its stream
-    at its manifest ``window_length`` and ``step``.  ``sha256`` is the hex
-    digest of what the windows were cut from: the ``windows.npz`` bytes the
-    arrays were parsed from, then the sorted JSON of the manifest's
-    ``window_sets``, so that a re-ingest at another shift, which stores the
-    same streams, changes it.
+    ``arrays`` maps every name ``windows.npz`` stores, each row table's
+    included, to its array, and adds per window set ``<set>_windows``, the
+    :func:`window` view cut from its stream at its manifest
+    ``window_length`` and ``step``.  ``sha256`` is the hex digest of what
+    the windows were cut from: the ``windows.npz`` bytes the arrays were
+    parsed from, then the sorted JSON of the manifest's ``window_sets``, so
+    that a re-ingest at another shift, which may store the same arrays,
+    changes it.
     Each file is read once, so a bundle re-ingested meanwhile cannot give
     the arrays another file's digest.  The bytes are dropped on return.
 
@@ -475,7 +503,8 @@ def load_window_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], di
     with the cure ``re-run ingest``.  A manifest is damaged when a set's
     ``window_length`` or ``step`` is not a positive integer, its stream is
     missing from ``windows.npz`` or shorter than a window, or its ``count``
-    is not the number of windows cut.
+    is not the number of windows cut.  A missing row table is the reader's
+    to refuse: only it knows which tables it needs.
     """
     directory = Path(directory)
     manifest_path, windows_path = directory / "manifest.json", directory / "windows.npz"

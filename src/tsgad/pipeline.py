@@ -57,10 +57,13 @@ def _load_calibration_bundle(cfg: dict) -> tuple[dict[str, np.ndarray], dict, st
     """The bundle that detect and evaluate read, as
     :func:`~tsgad.ingest.load_window_bundle` returns it: both set their
     thresholds on its holdout windows, which a bundle ingested with no
-    holdout lacks."""
+    holdout lacks, and count the rows its test windows cover, which one
+    ingested without ``paths.test_csv`` lacks."""
     arrays, manifest, digest = ingest.load_window_bundle(_bundle_dir(cfg))
-    if not {"holdout_windows", "holdout_raw_windows"} <= arrays.keys():
+    if "holdout_windows" not in arrays:
         raise ConfigError("bundle has no holdout windows; re-ingest")
+    if "test_windows" not in arrays:
+        raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     return arrays, manifest, digest
 
 
@@ -100,7 +103,9 @@ def run_synth(cfg: dict) -> tuple[Path, Path]:
 
 
 def run_ingest(cfg: dict) -> Path:
-    """CSV -> bundle of normalized, PCA-projected, downsampled streams."""
+    """CSV -> bundle of the normalized, PCA-projected, downsampled streams
+    the GAN windows and the normalized, downsampled row tables the
+    baselines scan."""
     ing = cfg["ingest"]
     train_csv, test_csv = _csv_paths(cfg)
     for key, path in (("paths.input_csv", train_csv), ("paths.test_csv", test_csv)):
@@ -143,27 +148,27 @@ def run_ingest(cfg: dict) -> Path:
             f"{len(columns)} data columns"
         )
     factor = ing["downsample_factor"]
+    length = window_len // factor
 
     def stream(rows: np.ndarray, shift: int, labels: np.ndarray | None = None):
         # each set is downsampled once; its windows start every shift / factor rows
-        return (*ingest.downsample_median(rows, labels, factor), window_len // factor,
-                shift // factor)
+        return (*ingest.downsample_median(rows, labels, factor), length, shift // factor)
 
-    def raw_stream(rows: np.ndarray, shift: int):
-        # taken before the PCA centres the rows; at factor 1 the stream
-        # would be those very rows, so it is a copy
-        return stream(rows.copy() if factor == 1 else rows, shift)
+    def table(rows: np.ndarray, shift: int) -> np.ndarray:
+        # the rows the baselines scan, cut before the PCA centres ``rows``;
+        # the cut copies them, as it must at factor 1
+        return ingest.covered_rows(ingest.downsample_median(rows, None, factor)[0], length,
+                                   shift // factor)
 
-    train_raw = raw_stream(train_norm, window_len)
-    holdout_raw = raw_stream(holdout_norm, ing["test_shift"])
+    # CUSUM fits on the rows of whole training windows at a step of one window
+    tables = {"train_raw": table(train_norm, window_len),
+              "holdout_raw": table(holdout_norm, ing["test_shift"])}
     model = pca.fit_pca(train_norm, n_components)
     # no stage reads training labels; only the test set's are stored.  The
     # fit left the training rows centred: their scores need no second centring
     sets = {
         "train": stream(train_norm @ model.loadings.T, ing["train_shift"]),
-        "train_raw": train_raw,
         "holdout": stream(pca.project(model, holdout_norm), ing["test_shift"]),
-        "holdout_raw": holdout_raw,
     }
     del train_norm, holdout_norm
     if test_csv:
@@ -180,18 +185,18 @@ def run_ingest(cfg: dict) -> Path:
                 f"window of ingest.window_length {window_len}"
             )
         test_norm = ingest.normalize(test_values, col_min, col_max)
-        test_raw = raw_stream(test_norm, ing["test_shift"])
+        tables["test_raw"] = table(test_norm, ing["test_shift"])
         sets["test"] = stream(pca.project(model, test_norm), ing["test_shift"], test_labels)
-        sets["test_raw"] = test_raw
 
     bundle = _bundle_dir(cfg)
     ingest.save_window_bundle(
         bundle,
         sets,
+        tables=tables,
         manifest_extra={
             "config_hash": config_hash(cfg),
             "window_length": window_len,
-            "sequence_length": window_len // factor,
+            "sequence_length": length,
             "train_shift": ing["train_shift"],
             "test_shift": ing["test_shift"],
             "downsample_factor": factor,
@@ -229,21 +234,7 @@ def run_train(cfg: dict) -> Path:
             {key: [h[key] for h in history] for key in ("d_loss", "g_loss")},
             title="adversarial training losses",
         )
-        svgplot.write_line_chart(
-            out / "mmd.svg", {"mmd": [h["mmd"] for h in history]},
-            title="generated-vs-real MMD per epoch",
-        )
     return checkpoint
-
-
-def _covered_rows(arrays: dict[str, np.ndarray], manifest: dict, name: str) -> np.ndarray:
-    """The numbers of the rows of bundle set ``name``'s stream that its
-    windows cover, in stream order: the rows onto which
-    :func:`~tsgad.ingest.unwindow` maps the windows' values, found by
-    unwindowing the windows of the row numbers."""
-    entry, stream = manifest["window_sets"][name], arrays[f"{name}_stream"]
-    rows = ingest.window(np.arange(len(stream)), entry["window_length"], entry["step"])
-    return ingest.unwindow(rows, entry["step"]).astype(np.int64)
 
 
 def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seeds):
@@ -268,13 +259,14 @@ def run_detect(cfg: dict) -> Path:
     rows they cover.
 
     Each set's component residuals and D scores per window timestep are
-    averaged onto the stream rows its windows cover by
-    :func:`~tsgad.ingest.unwindow`, so a row that overlapping windows share
-    is scored once.  Per row, the residual is the component residuals'
-    sum, and the combined score mixes it with the D score.  ``scores.csv``
-    holds one line per covered test row, ``index`` being that row of the
-    test stream and ``truth`` its label in ``test_stream_labels``, as does
-    ``per_variable_flags.csv``.
+    averaged, side by side, onto the stream rows its windows cover by one
+    :func:`~tsgad.ingest.unwindow` call, so a row that overlapping windows
+    share is scored once and a row between windows is not scored.  Per
+    row, the residual is the component residuals' sum, and the combined
+    score mixes it with the D score.  ``scores.csv`` holds one line per
+    covered test row, ``index`` being that row of the test stream, as
+    ``unwindow`` returns it, and ``truth`` its label in
+    ``test_stream_labels``, as does ``per_variable_flags.csv``.
 
     The bundle must hold holdout windows: the residual scale, the threshold
     on the combined score and each variable's threshold in
@@ -297,8 +289,6 @@ def run_detect(cfg: dict) -> Path:
     errors, and ``holdout_iterations_mean``, the mean of their Adam steps.
     """
     arrays, manifest, digest = _load_calibration_bundle(cfg)
-    if "test_windows" not in arrays:
-        raise ConfigError("bundle has no test windows; configure paths.test_csv and re-ingest")
     checkpoint = _checkpoint_path(cfg)
     if not checkpoint.is_file():
         raise ConfigError(f"{checkpoint} not found; run train first")
@@ -320,12 +310,13 @@ def run_detect(cfg: dict) -> Path:
     errors, iterations, comp_res, disc = _score_windows(
         model, np.concatenate([holdout, test]), cfg["inversion"], seeds
     )
-    # the holdout leads the stack; each set's scores go onto its stream rows
-    sets = manifest["window_sets"]
-    hold_comp, hold_disc = (ingest.unwindow(a[:holdout_windows], sets["holdout"]["step"])
-                            for a in (comp_res, disc))
-    test_comp, test_disc = (ingest.unwindow(a[holdout_windows:], sets["test"]["step"])
-                            for a in (comp_res, disc))
+    # the holdout leads the stack; each set's scores go onto its stream
+    # rows, the D score beside the component residuals
+    scored, sets = np.concatenate([comp_res, disc[..., None]], axis=2), manifest["window_sets"]
+    _, hold_means = ingest.unwindow(scored[:holdout_windows], sets["holdout"]["step"])
+    rows, test_means = ingest.unwindow(scored[holdout_windows:], sets["test"]["step"])
+    (hold_comp, hold_disc), (test_comp, test_disc) = (
+        (means[:, :-1], means[:, -1]) for means in (hold_means, test_means))
     hold_res, test_res = hold_comp.sum(axis=1), test_comp.sum(axis=1)
     res_min, res_max = float(hold_res.min()), float(hold_res.max())
     _, hold_combined = scoring.anomaly_score(hold_res, hold_disc, lam, res_min, res_max)
@@ -335,7 +326,6 @@ def run_detect(cfg: dict) -> Path:
     errors, iterations = errors[holdout_windows:], iterations[holdout_windows:]
     flags = (combined > threshold).astype(np.int64)
 
-    rows = _covered_rows(arrays, manifest, "test")
     labels = arrays.get("test_stream_labels")
     truth = [""] * len(rows) if labels is None else labels[rows].tolist()
     out = _out_dir(cfg)
@@ -392,12 +382,17 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
+def _label(cell: str) -> int:
+    return {"0": 0, "1": 1}.get(cell, -1)
+
+
 def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
     """The columns of detect's ``scores.csv`` by name, ``flag`` and ``truth``
-    as integers and the scores as floats.  A file without ground truth is
-    refused, and as damaged one that is not :data:`SCORES_HEADER` over
-    ``test_rows`` rows of as many cells that parse, with every ``flag`` and
-    ``truth`` 0 or 1 and every score finite."""
+    as integers and the scores as floats.  A file whose ``truth`` column is
+    all empty, detect's mark of a test stream without labels, is refused,
+    and as damaged one that is not :data:`SCORES_HEADER` over ``test_rows``
+    rows of as many cells, with every ``flag`` and ``truth`` cell ``0`` or
+    ``1`` and every score a finite number."""
     with path.open(newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     ragged = next((n for n, row in enumerate(rows, start=2) if len(row) != len(header)), None)
@@ -409,12 +404,14 @@ def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
         reason = f"{len(rows)} rows for the bundle's {test_rows} test rows"
     else:
         columns = dict(zip(header, zip(*rows)))
-        if "" in columns["truth"]:
+        if set(columns["truth"]) == {""}:
             raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
         try:
+            # a label cell other than 0 or 1 parses to -1, which the check refuses
             parsed = {name: np.array([parse(cell) for cell in columns[name]])
-                      for name, parse in (("flag", int), ("truth", int), ("residual", float),
-                                          ("disc_score", float), ("combined", float))}
+                      for name, parse in (("flag", _label), ("truth", _label),
+                                          ("residual", float), ("disc_score", float),
+                                          ("combined", float))}
         except ValueError as exc:
             reason = exc
         else:
@@ -424,7 +421,7 @@ def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
                 if not ok.all():
                     row = int(np.argmin(ok))
                     want = "0 or 1" if label else "a finite score"
-                    reason = f"row {row + 2} has {name} {columns[name][row]}, not {want}"
+                    reason = f"row {row + 2} has {name} {columns[name][row]!r}, not {want}"
                     break
             else:
                 return parsed
@@ -435,17 +432,18 @@ def run_evaluate(cfg: dict) -> Path:
     """Score GAN detection against the CUSUM and SPE baselines.
 
     Every method is counted on the rows of ``scores.csv``, the test-stream
-    rows that the test windows cover, each once.  The baselines scan the
-    rows of the ``*_raw_stream`` sets that their windows cover, in time
-    order: CUSUM's mean and slack are fitted on the training rows that
-    ``train_raw``'s windows cover.  The bundle must hold holdout windows:
+    rows that the test windows cover, each once.  The baselines read no
+    windows: they scan the bundle's row tables ``train_raw``,
+    ``holdout_raw`` and ``test_raw`` in time order, and a bundle that lacks
+    one is refused as damaged.  CUSUM's mean and slack are fitted on
+    ``train_raw``.  The bundle must hold holdout windows:
     each baseline's threshold is the ``1 - scoring.target_fpr`` quantile of
-    its statistic on the holdout rows.  Besides
+    its statistic on ``holdout_raw``.  Besides
     the flags' confusion counts, ``metrics.json`` holds the threshold-free
     :func:`~tsgad.scoring.ranking_metrics` of the ``residual``, 1 -
     ``disc_score`` and ``combined`` columns of ``scores.csv`` (under
     ``gan_ad.ranking``) and of the SPE statistic on the test rows (``spe``).
-    The baselines scan the bundle's streams, so a ``scores.csv`` that detect
+    The baselines scan the bundle's row tables, so a ``scores.csv`` that detect
     wrote from another bundle is refused: the ``windows_sha256`` in
     ``detect_manifest.json`` must be the digest of the bundle's windows,
     as for the checkpoint in :func:`run_detect`, and a
@@ -453,6 +451,12 @@ def run_evaluate(cfg: dict) -> Path:
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest, digest = _load_calibration_bundle(cfg)
+    try:
+        train_rows, holdout_rows, test_rows = (
+            arrays[name] for name in ("train_raw", "holdout_raw", "test_raw"))
+    except KeyError as exc:
+        raise ConfigError(f"{bundle / 'windows.npz'}: damaged (no {exc.args[0]} row table); "
+                          "re-run ingest") from None
     out = _out_dir(cfg)
     scores_path = out / "scores.csv"
     detect_path = out / "detect_manifest.json"
@@ -462,9 +466,6 @@ def run_evaluate(cfg: dict) -> Path:
     detect = ingest.read_json_object(detect_path, "re-run detect")
     _check_binding(scores_path, "detect scored", detect.get("windows_sha256"), digest,
                    "re-run detect")
-    train_rows, holdout_rows, test_rows = (
-        arrays[f"{name}_stream"][_covered_rows(arrays, manifest, name)]
-        for name in ("train_raw", "holdout_raw", "test_raw"))
     scores = _read_scores(scores_path, len(test_rows))
     truth = scores["truth"]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsgad import gan, ingest, inversion, pca, pipeline
+from tsgad import gan, ingest, inversion, pca
 from tsgad.cli import main
 from tsgad.config import load_config
 from tsgad.pipeline import SCORES_HEADER
@@ -112,6 +112,9 @@ def test_all_writes_documented_artifacts(all_out):
     assert manifest["holdout_windows"] == 4
     # the bundle detect scored, for evaluate to check
     assert manifest["windows_sha256"] == _bundle_digest(all_out / "bundle")
+    # windows are the GAN's: the baselines' row tables have no window set
+    bundle = json.loads((all_out / "bundle" / "manifest.json").read_text())
+    assert set(bundle["window_sets"]) == {"train", "holdout", "test"}
 
 
 def test_detect_manifest_records_holdout_inversions(config, all_out):
@@ -202,7 +205,6 @@ def test_history_has_a_finite_mmd_every_epoch(tmp_path):
     rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
     assert [(row[0], math.isfinite(float(row[3]))) for row in rows] == [
         ("1", True), ("2", True), ("3", True)]
-    assert (out / "mmd.svg").is_file()
 
 
 @pytest.mark.parametrize("key", [
@@ -319,7 +321,7 @@ def _window_set_edit(name, key, value):
     ("bundle/manifest.json", _window_set_edit("test", "step", 0), "detect", "ingest"),
     ("bundle/manifest.json", _window_set_edit("holdout", "step", "1"), "evaluate", "ingest"),
     ("bundle/manifest.json", _window_set_edit("train", "step", True), "train", "ingest"),
-    ("bundle/manifest.json", _window_set_edit("test_raw", "window_length", 1.5), "evaluate",
+    ("bundle/manifest.json", _window_set_edit("holdout", "window_length", 1.5), "evaluate",
      "ingest"),
     ("bundle/manifest.json", _window_set_edit("spare", "step", 1), "train", "ingest"),
     ("bundle/manifest.json", _window_set_edit("test", "window_length", 1000), "detect",
@@ -336,6 +338,7 @@ def _window_set_edit(name, key, value):
     ("scores.csv", ("flag", "2"), "evaluate", "detect"),
     ("scores.csv", ("truth", "2"), "evaluate", "detect"),
     ("scores.csv", ("truth", "-1"), "evaluate", "detect"),
+    ("scores.csv", ("truth", ""), "evaluate", "detect"),
     ("scores.csv", ("residual", "nan"), "evaluate", "detect"),
     ("scores.csv", ("disc_score", "inf"), "evaluate", "detect"),
     ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
@@ -345,7 +348,8 @@ def _window_set_edit(name, key, value):
         "bundle count not the windows cut", "checkpoint bad crc", "detect manifest not json",
         "detect manifest a list", "scores cut short", "scores header", "scores missing rows",
         "scores cell not a number", "scores flag 2", "scores truth 2", "scores truth -1",
-        "scores residual nan", "scores disc_score inf", "scores combined -inf"])
+        "scores truth empty in one row", "scores residual nan", "scores disc_score inf",
+        "scores combined -inf"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a bundle manifest without window sets, or whose set has a window step
@@ -354,8 +358,8 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     # checkpoint whose member fails its CRC, a detect manifest that is no JSON
     # object, and a scores.csv cut short (mid-row or after a row), with a
     # foreign header, with a flag that is no integer, a flag or truth other
-    # than 0 or 1 or a score that is not finite are refused by name, with the
-    # stage to re-run
+    # than 0 or 1 (an empty truth among labelled rows included) or a score
+    # that is not finite are refused by name, with the stage to re-run
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
@@ -614,9 +618,10 @@ def test_overlapping_test_windows_score_each_test_stream_row_once(tmp_path):
     # at a test_shift of 12, the 5-row test windows overlap; they cover the
     # same 50 test-stream rows (and 20 holdout rows) as the abutting windows
     # at 20, and every method counts each row once, so the baselines, which
-    # scan those rows, report the same figures at both shifts
+    # scan those rows, report the same figures at both shifts.  At 40 the
+    # windows start 10 rows apart, and only the rows they cover are scored
     runs = {}
-    for shift in (20, 12):
+    for shift in (20, 12, 40):
         out = tmp_path / str(shift)
         out.mkdir()
         config = _edited(out, [("test_shift: 20", f"test_shift: {shift}")])
@@ -631,15 +636,23 @@ def test_overlapping_test_windows_score_each_test_stream_row_once(tmp_path):
             "flag_rows": len((out / "per_variable_flags.csv").read_text().splitlines()) - 1,
             "metrics": json.loads((out / "metrics.json").read_text())["methods"],
             "windows": {name: sets[name]["count"] for name in ("holdout", "test")},
-            "holdout_rows": len(pipeline._covered_rows(arrays, manifest, "holdout")),
+            "holdout_rows": len(arrays["holdout_raw"]),
+            "test_rows": len(arrays["test_raw"]),
         }
-    whole, overlapping = runs[20], runs[12]
-    assert (whole["windows"], overlapping["windows"]) == ({"holdout": 4, "test": 10},
-                                                          {"holdout": 6, "test": 16})
+    whole, overlapping, gapped = runs[20], runs[12], runs[40]
+    assert [run["windows"] for run in runs.values()] == [
+        {"holdout": 4, "test": 10}, {"holdout": 6, "test": 16}, {"holdout": 2, "test": 5}]
     assert whole["holdout_rows"] == overlapping["holdout_rows"] == 20
-    for run in runs.values():
-        assert [r["index"] for r in run["scores"]] == [str(t) for t in range(50)]
-        assert run["flag_rows"] == 50
+    assert gapped["holdout_rows"] == 10
+    covered = {20: range(50), 12: range(50),
+               40: [k * 10 + t for k in range(5) for t in range(5)]}
+    for shift, run in runs.items():
+        rows = len(covered[shift])
+        assert [r["index"] for r in run["scores"]] == [str(t) for t in covered[shift]], shift
+        assert run["flag_rows"] == run["test_rows"] == rows, shift
+        # the baselines count the same rows
+        counts = [run["metrics"]["spe"], *run["metrics"]["cusum"]["per_variable"].values()]
+        assert {sum(c[k] for k in ("tp", "fp", "tn", "fn")) for c in counts} == {rows}, shift
     assert [r["truth"] for r in whole["scores"]] == [r["truth"] for r in overlapping["scores"]]
     for method in ("spe", "cusum"):
         assert whole["metrics"][method] == overlapping["metrics"][method], method
@@ -647,8 +660,9 @@ def test_overlapping_test_windows_score_each_test_stream_row_once(tmp_path):
 
 def test_ingest_at_factor_one_stores_the_normalized_and_projected_rows(tmp_path):
     # ingest rewrites the parsed rows in place, normalizing and then
-    # centring them for the PCA; at factor 1 each raw stream would be those
-    # very rows, so it must be stored as normalize left them
+    # centring them for the PCA; at factor 1 each row table is cut from
+    # those very rows, so it must hold them as normalize left them: the rows
+    # of the set's whole 20-row windows
     config = _edited(tmp_path, [("downsample_factor: 4", "downsample_factor: 1")])
     assert _run(config, tmp_path, "synth") == 0
     assert _run(config, tmp_path, "ingest") == 0
@@ -661,8 +675,9 @@ def test_ingest_at_factor_one_stores_the_normalized_and_projected_rows(tmp_path)
     split = len(train) - int(round(len(train) * ing["holdout_fraction"]))
     test = ingest.normalize(ingest.load_csv(tmp_path / "test.csv", *schema)[0], *bounds)
     for name, rows in (("train", train[:split]), ("holdout", train[split:]), ("test", test)):
-        raw, projected = arrays[f"{name}_raw_stream"], arrays[f"{name}_stream"]
-        assert raw.tobytes() == np.ascontiguousarray(rows).tobytes(), name
+        raw, projected = arrays[f"{name}_raw"], arrays[f"{name}_stream"]
+        covered = rows[: len(rows) // 20 * 20]
+        assert raw.tobytes() == np.ascontiguousarray(covered).tobytes(), name
         assert projected.tobytes() == pca.project(model, rows.copy()).tobytes(), name
 
 
@@ -726,8 +741,7 @@ def test_bundle_without_holdout_windows_exits_1_at_detect_and_evaluate(
     np.savez_compressed(windows, **kept)
     manifest_path = out / "bundle" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    for name in ("holdout", "holdout_raw"):
-        del manifest["window_sets"][name]
+    del manifest["window_sets"]["holdout"]
     manifest_path.write_text(json.dumps(manifest))
     for stage in ("detect", "evaluate"):
         capsys.readouterr()
@@ -735,6 +749,50 @@ def test_bundle_without_holdout_windows_exits_1_at_detect_and_evaluate(
         assert "bundle has no holdout windows; re-ingest" in capsys.readouterr().err
     for name in ("scores.csv", "metrics.json"):
         assert (out / name).read_bytes() == (all_out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("table", ["train_raw", "holdout_raw", "test_raw"])
+def test_bundle_without_a_row_table_exits_1_at_evaluate(config, all_out, tmp_path, capsys,
+                                                        table):
+    # each row table the baselines scan is refused by name when missing
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    windows = out / "bundle" / "windows.npz"
+    with np.load(windows) as data:
+        kept = {k: data[k] for k in data.files if k != table}
+    np.savez(windows, **kept)
+    capsys.readouterr()
+    assert _run(config, out, "evaluate") == 1
+    assert (f"config error: {windows}: damaged (no {table} row table); re-run ingest"
+            in capsys.readouterr().err)
+    assert (out / "metrics.json").read_bytes() == (all_out / "metrics.json").read_bytes()
+
+
+def test_bundle_without_a_test_set_exits_1_at_detect_and_evaluate(all_out, tmp_path, capsys):
+    # a bundle ingested without paths.test_csv has nothing to score or count
+    config = _edited(tmp_path, [("  enabled: true\n", "  enabled: false\n")])
+    config.write_text(f"paths:\n  input_csv: {all_out / 'train.csv'}\n" + config.read_text())
+    out = tmp_path / "out"
+    assert _run(config, out, "ingest") == 0
+    for stage in ("detect", "evaluate"):
+        capsys.readouterr()
+        assert _run(config, out, stage) == 1, stage
+        assert ("bundle has no test windows; configure paths.test_csv and re-ingest"
+                in capsys.readouterr().err), stage
+
+
+def test_scores_without_truth_exit_1_at_evaluate(config, all_out, tmp_path, capsys):
+    # detect writes an empty truth column for a test stream without labels
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    scores = out / "scores.csv"
+    header, *rows = scores.read_text().splitlines()
+    body = "".join(f"{line.rsplit(',', 1)[0]},\n" for line in rows)
+    scores.write_text(f"{header}\n{body}")
+    capsys.readouterr()
+    assert _run(config, out, "evaluate") == 1
+    assert ("test stream has no ground-truth labels; cannot evaluate"
+            in capsys.readouterr().err)
 
 
 def test_test_csv_with_swapped_columns_exits_1(config, tmp_path, capsys):

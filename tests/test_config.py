@@ -225,3 +225,20 @@ def test_boolean_not_accepted_as_int(tmp_path):
     path.write_text("gan:\n  epochs: true\n")
     with pytest.raises(ConfigError, match="expected int, got boolean"):
         load_config(path)
+
+
+# a window of one block downsamples to a single stream row, which detect's
+# inversion cannot correlate: the config is refused at load, naming the
+# window_length line, or the downsample_factor line when window_length is
+# the default
+@pytest.mark.parametrize("text, line, length", [
+    ("ingest:\n  downsample_factor: 4\n  window_length: 4\n  train_shift: 4\n"
+     "  test_shift: 4\n", 3, 4),
+    ("ingest:\n  downsample_factor: 120\n  train_shift: 120\n", 2, 120),
+], ids=["given", "default"])
+def test_one_row_window_rejected(tmp_path, text, line, length):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"bad.yaml:{line}: ingest.window_length {length} is "
+                                          rf"one block of ingest.downsample_factor {length}: "):
+        load_config(path)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from tsgad import ingest
 from tsgad.config import ConfigError
 from tsgad.ingest import (
+    covered_rows,
     downsample_median,
     load_csv,
     load_window_bundle,
@@ -510,10 +511,20 @@ class TestUnwindow:
     @pytest.mark.parametrize("step", [6, 9])
     def test_without_overlap_is_the_flattened_values(self, step):
         values = np.random.default_rng(0).normal(size=(4, 6, 3))
-        got = unwindow(values, step)
+        # a negative zero keeps its sign
+        values[1, 2, 0] = -0.0
+        rows, got = unwindow(values, step)
         want = values.reshape(24, 3)
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        npt.assert_array_equal(rows, [k * step + t for k in range(4) for t in range(6)])
+
+    def test_float32_values_come_back_exactly_as_float64(self):
+        # the D scores are float32; each covered row's mean is float64
+        values = np.random.default_rng(1).random(size=(3, 4)).astype(np.float32)
+        rows, got = unwindow(values, 4)
+        assert got.dtype == np.float64
+        npt.assert_array_equal(got, values.reshape(12).astype(np.float64))
 
     @given(
         count=st.integers(1, 6),
@@ -529,17 +540,38 @@ class TestUnwindow:
                                                 seed):
         step = 1 + int(step_fraction * (length - 1))
         values = np.random.default_rng(seed).normal(size=(count, length, *columns))
-        got = unwindow(values, step)
+        rows, got = unwindow(values, step)
+        npt.assert_array_equal(rows, np.arange((count - 1) * step + length))
         assert got.shape == ((count - 1) * step + length, *columns)
         npt.assert_array_equal(got, self.loop_mean(values, step))
 
     def test_inverts_window(self):
-        # the stream rows the windows cover come back, up to the mean's rounding
+        # the stream rows the windows cover come back, up to the mean's
+        # rounding, and covered_rows cuts exactly those rows
         values, _ = plant_rows(rows=40)
         for shift in (3, 8, 11):
             windows = window(values, 8, shift)
             covered = np.unique(np.arange(len(windows))[:, None] * shift + np.arange(8))
-            npt.assert_allclose(unwindow(windows, shift), values[covered], rtol=1e-15)
+            rows, got = unwindow(windows, shift)
+            npt.assert_array_equal(rows, covered)
+            npt.assert_allclose(got, values[covered], rtol=1e-15)
+            table = covered_rows(values, 8, shift)
+            npt.assert_array_equal(table.view(np.uint64), values[covered].view(np.uint64))
+
+
+class TestCoveredRows:
+    def test_is_a_contiguous_copy_of_a_view(self):
+        # ingest cuts the tables from views of the rows the PCA later
+        # centres in place, so a table shares no memory with its stream
+        values, _ = plant_rows(rows=40)
+        view = values[3:, ::-1]
+        table = covered_rows(view, 8, 11)
+        assert table.flags.c_contiguous and not np.shares_memory(table, values)
+        npt.assert_array_equal(table, np.concatenate([view[0:8], view[11:19], view[22:30]]))
+
+    def test_a_window_longer_than_the_stream_is_refused(self):
+        with pytest.raises(ValueError, match="window length 9 exceeds series length 8"):
+            covered_rows(np.zeros((8, 2)), 9, 1)
 
 
 class TestDownsampleMedian:
@@ -680,14 +712,18 @@ def test_window_bundle_roundtrip(tmp_path):
     labels = (rng.random(41) < 0.2).astype(np.int64)
     test = downsample_median(rng.normal(size=(41, 2)), labels, 2)
     train = downsample_median(rng.normal(size=(40, 2)), None, 2)
+    # a row table lands in windows.npz under its own name, beside the
+    # streams, and has no window_sets entry: no stage cuts windows from it
+    table = rng.normal(size=(8, 2))
     save_window_bundle(tmp_path / "bundle", {"test": (*test, 4, 4), "train": (*train, 4, 2)},
-                       {"note": "x"})
+                       {"note": "x"}, tables={"train_raw": table})
     loaded, manifest, digest = load_window_bundle(tmp_path / "bundle")
     want_digest = hashlib.sha256((tmp_path / "bundle" / "windows.npz").read_bytes())
     want_digest.update(json.dumps(manifest["window_sets"], sort_keys=True).encode())
     assert digest == want_digest.hexdigest()
     assert sorted(loaded) == ["test_stream", "test_stream_labels", "test_windows",
-                              "train_stream", "train_windows"]
+                              "train_raw", "train_stream", "train_windows"]
+    assert loaded["train_raw"].tobytes() == table.tobytes()
     npt.assert_array_equal(loaded["test_stream"], test[0])
     npt.assert_array_equal(loaded["test_stream_labels"], test[1])
     npt.assert_array_equal(loaded["train_stream"], train[0])
@@ -702,5 +738,8 @@ def test_window_bundle_roundtrip(tmp_path):
     assert manifest["window_sets"]["train"] == {
         "count": 9, "window_length": 4, "step": 2,
     }
+    assert sorted(manifest["window_sets"]) == ["test", "train"]
     with np.load(tmp_path / "bundle" / "windows.npz") as data:
-        assert sorted(data.files) == ["test_stream", "test_stream_labels", "train_stream"]
+        assert sorted(data.files) == ["test_stream", "test_stream_labels", "train_raw",
+                                      "train_stream"]
+
