@@ -31,13 +31,14 @@ the rows that its set's windows cover.  The training table covers whole
 windows at a step of one window length, so CUSUM fits its mean and slack
 on every training row up to the last whole window.
 
-File I/O happens only in :func:`load_csv`, the one CSV writer
+File I/O happens only in :func:`load_csv`, the one CSV parser, which reads
+the plant CSVs and detect's ``scores.csv``, the one CSV writer
 :func:`write_csv`, the bundle helpers and the readers of other stage outputs,
 :func:`read_npz` and :func:`read_json_object`, which the bundle loader,
 ``gan.load_checkpoint``, ``pca.PcaModel.load`` and ``pipeline.run_evaluate``
 call.  Every CSV the package writes goes through :func:`write_csv`, except
 the plant CSVs of synth: :func:`tsgad.synthetic.save_scenario_csv` writes
-those as fixed-point text.
+those as fixed-point text.  Both write UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -76,21 +77,6 @@ def _epoch_seconds(raw: str, timestamp_format: str) -> float:
     # a naive time is UTC, not the machine's zone, whose DST jumps would
     # make the order checks of load_csv depend on where it runs
     return (parsed if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)).timestamp()
-
-
-def _parse_timestamp(raw: str, timestamp_format: str | None, path: Path, row_num: int) -> float:
-    if timestamp_format is not None:
-        try:
-            return _epoch_seconds(raw, timestamp_format)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: row {row_num}: bad timestamp {raw!r}: {exc}") from None
-    try:
-        return _number(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{path}: row {row_num}: non-numeric timestamp {raw!r} "
-            "(set timestamp_format for datetime strings)"
-        ) from None
 
 
 class _Layout(NamedTuple):
@@ -154,9 +140,14 @@ def load_csv(
     1: 1}`` matches a 0/1 label column.  ``timestamp_format`` is an optional
     ``strptime`` pattern for non-numeric timestamps; a time without a ``%z``
     offset is read as UTC.  The timestamps are checked, not returned.
+    ``pipeline.run_ingest`` reads the plant CSVs with it, and
+    ``pipeline.run_evaluate`` detect's ``scores.csv``, with ``index`` as its
+    timestamp and ``truth`` as its label column.
 
-    The header goes through ``csv.reader``, so a quoted name may hold a
-    comma.  The body is read by one ``np.loadtxt`` call, numpy's C parser:
+    The file is read as UTF-8, and a byte order mark before the header, as
+    a spreadsheet's "CSV UTF-8" export writes, is dropped.  The header goes
+    through ``csv.reader``, so a quoted name may hold a comma.  The body is
+    read by one ``np.loadtxt`` call, numpy's C parser:
     numeric cells, the numeric timestamp included, are parsed in C, and
     only the label cells (and ``strptime`` timestamps) go through Python
     converters.  A cell may be quoted; ``#`` is not a comment.  When
@@ -172,12 +163,13 @@ def load_csv(
     header that repeats a name, has a feature named ``index`` or gives one
     column as both timestamp and label, ragged rows, non-numeric or
     non-finite (nan, inf) feature cells and timestamps, unmapped label
-    strings and timestamps that are not strictly increasing.  A missing
-    file raises ``FileNotFoundError``.
+    strings and timestamps that are not strictly increasing; a refused cell
+    or timestamp is named with its column.  A missing file raises
+    ``FileNotFoundError``.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         layout = _read_header(csv.reader(fh), path, timestamp_column, label_column)
         table = _parse_body(fh, layout, mapping, timestamp_format)
     if table is None:
@@ -241,11 +233,12 @@ def _scan_body(
     refusal of the first bad row, numbering rows as the file does."""
     header, feature_idx = layout.header, layout.features
     feature_names = [header[i] for i in feature_idx]
+    ts_name = header[layout.timestamp]
     timestamps: list[float] = []
     rows: list[list[float]] = []
     row_nums: list[int] = []
     labels: list[int] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_num, row in enumerate(reader, start=2):
@@ -255,9 +248,15 @@ def _scan_body(
                 raise ConfigError(
                     f"{path}: ragged row {row_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            timestamps.append(
-                _parse_timestamp(row[layout.timestamp], timestamp_format, path, row_num)
-            )
+            raw = row[layout.timestamp]
+            try:
+                timestamps.append(_number(raw) if timestamp_format is None
+                                  else _epoch_seconds(raw, timestamp_format))
+            except ValueError as exc:
+                why = (f"non-numeric timestamp {raw!r} in column {ts_name!r} (set "
+                       "timestamp_format for datetime strings)" if timestamp_format is None
+                       else f"bad timestamp {raw!r} in column {ts_name!r}: {exc}")
+                raise ConfigError(f"{path}: row {row_num}: {why}") from None
             numbers = []
             for i in feature_idx:
                 try:
@@ -288,12 +287,14 @@ def _scan_body(
     ts = np.asarray(timestamps, dtype=np.float64)
     if not np.isfinite(ts).all():
         r = int(np.argmin(np.isfinite(ts)))
-        raise ConfigError(f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]}")
+        raise ConfigError(
+            f"{path}: row {row_nums[r]}: non-finite timestamp {ts[r]} in column {ts_name!r}"
+        )
     if np.any(np.diff(ts) <= 0):
         bad = int(np.argmax(np.diff(ts) <= 0))
         raise ConfigError(
             f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
-            f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]})"
+            f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]}) in column {ts_name!r}"
         )
     return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None
 
@@ -312,7 +313,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 

@@ -7,7 +7,6 @@ byte-identical outputs in any output directory.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from itertools import zip_longest
@@ -382,49 +381,36 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
-def _label(cell: str) -> int:
-    return {"0": 0, "1": 1}.get(cell, -1)
-
-
 def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
-    """The columns of detect's ``scores.csv`` by name, ``flag`` and ``truth``
-    as integers and the scores as floats.  A file whose ``truth`` column is
-    all empty, detect's mark of a test stream without labels, is refused,
-    and as damaged one that is not :data:`SCORES_HEADER` over ``test_rows``
-    rows of as many cells, with every ``flag`` and ``truth`` cell ``0`` or
-    ``1`` and every score a finite number."""
-    with path.open(newline="") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    ragged = next((n for n, row in enumerate(rows, start=2) if len(row) != len(header)), None)
-    if header != SCORES_HEADER:
-        reason = f"header {header} where detect writes {SCORES_HEADER}"
-    elif ragged:
-        reason = f"row {ragged} has {len(rows[ragged - 2])} of {len(header)} cells"
-    elif len(rows) != test_rows:
-        reason = f"{len(rows)} rows for the bundle's {test_rows} test rows"
+    """The columns of detect's ``scores.csv`` but ``index`` by name, ``flag``
+    and ``truth`` as integers and the scores as floats, read by
+    :func:`ingest.load_csv` with ``index`` as the timestamp column and
+    ``truth`` as the label column, whose empty cells read as -1.  A file
+    whose ``truth`` column is all empty, detect's mark of a test stream
+    without labels, is refused, and as damaged one that ``load_csv``
+    refuses (an ``index`` that is not strictly increasing included) or that
+    is not the score columns of :data:`SCORES_HEADER` over ``test_rows``
+    rows, with every ``flag`` 0 or 1 and no ``truth`` empty."""
+    try:
+        values, truth, names = ingest.load_csv(path, "index", "truth", {"0": 0, "1": 1, "": -1})
+    except ConfigError as exc:
+        reason = str(exc).removeprefix(f"{path}: ")
     else:
-        columns = dict(zip(header, zip(*rows)))
-        if set(columns["truth"]) == {""}:
+        columns = dict(zip(names, values.T))
+        if names != SCORES_HEADER[1:-1]:
+            reason = f"score columns {names} where detect writes {SCORES_HEADER[1:-1]}"
+        elif len(truth) != test_rows:
+            reason = f"{len(truth)} rows for the bundle's {test_rows} test rows"
+        elif not np.isin(columns["flag"], (0, 1)).all():
+            row = int(np.argmin(np.isin(columns["flag"], (0, 1))))
+            reason = f"row {row + 2} has flag {columns['flag'][row]}, not 0 or 1"
+        elif (truth == -1).all():
             raise ConfigError("test stream has no ground-truth labels; cannot evaluate")
-        try:
-            # a label cell other than 0 or 1 parses to -1, which the check refuses
-            parsed = {name: np.array([parse(cell) for cell in columns[name]])
-                      for name, parse in (("flag", _label), ("truth", _label),
-                                          ("residual", float), ("disc_score", float),
-                                          ("combined", float))}
-        except ValueError as exc:
-            reason = exc
+        elif (truth == -1).any():
+            row = int(np.argmax(truth == -1))
+            reason = f"row {row + 2} has an empty truth among labelled rows"
         else:
-            for name, values in parsed.items():
-                label = name in ("flag", "truth")
-                ok = np.isin(values, (0, 1)) if label else np.isfinite(values)
-                if not ok.all():
-                    row = int(np.argmin(ok))
-                    want = "0 or 1" if label else "a finite score"
-                    reason = f"row {row + 2} has {name} {columns[name][row]!r}, not {want}"
-                    break
-            else:
-                return parsed
+            return {**columns, "flag": columns["flag"].astype(np.int64), "truth": truth}
     raise ConfigError(f"{path}: damaged ({reason}); re-run detect")
 
 
@@ -447,7 +433,8 @@ def run_evaluate(cfg: dict) -> Path:
     wrote from another bundle is refused: the ``windows_sha256`` in
     ``detect_manifest.json`` must be the digest of the bundle's windows,
     as for the checkpoint in :func:`run_detect`, and a
-    damaged ``detect_manifest.json`` or ``scores.csv`` too.
+    damaged ``detect_manifest.json`` or ``scores.csv`` too: a ``scores.csv``
+    whose ``index`` does not strictly increase is damaged.
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest, digest = _load_calibration_bundle(cfg)

@@ -258,7 +258,7 @@ def save_scenario_csv(
     check_readings(values, column_names, path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["timestamp", *column_names, "label"])
         # the rows go as bytes to the buffer under the text layer, after
         # the header it holds

@@ -18,7 +18,7 @@ import pytest
 from tsgad import gan, ingest, inversion, pca
 from tsgad.cli import main
 from tsgad.config import load_config
-from tsgad.pipeline import SCORES_HEADER
+from tsgad.pipeline import SCORES_HEADER, _read_scores
 
 TINY_CONFIG = """\
 seed: 3
@@ -179,6 +179,18 @@ def test_flags_are_the_combined_score_above_the_threshold(all_out):
     with (all_out / "scores.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["flag"]) for r in rows] == [int(float(r["combined"]) > threshold) for r in rows]
+
+
+def test_read_scores_parses_every_score_bit_for_bit(all_out):
+    # metrics.json ranks these columns, so its bytes rest on their bits
+    path = all_out / "scores.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    scores = _read_scores(path, len(rows))
+    for name in ("residual", "disc_score", "combined"):
+        want = np.array([float(row[name]) for row in rows])
+        got = np.ascontiguousarray(scores[name])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
 
 
 def test_rerun_is_byte_identical(config, all_out, tmp_path):
@@ -342,6 +354,7 @@ def _window_set_edit(name, key, value):
     ("scores.csv", ("residual", "nan"), "evaluate", "detect"),
     ("scores.csv", ("disc_score", "inf"), "evaluate", "detect"),
     ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
+    ("scores.csv", "reverse index", "evaluate", "detect"),
 ], ids=["bundle step missing", "bundle step 0", "bundle step a string", "bundle step true",
         "bundle window length a float", "bundle set without a stream",
         "bundle window longer than its stream", "bundle without window sets",
@@ -349,7 +362,7 @@ def _window_set_edit(name, key, value):
         "detect manifest a list", "scores cut short", "scores header", "scores missing rows",
         "scores cell not a number", "scores flag 2", "scores truth 2", "scores truth -1",
         "scores truth empty in one row", "scores residual nan", "scores disc_score inf",
-        "scores combined -inf"])
+        "scores combined -inf", "scores index reversed"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a bundle manifest without window sets, or whose set has a window step
@@ -358,8 +371,9 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     # checkpoint whose member fails its CRC, a detect manifest that is no JSON
     # object, and a scores.csv cut short (mid-row or after a row), with a
     # foreign header, with a flag that is no integer, a flag or truth other
-    # than 0 or 1 (an empty truth among labelled rows included) or a score
-    # that is not finite are refused by name, with the stage to re-run
+    # than 0 or 1 (an empty truth among labelled rows included), a score
+    # that is not finite or an index that does not increase (each score
+    # naming another test row) are refused by name, with the stage to re-run
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
@@ -373,6 +387,11 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
         path.write_bytes(path.read_bytes()[:300])
     elif damage == "rows":
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+    elif damage == "reverse index":
+        header, *rows = path.read_text().splitlines(keepends=True)
+        cells = [row.split(",", 1) for row in rows]
+        index = [first for first, _ in reversed(cells)]
+        path.write_text(header + "".join(f"{i},{rest}" for i, (_, rest) in zip(index, cells)))
     elif isinstance(damage, tuple):
         # one cell of the first row
         column, value = damage
@@ -386,6 +405,9 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     assert _run(config, out, stage) == 1
     err = capsys.readouterr().err
     assert f"config error: {path}: damaged (" in err and f"; re-run {cure}" in err, err
+    assert err.count(str(path)) == 1, err
+    if damage == "reverse index":
+        assert "in column 'index'" in err, err
 
 
 def test_detect_without_checkpoint_exits_1(config, tmp_path, capsys):

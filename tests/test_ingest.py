@@ -127,7 +127,9 @@ class TestLoadCsv:
     def test_non_finite_timestamp(self, tmp_path, text, row, shown):
         p = tmp_path / "data.csv"
         p.write_text(text)
-        with pytest.raises(ValueError, match=rf"data.csv: row {row}: non-finite timestamp {shown}$"):
+        with pytest.raises(
+            ValueError, match=rf"data.csv: row {row}: non-finite timestamp {shown} in column 'ts'$"
+        ):
             load_csv(p, "ts")
 
     def test_unmapped_label(self, tmp_path):
@@ -220,7 +222,8 @@ PARITY_CASES = {
     ),
     "full-width-line-starting-with-hash": (
         "ts,a,b\n0,1,2\n#1,3,4\n", None,
-        "row 3: non-numeric timestamp '#1' (set timestamp_format for datetime strings)", None,
+        "row 3: non-numeric timestamp '#1' in column 'ts' "
+        "(set timestamp_format for datetime strings)", None,
     ),
     "every-row-one-cell-wider": (
         "ts,a,b\n0,1,2,9\n1,3,4,9\n", None, "ragged row 2: expected 3 cells, got 4", None
@@ -241,10 +244,16 @@ PARITY_CASES = {
     ),
     "digit-grouping-timestamp": (
         "ts,a,b\n1_0,1,2\n", None,
-        "row 2: non-numeric timestamp '1_0' (set timestamp_format for datetime strings)", None,
+        "row 2: non-numeric timestamp '1_0' in column 'ts' "
+        "(set timestamp_format for datetime strings)", None,
     ),
     "non-ascii-digit": (
         "ts,a,b\n0,1,\u0661\n", None, "row 2: non-numeric cell '\u0661' in column 'b'", None
+    ),
+    # a spreadsheet's "CSV UTF-8" export puts a byte order mark before the header
+    "byte-order-mark": ("\ufeffts,a,b\n0,1.5,2\n1,3,4\n", None, [[1.5, 2], [3, 4]], None),
+    "byte-order-mark-refused-cell": (
+        "\ufeffts,a,b\n0,1,2\n1,x,4\n", None, "row 3: non-numeric cell 'x' in column 'a'", None
     ),
 }
 
