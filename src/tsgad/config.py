@@ -143,7 +143,6 @@ SCHEMA: dict = {
         "latent_dim": Field(int, 15, _positive, "positive integer"),
         "gen_depth": Field(int, 3, _positive, "positive integer"),
         "gen_hidden": Field(int, 100, _positive, "positive integer"),
-        "disc_depth": Field(int, 1, _positive, "positive integer"),
         "disc_hidden": Field(int, 100, _positive, "positive integer"),
         "mmd_samples": Field(int, 128, lambda v: v >= 2, "integer >= 2"),
     },

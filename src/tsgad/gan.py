@@ -24,6 +24,7 @@ SCORE_EPS = 1e-12
 # the largest global gradient norm of one update: a guard against a blow-up,
 # far above the norms the benchmark workloads' training reaches (under 0.5)
 GRAD_CLIP = 5.0
+DISC_DEPTH = 1  # the paper's discriminator: one LSTM layer
 
 
 class TrainingDiverged(RuntimeError):
@@ -193,9 +194,7 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
     gen = build_generator(
         feature_dim, latent_dim, settings["gen_depth"], settings["gen_hidden"], rng
     )
-    disc = build_discriminator(
-        feature_dim, settings["disc_depth"], settings["disc_hidden"], rng
-    )
+    disc = build_discriminator(feature_dim, DISC_DEPTH, settings["disc_hidden"], rng)
     g_opt = lstm.OptimizerState(learning_rate=settings["g_learning_rate"])
     d_opt = lstm.OptimizerState(learning_rate=settings["d_learning_rate"])
     model = GanModel(gen, disc, {**settings, "sequence_length": seq_len, "seed": seed})

@@ -60,6 +60,10 @@ from .config import ConfigError
 from .orderstats import median
 
 
+class NonNumericTimestamp(ConfigError):
+    """A timestamp that is no number, read without a ``strptime`` format."""
+
+
 def _number(cell: str) -> float:
     """``float(cell)`` for exactly the cells numpy's C parser reads.
 
@@ -163,9 +167,10 @@ def load_csv(
     header that repeats a name, has a feature named ``index`` or gives one
     column as both timestamp and label, ragged rows, non-numeric or
     non-finite (nan, inf) feature cells and timestamps, unmapped label
-    strings and timestamps that are not strictly increasing; a refused cell
-    or timestamp is named with its column.  A missing file raises
-    ``FileNotFoundError``.
+    strings and timestamps that are not strictly increasing; a refused cell,
+    label or timestamp is named with its column.  A non-numeric timestamp
+    read without ``timestamp_format`` is :class:`NonNumericTimestamp`.  A
+    missing file raises ``FileNotFoundError``.
     """
     path = Path(path)
     mapping = {str(k): v for k, v in (label_mapping or {}).items()}
@@ -253,10 +258,11 @@ def _scan_body(
                 timestamps.append(_number(raw) if timestamp_format is None
                                   else _epoch_seconds(raw, timestamp_format))
             except ValueError as exc:
-                why = (f"non-numeric timestamp {raw!r} in column {ts_name!r} (set "
-                       "timestamp_format for datetime strings)" if timestamp_format is None
-                       else f"bad timestamp {raw!r} in column {ts_name!r}: {exc}")
-                raise ConfigError(f"{path}: row {row_num}: {why}") from None
+                if timestamp_format is None:
+                    raise NonNumericTimestamp(f"{path}: row {row_num}: non-numeric timestamp "
+                                              f"{raw!r} in column {ts_name!r}") from None
+                raise ConfigError(f"{path}: row {row_num}: bad timestamp {raw!r} in column "
+                                  f"{ts_name!r}: {exc}") from None
             numbers = []
             for i in feature_idx:
                 try:
@@ -269,9 +275,8 @@ def _scan_body(
             if layout.label is not None:
                 raw_label = row[layout.label].strip()
                 if raw_label not in mapping:
-                    raise ConfigError(
-                        f"{path}: row {row_num}: label {raw_label!r} not in label_mapping"
-                    )
+                    raise ConfigError(f"{path}: row {row_num}: label {raw_label!r} in column "
+                                      f"{header[layout.label]!r} is none of {sorted(mapping)}")
                 labels.append(mapping[raw_label])
 
     if not rows:

@@ -112,7 +112,15 @@ def run_ingest(cfg: dict) -> Path:
             raise ConfigError(f"{key}: no file {str(path)!r}")
     schema = [ing[k] for k in ("timestamp_column", "label_column", "label_mapping",
                                "timestamp_format")]
-    values, _, columns = ingest.load_csv(train_csv, *schema)
+
+    def load(path: Path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+        try:
+            return ingest.load_csv(path, *schema)
+        except ingest.NonNumericTimestamp as exc:
+            raise ConfigError(
+                f"{exc} (set ingest.timestamp_format for datetime strings)") from None
+
+    values, _, columns = load(train_csv)
     trim = ing["trim_rows"]
     if trim >= len(values):
         raise ConfigError(
@@ -171,7 +179,7 @@ def run_ingest(cfg: dict) -> Path:
     }
     del train_norm, holdout_norm
     if test_csv:
-        test_values, test_labels, test_columns = ingest.load_csv(test_csv, *schema)
+        test_values, test_labels, test_columns = load(test_csv)
         if test_columns != columns:
             pairs = zip_longest(test_columns, columns, fillvalue="<missing>")
             got, want = next((t, c) for t, c in pairs if t != c)
@@ -236,23 +244,6 @@ def run_train(cfg: dict) -> Path:
     return checkpoint
 
 
-def _score_windows(model: gan.GanModel, windows: np.ndarray, settings: dict, seeds):
-    """Invert every window, window i from ``seeds[i]``, and collect its
-    residuals and D scores: ``(errors, iterations, component_residuals,
-    disc)``, the first two of shape (count,), the component residuals
-    |window - reconstruction| of the windows' shape and the D scores of
-    shape (count, length).  One ``invert_many`` call
-    inverts the whole stack, and the residuals are taken against the
-    reconstructions its descent made, with no further generator pass; one
-    ``forward_outputs`` call scores the stack.  Like the inversion, the
-    discriminator takes at most ``inversion.MAX_BATCH_ROWS`` windows at
-    once."""
-    # the tracer sizes invert_many by its second positional argument
-    _, errors, iterations, recon = inversion.invert_many(model.generator, windows, settings, seeds)
-    disc = inversion.forward_outputs(model.discriminator, windows)[..., 0]
-    return errors, iterations, np.abs(windows - recon), disc
-
-
 def run_detect(cfg: dict) -> Path:
     """Invert the bundled test windows, then score and flag the test-stream
     rows they cover.
@@ -271,12 +262,14 @@ def run_detect(cfg: dict) -> Path:
     on the combined score and each variable's threshold in
     ``per_variable_flags.csv`` are taken from the scores of the holdout
     rows, so that about ``scoring.target_fpr`` of them would be flagged.
-    The holdout and the test windows are inverted and scored as one stack,
-    holdout first, by one :func:`_score_windows` call: holdout window j
-    from seed ``seed + 1_000_000 + j`` and test window i from ``seed + i``,
+    The holdout and the test windows are inverted as one stack, holdout
+    first, by one ``inversion.invert_many`` call: holdout window j from
+    seed ``seed + 1_000_000 + j`` and test window i from ``seed + i``,
     where ``seed`` is the config's.  Each window keeps its own starts and
     Adam trajectory, so sharing batches with the other set moves its
-    scores only by float32 rounding, which the descent can amplify.
+    scores only by float32 rounding, which the descent can amplify.  The
+    component residuals are |window - reconstruction| against the
+    reconstructions the descent made.
 
     A checkpoint trained on another bundle's windows is refused: its
     ``windows_sha256`` must be the digest of the bundle's windows
@@ -306,12 +299,15 @@ def run_detect(cfg: dict) -> Path:
     seed = cfg["seed"]
     seeds = [seed + 1_000_000 + j for j in range(holdout_windows)]
     seeds += [seed + i for i in range(len(test))]
-    errors, iterations, comp_res, disc = _score_windows(
-        model, np.concatenate([holdout, test]), cfg["inversion"], seeds
-    )
+    windows = np.concatenate([holdout, test])
+    # the tracer sizes invert_many by its second positional argument
+    _, errors, iterations, recon = inversion.invert_many(model.generator, windows,
+                                                         cfg["inversion"], seeds)
+    disc = inversion.forward_outputs(model.discriminator, windows)
     # the holdout leads the stack; each set's scores go onto its stream
     # rows, the D score beside the component residuals
-    scored, sets = np.concatenate([comp_res, disc[..., None]], axis=2), manifest["window_sets"]
+    scored = np.concatenate([np.abs(windows - recon), disc], axis=2)
+    sets = manifest["window_sets"]
     _, hold_means = ingest.unwindow(scored[:holdout_windows], sets["holdout"]["step"])
     rows, test_means = ingest.unwindow(scored[holdout_windows:], sets["test"]["step"])
     (hold_comp, hold_disc), (test_comp, test_disc) = (

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 from tsgad import gan, ingest, inversion, pca
 from tsgad.cli import main
-from tsgad.config import load_config
+from tsgad.config import load_config, validate_config
 from tsgad.pipeline import SCORES_HEADER, _read_scores
 
 TINY_CONFIG = """\
@@ -115,6 +116,7 @@ def test_all_writes_documented_artifacts(all_out):
     # windows are the GAN's: the baselines' row tables have no window set
     bundle = json.loads((all_out / "bundle" / "manifest.json").read_text())
     assert set(bundle["window_sets"]) == {"train", "holdout", "test"}
+    assert manifest["test_windows"] == bundle["window_sets"]["test"]["count"]
 
 
 def test_detect_manifest_records_holdout_inversions(config, all_out):
@@ -136,10 +138,37 @@ def test_detect_manifest_records_holdout_inversions(config, all_out):
                                                 cfg["inversion"], seeds)
     assert manifest["holdout_error_median"] == float(np.median(errors[:len(holdout)]))
     assert manifest["holdout_iterations_mean"] == float(iterations[:len(holdout)].mean())
-    with (all_out / "inversion_diagnostics.csv").open(newline="") as fh:
+    assert _diagnostics(all_out) == (errors[len(holdout):].tolist(),
+                                     iterations[len(holdout):].tolist())
+
+
+def _diagnostics(out):
+    """The ``(errors, iterations)`` of ``inversion_diagnostics.csv``."""
+    with (out / "inversion_diagnostics.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [float(r["error"]) for r in rows] == errors[len(holdout):].tolist()
-    assert [int(r["iterations"]) for r in rows] == iterations[len(holdout):].tolist()
+    return [float(r["error"]) for r in rows], [int(r["iterations"]) for r in rows]
+
+
+def test_default_inversion_budget_stops_at_the_tolerance(all_out, tmp_path):
+    # no workload inverts at the schema's budget: detect and evaluate again
+    # from the trained checkpoint and bundle with the inversion section
+    # dropped.  The descent stops a window once its error reaches
+    # inversion.tolerance, and ends no worse in the median than at the tiny
+    # config's 3 steps x 2 restarts
+    out = tmp_path / "out"
+    shutil.copytree(all_out, out)
+    config = _edited(tmp_path, [("inversion:\n  max_iterations: 3\n  restarts: 2\n", "")])
+    with pytest.warns(UserWarning, match=FEW_HOLDOUT):
+        assert _run(config, out, "detect") == 0
+    assert _run(config, out, "evaluate") == 0
+    budget = validate_config({})["inversion"]["max_iterations"]
+    errors, iterations = _diagnostics(out)
+    short_errors, _ = _diagnostics(all_out)
+    assert len(errors) == len(short_errors)
+    assert all(0 <= i <= budget for i in iterations), iterations
+    assert min(iterations) < budget, iterations
+    assert all(0.0 <= e <= 2.0 for e in errors), errors
+    assert statistics.median(errors) <= statistics.median(short_errors)
 
 
 def test_detect_inverts_and_scores_every_window_in_one_pass(config, all_out, tmp_path,
@@ -222,7 +251,7 @@ def test_history_has_a_finite_mmd_every_epoch(tmp_path):
 @pytest.mark.parametrize("key", [
     "no_such_key", "workers", "gan.optimizer", "synth.propagate_to_coupled",
     "synth.label_coupled", "baselines", "scoring.tau", "generate",
-    "gan.checkpoint_interval", "gan.mmd_every", "gan.grad_clip",
+    "gan.checkpoint_interval", "gan.mmd_every", "gan.grad_clip", "gan.disc_depth",
 ])
 def test_unknown_config_key_exits_1(key, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
@@ -299,7 +328,7 @@ def test_damaged_bundle_file_exits_1(config, all_out, tmp_path, capsys, name, da
     capsys.readouterr()
     assert _run(config, out, stage) == 1
     err = capsys.readouterr().err
-    assert f"config error: {path}: " in err and "; re-run ingest" in err, err
+    assert f"config error: {path}: damaged (" in err and "; re-run ingest" in err, err
 
 
 def _flip_member_bytes(path):
@@ -354,6 +383,7 @@ def _window_set_edit(name, key, value):
     ("scores.csv", ("residual", "nan"), "evaluate", "detect"),
     ("scores.csv", ("disc_score", "inf"), "evaluate", "detect"),
     ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
+    ("scores.csv", ("index", "x"), "evaluate", "detect"),
     ("scores.csv", "reverse index", "evaluate", "detect"),
 ], ids=["bundle step missing", "bundle step 0", "bundle step a string", "bundle step true",
         "bundle window length a float", "bundle set without a stream",
@@ -362,7 +392,7 @@ def _window_set_edit(name, key, value):
         "detect manifest a list", "scores cut short", "scores header", "scores missing rows",
         "scores cell not a number", "scores flag 2", "scores truth 2", "scores truth -1",
         "scores truth empty in one row", "scores residual nan", "scores disc_score inf",
-        "scores combined -inf", "scores index reversed"])
+        "scores combined -inf", "scores index not a number", "scores index reversed"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a bundle manifest without window sets, or whose set has a window step
@@ -372,8 +402,10 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     # object, and a scores.csv cut short (mid-row or after a row), with a
     # foreign header, with a flag that is no integer, a flag or truth other
     # than 0 or 1 (an empty truth among labelled rows included), a score
-    # that is not finite or an index that does not increase (each score
-    # naming another test row) are refused by name, with the stage to re-run
+    # that is not finite or an index that is no number or does not increase
+    # (each score naming another test row) are refused by name, with the
+    # stage to re-run, and in terms of the file: evaluate has no ingest
+    # settings to name
     out = tmp_path / "out"
     shutil.copytree(all_out, out)
     path = out / name
@@ -406,6 +438,7 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     err = capsys.readouterr().err
     assert f"config error: {path}: damaged (" in err and f"; re-run {cure}" in err, err
     assert err.count(str(path)) == 1, err
+    assert "label_mapping" not in err and "timestamp_format" not in err, err
     if damage == "reverse index":
         assert "in column 'index'" in err, err
 
@@ -1032,11 +1065,20 @@ def _non_numeric_cell(text):
     return "\n".join(lines) + "\n"
 
 
+def _datetime_timestamp(text):
+    lines = text.splitlines()
+    lines[5] = "2015-12-28 10:00:04," + lines[5].split(",", 1)[1]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_header_name, "header repeats ['LIT101']"),
     (_drop_a_cell, "ragged row 6: expected 5 cells, got 4"),
     (_non_numeric_cell, "row 6: non-numeric cell 'high' in column 'LIT101'"),
-], ids=["repeated-header-name", "ragged-row", "non-numeric-cell"])
+    # the setting that reads datetime strings is named for the plant CSVs
+    (_datetime_timestamp, "row 6: non-numeric timestamp '2015-12-28 10:00:04' in column "
+     "'timestamp' (set ingest.timestamp_format for datetime strings)"),
+], ids=["repeated-header-name", "ragged-row", "non-numeric-cell", "datetime-timestamp"])
 def test_bad_csv_exits_1_at_ingest(edit, message, config, tmp_path, capsys):
     # a refused input file is a config error (exit 1), not a crash (exit 2)
     assert _run(config, tmp_path, "synth") == 0

@@ -1,6 +1,7 @@
 import numpy.testing as npt
 import pytest
 
+from tsgad import gan
 from tsgad.config import (
     ConfigError,
     config_hash,
@@ -21,7 +22,7 @@ def test_defaults_carry_paper_scale_preprocessing():
     assert cfg["gan"]["latent_dim"] == 15
     assert cfg["gan"]["gen_depth"] == 3
     assert cfg["gan"]["gen_hidden"] == 100
-    assert cfg["gan"]["disc_depth"] == 1
+    assert gan.DISC_DEPTH == 1
     assert cfg["gan"]["disc_hidden"] == 100
 
 
@@ -71,7 +72,7 @@ def test_range_violation_reported(tmp_path):
 @pytest.mark.parametrize("section,key,value", [
     ("gan", "epochs", -1),
     *(("gan", key, 0) for key in ("batch_size", "d_steps", "g_steps", "latent_dim",
-                                   "gen_depth", "gen_hidden", "disc_depth", "disc_hidden")),
+                                   "gen_depth", "gen_hidden", "disc_hidden")),
     ("gan", "mmd_samples", 1),
     ("inversion", "max_iterations", -1),
     ("inversion", "learning_rate", 0),

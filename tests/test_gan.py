@@ -53,7 +53,6 @@ def tiny_config(**overrides):
         "latent_dim": 2,
         "gen_depth": 1,
         "gen_hidden": 6,
-        "disc_depth": 1,
         "disc_hidden": 4,
         **overrides,
     }

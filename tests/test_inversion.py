@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tsgad import gan, inversion, lstm, pipeline
+from tsgad import gan, inversion, lstm
 from tsgad.config import validate_config
 from tsgad.inversion import _descend, invert, invert_many, objective
 
@@ -33,6 +33,18 @@ def invert_one(gen, window, cfg, seed):
 def consecutive(seed, windows):
     """One seed per window of a stack: ``seed + i`` for window i."""
     return range(seed, seed + len(windows))
+
+
+def score_windows(model, windows, cfg, seeds):
+    """The two calls with which ``pipeline.run_detect`` scores its stack of
+    windows, as ``(errors, iterations, component_residuals, disc)``: the
+    component residuals are |window - reconstruction| against the
+    reconstructions ``invert_many`` made, and ``disc`` is the D score per
+    timestep of one ``forward_outputs`` call.  test_cli checks that detect
+    makes these two calls and no other."""
+    _, errors, iterations, recon = invert_many(model.generator, windows, cfg, seeds)
+    disc = inversion.forward_outputs(model.discriminator, windows)[..., 0]
+    return errors, iterations, np.abs(windows - recon), disc
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +110,9 @@ class TestSimilarity:
 
 
 class TestResidual:
-    """The component residuals per window timestep from
-    ``pipeline._score_windows``, |window - reconstruction|, which detect
-    averages onto stream rows and sums over variables for ``scores.csv``.
+    """The component residuals per window timestep, |window -
+    reconstruction|, which detect averages onto stream rows and sums over
+    variables for ``scores.csv``.
     With no descent steps and one restart, window i's
     reconstruction is G(z0) for z0 drawn from seed + i, so a test can plant
     windows at a known offset from their reconstructions."""
@@ -128,7 +140,7 @@ class TestResidual:
     def test_identity_reconstruction(self):
         model = self._model(3)
         windows = self._reconstructions(model, 2)
-        _, _, comp_res, _ = pipeline._score_windows(
+        _, _, comp_res, _ = score_windows(
             model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
         npt.assert_array_equal(comp_res, np.zeros((2, self.STEPS, 3)))
@@ -137,15 +149,15 @@ class TestResidual:
         model = self._model(1)
         offsets = np.arange(1.0, self.STEPS + 1.0)[None, :, None]
         windows = self._reconstructions(model, 1) + offsets
-        _, _, comp_res, _ = pipeline._score_windows(model, windows, self.NO_DESCENT,
-                                                    consecutive(self.SEED, windows))
+        _, _, comp_res, _ = score_windows(model, windows, self.NO_DESCENT,
+                                          consecutive(self.SEED, windows))
         npt.assert_allclose(comp_res, offsets, rtol=0, atol=1e-15)
 
     def test_sums_over_variables(self):
         model = self._model(2)
         deltas = np.tile([[-1.0, 0.0], [1.0, 1.0]], (self.STEPS // 2, 1))
         windows = self._reconstructions(model, 1) + deltas
-        _, _, comp_res, _ = pipeline._score_windows(
+        _, _, comp_res, _ = score_windows(
             model, windows, self.NO_DESCENT, consecutive(self.SEED, windows)
         )
         npt.assert_allclose(comp_res[0], np.abs(deltas), rtol=0, atol=1e-15)
@@ -156,7 +168,7 @@ class TestResidual:
         model = self._model(4)
         windows = np.random.default_rng(5).normal(size=(3, self.STEPS, 4))
         cfg = settings(max_iterations=3, restarts=2)
-        errors, iterations, comp_res, disc = pipeline._score_windows(
+        errors, iterations, comp_res, disc = score_windows(
             model, windows, cfg, consecutive(self.SEED, windows)
         )
         assert errors.shape == iterations.shape == (3,)
@@ -166,7 +178,7 @@ class TestResidual:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            pipeline._score_windows(
+            score_windows(
                 self._model(2), np.zeros((1, self.STEPS, 3)), self.NO_DESCENT, [self.SEED]
             )
 
@@ -462,7 +474,7 @@ class TestBatchRowCap:
         windows = np.random.default_rng(9).normal(size=(7, TestResidual.STEPS, 3))
         whole = generate(model.discriminator, windows)[..., 0]
         batch_sizes.clear()
-        *_, disc = pipeline._score_windows(
+        *_, disc = score_windows(
             model, windows, settings(max_iterations=2, restarts=2), consecutive(0, windows)
         )
         assert max(batch_sizes) <= self.CAP
@@ -484,7 +496,7 @@ def test_every_kept_cache_is_read(max_iterations, kept_caches):
     model = TestResidual._model(3)
     windows = np.random.default_rng(11).normal(size=(5, TestResidual.STEPS, 3))
     cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
-    pipeline._score_windows(model, windows, cfg, consecutive(0, windows))
+    score_windows(model, windows, cfg, consecutive(0, windows))
     kept, unread = kept_caches()
     # one cache per descent step, each read by that step's backward
     assert len(kept) == max_iterations and not unread
@@ -505,7 +517,7 @@ def test_score_windows_forwards_each_net_once_per_pass(max_iterations, monkeypat
 
     monkeypatch.setattr(lstm, "forward_batch", counting)
     cfg = settings(max_iterations=max_iterations, restarts=2, tolerance=0.0)
-    pipeline._score_windows(model, windows, cfg, consecutive(0, windows))
+    score_windows(model, windows, cfg, consecutive(0, windows))
     assert sum(net is model.generator for net in calls) == max_iterations + 1
     assert sum(net is model.discriminator for net in calls) == 1
     assert len(calls) == max_iterations + 2
