@@ -33,14 +33,21 @@ class ConfigError(ValueError):
 
 
 class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that annotates every mapping with per-key line numbers."""
+    """SafeLoader that annotates every mapping with per-key line numbers and
+    refuses a mapping that repeats a key."""
 
 
 def _construct_mapping(loader, node, deep=False):
+    # the keys written here: a key that a merge (``<<``) brings in may be
+    # given again, and it has no line here
+    given = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
     mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
     lines = {}
-    for key_node, _ in node.value:
+    for key_node in given:
         key = loader.construct_object(key_node, deep=deep)
+        if key in lines:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"found duplicate key {key!r}", key_node.start_mark)
         lines[key] = key_node.start_mark.line + 1
     mapping[LINE_KEY] = lines
     return mapping
@@ -305,6 +312,13 @@ def validate_config(raw: dict, source: str = "<config>") -> dict:
             f"{_where(ing, key, source)}ingest.window_length {factor} is one block of "
             f"ingest.downsample_factor {factor}: a window must downsample to 2 or more rows"
         )
+    # label cells are text, so the keys are too: {0: 0, 1: 1} matches a 0/1
+    # label column, and config_hash sorts keys of one type
+    mapping = cfg["ingest"]["label_mapping"]
+    cfg["ingest"]["label_mapping"] = {str(k): v for k, v in mapping.items()}
+    if len(cfg["ingest"]["label_mapping"]) < len(mapping):
+        raise ConfigError(f"{_where(ing, 'label_mapping', source)}ingest.label_mapping: keys "
+                          f"{list(mapping)} repeat a label cell's text")
     synth = cfg["synth"]
     if synth["enabled"]:
         # the test run has every attack and is the one they must fit in

@@ -28,11 +28,8 @@ DISC_DEPTH = 1  # the paper's discriminator: one LSTM layer
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient norm turns non-finite; carries the last good model."""
-
-    def __init__(self, message: str, model: "GanModel"):
-        super().__init__(message)
-        self.model = model
+    """Raised when a loss or gradient norm turns non-finite; its message names
+    the loss, the gradient norm and the epoch."""
 
 
 @dataclass
@@ -134,7 +131,6 @@ def generator_grads(
 
 
 def _update(
-    model: GanModel,
     net: lstm.StackedLstm,
     opt: lstm.OptimizerState,
     name: str,
@@ -147,7 +143,7 @@ def _update(
     :class:`TrainingDiverged` naming the loss ``name`` and ``epoch``."""
     norm = lstm.clip_gradients(grads, GRAD_CLIP)
     if not np.isfinite(loss + norm):
-        raise TrainingDiverged(f"{name} {loss}, gradient norm {norm} at epoch {epoch}", model)
+        raise TrainingDiverged(f"{name} {loss}, gradient norm {norm} at epoch {epoch}")
     lstm.optimizer_step(net.params.values(), grads, opt)
 
 
@@ -162,14 +158,13 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
     Each epoch shuffles the window set and walks it in minibatches; every
     minibatch takes ``d_steps`` discriminator updates followed by ``g_steps``
     generator updates on fresh latent draws.  A non-finite loss or gradient
-    norm raises :class:`TrainingDiverged` with the last epoch's parameters
-    and the completed epochs' history attached; non-finite windows are
-    rejected before the first epoch.  After every epoch the record gets an
-    MMD between generated windows and up to ``mmd_samples`` reference
-    windows, with one bandwidth for the whole run, the median heuristic of
-    the reference windows, so its values can be compared across epochs.
-    The MMD needs 2 windows, so with ``epochs > 0`` a single window is
-    refused.
+    norm raises :class:`TrainingDiverged`, which ends the run: no model is
+    returned.  Non-finite windows are rejected before the first epoch.
+    After every epoch the record gets an MMD between generated windows and
+    up to ``mmd_samples`` reference windows, with one bandwidth for the
+    whole run, the median heuristic of the reference windows, so its values
+    can be compared across epochs.  The MMD needs 2 windows, so with
+    ``epochs > 0`` a single window is refused.
 
     Only the passes a backward reads keep an LSTM cache: those inside
     :func:`discriminator_grads` and :func:`generator_grads`.  The generator
@@ -204,34 +199,28 @@ def train(settings: dict, windows: np.ndarray, seed: int) -> GanModel:
     # the median heuristic needs 2 windows, which only an MMD run is sure to have
     bandwidth = median_heuristic(mmd_ref) if settings["epochs"] > 0 else None
 
-    last_good = (gen.copy(), disc.copy())
     batch = min(settings["batch_size"], n_windows)
 
     for epoch in range(settings["epochs"]):
         perm = rng.permutation(n_windows)
         d_losses: list[float] = []
         g_losses: list[float] = []
-        try:
-            for start in range(0, n_windows, batch):
-                idx = perm[start : start + batch]
-                real = windows[idx]
-                m = real.shape[0]
-                for _ in range(settings["d_steps"]):
-                    z = rng.standard_normal((m, seq_len, latent_dim))
-                    fake = lstm.forward_batch(gen, z, cache=False)[0]
-                    loss, grads = discriminator_grads(disc, real, fake)
-                    _update(model, disc, d_opt, "d_loss", loss, grads, epoch + 1)
-                    d_losses.append(loss)
-                for _ in range(settings["g_steps"]):
-                    z = rng.standard_normal((m, seq_len, latent_dim))
-                    loss, grads = generator_grads(gen, disc, z)
-                    _update(model, gen, g_opt, "g_loss", loss, grads, epoch + 1)
-                    g_losses.append(loss)
-        except TrainingDiverged:
-            model.generator, model.discriminator = last_good
-            raise
+        for start in range(0, n_windows, batch):
+            idx = perm[start : start + batch]
+            real = windows[idx]
+            m = real.shape[0]
+            for _ in range(settings["d_steps"]):
+                z = rng.standard_normal((m, seq_len, latent_dim))
+                fake = lstm.forward_batch(gen, z, cache=False)[0]
+                loss, grads = discriminator_grads(disc, real, fake)
+                _update(disc, d_opt, "d_loss", loss, grads, epoch + 1)
+                d_losses.append(loss)
+            for _ in range(settings["g_steps"]):
+                z = rng.standard_normal((m, seq_len, latent_dim))
+                loss, grads = generator_grads(gen, disc, z)
+                _update(gen, g_opt, "g_loss", loss, grads, epoch + 1)
+                g_losses.append(loss)
 
-        last_good = (gen.copy(), disc.copy())
         z = rng.standard_normal((ref_size, seq_len, latent_dim))
         mmd = mmd_unbiased(lstm.forward_batch(gen, z, cache=False)[0], mmd_ref, bandwidth)
         model.history.append(

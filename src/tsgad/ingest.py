@@ -131,8 +131,10 @@ def load_csv(
     label_column: str | None = None,
     label_mapping: dict | None = None,
     timestamp_format: str | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
-    """Parse a headered CSV file into ``(values, labels, feature_names)``.
+) -> tuple[np.ndarray, np.ndarray | None, list[str], np.ndarray]:
+    """Parse a headered CSV file into ``(values, labels, feature_names,
+    timestamps)``, the timestamps as float64 (epoch seconds when parsed
+    with ``timestamp_format``).
 
     Every column that is neither the timestamp nor the label is a feature, in
     file order.  ``values`` is row-major with a unit column stride: when the
@@ -140,10 +142,10 @@ def load_csv(
     writes, it is a view of those columns of the table the parser read, so
     the plant is held once; otherwise it is a C-contiguous copy.
     ``label_mapping`` translates raw label cells (e.g. ``Normal``/``Attack``)
-    to 0/1; its keys are compared as strings, so the YAML mapping ``{0: 0,
-    1: 1}`` matches a 0/1 label column.  ``timestamp_format`` is an optional
-    ``strptime`` pattern for non-numeric timestamps; a time without a ``%z``
-    offset is read as UTC.  The timestamps are checked, not returned.
+    to 0/1; its keys are the cells' text, as
+    :func:`~tsgad.config.validate_config` stores them.  ``timestamp_format``
+    is an optional ``strptime`` pattern for non-numeric timestamps; a time
+    without a ``%z`` offset is read as UTC.
     ``pipeline.run_ingest`` reads the plant CSVs with it, and
     ``pipeline.run_evaluate`` detect's ``scores.csv``, with ``index`` as its
     timestamp and ``truth`` as its label column.
@@ -173,19 +175,19 @@ def load_csv(
     missing file raises ``FileNotFoundError``.
     """
     path = Path(path)
-    mapping = {str(k): v for k, v in (label_mapping or {}).items()}
+    mapping = label_mapping or {}
     with path.open(newline="", encoding="utf-8-sig") as fh:
         layout = _read_header(csv.reader(fh), path, timestamp_column, label_column)
         table = _parse_body(fh, layout, mapping, timestamp_format)
     if table is None:
         table = _scan_body(path, layout, mapping, timestamp_format)
-    values, labels = table
-    return values, labels, [layout.header[i] for i in layout.features]
+    values, labels, ts = table
+    return values, labels, [layout.header[i] for i in layout.features], ts
 
 
 def _parse_body(
     fh, layout: _Layout, mapping: dict, timestamp_format: str | None
-) -> tuple[np.ndarray, np.ndarray | None] | None:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray] | None:
     """The rows after the header through ``np.loadtxt``; ``None`` when they
     do not pass every check of :func:`_scan_body`."""
     converters = {}
@@ -223,7 +225,7 @@ def _parse_body(
     if not (_finite(values) and _finite(ts) and np.all(np.diff(ts) > 0)):
         return None
     labels = None if layout.label is None else table[:, layout.label].astype(np.int64)
-    return values, labels
+    return values, labels, ts
 
 
 def _finite(values: np.ndarray) -> bool:
@@ -233,7 +235,7 @@ def _finite(values: np.ndarray) -> bool:
 
 def _scan_body(
     path: Path, layout: _Layout, mapping: dict, timestamp_format: str | None
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Row-by-row ``csv.reader`` form of :func:`_parse_body` that raises the
     refusal of the first bad row, numbering rows as the file does."""
     header, feature_idx = layout.header, layout.features
@@ -301,7 +303,7 @@ def _scan_body(
             f"{path}: non-monotone timestamps at rows {row_nums[bad]} and "
             f"{row_nums[bad + 1]} ({ts[bad]} -> {ts[bad + 1]}) in column {ts_name!r}"
         )
-    return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None
+    return values, np.asarray(labels, dtype=np.int64) if layout.label is not None else None, ts
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -373,6 +375,13 @@ def _cover(count: int, length: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     return timesteps, np.bincount(timesteps)
 
 
+def covered_row_numbers(count: int, length: int, step: int) -> np.ndarray:
+    """The numbers, in stream order, of the stream rows that ``count``
+    windows of ``length`` rows starting every ``step`` rows cover: the rows
+    :func:`covered_rows` keeps and :func:`unwindow` returns."""
+    return np.flatnonzero(_cover(count, length, step)[1])
+
+
 def covered_rows(stream: np.ndarray, length: int, step: int) -> np.ndarray:
     """The rows of ``stream`` that its :func:`window` cut at ``length`` and
     ``step`` covers, in stream order, as a new C-contiguous array: the rows
@@ -380,7 +389,7 @@ def covered_rows(stream: np.ndarray, length: int, step: int) -> np.ndarray:
     windows that start further apart than their length, and a trailing
     remainder, are left out."""
     count = len(window(stream, length, step))
-    return stream[np.flatnonzero(_cover(count, length, step)[1])]
+    return stream[covered_row_numbers(count, length, step)]
 
 
 def unwindow(values: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:

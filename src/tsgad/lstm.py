@@ -128,12 +128,6 @@ class StackedLstm:
     def output_size(self) -> int:
         return self.params["out_w"].shape[0]
 
-    def copy(self) -> "StackedLstm":
-        return StackedLstm(
-            {name: array.copy() for name, array in self.params.items()},
-            self.output_activation,
-        )
-
 
 def init_lstm(
     depth: int,

@@ -115,7 +115,7 @@ def run_ingest(cfg: dict) -> Path:
 
     def load(path: Path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
         try:
-            return ingest.load_csv(path, *schema)
+            return ingest.load_csv(path, *schema)[:3]  # timestamps are checked, not kept
         except ingest.NonNumericTimestamp as exc:
             raise ConfigError(
                 f"{exc} (set ingest.timestamp_format for datetime strings)") from None
@@ -377,7 +377,7 @@ def run_detect(cfg: dict) -> Path:
     return scores_path
 
 
-def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
+def _read_scores(path: Path, test_set: dict) -> dict[str, np.ndarray]:
     """The columns of detect's ``scores.csv`` but ``index`` by name, ``flag``
     and ``truth`` as integers and the scores as floats, read by
     :func:`ingest.load_csv` with ``index`` as the timestamp column and
@@ -385,18 +385,22 @@ def _read_scores(path: Path, test_rows: int) -> dict[str, np.ndarray]:
     whose ``truth`` column is all empty, detect's mark of a test stream
     without labels, is refused, and as damaged one that ``load_csv``
     refuses (an ``index`` that is not strictly increasing included) or that
-    is not the score columns of :data:`SCORES_HEADER` over ``test_rows``
-    rows, with every ``flag`` 0 or 1 and no ``truth`` empty."""
+    is not the score columns of :data:`SCORES_HEADER` with ``index`` the
+    stream rows that ``test_set``, the bundle manifest's test window set,
+    covers, every ``flag`` 0 or 1 and no ``truth`` empty."""
+    rows = ingest.covered_row_numbers(*(test_set[k] for k in ("count", "window_length", "step")))
     try:
-        values, truth, names = ingest.load_csv(path, "index", "truth", {"0": 0, "1": 1, "": -1})
+        values, truth, names, index = ingest.load_csv(
+            path, "index", "truth", {"0": 0, "1": 1, "": -1})
     except ConfigError as exc:
         reason = str(exc).removeprefix(f"{path}: ")
     else:
         columns = dict(zip(names, values.T))
         if names != SCORES_HEADER[1:-1]:
             reason = f"score columns {names} where detect writes {SCORES_HEADER[1:-1]}"
-        elif len(truth) != test_rows:
-            reason = f"{len(truth)} rows for the bundle's {test_rows} test rows"
+        elif not np.array_equal(index, rows):
+            reason = (f"index holds {len(index)} rows, not the {len(rows)} rows from "
+                      f"{rows[0]} to {rows[-1]} that the bundle's test windows cover")
         elif not np.isin(columns["flag"], (0, 1)).all():
             row = int(np.argmin(np.isin(columns["flag"], (0, 1))))
             reason = f"row {row + 2} has flag {columns['flag'][row]}, not 0 or 1"
@@ -430,7 +434,9 @@ def run_evaluate(cfg: dict) -> Path:
     ``detect_manifest.json`` must be the digest of the bundle's windows,
     as for the checkpoint in :func:`run_detect`, and a
     damaged ``detect_manifest.json`` or ``scores.csv`` too: a ``scores.csv``
-    whose ``index`` does not strictly increase is damaged.
+    whose ``index`` is not the test-stream rows the bundle's test windows
+    cover, as :func:`~tsgad.ingest.covered_row_numbers` gives them, is
+    damaged.
     """
     bundle = _bundle_dir(cfg)
     arrays, manifest, digest = _load_calibration_bundle(cfg)
@@ -449,7 +455,7 @@ def run_evaluate(cfg: dict) -> Path:
     detect = ingest.read_json_object(detect_path, "re-run detect")
     _check_binding(scores_path, "detect scored", detect.get("windows_sha256"), digest,
                    "re-run detect")
-    scores = _read_scores(scores_path, len(test_rows))
+    scores = _read_scores(scores_path, manifest["window_sets"]["test"])
     truth = scores["truth"]
 
     report: dict = {"config_hash": config_hash(cfg), "methods": {}}

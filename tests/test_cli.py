@@ -215,7 +215,8 @@ def test_read_scores_parses_every_score_bit_for_bit(all_out):
     path = all_out / "scores.csv"
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    scores = _read_scores(path, len(rows))
+    manifest = json.loads((all_out / "bundle" / "manifest.json").read_text())
+    scores = _read_scores(path, manifest["window_sets"]["test"])
     for name in ("residual", "disc_score", "combined"):
         want = np.array([float(row[name]) for row in rows])
         got = np.ascontiguousarray(scores[name])
@@ -385,6 +386,7 @@ def _window_set_edit(name, key, value):
     ("scores.csv", ("combined", "-inf"), "evaluate", "detect"),
     ("scores.csv", ("index", "x"), "evaluate", "detect"),
     ("scores.csv", "reverse index", "evaluate", "detect"),
+    ("scores.csv", "shift index", "evaluate", "detect"),
 ], ids=["bundle step missing", "bundle step 0", "bundle step a string", "bundle step true",
         "bundle window length a float", "bundle set without a stream",
         "bundle window longer than its stream", "bundle without window sets",
@@ -392,7 +394,8 @@ def _window_set_edit(name, key, value):
         "detect manifest a list", "scores cut short", "scores header", "scores missing rows",
         "scores cell not a number", "scores flag 2", "scores truth 2", "scores truth -1",
         "scores truth empty in one row", "scores residual nan", "scores disc_score inf",
-        "scores combined -inf", "scores index not a number", "scores index reversed"])
+        "scores combined -inf", "scores index not a number", "scores index reversed",
+        "scores index shifted"])
 def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, damage, stage,
                                       cure):
     # a bundle manifest without window sets, or whose set has a window step
@@ -402,8 +405,9 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
     # object, and a scores.csv cut short (mid-row or after a row), with a
     # foreign header, with a flag that is no integer, a flag or truth other
     # than 0 or 1 (an empty truth among labelled rows included), a score
-    # that is not finite or an index that is no number or does not increase
-    # (each score naming another test row) are refused by name, with the
+    # that is not finite or an index that is no number, does not increase
+    # (each score naming another test row) or increases over rows the test
+    # windows do not cover are refused by name, with the
     # stage to re-run, and in terms of the file: evaluate has no ingest
     # settings to name
     out = tmp_path / "out"
@@ -424,6 +428,10 @@ def test_damaged_stage_output_exits_1(config, all_out, tmp_path, capsys, name, d
         cells = [row.split(",", 1) for row in rows]
         index = [first for first, _ in reversed(cells)]
         path.write_text(header + "".join(f"{i},{rest}" for i, (_, rest) in zip(index, cells)))
+    elif damage == "shift index":
+        header, *rows = path.read_text().splitlines(keepends=True)
+        cells = [row.split(",", 1) for row in rows]
+        path.write_text(header + "".join(f"{int(i) + 1000},{rest}" for i, rest in cells))
     elif isinstance(damage, tuple):
         # one cell of the first row
         column, value = damage
@@ -746,6 +754,48 @@ def test_label_mapping_outside_0_1_exits_1(tmp_path, capsys):
     assert f"{config}:3: ingest.label_mapping: expected label values 0 or 1" in (
         capsys.readouterr().err)
     assert not (tmp_path / "scores.csv").exists()
+
+
+def test_label_mapping_keys_of_mixed_types_run_all(all_out, tmp_path):
+    # YAML reads the key 2 as an integer; stored as text, it sorts beside
+    # Normal and Attack in config_hash
+    config = tmp_path / "mixed_labels.yaml"
+    config.write_text(TINY_CONFIG.replace(
+        "ingest:\n", "ingest:\n  label_mapping: {Normal: 0, Attack: 1, 2: 1}\n"))
+    with pytest.warns(UserWarning, match=FEW_HOLDOUT):
+        assert _run(config, tmp_path, "all") == 0
+    assert (tmp_path / "scores.csv").read_bytes() == (all_out / "scores.csv").read_bytes()
+
+
+def test_label_mapping_keys_of_one_text_exit_1_at_load(tmp_path, capsys):
+    config = tmp_path / "clashing_labels.yaml"
+    config.write_text(TINY_CONFIG.replace(
+        "ingest:\n", "ingest:\n  label_mapping: {1: 0, '1': 1}\n"))
+    out = tmp_path / "out"
+    assert _run(config, out, "all") == 1
+    assert f"{config}:3: ingest.label_mapping: keys [1, '1'] repeat a label cell's text" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_diverged_train_exits_2_and_writes_nothing(config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert _run(config, out, "synth") == 0
+    assert _run(config, out, "ingest") == 0
+    real_grads = gan.discriminator_grads
+
+    def nan_gradient(disc, real, fake):
+        loss, grads = real_grads(disc, real, fake)
+        grads[0][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(gan, "discriminator_grads", nan_gradient)
+    capsys.readouterr()
+    assert _run(config, out, "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: d_loss ") and "gradient norm nan at epoch 1" in err, err
+    assert not (out / "checkpoints" / "final.npz").exists()
+    assert not (out / "history.csv").exists()
 
 
 def test_holdout_shorter_than_one_window_exits_1_at_ingest(tmp_path, capsys):

@@ -92,6 +92,30 @@ def test_label_mapping_values_must_be_0_or_1(value, tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("seed: 1\ngan:\n  epochs: 1\n  epochs: 100\nseed: 2\n", "epochs", 4),
+    ("synth:\n  variables:\n    - {kind: sine, period: 60.0, period: 30.0}\n", "period", 3),
+], ids=["block", "flow"])
+def test_repeated_key_refused(tmp_path, text, key, line):
+    # without the check the last value would win silently
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    message = str(refused.value)
+    assert message.startswith(f"{path}: invalid YAML:"), message
+    assert f"found duplicate key '{key}'\n" in message, message
+    assert message.split("found duplicate key", 1)[1].count(f", line {line}, column") == 1, message
+
+
+def test_key_brought_in_by_a_merge_may_be_given_again(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("synth:\n  variables:\n    - &sine {kind: sine, period: 60.0}\n"
+                    "    - {<<: *sine, period: 30.0}\n")
+    periods = [v["period"] for v in load_config(path)["synth"]["variables"]]
+    assert periods == [60.0, 30.0]
+
+
 def test_invalid_yaml_reported(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("seed: [unclosed\n")
@@ -162,7 +186,8 @@ def test_run_synth_writes_the_train_run_at_seed_and_the_test_run_at_seed_plus_1(
     for path, attacks, duration, seed in runs:
         values, labels, _ = generate_scenario(s["variables"], attacks, duration,
                                               s["noise_sigma"], seed)
-        loaded, loaded_labels, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+        loaded, loaded_labels, _, _ = load_csv(
+            path, "timestamp", "label", {"Normal": 0, "Attack": 1})
         npt.assert_array_equal(loaded, values)
         npt.assert_array_equal(loaded_labels, labels)
     assert loaded_labels.sum() == 50

@@ -181,10 +181,8 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite"):
             train(tiny_config(), windows, SEED)
 
-    def test_non_finite_gradients_abort_with_last_good_model(self, monkeypatch):
+    def test_non_finite_gradients_abort_naming_loss_norm_and_epoch(self, monkeypatch):
         windows = np.random.default_rng(11).uniform(-0.5, 0.5, (8, 4, 1))
-        cfg = tiny_config(epochs=2, batch_size=4)
-        reference = train({**cfg, "epochs": 1}, windows, SEED)
         real_grads = gan.discriminator_grads
         calls = []
 
@@ -196,13 +194,12 @@ class TestTrain:
             return loss, grads
 
         monkeypatch.setattr(gan, "discriminator_grads", nan_in_epoch_two)
-        with pytest.raises(TrainingDiverged, match="gradient norm nan at epoch 2") as exc_info:
-            train(cfg, windows, SEED)
-        model = exc_info.value.model
-        assert len(model.history) == 1
-        assert model.history == reference.history
-        assert_same_params(model.generator, reference.generator)
-        assert_same_params(model.discriminator, reference.discriminator)
+        with pytest.raises(TrainingDiverged) as exc_info:
+            train(tiny_config(epochs=2, batch_size=4), windows, SEED)
+        assert re.fullmatch(
+            r"d_loss \S+, gradient norm nan at epoch 2", str(exc_info.value)
+        ), str(exc_info.value)
+        assert len(calls) == 3
 
     def test_shape_bug_is_not_reported_as_divergence(self, monkeypatch):
         # a generator emitting the wrong width fails inside the epoch
@@ -234,10 +231,8 @@ class TestTrain:
 
 def descent_step(net, grads, lr):
     """A copy of ``net`` after one plain gradient step p -= lr * g."""
-    stepped = net.copy()
-    for p, g in zip(stepped.params.values(), grads):
-        p -= lr * g
-    return stepped
+    params = {name: p - lr * g for (name, p), g in zip(net.params.items(), grads)}
+    return lstm.StackedLstm(params, net.output_activation)
 
 
 class TestUpdateDirections:

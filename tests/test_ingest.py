@@ -52,16 +52,17 @@ class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a,b\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n")
-        values, labels, names = load_csv(p, "ts")
+        values, labels, names, timestamps = load_csv(p, "ts")
         npt.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert values.dtype == np.float64
+        assert timestamps.tolist() == [0.0, 1.0, 2.0]
         assert names == ["a", "b"]
         assert labels is None
 
     def test_label_mapping(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("ts,a,state\n0,1,Normal\n1,2,Attack\n2,3,Normal\n")
-        values, labels, names = load_csv(p, "ts", "state", {"Normal": 0, "Attack": 1})
+        values, labels, names, _ = load_csv(p, "ts", "state", {"Normal": 0, "Attack": 1})
         npt.assert_array_equal(labels, [0, 1, 0])
         assert labels.dtype == np.int64
         npt.assert_array_equal(values[:, 0], [1, 2, 3])
@@ -144,8 +145,10 @@ class TestLoadCsv:
         fmt = "%d/%m/%Y %I:%M:%S %p"
         p = tmp_path / "data.csv"
         p.write_text("ts,a\n28/12/2015 10:00:00 AM,1\n28/12/2015 10:00:01 AM,2\n")
-        values, _, _ = load_csv(p, "ts", timestamp_format=fmt)
+        values, _, _, timestamps = load_csv(p, "ts", timestamp_format=fmt)
         npt.assert_array_equal(values[:, 0], [1, 2])
+        # a time without an offset is read as UTC
+        assert timestamps.tolist() == [1451296800.0, 1451296801.0]
         p.write_text("ts,a\n28/12/2015 10:00:01 AM,1\n28/12/2015 10:00:00 AM,2\n")
         with pytest.raises(ValueError, match="data.csv: non-monotone timestamps at rows 2 and 3"):
             load_csv(p, "ts", timestamp_format=fmt)
@@ -164,7 +167,7 @@ class TestLoadCsv:
             for zone in ("UTC", "Asia/Singapore", "America/New_York"):
                 monkeypatch.setenv("TZ", zone)
                 time.tzset()
-                values, _, _ = load_csv(p, "ts", timestamp_format=fmt)
+                values, _, _, _ = load_csv(p, "ts", timestamp_format=fmt)
                 npt.assert_array_equal(values[:, 0], [1, 2, 3])
         finally:
             monkeypatch.undo()
@@ -174,7 +177,7 @@ class TestLoadCsv:
         # 10:00+02:00 is 08:00 UTC, before 09:30+00:00
         p = tmp_path / "data.csv"
         p.write_text("ts,a\n2021-01-01 10:00:00+0200,1\n2021-01-01 09:30:00+0000,2\n")
-        values, _, _ = load_csv(p, "ts", timestamp_format="%Y-%m-%d %H:%M:%S%z")
+        values, _, _, _ = load_csv(p, "ts", timestamp_format="%Y-%m-%d %H:%M:%S%z")
         npt.assert_array_equal(values[:, 0], [1, 2])
         p.write_text("ts,a\n2021-01-01 10:00:00+0000,1\n2021-01-01 09:30:00+0000,2\n")
         with pytest.raises(ValueError, match="non-monotone timestamps at rows 2 and 3"):
@@ -275,7 +278,7 @@ def test_loader_parity(tmp_path, monkeypatch, case):
         raise AssertionError("an accepted file went through the row-by-row scan")
 
     monkeypatch.setattr(ingest, "_scan_body", no_scan, raising=False)
-    values, labels, _ = load_csv(p, "ts", label_column, mapping)
+    values, labels, _, _ = load_csv(p, "ts", label_column, mapping)
     npt.assert_array_equal(values, want)
     assert labels is None if want_labels is None else labels.tolist() == want_labels
 
@@ -306,7 +309,7 @@ def test_write_then_load_is_bitwise(tmp_path, matrix):
     p = tmp_path / "plant.csv"
     header = ["ts"] + [f"v{j}" for j in range(matrix.shape[1])]
     write_csv(p, header, ([float(i), *row] for i, row in enumerate(matrix.tolist())))
-    values, labels, names = load_csv(p, "ts")
+    values, labels, names, _ = load_csv(p, "ts")
     assert _row_major(values) and values.dtype == np.float64
     npt.assert_array_equal(_bits(values), _bits(matrix))
     assert labels is None and names == header[1:]
@@ -345,11 +348,12 @@ def test_fast_path_matches_row_scan(tmp_path, lines, newline, with_label):
 
     def outcome():
         try:
-            values, labels, names = load_csv(p, *args)
+            values, labels, names, timestamps = load_csv(p, *args)
         except ConfigError as exc:
             return str(exc)
         assert _row_major(values)
-        return _bits(values).tolist(), None if labels is None else labels.tolist(), names
+        labels = None if labels is None else labels.tolist()
+        return _bits(values).tolist(), labels, names, timestamps.tolist()
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as patch:
@@ -390,7 +394,7 @@ def test_ingest_steps_see_the_loaded_layout_as_a_contiguous_copy(
     run = features > 1 and at == list(range(at[0], at[0] + features))
 
     def load():
-        values, _, loaded_names = load_csv(p, "ts", "label", {"Normal": 0, "Attack": 1})
+        values, _, loaded_names, _ = load_csv(p, "ts", "label", {"Normal": 0, "Attack": 1})
         assert _row_major(values) and loaded_names == names
         npt.assert_array_equal(_bits(values), _bits(matrix))
         return values

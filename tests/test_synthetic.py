@@ -157,7 +157,7 @@ def test_csv_roundtrip_through_ingest(tmp_path):
     cells = [cell for line in lines[1:] for cell in line.split(",")[1:-1]]
     assert all(len(cell.partition(".")[2]) == DECIMALS for cell in cells)
     assert {line.split(",")[-1] for line in lines[1:]} == {"Normal", "Attack"}
-    loaded, loaded_labels, loaded_names = load_csv(
+    loaded, loaded_labels, loaded_names, _ = load_csv(
         path, "timestamp", "label", {"Normal": 0, "Attack": 1}
     )
     npt.assert_array_equal(loaded, values)
@@ -228,7 +228,7 @@ def test_readings_lie_on_the_grid_and_round_trip_bitwise(tmp_path, synth):
     npt.assert_array_equal(_bits(np.round(values, DECIMALS)), _bits(values))
     path = tmp_path / "plant.csv"
     save_scenario_csv(values, labels, names, path)
-    loaded, loaded_labels, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+    loaded, loaded_labels, _, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
     npt.assert_array_equal(_bits(loaded), _bits(values))
     npt.assert_array_equal(loaded_labels, labels)
 
@@ -240,7 +240,7 @@ def test_fixed_point_text_round_trips_above_2_33(tmp_path):
     values = rng.uniform(2.0**33, 2.0**45, (50, 3)) * rng.choice([-1.0, 1.0], (50, 3))
     path = tmp_path / "wide.csv"
     save_scenario_csv(values, np.zeros(50, dtype=np.int64), ["a", "b", "c"], path)
-    loaded, _, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
+    loaded, _, _, _ = load_csv(path, "timestamp", "label", {"Normal": 0, "Attack": 1})
     npt.assert_array_equal(_bits(loaded), _bits(values))
 
 
